@@ -131,13 +131,22 @@ def read_metrics(path) -> list[dict]:
 
 
 def load_offline_dataset(path):
-    """Columnar .npz with states, actions, rewards, next_states, terminals."""
-    data = np.load(path)
+    """Columnar .npz with states, actions, rewards, next_states, terminals,
+    all with the same number of rows."""
     required = ("states", "actions", "rewards", "next_states", "terminals")
-    missing = [k for k in required if k not in data]
-    if missing:
-        raise ConfigError(f"offline dataset {path!r} missing fields {missing}")
-    return {k: data[k] for k in required}
+    with np.load(path) as data:
+        missing = [k for k in required if k not in data]
+        if missing:
+            raise ConfigError(f"offline dataset {path!r} missing fields {missing}")
+        columns = {k: data[k] for k in required}
+    rows = {k: v.shape[0] if v.ndim else None for k, v in columns.items()}
+    uneven = [k for k in required if rows[k] is None or rows[k] != rows["rewards"]]
+    if uneven:
+        raise ConfigError(
+            f"offline dataset {path!r}: fields {uneven} differ in length from "
+            f"rewards (rows per field: {rows})"
+        )
+    return columns
 
 
 # ----------------------------------------------------------------------
@@ -169,9 +178,11 @@ class _SeedRun:
                                       cfg.tabular)
             self.batch_size = cfg.tabular.batch_size
             self.buffer = PriorityBuffer(cfg.buffer_capacity, 1, 1, discrete=True)
-            self.d_star = occupancy(
-                self.env.mdp, value_iteration(self.env.mdp)[2]
-            )
+            # the oracle solves the problem the agent learns: the env's
+            # dynamics under the agent's discount
+            oracle_mdp = replace(self.env.mdp, gamma=cfg.tabular.gamma)
+            self.q_star, _, pi_star = value_iteration(oracle_mdp)
+            self.d_star = occupancy(oracle_mdp, pi_star)
         else:
             self.agent = SacAgent(self.env.obs_dim, self.env.action_dim,
                                   cfg.sac, self.streams["init"])
@@ -317,6 +328,7 @@ class _SeedRun:
         if cfg.offline_dataset:
             data = load_offline_dataset(cfg.offline_dataset)
             self.buffer.fill_offline(**data)
+            del data  # the buffer holds its own copy for the whole run
             if cfg.refresh_offline_priorities and cfg.trains_value_network:
                 live = self.buffer.all_live()
                 self._apply_roer(live.indices, self._value_td(live),
@@ -388,10 +400,9 @@ class _SeedRun:
             summary["final_kl"] = kl_divergence_to_implied(
                 self.d_star, self.buffer.implied_distribution()
             )
-            q_star, _, _ = value_iteration(self.env.mdp)
-            gap = np.max(np.abs(self.agent.q_table - q_star))
+            gap = np.max(np.abs(self.agent.q_table - self.q_star))
             summary["q_error_sup"] = float(gap)
-            summary["q_star_sup"] = float(np.max(np.abs(q_star)))
+            summary["q_star_sup"] = float(np.max(np.abs(self.q_star)))
         else:
             summary["aborted_updates"] = self.agent.aborted_updates
         with open(self.out_dir / "summary.json", "w") as fh:

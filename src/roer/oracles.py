@@ -39,10 +39,6 @@ class OccupancyTable:
         if abs(t.sum() - 1.0) > 1e-10:
             raise ValueError(f"occupancy must sum to 1, got {t.sum()!r}")
 
-    def as_dict(self) -> dict:
-        S, A = self.table.shape
-        return {(s, a): float(self.table[s, a]) for s in range(S) for a in range(A)}
-
 
 def value_iteration(mdp: TabularMdp, tol: float = 1e-10):
     """Optimal (Q*, V*, greedy policy) with sup-norm Bellman residual <= tol.

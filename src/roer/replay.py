@@ -10,6 +10,7 @@ over a batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,14 +103,6 @@ class SumTree:
             idx = left + go_right
         return idx - self._n
 
-    def reaggregate(self) -> None:
-        """Exactly rebuild all internal nodes from the leaves (drift bound)."""
-        m = self._n
-        while m > 1:
-            m //= 2
-            child = self.nodes[2 * m : 4 * m]
-            self.nodes[m : 2 * m] = child[0::2] + child[1::2]
-
 
 @dataclass
 class SampledBatch:
@@ -134,22 +127,6 @@ class SampledBatch:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    @property
-    def transitions(self) -> list[Transition]:
-        out = []
-        for i in range(len(self.indices)):
-            out.append(
-                Transition(
-                    state=self.states[i],
-                    action=self.actions[i],
-                    reward=float(self.rewards[i]),
-                    next_state=self.next_states[i],
-                    terminal=bool(self.terminals[i]),
-                    insert_step=int(self.insert_steps[i]),
-                )
-            )
-        return out
 
 
 class PriorityBuffer:
@@ -309,28 +286,36 @@ class PriorityBuffer:
                     return
         self.tree.set_many(idx, vals)
 
-    def implied_distribution(self, key=None) -> dict:
-        """Priority-weighted empirical distribution over (state, action)
-        buckets; values sum to 1 within 1e-12.
+    def implied_distribution(self) -> dict:
+        """Priority-weighted empirical distribution over the (state, action)
+        index pairs of a discrete buffer; values sum to 1 within 1e-12.
 
-        Discrete buffers bucket by the raw index pair. Continuous buffers
-        require a key(state, action) -> hashable bucketing callable.
+        Keys are Python-int pairs in the order of their first slot. Each
+        bucket adds its priorities in slot order, and the total adds the
+        buckets in key order, exactly as a running per-slot sum would.
         """
         if self.size == 0:
             raise EmptyBufferError("buffer is empty")
-        if key is None:
-            if not self.discrete:
-                raise UnsupportedModeError(
-                    "continuous buffer needs an explicit (state, action) bucketing"
-                )
-            key = lambda s, a: (int(s), int(a))
-        pri = self.tree.leaves(self.size)
-        out: dict = {}
-        for i in range(self.size):
-            k = key(self._states[i], self._actions[i])
-            out[k] = out.get(k, 0.0) + pri[i]
-        total = sum(out.values())
-        return {k: v / total for k, v in out.items()}
+        if not self.discrete:
+            raise UnsupportedModeError(
+                "continuous buffers have no (state, action) buckets"
+            )
+        n = self.size
+        states, actions = self._states[:n], self._actions[:n]
+        # dense ranks keep the pair key below n**2, whatever the index range
+        _, s_rank = np.unique(states, return_inverse=True)
+        _, a_rank = np.unique(actions, return_inverse=True)
+        _, first, bucket = np.unique(s_rank * n + a_rank, return_index=True,
+                                     return_inverse=True)
+        # bincount accumulates each bucket sequentially in slot order
+        sums = np.bincount(bucket, weights=self.tree.leaves(n))
+        order = np.argsort(first)
+        slots, sums = first[order], sums[order]
+        total = sum(sums)
+        return {
+            (s, a): v / total
+            for s, a, v in zip(states[slots].tolist(), actions[slots].tolist(), sums)
+        }
 
     # Snapshot format: binio envelope (magic, version, kind=1) wrapping the
     # header scalars and the live slots of every column in slot order.
@@ -382,16 +367,57 @@ class PriorityBuffer:
         return buf
 
     def fill_offline(self, states, actions, rewards, next_states, terminals) -> None:
-        """Bulk-load an offline dataset; every record gets priority 1."""
+        """Bulk-load an offline dataset in one columnar write.
+
+        The result is that of pushing the rows in order with insert step 0:
+        row k lands in slot (cursor + k) % capacity with priority 1 and the
+        next entry id, so a dataset larger than the buffer keeps its last
+        `capacity` rows. Every column is validated before any slot changes.
+        """
         n = len(rewards)
-        for i in range(n):
-            self.push(
-                Transition(
-                    state=states[i],
-                    action=actions[i],
-                    reward=float(rewards[i]),
-                    next_state=next_states[i],
-                    terminal=bool(terminals[i]),
-                    insert_step=0,
-                )
+        columns = [
+            (dest, self._offline_column(name, values, n, dest))
+            for name, values, dest in (
+                ("states", states, self._states),
+                ("actions", actions, self._actions),
+                ("rewards", rewards, self._rewards),
+                ("next_states", next_states, self._next_states),
+                ("terminals", terminals, self._terminals),
             )
+        ]
+        kept = min(n, self.capacity)
+        rows = np.arange(n - kept, n)
+        slots = (self.write_cursor + rows) % self.capacity
+        for dest, column in columns:
+            dest[slots] = column[n - kept:]
+        self._insert_steps[slots] = 0
+        self._entry_ids[slots] = self._next_entry_id + rows
+        self._next_entry_id += n
+        self.tree.set_many(slots, self.INITIAL_PRIORITY)
+        self.write_cursor = (self.write_cursor + n) % self.capacity
+        self.size = min(self.size + n, self.capacity)
+
+    @staticmethod
+    def _offline_column(name: str, values, n: int, dest: np.ndarray) -> np.ndarray:
+        """values as n rows shaped like dest's rows, in dest's dtype.
+
+        Index columns must hold integers; float columns must be finite.
+        """
+        arr = np.asarray(values)
+        if arr.shape[:1] != (n,):
+            raise InvalidTransitionError(
+                f"{name} has shape {arr.shape}, but rewards has {n} rows"
+            )
+        row_shape = dest.shape[1:]
+        if math.prod(arr.shape[1:]) != math.prod(row_shape):
+            raise InvalidTransitionError(
+                f"{name} rows have shape {arr.shape[1:]}, expected {row_shape}"
+            )
+        if dest.dtype == np.int64 and arr.dtype.kind not in "biu":
+            raise InvalidTransitionError(
+                f"{name} must hold integer indices, got dtype {arr.dtype}"
+            )
+        arr = arr.reshape((n,) + row_shape).astype(dest.dtype, copy=False)
+        if dest.dtype == np.float64 and not np.all(np.isfinite(arr)):
+            raise InvalidTransitionError(f"{name} contains non-finite values")
+        return arr

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from roer import config as cmod
 from roer import divergences, harness, schemes
 from roer.agents import TabularAgent, TabularConfig
 from roer.config import seed_streams
-from roer.envs import TabularEnv, TabularMdp
+from roer.envs import TabularEnv, TabularMdp, gridworld_mdp
 from roer.harness import (
     MetricsWriter,
     compute_bias,
@@ -19,6 +20,7 @@ from roer.harness import (
     run_sweep,
     run_train,
 )
+from roer.oracles import value_iteration
 from roer.replay import PriorityBuffer
 from roer.schemes import ConfigError
 
@@ -208,6 +210,26 @@ class TestRunTrain:
         rec = read_metrics(out / "seed_0" / "metrics.jsonl")
         assert rec  # ran to completion with a prefilled buffer
 
+    def test_offline_columns_of_unequal_length_rejected(self, tmp_path):
+        path = tmp_path / "offline.npz"
+        np.savez(path, states=np.zeros(5, dtype=int), actions=np.zeros(5, dtype=int),
+                 rewards=np.zeros(5), next_states=np.zeros(6, dtype=int),
+                 terminals=np.zeros(5, dtype=bool))
+        with pytest.raises(ConfigError, match="next_states"):
+            harness.load_offline_dataset(path)
+
+    def test_oracle_solved_at_the_agent_discount(self, tmp_path):
+        # grid MDPs discount at 0.95, the default tabular agent at 0.99
+        gamma = TabularConfig().gamma
+        assert gamma != gridworld_mdp(3, 3).gamma
+        raw = base_raw(tmp_path, env="grid-3x3", total_steps=60,
+                       train_start_step=10, eval_period=30)
+        raw["tabular"] = dict(batch_size=16)
+        out = run_train(cmod.from_dict(raw))
+        summary = json.loads((out / "seed_0" / "summary.json").read_text())
+        q_star, _, _ = value_iteration(replace(gridworld_mdp(3, 3), gamma=gamma))
+        assert summary["q_star_sup"] == float(np.max(np.abs(q_star)))
+
     def test_parallel_workers_match_serial(self, tmp_path):
         serial = cmod.from_dict(base_raw(
             tmp_path, seeds=[0, 1], output_dir=str(tmp_path / "s"), workers=1))
@@ -251,7 +273,6 @@ class TestBias:
 
     def test_tabular_optimal_q_has_small_bias(self):
         from roer.envs import chain_mdp
-        from roer.oracles import value_iteration
 
         mdp = chain_mdp(4, gamma=0.9)
         env = TabularEnv(mdp, horizon=10**9, rng=np.random.default_rng(2))

@@ -2,6 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from roer.binio import FormatError
@@ -41,14 +44,6 @@ class TestSumTree:
         # cumulative intervals: [0,1) -> 0, [1,3) -> 1, [3,6) -> 2
         found = t.find_prefix(np.array([0.0, 0.99, 1.0, 2.9, 3.0, 5.9]))
         assert list(found) == [0, 0, 1, 1, 2, 2]
-
-    def test_reaggregate_matches_brute_force(self):
-        rng = np.random.default_rng(0)
-        t = SumTree(37)
-        vals = rng.uniform(0.1, 5.0, size=37)
-        t.set_many(np.arange(37), vals)
-        t.reaggregate()
-        assert t.total() == pytest.approx(vals.sum(), rel=1e-12)
 
     def test_random_interleaving_consistency(self):
         rng = np.random.default_rng(42)
@@ -178,9 +173,9 @@ class TestSampling:
                                 insert_step=i))
         batch = buf.sample_proportional(8, rng)
         assert len(batch) == 8
-        ts = batch.transitions
-        assert len(ts) == 8
-        assert ts[0].reward == batch.rewards[0]
+        assert np.array_equal(batch.states, buf._states[batch.indices])
+        assert np.array_equal(batch.rewards, buf._rewards[batch.indices])
+        assert np.array_equal(batch.insert_steps, batch.indices)
 
 
 class TestUpdatePriorities:
@@ -259,8 +254,6 @@ class TestImpliedDistribution:
         buf.push(Transition(np.zeros(3), np.zeros(2), 0.0, np.zeros(3), False))
         with pytest.raises(UnsupportedModeError):
             buf.implied_distribution()
-        dist = buf.implied_distribution(key=lambda s, a: "all")
-        assert dist == {"all": 1.0}
 
 
 class TestSnapshot:
@@ -280,8 +273,8 @@ class TestSnapshot:
         assert loaded.write_cursor == buf.write_cursor
         assert np.array_equal(loaded._states[:64], buf._states[:64])
         assert np.array_equal(loaded.priorities, buf.priorities)
-        key = lambda s, a: (round(float(s[0]), 6), round(float(a[0]), 6))
-        assert buf.implied_distribution(key) == loaded.implied_distribution(key)
+        assert np.array_equal(loaded._actions[:64], buf._actions[:64])
+        assert np.array_equal(loaded._entry_ids[:64], buf._entry_ids[:64])
 
     def test_truncated_stream(self):
         buf = tabular_buffer()
@@ -306,3 +299,153 @@ class TestSnapshot:
         )
         assert len(buf) == n
         assert np.all(buf.priorities == 1.0)
+
+
+# ----------------------------------------------------------------------
+# property tests
+
+COLUMNS = ("states", "actions", "rewards", "next_states", "terminals")
+BUFFER_FIELDS = ("_states", "_actions", "_rewards", "_next_states", "_terminals",
+                 "_insert_steps", "_entry_ids")
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+def push_rows(buf, states, actions, rewards, next_states, terminals):
+    """Reference for fill_offline: the per-row push sequence it replaces."""
+    for i in range(len(rewards)):
+        buf.push(Transition(state=states[i], action=actions[i],
+                            reward=float(rewards[i]), next_state=next_states[i],
+                            terminal=bool(terminals[i]), insert_step=0))
+
+
+def implied_reference(buf):
+    """Reference for implied_distribution: one running sum per slot."""
+    pri = buf.tree.leaves(buf.size)
+    out = {}
+    for i in range(buf.size):
+        k = (int(buf._states[i]), int(buf._actions[i]))
+        out[k] = out.get(k, 0.0) + pri[i]
+    total = sum(out.values())
+    return {k: v / total for k, v in out.items()}
+
+
+def buffer_state(buf):
+    """Every stored byte and counter of a buffer, for exact comparison."""
+    return ([getattr(buf, name).tobytes() for name in BUFFER_FIELDS]
+            + [buf.tree.nodes.tobytes(), buf.size, buf.write_cursor,
+               buf._next_entry_id])
+
+
+@st.composite
+def dataset(draw, discrete: bool, n: int, ds=3, da=2):
+    if discrete:
+        index = hnp.arrays(np.int64, n, elements=st.integers(-3, 2**40))
+        states, actions, next_states = draw(index), draw(index), draw(index)
+    else:
+        states = draw(hnp.arrays(np.float64, (n, ds), elements=finite))
+        actions = draw(hnp.arrays(np.float64, (n, da), elements=finite))
+        next_states = draw(hnp.arrays(np.float64, (n, ds), elements=finite))
+    return dict(states=states, actions=actions,
+                rewards=draw(hnp.arrays(np.float64, n, elements=finite)),
+                next_states=next_states,
+                terminals=draw(hnp.arrays(np.bool_, n)))
+
+
+@st.composite
+def prefilled_buffers(draw, discrete: bool):
+    """A buffer pair (the one under test, a reference twin) after a drawn
+    number of pushes and priority writes, so the cursor starts anywhere."""
+    capacity = draw(st.integers(1, 10))
+    pair = [tabular_buffer(capacity) if discrete else vector_buffer(capacity)
+            for _ in range(2)]
+    prefix = draw(st.integers(0, 2 * capacity))
+    rows = draw(dataset(discrete, prefix))
+    written = draw(hnp.arrays(np.float64, min(prefix, capacity),
+                              elements=st.floats(0.01, 100.0)))
+    for buf in pair:
+        push_rows(buf, **rows)
+        buf.update_priorities(np.arange(len(written)), written)
+    return pair
+
+
+class TestOfflineFillProperties:
+    @pytest.mark.parametrize("discrete", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_columnar_fill_equals_per_row_pushes(self, discrete, data):
+        buf, ref = data.draw(prefilled_buffers(discrete))
+        # below, equal to and above capacity
+        n = data.draw(st.sampled_from([0, buf.capacity // 2, buf.capacity,
+                                       buf.capacity + 1, 2 * buf.capacity + 3]))
+        rows = data.draw(dataset(discrete, n))
+        buf.fill_offline(**rows)
+        push_rows(ref, **rows)
+        assert buffer_state(buf) == buffer_state(ref)
+
+    @pytest.mark.parametrize("discrete", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bad_column_rejected_before_any_write(self, discrete, data):
+        buf, _ = data.draw(prefilled_buffers(discrete))
+        n = data.draw(st.integers(1, 12))
+        rows = data.draw(dataset(discrete, n))
+        name = data.draw(st.sampled_from(COLUMNS))
+        col = rows[name]
+        defects = ["short", "wide"]
+        if col.dtype == np.float64:
+            defects.append("non-finite")
+        if discrete and name in ("states", "actions", "next_states"):
+            defects.append("float index")
+        defect = data.draw(st.sampled_from(defects))
+        if defect == "short":
+            rows[name] = col[:-1]
+        elif defect == "wide":
+            rows[name] = np.concatenate([col.reshape(n, -1)] * 2, axis=1)
+        elif defect == "non-finite":
+            col = col.copy()
+            col.flat[data.draw(st.integers(0, col.size - 1))] = data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+            rows[name] = col
+        else:
+            rows[name] = col.astype(np.float64)
+        before = buffer_state(buf)
+        with pytest.raises(InvalidTransitionError, match=name):
+            buf.fill_offline(**rows)
+        assert buffer_state(buf) == before
+
+
+class TestTreeProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(capacity=st.integers(1, 40), data=st.data())
+    def test_every_node_is_the_sum_of_its_children(self, capacity, data):
+        tree = SumTree(capacity)
+        batches = data.draw(st.lists(
+            hnp.arrays(np.int64, st.integers(0, 2 * capacity),
+                       elements=st.integers(0, capacity - 1)),
+            max_size=6))
+        for idx in batches:
+            tree.set_many(idx, data.draw(hnp.arrays(
+                np.float64, len(idx), elements=st.floats(0.0, 1e6))))
+        nodes, n = tree.nodes, len(tree.nodes) // 2
+        # exact: internal nodes equal the tree-order sums of the leaves
+        assert np.array_equal(nodes[1:n], nodes[2::2] + nodes[3::2])
+        assert tree.total() == pytest.approx(tree.leaves().sum(), rel=1e-12)
+
+
+class TestImpliedDistributionProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_running_sum_reference(self, data):
+        buf, _ = data.draw(prefilled_buffers(discrete=True))
+        if len(buf) == 0:
+            buf.push(make_transition())
+        # a few repeated pairs make buckets hold several slots
+        pairs = data.draw(st.lists(st.tuples(st.integers(-2, 3), st.integers(0, 2)),
+                                   max_size=3 * buf.capacity))
+        for s, a in pairs:
+            buf.push(make_transition(s=s, a=a))
+        buf.update_priorities(np.arange(len(buf)), data.draw(hnp.arrays(
+            np.float64, len(buf), elements=st.floats(1e-3, 1e3))))
+        got, want = buf.implied_distribution(), implied_reference(buf)
+        assert list(got.items()) == list(want.items())
+        assert all(type(s) is int and type(a) is int for s, a in got)
