@@ -39,7 +39,6 @@ class SacConfig:
     penalty_coef: float = 1.0
     value_beta: float = 1.0
     value_grad_clip: float = 7.0
-    value_residual_mode: str = "q_minus_v"   # or "target_minus_v"
     value_loss_kind: str = "extreme"         # or "pearson"
 
     @classmethod
@@ -185,12 +184,6 @@ class SacAgent:
 
     def update(self, batch: SampledBatch, weights: np.ndarray,
                rng: np.random.Generator, train_value: bool = False) -> StepMetrics:
-        cfg = self.config
-        n = len(batch)
-        obs = batch.states
-        act = batch.actions
-        nobs = batch.next_states
-        not_done = 1.0 - batch.terminals.astype(np.float64)
         weights = np.asarray(weights, dtype=np.float64)
         snap = self._snapshot()
         metrics = StepMetrics(alpha=self.alpha)
@@ -246,12 +239,8 @@ class SacAgent:
 
         # value network (priority TD source)
         if train_value:
-            if cfg.value_residual_mode == "target_minus_v":
-                anchor = target
-            else:
-                anchor = self._min_q(self.target1, self.target2, obs, act)
             v_pred, _, v_cache = self._value_forward(obs)
-            residual = anchor - v_pred
+            residual = self._min_q(self.target1, self.target2, obs, act) - v_pred
             if cfg.value_loss_kind == "pearson":
                 out = losses.pearson_v_loss(residual, cfg.value_beta)
             else:

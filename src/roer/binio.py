@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 MAGIC = b"ROERBIN\x00"
-VERSION = 1
+VERSION = 2
 KIND_BUFFER = 1
 KIND_CHECKPOINT = 2
 

@@ -21,9 +21,6 @@ Schema (all keys optional unless noted):
     buffer_capacity: int
     env_horizon: int            # episode cap, default 1000 (200 pendulum)
     offline_dataset: path to .npz or null
-    refresh_offline_priorities: bool
-    priority_refresh: batch | full
-    full_refresh_period: int
     checkpoint_period: int      # 0 = final checkpoint only
     bias_eval_period: int       # 0 = off
     bias_eval_pairs: int
@@ -33,7 +30,7 @@ Schema (all keys optional unless noted):
       profile: test | full
       learning_rate, hidden_dims, batch_size, gamma, polyak_tau,
       init_temperature, target_entropy, huber_k, penalty_coef,
-      value_residual_mode, value_loss_kind
+      value_loss_kind
     tabular:                    # tabular agent fields (finite envs)
       learning_rate, gamma, soft_temperature, epsilon, batch_size
     scheme_config:              # knobs of the selected scheme
@@ -74,9 +71,6 @@ class ExperimentConfig:
     buffer_capacity: int = 100_000
     env_horizon: int | None = None
     offline_dataset: str | None = None
-    refresh_offline_priorities: bool = False
-    priority_refresh: str = "batch"
-    full_refresh_period: int = 1
     checkpoint_period: int = 0
     bias_eval_period: int = 0
     bias_eval_pairs: int = 64
@@ -104,8 +98,6 @@ class ExperimentConfig:
             raise ConfigError("eval_period must be positive")
         if self.sampling_mode not in ("proportional", "weighted"):
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
-        if self.priority_refresh not in ("batch", "full"):
-            raise ConfigError(f"unknown priority_refresh {self.priority_refresh!r}")
 
     @property
     def trains_value_network(self) -> bool:
@@ -193,10 +185,8 @@ def from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         for key in ("env", "scheme", "total_steps", "train_start_step",
                     "eval_period", "eval_episodes", "output_dir",
                     "sampling_mode", "buffer_capacity", "env_horizon",
-                    "offline_dataset", "refresh_offline_priorities",
-                    "priority_refresh", "full_refresh_period",
-                    "checkpoint_period", "bias_eval_period", "bias_eval_pairs",
-                    "bias_eval_horizon", "workers"):
+                    "offline_dataset", "checkpoint_period", "bias_eval_period",
+                    "bias_eval_pairs", "bias_eval_horizon", "workers"):
             if key in raw:
                 kwargs[key] = raw.pop(key)
         if raw:

@@ -17,15 +17,14 @@ import concurrent.futures
 import multiprocessing
 import itertools
 import json
-import os
+import math
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
-from . import divergences, losses, nn, oracles, schemes
+from . import divergences, nn, oracles, schemes
 from .agents import SacAgent, StepMetrics, TabularAgent
 from .config import ExperimentConfig, apply_override, echo, seed_streams
 from .envs import PendulumEnv, TabularEnv, chain_mdp, gridworld_mdp, random_mdp
@@ -155,7 +154,7 @@ def load_offline_dataset(path):
 def _slice_batch(batch: SampledBatch, idx: np.ndarray,
                  weights: np.ndarray) -> SampledBatch:
     return SampledBatch(
-        indices=batch.indices[idx], entry_ids=batch.entry_ids[idx],
+        indices=batch.indices[idx],
         states=batch.states[idx], actions=batch.actions[idx],
         rewards=batch.rewards[idx], next_states=batch.next_states[idx],
         terminals=batch.terminals[idx], insert_steps=batch.insert_steps[idx],
@@ -221,43 +220,18 @@ class _SeedRun:
             batch.terminals, self.streams["agent"],
         )
 
-    def _refresh_priorities(self, batch: SampledBatch, metrics: StepMetrics,
-                            step: int) -> None:
+    def _refresh_priorities(self, batch: SampledBatch, metrics: StepMetrics) -> None:
         cfg = self.cfg
-        if cfg.scheme in ("uniform", "laber"):
-            return
         if cfg.scheme == "per":
             new = schemes.per_priority(metrics.critic_td_errors, cfg.per)
-            self.buffer.update_priorities(batch.indices, new, batch.entry_ids)
+        elif cfg.scheme == "roer_chi2":
+            new = schemes.chi2_priority(metrics.value_td_errors, cfg.roer.beta)
+        elif cfg.scheme == "roer":
+            new = schemes.roer_update(metrics.value_td_errors, batch.priorities,
+                                      cfg.roer)
+        else:
             return
-        # roer variants update from the value-network TD errors
-        if cfg.priority_refresh == "full" and step % cfg.full_refresh_period == 0:
-            live = self.buffer.all_live()
-            deltas = self._value_td(live)
-            self._apply_roer(live.indices, deltas, live.priorities,
-                             live.entry_ids)
-        else:
-            self._apply_roer(batch.indices, metrics.value_td_errors,
-                             batch.priorities, batch.entry_ids)
-
-    def _value_td(self, batch: SampledBatch) -> np.ndarray:
-        if self.discrete:
-            return self.agent.td_errors(
-                batch.states, batch.actions, batch.rewards, batch.next_states,
-                batch.terminals,
-            )
-        v_curr = nn.forward(self.agent.value, batch.states)[:, 0]
-        v_next = nn.forward(self.agent.value, batch.next_states)[:, 0]
-        return losses.td_error(batch.rewards, self.cfg.sac.gamma, v_next,
-                               v_curr, batch.terminals)
-
-    def _apply_roer(self, indices, deltas, priorities, entry_ids) -> None:
-        cfg = self.cfg
-        if cfg.scheme == "roer_chi2":
-            new = schemes.chi2_priority(deltas, cfg.roer.beta)
-        else:
-            new = schemes.roer_update(deltas, priorities, cfg.roer)
-        self.buffer.update_priorities(indices, new, entry_ids)
+        self.buffer.update_priorities(batch.indices, new)
 
     # -- acting ------------------------------------------------------------
 
@@ -324,15 +298,12 @@ class _SeedRun:
 
         cfg = self.cfg
         t_start = time.monotonic()
-        writer = MetricsWriter(self.out_dir / "metrics.jsonl")
         if cfg.offline_dataset:
+            # filled before the metrics stream opens: a bad dataset leaves no file
             data = load_offline_dataset(cfg.offline_dataset)
             self.buffer.fill_offline(**data)
             del data  # the buffer holds its own copy for the whole run
-            if cfg.refresh_offline_priorities and cfg.trains_value_network:
-                live = self.buffer.all_live()
-                self._apply_roer(live.indices, self._value_td(live),
-                                 live.priorities, live.entry_ids)
+        writer = MetricsWriter(self.out_dir / "metrics.jsonl")
         obs = self.env.reset()
         kl_at_tau = None
         final_eval = None
@@ -359,7 +330,7 @@ class _SeedRun:
                 clip_hits += metrics.value_clip_count
                 self._accumulate(metrics)
                 if not metrics.aborted:
-                    self._refresh_priorities(batch, metrics, step)
+                    self._refresh_priorities(batch, metrics)
 
             at_tau = step == cfg.train_start_step
             if step % cfg.eval_period == 0 or at_tau or step == cfg.total_steps:
@@ -377,7 +348,6 @@ class _SeedRun:
                     if probe:
                         record["bias"] = probe["bias"]
                 record["clip_hits"] = clip_hits
-                record["stale_updates"] = self.buffer.stale_update_count
                 if not self.discrete:
                     record["aborted_updates"] = self.agent.aborted_updates
                 writer.write(record)
@@ -392,7 +362,8 @@ class _SeedRun:
             "seed": self.seed,
             "steps": cfg.total_steps,
             "final_eval_return": final_eval,
-            "stale_updates": self.buffer.stale_update_count,
+            # read by perfbench/run.py; the serial loop never writes an overwritten slot
+            "stale_updates": 0,
             "clip_hits": clip_hits,
         }
         if self.discrete:
@@ -605,7 +576,7 @@ def run_oracle_suite(corrupt_kind: str | None = None,
     expect = np.array([1 / 6, 1 / 3, 1 / 2])
     max_dev = float(np.max(np.abs(freqs - expect)))
     chi2 = float((((freqs - expect) * 60_000) ** 2 / (expect * 60_000)).sum())
-    crit = float(stats.chi2.ppf(0.999, df=2))
+    crit = -2.0 * math.log(0.001)  # chi-squared 0.999 quantile, 2 dof
     report.append({
         "check": "sum_tree_proportionality", "tolerance": 0.01,
         "measured": max_dev, "passed": max_dev <= 0.01,
@@ -630,6 +601,8 @@ def run_oracle_suite(corrupt_kind: str | None = None,
 def run_sweep(cfg: ExperimentConfig) -> Path:
     """Cartesian product over cfg.sweep_grid; per-cell mean and 95% CI of
     the final return over the config's seeds, written as JSON + TSV."""
+    from scipy import stats  # slow to import; training never needs it
+
     if not cfg.sweep_grid:
         raise ConfigError("sweep requires a non-empty sweep.grid")
     out_dir = Path(cfg.output_dir)

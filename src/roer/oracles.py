@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import divergences
 from .envs import TabularMdp
@@ -137,6 +136,8 @@ def dual_minimize(mdp: TabularMdp, d_data: OccupancyTable, beta: float,
         y = split(q)
         ratio = np.array([divergences.conjugate_prime(div, v) for v in y])
         return A.T @ (dD * ratio) + lin
+
+    from scipy import optimize  # slow to import; training never needs it
 
     q0 = np.zeros(mdp.n_states * mdp.n_actions)
     res = optimize.minimize(

@@ -110,12 +110,10 @@ class SampledBatch:
 
     sampling_weights are all 1 under proportional sampling; under the
     uniform-sampling/weighted-objective mode they carry the priorities as
-    explicit loss weights. entry_ids let priority writers detect slots that
-    were overwritten between sampling and update.
+    explicit loss weights.
     """
 
     indices: np.ndarray
-    entry_ids: np.ndarray
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
@@ -158,12 +156,9 @@ class PriorityBuffer:
         self._rewards = np.zeros(capacity, dtype=np.float64)
         self._terminals = np.zeros(capacity, dtype=bool)
         self._insert_steps = np.zeros(capacity, dtype=np.int64)
-        self._entry_ids = np.full(capacity, -1, dtype=np.int64)
         self.tree = SumTree(capacity)
         self.size = 0
         self.write_cursor = 0
-        self._next_entry_id = 0
-        self.stale_update_count = 0
 
     def __len__(self) -> int:
         return self.size
@@ -210,8 +205,6 @@ class PriorityBuffer:
         self._rewards[i] = float(t.reward)
         self._terminals[i] = bool(t.terminal)
         self._insert_steps[i] = int(t.insert_step)
-        self._entry_ids[i] = self._next_entry_id
-        self._next_entry_id += 1
         self.tree.set(i, self.INITIAL_PRIORITY)
         self.write_cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
@@ -220,7 +213,6 @@ class PriorityBuffer:
     def _gather(self, idx: np.ndarray, weights: np.ndarray) -> SampledBatch:
         return SampledBatch(
             indices=idx,
-            entry_ids=self._entry_ids[idx].copy(),
             states=self._states[idx].copy(),
             actions=self._actions[idx].copy(),
             rewards=self._rewards[idx].copy(),
@@ -255,19 +247,8 @@ class PriorityBuffer:
             weights = np.ones(n, dtype=np.float64)
         return self._gather(idx, weights)
 
-    def all_live(self) -> SampledBatch:
-        """All stored entries in slot order (full-buffer priority refresh)."""
-        if self.size == 0:
-            raise EmptyBufferError("buffer is empty")
-        idx = np.arange(self.size, dtype=np.int64)
-        return self._gather(idx, np.ones(self.size, dtype=np.float64))
-
-    def update_priorities(self, indices, new_priorities, entry_ids=None) -> None:
-        """Replace priorities at the given slots.
-
-        Entries whose slot was overwritten since sampling (detected via
-        entry_ids) are skipped and counted, not errored.
-        """
+    def update_priorities(self, indices, new_priorities) -> None:
+        """Replace priorities at the given slots."""
         idx = np.asarray(indices, dtype=np.int64)
         vals = np.asarray(new_priorities, dtype=np.float64)
         if idx.shape != vals.shape:
@@ -276,14 +257,6 @@ class PriorityBuffer:
             raise InvalidTransitionError("slot index out of range")
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
             raise InvalidTransitionError("priorities must be positive and finite")
-        if entry_ids is not None:
-            fresh = self._entry_ids[idx] == np.asarray(entry_ids, dtype=np.int64)
-            self.stale_update_count += int(np.sum(~fresh))
-            if not np.all(fresh):
-                idx = idx[fresh]
-                vals = vals[fresh]
-                if len(idx) == 0:
-                    return
         self.tree.set_many(idx, vals)
 
     def implied_distribution(self) -> dict:
@@ -317,62 +290,64 @@ class PriorityBuffer:
             for s, a, v in zip(states[slots].tolist(), actions[slots].tolist(), sums)
         }
 
-    # Snapshot format: binio envelope (magic, version, kind=1) wrapping the
-    # header scalars and the live slots of every column in slot order.
-    def snapshot(self, path_or_stream) -> None:
+    # Snapshot format: binio envelope (magic, version, kind=1) wrapping
+    # meta = [capacity, size, write_cursor, state_dim, action_dim, discrete]
+    # and the live slots of every column in slot order.
+    def _live_columns(self) -> dict[str, np.ndarray]:
         n = self.size
-        arrays = {
-            "meta": np.array(
-                [self.capacity, self.size, self.write_cursor, self._next_entry_id,
-                 self.state_dim, self.action_dim, int(self.discrete),
-                 self.stale_update_count],
-                dtype=np.int64,
-            ),
+        return {
             "states": self._states[:n],
             "actions": self._actions[:n],
             "rewards": self._rewards[:n],
             "next_states": self._next_states[:n],
-            "terminals": self._terminals[:n].astype(np.uint8),
+            "terminals": self._terminals[:n].view(np.uint8),
             "insert_steps": self._insert_steps[:n],
-            "entry_ids": self._entry_ids[:n],
             "priorities": self.tree.leaves(n),
         }
+
+    def snapshot(self, path_or_stream) -> None:
+        meta = np.array([self.capacity, self.size, self.write_cursor,
+                         self.state_dim, self.action_dim, int(self.discrete)],
+                        dtype=np.int64)
+        arrays = {"meta": meta, **self._live_columns()}
         binio.write_envelope(
             path_or_stream, binio.KIND_BUFFER, binio.arrays_to_payload(arrays)
         )
 
     @classmethod
     def load(cls, path_or_stream) -> "PriorityBuffer":
+        """Rebuild a snapshot; a payload that does not describe a valid
+        buffer raises binio.FormatError."""
         payload = binio.read_envelope(path_or_stream, binio.KIND_BUFFER)
         arrays = binio.payload_to_arrays(payload)
-        meta = arrays["meta"]
-        capacity, size, cursor, next_id, sdim, adim, discrete, stale = (
-            int(v) for v in meta
-        )
+        meta = arrays.get("meta")
+        if meta is None or meta.shape != (6,) or meta.dtype != np.int64:
+            raise binio.FormatError("buffer meta must be 6 int64 values")
+        capacity, size, cursor, sdim, adim, discrete = (int(v) for v in meta)
+        if (capacity < 1 or not 0 <= size <= capacity or not 0 <= cursor < capacity
+                or (size < capacity and cursor != size)
+                or sdim < 0 or adim < 0 or discrete not in (0, 1)):
+            raise binio.FormatError(f"inconsistent buffer meta {meta.tolist()}")
         buf = cls(capacity, sdim, adim, discrete=bool(discrete))
-        n = size
-        buf._states[:n] = arrays["states"]
-        buf._actions[:n] = arrays["actions"]
-        buf._rewards[:n] = arrays["rewards"]
-        buf._next_states[:n] = arrays["next_states"]
-        buf._terminals[:n] = arrays["terminals"].astype(bool)
-        buf._insert_steps[:n] = arrays["insert_steps"]
-        buf._entry_ids[:n] = arrays["entry_ids"]
-        buf.size = size
-        buf.write_cursor = cursor
-        buf._next_entry_id = next_id
-        buf.stale_update_count = stale
-        if n:
-            buf.tree.set_many(np.arange(n), arrays["priorities"])
+        buf.size, buf.write_cursor = size, cursor
+        for name, dest in buf._live_columns().items():
+            got = arrays.get(name)
+            if got is None or got.shape != dest.shape or got.dtype != dest.dtype:
+                found = "missing" if got is None else f"{got.dtype} {got.shape}"
+                raise binio.FormatError(f"buffer column {name!r} is {found}, "
+                                        f"expected {dest.dtype} {dest.shape}")
+            dest[...] = got
+        # the leaves now hold the priorities; set_many also sums their parents
+        buf.tree.set_many(np.arange(size), arrays["priorities"])
         return buf
 
     def fill_offline(self, states, actions, rewards, next_states, terminals) -> None:
         """Bulk-load an offline dataset in one columnar write.
 
         The result is that of pushing the rows in order with insert step 0:
-        row k lands in slot (cursor + k) % capacity with priority 1 and the
-        next entry id, so a dataset larger than the buffer keeps its last
-        `capacity` rows. Every column is validated before any slot changes.
+        row k lands in slot (cursor + k) % capacity with priority 1, so a
+        dataset larger than the buffer keeps its last `capacity` rows. Every
+        column is validated before any slot changes.
         """
         n = len(rewards)
         columns = [
@@ -391,8 +366,6 @@ class PriorityBuffer:
         for dest, column in columns:
             dest[slots] = column[n - kept:]
         self._insert_steps[slots] = 0
-        self._entry_ids[slots] = self._next_entry_id + rows
-        self._next_entry_id += n
         self.tree.set_many(slots, self.INITIAL_PRIORITY)
         self.write_cursor = (self.write_cursor + n) % self.capacity
         self.size = min(self.size + n, self.capacity)

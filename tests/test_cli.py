@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import yaml
 
+import roer
 from roer.cli import main
 from roer.replay import PriorityBuffer, Transition
 
@@ -35,6 +40,20 @@ class TestTrainCommand:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "-c", str(tmp_path / "nope.yaml")]) == 2
+
+    def test_bad_offline_rows_exit_code(self, tmp_path, capsys):
+        n = 10
+        rewards = np.zeros(n)
+        rewards[-1] = np.nan
+        data = tmp_path / "data.npz"
+        np.savez(data, states=np.zeros(n, dtype=np.int64),
+                 actions=np.zeros(n, dtype=np.int64), rewards=rewards,
+                 next_states=np.ones(n, dtype=np.int64),
+                 terminals=np.zeros(n, dtype=bool))
+        path = write_config(tmp_path, offline_dataset=str(data))
+        assert main(["train", "-c", str(path)]) == 2
+        assert "rewards contains non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
 
 
 class TestOracleCommand:
@@ -77,6 +96,27 @@ class TestReplayInspect:
         out = capsys.readouterr().out
         assert "size 4" in out
         assert "implied distribution" in out
+
+    def test_truncated_snapshot_exit_code(self, tmp_path, capsys):
+        buf = PriorityBuffer(8, 1, 1, discrete=True)
+        buf.push(Transition(0, 0, 0.0, 0, False))
+        path = tmp_path / "buffer.bin"
+        buf.snapshot(path)
+        path.write_bytes(path.read_bytes()[:-3])
+        assert main(["replay-inspect", str(path)]) == 2
+        assert "truncated" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy takes most of a second to import; only the oracle suite, the
+    # dual minimizer and sweeps use it
+    code = ("import sys, roer.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(roer.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=os.environ | {"PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestSweepCommand:

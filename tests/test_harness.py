@@ -46,9 +46,17 @@ class TestConfig:
         again = cmod.load(str(path))
         assert again == cfg
 
-    def test_unknown_keys_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["bogus", "priority_refresh",
+                                     "full_refresh_period",
+                                     "refresh_offline_priorities"])
+    def test_unknown_keys_rejected(self, tmp_path, key):
         with pytest.raises(ConfigError, match="unknown config keys"):
-            cmod.from_dict(base_raw(tmp_path, bogus=1))
+            cmod.from_dict(base_raw(tmp_path, **{key: 1}))
+
+    def test_unknown_agent_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="value_residual_mode"):
+            cmod.from_dict(base_raw(tmp_path, env="pendulum", agent=dict(
+                value_residual_mode="target_minus_v")))
 
     def test_unknown_scheme_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown scheme"):

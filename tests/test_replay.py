@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+from roer import binio
 from roer.binio import FormatError
 from roer.replay import (
     EmptyBufferError,
@@ -205,16 +206,6 @@ class TestUpdatePriorities:
         buf.update_priorities([0, 1, 2], [0.3, 0.7, 1.9])
         assert buf.total_priority() == before  # exact, not approx
 
-    def test_stale_entries_skipped_and_counted(self):
-        buf = tabular_buffer(capacity=2)
-        buf.push(make_transition(s=0))
-        buf.push(make_transition(s=1))
-        batch = buf.sample_proportional(2, np.random.default_rng(0))
-        buf.push(make_transition(s=2))  # overwrites slot 0
-        buf.update_priorities(batch.indices, [5.0, 5.0], entry_ids=batch.entry_ids)
-        assert buf.stale_update_count == int(np.sum(batch.indices == 0))
-        assert buf.tree.get(0) == 1.0  # stale slot untouched
-
     def test_eviction_preserves_consistency(self):
         rng = np.random.default_rng(9)
         buf = tabular_buffer(capacity=16)
@@ -256,25 +247,71 @@ class TestImpliedDistribution:
             buf.implied_distribution()
 
 
+def snapshot_bytes(buf):
+    stream = io.BytesIO()
+    buf.snapshot(stream)
+    return stream.getvalue()
+
+
+def snapshot_arrays(buf):
+    payload = binio.read_envelope(io.BytesIO(snapshot_bytes(buf)), binio.KIND_BUFFER)
+    return binio.payload_to_arrays(payload)
+
+
+def envelope(arrays):
+    stream = io.BytesIO()
+    binio.write_envelope(stream, binio.KIND_BUFFER, binio.arrays_to_payload(arrays))
+    stream.seek(0)
+    return stream
+
+
+PAYLOAD_DEFECTS = ("short meta", "v1 layout", "missing column",
+                   "size above capacity", "cursor at capacity",
+                   "cursor apart from size", "short column", "wide rows",
+                   "float steps")
+
+
+def break_payload(arrays, defect):
+    """Damage the snapshot arrays of a full buffer of capacity 8."""
+    meta = arrays["meta"]
+    if defect == "short meta":
+        arrays["meta"] = meta[:5]
+    elif defect == "v1 layout":
+        # meta with the next entry id and the stale-write count, plus ids
+        capacity, size, cursor, sdim, adim, discrete = meta
+        arrays["meta"] = np.array([capacity, size, cursor, size, sdim, adim,
+                                   discrete, 0])
+        arrays["entry_ids"] = np.arange(size)
+    elif defect == "missing column":
+        del arrays["rewards"]
+    elif defect == "size above capacity":
+        meta[1] = meta[0] + 1
+    elif defect == "cursor at capacity":
+        meta[2] = meta[0]
+    elif defect == "cursor apart from size":
+        # one row short of full, so the next push must go to slot size
+        meta[1] -= 1
+        for name in arrays:
+            if name != "meta":
+                arrays[name] = arrays[name][:-1]
+    elif defect == "short column":
+        arrays["priorities"] = arrays["priorities"][:-1]
+    elif defect == "wide rows":
+        arrays["states"] = np.concatenate([arrays["states"]] * 2, axis=1)
+    else:
+        arrays["insert_steps"] = arrays["insert_steps"].astype(np.float64)
+
+
 class TestSnapshot:
-    def test_round_trip(self):
-        rng = np.random.default_rng(17)
-        buf = vector_buffer(capacity=64)
-        for i in range(100):  # wraps past capacity
-            buf.push(Transition(rng.normal(size=3), rng.normal(size=2),
-                                float(rng.normal()), rng.normal(size=3),
-                                bool(rng.integers(2)), insert_step=i))
-        buf.update_priorities(np.arange(64), rng.uniform(0.1, 3.0, size=64))
-        stream = io.BytesIO()
-        buf.snapshot(stream)
-        stream.seek(0)
-        loaded = PriorityBuffer.load(stream)
-        assert loaded.size == buf.size
-        assert loaded.write_cursor == buf.write_cursor
-        assert np.array_equal(loaded._states[:64], buf._states[:64])
-        assert np.array_equal(loaded.priorities, buf.priorities)
-        assert np.array_equal(loaded._actions[:64], buf._actions[:64])
-        assert np.array_equal(loaded._entry_ids[:64], buf._entry_ids[:64])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip(self, data):
+        buf = data.draw(reachable_buffers(discrete=data.draw(st.booleans())))
+        loaded = PriorityBuffer.load(io.BytesIO(snapshot_bytes(buf)))
+        assert buffer_state(loaded) == buffer_state(buf)
+        assert ((loaded.capacity, loaded.state_dim, loaded.action_dim,
+                 loaded.discrete)
+                == (buf.capacity, buf.state_dim, buf.action_dim, buf.discrete))
 
     def test_truncated_stream(self):
         buf = tabular_buffer()
@@ -289,6 +326,23 @@ class TestSnapshot:
         with pytest.raises(FormatError):
             PriorityBuffer.load(io.BytesIO(b"NOTMAGIC" + b"\x00" * 32))
 
+    def test_version_1_rejected(self):
+        data = bytearray(snapshot_bytes(tabular_buffer()))
+        data[8:10] = (1).to_bytes(2, "little")
+        with pytest.raises(FormatError, match="unsupported format version 1"):
+            PriorityBuffer.load(io.BytesIO(bytes(data)))
+
+    @pytest.mark.parametrize("defect", PAYLOAD_DEFECTS)
+    def test_malformed_payload_rejected(self, defect):
+        buf = vector_buffer(capacity=8)
+        for i in range(10):
+            buf.push(Transition(np.full(3, i), np.zeros(2), 0.0, np.zeros(3),
+                                False, insert_step=i))
+        arrays = snapshot_arrays(buf)
+        break_payload(arrays, defect)
+        with pytest.raises(FormatError):
+            PriorityBuffer.load(envelope(arrays))
+
     def test_offline_fill_unit_priorities(self):
         buf = tabular_buffer(capacity=32)
         n = 20
@@ -297,7 +351,6 @@ class TestSnapshot:
             rewards=np.linspace(0, 1, n), next_states=np.arange(n) + 1,
             terminals=np.zeros(n, dtype=bool),
         )
-        assert len(buf) == n
         assert np.all(buf.priorities == 1.0)
 
 
@@ -306,7 +359,7 @@ class TestSnapshot:
 
 COLUMNS = ("states", "actions", "rewards", "next_states", "terminals")
 BUFFER_FIELDS = ("_states", "_actions", "_rewards", "_next_states", "_terminals",
-                 "_insert_steps", "_entry_ids")
+                 "_insert_steps")
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -332,8 +385,7 @@ def implied_reference(buf):
 def buffer_state(buf):
     """Every stored byte and counter of a buffer, for exact comparison."""
     return ([getattr(buf, name).tobytes() for name in BUFFER_FIELDS]
-            + [buf.tree.nodes.tobytes(), buf.size, buf.write_cursor,
-               buf._next_entry_id])
+            + [buf.tree.nodes.tobytes(), buf.size, buf.write_cursor])
 
 
 @st.composite
@@ -366,6 +418,31 @@ def prefilled_buffers(draw, discrete: bool):
         push_rows(buf, **rows)
         buf.update_priorities(np.arange(len(written)), written)
     return pair
+
+
+@st.composite
+def reachable_buffers(draw, discrete: bool):
+    """A buffer after a drawn sequence of pushes (which may wrap), offline
+    fills and priority writes."""
+    capacity = draw(st.integers(1, 10))
+    buf = tabular_buffer(capacity) if discrete else vector_buffer(capacity)
+    for op in draw(st.lists(st.sampled_from(["push", "fill", "update"]),
+                            max_size=6)):
+        if op == "update":
+            if len(buf):
+                idx = draw(hnp.arrays(np.int64, st.integers(0, 2 * capacity),
+                                      elements=st.integers(0, len(buf) - 1)))
+                buf.update_priorities(idx, draw(hnp.arrays(
+                    np.float64, len(idx), elements=st.floats(0.01, 100.0))))
+            continue
+        rows = draw(dataset(discrete, draw(st.integers(0, 2 * capacity))))
+        if op == "fill":
+            buf.fill_offline(**rows)
+        else:
+            for i in range(len(rows["rewards"])):
+                buf.push(Transition(*(rows[c][i] for c in COLUMNS),
+                                    insert_step=draw(st.integers(0, 2**40))))
+    return buf
 
 
 class TestOfflineFillProperties:
