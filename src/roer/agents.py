@@ -157,28 +157,25 @@ class SacAgent:
 
     # -- state snapshot for non-finite rollback --------------------------
 
+    # The targets and the temperature change only after the last check that
+    # can raise (the actor loss), so an abort never reaches them and the
+    # snapshot leaves them out.
     def _snapshot(self):
-        nets = (self.critic1, self.critic2, self.target1, self.target2,
-                self.actor, self.value)
+        nets = (self.critic1, self.critic2, self.actor, self.value)
         opts = (self.opt_critic1, self.opt_critic2, self.opt_actor, self.opt_value)
         return (
             [p.copy() for p in nets],
             [(o.m.copy(), o.v.copy(), o.step_count, o.skipped) for o in opts],
-            (self.opt_alpha.m, self.opt_alpha.v, self.opt_alpha.step_count),
-            self.log_alpha,
         )
 
     def _restore(self, snap):
-        nets, opts, alpha_opt, log_alpha = snap
-        (self.critic1, self.critic2, self.target1, self.target2,
-         self.actor, self.value) = nets
+        nets, opts = snap
+        self.critic1, self.critic2, self.actor, self.value = nets
         for opt, (m, v, sc, sk) in zip(
             (self.opt_critic1, self.opt_critic2, self.opt_actor, self.opt_value),
             opts,
         ):
             opt.m, opt.v, opt.step_count, opt.skipped = m, v, sc, sk
-        (self.opt_alpha.m, self.opt_alpha.v, self.opt_alpha.step_count) = alpha_opt
-        self.log_alpha = log_alpha
 
     # -- update ----------------------------------------------------------
 
@@ -222,7 +219,7 @@ class SacAgent:
                                                     k=cfg.huber_k)
             grads, _ = nn.backward(params, x, out.grad[:, None], cache)
             if cfg.penalty_coef > 0.0:
-                pen = losses.gradient_penalty(params, x)
+                pen = losses.gradient_penalty(params, x, cache)
                 penalties.append(pen.value)
                 for gw, pw in zip(grads.weights, pen.param_grads.weights):
                     gw += cfg.penalty_coef * pw

@@ -134,12 +134,17 @@ def weighted_huber_critic_loss(q_pred, target, weights, k: float | None = 1.0) -
     )
 
 
-def gradient_penalty(critic_params: nn.ParameterSet, inputs) -> PenaltyOutput:
+def gradient_penalty(critic_params: nn.ParameterSet, inputs,
+                     cache=None) -> PenaltyOutput:
     """Hinge penalty mean(max(||dQ/dx|| - 1, 0)^2) over the batch, with
-    exact parameter gradients via the input-gradient backward pass."""
+    exact parameter gradients via the input-gradient backward pass.
+
+    cache is the critic's nn.forward_cache of these inputs, if the caller
+    already holds it."""
     x = np.asarray(inputs, dtype=np.float64)
-    _, cache = nn.forward_cache(critic_params, x)
-    g = nn.input_gradient(critic_params, x, cache)
+    if cache is None:
+        _, cache = nn.forward_cache(critic_params, x)
+    g, chain = nn.input_gradient(critic_params, x, cache, return_chain=True)
     norms = np.sqrt(np.sum(g * g, axis=1))
     excess = np.maximum(norms - 1.0, 0.0)
     value = float(np.mean(excess**2))
@@ -148,7 +153,8 @@ def gradient_penalty(critic_params: nn.ParameterSet, inputs) -> PenaltyOutput:
     scale = np.zeros(n)
     scale[active] = 2.0 * excess[active] / (n * norms[active])
     cot = g * scale[:, None]
-    param_grads = nn.input_gradient_param_backward(critic_params, x, cot, cache)
+    param_grads = nn.input_gradient_param_backward(critic_params, x, cot,
+                                                   cache, chain)
     return PenaltyOutput(
         value=value,
         param_grads=param_grads,

@@ -10,6 +10,7 @@ averaging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,25 +40,53 @@ class NetworkSpec:
 
 
 class ParameterSet:
-    """Per-layer weight matrices (out x in) and bias vectors."""
+    """Per-layer weight matrices (out x in) and bias vectors.
 
-    __slots__ = ("weights", "biases")
+    All parameters live in one contiguous float64 vector, `flat`, laid out
+    w0, b0, w1, b1, ...; weights[i] and biases[i] are views into it. Whole-
+    set operations (Adam, Polyak, finiteness, copies, equality) act on
+    `flat` in one elementwise pass, which rounds each entry exactly as a
+    per-layer pass would. The constructor copies the given arrays.
+    """
+
+    __slots__ = ("flat", "weights", "biases")
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.weights = weights
-        self.biases = biases
+        if len(weights) != len(biases):
+            raise ShapeError(f"{len(weights)} weight matrices but "
+                             f"{len(biases)} bias vectors")
+        arrays = [np.asarray(a, dtype=np.float64)
+                  for pair in zip(weights, biases) for a in pair]
+        self._bind(np.concatenate([a.ravel() for a in arrays]),
+                   [a.shape for a in arrays])
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        self.flat = flat
+        views, offset = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[offset:offset + size].reshape(shape))
+            offset += size
+        self.weights = views[0::2]
+        self.biases = views[1::2]
+
+    def _shapes(self) -> list[tuple[int, ...]]:
+        return [a.shape for _, a in self.arrays()]
+
+    def _like(self, flat: np.ndarray) -> "ParameterSet":
+        out = ParameterSet.__new__(ParameterSet)
+        out._bind(flat, self._shapes())
+        return out
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet([w.copy() for w in self.weights],
-                            [b.copy() for b in self.biases])
+        return self._like(self.flat.copy())
 
     def zeros_like(self) -> "ParameterSet":
-        return ParameterSet([np.zeros_like(w) for w in self.weights],
-                            [np.zeros_like(b) for b in self.biases])
+        return self._like(np.zeros_like(self.flat))
 
     def arrays(self):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -65,17 +94,13 @@ class ParameterSet:
             yield f"b{i}", b
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for _, a in self.arrays())
+        return bool(np.isfinite(self.flat).all())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParameterSet) or other.n_layers != self.n_layers:
             return NotImplemented
-        return all(
-            np.array_equal(a, b)
-            for a, b in zip(
-                [*self.weights, *self.biases], [*other.weights, *other.biases]
-            )
-        )
+        return (self._shapes() == other._shapes()
+                and np.array_equal(self.flat, other.flat))
 
 
 def init(spec: NetworkSpec, seed) -> ParameterSet:
@@ -154,31 +179,54 @@ def backward(params: ParameterSet, x: np.ndarray, output_gradient: np.ndarray,
     return grads, g
 
 
-def input_gradient(params: ParameterSet, x: np.ndarray, cache=None) -> np.ndarray:
-    """Per-sample gradient of a scalar-output network w.r.t. its input."""
+def _input_gradient_chain(params: ParameterSet, pre: list[np.ndarray],
+                          n: int) -> list[np.ndarray]:
+    """Backward chain of a scalar-output network from its pre-activations.
+
+    chain[L] is all ones (the output's own gradient); chain[l] for
+    0 < l < L is d(output)/d(pre-activation of layer l - 1), i.e. masked by
+    that layer's ReLU; chain[0] is d(output)/d(input).
+    """
+    L = params.n_layers
+    g = np.ones((n, 1))
+    chain = [g] * (L + 1)
+    for l in range(L - 1, -1, -1):
+        g = g @ params.weights[l]
+        if l > 0:
+            g = g * (pre[l - 1] > 0.0)
+        chain[l] = g
+    return chain
+
+
+def input_gradient(params: ParameterSet, x: np.ndarray, cache=None,
+                   return_chain: bool = False):
+    """Per-sample gradient of a scalar-output network w.r.t. its input.
+
+    With return_chain, returns (gradient, chain) where chain holds every
+    intermediate of the backward pass, for input_gradient_param_backward.
+    """
     if params.weights[-1].shape[0] != 1:
         raise ShapeError("input_gradient requires a scalar-output network")
     x = _check_input(params, x)
     if cache is None:
         _, cache = forward_cache(params, x)
     _, pre = cache
-    g = np.ones((x.shape[0], 1))
-    for l in range(params.n_layers - 1, -1, -1):
-        g = g @ params.weights[l]
-        if l > 0:
-            g = g * (pre[l - 1] > 0.0)
-    return g
+    chain = _input_gradient_chain(params, pre, x.shape[0])
+    return (chain[0], chain) if return_chain else chain[0]
 
 
 def input_gradient_param_backward(params: ParameterSet, x: np.ndarray,
-                                  cotangent: np.ndarray, cache=None) -> ParameterSet:
+                                  cotangent: np.ndarray, cache=None,
+                                  chain=None) -> ParameterSet:
     """Parameter gradient of sum_i <g_i, c_i> where g_i is the input
     gradient of sample i and c_i the given cotangent row.
 
     Computed as reverse-mode over the directional-derivative (JVP) pass
     with the ReLU masks held fixed, which is the exact derivative almost
     everywhere. Biases only move activations, so their contribution is
-    zero a.e.
+    zero a.e. chain is the backward chain that
+    input_gradient(params, x, cache, return_chain=True) returned for the
+    same params and x; without it the chain is computed here.
     """
     x = _check_input(params, x)
     if cache is None:
@@ -187,20 +235,16 @@ def input_gradient_param_backward(params: ParameterSet, x: np.ndarray,
     c = np.asarray(cotangent, dtype=np.float64)
     if c.shape != x.shape:
         raise ShapeError(f"cotangent shape {c.shape} != input shape {x.shape}")
+    if chain is None:
+        chain = _input_gradient_chain(params, pre, x.shape[0])
     L = params.n_layers
-    masks = [p > 0.0 for p in pre[:-1]]
-    # tangent pass along direction c
-    tangents = [c]
-    t = c
-    for l in range(L - 1):
-        t = (t @ params.weights[l].T) * masks[l]
-        tangents.append(t)
     grads = params.zeros_like()
-    u = np.ones((x.shape[0], 1))
-    for l in range(L - 1, -1, -1):
-        grads.weights[l] += u.T @ tangents[l]
-        if l > 0:
-            u = (u @ params.weights[l]) * masks[l - 1]
+    # tangent pass along direction c, meeting the backward chain per layer
+    t = c
+    for l in range(L):
+        grads.weights[l] += chain[l + 1].T @ t
+        if l < L - 1:
+            t = (t @ params.weights[l].T) * (pre[l] > 0.0)
     return grads
 
 
@@ -230,17 +274,12 @@ class AdamState:
         t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        for group in ("weights", "biases"):
-            ps = getattr(params, group)
-            gs = getattr(grads, group)
-            ms = getattr(self.m, group)
-            vs = getattr(self.v, group)
-            for p, g, m, v in zip(ps, gs, ms, vs):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        g, m, v = grads.flat, self.m.flat, self.v.flat
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        params.flat -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
         return params
 
     def state_arrays(self):
@@ -286,12 +325,10 @@ def polyak(target: ParameterSet, online: ParameterSet, tau: float) -> ParameterS
     """In-place exponential averaging: target <- (1 - tau) target + tau online."""
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    for group in ("weights", "biases"):
-        for t, o in zip(getattr(target, group), getattr(online, group)):
-            if t.shape != o.shape:
-                raise ShapeError("target/online parameter shape mismatch")
-            t *= 1.0 - tau
-            t += tau * o
+    if target._shapes() != online._shapes():
+        raise ShapeError("target/online parameter shape mismatch")
+    target.flat *= 1.0 - tau
+    target.flat += tau * online.flat
     return target
 
 

@@ -136,11 +136,19 @@ class PriorityBuffer:
     """
 
     INITIAL_PRIORITY = 1.0
+    # Ceiling on what one buffer allocates (its columns plus the sum tree):
+    # 4 GiB, room for 2^26 tabular or 2^25 pendulum slots. A 2^20-slot
+    # tabular buffer takes 57 MiB.
+    MAX_BYTES = 1 << 32
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int,
                  discrete: bool = False):
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        nbytes = self._nbytes(capacity, state_dim, action_dim, discrete)
+        if nbytes > self.MAX_BYTES:
+            raise ValueError(f"a buffer of {capacity} slots needs {nbytes} bytes, "
+                             f"above the ceiling of {self.MAX_BYTES}")
         self.capacity = capacity
         self.state_dim = state_dim
         self.action_dim = action_dim
@@ -290,6 +298,30 @@ class PriorityBuffer:
             for s, a, v in zip(states[slots].tolist(), actions[slots].tolist(), sums)
         }
 
+    @staticmethod
+    def _row_layout(state_dim: int, action_dim: int,
+                    discrete: bool) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
+        """Snapshot column -> (dtype, shape of one row)."""
+        f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
+        if discrete:
+            states = actions = (i8, ())
+        else:
+            states, actions = (f8, (state_dim,)), (f8, (action_dim,))
+        return {"states": states, "actions": actions, "rewards": (f8, ()),
+                "next_states": states, "terminals": (np.dtype(np.uint8), ()),
+                "insert_steps": (i8, ()), "priorities": (f8, ())}
+
+    @classmethod
+    def _nbytes(cls, capacity: int, state_dim: int, action_dim: int,
+               discrete: bool) -> int:
+        """Bytes a buffer of this shape allocates: its columns, and the sum
+        tree (2 x capacity rounded up to a power of two) that holds the
+        priorities."""
+        layout = cls._row_layout(state_dim, action_dim, discrete)
+        row = sum(dtype.itemsize * math.prod(shape)
+                  for name, (dtype, shape) in layout.items() if name != "priorities")
+        return capacity * row + 16 * (1 << (capacity - 1).bit_length())
+
     # Snapshot format: binio envelope (magic, version, kind=1) wrapping
     # meta = [capacity, size, write_cursor, state_dim, action_dim, discrete]
     # and the live slots of every column in slot order.
@@ -317,7 +349,11 @@ class PriorityBuffer:
     @classmethod
     def load(cls, path_or_stream) -> "PriorityBuffer":
         """Rebuild a snapshot; a payload that does not describe a valid
-        buffer raises binio.FormatError."""
+        buffer raises binio.FormatError.
+
+        Every column is checked against the meta before anything is
+        allocated, and a meta naming a buffer above MAX_BYTES (4 GiB) is
+        refused."""
         payload = binio.read_envelope(path_or_stream, binio.KIND_BUFFER)
         arrays = binio.payload_to_arrays(payload)
         meta = arrays.get("meta")
@@ -328,15 +364,19 @@ class PriorityBuffer:
                 or (size < capacity and cursor != size)
                 or sdim < 0 or adim < 0 or discrete not in (0, 1)):
             raise binio.FormatError(f"inconsistent buffer meta {meta.tolist()}")
-        buf = cls(capacity, sdim, adim, discrete=bool(discrete))
-        buf.size, buf.write_cursor = size, cursor
-        for name, dest in buf._live_columns().items():
+        for name, (dtype, row) in cls._row_layout(sdim, adim, discrete).items():
             got = arrays.get(name)
-            if got is None or got.shape != dest.shape or got.dtype != dest.dtype:
+            if got is None or got.shape != (size, *row) or got.dtype != dtype:
                 found = "missing" if got is None else f"{got.dtype} {got.shape}"
                 raise binio.FormatError(f"buffer column {name!r} is {found}, "
-                                        f"expected {dest.dtype} {dest.shape}")
-            dest[...] = got
+                                        f"expected {dtype} {(size, *row)}")
+        try:
+            buf = cls(capacity, sdim, adim, discrete=bool(discrete))
+        except ValueError as exc:
+            raise binio.FormatError(str(exc)) from None
+        buf.size, buf.write_cursor = size, cursor
+        for name, dest in buf._live_columns().items():
+            dest[...] = arrays[name]
         # the leaves now hold the priorities; set_many also sums their parents
         buf.tree.set_many(np.arange(size), arrays["priorities"])
         return buf

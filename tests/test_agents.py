@@ -194,6 +194,35 @@ class TestUpdate:
         assert agent.critic1 == before
         assert agent.opt_critic1.step_count == opt_steps
 
+    def test_abort_in_actor_phase_restores_everything(self, monkeypatch):
+        agent = fresh_agent(seed=22)
+        rng = np.random.default_rng(23)
+        for _ in range(3):  # nonzero moments, step counts and temperature state
+            agent.update(make_batch(rng), np.ones(16), rng, train_value=True)
+        agent.opt_critic2.skipped = 2
+        opts = (agent.opt_critic1, agent.opt_critic2, agent.opt_value,
+                agent.opt_actor, agent.opt_alpha)
+
+        def state():
+            arrays = agent.checkpoint_arrays()
+            arrays.pop("meta")  # holds the abort count
+            return ({k: v.tobytes() for k, v in arrays.items()},
+                    [(o.step_count, o.skipped) for o in opts])
+
+        before = state()
+        stepped = []
+
+        def fail(*args):
+            stepped.append([o.step_count for o in opts[:3]])
+            raise FloatingPointError("actor backward diverged")
+
+        monkeypatch.setattr(agent, "_actor_backward", fail)
+        m = agent.update(make_batch(rng), np.ones(16), rng, train_value=True)
+        # both critics and the value net had stepped when the abort came
+        assert stepped == [[s + 1 for s, _ in before[1][:3]]]
+        assert m.aborted and agent.aborted_updates == 1
+        assert state() == before
+
     def test_temperature_tracks_target_entropy(self):
         # start from a deliberately near-deterministic policy: entropy sits
         # far below target, the temperature rises and pulls it back
@@ -225,6 +254,15 @@ class TestCheckpoint:
         assert set(a1) == set(a2)
         for k in a1:
             assert np.array_equal(a1[k], a2[k]), k
+        # loading writes through the per-layer views into each flat vector
+        sets = [clone.critic1, clone.critic2, clone.target1, clone.target2,
+                clone.actor, clone.value]
+        for opt in (clone.opt_critic1, clone.opt_critic2, clone.opt_actor,
+                    clone.opt_value):
+            sets += [opt.m, opt.v]
+        for params in sets:
+            for _, arr in params.arrays():
+                assert np.shares_memory(arr, params.flat)
 
 
 class TestTabularAgent:

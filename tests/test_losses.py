@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roer import losses, nn
 from roer.losses import (
@@ -187,6 +189,34 @@ class TestGradientPenalty:
         rng = np.random.default_rng(0)
         out = gradient_penalty(params, rng.normal(size=(5, 3)))
         assert out.value == pytest.approx(4.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(input_dim=st.integers(1, 5),
+           hidden=st.lists(st.integers(1, 6), max_size=2),
+           scale=st.sampled_from([0.5, 2.0, 6.0]), n=st.integers(1, 7),
+           seed=st.integers(0, 2**32 - 1))
+    def test_caller_cache_changes_no_bit(self, input_dim, hidden, scale, n, seed):
+        params = nn.init(NetworkSpec(input_dim, tuple(hidden), 1), seed)
+        params.flat *= scale  # hinges active, inactive and mixed
+        x = np.random.default_rng(seed).normal(size=(n, input_dim))
+        _, cache = nn.forward_cache(params, x)
+        reused = gradient_penalty(params, x, cache)
+        own = gradient_penalty(params, x)
+        assert reused.value == own.value
+        assert reused.grad_norms.tobytes() == own.grad_norms.tobytes()
+        assert reused.param_grads.flat.tobytes() == own.param_grads.flat.tobytes()
+        assert reused.diagnostics == own.diagnostics
+
+    def test_caller_cache_skips_forward_pass(self, monkeypatch):
+        params = nn.init(NetworkSpec(3, (4,), 1), 0)
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        _, cache = nn.forward_cache(params, x)
+
+        def no_forward(*args):
+            raise AssertionError("forward pass recomputed")
+
+        monkeypatch.setattr(nn, "forward_cache", no_forward)
+        gradient_penalty(params, x, cache)
 
     def test_param_gradients_match_finite_differences(self):
         spec = NetworkSpec(4, (8, 6), 1)

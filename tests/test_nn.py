@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roer import nn
 from roer.nn import AdamState, NetworkSpec, ParameterSet, ScalarAdam, ShapeError
@@ -245,3 +247,132 @@ class TestCheckpoint:
         assert set(loaded) == set(arrays)
         for k in arrays:
             assert np.array_equal(loaded[k], arrays[k])
+
+
+# ----------------------------------------------------------------------
+# flat parameter storage and the shared input-gradient chain, against
+# per-layer references
+
+@st.composite
+def networks(draw, scalar_output=False):
+    """(params, x) for a random MLP with 0-2 hidden layers (a 1-layer net
+    has none), weights scaled so ReLUs and penalty hinges switch both ways."""
+    spec = NetworkSpec(draw(st.integers(1, 5)),
+                       tuple(draw(st.lists(st.integers(1, 6), max_size=2))),
+                       1 if scalar_output else draw(st.integers(1, 3)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    params = nn.init(spec, seed)
+    params.flat *= draw(st.sampled_from([0.5, 1.0, 4.0]))
+    x = np.random.default_rng(seed).normal(size=(draw(st.integers(1, 7)),
+                                                 spec.input_dim))
+    return params, x
+
+
+def adam_reference(state, params, grads):
+    """Per-layer Adam step: the loop the flat step replaces."""
+    if not all(np.all(np.isfinite(g)) for g in flat_params(grads)):
+        state.skipped += 1
+        return
+    state.step_count += 1
+    c1 = 1.0 - state.beta1**state.step_count
+    c2 = 1.0 - state.beta2**state.step_count
+    for p, g, m, v in zip(flat_params(params), flat_params(grads),
+                          flat_params(state.m), flat_params(state.v)):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
+def param_backward_reference(params, x, cot):
+    """Tangent pass, then its own u = (u @ W) * mask chain per layer."""
+    _, (_, pre) = nn.forward_cache(params, x)
+    L = params.n_layers
+    masks = [p > 0.0 for p in pre[:-1]]
+    tangents = [cot]
+    for l in range(L - 1):
+        tangents.append((tangents[-1] @ params.weights[l].T) * masks[l])
+    grads = params.zeros_like()
+    u = np.ones((x.shape[0], 1))
+    for l in range(L - 1, -1, -1):
+        grads.weights[l] += u.T @ tangents[l]
+        if l > 0:
+            u = (u @ params.weights[l]) * masks[l - 1]
+    return grads
+
+
+def same_bytes(a, b):
+    """Equal bytes in the flat vectors and in every per-layer view."""
+    return all(x.tobytes() == y.tobytes()
+               for x, y in zip([a.flat, *flat_params(a)], [b.flat, *flat_params(b)]))
+
+
+def shares_flat(params):
+    return all(np.shares_memory(a, params.flat) for a in flat_params(params))
+
+
+class TestFlatParameters:
+    @settings(max_examples=60, deadline=None)
+    @given(net=networks(), data=st.data())
+    def test_adam_equals_per_layer_loop(self, net, data):
+        params, _ = net
+        ref_params = params.copy()
+        state, ref = AdamState(params, 1e-2), AdamState(ref_params, 1e-2)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            grads = params.zeros_like()
+            grads.flat[:] = rng.normal(size=grads.flat.size)
+            if data.draw(st.booleans()):
+                grads.flat[rng.integers(grads.flat.size)] = data.draw(
+                    st.sampled_from([np.nan, np.inf, -np.inf]))
+            state.step(params, grads)
+            adam_reference(ref, ref_params, grads)
+            assert same_bytes(params, ref_params)
+            assert same_bytes(state.m, ref.m) and same_bytes(state.v, ref.v)
+            assert (state.step_count, state.skipped) == (ref.step_count, ref.skipped)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=networks(), tau=st.floats(1e-3, 1.0))
+    def test_polyak_equals_per_layer_loop(self, net, tau):
+        online, _ = net
+        target = online.zeros_like()
+        target.flat[:] = np.random.default_rng(1).normal(size=target.flat.size)
+        ref = target.copy()
+        nn.polyak(target, online, tau)
+        for t, o in zip(flat_params(ref), flat_params(online)):
+            t *= 1.0 - tau
+            t += tau * o
+        assert same_bytes(target, ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(net=networks())
+    def test_layers_are_views_of_flat(self, net):
+        params, _ = net
+        for p in (params, params.copy(), params.zeros_like(),
+                  ParameterSet(params.weights, params.biases)):
+            assert shares_flat(p)
+            assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous
+            assert p.flat.size == sum(a.size for a in flat_params(p))
+        assert not np.shares_memory(params.copy().flat, params.flat)
+
+    def test_polyak_shape_mismatch(self):
+        a = ParameterSet([np.zeros((2, 3))], [np.zeros(2)])
+        b = ParameterSet([np.zeros((3, 2))], [np.zeros(3)])
+        with pytest.raises(ShapeError):
+            nn.polyak(a, b, 0.5)
+        assert not a == b
+
+
+class TestInputGradientChain:
+    @settings(max_examples=60, deadline=None)
+    @given(net=networks(scalar_output=True), data=st.data())
+    def test_passed_chain_equals_own_chain_and_reference(self, net, data):
+        params, x = net
+        _, cache = nn.forward_cache(params, x)
+        g, chain = nn.input_gradient(params, x, cache, return_chain=True)
+        assert g.tobytes() == nn.input_gradient(params, x).tobytes()
+        cot = np.random.default_rng(data.draw(st.integers(0, 99))).normal(size=x.shape)
+        with_chain = nn.input_gradient_param_backward(params, x, cot, cache, chain)
+        assert same_bytes(with_chain, nn.input_gradient_param_backward(params, x, cot))
+        assert same_bytes(with_chain, param_backward_reference(params, x, cot))

@@ -66,6 +66,13 @@ class TestPush:
         assert len(buf) == 1
         assert buf.total_priority() == 1.0
 
+    def test_byte_ceiling(self):
+        # a 2^20-slot tabular buffer: 41 bytes a row plus a 2^21-node tree
+        assert PriorityBuffer._nbytes(1 << 20, 1, 1, True) == (41 + 16) << 20
+        assert PriorityBuffer(1 << 20, 1, 1, discrete=True).capacity == 1 << 20
+        with pytest.raises(ValueError, match="ceiling"):
+            PriorityBuffer(2**40, 3, 2)
+
     def test_priority_additivity(self):
         buf = tabular_buffer()
         for i in range(3):
@@ -268,7 +275,7 @@ def envelope(arrays):
 PAYLOAD_DEFECTS = ("short meta", "v1 layout", "missing column",
                    "size above capacity", "cursor at capacity",
                    "cursor apart from size", "short column", "wide rows",
-                   "float steps")
+                   "float steps", "huge capacity", "huge state dim")
 
 
 def break_payload(arrays, defect):
@@ -298,8 +305,15 @@ def break_payload(arrays, defect):
         arrays["priorities"] = arrays["priorities"][:-1]
     elif defect == "wide rows":
         arrays["states"] = np.concatenate([arrays["states"]] * 2, axis=1)
-    else:
+    elif defect == "float steps":
         arrays["insert_steps"] = arrays["insert_steps"].astype(np.float64)
+    elif defect == "huge capacity":
+        # consistent meta and columns, but 2^40 slots: refused, not allocated
+        meta[0] = 2**40
+        meta[2] = meta[1]
+    else:
+        # the columns keep 3 state entries per row; nothing is allocated
+        meta[3] = 2**40
 
 
 class TestSnapshot:
