@@ -62,8 +62,6 @@ class StepMetrics:
     value_loss: float = math.nan
     actor_loss: float = math.nan
     alpha_loss: float = math.nan
-    alpha: float = math.nan
-    penalty: float = math.nan
     value_td_errors: np.ndarray | None = None
     critic_td_errors: np.ndarray | None = None
     value_clip_count: int = 0
@@ -183,7 +181,7 @@ class SacAgent:
                rng: np.random.Generator, train_value: bool = False) -> StepMetrics:
         weights = np.asarray(weights, dtype=np.float64)
         snap = self._snapshot()
-        metrics = StepMetrics(alpha=self.alpha)
+        metrics = StepMetrics()
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 return self._update_inner(batch, weights, rng, train_value, metrics)
@@ -209,7 +207,6 @@ class SacAgent:
             q_next - self.alpha * next_logp
         )
         critic_losses = []
-        penalties = []
         preds = []
         for params, opt in ((self.critic1, self.opt_critic1),
                             (self.critic2, self.opt_critic2)):
@@ -218,20 +215,18 @@ class SacAgent:
             out = losses.weighted_huber_critic_loss(q, target, weights,
                                                     k=cfg.huber_k)
             grads, _ = nn.backward(params, x, out.grad[:, None], cache)
+            penalty = 0.0
             if cfg.penalty_coef > 0.0:
                 pen = losses.gradient_penalty(params, x, cache)
-                penalties.append(pen.value)
+                penalty = pen.value
                 for gw, pw in zip(grads.weights, pen.param_grads.weights):
                     gw += cfg.penalty_coef * pw
-            loss_val = out.value + cfg.penalty_coef * (
-                penalties[-1] if penalties else 0.0
-            )
+            loss_val = out.value + cfg.penalty_coef * penalty
             if not np.isfinite(loss_val):
                 raise FloatingPointError("critic loss diverged")
             critic_losses.append(loss_val)
             opt.step(params, grads)
         metrics.critic_loss = float(np.mean(critic_losses))
-        metrics.penalty = float(np.mean(penalties)) if penalties else 0.0
         metrics.critic_td_errors = target - 0.5 * (preds[0] + preds[1])
 
         # value network (priority TD source)
@@ -275,7 +270,6 @@ class SacAgent:
         entropy_gap = float(np.mean(logp)) + self.target_entropy
         metrics.alpha_loss = -self.log_alpha * entropy_gap
         self.log_alpha = self.opt_alpha.step(self.log_alpha, -entropy_gap)
-        metrics.alpha = self.alpha
 
         nn.polyak(self.target1, self.critic1, cfg.polyak_tau)
         nn.polyak(self.target2, self.critic2, cfg.polyak_tau)

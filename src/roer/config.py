@@ -11,6 +11,8 @@ Schema (all keys optional unless noted):
 
     env: pendulum | chain-<n> | grid-<r>x<c> | random-<s>x<a>-<seed>   [required]
     scheme: uniform | per | laber | roer | roer_chi2                   [required]
+                                # roer: KL ratio, roer_chi2: Pearson chi^2
+                                # ratio, both through schemes.roer_update
     seeds: [0, 1, ...]                                                 [required]
     total_steps: int            # N                                    [required]
     train_start_step: int       # tau, default 0
@@ -29,12 +31,11 @@ Schema (all keys optional unless noted):
     agent:                      # SAC fields (continuous envs)
       profile: test | full
       learning_rate, hidden_dims, batch_size, gamma, polyak_tau,
-      init_temperature, target_entropy, huber_k, penalty_coef,
-      value_loss_kind
+      init_temperature, target_entropy, huber_k, penalty_coef
     tabular:                    # tabular agent fields (finite envs)
       learning_rate, gamma, soft_temperature, epsilon, batch_size
     scheme_config:              # knobs of the selected scheme
-      lam, beta, grad_clip, max_exp_clip, min_priority_clip   (roer*)
+      lam, beta, grad_clip, max_exp_clip, min_priority_clip   (roer, roer_chi2)
       alpha, min_priority                                     (per)
       large_batch                                             (laber)
     sweep:
@@ -54,7 +55,9 @@ import numpy as np
 import yaml
 
 from .agents import SacConfig, TabularConfig
-from .schemes import ConfigError, LaberConfig, PerConfig, RoerConfig, SCHEME_KEYS
+from .divergences import Kind
+from .schemes import (ROER_DIVERGENCES, SCHEME_KEYS, ConfigError, LaberConfig,
+                      PerConfig, RoerConfig)
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ class ExperimentConfig:
 
     @property
     def trains_value_network(self) -> bool:
-        return self.scheme in ("roer", "roer_chi2")
+        return self.scheme in ROER_DIVERGENCES
 
 
 def seed_streams(experiment_seed: int) -> dict[str, np.random.Generator]:
@@ -113,6 +116,9 @@ def seed_streams(experiment_seed: int) -> dict[str, np.random.Generator]:
 
 def _build_sac(raw: dict) -> SacConfig:
     raw = dict(raw)
+    if "value_loss_kind" in raw:
+        raise ConfigError("agent.value_loss_kind is set by the scheme; "
+                          "it cannot be configured")
     profile = raw.pop("profile", "test")
     if "hidden_dims" in raw:
         raw["hidden_dims"] = tuple(raw["hidden_dims"])
@@ -124,10 +130,8 @@ def _build_sac(raw: dict) -> SacConfig:
 
 
 _SCHEME_CFG_FIELDS = {
-    "roer": ("lam", "beta", "grad_clip", "max_exp_clip", "min_priority_clip",
-             "train_start_step"),
-    "roer_chi2": ("lam", "beta", "grad_clip", "max_exp_clip",
-                  "min_priority_clip", "train_start_step"),
+    **dict.fromkeys(ROER_DIVERGENCES, ("lam", "beta", "grad_clip",
+                                       "max_exp_clip", "min_priority_clip")),
     "per": ("alpha", "min_priority"),
     "laber": ("large_batch",),
     "uniform": (),
@@ -160,14 +164,16 @@ def from_dict(raw: dict[str, Any]) -> ExperimentConfig:
                              ("laber", LaberConfig)):
             if section in raw:
                 kwargs[section] = cls(**raw.pop(section))
-        if scheme in ("roer", "roer_chi2") and "roer" not in kwargs:
+        if scheme in ROER_DIVERGENCES and "roer" not in kwargs:
             kwargs["roer"] = RoerConfig(**scheme_cfg)
-            # the value network shares the scheme's loss temperature and clip
+            # the value network shares the scheme's loss temperature, clip
+            # and divergence (Pearson chi^2 has the squared loss, KL Gumbel's)
+            pearson = ROER_DIVERGENCES[scheme].kind is Kind.PEARSON_CHI2
             kwargs["sac"] = replace(
                 kwargs["sac"],
                 value_beta=kwargs["roer"].beta,
                 value_grad_clip=kwargs["roer"].grad_clip,
-                value_loss_kind="pearson" if scheme == "roer_chi2" else "extreme",
+                value_loss_kind="pearson" if pearson else "extreme",
             )
         elif scheme == "per" and "per" not in kwargs:
             kwargs["per"] = PerConfig(**scheme_cfg)

@@ -13,13 +13,21 @@ holds on the whole generator domain. conjugate_prime is the occupancy-ratio
 map: evaluated at a scaled TD error it returns the priority multiplier, and
 conjugate_prime(0) == 1 for every non-degenerate kind (zero TD error keeps
 the sampling distribution unchanged).
+
+Every function is elementwise over arrays; a scalar argument is the 0-d
+case and returns a numpy scalar. The domain checks cover the whole array.
+Squares are np.square, never ** 2: on a numpy scalar ** 2 calls pow(),
+which can round differently from the array path's x * x.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 
 class Kind(enum.Enum):
@@ -43,62 +51,124 @@ class NondifferentiableError(ValueError):
         self.subgradient = subgradient
 
 
+Elementwise = Callable[[np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class DivergenceSpec:
-    """A named f-divergence with its generator/conjugate domains.
+    """A named f-divergence with its generator/conjugate domains and the
+    elementwise maps (f, f', f*, f*').
 
     domain_f is an open interval of valid generator arguments (positive
     reals for every kind here). domain_conj is the conjugate's domain;
     closed-at-the-right kinds (total variation) include the endpoint.
+    The four maps do no domain checks: callers either go through the
+    checked module functions or guarantee the domain themselves.
     """
 
     kind: Kind
     domain_f: tuple[float, float]
     domain_conj: tuple[float, float]
     conj_upper_open: bool
+    f: Elementwise = field(repr=False)
+    f_prime: Elementwise = field(repr=False)
+    f_star: Elementwise = field(repr=False)
+    f_star_prime: Elementwise = field(repr=False)
 
     @property
     def name(self) -> str:
         return self.kind.value
 
-    def check_x(self, x: float) -> None:
+    def check_x(self, x) -> np.ndarray:
+        """x as a float64 array, every element inside the open domain_f
+        (which also rejects nan and infinities)."""
+        x = np.asarray(x, dtype=np.float64)
         lo, hi = self.domain_f
-        if not (lo < x < hi) or not math.isfinite(x):
+        ok = (lo < x) & (x < hi)
+        if not ok.all():
+            bad = x.flat[np.argmin(ok)]  # the first failing element
             raise DomainError(
-                f"{self.name}: generator argument {x!r} outside open interval "
-                f"({lo}, {hi})"
+                f"{self.name}: generator argument {float(bad)!r} outside open "
+                f"interval ({lo}, {hi})"
             )
+        return x
 
-    def check_y(self, y: float) -> None:
+    def check_y(self, y) -> np.ndarray:
+        """y as a float64 array, every element finite and inside domain_conj."""
+        y = np.asarray(y, dtype=np.float64)
         lo, hi = self.domain_conj
-        if not math.isfinite(y):
-            raise DomainError(f"{self.name}: conjugate argument {y!r} is not finite")
-        if y < lo or (y >= hi if self.conj_upper_open else y > hi):
+        below_hi = y < hi if self.conj_upper_open else y <= hi
+        ok = np.isfinite(y) & (y >= lo) & below_hi
+        if not ok.all():
+            bad = float(y.flat[np.argmin(ok)])  # the first failing element
+            if not math.isfinite(bad):
+                raise DomainError(
+                    f"{self.name}: conjugate argument {bad!r} is not finite"
+                )
             bound = f"y < {hi}" if self.conj_upper_open else f"y <= {hi}"
             raise DomainError(
-                f"{self.name}: conjugate argument {y!r} violates {bound}"
+                f"{self.name}: conjugate argument {bad!r} violates {bound}"
                 + (f" and y >= {lo}" if lo > -math.inf else "")
             )
+        return y
+
+
+def _tv_prime(x: np.ndarray) -> np.ndarray:
+    if np.any(x == 1.0):
+        raise NondifferentiableError(
+            "total_variation generator is not differentiable at x=1; "
+            "subgradient is [-0.5, 0.5]",
+            subgradient=(-0.5, 0.5),
+        )
+    return 0.5 * np.sign(x - 1.0)
 
 
 _INF = math.inf
 
-SPECS: dict[Kind, DivergenceSpec] = {
-    Kind.KL: DivergenceSpec(Kind.KL, (0.0, _INF), (-_INF, _INF), False),
-    Kind.REVERSE_KL: DivergenceSpec(Kind.REVERSE_KL, (0.0, _INF), (-_INF, 1.0), True),
-    Kind.PEARSON_CHI2: DivergenceSpec(
-        Kind.PEARSON_CHI2, (0.0, _INF), (-_INF, _INF), False
+SPECS: dict[Kind, DivergenceSpec] = {sp.kind: sp for sp in (
+    DivergenceSpec(
+        Kind.KL, (0.0, _INF), (-_INF, _INF), False,
+        f=lambda x: x * np.log(x) - x + 1.0,
+        f_prime=np.log,
+        f_star=lambda y: np.exp(y) - 1.0,
+        f_star_prime=np.exp,
     ),
-    Kind.NEYMAN_CHI2: DivergenceSpec(
-        Kind.NEYMAN_CHI2, (0.0, _INF), (-_INF, 0.5), True
+    DivergenceSpec(
+        Kind.REVERSE_KL, (0.0, _INF), (-_INF, 1.0), True,
+        f=lambda x: -np.log(x) + x - 1.0,
+        f_prime=lambda x: 1.0 - 1.0 / x,
+        f_star=lambda y: -np.log(1.0 - y),
+        f_star_prime=lambda y: 1.0 / (1.0 - y),
     ),
-    Kind.TOTAL_VARIATION: DivergenceSpec(
-        Kind.TOTAL_VARIATION, (0.0, _INF), (-0.5, 0.5), False
+    DivergenceSpec(
+        Kind.PEARSON_CHI2, (0.0, _INF), (-_INF, _INF), False,
+        f=lambda x: 0.5 * np.square(x - 1.0),
+        f_prime=lambda x: x - 1.0,
+        f_star=lambda y: 0.5 * y * y + y,
+        f_star_prime=lambda y: y + 1.0,
     ),
-    Kind.SQUARED_HELLINGER: DivergenceSpec(
-        Kind.SQUARED_HELLINGER, (0.0, _INF), (-_INF, 2.0), True
+    DivergenceSpec(
+        Kind.NEYMAN_CHI2, (0.0, _INF), (-_INF, 0.5), True,
+        f=lambda x: np.square(x - 1.0) / (2.0 * x),
+        f_prime=lambda x: 0.5 * (1.0 - 1.0 / (x * x)),
+        f_star=lambda y: 1.0 - np.sqrt(1.0 - 2.0 * y),
+        f_star_prime=lambda y: 1.0 / np.sqrt(1.0 - 2.0 * y),
     ),
-}
+    DivergenceSpec(
+        Kind.TOTAL_VARIATION, (0.0, _INF), (-0.5, 0.5), False,
+        f=lambda x: 0.5 * np.abs(x - 1.0),
+        f_prime=_tv_prime,
+        f_star=lambda y: 1.0 * y,
+        f_star_prime=lambda y: 0.0 * y + 1.0,  # the conjugate is linear
+    ),
+    DivergenceSpec(
+        Kind.SQUARED_HELLINGER, (0.0, _INF), (-_INF, 2.0), True,
+        f=lambda x: 2.0 * np.square(np.sqrt(x) - 1.0),
+        f_prime=lambda x: 2.0 * (1.0 - 1.0 / np.sqrt(x)),
+        f_star=lambda y: 2.0 * y / (2.0 - y),
+        f_star_prime=lambda y: 4.0 / np.square(2.0 - y),
+    ),
+)}
 
 # Kinds with a differentiable generator on all of domain_f. Total variation
 # is tabulated for completeness but excluded here (f*' == 1 gives uniform
@@ -123,91 +193,29 @@ def spec(kind: Kind | str) -> DivergenceSpec:
     return SPECS[kind]
 
 
-def generator(sp: DivergenceSpec, x: float) -> float:
+def generator(sp: DivergenceSpec, x):
     """Shifted generator f(x), normalized so f(1) = 0 and f'(1) = 0."""
-    sp.check_x(x)
-    k = sp.kind
-    if k is Kind.KL:
-        return x * math.log(x) - x + 1.0
-    if k is Kind.REVERSE_KL:
-        return -math.log(x) + x - 1.0
-    if k is Kind.PEARSON_CHI2:
-        return 0.5 * (x - 1.0) ** 2
-    if k is Kind.NEYMAN_CHI2:
-        return (x - 1.0) ** 2 / (2.0 * x)
-    if k is Kind.TOTAL_VARIATION:
-        return 0.5 * abs(x - 1.0)
-    if k is Kind.SQUARED_HELLINGER:
-        return 2.0 * (math.sqrt(x) - 1.0) ** 2
-    raise AssertionError(k)
+    return sp.f(sp.check_x(x))
 
 
-def generator_prime(sp: DivergenceSpec, x: float) -> float:
+def generator_prime(sp: DivergenceSpec, x):
     """Derivative of the shifted generator; f'(1) = 0 for every smooth kind.
 
     Total variation has a kink at x = 1: there the full subgradient interval
     is reported via NondifferentiableError rather than any single number.
     """
-    sp.check_x(x)
-    k = sp.kind
-    if k is Kind.KL:
-        return math.log(x)
-    if k is Kind.REVERSE_KL:
-        return 1.0 - 1.0 / x
-    if k is Kind.PEARSON_CHI2:
-        return x - 1.0
-    if k is Kind.NEYMAN_CHI2:
-        return 0.5 * (1.0 - 1.0 / (x * x))
-    if k is Kind.TOTAL_VARIATION:
-        if x == 1.0:
-            raise NondifferentiableError(
-                "total_variation generator is not differentiable at x=1; "
-                "subgradient is [-0.5, 0.5]",
-                subgradient=(-0.5, 0.5),
-            )
-        return 0.5 if x > 1.0 else -0.5
-    if k is Kind.SQUARED_HELLINGER:
-        return 2.0 * (1.0 - 1.0 / math.sqrt(x))
-    raise AssertionError(k)
+    return sp.f_prime(sp.check_x(x))
 
 
-def conjugate(sp: DivergenceSpec, y: float) -> float:
+def conjugate(sp: DivergenceSpec, y):
     """Convex conjugate f*(y) of the shifted generator."""
-    sp.check_y(y)
-    k = sp.kind
-    if k is Kind.KL:
-        return math.exp(y) - 1.0
-    if k is Kind.REVERSE_KL:
-        return -math.log(1.0 - y)
-    if k is Kind.PEARSON_CHI2:
-        return 0.5 * y * y + y
-    if k is Kind.NEYMAN_CHI2:
-        return 1.0 - math.sqrt(1.0 - 2.0 * y)
-    if k is Kind.TOTAL_VARIATION:
-        return y
-    if k is Kind.SQUARED_HELLINGER:
-        return 2.0 * y / (2.0 - y)
-    raise AssertionError(k)
+    return sp.f_star(sp.check_y(y))
 
 
-def conjugate_prime(sp: DivergenceSpec, y: float) -> float:
+def conjugate_prime(sp: DivergenceSpec, y):
     """Derivative f*'(y): the occupancy ratio at scaled TD error y.
 
     Inverse of generator_prime, so conjugate_prime(0) = 1 for all kinds
     except total variation (whose conjugate is linear).
     """
-    sp.check_y(y)
-    k = sp.kind
-    if k is Kind.KL:
-        return math.exp(y)
-    if k is Kind.REVERSE_KL:
-        return 1.0 / (1.0 - y)
-    if k is Kind.PEARSON_CHI2:
-        return y + 1.0
-    if k is Kind.NEYMAN_CHI2:
-        return 1.0 / math.sqrt(1.0 - 2.0 * y)
-    if k is Kind.TOTAL_VARIATION:
-        return 1.0
-    if k is Kind.SQUARED_HELLINGER:
-        return 4.0 / (2.0 - y) ** 2
-    raise AssertionError(k)
+    return sp.f_star_prime(sp.check_y(y))

@@ -1,4 +1,4 @@
-"""Experiment orchestration: the train/evaluate loop, offline pretraining,
+"""Experiment orchestration: the train/evaluate loop, offline prefill,
 metric persistence, the oracle verification suite, sweeps, and bias
 estimation.
 
@@ -224,11 +224,10 @@ class _SeedRun:
         cfg = self.cfg
         if cfg.scheme == "per":
             new = schemes.per_priority(metrics.critic_td_errors, cfg.per)
-        elif cfg.scheme == "roer_chi2":
-            new = schemes.chi2_priority(metrics.value_td_errors, cfg.roer.beta)
-        elif cfg.scheme == "roer":
+        elif cfg.scheme in schemes.ROER_DIVERGENCES:
+            div = schemes.ROER_DIVERGENCES[cfg.scheme]
             new = schemes.roer_update(metrics.value_td_errors, batch.priorities,
-                                      cfg.roer)
+                                      cfg.roer, div)
         else:
             return
         self.buffer.update_priorities(batch.indices, new)
@@ -509,10 +508,9 @@ def run_oracle_suite(corrupt_kind: str | None = None,
     grid = np.logspace(np.log10(0.1), np.log10(10.0), 200)
     for kind in divergences.DIFFERENTIABLE_KINDS:
         sp = divergences.spec(kind)
-        worst = max(
-            abs(conj_prime(sp, divergences.generator_prime(sp, x)) - x)
-            for x in grid
-        )
+        worst = float(np.max(np.abs(
+            conj_prime(sp, divergences.generator_prime(sp, grid)) - grid
+        )))
         report.append({
             "check": "conjugate_inverse_identity", "kind": sp.name,
             "tolerance": 1e-9, "measured": worst, "passed": worst <= 1e-9,
@@ -525,10 +523,9 @@ def run_oracle_suite(corrupt_kind: str | None = None,
         hi = min(sp.domain_conj[1], 20.0)
         xs = rng.uniform(0.05, 20.0, size=10_000)
         ys = rng.uniform(lo, hi - 1e-9, size=10_000)
-        worst = max(
-            x * y - divergences.generator(sp, x) - divergences.conjugate(sp, y)
-            for x, y in zip(xs, ys)
-        )
+        worst = float(np.max(
+            xs * ys - divergences.generator(sp, xs) - divergences.conjugate(sp, ys)
+        ))
         report.append({
             "check": "fenchel_young", "kind": sp.name, "tolerance": 1e-12,
             "measured": worst, "passed": worst <= 1e-12,

@@ -100,9 +100,7 @@ def dual_objective(mdp: TabularMdp, Q: np.ndarray, d_data: OccupancyTable,
     """beta * E_{d_data}[f*(delta/beta)] + (1-gamma) E_{rho0, pi}[Q], with
     delta the TD residual of Q under the supplied (optimal) policy."""
     delta = bellman_backup(mdp, Q, policy) - Q
-    conj = np.array(
-        [divergences.conjugate(div, y) for y in (delta / beta).ravel()]
-    ).reshape(delta.shape)
+    conj = divergences.conjugate(div, delta / beta)
     reg_term = beta * float(np.sum(d_data.table * conj))
     init_term = (1.0 - mdp.gamma) * float(
         np.sum(mdp.initial[:, None] * policy * Q)
@@ -123,18 +121,12 @@ def dual_minimize(mdp: TabularMdp, d_data: OccupancyTable, beta: float,
     dD = d_data.table.ravel()
     lin = ((1.0 - mdp.gamma) * mdp.initial[:, None] * policy).ravel()
 
-    def split(q):
-        delta_scaled = (A @ q + b) / beta
-        return delta_scaled
-
     def objective(q):
-        y = split(q)
-        conj = np.array([divergences.conjugate(div, v) for v in y])
+        conj = divergences.conjugate(div, (A @ q + b) / beta)
         return beta * float(dD @ conj) + float(lin @ q)
 
     def gradient(q):
-        y = split(q)
-        ratio = np.array([divergences.conjugate_prime(div, v) for v in y])
+        ratio = divergences.conjugate_prime(div, (A @ q + b) / beta)
         return A.T @ (dD * ratio) + lin
 
     from scipy import optimize  # slow to import; training never needs it
@@ -173,9 +165,7 @@ def recovered_distribution(mdp: TabularMdp, Q: np.ndarray,
     """Normalized f*'(delta/beta) * d_data: the minimizer's implied target
     occupancy."""
     delta = bellman_backup(mdp, Q, policy) - Q
-    ratio = np.array(
-        [divergences.conjugate_prime(div, v) for v in (delta / beta).ravel()]
-    ).reshape(delta.shape)
+    ratio = divergences.conjugate_prime(div, delta / beta)
     prod = ratio * d_data.table
     return prod / prod.sum()
 

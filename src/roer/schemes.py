@@ -1,16 +1,21 @@
 """Priority computation for each replay strategy.
 
-roer_update implements the multiplicative priority pipeline: exponentiate
-scaled TD errors, clip the immediate weight into [1, max_exp_clip], batch
-mean-normalize, interpolate with rate lambda, then floor the final priority.
-The pipeline order (clip -> normalize -> interpolate -> floor) is fixed:
-clipping before normalization bounds the mean's sensitivity to outliers.
+roer_update is the one regularized priority pipeline, for every
+divergence: the ratio w = f*'(delta / beta) of the scheme's divergence,
+clipped into [1, max_exp_clip], batch mean-normalized, interpolated with
+rate lambda, then floored. ROER_DIVERGENCES maps each scheme name to its
+divergence: roer is the KL case (w = exp(delta / beta)), roer_chi2 the
+Pearson chi^2 case (w = delta / beta + 1). The pipeline order (clip ->
+normalize -> interpolate -> floor) is fixed: clipping before normalization
+bounds the mean's sensitivity to outliers.
 
 per_priority is the loss-adjusted PER form (priority floor pairs with a
 Huber critic loss); laber_select resamples a uniformly drawn large batch
-proportionally to surrogate priorities with importance corrections;
-chi2_priority is the shifted-linear variant paired with the conservative
-(squared) value objective.
+proportionally to surrogate priorities with importance corrections.
+
+Inputs are validated where they enter: TD errors where they leave the
+agents, priorities by the buffer, knobs by the config dataclasses. Only
+laber_select checks its surrogates, which meet no later check.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .divergences import SPECS, DivergenceSpec, Kind
 
 
 class ConfigError(ValueError):
@@ -28,11 +35,13 @@ class InvalidInputError(ValueError):
     pass
 
 
-# exp() overflows float64 just above 709; clip exponents first so the
-# immediate-weight clip sees finite values.
-_EXP_ARG_MAX = 700.0
+# The divergence whose conjugate derivative sets each ROER scheme's ratio.
+ROER_DIVERGENCES: dict[str, DivergenceSpec] = {
+    "roer": SPECS[Kind.KL],
+    "roer_chi2": SPECS[Kind.PEARSON_CHI2],
+}
 
-SCHEME_KEYS = ("uniform", "per", "laber", "roer", "roer_chi2")
+SCHEME_KEYS = ("uniform", "per", "laber", *ROER_DIVERGENCES)
 
 
 @dataclass(frozen=True)
@@ -42,8 +51,7 @@ class RoerConfig:
     lam is the convergence rate (0 < lam <= 1), beta the loss temperature,
     grad_clip the Gumbel exponent clip used by the value loss, max_exp_clip
     the immediate-weight clip, min_priority_clip the floor applied to the
-    final priority (0 disables it), and train_start_step the step before
-    which priorities stay at 1.
+    final priority (0 disables it).
     """
 
     lam: float = 0.01
@@ -51,21 +59,20 @@ class RoerConfig:
     grad_clip: float = 7.0
     max_exp_clip: float = 100.0
     min_priority_clip: float = 1.0
-    train_start_step: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.lam <= 1.0):
             raise ConfigError(f"lambda must be in (0, 1], got {self.lam}")
         if self.beta <= 0.0 or not np.isfinite(self.beta):
             raise ConfigError(f"beta must be positive, got {self.beta}")
-        if self.max_exp_clip < 1.0:
-            raise ConfigError(f"max_exp_clip must be >= 1, got {self.max_exp_clip}")
+        if not (1.0 <= self.max_exp_clip < np.inf):
+            raise ConfigError(
+                f"max_exp_clip must be finite and >= 1, got {self.max_exp_clip}"
+            )
         if self.min_priority_clip < 0.0:
             raise ConfigError("min_priority_clip must be >= 0")
         if self.grad_clip <= 0.0:
             raise ConfigError("grad_clip must be positive")
-        if self.train_start_step < 0:
-            raise ConfigError("train_start_step must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,26 +111,21 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def roer_update(td_errors, current_priorities, cfg: RoerConfig) -> np.ndarray:
+def roer_update(td_errors, current_priorities, cfg: RoerConfig,
+                div: DivergenceSpec = ROER_DIVERGENCES["roer"]) -> np.ndarray:
     """One multiplicative priority update d' = [lam * w + (1 - lam)] * d.
 
-    w is exp(delta / beta) clipped to [1, max_exp_clip] and divided by its
-    batch mean, so a zero-TD batch (and any single-element batch) leaves
-    priorities bit-identical: the interpolation factor is computed as
-    lam * (w - 1) + 1, which is exactly 1.0 when w == 1.
+    w is the divergence's ratio f*'(delta / beta), clipped to
+    [1, max_exp_clip] and divided by its batch mean, so a zero-TD batch
+    (and any single-element batch) leaves priorities bit-identical: the
+    interpolation factor is computed as lam * (w - 1) + 1, which is exactly
+    1.0 when w == 1. A ratio that overflows to inf lands on max_exp_clip.
     """
-    delta = _check_finite(td_errors, "td_errors")
-    d = _check_finite(current_priorities, "current_priorities")
-    if delta.shape != d.shape:
-        raise InvalidInputError("td_errors and priorities length mismatch")
-    if np.any(d <= 0):
-        raise InvalidInputError("current priorities must be positive")
-    if cfg.beta <= 0:
-        raise ConfigError("beta must be positive")
-    w = np.exp(np.minimum(delta / cfg.beta, _EXP_ARG_MAX))
+    with np.errstate(over="ignore"):
+        w = div.f_star_prime(np.asarray(td_errors, dtype=np.float64) / cfg.beta)
     np.clip(w, 1.0, cfg.max_exp_clip, out=w)
     w /= w.mean()
-    new = (cfg.lam * (w - 1.0) + 1.0) * d
+    new = (cfg.lam * (w - 1.0) + 1.0) * current_priorities
     if cfg.min_priority_clip > 0.0:
         np.maximum(new, cfg.min_priority_clip, out=new)
     return new
@@ -131,8 +133,7 @@ def roer_update(td_errors, current_priorities, cfg: RoerConfig) -> np.ndarray:
 
 def per_priority(td_errors, cfg: PerConfig) -> np.ndarray:
     """Loss-adjusted PER: p = max(|delta|^alpha, min_priority)."""
-    delta = _check_finite(td_errors, "td_errors")
-    return np.maximum(np.abs(delta) ** cfg.alpha, cfg.min_priority)
+    return np.maximum(np.abs(td_errors) ** cfg.alpha, cfg.min_priority)
 
 
 def laber_select(surrogate_priorities, n: int, rng: np.random.Generator):
@@ -156,16 +157,3 @@ def laber_select(surrogate_priorities, n: int, rng: np.random.Generator):
     weights = s.mean() / s[idx]
     return idx, weights
 
-
-def chi2_priority(td_errors, beta: float, floor: float = 1e-3) -> np.ndarray:
-    """Shifted-linear priority p = max(delta / beta + 1, floor).
-
-    The linear form can go negative for strongly negative TD errors, so a
-    small positive floor preserves the buffer's positivity invariant.
-    """
-    if beta <= 0 or not np.isfinite(beta):
-        raise ConfigError(f"beta must be positive, got {beta}")
-    if floor <= 0:
-        raise ConfigError("floor must be positive")
-    delta = _check_finite(td_errors, "td_errors")
-    return np.maximum(delta / beta + 1.0, floor)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from roer.divergences import (
     DIFFERENTIABLE_KINDS,
@@ -16,6 +19,28 @@ from roer.divergences import (
 )
 
 ALL_KINDS = list(Kind)
+FUNCTIONS = (generator, generator_prime, conjugate, conjugate_prime)
+
+
+def x_elements():
+    return st.floats(1e-6, 1e6)
+
+
+def y_elements(sp):
+    # inside the conjugate domain, capped where exp() would overflow
+    lo, hi = sp.domain_conj
+    return st.floats(max(lo, -50.0), min(hi, 50.0),
+                     exclude_max=sp.conj_upper_open and hi <= 50.0)
+
+
+def bad_y_values(sp):
+    lo, hi = sp.domain_conj
+    bad = [math.nan, math.inf, -math.inf]
+    if math.isfinite(hi):
+        bad.append(hi if sp.conj_upper_open else hi + 0.1)
+    if math.isfinite(lo):
+        bad.append(lo - 0.1)
+    return bad
 
 
 def central_diff(f, x, h=1e-6):
@@ -156,3 +181,56 @@ class TestDomains:
         assert spec("squared_hellinger").kind is Kind.SQUARED_HELLINGER
         with pytest.raises(DomainError, match="unknown divergence"):
             spec("hellinger")
+
+
+class TestArrayCalls:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_array_call_equals_scalar_calls_bitwise(self, kind, data):
+        sp = spec(kind)
+        shapes = hnp.array_shapes(max_dims=2, max_side=8)
+        xs = data.draw(hnp.arrays(np.float64, shapes, elements=x_elements()))
+        if kind is Kind.TOTAL_VARIATION:
+            xs[xs == 1.0] = 2.0  # the kink has no derivative
+        ys = data.draw(hnp.arrays(np.float64, shapes, elements=y_elements(sp)))
+        for fn, args in zip(FUNCTIONS, (xs, xs, ys, ys)):
+            out = fn(sp, args)
+            each = np.array([fn(sp, v) for v in args.flat]).reshape(args.shape)
+            assert out.shape == args.shape
+            assert out.tobytes() == each.tobytes(), fn.__name__
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_dense_grid_equals_scalar_calls_bitwise(self, kind):
+        # rounding differences between the scalar and array paths are rare
+        # (about 1 in 1000 for a scalar ** 2), so sweep a dense grid too
+        sp = spec(kind)
+        lo, hi = sp.domain_conj
+        xs = np.geomspace(1e-6, 1e6, 10_001)
+        if kind is Kind.TOTAL_VARIATION:
+            xs[xs == 1.0] = 2.0
+        ys = np.linspace(max(lo, -50.0), min(hi, 50.0), 10_001)
+        if sp.conj_upper_open:
+            ys = ys[ys < hi]
+        for fn, args in zip(FUNCTIONS, (xs, xs, ys, ys)):
+            each = np.array([fn(sp, v) for v in args])
+            assert fn(sp, args).tobytes() == each.tobytes(), fn.__name__
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_bad_element_rejects_the_array(self, kind, data):
+        sp = spec(kind)
+        n = data.draw(st.integers(1, 16))
+        at = data.draw(st.integers(0, n - 1))
+        xs = data.draw(hnp.arrays(np.float64, n, elements=st.floats(1.5, 1e6)))
+        xs[at] = data.draw(st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+        ys = data.draw(hnp.arrays(np.float64, n, elements=y_elements(sp)))
+        ys[at] = data.draw(st.sampled_from(bad_y_values(sp)))
+        for fn, args in zip(FUNCTIONS, (xs, xs, ys, ys)):
+            with pytest.raises(DomainError):
+                fn(sp, args)
+
+    def test_total_variation_kink_anywhere_in_the_array(self):
+        with pytest.raises(NondifferentiableError):
+            generator_prime(spec(Kind.TOTAL_VARIATION), np.array([0.5, 1.0, 2.0]))

@@ -58,6 +58,16 @@ class TestConfig:
             cmod.from_dict(base_raw(tmp_path, env="pendulum", agent=dict(
                 value_residual_mode="target_minus_v")))
 
+    @pytest.mark.parametrize("section,key", [
+        ("scheme_config", "train_start_step"),  # the loop reads the top level
+        ("agent", "value_loss_kind"),           # the scheme sets it
+    ])
+    def test_ignored_options_rejected(self, tmp_path, section, key):
+        raw = base_raw(tmp_path, env="pendulum", scheme="roer",
+                       **{section: {key: 1}})
+        with pytest.raises(ConfigError, match=key):
+            cmod.from_dict(raw)
+
     def test_unknown_scheme_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown scheme"):
             cmod.from_dict(base_raw(tmp_path, scheme="rank"))
@@ -146,6 +156,16 @@ class TestRunTrain:
         buf = PriorityBuffer.load(out / "seed_0" / "buffer.bin")
         assert np.any(buf.priorities != 1.0)
 
+    def test_roer_chi2_moves_priorities_above_the_floor(self, tmp_path):
+        cfg = cmod.from_dict(base_raw(
+            tmp_path, scheme="roer_chi2",
+            scheme_config=dict(lam=0.05, beta=1.0, min_priority_clip=1e-3),
+        ))
+        out = run_train(cfg)
+        buf = PriorityBuffer.load(out / "seed_0" / "buffer.bin")
+        assert np.any(buf.priorities != 1.0)
+        assert np.all(buf.priorities >= 1e-3)
+
     def test_determinism_bytes(self, tmp_path):
         cfg_a = cmod.from_dict(base_raw(tmp_path, output_dir=str(tmp_path / "a")))
         cfg_b = cmod.from_dict(base_raw(tmp_path, output_dir=str(tmp_path / "b")))
@@ -173,7 +193,6 @@ class TestRunTrain:
 
         monkeypatch.setattr(schemes, "roer_update", boom)
         monkeypatch.setattr(schemes, "per_priority", boom)
-        monkeypatch.setattr(schemes, "chi2_priority", boom)
         monkeypatch.setattr(schemes, "laber_select", boom)
         monkeypatch.setattr(divergences, "conjugate_prime", boom)
         cfg = cmod.from_dict(base_raw(tmp_path))

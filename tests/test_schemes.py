@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from roer.schemes import (
+    ROER_DIVERGENCES,
     ConfigError,
-    InvalidInputError,
     LaberConfig,
     PerConfig,
     RoerConfig,
-    chi2_priority,
     laber_select,
     per_priority,
     roer_update,
 )
+
+PEARSON = ROER_DIVERGENCES["roer_chi2"]
 
 
 def cfg(**kw):
@@ -91,21 +95,74 @@ class TestRoerUpdate:
         assert full == pytest.approx(w * d)
 
     def test_input_validation(self):
-        with pytest.raises(InvalidInputError):
-            roer_update(np.array([np.nan]), np.array([1.0]), cfg())
-        with pytest.raises(InvalidInputError):
-            roer_update(np.array([0.0]), np.array([-1.0]), cfg())
         with pytest.raises(ConfigError):
             RoerConfig(lam=0.0)
         with pytest.raises(ConfigError):
             RoerConfig(beta=-1.0)
         with pytest.raises(ConfigError):
             RoerConfig(max_exp_clip=0.5)
+        with pytest.raises(ConfigError):
+            RoerConfig(max_exp_clip=math.inf)
 
     def test_huge_td_error_stays_finite(self):
-        out = roer_update(np.array([1e6, 0.0]), np.ones(2),
-                          cfg(lam=1.0, max_exp_clip=100.0))
-        assert np.all(np.isfinite(out))
+        for div in ROER_DIVERGENCES.values():
+            out = roer_update(np.array([1e6, 0.0]), np.ones(2),
+                              cfg(lam=1.0, max_exp_clip=100.0), div)
+            assert np.all(np.isfinite(out))
+            assert out == pytest.approx([100 / 50.5, 1 / 50.5])
+
+
+def reference_kl_update(delta, d, c):
+    """The KL update as the ROER scheme first computed it, with exp() on
+    exponents capped at 700; the shared pipeline must match it bit for bit."""
+    w = np.exp(np.minimum(delta / c.beta, 700.0))
+    np.clip(w, 1.0, c.max_exp_clip, out=w)
+    w /= w.mean()
+    new = (c.lam * (w - 1.0) + 1.0) * d
+    if c.min_priority_clip > 0.0:
+        np.maximum(new, c.min_priority_clip, out=new)
+    return new
+
+
+@st.composite
+def update_inputs(draw):
+    n = draw(st.integers(1, 64))
+    delta = draw(hnp.arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    d = draw(hnp.arrays(np.float64, n, elements=st.floats(1e-3, 1e3)))
+    c = RoerConfig(
+        lam=draw(st.floats(1e-6, 1.0)),
+        beta=draw(st.floats(1e-2, 1e2)),
+        max_exp_clip=draw(st.floats(1.0, 1e12)),
+        min_priority_clip=draw(st.sampled_from([0.0, 1e-3, 1.0])),
+    )
+    return delta, d, c
+
+
+class TestSharedPipeline:
+    @settings(max_examples=200, deadline=None)
+    @given(update_inputs())
+    def test_kl_matches_reference_bitwise(self, inputs):
+        delta, d, c = inputs
+        out = roer_update(delta, d, c, ROER_DIVERGENCES["roer"])
+        assert np.array_equal(out, reference_kl_update(delta, d, c))
+
+    @settings(max_examples=100, deadline=None)
+    @given(update_inputs())
+    def test_pearson_zero_td_leaves_priorities_bitwise(self, inputs):
+        _, d, c = inputs
+        d = np.maximum(d, c.min_priority_clip)  # the floor moves nothing above it
+        assert np.array_equal(roer_update(np.zeros_like(d), d, c, PEARSON), d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(update_inputs())
+    def test_pearson_matches_analytic_ratio(self, inputs):
+        delta, d, c = inputs
+        w = np.clip(delta / c.beta + 1.0, 1.0, c.max_exp_clip)
+        expect = (c.lam * (w / w.mean() - 1.0) + 1.0) * d
+        expect = np.maximum(expect, c.min_priority_clip)
+        out = roer_update(delta, d, c, PEARSON)
+        assert out == pytest.approx(expect, rel=1e-12)
+        assert np.all(out >= c.min_priority_clip)
 
 
 class TestPerPriority:
@@ -159,18 +216,3 @@ class TestLaberSelect:
         with pytest.raises(ConfigError):
             LaberConfig(large_batch=32).check_minibatch(64)
 
-
-class TestChi2Priority:
-    def test_zero_error(self):
-        assert chi2_priority(np.array([0.0]), 1.0) == pytest.approx([1.0])
-
-    def test_linear_form(self):
-        assert chi2_priority(np.array([1.0]), 2.0) == pytest.approx([1.5])
-
-    def test_floor_preserves_positivity(self):
-        out = chi2_priority(np.array([-5.0]), 1.0, floor=1e-3)
-        assert out == pytest.approx([1e-3])
-
-    def test_bad_beta(self):
-        with pytest.raises(ConfigError):
-            chi2_priority(np.array([0.0]), 0.0)
