@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses, nn
+from .divergences import DivergenceSpec, Kind
 from .replay import SampledBatch
-from .schemes import InvalidInputError
+from .schemes import ROER_DIVERGENCES, InvalidInputError, RoerConfig
 
 LOG_STD_MIN = -10.0
 LOG_STD_MAX = 2.0
@@ -37,9 +38,6 @@ class SacConfig:
     target_entropy: float | None = None  # None -> -action_dim
     huber_k: float | None = 1.0          # None -> mean-square critic loss
     penalty_coef: float = 1.0
-    value_beta: float = 1.0
-    value_grad_clip: float = 7.0
-    value_loss_kind: str = "extreme"         # or "pearson"
 
     @classmethod
     def test_profile(cls, **overrides) -> "SacConfig":
@@ -178,13 +176,18 @@ class SacAgent:
     # -- update ----------------------------------------------------------
 
     def update(self, batch: SampledBatch, weights: np.ndarray,
-               rng: np.random.Generator, train_value: bool = False) -> StepMetrics:
+               rng: np.random.Generator, roer: RoerConfig | None = None,
+               div: DivergenceSpec = ROER_DIVERGENCES["roer"]) -> StepMetrics:
+        """One SAC step. The value network trains only under a ROER scheme:
+        roer holds its loss temperature beta and exponent clip, and div its
+        divergence (Pearson chi^2 takes the squared loss, every other the
+        Gumbel loss). With roer=None the value network is left alone."""
         weights = np.asarray(weights, dtype=np.float64)
         snap = self._snapshot()
         metrics = StepMetrics()
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return self._update_inner(batch, weights, rng, train_value, metrics)
+                return self._update_inner(batch, weights, rng, roer, div, metrics)
         except (FloatingPointError, InvalidInputError):
             # non-finite collapse: abort, count, roll back all state
             self._restore(snap)
@@ -192,7 +195,7 @@ class SacAgent:
             metrics.aborted = True
             return metrics
 
-    def _update_inner(self, batch, weights, rng, train_value,
+    def _update_inner(self, batch, weights, rng, roer, div,
                       metrics: StepMetrics) -> StepMetrics:
         cfg = self.config
         n = len(batch)
@@ -230,14 +233,13 @@ class SacAgent:
         metrics.critic_td_errors = target - 0.5 * (preds[0] + preds[1])
 
         # value network (priority TD source)
-        if train_value:
+        if roer is not None:
             v_pred, _, v_cache = self._value_forward(obs)
             residual = self._min_q(self.target1, self.target2, obs, act) - v_pred
-            if cfg.value_loss_kind == "pearson":
-                out = losses.pearson_v_loss(residual, cfg.value_beta)
+            if div.kind is Kind.PEARSON_CHI2:
+                out = losses.pearson_v_loss(residual, roer.beta)
             else:
-                out = losses.extreme_v_loss(residual, cfg.value_beta,
-                                            cfg.value_grad_clip)
+                out = losses.extreme_v_loss(residual, roer.beta, roer.grad_clip)
                 metrics.value_clip_count = out.diagnostics["clipped"]
             if not np.isfinite(out.value):
                 raise FloatingPointError("value loss diverged")

@@ -38,8 +38,20 @@ Schema (all keys optional unless noted):
       lam, beta, grad_clip, max_exp_clip, min_priority_clip   (roer, roer_chi2)
       alpha, min_priority                                     (per)
       large_batch                                             (laber)
+                                # roer/roer_chi2: beta and grad_clip also set
+                                # the value network's loss
     sweep:
-      grid: {dotted.key: [values], ...}
+      grid: {dotted.key: [values], ...}   # e.g. scheme_config.beta, agent.learning_rate,
+                                          # tabular.epsilon, buffer_capacity
+
+Every key is checked when the file loads: an unknown key, a scheme_config
+key the scheme does not have, or a sweep.grid key that names no key of
+this schema is a ConfigError. The config.yaml that a run writes (echo) is
+this same schema with every value spelled out, so it can be passed back
+to `roer train` and `roer bias`. Each sweep cell is the echoed file with
+the cell's grid values set, loaded again through from_dict. Files in the
+older resolved form (top-level sac / roer / per / laber / sweep_grid)
+fail with "unknown config keys", which the CLI maps to exit code 2.
 
 Environment variables: ROER_OUTPUT_DIR overrides output_dir, ROER_WORKERS
 overrides workers.
@@ -47,17 +59,18 @@ overrides workers.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
 import yaml
 
 from .agents import SacConfig, TabularConfig
-from .divergences import Kind
-from .schemes import (ROER_DIVERGENCES, SCHEME_KEYS, ConfigError, LaberConfig,
-                      PerConfig, RoerConfig)
+from .schemes import (SCHEME_CONFIGS, ConfigError, LaberConfig, PerConfig,
+                      RoerConfig)
 
 
 @dataclass(frozen=True)
@@ -81,16 +94,20 @@ class ExperimentConfig:
     workers: int = 1
     sac: SacConfig = field(default_factory=SacConfig.test_profile)
     tabular: TabularConfig = field(default_factory=TabularConfig)
-    roer: RoerConfig = field(default_factory=RoerConfig)
-    per: PerConfig = field(default_factory=PerConfig)
-    laber: LaberConfig = field(default_factory=LaberConfig)
+    # the knobs of the scheme, as schemes.SCHEME_CONFIGS names; None for uniform
+    scheme_config: RoerConfig | PerConfig | LaberConfig | None = None
     sweep_grid: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.scheme not in SCHEME_KEYS:
+        if self.scheme not in SCHEME_CONFIGS:
             raise ConfigError(
-                f"unknown scheme {self.scheme!r}; expected one of {SCHEME_KEYS}"
+                f"unknown scheme {self.scheme!r}; expected one of "
+                f"{tuple(SCHEME_CONFIGS)}"
             )
+        cls = SCHEME_CONFIGS[self.scheme]
+        if not isinstance(self.scheme_config, cls or type(None)):
+            raise ConfigError(f"scheme {self.scheme!r} needs scheme_config of "
+                              f"type {cls and cls.__name__}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if self.total_steps <= self.train_start_step:
@@ -102,10 +119,6 @@ class ExperimentConfig:
         if self.sampling_mode not in ("proportional", "weighted"):
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
 
-    @property
-    def trains_value_network(self) -> bool:
-        return self.scheme in ROER_DIVERGENCES
-
 
 def seed_streams(experiment_seed: int) -> dict[str, np.random.Generator]:
     """Derive the five named generators from one experiment seed."""
@@ -114,11 +127,16 @@ def seed_streams(experiment_seed: int) -> dict[str, np.random.Generator]:
     return {n: np.random.default_rng(c) for n, c in zip(names, children)}
 
 
+# top-level keys of the file schema that map one to one onto fields
+_TOP_LEVEL = ("env", "scheme", "total_steps", "train_start_step",
+              "eval_period", "eval_episodes", "output_dir", "sampling_mode",
+              "buffer_capacity", "env_horizon", "offline_dataset",
+              "checkpoint_period", "bias_eval_period", "bias_eval_pairs",
+              "bias_eval_horizon", "workers")
+
+
 def _build_sac(raw: dict) -> SacConfig:
     raw = dict(raw)
-    if "value_loss_kind" in raw:
-        raise ConfigError("agent.value_loss_kind is set by the scheme; "
-                          "it cannot be configured")
     profile = raw.pop("profile", "test")
     if "hidden_dims" in raw:
         raw["hidden_dims"] = tuple(raw["hidden_dims"])
@@ -129,77 +147,40 @@ def _build_sac(raw: dict) -> SacConfig:
     raise ConfigError(f"unknown agent profile {profile!r}")
 
 
-_SCHEME_CFG_FIELDS = {
-    **dict.fromkeys(ROER_DIVERGENCES, ("lam", "beta", "grad_clip",
-                                       "max_exp_clip", "min_priority_clip")),
-    "per": ("alpha", "min_priority"),
-    "laber": ("large_batch",),
-    "uniform": (),
-}
+def _build_scheme_config(scheme, raw: dict):
+    cls = SCHEME_CONFIGS.get(scheme)
+    allowed = {f.name for f in fields(cls)} if cls else set()
+    unknown = set(raw) - allowed
+    if unknown:
+        raise ConfigError(
+            f"scheme_config keys {sorted(unknown)} not valid for {scheme!r}"
+        )
+    return cls(**raw) if cls else None
 
 
 def from_dict(raw: dict[str, Any]) -> ExperimentConfig:
-    """Build a config from either the user-facing schema (agent /
-    scheme_config / sweep sugar keys) or the resolved form that echo()
-    emits (sac / roer / per / laber / sweep_grid)."""
+    """Build a config from the file schema in the module docstring."""
     raw = dict(raw)
     try:
-        scheme = raw.get("scheme", "uniform")
-        scheme_cfg = raw.pop("scheme_config", {}) or {}
-        allowed = _SCHEME_CFG_FIELDS.get(scheme, ())
-        unknown = set(scheme_cfg) - set(allowed)
-        if unknown:
-            raise ConfigError(
-                f"scheme_config keys {sorted(unknown)} not valid for {scheme!r}"
-            )
-        kwargs: dict[str, Any] = {}
-        if "sac" in raw:
-            sac_raw = dict(raw.pop("sac"))
-            sac_raw["hidden_dims"] = tuple(sac_raw.get("hidden_dims", (64, 64)))
-            kwargs["sac"] = SacConfig(**sac_raw)
-        else:
-            kwargs["sac"] = _build_sac(raw.pop("agent", {}) or {})
-        kwargs["tabular"] = TabularConfig(**(raw.pop("tabular", {}) or {}))
-        for section, cls in (("roer", RoerConfig), ("per", PerConfig),
-                             ("laber", LaberConfig)):
-            if section in raw:
-                kwargs[section] = cls(**raw.pop(section))
-        if scheme in ROER_DIVERGENCES and "roer" not in kwargs:
-            kwargs["roer"] = RoerConfig(**scheme_cfg)
-            # the value network shares the scheme's loss temperature, clip
-            # and divergence (Pearson chi^2 has the squared loss, KL Gumbel's)
-            pearson = ROER_DIVERGENCES[scheme].kind is Kind.PEARSON_CHI2
-            kwargs["sac"] = replace(
-                kwargs["sac"],
-                value_beta=kwargs["roer"].beta,
-                value_grad_clip=kwargs["roer"].grad_clip,
-                value_loss_kind="pearson" if pearson else "extreme",
-            )
-        elif scheme == "per" and "per" not in kwargs:
-            kwargs["per"] = PerConfig(**scheme_cfg)
-        elif scheme == "laber" and "laber" not in kwargs:
-            kwargs["laber"] = LaberConfig(**scheme_cfg)
-        sweep = raw.pop("sweep", {}) or {}
-        if "sweep_grid" in raw:
-            kwargs["sweep_grid"] = raw.pop("sweep_grid") or {}
-        else:
-            kwargs["sweep_grid"] = sweep.get("grid", {}) if isinstance(sweep, dict) else {}
         seeds = raw.pop("seeds", None)
         if seeds is None:
             raise ConfigError("config requires 'seeds'")
+        kwargs: dict[str, Any] = {k: raw.pop(k) for k in _TOP_LEVEL if k in raw}
         kwargs["seeds"] = tuple(int(s) for s in seeds)
-        for key in ("env", "scheme", "total_steps", "train_start_step",
-                    "eval_period", "eval_episodes", "output_dir",
-                    "sampling_mode", "buffer_capacity", "env_horizon",
-                    "offline_dataset", "checkpoint_period", "bias_eval_period",
-                    "bias_eval_pairs", "bias_eval_horizon", "workers"):
-            if key in raw:
-                kwargs[key] = raw.pop(key)
+        kwargs["sac"] = _build_sac(raw.pop("agent", None) or {})
+        kwargs["tabular"] = TabularConfig(**(raw.pop("tabular", None) or {}))
+        kwargs["scheme_config"] = _build_scheme_config(
+            kwargs.get("scheme"), raw.pop("scheme_config", None) or {})
+        sweep = raw.pop("sweep", None) or {}
+        if not isinstance(sweep, dict) or set(sweep) - {"grid"}:
+            raise ConfigError("the sweep section takes one key, grid")
+        kwargs["sweep_grid"] = sweep.get("grid") or {}
         if raw:
             raise ConfigError(f"unknown config keys: {sorted(raw)}")
         cfg = ExperimentConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_grid(cfg)
     out_dir = os.environ.get("ROER_OUTPUT_DIR")
     if out_dir:
         cfg = replace(cfg, output_dir=out_dir)
@@ -219,24 +200,61 @@ def load(path: str) -> ExperimentConfig:
     return from_dict(raw)
 
 
-def echo(cfg: ExperimentConfig) -> str:
-    """Deterministic YAML rendering of a resolved config."""
-    data = asdict(cfg)
+def as_dict(cfg: ExperimentConfig) -> dict[str, Any]:
+    """The config in the file schema, every value spelled out, so that
+    from_dict(as_dict(cfg)) == cfg."""
+    data: dict[str, Any] = {k: getattr(cfg, k) for k in _TOP_LEVEL}
     data["seeds"] = list(cfg.seeds)
-    data["sac"]["hidden_dims"] = list(cfg.sac.hidden_dims)
-    return yaml.safe_dump(data, sort_keys=True)
+    data["agent"] = asdict(cfg.sac)
+    data["agent"]["hidden_dims"] = list(cfg.sac.hidden_dims)
+    data["tabular"] = asdict(cfg.tabular)
+    if cfg.scheme_config is not None:
+        data["scheme_config"] = asdict(cfg.scheme_config)
+    data["sweep"] = {"grid": copy.deepcopy(cfg.sweep_grid)}
+    return data
 
 
-def apply_override(cfg: ExperimentConfig, dotted_key: str, value) -> ExperimentConfig:
-    """Set a possibly nested field ('roer.beta', 'sac.learning_rate') on a
-    copy of the config; used by the sweep grid."""
-    parts = dotted_key.split(".")
-    if len(parts) == 1:
-        return replace(cfg, **{parts[0]: value})
-    if len(parts) == 2:
-        sub = getattr(cfg, parts[0], None)
-        if sub is None:
-            raise ConfigError(f"unknown config section {parts[0]!r}")
-        new_sub = replace(sub, **{parts[1]: value})
-        return replace(cfg, **{parts[0]: new_sub})
-    raise ConfigError(f"cannot apply override {dotted_key!r}")
+def echo(cfg: ExperimentConfig) -> str:
+    """Deterministic YAML rendering of a config, loadable by load()."""
+    return yaml.safe_dump(as_dict(cfg), sort_keys=True)
+
+
+def _section_of(data: dict, dotted_key) -> tuple[dict, str] | None:
+    """The mapping that holds a dotted key's leaf value, and the leaf's
+    name; None when the key names no value of the schema."""
+    *path, leaf = str(dotted_key).split(".")
+    for part in path:
+        data = data.get(part)
+        if not isinstance(data, dict):
+            return None
+    if leaf not in data or isinstance(data[leaf], dict):
+        return None
+    return data, leaf
+
+
+def _check_grid(cfg: ExperimentConfig) -> None:
+    if not isinstance(cfg.sweep_grid, dict):
+        raise ConfigError("sweep.grid must map config keys to value lists")
+    known = as_dict(cfg)
+    for key, values in cfg.sweep_grid.items():
+        if _section_of(known, key) is None:
+            raise ConfigError(f"sweep.grid key {key!r} names no config key")
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep.grid[{key!r}] must be a non-empty list")
+
+
+def sweep_cells(cfg: ExperimentConfig) -> list[tuple[str, dict[str, Any]]]:
+    """One (label, file-schema dict) per cell of the grid's Cartesian
+    product, keys in sorted order; each dict is the config with the cell's
+    values set and no grid of its own."""
+    base = as_dict(cfg)
+    del base["sweep"]
+    keys = sorted(cfg.sweep_grid)
+    cells = []
+    for values in itertools.product(*(cfg.sweep_grid[k] for k in keys)):
+        raw = copy.deepcopy(base)
+        for key, value in zip(keys, values):
+            section, leaf = _section_of(raw, key)
+            section[leaf] = value
+        cells.append((",".join(f"{k}={v}" for k, v in zip(keys, values)), raw))
+    return cells

@@ -3,15 +3,14 @@ pendulum swing-up task.
 
 Tabular instances (chain, gridworld, random) expose their full model
 (transition tensor, rewards, initial distribution) so the oracles can
-compute exact quantities. Both environment classes support resetting to an
-arbitrary stored state, which the Monte-Carlo true-value protocol needs,
-and batch rollouts so value estimation stays vectorized.
+compute exact quantities. Both environment classes have batch rollouts
+from arbitrary (state, action) starts, which the Monte-Carlo true-value
+protocol needs, so value estimation stays vectorized.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,35 +58,6 @@ class TabularMdp:
     @property
     def n_actions(self) -> int:
         return self.transitions.shape[1]
-
-    # Human-readable fixture format: one "key: values" line per field with
-    # flattened row-major arrays.
-    def to_text(self) -> str:
-        lines = [
-            f"n_states: {self.n_states}",
-            f"n_actions: {self.n_actions}",
-            f"gamma: {float(self.gamma)!r}",
-            "transitions: " + " ".join(repr(float(v)) for v in self.transitions.ravel()),
-            "rewards: " + " ".join(repr(float(v)) for v in self.rewards.ravel()),
-            "initial: " + " ".join(repr(float(v)) for v in self.initial.ravel()),
-        ]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TabularMdp":
-        fields = {}
-        for line in text.strip().splitlines():
-            key, _, value = line.partition(":")
-            fields[key.strip()] = value.strip()
-        S = int(fields["n_states"])
-        A = int(fields["n_actions"])
-        parse = lambda key: np.array([float(v) for v in fields[key].split()])
-        return cls(
-            transitions=parse("transitions").reshape(S, A, S),
-            rewards=parse("rewards").reshape(S, A),
-            initial=parse("initial"),
-            gamma=float(fields["gamma"]),
-        )
 
 
 def chain_mdp(n_states: int = 10, gamma: float = 0.99,
@@ -187,6 +157,8 @@ class TabularEnv:
         return self._state
 
     def reset_to(self, state: int) -> int:
+        """Start an episode in a given state; tests/test_envs.py uses it to
+        check step frequencies and batch_rollout against serial steps."""
         self._state = int(state)
         self._t = 0
         self._done = False
@@ -269,6 +241,8 @@ class PendulumEnv:
         return self._obs()
 
     def reset_to(self, obs) -> np.ndarray:
+        """Start an episode at an observation's state; tests/test_envs.py
+        uses it to check observation recovery and batch_rollout."""
         obs = np.asarray(obs, dtype=np.float64)
         self._theta = float(np.arctan2(obs[1], obs[0]))
         self._thdot = float(obs[2])
@@ -321,6 +295,7 @@ class PendulumEnv:
         return returns
 
     def energy(self) -> float:
+        """Mechanical energy; tests/test_envs.py bounds it under zero torque."""
         p = self.p
         kinetic = 0.5 * p.mass * (p.length * self._thdot) ** 2
         potential = p.mass * p.gravity * p.length * np.cos(self._theta)

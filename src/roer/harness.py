@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
-import itertools
 import json
 import math
 import time
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import divergences, nn, oracles, schemes
 from .agents import SacAgent, StepMetrics, TabularAgent
-from .config import ExperimentConfig, apply_override, echo, seed_streams
+from .config import ExperimentConfig, echo, from_dict, seed_streams, sweep_cells
 from .envs import PendulumEnv, TabularEnv, chain_mdp, gridworld_mdp, random_mdp
 from .oracles import kl_divergence_to_implied, mc_true_value, occupancy, value_iteration
 from .replay import PriorityBuffer, SampledBatch
@@ -189,6 +188,9 @@ class _SeedRun:
             self.buffer = PriorityBuffer(cfg.buffer_capacity, self.env.obs_dim,
                                          self.env.action_dim)
             self.d_star = None
+        # the scheme's value-loss knobs and divergence; None trains no value net
+        self.div = schemes.ROER_DIVERGENCES.get(cfg.scheme)
+        self.value_loss_cfg = cfg.scheme_config if self.div is not None else None
         self._loss_sums: dict[str, float] = {}
         self._loss_counts: dict[str, int] = {}
 
@@ -198,8 +200,8 @@ class _SeedRun:
         cfg = self.cfg
         brng = self.streams["buffer"]
         if cfg.scheme == "laber":
-            cfg.laber.check_minibatch(self.batch_size)
-            big_n = min(cfg.laber.large_batch, len(self.buffer))
+            cfg.scheme_config.check_minibatch(self.batch_size)
+            big_n = min(cfg.scheme_config.large_batch, len(self.buffer))
             big = self.buffer.sample_uniform(big_n, brng)
             surrogates = self._surrogates(big)
             idx, weights = schemes.laber_select(surrogates, self.batch_size, brng)
@@ -223,11 +225,10 @@ class _SeedRun:
     def _refresh_priorities(self, batch: SampledBatch, metrics: StepMetrics) -> None:
         cfg = self.cfg
         if cfg.scheme == "per":
-            new = schemes.per_priority(metrics.critic_td_errors, cfg.per)
-        elif cfg.scheme in schemes.ROER_DIVERGENCES:
-            div = schemes.ROER_DIVERGENCES[cfg.scheme]
+            new = schemes.per_priority(metrics.critic_td_errors, cfg.scheme_config)
+        elif self.div is not None:
             new = schemes.roer_update(metrics.value_td_errors, batch.priorities,
-                                      cfg.roer, div)
+                                      cfg.scheme_config, self.div)
         else:
             return
         self.buffer.update_priorities(batch.indices, new)
@@ -260,18 +261,6 @@ class _SeedRun:
                 total += reward
                 done = terminal or truncated
         return total / self.cfg.eval_episodes
-
-    def _bias_probe(self) -> dict | None:
-        if len(self.buffer) == 0:
-            return None
-        rng = self.streams["eval"]
-        n = min(self.cfg.bias_eval_pairs, len(self.buffer))
-        idx = rng.integers(0, len(self.buffer), size=n)
-        probe = self.buffer._gather(idx, np.ones(n))
-        return compute_bias(self.agent, self.eval_env, probe.states,
-                            probe.actions, rng,
-                            horizon=self.cfg.bias_eval_horizon,
-                            discrete=self.discrete)
 
     # -- metric accumulation ---------------------------------------------
 
@@ -324,7 +313,7 @@ class _SeedRun:
                 else:
                     metrics = self.agent.update(
                         batch, weights, self.streams["agent"],
-                        train_value=cfg.trains_value_network,
+                        self.value_loss_cfg, self.div,
                     )
                 clip_hits += metrics.value_clip_count
                 self._accumulate(metrics)
@@ -343,9 +332,9 @@ class _SeedRun:
                     if at_tau:
                         kl_at_tau = kl
                 if cfg.bias_eval_period and step % cfg.bias_eval_period == 0:
-                    probe = self._bias_probe()
-                    if probe:
-                        record["bias"] = probe["bias"]
+                    record["bias"] = probe_bias(
+                        self.agent, self.eval_env, self.buffer, cfg,
+                        self.streams["eval"], self.discrete)["bias"]
                 record["clip_hits"] = clip_hits
                 if not self.discrete:
                     record["aborted_updates"] = self.agent.aborted_updates
@@ -455,6 +444,15 @@ def compute_bias(agent, env, states, actions, rng, horizon: int,
     }
 
 
+def probe_bias(agent, env, buffer: PriorityBuffer, cfg: ExperimentConfig,
+               rng, discrete: bool) -> dict:
+    """compute_bias over min(bias_eval_pairs, len(buffer)) slots drawn
+    uniformly from the buffer with rng, which then drives the rollouts."""
+    probe = buffer.sample_uniform(min(cfg.bias_eval_pairs, len(buffer)), rng)
+    return compute_bias(agent, env, probe.states, probe.actions, rng,
+                        horizon=cfg.bias_eval_horizon, discrete=discrete)
+
+
 def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     """Bias series over every (checkpoint, buffer) snapshot pair in a run
     directory, scheduled checkpoints first, final checkpoint last."""
@@ -476,11 +474,7 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
             agent = TabularAgent.load(ckpt_path, cfg.tabular)
         else:
             agent = SacAgent.load(ckpt_path, cfg.sac)
-        n = min(cfg.bias_eval_pairs, len(buffer))
-        idx = rng.integers(0, len(buffer), size=n)
-        probe = buffer._gather(idx, np.ones(n))
-        record = compute_bias(agent, env, probe.states, probe.actions, rng,
-                              horizon=cfg.bias_eval_horizon, discrete=discrete)
+        record = probe_bias(agent, env, buffer, cfg, rng, discrete)
         record["step"] = step
         series.append(record)
     return series
@@ -597,26 +591,21 @@ def run_oracle_suite(corrupt_kind: str | None = None,
 
 def run_sweep(cfg: ExperimentConfig) -> Path:
     """Cartesian product over cfg.sweep_grid; per-cell mean and 95% CI of
-    the final return over the config's seeds, written as JSON + TSV."""
+    the final return over the config's seeds, written as JSON + TSV. Each
+    cell loads through config.from_dict, so it gets a plain run's checks."""
     from scipy import stats  # slow to import; training never needs it
 
     if not cfg.sweep_grid:
         raise ConfigError("sweep requires a non-empty sweep.grid")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    keys = sorted(cfg.sweep_grid)
     cells = []
-    for values in itertools.product(*(cfg.sweep_grid[k] for k in keys)):
-        cell_cfg = cfg
-        label = []
-        for key, value in zip(keys, values):
-            cell_cfg = apply_override(cell_cfg, key, value)
-            label.append(f"{key}={value}")
-        name = ",".join(label)
-        cell_cfg = replace(cell_cfg, output_dir=str(out_dir / name.replace("/", "_")),
-                           sweep_grid={})
+    for name, raw in sweep_cells(cfg):
         entry = {"cell": name}
         try:
+            # set after from_dict, which applies ROER_OUTPUT_DIR to every config
+            cell_cfg = replace(from_dict(raw),
+                               output_dir=str(out_dir / name.replace("/", "_")))
             run_train(cell_cfg)
             summary = json.loads((Path(cell_cfg.output_dir) / "summary.json")
                                  .read_text())

@@ -67,11 +67,8 @@ def td_error(reward, gamma: float, v_next, v_curr, terminal) -> np.ndarray:
 
 
 def extreme_v_loss(residuals, beta: float, grad_clip: float) -> LossOutput:
-    """Gumbel regression loss over residuals with an upper exponent clip."""
-    if beta <= 0 or not np.isfinite(beta):
-        raise ConfigError(f"beta must be positive, got {beta}")
-    if grad_clip <= 0:
-        raise ConfigError(f"grad_clip must be positive, got {grad_clip}")
+    """Gumbel regression loss over residuals with an upper exponent clip.
+    beta and grad_clip are checked where they enter, by RoerConfig."""
     r = _vec(residuals, "residuals")
     n = len(r)
     z_raw = r / beta
@@ -92,9 +89,7 @@ def extreme_v_loss(residuals, beta: float, grad_clip: float) -> LossOutput:
 
 def pearson_v_loss(residuals, beta: float) -> LossOutput:
     """Conservative (squared) value objective paired with the shifted-linear
-    priority: mean(R^2 / (2 beta) + R)."""
-    if beta <= 0 or not np.isfinite(beta):
-        raise ConfigError(f"beta must be positive, got {beta}")
+    priority: mean(R^2 / (2 beta) + R). beta is checked by RoerConfig."""
     r = _vec(residuals, "residuals")
     n = len(r)
     value = float(np.mean(r * r / (2.0 * beta) + r))

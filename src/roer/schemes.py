@@ -35,21 +35,13 @@ class InvalidInputError(ValueError):
     pass
 
 
-# The divergence whose conjugate derivative sets each ROER scheme's ratio.
-ROER_DIVERGENCES: dict[str, DivergenceSpec] = {
-    "roer": SPECS[Kind.KL],
-    "roer_chi2": SPECS[Kind.PEARSON_CHI2],
-}
-
-SCHEME_KEYS = ("uniform", "per", "laber", *ROER_DIVERGENCES)
-
-
 @dataclass(frozen=True)
 class RoerConfig:
     """Knobs of the regularized priority update.
 
-    lam is the convergence rate (0 < lam <= 1), beta the loss temperature,
-    grad_clip the Gumbel exponent clip used by the value loss, max_exp_clip
+    lam is the convergence rate (0 < lam <= 1), beta the temperature of
+    both the ratio f*'(delta / beta) and the value network's loss,
+    grad_clip the Gumbel exponent clip of that loss, max_exp_clip
     the immediate-weight clip, min_priority_clip the floor applied to the
     final priority (0 disables it).
     """
@@ -100,6 +92,22 @@ class LaberConfig:
             raise ConfigError(
                 f"large_batch {self.large_batch} smaller than minibatch {n}"
             )
+
+
+# The divergence whose conjugate derivative sets each ROER scheme's ratio
+# and the loss of its value network.
+ROER_DIVERGENCES: dict[str, DivergenceSpec] = {
+    "roer": SPECS[Kind.KL],
+    "roer_chi2": SPECS[Kind.PEARSON_CHI2],
+}
+
+# The dataclass that holds each scheme's knobs (uniform has none).
+SCHEME_CONFIGS: dict[str, type | None] = {
+    "uniform": None,
+    "per": PerConfig,
+    "laber": LaberConfig,
+    **dict.fromkeys(ROER_DIVERGENCES, RoerConfig),
+}
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:

@@ -13,6 +13,7 @@ from roer.agents import (
     aux_obs_of,
 )
 from roer.replay import PriorityBuffer, Transition
+from roer.schemes import RoerConfig
 
 
 def rel_err(a, b):
@@ -131,9 +132,9 @@ class TestUpdate:
         stream.seek(0)
         clone = SacAgent.load(stream, agent.config)
         m1 = agent.update(batch, np.ones(len(batch)), np.random.default_rng(11),
-                          train_value=True)
+                          RoerConfig())
         m2 = clone.update(batch, np.ones(len(batch)), np.random.default_rng(11),
-                          train_value=True)
+                          RoerConfig())
         assert m1.critic_loss == m2.critic_loss
         assert m1.actor_loss == m2.actor_loss
         assert m1.value_loss == m2.value_loss
@@ -163,7 +164,7 @@ class TestUpdate:
         agent = fresh_agent(seed=12)
         rng = np.random.default_rng(13)
         batch = make_batch(rng)
-        m = agent.update(batch, np.ones(len(batch)), rng, train_value=True)
+        m = agent.update(batch, np.ones(len(batch)), rng, RoerConfig())
         v_curr = nn.forward(agent.value, batch.states)[:, 0]
         v_next = nn.forward(agent.value, batch.next_states)[:, 0]
         expect = losses.td_error(batch.rewards, agent.config.gamma, v_next,
@@ -175,7 +176,7 @@ class TestUpdate:
         rng = np.random.default_rng(15)
         for _ in range(10):
             batch = make_batch(rng)
-            m = agent.update(batch, np.ones(len(batch)), rng, train_value=True)
+            m = agent.update(batch, np.ones(len(batch)), rng, RoerConfig())
             assert not m.aborted
             for v in (m.critic_loss, m.value_loss, m.actor_loss, m.alpha_loss):
                 assert np.isfinite(v)
@@ -188,7 +189,7 @@ class TestUpdate:
         batch.rewards[:] = np.inf  # poisons the critic target
         before = agent.critic1.copy()
         opt_steps = agent.opt_critic1.step_count
-        m = agent.update(batch, np.ones(len(batch)), rng, train_value=True)
+        m = agent.update(batch, np.ones(len(batch)), rng, RoerConfig())
         assert m.aborted
         assert agent.aborted_updates == 1
         assert agent.critic1 == before
@@ -198,7 +199,7 @@ class TestUpdate:
         agent = fresh_agent(seed=22)
         rng = np.random.default_rng(23)
         for _ in range(3):  # nonzero moments, step counts and temperature state
-            agent.update(make_batch(rng), np.ones(16), rng, train_value=True)
+            agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
         agent.opt_critic2.skipped = 2
         opts = (agent.opt_critic1, agent.opt_critic2, agent.opt_value,
                 agent.opt_actor, agent.opt_alpha)
@@ -217,7 +218,7 @@ class TestUpdate:
             raise FloatingPointError("actor backward diverged")
 
         monkeypatch.setattr(agent, "_actor_backward", fail)
-        m = agent.update(make_batch(rng), np.ones(16), rng, train_value=True)
+        m = agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
         # both critics and the value net had stepped when the abort came
         assert stepped == [[s + 1 for s, _ in before[1][:3]]]
         assert m.aborted and agent.aborted_updates == 1
@@ -244,7 +245,7 @@ class TestCheckpoint:
         agent = fresh_agent(seed=20)
         rng = np.random.default_rng(21)
         for _ in range(3):
-            agent.update(make_batch(rng), np.ones(16), rng, train_value=True)
+            agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
         stream = io.BytesIO()
         agent.save(stream)
         stream.seek(0)

@@ -41,6 +41,27 @@ class TestTrainCommand:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "-c", str(tmp_path / "nope.yaml")]) == 2
 
+    def test_resolved_form_sections_exit_code(self, tmp_path, capsys):
+        # the sections an older config.yaml held in place of agent/scheme_config
+        path = write_config(tmp_path, scheme="roer", roer=dict(beta=2.0))
+        assert main(["train", "-c", str(path)]) == 2
+        assert "unknown config keys: ['roer']" in capsys.readouterr().err
+
+    def test_written_config_reproduces_the_run(self, tmp_path):
+        cfg_path = write_config(
+            tmp_path, scheme="roer", checkpoint_period=100,
+            bias_eval_pairs=4, bias_eval_horizon=20,
+            scheme_config=dict(lam=0.05, beta=2.0, min_priority_clip=1e-3))
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        run, again = tmp_path / "run", tmp_path / "again"
+        assert main(["train", "-c", str(run / "config.yaml"),
+                     "--output-dir", str(again)]) == 0
+        for name in ("seed_0/metrics.jsonl", "seed_0/summary.json",
+                     "summary.json"):
+            assert (run / name).read_bytes() == (again / name).read_bytes(), name
+        assert main(["bias", str(run / "seed_0"),
+                     "-c", str(run / "config.yaml")]) == 0
+
     def test_bad_offline_rows_exit_code(self, tmp_path, capsys):
         n = 10
         rewards = np.zeros(n)

@@ -28,14 +28,6 @@ class TestTabularMdp:
         with pytest.raises(ValueError):
             TabularMdp(P, np.full((2, 1), np.inf), rho, 0.9)
 
-    def test_text_round_trip(self):
-        mdp = random_mdp(4, 3, gamma=0.93, seed=5)
-        again = TabularMdp.from_text(mdp.to_text())
-        assert np.array_equal(again.transitions, mdp.transitions)
-        assert np.array_equal(again.rewards, mdp.rewards)
-        assert np.array_equal(again.initial, mdp.initial)
-        assert again.gamma == mdp.gamma
-
     def test_chain_structure(self):
         mdp = chain_mdp(10)
         assert mdp.n_states == 10 and mdp.n_actions == 2

@@ -1,12 +1,16 @@
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roer import config as cmod
-from roer import divergences, harness, schemes
+from roer import divergences, harness, losses, schemes
 from roer.agents import TabularAgent, TabularConfig
 from roer.config import seed_streams
 from roer.envs import TabularEnv, TabularMdp, gridworld_mdp
@@ -22,7 +26,7 @@ from roer.harness import (
 )
 from roer.oracles import value_iteration
 from roer.replay import PriorityBuffer
-from roer.schemes import ConfigError
+from roer.schemes import ConfigError, LaberConfig, PerConfig, RoerConfig
 
 
 def base_raw(tmp_path, **overrides):
@@ -46,9 +50,13 @@ class TestConfig:
         again = cmod.load(str(path))
         assert again == cfg
 
+    # the last five are the sections of the resolved form that config.yaml
+    # used to hold; the file schema has agent, scheme_config and sweep.grid
     @pytest.mark.parametrize("key", ["bogus", "priority_refresh",
                                      "full_refresh_period",
-                                     "refresh_offline_priorities"])
+                                     "refresh_offline_priorities",
+                                     "sac", "roer", "per", "laber",
+                                     "sweep_grid"])
     def test_unknown_keys_rejected(self, tmp_path, key):
         with pytest.raises(ConfigError, match="unknown config keys"):
             cmod.from_dict(base_raw(tmp_path, **{key: 1}))
@@ -61,6 +69,8 @@ class TestConfig:
     @pytest.mark.parametrize("section,key", [
         ("scheme_config", "train_start_step"),  # the loop reads the top level
         ("agent", "value_loss_kind"),           # the scheme sets it
+        ("agent", "value_beta"),                # scheme_config.beta sets it
+        ("agent", "value_grad_clip"),           # scheme_config.grad_clip sets it
     ])
     def test_ignored_options_rejected(self, tmp_path, section, key):
         raw = base_raw(tmp_path, env="pendulum", scheme="roer",
@@ -76,6 +86,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not valid"):
             cmod.from_dict(base_raw(tmp_path, scheme="per",
                                     scheme_config=dict(beta=1.0)))
+        with pytest.raises(ConfigError, match="not valid"):
+            cmod.from_dict(base_raw(tmp_path, scheme_config=dict(beta=1.0)))
+
+    def test_per_run_refuses_roer_knobs(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            cmod.from_dict(base_raw(tmp_path, scheme="per",
+                                    roer=dict(beta=1.0)))
+        with pytest.raises(ConfigError, match="not valid for 'per'"):
+            cmod.from_dict(base_raw(tmp_path, scheme="per",
+                                    scheme_config=dict(beta=1.0)))
 
     def test_constraints(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -84,15 +104,46 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cmod.from_dict(base_raw(tmp_path, seeds=[]))
 
-    def test_roer_knobs_copied_into_value_loss(self, tmp_path):
+    def test_scheme_config_is_the_schemes_dataclass(self, tmp_path):
         cfg = cmod.from_dict(base_raw(
             tmp_path, scheme="roer",
             scheme_config=dict(beta=4.0, grad_clip=5.0),
         ))
-        assert cfg.sac.value_beta == 4.0
-        assert cfg.sac.value_grad_clip == 5.0
-        chi = cmod.from_dict(base_raw(tmp_path, scheme="roer_chi2"))
-        assert chi.sac.value_loss_kind == "pearson"
+        assert cfg.scheme_config == RoerConfig(beta=4.0, grad_clip=5.0)
+        for scheme, expect in (("roer_chi2", RoerConfig()), ("per", PerConfig()),
+                               ("laber", LaberConfig()), ("uniform", None)):
+            cfg = cmod.from_dict(base_raw(tmp_path, scheme=scheme))
+            assert cfg.scheme_config == expect
+        with pytest.raises(ConfigError, match="RoerConfig"):
+            replace(cfg, scheme="roer")
+
+    @pytest.mark.parametrize("key", ["roer.beta", "sac.learning_rate",
+                                     "scheme_config.beta", "agent.profile",
+                                     "tabular", "sweep.grid", "tabular.eps"])
+    def test_sweep_keys_name_config_keys(self, tmp_path, key):
+        # uniform has no scheme_config; the echoed agent has no profile
+        with pytest.raises(ConfigError, match="names no config key"):
+            cmod.from_dict(base_raw(tmp_path, sweep=dict(grid={key: [1]})))
+
+    def test_sweep_values_are_lists(self, tmp_path):
+        with pytest.raises(ConfigError, match="non-empty list"):
+            cmod.from_dict(base_raw(tmp_path, sweep=dict(
+                grid={"tabular.epsilon": 0.1})))
+        with pytest.raises(ConfigError, match="one key, grid"):
+            cmod.from_dict(base_raw(tmp_path, sweep=dict(
+                grids={"tabular.epsilon": [0.1]})))
+
+    def test_echo_writes_the_file_schema(self, tmp_path):
+        cfg = cmod.from_dict(base_raw(
+            tmp_path, env="pendulum", scheme="roer", agent=dict(profile="full"),
+            scheme_config=dict(beta=2.0),
+            sweep=dict(grid={"scheme_config.beta": [0.5, 2.0]})))
+        data = yaml.safe_load(cmod.echo(cfg))
+        assert {"agent", "tabular", "scheme_config", "sweep"} <= set(data)
+        assert not {"sac", "roer", "per", "laber", "sweep_grid"} & set(data)
+        assert data["agent"]["hidden_dims"] == [256, 256]
+        assert data["scheme_config"]["beta"] == 2.0
+        assert cmod.from_dict(data) == cfg
 
     def test_env_var_overrides(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ROER_OUTPUT_DIR", str(tmp_path / "elsewhere"))
@@ -110,6 +161,68 @@ class TestConfig:
         fresh = seed_streams(7)
         draws = [fresh[k].random() for k in sorted(fresh)]
         assert len(set(draws)) == len(draws)
+
+
+_floats = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def file_configs(draw):
+    """Valid file-schema dicts for every scheme, both agent profiles and
+    random knob values."""
+    scheme = draw(st.sampled_from(sorted(schemes.SCHEME_CONFIGS)))
+    knobs = {
+        "roer": dict(lam=st.floats(1e-6, 1.0, **_floats),
+                     beta=st.floats(1e-3, 1e3, **_floats),
+                     grad_clip=st.floats(1e-3, 50.0, **_floats),
+                     max_exp_clip=st.floats(1.0, 1e9, **_floats),
+                     min_priority_clip=st.floats(0.0, 10.0, **_floats)),
+        "per": dict(alpha=st.floats(0.0, 2.0, **_floats),
+                    min_priority=st.floats(1e-6, 10.0, **_floats)),
+        "laber": dict(large_batch=st.integers(1, 4096)),
+    }
+    knobs["roer_chi2"] = knobs["roer"]
+    raw = dict(
+        env=draw(st.sampled_from(["pendulum", "chain-5", "grid-3x4"])),
+        scheme=scheme, seeds=draw(st.lists(st.integers(0, 2**31), min_size=1,
+                                           max_size=3)),
+        train_start_step=draw(st.integers(0, 1000)),
+        sampling_mode=draw(st.sampled_from(["proportional", "weighted"])),
+        env_horizon=draw(st.none() | st.integers(1, 1000)),
+        bias_eval_pairs=draw(st.integers(1, 256)),
+        output_dir="runs/round-trip",
+        agent=dict(
+            profile=draw(st.sampled_from(["test", "full"])),
+            **draw(st.fixed_dictionaries({}, optional=dict(
+                learning_rate=st.floats(1e-6, 1.0, **_floats),
+                gamma=st.floats(0.5, 0.999, **_floats),
+                hidden_dims=st.lists(st.integers(1, 512), min_size=1, max_size=3),
+                target_entropy=st.none() | st.floats(-10.0, 10.0, **_floats),
+                huber_k=st.none() | st.floats(1e-3, 10.0, **_floats),
+            )))),
+        tabular=draw(st.fixed_dictionaries({}, optional=dict(
+            epsilon=st.floats(0.0, 1.0, **_floats),
+            soft_temperature=st.floats(1e-4, 1.0, **_floats),
+            batch_size=st.integers(1, 512)))),
+        scheme_config=draw(st.fixed_dictionaries({}, optional=knobs.get(scheme, {}))),
+        sweep=dict(grid=draw(st.fixed_dictionaries({}, optional={
+            "buffer_capacity": st.lists(st.integers(1, 10**6), min_size=1),
+            "tabular.epsilon": st.lists(st.floats(0.0, 1.0, **_floats),
+                                        min_size=1)}))),
+    )
+    raw["total_steps"] = raw["train_start_step"] + draw(st.integers(1, 10**6))
+    return raw
+
+
+class TestEchoRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(raw=file_configs())
+    def test_load_of_echo_is_identity(self, raw):
+        cfg = cmod.from_dict(raw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.yaml"
+            path.write_text(cmod.echo(cfg))
+            assert cmod.load(str(path)) == cfg
 
 
 class TestMetricsStream:
@@ -363,12 +476,13 @@ class TestSweep:
         raw = base_raw(
             tmp_path, scheme="roer", output_dir=str(tmp_path / "beta-sweep"),
             scheme_config=dict(lam=0.01, beta=1.0, min_priority_clip=1e-3),
-            sweep=dict(grid={"roer.beta": [0.4, 1.0, 4.0]}),
+            sweep=dict(grid={"scheme_config.beta": [0.4, 1.0, 4.0]}),
         )
         out = run_sweep(cmod.from_dict(raw))
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert [c["cell"] for c in summary["cells"]] == [
-            "roer.beta=0.4", "roer.beta=1.0", "roer.beta=4.0"]
+            "scheme_config.beta=0.4", "scheme_config.beta=1.0",
+            "scheme_config.beta=4.0"]
         assert all(not c["failed"] for c in summary["cells"])
         tsv = (out / "sweep_summary.tsv").read_text().splitlines()
         assert len(tsv) == 4  # header + three cells
@@ -383,3 +497,41 @@ class TestSweep:
         out = run_sweep(cfg)
         cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
         assert [c["failed"] for c in cells] == [True, False]
+
+    def test_each_cell_trains_its_value_net_at_its_own_beta(self, tmp_path,
+                                                           monkeypatch):
+        # the value loss reads the cell's scheme_config, and every cell
+        # writes below the sweep's directory even when ROER_OUTPUT_DIR is set
+        monkeypatch.setenv("ROER_OUTPUT_DIR", str(tmp_path / "env-out"))
+        seen = []
+
+        def recording(loss, tag):
+            def wrapper(residuals, beta, *clip):
+                seen.append((tag, beta, *clip))
+                return loss(residuals, beta, *clip)
+            return wrapper
+
+        monkeypatch.setattr(losses, "extreme_v_loss",
+                            recording(losses.extreme_v_loss, "gumbel"))
+        monkeypatch.setattr(losses, "pearson_v_loss",
+                            recording(losses.pearson_v_loss, "pearson"))
+        raw = dict(env="pendulum", scheme="roer", seeds=[0], total_steps=260,
+                   train_start_step=200, eval_period=130, eval_episodes=1,
+                   env_horizon=50, agent=dict(profile="test", hidden_dims=[16, 16]),
+                   scheme_config=dict(beta=1.0, grad_clip=5.0),
+                   sweep=dict(grid={"scheme_config.beta": [0.5, 2.0]}))
+        out = run_sweep(cmod.from_dict(raw))
+        assert out == tmp_path / "env-out"
+        cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
+        assert not any(c["failed"] for c in cells)
+        updates = 61  # steps 200..260
+        assert seen == ([("gumbel", 0.5, 5.0)] * updates
+                        + [("gumbel", 2.0, 5.0)] * updates)
+        metrics = [(out / f"scheme_config.beta={b}" / "seed_0" / "metrics.jsonl")
+                   .read_bytes() for b in (0.5, 2.0)]
+        assert metrics[0] != metrics[1]
+
+        seen.clear()
+        raw.update(scheme="roer_chi2", sweep=dict(grid={"scheme_config.beta": [3.0]}))
+        run_sweep(cmod.from_dict(raw))
+        assert seen == [("pearson", 3.0)] * updates

@@ -102,10 +102,6 @@ class TestExtremeVLoss:
             if np.any(np.abs(r) > 1e-8):
                 assert out.value > 0.0
 
-    def test_beta_validation(self):
-        with pytest.raises(ConfigError):
-            extreme_v_loss(np.zeros(2), 0.0, 7.0)
-
 
 class TestPearsonVLoss:
     def test_gradient_matches_finite_differences(self):

@@ -100,6 +100,12 @@ class TestRoerUpdate:
         with pytest.raises(ConfigError):
             RoerConfig(beta=-1.0)
         with pytest.raises(ConfigError):
+            RoerConfig(beta=0.0)
+        with pytest.raises(ConfigError):
+            RoerConfig(beta=math.nan)
+        with pytest.raises(ConfigError):
+            RoerConfig(grad_clip=0.0)
+        with pytest.raises(ConfigError):
             RoerConfig(max_exp_clip=0.5)
         with pytest.raises(ConfigError):
             RoerConfig(max_exp_clip=math.inf)
