@@ -20,11 +20,18 @@ import numpy as np
 from . import losses, nn
 from .divergences import DivergenceSpec, Kind
 from .replay import SampledBatch
-from .schemes import ROER_DIVERGENCES, InvalidInputError, RoerConfig
+from .schemes import ROER_DIVERGENCES, ConfigError, InvalidInputError, RoerConfig
 
 LOG_STD_MIN = -10.0
 LOG_STD_MAX = 2.0
 TANH_EPS = 1e-6
+
+
+def _require(cfg, checks) -> None:
+    """Raise ConfigError for the first (field, holds, rule) that fails."""
+    for name, holds, rule in checks:
+        if not holds:
+            raise ConfigError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,18 @@ class SacConfig:
     target_entropy: float | None = None  # None -> -action_dim
     huber_k: float | None = 1.0          # None -> mean-square critic loss
     penalty_coef: float = 1.0
+
+    def __post_init__(self):
+        _require(self, (
+            ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("polyak_tau", 0.0 < self.polyak_tau <= 1.0, "in (0, 1]"),
+            ("learning_rate", self.learning_rate > 0.0, "positive"),
+            ("penalty_coef", self.penalty_coef >= 0.0, ">= 0"),
+            ("huber_k", self.huber_k is None or self.huber_k > 0.0,
+             "None or positive"),
+            ("hidden_dims", all(d >= 1 for d in self.hidden_dims), "all >= 1"),
+        ))
 
     @classmethod
     def test_profile(cls, **overrides) -> "SacConfig":
@@ -390,6 +409,15 @@ class TabularConfig:
     epsilon: float = 0.1
     batch_size: int = 64
 
+    def __post_init__(self):
+        _require(self, (
+            ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("epsilon", 0.0 <= self.epsilon <= 1.0, "in [0, 1]"),
+            ("learning_rate", self.learning_rate > 0.0, "positive"),
+            ("soft_temperature", self.soft_temperature > 0.0, "positive"),
+        ))
+
 
 class TabularAgent:
     """Soft-Q learner on an explicit Q table.
@@ -408,8 +436,9 @@ class TabularAgent:
     def soft_value(self, states) -> np.ndarray:
         temp = self.config.soft_temperature
         q = self.q_table[np.asarray(states, dtype=np.int64)]
-        m = q.max(axis=-1)
-        return m + temp * np.log(np.sum(np.exp((q - m[..., None]) / temp), axis=-1))
+        # the reductions that q.max and np.sum run, without their wrappers
+        m = np.maximum.reduce(q, axis=-1)
+        return m + temp * np.log(np.add.reduce(np.exp((q - m[..., None]) / temp), axis=-1))
 
     def act(self, state: int, rng: np.random.Generator,
             deterministic: bool = False) -> int:
@@ -424,11 +453,11 @@ class TabularAgent:
         not_done = 1.0 - batch.terminals.astype(np.float64)
         v_next = self.soft_value(batch.next_states.astype(np.int64))
         delta = batch.rewards + cfg.gamma * v_next * not_done - self.q_table[s, a]
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             raise FloatingPointError("tabular TD errors diverged")
         np.add.at(self.q_table, (s, a), cfg.learning_rate * weights * delta)
         return StepMetrics(
-            critic_loss=float(np.mean(weights * delta**2)),
+            critic_loss=float(np.add.reduce(weights * delta**2) / len(delta)),
             value_td_errors=delta,
             critic_td_errors=delta,
         )

@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ConfigError("train_start_step must be >= 0")
         if self.eval_period <= 0:
             raise ConfigError("eval_period must be positive")
+        if self.eval_episodes < 1:
+            raise ConfigError("eval_episodes must be >= 1")
         if self.sampling_mode not in ("proportional", "weighted"):
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
 

@@ -6,6 +6,14 @@ rewrite the leaves afterwards. The sum-tree stores partial sums in a flat
 array (node i has children 2i and 2i+1, leaves in [n, 2n)), which keeps
 both the root-to-leaf update path and the prefix-sum descent vectorizable
 over a batch.
+
+A batch write repairs only the written leaves' ancestors on the wide lower
+levels, and rebuilds each upper level (at most SumTree.SLICE_WIDTH nodes)
+whole with one np.add: one call over a few thousand nodes is cheaper than
+the eight numpy calls of a per-ancestor repair step. The bytes cannot
+change, because a node is always the one float addition of its two
+children: recomputing a node whose children did not move gives back the
+value it holds.
 """
 
 from __future__ import annotations
@@ -47,7 +55,20 @@ class Transition:
 
 
 class SumTree:
-    """Flat-array binary tree of partial priority sums."""
+    """Flat-array binary tree of partial priority sums.
+
+    Every internal node holds fl(left + right) of its two children. A write
+    repairs the ancestors of the written leaves on the levels wider than
+    SLICE_WIDTH, and rebuilds each narrower level whole with one np.add over
+    precomputed views. Either way each node is that one addition of the
+    same two children, so the nodes hold the same bytes whichever path
+    set them.
+    """
+
+    # Levels at most this wide are rebuilt whole. One np.add over 4096
+    # nodes costs about what one fancy-index repair step of a 64-row batch
+    # does, and a step repairs a level of any width.
+    SLICE_WIDTH = 4096
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -57,7 +78,17 @@ class SumTree:
             n *= 2
         self._n = n
         self._levels = n.bit_length() - 1
-        self.nodes = np.zeros(2 * n, dtype=np.float64)
+        # never rebound: the level views below alias it
+        self.nodes = nodes = np.zeros(2 * n, dtype=np.float64)
+        # (left children, right children, parents) of each level at most
+        # SLICE_WIDTH wide, widest first
+        self._whole_levels = []
+        w = min(n // 2, self.SLICE_WIDTH)
+        while w:
+            self._whole_levels.append(
+                (nodes[2 * w : 4 * w : 2], nodes[2 * w + 1 : 4 * w : 2], nodes[w : 2 * w]))
+            w //= 2
+        self._repaired_levels = self._levels - len(self._whole_levels)
 
     def total(self) -> float:
         return float(self.nodes[1])
@@ -70,17 +101,20 @@ class SumTree:
         return self.nodes[self._n : self._n + end]
 
     def set_many(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Replace leaf values and repair every affected ancestor.
+        """Replace leaf values, repair the written leaves' ancestors on the
+        wide levels and rebuild the narrow levels whole.
 
         Duplicate parents in a level write identical sums, so no dedup
         pass is needed.
         """
         idx = np.asarray(indices, dtype=np.int64) + self._n
-        self.nodes[idx] = values
         nodes = self.nodes
-        for _ in range(self._levels):
+        nodes[idx] = values
+        for _ in range(self._repaired_levels):
             idx = idx >> 1
             nodes[idx] = nodes[2 * idx] + nodes[2 * idx + 1]
+        for left, right, out in self._whole_levels:
+            np.add(left, right, out=out)
 
     def set(self, index: int, value: float) -> None:
         i = index + self._n
@@ -221,13 +255,13 @@ class PriorityBuffer:
     def _gather(self, idx: np.ndarray, weights: np.ndarray) -> SampledBatch:
         return SampledBatch(
             indices=idx,
-            states=self._states[idx].copy(),
-            actions=self._actions[idx].copy(),
-            rewards=self._rewards[idx].copy(),
-            next_states=self._next_states[idx].copy(),
-            terminals=self._terminals[idx].copy(),
-            insert_steps=self._insert_steps[idx].copy(),
-            priorities=self.tree.leaves(self.capacity)[idx].copy(),
+            states=self._states[idx],
+            actions=self._actions[idx],
+            rewards=self._rewards[idx],
+            next_states=self._next_states[idx],
+            terminals=self._terminals[idx],
+            insert_steps=self._insert_steps[idx],
+            priorities=self.tree.leaves(self.capacity)[idx],
             sampling_weights=weights,
         )
 
@@ -238,8 +272,9 @@ class PriorityBuffer:
         total = self.tree.total()
         targets = rng.random(n) * total
         idx = self.tree.find_prefix(targets)
-        # guard: prefix rounding at the extreme right edge
-        np.clip(idx, 0, self.size - 1, out=idx)
+        # guard: prefix rounding at the extreme right edge (find_prefix
+        # never returns a negative slot)
+        np.minimum(idx, self.size - 1, out=idx)
         return self._gather(idx, np.ones(n, dtype=np.float64))
 
     def sample_uniform(self, n: int, rng: np.random.Generator,
@@ -250,7 +285,7 @@ class PriorityBuffer:
             raise EmptyBufferError("cannot sample from an empty buffer")
         idx = rng.integers(0, self.size, size=n)
         if priorities_as_weights:
-            weights = self.tree.leaves(self.capacity)[idx].copy()
+            weights = self.tree.leaves(self.capacity)[idx]
         else:
             weights = np.ones(n, dtype=np.float64)
         return self._gather(idx, weights)
@@ -261,9 +296,12 @@ class PriorityBuffer:
         vals = np.asarray(new_priorities, dtype=np.float64)
         if idx.shape != vals.shape:
             raise InvalidTransitionError("indices and priorities length mismatch")
-        if np.any(idx < 0) or np.any(idx >= self.size):
+        if idx.size == 0:
+            return
+        if idx.min() < 0 or idx.max() >= self.size:
             raise InvalidTransitionError("slot index out of range")
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
+        # min and max are nan when any value is, which fails both tests
+        if not (vals.min() > 0.0 and vals.max() < np.inf):
             raise InvalidTransitionError("priorities must be positive and finite")
         self.tree.set_many(idx, vals)
 

@@ -131,8 +131,10 @@ def roer_update(td_errors, current_priorities, cfg: RoerConfig,
     """
     with np.errstate(over="ignore"):
         w = div.f_star_prime(np.asarray(td_errors, dtype=np.float64) / cfg.beta)
-    np.clip(w, 1.0, cfg.max_exp_clip, out=w)
-    w /= w.mean()
+    # np.clip and .mean() give these bits too, through slower wrappers
+    np.maximum(w, 1.0, out=w)
+    np.minimum(w, cfg.max_exp_clip, out=w)
+    w /= w.sum() / len(w)
     new = (cfg.lam * (w - 1.0) + 1.0) * current_priorities
     if cfg.min_priority_clip > 0.0:
         np.maximum(new, cfg.min_priority_clip, out=new)

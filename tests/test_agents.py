@@ -13,7 +13,7 @@ from roer.agents import (
     aux_obs_of,
 )
 from roer.replay import PriorityBuffer, Transition
-from roer.schemes import RoerConfig
+from roer.schemes import ConfigError, RoerConfig
 
 
 def rel_err(a, b):
@@ -313,3 +313,52 @@ class TestTabularAgent:
         seq1 = [agent.act(1, np.random.default_rng(5)) for _ in range(20)]
         seq2 = [agent.act(1, np.random.default_rng(5)) for _ in range(20)]
         assert seq1 == seq2
+
+    def test_update_bits_match_wrapper_reference(self):
+        # the update written with q.max, np.sum, np.all and np.mean
+        rng = np.random.default_rng(3)
+        cfg = TabularConfig(gamma=0.9, learning_rate=0.2, soft_temperature=0.05)
+        agent = TabularAgent(6, 3, cfg)
+        agent.q_table[:] = rng.normal(size=(6, 3))
+        q = agent.q_table.copy()
+        rows = np.column_stack([rng.integers(0, 6, 40), rng.integers(0, 3, 40),
+                                rng.normal(size=40), rng.integers(0, 6, 40),
+                                rng.random(40) < 0.2])
+        weights = rng.random(40)
+        m = agent.update(self.batch_of(rows), weights)
+        s, a, r = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64), rows[:, 2]
+        qn = q[rows[:, 3].astype(np.int64)]
+        top = qn.max(axis=-1)
+        v = top + cfg.soft_temperature * np.log(
+            np.sum(np.exp((qn - top[:, None]) / cfg.soft_temperature), axis=-1))
+        delta = r + cfg.gamma * v * (1.0 - rows[:, 4]) - q[s, a]
+        assert np.all(np.isfinite(delta))
+        np.add.at(q, (s, a), cfg.learning_rate * weights * delta)
+        assert m.value_td_errors.tobytes() == delta.tobytes()
+        assert agent.q_table.tobytes() == q.tobytes()
+        assert m.critic_loss == float(np.mean(weights * delta**2))
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", 0.0), ("gamma", 1.0), ("gamma", float("nan")),
+        ("batch_size", 0), ("epsilon", -0.1), ("epsilon", 1.5),
+        ("learning_rate", 0.0), ("soft_temperature", 0.0),
+    ])
+    def test_tabular_rejects(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TabularConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", 1.0), ("batch_size", 0), ("polyak_tau", 0.0),
+        ("polyak_tau", 1.5), ("learning_rate", -1e-3), ("penalty_coef", -1.0),
+        ("huber_k", 0.0), ("hidden_dims", (64, 0)),
+    ])
+    def test_sac_rejects(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SacConfig.test_profile(**{field: value})
+
+    def test_edges_accepted(self):
+        TabularConfig(epsilon=0.0)
+        TabularConfig(epsilon=1.0)
+        SacConfig(polyak_tau=1.0, penalty_coef=0.0, huber_k=None)

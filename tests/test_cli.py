@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 import roer
@@ -40,6 +41,18 @@ class TestTrainCommand:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "-c", str(tmp_path / "nope.yaml")]) == 2
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(eval_episodes=0), "eval_episodes must be >= 1"),
+        (dict(tabular=dict(gamma=1.5)), "gamma must be in (0, 1), got 1.5"),
+        (dict(tabular=dict(batch_size=0)), "batch_size must be >= 1, got 0"),
+    ])
+    def test_bad_value_exits_before_the_run(self, tmp_path, capsys,
+                                            overrides, message):
+        path = write_config(tmp_path, **overrides)
+        assert main(["train", "-c", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
 
     def test_resolved_form_sections_exit_code(self, tmp_path, capsys):
         # the sections an older config.yaml held in place of agent/scheme_config

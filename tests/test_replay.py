@@ -204,6 +204,28 @@ class TestUpdatePriorities:
         with pytest.raises(InvalidTransitionError):
             buf.update_priorities([0], [float("nan")])
 
+    @pytest.mark.parametrize("slots, values", [
+        ([0], [float("nan")]), ([1], [float("inf")]), ([0], [float("-inf")]),
+        ([1], [0.0]), ([0], [-0.0]), ([0, 1], [1.0, -2.0]),
+        ([-1], [1.0]), ([2], [1.0]), ([0, 7], [1.0, 1.0]),
+    ])
+    def test_bad_write_rejected_before_any_change(self, slots, values):
+        buf = tabular_buffer()
+        buf.push(make_transition())
+        buf.push(make_transition(s=1))
+        before = buf.tree.nodes.tobytes()
+        with pytest.raises(InvalidTransitionError):
+            buf.update_priorities(slots, values)
+        assert buf.tree.nodes.tobytes() == before
+
+    def test_empty_write_accepted(self):
+        buf = tabular_buffer()
+        buf.push(make_transition())
+        before = buf.tree.nodes.tobytes()
+        buf.update_priorities([], [])
+        buf.update_priorities(np.zeros(0, dtype=np.int64), np.zeros(0))
+        assert buf.tree.nodes.tobytes() == before
+
     def test_noop_update_bit_identical(self):
         buf = tabular_buffer()
         for i in range(3):
@@ -521,6 +543,80 @@ class TestTreeProperties:
         # exact: internal nodes equal the tree-order sums of the leaves
         assert np.array_equal(nodes[1:n], nodes[2::2] + nodes[3::2])
         assert tree.total() == pytest.approx(tree.leaves().sum(), rel=1e-12)
+
+
+def reference_set_many(nodes, indices, values):
+    """The per-level fancy-index repair that SumTree.set_many runs on its
+    wide levels, here on every level."""
+    n = len(nodes) // 2
+    idx = np.asarray(indices, dtype=np.int64) + n
+    nodes[idx] = values
+    for _ in range(n.bit_length() - 1):
+        idx = idx >> 1
+        nodes[idx] = nodes[2 * idx] + nodes[2 * idx + 1]
+
+
+W = SumTree.SLICE_WIDTH
+# trees whose widest internal level is below, at and above the slice width,
+# up to one with several repaired levels (2^17 leaves)
+TREE_CAPACITIES = (1, 2, 5, W - 1, W, W + 1, 2 * W, 2 * W + 1, 4 * W + 3,
+                   (1 << 14) + 1, 70_000)
+
+
+@st.composite
+def tree_writes(draw, capacity):
+    """set_many arguments: random batches, batches full of duplicates,
+    empty writes and contiguous bulk writes that may wrap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    writes = []
+    for kind in draw(st.lists(st.sampled_from(["batch", "duplicates", "empty", "bulk"]),
+                              min_size=1, max_size=5)):
+        if kind == "batch":
+            idx = rng.integers(0, capacity, size=int(rng.integers(1, 129)))
+        elif kind == "duplicates":
+            idx = rng.integers(0, min(capacity, 3), size=64) * max(1, capacity // 3)
+        elif kind == "empty":
+            idx = np.zeros(0, dtype=np.int64)
+        else:
+            start = int(rng.integers(capacity))
+            idx = (start + np.arange(int(rng.integers(1, capacity + 1)))) % capacity
+        # magnitudes over many binades, so that additions round
+        writes.append((idx, rng.random(len(idx)) * 10.0 ** rng.integers(-8, 9, len(idx))))
+    return writes
+
+
+class TestWholeLevelRebuild:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_nodes_match_per_level_repair_bytewise(self, data):
+        capacity = data.draw(st.sampled_from(TREE_CAPACITIES))
+        tree = SumTree(capacity)
+        ref = tree.nodes.copy()
+        nodes = tree.nodes
+        for idx, values in data.draw(tree_writes(capacity)):
+            tree.set_many(idx, values)
+            reference_set_many(ref, idx, values)
+            assert tree.nodes.tobytes() == ref.tobytes()
+        assert tree.nodes is nodes  # the level views alias it
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_loaded_tree_samples_the_same_slots(self, data):
+        capacity = data.draw(st.sampled_from(TREE_CAPACITIES))
+        buf = tabular_buffer(capacity)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = int(rng.integers(1, 2 * capacity + 1))
+        buf.fill_offline(rng.integers(0, 9, n), rng.integers(0, 3, n),
+                         rng.normal(size=n), rng.integers(0, 9, n), rng.random(n) < 0.1)
+        for idx, values in data.draw(tree_writes(capacity)):
+            buf.update_priorities(idx % len(buf), values + 1e-9)
+        ref = np.zeros_like(buf.tree.nodes)
+        reference_set_many(ref, np.arange(len(buf)), buf.priorities)
+        loaded = PriorityBuffer.load(io.BytesIO(snapshot_bytes(buf)))
+        assert loaded.tree.nodes.tobytes() == buf.tree.nodes.tobytes() == ref.tobytes()
+        targets = rng.random(256) * buf.total_priority()
+        assert np.array_equal(loaded.tree.find_prefix(targets),
+                              buf.tree.find_prefix(targets))
 
 
 class TestImpliedDistributionProperties:

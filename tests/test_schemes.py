@@ -171,6 +171,40 @@ class TestSharedPipeline:
         assert np.all(out >= c.min_priority_clip)
 
 
+def reference_update(delta, d, c, div):
+    """roer_update as written with np.clip and .mean(), whose bits the
+    ufunc calls of the pipeline must keep."""
+    with np.errstate(over="ignore"):
+        w = div.f_star_prime(np.asarray(delta, dtype=np.float64) / c.beta)
+    np.clip(w, 1.0, c.max_exp_clip, out=w)
+    w /= w.mean()
+    new = (c.lam * (w - 1.0) + 1.0) * d
+    if c.min_priority_clip > 0.0:
+        np.maximum(new, c.min_priority_clip, out=new)
+    return new
+
+
+class TestTrimmedOpsBitwise:
+    @pytest.mark.parametrize("scheme", sorted(ROER_DIVERGENCES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_clip_and_mean_reference(self, scheme, data):
+        n = data.draw(st.integers(1, 64))
+        # up to 1e300 over beta down to 1e-12: delta / beta overflows to
+        # +-inf, and exp() overflows far below that
+        delta = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e300, 1e300)))
+        d = data.draw(hnp.arrays(np.float64, n, elements=st.floats(1e-3, 1e3)))
+        c = RoerConfig(
+            lam=data.draw(st.floats(1e-6, 1.0)),
+            beta=data.draw(st.sampled_from([1e-12, 1e-2, 1.0, 1e2])),
+            max_exp_clip=data.draw(st.floats(1.0, 1e12)),
+            min_priority_clip=data.draw(st.sampled_from([0.0, 1e-3, 1.0])),
+        )
+        div = ROER_DIVERGENCES[scheme]
+        out = roer_update(delta, d, c, div)
+        assert out.tobytes() == reference_update(delta, d, c, div).tobytes()
+
+
 class TestPerPriority:
     def test_floor(self):
         out = per_priority(np.array([0.5]), PerConfig(alpha=0.4, min_priority=1.0))
