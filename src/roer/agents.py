@@ -135,7 +135,7 @@ class SacAgent:
         eps = rng.standard_normal(mu.shape)
         u = mu + std * eps
         a = np.tanh(u)
-        log_prob = np.sum(
+        log_prob = np.add.reduce(
             -0.5 * eps**2 - log_std - 0.5 * math.log(2.0 * math.pi)
             - np.log(1.0 - a**2 + TANH_EPS),
             axis=1,
@@ -160,37 +160,40 @@ class SacAgent:
 
     # -- critic helpers ---------------------------------------------------
 
-    def _q(self, params: nn.ParameterSet, obs: np.ndarray, act: np.ndarray):
-        x = np.concatenate([obs, act], axis=1)
-        q, cache = nn.forward_cache(params, x)
-        return q[:, 0], x, cache
+    def _scalar(self, params: nn.ParameterSet, x: np.ndarray):
+        """A scalar-output network (critic or value) on the rows of x, as a
+        vector, with its forward cache."""
+        y, cache = nn.forward_cache(params, x)
+        return y[:, 0], cache
 
-    def _min_q(self, p1, p2, obs, act) -> np.ndarray:
-        q1, _, _ = self._q(p1, obs, act)
-        q2, _, _ = self._q(p2, obs, act)
-        return np.minimum(q1, q2)
+    def _min_q(self, p1, p2, x) -> np.ndarray:
+        return np.minimum(self._scalar(p1, x)[0], self._scalar(p2, x)[0])
 
     # -- state snapshot for non-finite rollback --------------------------
 
     # The targets and the temperature change only after the last check that
     # can raise (the actor loss), so an abort never reaches them and the
-    # snapshot leaves them out.
+    # snapshot leaves them out. The rollback copies values back in place, so
+    # every ParameterSet and AdamState keeps its identity and its views.
+    def _optimizers(self):
+        return (self.opt_critic1, self.opt_critic2, self.opt_actor, self.opt_value)
+
+    def _rollback_vectors(self):
+        """The 12 flat vectors an update can change: the four online
+        networks and the two Adam moments of each."""
+        return ([p.flat for p in (self.critic1, self.critic2, self.actor, self.value)]
+                + [s.flat for o in self._optimizers() for s in (o.m, o.v)])
+
     def _snapshot(self):
-        nets = (self.critic1, self.critic2, self.actor, self.value)
-        opts = (self.opt_critic1, self.opt_critic2, self.opt_actor, self.opt_value)
-        return (
-            [p.copy() for p in nets],
-            [(o.m.copy(), o.v.copy(), o.step_count, o.skipped) for o in opts],
-        )
+        return ([v.copy() for v in self._rollback_vectors()],
+                [(o.step_count, o.skipped) for o in self._optimizers()])
 
     def _restore(self, snap):
-        nets, opts = snap
-        self.critic1, self.critic2, self.actor, self.value = nets
-        for opt, (m, v, sc, sk) in zip(
-            (self.opt_critic1, self.opt_critic2, self.opt_actor, self.opt_value),
-            opts,
-        ):
-            opt.m, opt.v, opt.step_count, opt.skipped = m, v, sc, sk
+        vectors, counters = snap
+        for dst, src in zip(self._rollback_vectors(), vectors):
+            np.copyto(dst, src)
+        for opt, (step_count, skipped) in zip(self._optimizers(), counters):
+            opt.step_count, opt.skipped = step_count, skipped
 
     # -- update ----------------------------------------------------------
 
@@ -200,7 +203,19 @@ class SacAgent:
         """One SAC step. The value network trains only under a ROER scheme:
         roer holds its loss temperature beta and exponent clip, and div its
         divergence (Pearson chi^2 takes the squared loss, every other the
-        Gumbel loss). With roer=None the value network is left alone."""
+        Gumbel loss). With roer=None the value network is left alone.
+
+        A network runs once over two stacked row blocks wherever it does not
+        move between two uses: the target pair over (next_obs, next_act)
+        and, under a ROER scheme, (obs, act); the stepped value network over
+        obs and next_obs. That is 10 forward passes per update under a ROER
+        scheme and 8 without. At the profile batch sizes (64, 256) each row
+        rounds as in a pass of its own block; at some other sizes (16, 50)
+        OpenBLAS rounds a stacked row differently in the last bit.
+
+        A non-finite loss or input aborts the step: the online networks and
+        their Adam states are copied back in place from a snapshot taken on
+        entry, and the abort is counted."""
         weights = np.asarray(weights, dtype=np.float64)
         snap = self._snapshot()
         metrics = StepMetrics()
@@ -219,20 +234,24 @@ class SacAgent:
         cfg = self.config
         n = len(batch)
         obs = batch.states
-        act = batch.actions
         nobs = batch.next_states
+        x = np.concatenate([obs, batch.actions], axis=1)
         not_done = 1.0 - batch.terminals.astype(np.float64)
-        # critic update against the entropy-regularized min-target
+        # critic update against the entropy-regularized min-target; the
+        # targets move only at the Polyak step, so under a ROER scheme the
+        # same pass also gives the value loss its min-target on (obs, act)
         next_act, next_logp, _ = self._sample(nobs, rng)
-        q_next = self._min_q(self.target1, self.target2, nobs, next_act)
+        x_next = np.concatenate([nobs, next_act], axis=1)
+        q_target = self._min_q(self.target1, self.target2,
+                               x_next if roer is None else np.concatenate([x_next, x]))
         target = batch.rewards + cfg.gamma * not_done * (
-            q_next - self.alpha * next_logp
+            q_target[:n] - self.alpha * next_logp
         )
         critic_losses = []
         preds = []
         for params, opt in ((self.critic1, self.opt_critic1),
                             (self.critic2, self.opt_critic2)):
-            q, x, cache = self._q(params, obs, act)
+            q, cache = self._scalar(params, x)
             preds.append(q)
             out = losses.weighted_huber_critic_loss(q, target, weights,
                                                     k=cfg.huber_k)
@@ -241,54 +260,55 @@ class SacAgent:
             if cfg.penalty_coef > 0.0:
                 pen = losses.gradient_penalty(params, x, cache)
                 penalty = pen.value
-                for gw, pw in zip(grads.weights, pen.param_grads.weights):
-                    gw += cfg.penalty_coef * pw
+                # the penalty's bias gradients are +0.0 and backward's never
+                # -0.0, so the flat sum leaves every bias bit as it was
+                grads.flat += cfg.penalty_coef * pen.param_grads.flat
             loss_val = out.value + cfg.penalty_coef * penalty
-            if not np.isfinite(loss_val):
+            if not math.isfinite(loss_val):
                 raise FloatingPointError("critic loss diverged")
             critic_losses.append(loss_val)
             opt.step(params, grads)
-        metrics.critic_loss = float(np.mean(critic_losses))
+        metrics.critic_loss = (critic_losses[0] + critic_losses[1]) / 2
         metrics.critic_td_errors = target - 0.5 * (preds[0] + preds[1])
 
         # value network (priority TD source)
         if roer is not None:
-            v_pred, _, v_cache = self._value_forward(obs)
-            residual = self._min_q(self.target1, self.target2, obs, act) - v_pred
+            v_pred, v_cache = self._scalar(self.value, obs)
+            residual = q_target[n:] - v_pred
             if div.kind is Kind.PEARSON_CHI2:
                 out = losses.pearson_v_loss(residual, roer.beta)
             else:
                 out = losses.extreme_v_loss(residual, roer.beta, roer.grad_clip)
                 metrics.value_clip_count = out.diagnostics["clipped"]
-            if not np.isfinite(out.value):
+            if not math.isfinite(out.value):
                 raise FloatingPointError("value loss diverged")
             metrics.value_loss = out.value
             vgrads, _ = nn.backward(self.value, obs, -out.grad[:, None], v_cache)
             self.opt_value.step(self.value, vgrads)
             # TD errors from the freshly updated value function
-            v_curr, _, _ = self._value_forward(obs)
-            v_next, _, _ = self._value_forward(nobs)
+            v, _ = self._scalar(self.value, np.concatenate([obs, nobs]))
             metrics.value_td_errors = losses.td_error(
-                batch.rewards, cfg.gamma, v_next, v_curr, batch.terminals
+                batch.rewards, cfg.gamma, v[n:], v[:n], batch.terminals
             )
 
         # actor, through the min online critic
         new_act, logp, aux = self._sample(obs, rng)
-        q1, x1, c1 = self._q(self.critic1, obs, new_act)
-        q2, x2, c2 = self._q(self.critic2, obs, new_act)
+        x_new = np.concatenate([obs, new_act], axis=1)
+        q1, c1 = self._scalar(self.critic1, x_new)
+        q2, c2 = self._scalar(self.critic2, x_new)
         use_first = q1 <= q2
         q_min = np.where(use_first, q1, q2)
-        metrics.actor_loss = float(np.mean(self.alpha * logp - q_min))
-        if not np.isfinite(metrics.actor_loss):
+        metrics.actor_loss = float(np.add.reduce(self.alpha * logp - q_min) / n)
+        if not math.isfinite(metrics.actor_loss):
             raise FloatingPointError("actor loss diverged")
-        g1 = nn.input_gradient(self.critic1, x1, c1)[:, self.obs_dim:]
-        g2 = nn.input_gradient(self.critic2, x2, c2)[:, self.obs_dim:]
+        g1 = nn.input_gradient(self.critic1, x_new, c1)[:, self.obs_dim:]
+        g2 = nn.input_gradient(self.critic2, x_new, c2)[:, self.obs_dim:]
         dq_da = np.where(use_first[:, None], g1, g2)
         agrads = self._actor_backward(aux, dq_da, n)
         self.opt_actor.step(self.actor, agrads)
 
         # temperature toward the target entropy
-        entropy_gap = float(np.mean(logp)) + self.target_entropy
+        entropy_gap = float(np.add.reduce(logp) / n) + self.target_entropy
         metrics.alpha_loss = -self.log_alpha * entropy_gap
         self.log_alpha = self.opt_alpha.step(self.log_alpha, -entropy_gap)
 
@@ -296,22 +316,20 @@ class SacAgent:
         nn.polyak(self.target2, self.critic2, cfg.polyak_tau)
         return metrics
 
-    def _value_forward(self, obs: np.ndarray):
-        v, cache = nn.forward_cache(self.value, obs)
-        return v[:, 0], obs, cache
-
     def td_surrogates(self, states, actions, rewards, next_states, terminals,
                       rng: np.random.Generator) -> np.ndarray:
         """|critic TD error| of arbitrary transitions (large-batch surrogate
         priorities)."""
         not_done = 1.0 - np.asarray(terminals, dtype=np.float64)
         next_act, next_logp, _ = self._sample(next_states, rng)
-        q_next = self._min_q(self.target1, self.target2, next_states, next_act)
+        q_next = self._min_q(self.target1, self.target2,
+                             np.concatenate([next_states, next_act], axis=1))
         target = rewards + self.config.gamma * not_done * (
             q_next - self.alpha * next_logp
         )
-        q1, _, _ = self._q(self.critic1, states, actions)
-        q2, _, _ = self._q(self.critic2, states, actions)
+        x = np.concatenate([states, actions], axis=1)
+        q1, _ = self._scalar(self.critic1, x)
+        q2, _ = self._scalar(self.critic2, x)
         return np.abs(target - 0.5 * (q1 + q2))
 
     def _actor_backward(self, aux: dict, dq_da: np.ndarray, n: int) -> nn.ParameterSet:

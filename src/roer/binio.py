@@ -75,12 +75,16 @@ def read_array(stream) -> tuple[str, np.ndarray]:
 
 
 def write_envelope(path_or_stream, kind: int, payload: bytes) -> None:
+    """Write the header, then the payload: two writes, so the payload is
+    never copied into one header + payload buffer."""
     header = MAGIC + struct.pack("<HHI", VERSION, kind, len(payload))
     if hasattr(path_or_stream, "write"):
-        path_or_stream.write(header + payload)
+        path_or_stream.write(header)
+        path_or_stream.write(payload)
     else:
         with open(path_or_stream, "wb") as fh:
-            fh.write(header + payload)
+            fh.write(header)
+            fh.write(payload)
 
 
 def read_envelope(path_or_stream, expected_kind: int) -> io.BytesIO:

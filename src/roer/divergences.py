@@ -84,33 +84,44 @@ class DivergenceSpec:
         (which also rejects nan and infinities)."""
         x = np.asarray(x, dtype=np.float64)
         lo, hi = self.domain_f
-        ok = (lo < x) & (x < hi)
-        if not ok.all():
+        if x.ndim == 0:  # one Python comparison, not three 0-d ufunc calls
+            if lo < float(x) < hi:
+                return x
+            bad = x
+        else:
+            ok = (lo < x) & (x < hi)
+            if ok.all():
+                return x
             bad = x.flat[np.argmin(ok)]  # the first failing element
-            raise DomainError(
-                f"{self.name}: generator argument {float(bad)!r} outside open "
-                f"interval ({lo}, {hi})"
-            )
-        return x
+        raise DomainError(
+            f"{self.name}: generator argument {float(bad)!r} outside open "
+            f"interval ({lo}, {hi})"
+        )
 
     def check_y(self, y) -> np.ndarray:
         """y as a float64 array, every element finite and inside domain_conj."""
         y = np.asarray(y, dtype=np.float64)
         lo, hi = self.domain_conj
-        below_hi = y < hi if self.conj_upper_open else y <= hi
-        ok = np.isfinite(y) & (y >= lo) & below_hi
-        if not ok.all():
+        if y.ndim == 0:  # the same test in Python arithmetic
+            bad = float(y)
+            if math.isfinite(bad) and lo <= bad and (
+                    bad < hi if self.conj_upper_open else bad <= hi):
+                return y
+        else:
+            below_hi = y < hi if self.conj_upper_open else y <= hi
+            ok = np.isfinite(y) & (y >= lo) & below_hi
+            if ok.all():
+                return y
             bad = float(y.flat[np.argmin(ok)])  # the first failing element
-            if not math.isfinite(bad):
-                raise DomainError(
-                    f"{self.name}: conjugate argument {bad!r} is not finite"
-                )
-            bound = f"y < {hi}" if self.conj_upper_open else f"y <= {hi}"
+        if not math.isfinite(bad):
             raise DomainError(
-                f"{self.name}: conjugate argument {bad!r} violates {bound}"
-                + (f" and y >= {lo}" if lo > -math.inf else "")
+                f"{self.name}: conjugate argument {bad!r} is not finite"
             )
-        return y
+        bound = f"y < {hi}" if self.conj_upper_open else f"y <= {hi}"
+        raise DomainError(
+            f"{self.name}: conjugate argument {bad!r} violates {bound}"
+            + (f" and y >= {lo}" if lo > -math.inf else "")
+        )
 
 
 def _tv_prime(x: np.ndarray) -> np.ndarray:

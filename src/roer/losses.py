@@ -12,6 +12,9 @@ beta, and the clip freezes both terms (clipped samples contribute zero
 gradient). Gradients returned are with respect to the vector handed in
 (residuals / q_pred); value-network training negates the residual gradient
 since the estimate enters the residual with a minus sign.
+
+Batch means are written np.add.reduce(x) / n: the arithmetic np.mean
+runs, without its Python-level wrapper.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def _vec(x, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{what} contains non-finite values")
     return arr
 
@@ -75,7 +78,7 @@ def extreme_v_loss(residuals, beta: float, grad_clip: float) -> LossOutput:
     clipped = z_raw > grad_clip
     z = np.where(clipped, grad_clip, z_raw)
     ez = np.exp(z)
-    value = float(np.mean(ez - z) - 1.0)
+    value = float(np.add.reduce(ez - z) / n - 1.0)
     grad = np.where(clipped, 0.0, (ez - 1.0) / (n * beta))
     return LossOutput(
         value=value,
@@ -92,7 +95,7 @@ def pearson_v_loss(residuals, beta: float) -> LossOutput:
     priority: mean(R^2 / (2 beta) + R). beta is checked by RoerConfig."""
     r = _vec(residuals, "residuals")
     n = len(r)
-    value = float(np.mean(r * r / (2.0 * beta) + r))
+    value = float(np.add.reduce(r * r / (2.0 * beta) + r) / n)
     grad = (r / beta + 1.0) / n
     return LossOutput(value=value, grad=grad)
 
@@ -108,7 +111,7 @@ def weighted_huber_critic_loss(q_pred, target, weights, k: float | None = 1.0) -
     w = _vec(weights, "weights")
     if not (q.shape == t.shape == w.shape):
         raise InvalidInputError("q_pred/target/weights length mismatch")
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise InvalidInputError("weights must be positive")
     if k is not None and k <= 0:
         raise ConfigError(f"huber bound k must be positive, got {k}")
@@ -122,7 +125,7 @@ def weighted_huber_critic_loss(q_pred, target, weights, k: float | None = 1.0) -
         clipped = np.abs(x) > k
         per = np.where(clipped, k * (np.abs(x) - 0.5 * k), 0.5 * x * x)
         dper = np.where(clipped, k * np.sign(x), x)
-    value = float(np.mean(w * per))
+    value = float(np.add.reduce(w * per) / n)
     grad = -w * dper / n
     return LossOutput(
         value=value, grad=grad, diagnostics={"linear_branch": int(clipped.sum())}
@@ -140,10 +143,10 @@ def gradient_penalty(critic_params: nn.ParameterSet, inputs,
     if cache is None:
         _, cache = nn.forward_cache(critic_params, x)
     g, chain = nn.input_gradient(critic_params, x, cache, return_chain=True)
-    norms = np.sqrt(np.sum(g * g, axis=1))
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))
     excess = np.maximum(norms - 1.0, 0.0)
-    value = float(np.mean(excess**2))
     n = len(norms)
+    value = float(np.add.reduce(excess**2) / n)
     active = excess > 0.0
     scale = np.zeros(n)
     scale[active] = 2.0 * excess[active] / (n * norms[active])

@@ -46,10 +46,12 @@ class ParameterSet:
     w0, b0, w1, b1, ...; weights[i] and biases[i] are views into it. Whole-
     set operations (Adam, Polyak, finiteness, copies, equality) act on
     `flat` in one elementwise pass, which rounds each entry exactly as a
-    per-layer pass would. The constructor copies the given arrays.
+    per-layer pass would. The layout (each array's shape and its slice of
+    `flat`) is computed once and shared by every copy. The constructor
+    copies the given arrays.
     """
 
-    __slots__ = ("flat", "weights", "biases")
+    __slots__ = ("flat", "weights", "biases", "_shapes", "_slices")
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         if len(weights) != len(biases):
@@ -57,25 +59,24 @@ class ParameterSet:
                              f"{len(biases)} bias vectors")
         arrays = [np.asarray(a, dtype=np.float64)
                   for pair in zip(weights, biases) for a in pair]
+        slices, offset = [], 0
+        for a in arrays:
+            slices.append(slice(offset, offset + a.size))
+            offset += a.size
         self._bind(np.concatenate([a.ravel() for a in arrays]),
-                   [a.shape for a in arrays])
+                   tuple(a.shape for a in arrays), tuple(slices))
 
-    def _bind(self, flat: np.ndarray, shapes) -> None:
+    def _bind(self, flat: np.ndarray, shapes: tuple, slices: tuple) -> None:
         self.flat = flat
-        views, offset = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            views.append(flat[offset:offset + size].reshape(shape))
-            offset += size
+        self._shapes = shapes
+        self._slices = slices
+        views = [flat[s].reshape(shape) for s, shape in zip(slices, shapes)]
         self.weights = views[0::2]
         self.biases = views[1::2]
 
-    def _shapes(self) -> list[tuple[int, ...]]:
-        return [a.shape for _, a in self.arrays()]
-
     def _like(self, flat: np.ndarray) -> "ParameterSet":
         out = ParameterSet.__new__(ParameterSet)
-        out._bind(flat, self._shapes())
+        out._bind(flat, self._shapes, self._slices)
         return out
 
     @property
@@ -86,7 +87,7 @@ class ParameterSet:
         return self._like(self.flat.copy())
 
     def zeros_like(self) -> "ParameterSet":
-        return self._like(np.zeros_like(self.flat))
+        return self._like(np.zeros(len(self.flat)))
 
     def arrays(self):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -99,7 +100,7 @@ class ParameterSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParameterSet) or other.n_layers != self.n_layers:
             return NotImplemented
-        return (self._shapes() == other._shapes()
+        return (self._shapes == other._shapes
                 and np.array_equal(self.flat, other.flat))
 
 
@@ -172,7 +173,7 @@ def backward(params: ParameterSet, x: np.ndarray, output_gradient: np.ndarray,
     grads = params.zeros_like()
     for l in range(L - 1, -1, -1):
         grads.weights[l] += g.T @ hidden[l]
-        grads.biases[l] += g.sum(axis=0)
+        grads.biases[l] += np.add.reduce(g, axis=0)
         g = g @ params.weights[l]
         if l > 0:
             g = g * (pre[l - 1] > 0.0)
@@ -275,11 +276,26 @@ class AdamState:
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
         g, m, v = grads.flat, self.m.flat, self.v.flat
+        # Two transient scratch vectors and in-place ufuncs: each product,
+        # sum and quotient is the one of the textbook form
+        #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        #   params -= lr (m / c1) / (sqrt(v / c2) + eps)
+        # taken in the same order, so the result is bit-identical to it.
+        s, r = np.empty(len(g)), np.empty(len(g))
+        np.multiply(g, 1.0 - self.beta1, out=s)
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += s
+        np.multiply(g, 1.0 - self.beta2, out=s)
+        s *= g
         v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        params.flat -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        v += s
+        np.divide(m, c1, out=s)
+        s *= self.learning_rate
+        np.divide(v, c2, out=r)
+        np.sqrt(r, out=r)
+        r += self.eps
+        s /= r
+        params.flat -= s
         return params
 
     def state_arrays(self):
@@ -325,7 +341,7 @@ def polyak(target: ParameterSet, online: ParameterSet, tau: float) -> ParameterS
     """In-place exponential averaging: target <- (1 - tau) target + tau online."""
     if not (0.0 < tau <= 1.0):
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    if target._shapes() != online._shapes():
+    if target._shapes != online._shapes:
         raise ShapeError("target/online parameter shape mismatch")
     target.flat *= 1.0 - tau
     target.flat += tau * online.flat

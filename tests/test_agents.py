@@ -150,7 +150,8 @@ class TestUpdate:
         target = rng.normal(size=len(batch))
 
         def critic_grads(weights):
-            q, x, cache = agent._q(agent.critic1, batch.states, batch.actions)
+            x = np.concatenate([batch.states, batch.actions], axis=1)
+            q, cache = agent._scalar(agent.critic1, x)
             out = losses.weighted_huber_critic_loss(q, target, weights, k=1.0)
             grads, _ = nn.backward(agent.critic1, x, out.grad[:, None], cache)
             return grads
@@ -238,6 +239,116 @@ class TestUpdate:
             _, logp, _ = agent._sample(diag, rng)
             gaps.append(abs(float(np.mean(logp)) + agent.target_entropy))
         assert np.mean(gaps[-100:]) < 0.4 * np.mean(gaps[:100])
+
+
+def state_bytes(agent):
+    """Every checkpointed array but the abort count, as bytes."""
+    arrays = agent.checkpoint_arrays()
+    arrays.pop("meta")
+    return {k: v.tobytes() for k, v in arrays.items()}
+
+
+def metrics_bytes(m):
+    return [np.asarray(getattr(m, f)).tobytes() for f in (
+        "critic_loss", "value_loss", "actor_loss", "alpha_loss",
+        "value_td_errors", "critic_td_errors", "value_clip_count", "aborted")]
+
+
+def update_with(agent, batch, seed, roer=RoerConfig()):
+    return agent.update(batch, np.ones(len(batch)), np.random.default_rng(seed), roer)
+
+
+class TestInPlaceRollback:
+    @staticmethod
+    def poison(mp, agent, phase, reached):
+        """Make one loss of the given phase NaN; at that point record the
+        step counts of the critic and value optimizers in `reached`."""
+        opts = (agent.opt_critic1, agent.opt_critic2, agent.opt_value)
+        calls = []
+
+        def nan_on(call, out_index=None):
+            def wrapped(*args, **kwargs):
+                out = real(*args, **kwargs)
+                calls.append(1)
+                if len(calls) != call:
+                    return out
+                reached.append([o.step_count for o in opts])
+                if out_index is None:
+                    out.value = math.nan
+                    return out
+                out = list(out)
+                out[out_index] = out[out_index] * math.nan
+                return tuple(out)
+            return wrapped
+
+        if phase == "critic":  # the second critic, after the first stepped
+            real = losses.weighted_huber_critic_loss
+            mp.setattr(losses, "weighted_huber_critic_loss", nan_on(2))
+        elif phase == "value":
+            real = losses.extreme_v_loss
+            mp.setattr(losses, "extreme_v_loss", nan_on(1))
+        else:  # the actor's own draw: a NaN log-density poisons its loss
+            real = agent._sample
+            mp.setattr(agent, "_sample", nan_on(2, out_index=1))
+
+    @pytest.mark.parametrize("phase, stepped", [
+        ("critic", [1, 0, 0]), ("value", [1, 1, 0]), ("actor", [1, 1, 1])])
+    def test_abort_restores_in_place_and_matches_a_twin(self, monkeypatch,
+                                                       phase, stepped):
+        agent, twin = fresh_agent(seed=30), fresh_agent(seed=30)
+        rng = np.random.default_rng(31)
+        for i in range(3):  # nonzero moments and step counts on both
+            batch = make_batch(rng)
+            update_with(agent, batch, 100 + i)
+            update_with(twin, batch, 100 + i)
+        nets = (agent.critic1, agent.critic2, agent.actor, agent.value)
+        opts = (agent.opt_critic1, agent.opt_critic2, agent.opt_actor,
+                agent.opt_value)
+        moments = [(o.m, o.v) for o in opts]
+        counts = [o.step_count for o in (agent.opt_critic1, agent.opt_critic2,
+                                         agent.opt_value)]
+        before = state_bytes(agent)
+        reached = []
+        with monkeypatch.context() as mp:
+            self.poison(mp, agent, phase, reached)
+            m = update_with(agent, make_batch(rng), 200)
+        assert reached == [[c + s for c, s in zip(counts, stepped)]]
+        assert m.aborted and agent.aborted_updates == 1
+        assert state_bytes(agent) == before
+        # the same objects, with every layer still a view of its flat vector
+        assert all(a is b for a, b in zip(
+            (agent.critic1, agent.critic2, agent.actor, agent.value), nets))
+        assert all(a is b for a, b in zip((agent.opt_critic1, agent.opt_critic2,
+                                           agent.opt_actor, agent.opt_value), opts))
+        assert all(o.m is m0 and o.v is v0 for o, (m0, v0) in zip(opts, moments))
+        for p in [*nets, *(s for pair in moments for s in pair)]:
+            assert all(np.shares_memory(a, p.flat) for a in (*p.weights, *p.biases))
+        batch = make_batch(rng)
+        assert metrics_bytes(update_with(agent, batch, 300)) == \
+            metrics_bytes(update_with(twin, batch, 300))
+        assert state_bytes(agent) == state_bytes(twin)
+
+
+class TestForwardPasses:
+    @pytest.mark.parametrize("roer, passes, stacked",
+                             [(RoerConfig(), 10, 3), (None, 8, 0)])
+    def test_forward_passes_per_update(self, monkeypatch, roer, passes, stacked):
+        agent = fresh_agent(seed=40)
+        batch = make_batch(np.random.default_rng(41))
+        rows = []
+        real = nn.forward_cache
+
+        def counting(params, x):
+            rows.append(len(x))
+            return real(params, x)
+
+        monkeypatch.setattr(nn, "forward_cache", counting)
+        m = update_with(agent, batch, 42, roer)
+        assert not m.aborted
+        assert len(rows) == passes
+        # under a ROER scheme the target pair and the stepped value network
+        # each run once over two stacked batches
+        assert rows.count(2 * len(batch)) == stacked
 
 
 class TestCheckpoint:

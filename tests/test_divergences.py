@@ -231,6 +231,26 @@ class TestArrayCalls:
             with pytest.raises(DomainError):
                 fn(sp, args)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scalar_check_equals_one_element_array_check(self, kind, data):
+        # the 0-d domain checks take a Python-arithmetic path; it must
+        # accept, return and reject exactly as the array path does
+        sp = spec(kind)
+        lo, hi = sp.domain_conj
+        edges = [v for v in (lo, hi, 0.0, -0.0) if math.isfinite(v)]
+        v = data.draw(st.one_of(st.floats(), st.sampled_from(
+            edges + [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)])))
+        for check in (sp.check_x, sp.check_y):
+            outcomes = []
+            for arg in (v, np.float64(v), np.array([v])):
+                try:
+                    outcomes.append(check(arg).tobytes())
+                except DomainError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1] == outcomes[2], check.__name__
+
     def test_total_variation_kink_anywhere_in_the_array(self):
         with pytest.raises(NondifferentiableError):
             generator_prime(spec(Kind.TOTAL_VARIATION), np.array([0.5, 1.0, 2.0]))

@@ -85,6 +85,31 @@ class TestForward:
             nn.forward(p, np.zeros((2, 5)))
 
 
+class TestStackedRows:
+    # SacAgent.update runs a network once over two stacked row blocks where
+    # it does not move between two uses. That keeps the bytes only if each
+    # row of a product rounds the same alone or stacked. With OpenBLAS it
+    # does at the profile sizes checked here, but not at every size: batch
+    # 16 or 50, three blocks of 256 rows, or an arbitrary subset of rows can
+    # differ in the last bit.
+    @settings(max_examples=24, deadline=None)
+    @given(width=st.sampled_from([64, 256]), batch=st.sampled_from([64, 256]),
+           input_dim=st.integers(1, 8), output_dim=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_two_stacked_blocks_match_separate_calls_bitwise(
+            self, width, batch, input_dim, output_dim, seed):
+        params = nn.init(NetworkSpec(input_dim, (width, width), output_dim), seed)
+        rng = np.random.default_rng(seed)
+        xs = [rng.normal(size=(batch, input_dim)) for _ in range(2)]
+        y, (hidden, pre) = nn.forward_cache(params, np.concatenate(xs))
+        for i, x in enumerate(xs):
+            rows = slice(i * batch, (i + 1) * batch)
+            y_i, (hidden_i, pre_i) = nn.forward_cache(params, x)
+            assert y[rows].tobytes() == y_i.tobytes()
+            for a, b in zip(hidden + pre, hidden_i + pre_i):
+                assert a[rows].tobytes() == b.tobytes()
+
+
 class TestBackward:
     def test_linear_layer_outer_product(self):
         # loss = sum of outputs of a single linear layer: dL/dW = sum_i x_i

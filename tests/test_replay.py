@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -292,6 +293,19 @@ def envelope(arrays):
     binio.write_envelope(stream, binio.KIND_BUFFER, binio.arrays_to_payload(arrays))
     stream.seek(0)
     return stream
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("kind", [binio.KIND_BUFFER, binio.KIND_CHECKPOINT])
+    def test_written_bytes_are_header_plus_payload(self, kind, tmp_path):
+        payload = binio.arrays_to_payload({"a": np.arange(5.0), "b": np.eye(2)})
+        header = binio.MAGIC + struct.pack("<HHI", binio.VERSION, kind, len(payload))
+        stream = io.BytesIO()
+        binio.write_envelope(stream, kind, payload)
+        path = tmp_path / "envelope.bin"
+        binio.write_envelope(path, kind, payload)
+        assert stream.getvalue() == header + payload
+        assert path.read_bytes() == header + payload
 
 
 PAYLOAD_DEFECTS = ("short meta", "v1 layout", "missing column",
