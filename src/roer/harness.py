@@ -291,6 +291,7 @@ class _SeedRun:
             data = load_offline_dataset(cfg.offline_dataset)
             self.buffer.fill_offline(**data)
             del data  # the buffer holds its own copy for the whole run
+        (self.out_dir / "metrics.jsonl").unlink(missing_ok=True)  # a rerun starts afresh
         writer = MetricsWriter(self.out_dir / "metrics.jsonl")
         obs = self.env.reset()
         kl_at_tau = None

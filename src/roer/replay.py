@@ -1,19 +1,13 @@
-"""Fixed-capacity transition storage with O(log n) proportional sampling.
+"""Fixed-capacity transition storage with proportional sampling.
 
-A ring buffer of transitions plus a sum-tree over per-transition priorities
+A ring buffer of transitions plus a sum tree over per-transition priorities
 d(s, a). New transitions always enter with priority 1; priority schemes
-rewrite the leaves afterwards. The sum-tree stores partial sums in a flat
-array (node i has children 2i and 2i+1, leaves in [n, 2n)), which keeps
-both the root-to-leaf update path and the prefix-sum descent vectorizable
-over a batch.
-
-A batch write repairs only the written leaves' ancestors on the wide lower
-levels, and rebuilds each upper level (at most SumTree.SLICE_WIDTH nodes)
-whole with one np.add: one call over a few thousand nodes is cheaper than
-the eight numpy calls of a per-ancestor repair step. The bytes cannot
-change, because a node is always the one float addition of its two
-children: recomputing a node whose children did not move gives back the
-value it holds.
+rewrite the leaves afterwards. The sum tree has two tiers: binary partial
+sums from the leaves up to a level of at most SumTree.PREFIX_WIDTH nodes,
+where a write repairs only the written leaves' ancestors, and one running
+prefix sum over that level, rebuilt once after any number of writes.
+Sampling searches the prefix and descends the binary levels below it,
+vectorized over the batch.
 """
 
 from __future__ import annotations
@@ -55,43 +49,41 @@ class Transition:
 
 
 class SumTree:
-    """Flat-array binary tree of partial priority sums.
+    """Partial priority sums in two tiers.
 
-    Every internal node holds fl(left + right) of its two children. A write
-    repairs the ancestors of the written leaves on the levels wider than
-    SLICE_WIDTH, and rebuilds each narrower level whole with one np.add over
-    precomputed views. Either way each node is that one addition of the
-    same two children, so the nodes hold the same bytes whichever path
-    set them.
+    Lower tier: a flat binary tree (node i has children 2i and 2i + 1, the
+    n leaves in nodes[n:2n]) kept up to the level of P = min(n,
+    PREFIX_WIDTH) nodes: each node of nodes[P:n] is fl(left + right), and
+    nodes[:P] are unused. Upper tier: `prefix`, a 0 and then the P running
+    sums of that level. A write repairs the written leaves' ancestors up to
+    the P-level and marks the prefix stale; the next total() or find_prefix
+    rebuilds it with one np.add.accumulate, so one step's writes share it.
     """
 
-    # Levels at most this wide are rebuilt whole. One np.add over 4096
-    # nodes costs about what one fancy-index repair step of a 64-row batch
-    # does, and a step repairs a level of any width.
-    SLICE_WIDTH = 4096
+    # Width of the level under the prefix. 2048 and 8192 ran within 2% of
+    # 4096 on 5,000- and 2^20-slot buffers (BENCH_prefix_tree.json).
+    PREFIX_WIDTH = 4096
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        n = 1
-        while n < capacity:
-            n *= 2
-        self._n = n
-        self._levels = n.bit_length() - 1
-        # never rebound: the level views below alias it
-        self.nodes = nodes = np.zeros(2 * n, dtype=np.float64)
-        # (left children, right children, parents) of each level at most
-        # SLICE_WIDTH wide, widest first
-        self._whole_levels = []
-        w = min(n // 2, self.SLICE_WIDTH)
-        while w:
-            self._whole_levels.append(
-                (nodes[2 * w : 4 * w : 2], nodes[2 * w + 1 : 4 * w : 2], nodes[w : 2 * w]))
-            w //= 2
-        self._repaired_levels = self._levels - len(self._whole_levels)
+        self._n = n = 1 << (capacity - 1).bit_length()
+        self._width = width = min(n, self.PREFIX_WIDTH)
+        # binary levels between the leaves and the prefix's level
+        self._depth = (n // width).bit_length() - 1
+        self.nodes = np.zeros(2 * n, dtype=np.float64)
+        self.prefix = np.zeros(width + 1, dtype=np.float64)
+        self._stale = False
+
+    def _fresh_prefix(self) -> np.ndarray:
+        if self._stale:
+            w = self._width
+            np.add.accumulate(self.nodes[w : 2 * w], out=self.prefix[1:])
+            self._stale = False  # cleared last, once the prefix is whole
+        return self.prefix
 
     def total(self) -> float:
-        return float(self.nodes[1])
+        return float(self._fresh_prefix()[-1])
 
     def get(self, i: int) -> float:
         return float(self.nodes[self._n + i])
@@ -101,37 +93,41 @@ class SumTree:
         return self.nodes[self._n : self._n + end]
 
     def set_many(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Replace leaf values, repair the written leaves' ancestors on the
-        wide levels and rebuild the narrow levels whole.
-
-        Duplicate parents in a level write identical sums, so no dedup
-        pass is needed.
-        """
+        """Replace leaf values and repair their ancestors up to the P-level;
+        duplicate parents in a level write identical sums."""
         idx = np.asarray(indices, dtype=np.int64) + self._n
         nodes = self.nodes
         nodes[idx] = values
-        for _ in range(self._repaired_levels):
-            idx = idx >> 1
+        for _ in range(self._depth):
+            idx >>= 1
             nodes[idx] = nodes[2 * idx] + nodes[2 * idx + 1]
-        for left, right, out in self._whole_levels:
-            np.add(left, right, out=out)
+        self._stale = True
 
     def set(self, index: int, value: float) -> None:
         i = index + self._n
         nodes = self.nodes
         nodes[i] = value
-        for _ in range(self._levels):
+        for _ in range(self._depth):
             i >>= 1
             nodes[i] = nodes[2 * i] + nodes[2 * i + 1]
+        self._stale = True
 
     def find_prefix(self, targets: np.ndarray) -> np.ndarray:
-        """Descend to the leaves whose cumulative-sum interval contains each
-        target; targets must lie in [0, total)."""
-        u = np.asarray(targets, dtype=np.float64).copy()
-        idx = np.ones(len(u), dtype=np.int64)
-        for _ in range(self._levels):
+        """The leaves whose cumulative-sum intervals hold the targets, which
+        must lie in [0, total): the last P-level node whose running sum is at
+        most the target (so nodes that sum to zero are skipped), then a
+        binary descent from it."""
+        prefix = self._fresh_prefix()
+        t = np.asarray(targets, dtype=np.float64)
+        j = prefix.searchsorted(t, side="right") - 1
+        # a target rounded up to the total lands in the last node
+        np.minimum(j, self._width - 1, out=j)
+        u = t - prefix[j]
+        idx = j + self._width
+        nodes = self.nodes
+        for _ in range(self._depth):
             left = idx * 2
-            left_sum = self.nodes[left]
+            left_sum = nodes[left]
             go_right = u >= left_sum
             u -= left_sum * go_right
             idx = left + go_right
@@ -212,38 +208,29 @@ class PriorityBuffer:
     def total_priority(self) -> float:
         return self.tree.total()
 
-    def _coerce_state(self, value, what: str) -> np.ndarray | int:
+    def _coerce(self, value, dim: int, what: str) -> np.ndarray | int:
         if self.discrete:
-            v = int(value)
-            return v
+            return int(value)
         arr = np.asarray(value, dtype=np.float64).reshape(-1)
-        if arr.shape != (self.state_dim,):
-            raise InvalidTransitionError(
-                f"{what} has shape {arr.shape}, expected ({self.state_dim},)"
-            )
-        if not np.all(np.isfinite(arr)):
+        if arr.shape != (dim,):
+            raise InvalidTransitionError(f"{what} has shape {arr.shape}, expected ({dim},)")
+        if not np.isfinite(arr).all():
             raise InvalidTransitionError(f"{what} contains non-finite values")
         return arr
 
     def push(self, t: Transition) -> int:
         """Store t at the write cursor with priority 1; evicts the oldest
-        entry once full. Returns the slot index."""
-        if not np.isfinite(t.reward):
+        entry once full. Returns the slot index.
+
+        Every field is checked before anything is written: once the buffer
+        is full, the slot holds the live oldest entry."""
+        if not math.isfinite(t.reward):
             raise InvalidTransitionError(f"reward {t.reward!r} is not finite")
+        state = self._coerce(t.state, self.state_dim, "state")
+        next_state = self._coerce(t.next_state, self.state_dim, "next_state")
+        action = self._coerce(t.action, self.action_dim, "action")
         i = self.write_cursor
-        self._states[i] = self._coerce_state(t.state, "state")
-        self._next_states[i] = self._coerce_state(t.next_state, "next_state")
-        if self.discrete:
-            self._actions[i] = int(t.action)
-        else:
-            act = np.asarray(t.action, dtype=np.float64).reshape(-1)
-            if act.shape != (self.action_dim,):
-                raise InvalidTransitionError(
-                    f"action has shape {act.shape}, expected ({self.action_dim},)"
-                )
-            if not np.all(np.isfinite(act)):
-                raise InvalidTransitionError("action contains non-finite values")
-            self._actions[i] = act
+        self._states[i], self._next_states[i], self._actions[i] = state, next_state, action
         self._rewards[i] = float(t.reward)
         self._terminals[i] = bool(t.terminal)
         self._insert_steps[i] = int(t.insert_step)
@@ -469,6 +456,6 @@ class PriorityBuffer:
                 f"{name} must hold integer indices, got dtype {arr.dtype}"
             )
         arr = arr.reshape((n,) + row_shape).astype(dest.dtype, copy=False)
-        if dest.dtype == np.float64 and not np.all(np.isfinite(arr)):
+        if dest.dtype == np.float64 and not np.isfinite(arr).all():
             raise InvalidTransitionError(f"{name} contains non-finite values")
         return arr

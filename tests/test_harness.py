@@ -289,6 +289,13 @@ class TestRunTrain:
             assert (out_a / "seed_0" / name).read_bytes() == \
                 (out_b / "seed_0" / name).read_bytes(), name
 
+    def test_rerun_into_the_same_directory_starts_a_fresh_stream(self, tmp_path):
+        cfg = cmod.from_dict(base_raw(tmp_path))
+        first = (run_train(cfg) / "seed_0" / "metrics.jsonl").read_bytes()
+        assert first
+        again = (run_train(cfg) / "seed_0" / "metrics.jsonl").read_bytes()
+        assert again == first
+
     def test_lambda_zero_limit_matches_uniform(self, tmp_path):
         uni = run_train(cmod.from_dict(base_raw(
             tmp_path, output_dir=str(tmp_path / "u"))))

@@ -1,5 +1,7 @@
 import io
+import itertools
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +99,23 @@ class TestPush:
         with pytest.raises(InvalidTransitionError):
             buf.push(Transition(np.zeros(3), np.zeros(2), float("inf"),
                                 np.zeros(3), False))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["state", "action", "reward", "next_state"])
+    def test_rejects_each_nonfinite_field_before_any_write(self, field, bad):
+        buf = vector_buffer(capacity=2)
+        for k in range(2):  # full: the next push overwrites live slot 0
+            buf.push(Transition(np.full(3, k), np.full(2, k), float(k), np.full(3, k), False))
+        before = buffer_state(buf)
+        parts = {"state": np.full(3, 5.0), "action": np.full(2, 5.0), "reward": 5.0,
+                 "next_state": np.full(3, 5.0)}
+        if field == "reward":
+            parts["reward"] = bad
+        else:
+            parts[field][-1] = bad
+        with pytest.raises(InvalidTransitionError, match=field):
+            buf.push(Transition(**parts, terminal=False))
+        assert buffer_state(buf) == before
 
     def test_rejects_wrong_shape(self):
         buf = vector_buffer(ds=3)
@@ -541,27 +560,26 @@ class TestOfflineFillProperties:
         assert buffer_state(buf) == before
 
 
-class TestTreeProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(capacity=st.integers(1, 40), data=st.data())
-    def test_every_node_is_the_sum_of_its_children(self, capacity, data):
-        tree = SumTree(capacity)
-        batches = data.draw(st.lists(
-            hnp.arrays(np.int64, st.integers(0, 2 * capacity),
-                       elements=st.integers(0, capacity - 1)),
-            max_size=6))
-        for idx in batches:
-            tree.set_many(idx, data.draw(hnp.arrays(
-                np.float64, len(idx), elements=st.floats(0.0, 1e6))))
-        nodes, n = tree.nodes, len(tree.nodes) // 2
-        # exact: internal nodes equal the tree-order sums of the leaves
-        assert np.array_equal(nodes[1:n], nodes[2::2] + nodes[3::2])
-        assert tree.total() == pytest.approx(tree.leaves().sum(), rel=1e-12)
+W = SumTree.PREFIX_WIDTH
+# trees whose leaf level is below, at and above the prefix width, up to
+# one with several binary levels under it (2^17 leaves)
+TREE_CAPACITIES = (1, 2, 5, W - 1, W, W + 1, 2 * W, 2 * W + 1, 4 * W + 3,
+                   (1 << 14) + 1, 70_000)
+
+
+def tiers(tree):
+    """(P, n): the width of the level under the prefix, and the leaf count."""
+    return len(tree.prefix) - 1, len(tree.nodes) // 2
+
+
+def prefix_of(level):
+    """The prefix over a P-level: a leading 0, then its running sums."""
+    return np.concatenate(([0.0], np.add.accumulate(level)))
 
 
 def reference_set_many(nodes, indices, values):
-    """The per-level fancy-index repair that SumTree.set_many runs on its
-    wide levels, here on every level."""
+    """A full binary tree's per-level fancy-index repair: SumTree.set_many
+    carried on up to the root."""
     n = len(nodes) // 2
     idx = np.asarray(indices, dtype=np.int64) + n
     nodes[idx] = values
@@ -570,11 +588,79 @@ def reference_set_many(nodes, indices, values):
         nodes[idx] = nodes[2 * idx] + nodes[2 * idx + 1]
 
 
-W = SumTree.SLICE_WIDTH
-# trees whose widest internal level is below, at and above the slice width,
-# up to one with several repaired levels (2^17 leaves)
-TREE_CAPACITIES = (1, 2, 5, W - 1, W, W + 1, 2 * W, 2 * W + 1, 4 * W + 3,
-                   (1 << 14) + 1, 70_000)
+def reference_find_prefix(nodes, targets):
+    """The binary descent from the root of a reference_set_many tree."""
+    n = len(nodes) // 2
+    u = np.array(targets, dtype=np.float64)
+    idx = np.ones(len(u), dtype=np.int64)
+    for _ in range(n.bit_length() - 1):
+        left = idx * 2
+        left_sum = nodes[left]
+        go_right = u >= left_sum
+        u -= left_sum * go_right
+        idx = left + go_right
+    return idx - n
+
+
+class TestTreeProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(capacity=st.integers(1, 40) | st.sampled_from((W - 1, W + 1, 3 * W)),
+           data=st.data())
+    def test_every_node_is_the_sum_of_its_children(self, capacity, data):
+        tree = SumTree(capacity)
+        batches = data.draw(st.lists(
+            hnp.arrays(np.int64, st.integers(0, 80),
+                       elements=st.integers(0, capacity - 1)),
+            max_size=6))
+        for idx in batches:
+            tree.set_many(idx, data.draw(hnp.arrays(
+                np.float64, len(idx), elements=st.floats(0.0, 1e6))))
+        nodes, (p, n) = tree.nodes, tiers(tree)
+        # exact: each maintained node is the sum of its two children, and
+        # the prefix holds the running sums of the P-level
+        assert np.array_equal(nodes[p:n], nodes[2 * p::2] + nodes[2 * p + 1::2])
+        assert tree.total() == pytest.approx(tree.leaves().sum(), rel=1e-12)
+        assert tree.prefix.tobytes() == prefix_of(nodes[p:2 * p]).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(1, 300) | st.sampled_from((W + 1, 3 * W)),
+           width=st.sampled_from((1, 2, 8, 32, W)), data=st.data())
+    def test_find_prefix_is_monotone_positive_and_the_binary_descent(
+            self, capacity, width, data):
+        # a narrow prefix puts several binary levels under it in a small tree
+        tree = type("Tree", (SumTree,), {"PREFIX_WIDTH": width})(capacity)
+        size = data.draw(st.integers(1, capacity))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # positive leaves over many binades, zeros past size
+        leaves = (1.0 - rng.random(size)) * 10.0 ** rng.integers(-8, 9, size)
+        tree.set_many(np.arange(size), leaves)
+        ref = np.zeros_like(tree.nodes)
+        reference_set_many(ref, np.arange(size), leaves)
+        total = tree.total()
+        # each boundary, the exact running sum of the leaves, rounded once
+        edges = np.array([float(c) for c in itertools.accumulate(map(Fraction, leaves))])
+        targets = np.concatenate([
+            rng.random(256) * total,
+            data.draw(st.lists(st.floats(0.0, total, exclude_max=True), max_size=8)),
+            # the floats on either side of each boundary
+            np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+        targets = np.sort(targets[(targets >= 0.0) & (targets < total)])
+        slots = tree.find_prefix(targets)
+        assert (np.diff(slots) >= 0).all()
+        clamped = np.minimum(slots, size - 1)
+        assert (tree.leaves()[clamped] > 0.0).all()
+        # a draw rounded up to the total stays inside the tree
+        last = tree.find_prefix(np.array([total]))
+        assert 0 <= last[0] < len(tree.leaves()) and tree.leaves()[min(last[0], size - 1)] > 0
+        # the old descent, except for targets within 4 ulps of a boundary:
+        # the boundaries nearest a target are the edges on either side of
+        # its place among them, and a float difference that small is exact
+        at = np.searchsorted(edges, targets)
+        near = np.zeros(len(targets), dtype=bool)
+        for k in (np.maximum(at - 1, 0), np.minimum(at, size - 1)):
+            near |= np.abs(targets - edges[k]) <= 4 * np.spacing(edges[k])
+        want = np.minimum(reference_find_prefix(ref, targets), size - 1)
+        assert np.array_equal(clamped[~near], want[~near])
 
 
 @st.composite
@@ -599,19 +685,24 @@ def tree_writes(draw, capacity):
     return writes
 
 
-class TestWholeLevelRebuild:
+class TestTwoTierLayout:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_nodes_match_per_level_repair_bytewise(self, data):
         capacity = data.draw(st.sampled_from(TREE_CAPACITIES))
         tree = SumTree(capacity)
+        p, _ = tiers(tree)
         ref = tree.nodes.copy()
         nodes = tree.nodes
         for idx, values in data.draw(tree_writes(capacity)):
             tree.set_many(idx, values)
             reference_set_many(ref, idx, values)
-            assert tree.nodes.tobytes() == ref.tobytes()
-        assert tree.nodes is nodes  # the level views alias it
+            # the levels from the leaves up to the P-level are the full
+            # tree's; the prefix is the accumulate of the P-level
+            assert tree.nodes[p:].tobytes() == ref[p:].tobytes()
+            tree.total()
+            assert tree.prefix.tobytes() == prefix_of(ref[p:2 * p]).tobytes()
+        assert tree.nodes is nodes
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -624,10 +715,15 @@ class TestWholeLevelRebuild:
                          rng.normal(size=n), rng.integers(0, 9, n), rng.random(n) < 0.1)
         for idx, values in data.draw(tree_writes(capacity)):
             buf.update_priorities(idx % len(buf), values + 1e-9)
+        p, _ = tiers(buf.tree)
         ref = np.zeros_like(buf.tree.nodes)
         reference_set_many(ref, np.arange(len(buf)), buf.priorities)
         loaded = PriorityBuffer.load(io.BytesIO(snapshot_bytes(buf)))
-        assert loaded.tree.nodes.tobytes() == buf.tree.nodes.tobytes() == ref.tobytes()
+        assert loaded.total_priority() == buf.total_priority()
+        assert loaded.tree.nodes.tobytes() == buf.tree.nodes.tobytes()
+        assert buf.tree.nodes[p:].tobytes() == ref[p:].tobytes()
+        assert (loaded.tree.prefix.tobytes() == buf.tree.prefix.tobytes()
+                == prefix_of(ref[p:2 * p]).tobytes())
         targets = rng.random(256) * buf.total_priority()
         assert np.array_equal(loaded.tree.find_prefix(targets),
                               buf.tree.find_prefix(targets))
