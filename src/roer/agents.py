@@ -106,6 +106,14 @@ class SacAgent:
         self.opt_actor = nn.AdamState(self.actor, lr)
         self.opt_value = nn.AdamState(self.value, lr)
         self.opt_alpha = nn.ScalarAdam(lr)
+        # One contiguous vector holds all an update can roll back: the online
+        # networks (the critic pair first) and every Adam moment. Another
+        # holds the target pair, so Polyak averaging is one pass over both.
+        self._targets = nn.pack([self.target1, self.target2])
+        self._state = nn.pack([self.critic1, self.critic2, self.actor, self.value,
+                               *(s for o in self._optimizers() for s in (o.m, o.v))])
+        self._critics = self._targets._like(self._state.flat[:len(self._targets.flat)])
+        self._saved = np.empty(len(self._state.flat))
         self.target_entropy = (
             config.target_entropy if config.target_entropy is not None
             else -float(action_dim)
@@ -178,20 +186,12 @@ class SacAgent:
     def _optimizers(self):
         return (self.opt_critic1, self.opt_critic2, self.opt_actor, self.opt_value)
 
-    def _rollback_vectors(self):
-        """The 12 flat vectors an update can change: the four online
-        networks and the two Adam moments of each."""
-        return ([p.flat for p in (self.critic1, self.critic2, self.actor, self.value)]
-                + [s.flat for o in self._optimizers() for s in (o.m, o.v)])
-
     def _snapshot(self):
-        return ([v.copy() for v in self._rollback_vectors()],
-                [(o.step_count, o.skipped) for o in self._optimizers()])
+        np.copyto(self._saved, self._state.flat)
+        return [(o.step_count, o.skipped) for o in self._optimizers()]
 
-    def _restore(self, snap):
-        vectors, counters = snap
-        for dst, src in zip(self._rollback_vectors(), vectors):
-            np.copyto(dst, src)
+    def _restore(self, counters):
+        np.copyto(self._state.flat, self._saved)
         for opt, (step_count, skipped) in zip(self._optimizers(), counters):
             opt.step_count, opt.skipped = step_count, skipped
 
@@ -206,25 +206,27 @@ class SacAgent:
         Gumbel loss). With roer=None the value network is left alone.
 
         A network runs once over two stacked row blocks wherever it does not
-        move between two uses: the target pair over (next_obs, next_act)
+        move between two uses: the actor over (next_obs, obs), with one
+        draw for both halves; the target pair over (next_obs, next_act)
         and, under a ROER scheme, (obs, act); the stepped value network over
-        obs and next_obs. That is 10 forward passes per update under a ROER
-        scheme and 8 without. At the profile batch sizes (64, 256) each row
-        rounds as in a pass of its own block; at some other sizes (16, 50)
-        OpenBLAS rounds a stacked row differently in the last bit.
+        obs and next_obs. That is 9 forward passes per update under a ROER
+        scheme (4 of them stacked) and 7 without (1 stacked). At the profile
+        batch sizes (64, 256) each row rounds as in a pass of its own block;
+        at some other sizes (16, 50) OpenBLAS rounds a stacked row
+        differently in the last bit.
 
-        A non-finite loss or input aborts the step: the online networks and
-        their Adam states are copied back in place from a snapshot taken on
-        entry, and the abort is counted."""
+        A non-finite loss or input aborts the step: the one vector that
+        holds the online networks and their Adam moments is copied back in
+        place from a snapshot taken on entry, and the abort is counted."""
         weights = np.asarray(weights, dtype=np.float64)
-        snap = self._snapshot()
+        counters = self._snapshot()
         metrics = StepMetrics()
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 return self._update_inner(batch, weights, rng, roer, div, metrics)
         except (FloatingPointError, InvalidInputError):
             # non-finite collapse: abort, count, roll back all state
-            self._restore(snap)
+            self._restore(counters)
             self.aborted_updates += 1
             metrics.aborted = True
             return metrics
@@ -237,15 +239,18 @@ class SacAgent:
         nobs = batch.next_states
         x = np.concatenate([obs, batch.actions], axis=1)
         not_done = 1.0 - batch.terminals.astype(np.float64)
+        # the actor moves only at its own step: one pass and one draw over
+        # (next_obs, obs) give the critic target's next action and the
+        # actor loss's sample
+        act, logp, aux = self._sample(np.concatenate([nobs, obs]), rng)
         # critic update against the entropy-regularized min-target; the
         # targets move only at the Polyak step, so under a ROER scheme the
         # same pass also gives the value loss its min-target on (obs, act)
-        next_act, next_logp, _ = self._sample(nobs, rng)
-        x_next = np.concatenate([nobs, next_act], axis=1)
+        x_next = np.concatenate([nobs, act[:n]], axis=1)
         q_target = self._min_q(self.target1, self.target2,
                                x_next if roer is None else np.concatenate([x_next, x]))
         target = batch.rewards + cfg.gamma * not_done * (
-            q_target[:n] - self.alpha * next_logp
+            q_target[:n] - self.alpha * logp[:n]
         )
         critic_losses = []
         preds = []
@@ -260,8 +265,9 @@ class SacAgent:
             if cfg.penalty_coef > 0.0:
                 pen = losses.gradient_penalty(params, x, cache)
                 penalty = pen.value
-                # the penalty's bias gradients are +0.0 and backward's never
-                # -0.0, so the flat sum leaves every bias bit as it was
+                # the penalty's bias gradients are +0.0, so the flat sum
+                # leaves every bias bit as it was, but for a -0.0 that it
+                # makes +0.0 (Adam cannot tell the two apart)
                 grads.flat += cfg.penalty_coef * pen.param_grads.flat
             loss_val = out.value + cfg.penalty_coef * penalty
             if not math.isfinite(loss_val):
@@ -291,9 +297,10 @@ class SacAgent:
                 batch.rewards, cfg.gamma, v[n:], v[:n], batch.terminals
             )
 
-        # actor, through the min online critic
-        new_act, logp, aux = self._sample(obs, rng)
-        x_new = np.concatenate([obs, new_act], axis=1)
+        # actor, through the min online critic, on the obs half of the draw
+        logp = logp[n:]
+        aux = _rows_from(aux, n)
+        x_new = np.concatenate([obs, act[n:]], axis=1)
         q1, c1 = self._scalar(self.critic1, x_new)
         q2, c2 = self._scalar(self.critic2, x_new)
         use_first = q1 <= q2
@@ -312,8 +319,7 @@ class SacAgent:
         metrics.alpha_loss = -self.log_alpha * entropy_gap
         self.log_alpha = self.opt_alpha.step(self.log_alpha, -entropy_gap)
 
-        nn.polyak(self.target1, self.critic1, cfg.polyak_tau)
-        nn.polyak(self.target2, self.critic2, cfg.polyak_tau)
+        nn.polyak(self._targets, self._critics, cfg.polyak_tau)
         return metrics
 
     def td_surrogates(self, states, actions, rewards, next_states, terminals,
@@ -417,6 +423,14 @@ class SacAgent:
 def aux_obs_of(aux: dict) -> np.ndarray:
     """The observation batch an actor cache was built from."""
     return aux["cache"][0][0]
+
+
+def _rows_from(aux: dict, start: int) -> dict:
+    """_sample's aux for its rows from start on, as views."""
+    hidden, masks = aux["cache"]
+    rows = {k: v[start:] for k, v in aux.items() if k != "cache"}
+    rows["cache"] = ([h[start:] for h in hidden], [m[start:] for m in masks])
+    return rows
 
 
 @dataclass(frozen=True)

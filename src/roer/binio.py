@@ -18,6 +18,7 @@ u64 per dimension, then the raw array bytes. dtype codes: 0 = float64,
 from __future__ import annotations
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -66,12 +67,25 @@ def read_array(stream) -> tuple[str, np.ndarray]:
         struct.unpack("<Q", _read_exact(stream, 8))[0] for _ in range(ndim)
     )
     dtype = _DTYPES[code]
-    nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
-    if ndim == 0:
-        nbytes = dtype.itemsize
+    nbytes = dtype.itemsize * math.prod(shape)   # Python ints: no overflow
+    left = _remaining(stream)
+    if nbytes > left:
+        raise FormatError(f"field {name!r} of shape {shape} needs {nbytes} "
+                          f"bytes, but {left} remain")
     raw = _read_exact(stream, nbytes)
-    arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    return name, arr
+    try:
+        arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    except ValueError as exc:   # an empty array with a dimension numpy refuses
+        raise FormatError(f"field {name!r} has bad shape {shape}: {exc}") from None
+    return name, arr.copy()
+
+
+def _remaining(stream) -> int:
+    """Bytes from the stream's position to its end."""
+    pos = stream.tell()
+    end = stream.seek(0, io.SEEK_END)
+    stream.seek(pos)
+    return end - pos
 
 
 def write_envelope(path_or_stream, kind: int, payload: bytes) -> None:

@@ -161,6 +161,11 @@ def _slice_batch(batch: SampledBatch, idx: np.ndarray,
     )
 
 
+# every file a seed run writes into its directory
+RUN_ARTIFACTS = ("metrics.jsonl", "summary.json", "timing.json", "checkpoint.bin",
+                 "buffer.bin", "checkpoint_*.bin", "buffer_*.bin")
+
+
 class _SeedRun:
     def __init__(self, cfg: ExperimentConfig, seed: int, out_dir: Path):
         self.cfg = cfg
@@ -291,7 +296,10 @@ class _SeedRun:
             data = load_offline_dataset(cfg.offline_dataset)
             self.buffer.fill_offline(**data)
             del data  # the buffer holds its own copy for the whole run
-        (self.out_dir / "metrics.jsonl").unlink(missing_ok=True)  # a rerun starts afresh
+        # a rerun starts afresh: no file of an earlier run here survives it
+        for pattern in RUN_ARTIFACTS:
+            for path in self.out_dir.glob(pattern):
+                path.unlink()
         writer = MetricsWriter(self.out_dir / "metrics.jsonl")
         obs = self.env.reset()
         kl_at_tau = None

@@ -104,6 +104,23 @@ class ParameterSet:
                 and np.array_equal(self.flat, other.flat))
 
 
+def pack(sets: list[ParameterSet]) -> ParameterSet:
+    """Move sets into one contiguous vector, back to back.
+
+    Returns the joined ParameterSet (its layers are those of every set in
+    turn); each given set keeps its identity and its values, but its flat
+    vector and layers become views into the joined one, so a whole-vector
+    operation on the joined set acts on all of them in one pass.
+    """
+    joined = ParameterSet([w for s in sets for w in s.weights],
+                          [b for s in sets for b in s.biases])
+    offset = 0
+    for s in sets:
+        s._bind(joined.flat[offset:offset + len(s.flat)], s._shapes, s._slices)
+        offset += len(s.flat)
+    return joined
+
+
 def init(spec: NetworkSpec, seed) -> ParameterSet:
     """Fan-in-scaled uniform initialization, deterministic given the seed.
 
@@ -135,21 +152,30 @@ def forward(params: ParameterSet, x: np.ndarray) -> np.ndarray:
 
 
 def forward_cache(params: ParameterSet, x: np.ndarray):
-    """Forward pass keeping pre-activations for backward()."""
+    """Forward pass keeping what the backward passes need.
+
+    Returns (output, (hidden, masks)): hidden[0] is the input and
+    hidden[l] for 0 < l < L the ReLU activation of layer l - 1; masks[l]
+    is the boolean ReLU mask a > 0 of hidden layer l's pre-activation a,
+    which the backward passes multiply by rather than recompute. Each
+    pre-activation is rounded as h @ W.T + b and then overwritten by its
+    activation, so the cache holds no pre-activations.
+    """
     x = _check_input(params, x)
     L = params.n_layers
-    pre = []
     h = x
     hidden = [x]
+    masks = []
     for l in range(L):
-        a = h @ params.weights[l].T + params.biases[l]
-        pre.append(a)
+        a = h @ params.weights[l].T
+        a += params.biases[l]
         if l < L - 1:
-            h = np.maximum(a, 0.0)
+            masks.append(a > 0.0)
+            h = np.maximum(a, 0.0, out=a)
             hidden.append(h)
         else:
             h = a
-    return h, (hidden, pre)
+    return h, (hidden, masks)
 
 
 def backward(params: ParameterSet, x: np.ndarray, output_gradient: np.ndarray,
@@ -158,11 +184,12 @@ def backward(params: ParameterSet, x: np.ndarray, output_gradient: np.ndarray,
 
     output_gradient holds d(loss)/d(output) per sample; returns parameter
     gradients (summed over the batch) and d(loss)/d(input) per sample.
+    Each layer's gradient is written once into a fresh flat vector.
     """
     x = _check_input(params, x)
     if cache is None:
         _, cache = forward_cache(params, x)
-    hidden, pre = cache
+    hidden, masks = cache
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.shape != (x.shape[0], params.weights[-1].shape[0]):
         raise ShapeError(
@@ -170,31 +197,37 @@ def backward(params: ParameterSet, x: np.ndarray, output_gradient: np.ndarray,
             f"({x.shape[0]}, {params.weights[-1].shape[0]})"
         )
     L = params.n_layers
-    grads = params.zeros_like()
+    grads = params._like(np.empty(len(params.flat)))
     for l in range(L - 1, -1, -1):
-        grads.weights[l] += g.T @ hidden[l]
-        grads.biases[l] += np.add.reduce(g, axis=0)
-        g = g @ params.weights[l]
+        np.matmul(g.T, hidden[l], out=grads.weights[l])
+        np.add.reduce(g, axis=0, out=grads.biases[l])
+        # with one column in g, g @ W is an outer product that rounds each
+        # entry once, as the broadcast g * W does without BLAS
+        w = params.weights[l]
+        g = g * w if g.shape[1] == 1 else g @ w
         if l > 0:
-            g = g * (pre[l - 1] > 0.0)
+            g *= masks[l - 1]
     return grads, g
 
 
-def _input_gradient_chain(params: ParameterSet, pre: list[np.ndarray],
+def _input_gradient_chain(params: ParameterSet, masks: list[np.ndarray],
                           n: int) -> list[np.ndarray]:
-    """Backward chain of a scalar-output network from its pre-activations.
+    """Backward chain of a scalar-output network from its ReLU masks.
 
     chain[L] is all ones (the output's own gradient); chain[l] for
     0 < l < L is d(output)/d(pre-activation of layer l - 1), i.e. masked by
     that layer's ReLU; chain[0] is d(output)/d(input).
     """
     L = params.n_layers
-    g = np.ones((n, 1))
-    chain = [g] * (L + 1)
-    for l in range(L - 1, -1, -1):
+    chain = [np.ones((n, 1))] * (L + 1)
+    # ones @ W is W's one row on every row: broadcast it, one rounding each
+    g = params.weights[L - 1]
+    g = g * masks[L - 2] if L > 1 else np.repeat(g, n, axis=0)
+    chain[L - 1] = g
+    for l in range(L - 2, -1, -1):
         g = g @ params.weights[l]
         if l > 0:
-            g = g * (pre[l - 1] > 0.0)
+            g *= masks[l - 1]
         chain[l] = g
     return chain
 
@@ -211,8 +244,8 @@ def input_gradient(params: ParameterSet, x: np.ndarray, cache=None,
     x = _check_input(params, x)
     if cache is None:
         _, cache = forward_cache(params, x)
-    _, pre = cache
-    chain = _input_gradient_chain(params, pre, x.shape[0])
+    _, masks = cache
+    chain = _input_gradient_chain(params, masks, x.shape[0])
     return (chain[0], chain) if return_chain else chain[0]
 
 
@@ -232,12 +265,12 @@ def input_gradient_param_backward(params: ParameterSet, x: np.ndarray,
     x = _check_input(params, x)
     if cache is None:
         _, cache = forward_cache(params, x)
-    _, pre = cache
+    _, masks = cache
     c = np.asarray(cotangent, dtype=np.float64)
     if c.shape != x.shape:
         raise ShapeError(f"cotangent shape {c.shape} != input shape {x.shape}")
     if chain is None:
-        chain = _input_gradient_chain(params, pre, x.shape[0])
+        chain = _input_gradient_chain(params, masks, x.shape[0])
     L = params.n_layers
     grads = params.zeros_like()
     # tangent pass along direction c, meeting the backward chain per layer
@@ -245,7 +278,8 @@ def input_gradient_param_backward(params: ParameterSet, x: np.ndarray,
     for l in range(L):
         grads.weights[l] += chain[l + 1].T @ t
         if l < L - 1:
-            t = (t @ params.weights[l].T) * (pre[l] > 0.0)
+            t = t @ params.weights[l].T
+            t *= masks[l]
     return grads
 
 

@@ -261,25 +261,35 @@ def update_with(agent, batch, seed, roer=RoerConfig()):
 class TestInPlaceRollback:
     @staticmethod
     def poison(mp, agent, phase, reached):
-        """Make one loss of the given phase NaN; at that point record the
-        step counts of the critic and value optimizers in `reached`."""
+        """Make one loss of the given phase NaN; when the abort rolls back,
+        record the step counts of the critic and value optimizers in
+        `reached`."""
         opts = (agent.opt_critic1, agent.opt_critic2, agent.opt_value)
         calls = []
+        restore = agent._restore
 
-        def nan_on(call, out_index=None):
+        def recording_restore(*args):
+            reached.append([o.step_count for o in opts])
+            return restore(*args)
+
+        mp.setattr(agent, "_restore", recording_restore)
+
+        def nan_on(call):
             def wrapped(*args, **kwargs):
                 out = real(*args, **kwargs)
                 calls.append(1)
-                if len(calls) != call:
-                    return out
-                reached.append([o.step_count for o in opts])
-                if out_index is None:
+                if len(calls) == call:
                     out.value = math.nan
-                    return out
-                out = list(out)
-                out[out_index] = out[out_index] * math.nan
-                return tuple(out)
+                return out
             return wrapped
+
+        def nan_obs_half(*args, **kwargs):
+            # the one draw covers (next_obs, obs); a NaN log-density in its
+            # obs half reaches only the actor loss
+            act, logp, aux = real(*args, **kwargs)
+            logp = logp.copy()
+            logp[len(logp) // 2:] = math.nan
+            return act, logp, aux
 
         if phase == "critic":  # the second critic, after the first stepped
             real = losses.weighted_huber_critic_loss
@@ -287,9 +297,9 @@ class TestInPlaceRollback:
         elif phase == "value":
             real = losses.extreme_v_loss
             mp.setattr(losses, "extreme_v_loss", nan_on(1))
-        else:  # the actor's own draw: a NaN log-density poisons its loss
+        else:  # the actor's half of the draw poisons its loss
             real = agent._sample
-            mp.setattr(agent, "_sample", nan_on(2, out_index=1))
+            mp.setattr(agent, "_sample", nan_obs_half)
 
     @pytest.mark.parametrize("phase, stepped", [
         ("critic", [1, 0, 0]), ("value", [1, 1, 0]), ("actor", [1, 1, 1])])
@@ -331,7 +341,7 @@ class TestInPlaceRollback:
 
 class TestForwardPasses:
     @pytest.mark.parametrize("roer, passes, stacked",
-                             [(RoerConfig(), 10, 3), (None, 8, 0)])
+                             [(RoerConfig(), 9, 4), (None, 7, 1)])
     def test_forward_passes_per_update(self, monkeypatch, roer, passes, stacked):
         agent = fresh_agent(seed=40)
         batch = make_batch(np.random.default_rng(41))
@@ -346,8 +356,9 @@ class TestForwardPasses:
         m = update_with(agent, batch, 42, roer)
         assert not m.aborted
         assert len(rows) == passes
-        # under a ROER scheme the target pair and the stepped value network
-        # each run once over two stacked batches
+        # the actor runs once over (next_obs, obs); under a ROER scheme the
+        # target pair and the stepped value network also run once over two
+        # stacked batches each
         assert rows.count(2 * len(batch)) == stacked
 
 
@@ -375,6 +386,55 @@ class TestCheckpoint:
         for params in sets:
             for _, arr in params.arrays():
                 assert np.shares_memory(arr, params.flat)
+
+
+def rollback_sets(agent):
+    """The four online networks and the eight Adam moments."""
+    return [agent.critic1, agent.critic2, agent.actor, agent.value,
+            *(s for o in (agent.opt_critic1, agent.opt_critic2, agent.opt_actor,
+                          agent.opt_value) for s in (o.m, o.v))]
+
+
+class TestPackedState:
+    @staticmethod
+    def check_packed(agent):
+        state = agent._state.flat
+        sets = rollback_sets(agent)
+        assert sum(p.flat.size for p in sets) == state.size
+        for p in sets:
+            assert np.shares_memory(p.flat, state)
+            assert all(np.shares_memory(arr, state) for _, arr in p.arrays())
+        for t in (agent.target1, agent.target2):
+            assert np.shares_memory(t.flat, agent._targets.flat)
+            assert not np.shares_memory(t.flat, state)
+        for c in (agent.critic1, agent.critic2):
+            assert np.shares_memory(c.flat, agent._critics.flat)
+        assert not np.shares_memory(agent._saved, state)
+
+    def test_one_rollback_vector_after_init_and_load(self):
+        agent = fresh_agent(seed=50)
+        self.check_packed(agent)
+        rng = np.random.default_rng(51)
+        for _ in range(3):
+            agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
+        self.check_packed(agent)
+        stream = io.BytesIO()
+        agent.save(stream)
+        stream.seek(0)
+        clone = SacAgent.load(stream, agent.config)
+        self.check_packed(clone)
+        assert state_bytes(clone) == state_bytes(agent)
+
+    def test_pair_polyak_equals_one_step_per_target(self):
+        agent = fresh_agent(seed=52)
+        rng = np.random.default_rng(53)
+        agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
+        refs = [agent.target1.copy(), agent.target2.copy()]
+        agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
+        for ref, online, target in zip(refs, (agent.critic1, agent.critic2),
+                                       (agent.target1, agent.target2)):
+            nn.polyak(ref, online, agent.config.polyak_tau)
+            assert ref.flat.tobytes() == target.flat.tobytes()
 
 
 class TestTabularAgent:

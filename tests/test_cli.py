@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 import yaml
 
 import roer
+from roer.agents import SacAgent, SacConfig
+from roer.binio import FormatError
 from roer.cli import main
 from roer.replay import PriorityBuffer, Transition
 
@@ -139,6 +142,56 @@ class TestReplayInspect:
         path.write_bytes(path.read_bytes()[:-3])
         assert main(["replay-inspect", str(path)]) == 2
         assert "truncated" in capsys.readouterr().err
+
+
+def declare_shape(path, field, dims):
+    """Rewrite the declared dimensions of one array in a binio file."""
+    data = bytearray(path.read_bytes())
+    name = field.encode()
+    at = data.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+    ndim = data[at + 1]
+    assert ndim == len(dims)
+    data[at + 2:at + 2 + 8 * ndim] = struct.pack(f"<{ndim}Q", *dims)
+    path.write_bytes(bytes(data))
+
+
+# A dimension of 2**61 once overflowed the byte count (OverflowError), and
+# 2**32 x 2**32 wrapped it to 0 bytes (ValueError in reshape); an empty
+# array may still declare a dimension numpy refuses.
+CORRUPT_SHAPES = {"rewards": [(2**61,)], "states": [(2**61, 1), (2**32, 2**32),
+                                                         (0, 2**63)]}
+CORRUPT_CHECKPOINT_SHAPES = {"critic1.b0": [(2**61,)],
+                             "critic1.w0": [(2**61, 1), (2**32, 2**32), (0, 2**63)]}
+
+
+def buffer_snapshot(path):
+    buf = PriorityBuffer(8, 3, 1)
+    for i in range(4):
+        buf.push(Transition(np.full(3, i), np.zeros(1), 0.0, np.zeros(3), False))
+    buf.snapshot(path)
+    return path
+
+
+class TestCorruptShapes:
+    @pytest.mark.parametrize("field, dims", [
+        (f, d) for f, shapes in CORRUPT_SHAPES.items() for d in shapes])
+    def test_buffer_snapshot(self, tmp_path, capsys, field, dims):
+        path = buffer_snapshot(tmp_path / "buffer.bin")
+        declare_shape(path, field, dims)
+        with pytest.raises(FormatError):
+            PriorityBuffer.load(path)
+        assert main(["replay-inspect", str(path)]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, dims", [
+        (f, d) for f, shapes in CORRUPT_CHECKPOINT_SHAPES.items() for d in shapes])
+    def test_checkpoint(self, tmp_path, field, dims):
+        config = SacConfig.test_profile(hidden_dims=(4,))
+        path = tmp_path / "checkpoint.bin"
+        SacAgent(3, 1, config, seed=0).save(path)
+        declare_shape(path, field, dims)
+        with pytest.raises(FormatError):
+            SacAgent.load(path, config)
 
 
 def test_cli_import_loads_no_scipy():

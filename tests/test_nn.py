@@ -101,12 +101,13 @@ class TestStackedRows:
         params = nn.init(NetworkSpec(input_dim, (width, width), output_dim), seed)
         rng = np.random.default_rng(seed)
         xs = [rng.normal(size=(batch, input_dim)) for _ in range(2)]
-        y, (hidden, pre) = nn.forward_cache(params, np.concatenate(xs))
+        y, (hidden, masks) = nn.forward_cache(params, np.concatenate(xs))
         for i, x in enumerate(xs):
             rows = slice(i * batch, (i + 1) * batch)
-            y_i, (hidden_i, pre_i) = nn.forward_cache(params, x)
+            y_i, (hidden_i, masks_i) = nn.forward_cache(params, x)
             assert y[rows].tobytes() == y_i.tobytes()
-            for a, b in zip(hidden + pre, hidden_i + pre_i):
+            assert len(masks) == len(masks_i) == params.n_layers - 1
+            for a, b in zip(hidden + masks, hidden_i + masks_i):
                 assert a[rows].tobytes() == b.tobytes()
 
 
@@ -310,9 +311,48 @@ def adam_reference(state, params, grads):
         p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
+def forward_reference(params, x):
+    """The forward pass that keeps each pre-activation h @ W.T + b: returns
+    (output, hidden inputs of each layer, pre-activations)."""
+    hidden, pre = [x], []
+    for l in range(params.n_layers):
+        pre.append(hidden[-1] @ params.weights[l].T + params.biases[l])
+        hidden.append(np.maximum(pre[-1], 0.0))
+    return pre[-1], hidden[:-1], pre
+
+
+def backward_reference(params, x, gout):
+    """backward() as a zeroed accumulator, with g @ W for every layer and
+    each ReLU mask recomputed as pre > 0.0."""
+    _, hidden, pre = forward_reference(params, x)
+    grads = params.zeros_like()
+    g = gout
+    for l in range(params.n_layers - 1, -1, -1):
+        grads.weights[l] += g.T @ hidden[l]
+        grads.biases[l] += np.add.reduce(g, axis=0)
+        g = g @ params.weights[l]
+        if l > 0:
+            g = g * (pre[l - 1] > 0.0)
+    return grads, g
+
+
+def chain_reference(params, x):
+    """The input-gradient chain from np.ones((n, 1)) @ W and pre > 0.0."""
+    _, _, pre = forward_reference(params, x)
+    L = params.n_layers
+    g = np.ones((x.shape[0], 1))
+    chain = [g] * (L + 1)
+    for l in range(L - 1, -1, -1):
+        g = g @ params.weights[l]
+        if l > 0:
+            g = g * (pre[l - 1] > 0.0)
+        chain[l] = g
+    return chain
+
+
 def param_backward_reference(params, x, cot):
     """Tangent pass, then its own u = (u @ W) * mask chain per layer."""
-    _, (_, pre) = nn.forward_cache(params, x)
+    _, _, pre = forward_reference(params, x)
     L = params.n_layers
     masks = [p > 0.0 for p in pre[:-1]]
     tangents = [cot]
@@ -401,3 +441,96 @@ class TestInputGradientChain:
         with_chain = nn.input_gradient_param_backward(params, x, cot, cache, chain)
         assert same_bytes(with_chain, nn.input_gradient_param_backward(params, x, cot))
         assert same_bytes(with_chain, param_backward_reference(params, x, cot))
+
+
+# ----------------------------------------------------------------------
+# the passes as run (masks kept from the forward pass, k = 1 products as
+# broadcasts), against references that recompute pre > 0.0 and form every
+# product with @. Unlike stacking, these must hold at every shape.
+
+@st.composite
+def sized_networks(draw):
+    """(params, x) at the widths, batches and output dims the agents run
+    and a few odd ones, with 0-2 hidden layers."""
+    width = draw(st.sampled_from([1, 7, 64, 256]))
+    spec = NetworkSpec(draw(st.integers(1, 8)), (width,) * draw(st.integers(0, 2)),
+                       draw(st.sampled_from([1, 2])))
+    seed = draw(st.integers(0, 2**32 - 1))
+    params = nn.init(spec, seed)
+    params.flat *= draw(st.sampled_from([0.5, 1.0, 4.0]))
+    x = np.random.default_rng(seed).normal(
+        size=(draw(st.sampled_from([1, 16, 50, 64, 256])), spec.input_dim))
+    return params, x
+
+
+def up_to_zero_sign(a):
+    """The bytes of 0.0 + a: a with each -0.0 read as +0.0.
+
+    Two forms differ from their references only in the sign of a zero:
+    backward() writes each gradient once, where the zeroed accumulator's
+    0.0 + -0.0 gave +0.0, and a one-column g times W as a broadcast keeps
+    the -0.0 of a zero product, where BLAS adds it to a +0.0. Every other
+    bit agrees, and Adam cannot tell the two zeros apart
+    (test_adam_is_blind_to_the_sign_of_zero_gradients)."""
+    return (0.0 + a).tobytes()
+
+
+class TestMaskedPasses:
+    @settings(max_examples=60, deadline=None)
+    @given(net=sized_networks())
+    def test_forward_cache_keeps_the_reference_masks(self, net):
+        params, x = net
+        y, (hidden, masks) = nn.forward_cache(params, x)
+        y_ref, hidden_ref, pre = forward_reference(params, x)
+        assert y.tobytes() == y_ref.tobytes()
+        assert [h.tobytes() for h in hidden] == [h.tobytes() for h in hidden_ref]
+        assert len(masks) == params.n_layers - 1
+        for m, p in zip(masks, pre):
+            assert m.dtype == bool and np.array_equal(m, p > 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=sized_networks(), data=st.data())
+    def test_backward_equals_reference(self, net, data):
+        params, x = net
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        gout = rng.normal(size=(x.shape[0], params.weights[-1].shape[0]))
+        _, cache = nn.forward_cache(params, x)
+        grads, gin = nn.backward(params, x, gout, cache)
+        ref, gin_ref = backward_reference(params, x, gout)
+        assert up_to_zero_sign(gin) == gin_ref.tobytes()
+        assert up_to_zero_sign(grads.flat) == ref.flat.tobytes()
+        assert shares_flat(grads)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=sized_networks(), data=st.data())
+    def test_input_gradient_passes_equal_reference(self, net, data):
+        params, x = net
+        if params.weights[-1].shape[0] != 1:
+            params = ParameterSet(params.weights[:-1] + [params.weights[-1][:1]],
+                                  params.biases[:-1] + [params.biases[-1][:1]])
+        _, cache = nn.forward_cache(params, x)
+        g, chain = nn.input_gradient(params, x, cache, return_chain=True)
+        ref = chain_reference(params, x)
+        assert [c.tobytes() for c in chain] == [c.tobytes() for c in ref]
+        assert g.tobytes() == ref[0].tobytes()
+        cot = np.random.default_rng(data.draw(st.integers(0, 99))).normal(size=x.shape)
+        assert same_bytes(nn.input_gradient_param_backward(params, x, cot, cache, chain),
+                          param_backward_reference(params, x, cot))
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=networks(), data=st.data())
+    def test_adam_is_blind_to_the_sign_of_zero_gradients(self, net, data):
+        params, _ = net
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        twin = params.copy()
+        state, twin_state = AdamState(params, 1e-2), AdamState(twin, 1e-2)
+        for _ in range(data.draw(st.integers(1, 4))):
+            grads = params.zeros_like()
+            grads.flat[:] = rng.normal(size=grads.flat.size)
+            grads.flat[rng.random(grads.flat.size) < 0.5] = 0.0
+            negated = grads.copy()
+            negated.flat[negated.flat == 0.0] = -0.0
+            state.step(params, grads)
+            twin_state.step(twin, negated)
+            assert same_bytes(params, twin)
+            assert same_bytes(state.m, twin_state.m) and same_bytes(state.v, twin_state.v)
