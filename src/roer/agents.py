@@ -217,7 +217,9 @@ class SacAgent:
 
         A non-finite loss or input aborts the step: the one vector that
         holds the online networks and their Adam moments is copied back in
-        place from a snapshot taken on entry, and the abort is counted."""
+        place from a snapshot taken on entry, and the abort is counted. The
+        step has still taken its one (2n, A) normal draw from rng, whichever
+        phase aborted."""
         weights = np.asarray(weights, dtype=np.float64)
         counters = self._snapshot()
         metrics = StepMetrics()

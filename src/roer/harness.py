@@ -161,11 +161,6 @@ def _slice_batch(batch: SampledBatch, idx: np.ndarray,
     )
 
 
-# every file a seed run writes into its directory
-RUN_ARTIFACTS = ("metrics.jsonl", "summary.json", "timing.json", "checkpoint.bin",
-                 "buffer.bin", "checkpoint_*.bin", "buffer_*.bin")
-
-
 class _SeedRun:
     def __init__(self, cfg: ExperimentConfig, seed: int, out_dir: Path):
         self.cfg = cfg
@@ -296,8 +291,10 @@ class _SeedRun:
             data = load_offline_dataset(cfg.offline_dataset)
             self.buffer.fill_offline(**data)
             del data  # the buffer holds its own copy for the whole run
-        # a rerun starts afresh: no file of an earlier run here survives it
-        for pattern in RUN_ARTIFACTS:
+        # a rerun starts afresh: delete every name this method writes below, so no
+        # file of an earlier run here survives it
+        for pattern in ("metrics.jsonl", "checkpoint_*.bin", "buffer_*.bin",
+                        "checkpoint.bin", "buffer.bin", "summary.json", "timing.json"):
             for path in self.out_dir.glob(pattern):
                 path.unlink()
         writer = MetricsWriter(self.out_dir / "metrics.jsonl")

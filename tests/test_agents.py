@@ -338,6 +338,21 @@ class TestInPlaceRollback:
             metrics_bytes(update_with(twin, batch, 300))
         assert state_bytes(agent) == state_bytes(twin)
 
+    @pytest.mark.parametrize("phase", [None, "critic", "value", "actor"])
+    def test_every_update_takes_one_stacked_draw(self, monkeypatch, phase):
+        """An update takes one (2n, A) normal draw from a shared generator,
+        whether it completes or aborts, and whichever phase aborts it."""
+        agent = fresh_agent(seed=32)
+        batch = make_batch(np.random.default_rng(33))
+        rng, twin = np.random.default_rng(34), np.random.default_rng(34)
+        with monkeypatch.context() as mp:
+            if phase is not None:
+                self.poison(mp, agent, phase, [])
+            m = agent.update(batch, np.ones(len(batch)), rng, RoerConfig())
+        assert m.aborted == (phase is not None)
+        twin.standard_normal((2 * len(batch), agent.action_dim))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestForwardPasses:
     @pytest.mark.parametrize("roer, passes, stacked",

@@ -296,7 +296,7 @@ class TestRunTrain:
         again = (run_train(cfg) / "seed_0" / "metrics.jsonl").read_bytes()
         assert again == first
 
-    def test_shorter_rerun_leaves_no_later_snapshots(self, tmp_path):
+    def test_shorter_rerun_leaves_only_its_own_files(self, tmp_path):
         run_train(cmod.from_dict(base_raw(tmp_path, checkpoint_period=100)))
         cfg = cmod.from_dict(base_raw(tmp_path, checkpoint_period=100,
                                       total_steps=200))
@@ -305,6 +305,12 @@ class TestRunTrain:
         assert snapshots == ["buffer_00000100.bin", "buffer_00000200.bin",
                              "checkpoint_00000100.bin", "checkpoint_00000200.bin"]
         assert {e["step"] for e in estimate_bias(seed_dir, cfg)} == {100, 200}
+        # the rerun's directory holds exactly the files a fresh run writes
+        fresh = run_train(cmod.from_dict(base_raw(
+            tmp_path, checkpoint_period=100, total_steps=200,
+            output_dir=str(tmp_path / "fresh")))) / "seed_0"
+        assert sorted(p.name for p in seed_dir.iterdir()) == \
+            sorted(p.name for p in fresh.iterdir())
 
     def test_lambda_zero_limit_matches_uniform(self, tmp_path):
         uni = run_train(cmod.from_dict(base_raw(

@@ -8,10 +8,11 @@ Both trees' `roer` packages are loaded side by side in this one process,
 under the names `roer_parent` and `roer_change`, so that host drift hits
 both sides alike. Each side builds the same SacAgent (pendulum's obs 3,
 action 1, the profile's networks and batch size) and the same batches from
-one fixed set of random transitions. The script then alternates blocks of
-updates between the two agents, parent first in odd blocks and change first
-in even ones; every update of block b, step i gets the same generator seed
-on both sides, and runs under a ROER scheme with positive weights.
+one fixed set of random transitions (seed 0). The script then alternates
+blocks of updates (20 per side at the test profile, 2 at full) between the
+two agents, parent first in odd blocks and change first in even ones;
+every update of block b, step i gets the same generator seed on both
+sides, and runs under a ROER scheme with positive weights.
 
 It prints each side's p50 update time, the fraction of blocks in which the
 change's block median was lower, and the median over blocks of the ratio
@@ -41,6 +42,8 @@ HERE = Path(__file__).resolve().parent
 OBS_DIM, ACTION_DIM = 3, 1
 POOL_ROWS = 4096
 BATCHES = 20
+SEED = 0
+BLOCK_UPDATES = {"test": 20, "full": 2}  # updates per side and block
 
 
 def load_package(name: str, src: Path):
@@ -61,15 +64,15 @@ def load_package(name: str, src: Path):
 class Side:
     """One tree's agent, batches and recorded update times."""
 
-    def __init__(self, pkg, profile: str, seed: int, pool: dict):
+    def __init__(self, pkg, profile: str, pool: dict):
         agents, replay = pkg.agents, pkg.replay
         make = (agents.SacConfig.full_profile if profile == "full"
                 else agents.SacConfig.test_profile)
         self.config = make()
-        self.agent = agents.SacAgent(OBS_DIM, ACTION_DIM, self.config, seed)
+        self.agent = agents.SacAgent(OBS_DIM, ACTION_DIM, self.config, SEED)
         self.roer = pkg.schemes.RoerConfig()
         n = self.config.batch_size
-        rng = np.random.default_rng(seed + 1)
+        rng = np.random.default_rng(SEED + 1)
         self.batches = []
         for _ in range(BATCHES):
             rows = rng.integers(0, POOL_ROWS, size=n)
@@ -97,8 +100,8 @@ class Side:
         return out
 
 
-def transitions(seed: int) -> dict:
-    rng = np.random.default_rng(seed)
+def transitions() -> dict:
+    rng = np.random.default_rng(SEED)
     return dict(
         states=rng.normal(size=(POOL_ROWS, OBS_DIM)),
         actions=np.tanh(rng.normal(size=(POOL_ROWS, ACTION_DIM))),
@@ -120,18 +123,15 @@ def main(argv=None) -> int:
                         help="the src directory of the tree to compare against")
     parser.add_argument("--profile", choices=("test", "full"), default="test")
     parser.add_argument("--blocks", type=int, default=100)
-    parser.add_argument("--block-updates", type=int, default=None,
-                        help="updates per side and block (default 20 at test, 2 at full)")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    per_block = args.block_updates or (20 if args.profile == "test" else 2)
+    per_block = BLOCK_UPDATES[args.profile]
 
     parent_pkg = load_package("roer_parent", args.parent_src.resolve())
     change_pkg = load_package("roer_change", HERE.parent / "src")
     change_pkg.cli._keep_freed_memory()
-    pool = transitions(args.seed)
-    parent = Side(parent_pkg, args.profile, args.seed, pool)
-    change = Side(change_pkg, args.profile, args.seed, pool)
+    pool = transitions()
+    parent = Side(parent_pkg, args.profile, pool)
+    change = Side(change_pkg, args.profile, pool)
 
     ratios = []
     for block in range(args.blocks):
