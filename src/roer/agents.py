@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import losses, nn
+from . import binio, losses, nn
 from .divergences import DivergenceSpec, Kind
 from .replay import SampledBatch
 from .schemes import ROER_DIVERGENCES, ConfigError, InvalidInputError, RoerConfig
@@ -57,20 +57,6 @@ class SacConfig:
              "None or positive"),
             ("hidden_dims", all(d >= 1 for d in self.hidden_dims), "all >= 1"),
         ))
-
-    @classmethod
-    def test_profile(cls, **overrides) -> "SacConfig":
-        """Small nets and batches for fast desk runs."""
-        base = dict(hidden_dims=(64, 64), batch_size=64, learning_rate=3e-4)
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def full_profile(cls, **overrides) -> "SacConfig":
-        """(256, 256) nets, batch 256, learning rate 3e-3."""
-        base = dict(hidden_dims=(256, 256), batch_size=256, learning_rate=3e-3)
-        base.update(overrides)
-        return cls(**base)
 
 
 @dataclass
@@ -183,6 +169,8 @@ class SacAgent:
     # can raise (the actor loss), so an abort never reaches them and the
     # snapshot leaves them out. The rollback copies values back in place, so
     # every ParameterSet and AdamState keeps its identity and its views.
+    _OPTIMIZED = ("critic1", "critic2", "actor", "value")  # _optimizers()' networks
+
     def _optimizers(self):
         return (self.opt_critic1, self.opt_critic2, self.opt_actor, self.opt_value)
 
@@ -287,7 +275,7 @@ class SacAgent:
                 out = losses.pearson_v_loss(residual, roer.beta)
             else:
                 out = losses.extreme_v_loss(residual, roer.beta, roer.grad_clip)
-                metrics.value_clip_count = out.diagnostics["clipped"]
+                metrics.value_clip_count = out.clipped
             if not math.isfinite(out.value):
                 raise FloatingPointError("value loss diverged")
             metrics.value_loss = out.value
@@ -366,58 +354,46 @@ class SacAgent:
 
     # -- checkpointing ----------------------------------------------------
 
-    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
-        arrays: dict[str, np.ndarray] = {}
-        nets = dict(critic1=self.critic1, critic2=self.critic2,
-                    target1=self.target1, target2=self.target2,
-                    actor=self.actor, value=self.value)
-        for name, params in nets.items():
-            for key, arr in params.arrays():
-                arrays[f"{name}.{key}"] = arr
-        opts = dict(critic1=self.opt_critic1, critic2=self.opt_critic2,
-                    actor=self.opt_actor, value=self.opt_value)
-        for name, opt in opts.items():
-            for mk, mset in opt.state_arrays():
+    def _checkpoint_entries(self):
+        """Every checkpoint entry in file order, as (key, array). The network
+        and Adam-moment arrays are views into the agent, so load writes
+        through them; the counter entries are fresh arrays."""
+        for name in ("critic1", "critic2", "target1", "target2", "actor", "value"):
+            for key, arr in getattr(self, name).arrays():
+                yield f"{name}.{key}", arr
+        for name, opt in zip(self._OPTIMIZED, self._optimizers()):
+            for mk, mset in (("m", opt.m), ("v", opt.v)):
                 for key, arr in mset.arrays():
-                    arrays[f"opt.{name}.{mk}.{key}"] = arr
-            arrays[f"opt.{name}.scalars"] = opt.scalars()
-        arrays["log_alpha"] = np.array([self.log_alpha])
-        arrays["alpha_opt"] = np.array(
-            [self.opt_alpha.m, self.opt_alpha.v, float(self.opt_alpha.step_count)]
-        )
-        arrays["meta"] = np.array(
-            [self.obs_dim, self.action_dim, self.aborted_updates], dtype=np.int64
-        )
-        return arrays
+                    yield f"opt.{name}.{mk}.{key}", arr
+            yield f"opt.{name}.scalars", np.array([opt.step_count, opt.skipped],
+                                                   dtype=np.int64)
+        yield "log_alpha", np.array([self.log_alpha])
+        yield "alpha_opt", np.array(
+            [self.opt_alpha.m, self.opt_alpha.v, float(self.opt_alpha.step_count)])
+        yield "meta", np.array([self.obs_dim, self.action_dim, self.aborted_updates],
+                               dtype=np.int64)
+
+    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        return dict(self._checkpoint_entries())
 
     def save(self, path_or_stream) -> None:
         nn.save_checkpoint(path_or_stream, self.checkpoint_arrays())
 
     @classmethod
     def load(cls, path_or_stream, config: SacConfig) -> "SacAgent":
+        """Rebuild a checkpoint; an entry that is missing, or whose shape or
+        dtype differs from what config's agent holds, raises FormatError."""
         arrays = nn.load_checkpoint(path_or_stream)
-        meta = arrays["meta"]
+        meta = binio.checked(arrays, "meta", (3,), np.int64)
         agent = cls(int(meta[0]), int(meta[1]), config, seed=0)
-        nets = dict(critic1=agent.critic1, critic2=agent.critic2,
-                    target1=agent.target1, target2=agent.target2,
-                    actor=agent.actor, value=agent.value)
-        for name, params in nets.items():
-            for i in range(params.n_layers):
-                params.weights[i][...] = arrays[f"{name}.w{i}"]
-                params.biases[i][...] = arrays[f"{name}.b{i}"]
-        opts = dict(critic1=agent.opt_critic1, critic2=agent.opt_critic2,
-                    actor=agent.opt_actor, value=agent.opt_value)
-        for name, opt in opts.items():
-            for mk, mset in opt.state_arrays():
-                for i in range(opt.m.n_layers):
-                    mset.weights[i][...] = arrays[f"opt.{name}.{mk}.w{i}"]
-                    mset.biases[i][...] = arrays[f"opt.{name}.{mk}.b{i}"]
-            opt.restore_scalars(arrays[f"opt.{name}.scalars"])
+        for key, arr in agent._checkpoint_entries():
+            arr[...] = binio.checked(arrays, key, arr.shape, arr.dtype)
+        for name, opt in zip(cls._OPTIMIZED, agent._optimizers()):
+            opt.step_count, opt.skipped = (int(v) for v in arrays[f"opt.{name}.scalars"])
         agent.log_alpha = float(arrays["log_alpha"][0])
-        alpha_opt = arrays["alpha_opt"]
-        agent.opt_alpha.m = float(alpha_opt[0])
-        agent.opt_alpha.v = float(alpha_opt[1])
-        agent.opt_alpha.step_count = int(alpha_opt[2])
+        m, v, steps = arrays["alpha_opt"]
+        agent.opt_alpha.m, agent.opt_alpha.v = float(m), float(v)
+        agent.opt_alpha.step_count = int(steps)
         agent.aborted_updates = int(meta[2])
         return agent
 
@@ -481,15 +457,12 @@ class TabularAgent:
         return int(self.q_table[int(state)].argmax())
 
     def update(self, batch: SampledBatch, weights: np.ndarray) -> StepMetrics:
-        cfg = self.config
-        s = batch.states.astype(np.int64)
-        a = batch.actions.astype(np.int64)
-        not_done = 1.0 - batch.terminals.astype(np.float64)
-        v_next = self.soft_value(batch.next_states.astype(np.int64))
-        delta = batch.rewards + cfg.gamma * v_next * not_done - self.q_table[s, a]
+        s = np.asarray(batch.states, dtype=np.int64)
+        a = np.asarray(batch.actions, dtype=np.int64)
+        delta = self.td_errors(s, a, batch.rewards, batch.next_states, batch.terminals)
         if not np.isfinite(delta).all():
             raise FloatingPointError("tabular TD errors diverged")
-        np.add.at(self.q_table, (s, a), cfg.learning_rate * weights * delta)
+        np.add.at(self.q_table, (s, a), self.config.learning_rate * weights * delta)
         return StepMetrics(
             critic_loss=float(np.add.reduce(weights * delta**2) / len(delta)),
             value_td_errors=delta,
@@ -501,7 +474,7 @@ class TabularAgent:
         s = np.asarray(states, dtype=np.int64)
         a = np.asarray(actions, dtype=np.int64)
         not_done = 1.0 - np.asarray(terminals, dtype=np.float64)
-        v_next = self.soft_value(np.asarray(next_states, dtype=np.int64))
+        v_next = self.soft_value(next_states)
         return rewards + self.config.gamma * v_next * not_done - self.q_table[s, a]
 
     def save(self, path_or_stream) -> None:
@@ -513,7 +486,8 @@ class TabularAgent:
     @classmethod
     def load(cls, path_or_stream, config: TabularConfig) -> "TabularAgent":
         arrays = nn.load_checkpoint(path_or_stream)
-        meta = arrays["meta"]
+        meta = binio.checked(arrays, "meta", (2,), np.int64)
         agent = cls(int(meta[0]), int(meta[1]), config)
-        agent.q_table[...] = arrays["q_table"]
+        agent.q_table[...] = binio.checked(arrays, "q_table", agent.q_table.shape,
+                                           np.float64)
         return agent

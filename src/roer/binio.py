@@ -133,3 +133,15 @@ def arrays_to_payload(arrays: dict[str, np.ndarray]) -> bytes:
 def payload_to_arrays(stream) -> dict[str, np.ndarray]:
     (count,) = struct.unpack("<I", _read_exact(stream, 4))
     return dict(read_array(stream) for _ in range(count))
+
+
+def checked(arrays: dict[str, np.ndarray], name: str, shape: tuple,
+            dtype) -> np.ndarray:
+    """arrays[name], which must exist with the given shape and dtype;
+    FormatError naming the field otherwise."""
+    arr = arrays.get(name)
+    if arr is None or arr.shape != tuple(shape) or arr.dtype != dtype:
+        found = "missing" if arr is None else f"{arr.dtype} {arr.shape}"
+        raise FormatError(f"field {name!r} is {found}, "
+                          f"expected {np.dtype(dtype)} {tuple(shape)}")
+    return arr

@@ -29,7 +29,10 @@ Schema (all keys optional unless noted):
     bias_eval_horizon: int
     workers: int                # parallel seed workers
     agent:                      # SAC fields (continuous envs)
-      profile: test | full
+      profile: test | full      # SAC_PROFILES: test = SacConfig's defaults,
+                                # (64, 64) nets, batch 64, lr 3e-4; full =
+                                # (256, 256) nets, batch 256, lr 3e-3; the
+                                # keys below override the profile's
       learning_rate, hidden_dims, batch_size, gamma, polyak_tau,
       init_temperature, target_entropy, huber_k, penalty_coef
     tabular:                    # tabular agent fields (finite envs)
@@ -92,7 +95,7 @@ class ExperimentConfig:
     bias_eval_pairs: int = 64
     bias_eval_horizon: int = 1000
     workers: int = 1
-    sac: SacConfig = field(default_factory=SacConfig.test_profile)
+    sac: SacConfig = field(default_factory=SacConfig)
     tabular: TabularConfig = field(default_factory=TabularConfig)
     # the knobs of the scheme, as schemes.SCHEME_CONFIGS names; None for uniform
     scheme_config: RoerConfig | PerConfig | LaberConfig | None = None
@@ -137,16 +140,22 @@ _TOP_LEVEL = ("env", "scheme", "total_steps", "train_start_step",
               "bias_eval_horizon", "workers")
 
 
+# agent.profile -> the SacConfig fields it sets; the agent section's own
+# keys override them
+SAC_PROFILES: dict[str, dict[str, Any]] = {
+    "test": {},  # SacConfig's defaults: (64, 64) nets, batch 64, lr 3e-4
+    "full": dict(hidden_dims=(256, 256), batch_size=256, learning_rate=3e-3),
+}
+
+
 def _build_sac(raw: dict) -> SacConfig:
     raw = dict(raw)
     profile = raw.pop("profile", "test")
+    if profile not in SAC_PROFILES:
+        raise ConfigError(f"unknown agent profile {profile!r}")
     if "hidden_dims" in raw:
         raw["hidden_dims"] = tuple(raw["hidden_dims"])
-    if profile == "full":
-        return SacConfig.full_profile(**raw)
-    if profile == "test":
-        return SacConfig.test_profile(**raw)
-    raise ConfigError(f"unknown agent profile {profile!r}")
+    return SacConfig(**{**SAC_PROFILES[profile], **raw})
 
 
 def _build_scheme_config(scheme, raw: dict):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import divergences, nn, oracles, schemes
+from . import divergences, oracles, schemes
 from .agents import SacAgent, StepMetrics, TabularAgent
 from .config import ExperimentConfig, echo, from_dict, seed_streams, sweep_cells
 from .envs import PendulumEnv, TabularEnv, chain_mdp, gridworld_mdp, random_mdp
@@ -71,36 +71,11 @@ def _clean(value):
 
 
 class MetricsWriter:
-    """Append-only line-delimited JSON stream.
-
-    Reopening an existing stream drops a trailing partial record (a crash
-    between write and flush), keeping every retained line valid JSON.
-    """
+    """Line-delimited JSON stream, one flushed record per line, written
+    into a fresh file."""
 
     def __init__(self, path):
-        self.path = Path(path)
-        if self.path.exists():
-            self._truncate_partial_tail()
-        self._fh = open(self.path, "a", encoding="utf-8")
-
-    def _truncate_partial_tail(self):
-        data = self.path.read_bytes()
-        if not data:
-            return
-        keep = len(data)
-        if not data.endswith(b"\n"):
-            nl = data.rfind(b"\n")
-            keep = nl + 1 if nl >= 0 else 0
-        else:
-            last = data[:-1].rfind(b"\n")
-            tail = data[last + 1 :].rstrip(b"\n")
-            try:
-                json.loads(tail)
-            except json.JSONDecodeError:
-                keep = last + 1
-        if keep != len(data):
-            with open(self.path, "wb") as fh:
-                fh.write(data[:keep])
+        self._fh = open(path, "w", encoding="utf-8")
 
     def write(self, record: dict) -> None:
         clean = {k: _clean(v) for k, v in record.items()}
@@ -150,17 +125,6 @@ def load_offline_dataset(path):
 # ----------------------------------------------------------------------
 # single-seed training
 
-def _slice_batch(batch: SampledBatch, idx: np.ndarray,
-                 weights: np.ndarray) -> SampledBatch:
-    return SampledBatch(
-        indices=batch.indices[idx],
-        states=batch.states[idx], actions=batch.actions[idx],
-        rewards=batch.rewards[idx], next_states=batch.next_states[idx],
-        terminals=batch.terminals[idx], insert_steps=batch.insert_steps[idx],
-        priorities=batch.priorities[idx], sampling_weights=weights,
-    )
-
-
 class _SeedRun:
     def __init__(self, cfg: ExperimentConfig, seed: int, out_dir: Path):
         self.cfg = cfg
@@ -205,7 +169,7 @@ class _SeedRun:
             big = self.buffer.sample_uniform(big_n, brng)
             surrogates = self._surrogates(big)
             idx, weights = schemes.laber_select(surrogates, self.batch_size, brng)
-            return _slice_batch(big, idx, weights)
+            return self.buffer.gather(big.indices[idx], weights)
         if cfg.sampling_mode == "weighted" and cfg.scheme != "uniform":
             return self.buffer.sample_uniform(self.batch_size, brng,
                                               priorities_as_weights=True)
@@ -430,17 +394,12 @@ def compute_bias(agent, env, states, actions, rng, horizon: int,
         estimates = agent.q_table[
             np.asarray(states, dtype=np.int64), np.asarray(actions, dtype=np.int64)
         ]
-        gamma = agent.config.gamma
     else:
         policy = lambda obs: agent.act(obs, rng=rng)
-        q1 = nn.forward(agent.critic1, np.concatenate(
-            [states, actions.reshape(len(states), -1)], axis=1))[:, 0]
-        q2 = nn.forward(agent.critic2, np.concatenate(
-            [states, actions.reshape(len(states), -1)], axis=1))[:, 0]
-        estimates = np.minimum(q1, q2)
-        gamma = agent.config.gamma
-    result = mc_true_value(env, policy, (states, actions), gamma, rng,
-                           horizon=horizon)
+        estimates = agent._min_q(agent.critic1, agent.critic2, np.concatenate(
+            [states, actions.reshape(len(states), -1)], axis=1))
+    result = mc_true_value(env, policy, (states, actions), agent.config.gamma,
+                           rng, horizon=horizon)
     return {
         "bias": float(np.mean(result.returns - estimates)),
         "true_mean": float(result.mean),
@@ -461,7 +420,8 @@ def probe_bias(agent, env, buffer: PriorityBuffer, cfg: ExperimentConfig,
 
 def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     """Bias series over every (checkpoint, buffer) snapshot pair in a run
-    directory, scheduled checkpoints first, final checkpoint last."""
+    directory, scheduled checkpoints first, then the final checkpoint
+    unless a scheduled one was taken at the last step."""
     seed_dir = Path(seed_dir)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     env = make_env(cfg.env, cfg.env_horizon, np.random.default_rng(seed))
@@ -469,7 +429,9 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     pairs = sorted(
         (int(p.stem.split("_")[1]), p) for p in seed_dir.glob("checkpoint_*.bin")
     )
-    pairs.append((cfg.total_steps, seed_dir / "checkpoint.bin"))
+    # a scheduled checkpoint at the last step holds the final state already
+    if not pairs or pairs[-1][0] != cfg.total_steps:
+        pairs.append((cfg.total_steps, seed_dir / "checkpoint.bin"))
     series = []
     for step, ckpt_path in pairs:
         buffer_path = seed_dir / ckpt_path.name.replace("checkpoint", "buffer")

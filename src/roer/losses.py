@@ -15,26 +15,39 @@ since the estimate enters the residual with a minus sign.
 
 Batch means are written np.add.reduce(x) / n: the arithmetic np.mean
 runs, without its Python-level wrapper.
+
+Each value is validated once, where it enters: gamma, the Huber bound k,
+beta and grad_clip by the config dataclasses (SacConfig, RoerConfig);
+rewards by PriorityBuffer.push and fill_offline. Loss weights are ones,
+priorities (checked by the buffer on every write and at load) or LABER's
+importance weights, which laber_select forms from checked surrogates. q_pred
+and target go unchecked: a non-finite one makes the critic loss
+non-finite (every Huber term is >= 0 and the weights are positive), and
+the one finite check per phase in SacAgent.update aborts the step before
+any optimizer moves. Only the value estimates V(s), V(s') and the value
+residuals are checked here (_vec): a non-finite V would reach the
+buffer's priorities, and a +inf residual would be clipped to a finite
+Gumbel loss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .schemes import ConfigError, InvalidInputError
+from .schemes import InvalidInputError
 
 
 @dataclass
 class LossOutput:
     """Scalar loss, gradient w.r.t. the supplied prediction vector, and
-    clip diagnostics."""
+    the number of clipped samples (the Gumbel loss's exponent clip)."""
 
     value: float
     grad: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    clipped: int = 0
 
 
 @dataclass
@@ -45,8 +58,6 @@ class PenaltyOutput:
 
     value: float
     param_grads: nn.ParameterSet
-    grad_norms: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _vec(x, what: str) -> np.ndarray:
@@ -60,9 +71,7 @@ def _vec(x, what: str) -> np.ndarray:
 
 def td_error(reward, gamma: float, v_next, v_curr, terminal) -> np.ndarray:
     """delta = r + gamma * V(s') * (1 - terminal) - V(s)."""
-    if not (0.0 < gamma < 1.0):
-        raise ConfigError(f"gamma must be in (0, 1), got {gamma}")
-    r = _vec(reward, "reward")
+    r = np.asarray(reward, dtype=np.float64)
     vn = _vec(v_next, "v_next")
     vc = _vec(v_curr, "v_curr")
     t = np.asarray(terminal, dtype=np.float64).reshape(r.shape)
@@ -70,8 +79,7 @@ def td_error(reward, gamma: float, v_next, v_curr, terminal) -> np.ndarray:
 
 
 def extreme_v_loss(residuals, beta: float, grad_clip: float) -> LossOutput:
-    """Gumbel regression loss over residuals with an upper exponent clip.
-    beta and grad_clip are checked where they enter, by RoerConfig."""
+    """Gumbel regression loss over residuals with an upper exponent clip."""
     r = _vec(residuals, "residuals")
     n = len(r)
     z_raw = r / beta
@@ -80,19 +88,12 @@ def extreme_v_loss(residuals, beta: float, grad_clip: float) -> LossOutput:
     ez = np.exp(z)
     value = float(np.add.reduce(ez - z) / n - 1.0)
     grad = np.where(clipped, 0.0, (ez - 1.0) / (n * beta))
-    return LossOutput(
-        value=value,
-        grad=grad,
-        diagnostics={
-            "clipped": int(clipped.sum()),
-            "max_exponent": float(z_raw.max()),
-        },
-    )
+    return LossOutput(value=value, grad=grad, clipped=int(clipped.sum()))
 
 
 def pearson_v_loss(residuals, beta: float) -> LossOutput:
     """Conservative (squared) value objective paired with the shifted-linear
-    priority: mean(R^2 / (2 beta) + R). beta is checked by RoerConfig."""
+    priority: mean(R^2 / (2 beta) + R)."""
     r = _vec(residuals, "residuals")
     n = len(r)
     value = float(np.add.reduce(r * r / (2.0 * beta) + r) / n)
@@ -106,30 +107,22 @@ def weighted_huber_critic_loss(q_pred, target, weights, k: float | None = 1.0) -
     huber_k(x) = 0.5 x^2 for |x| <= k, else k (|x| - 0.5 k). k=None selects
     the plain mean-square form 0.5 x^2 (the k -> infinity limit).
     """
-    q = _vec(q_pred, "q_pred")
-    t = _vec(target, "target")
-    w = _vec(weights, "weights")
+    q = np.asarray(q_pred, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     if not (q.shape == t.shape == w.shape):
         raise InvalidInputError("q_pred/target/weights length mismatch")
-    if (w <= 0).any():
-        raise InvalidInputError("weights must be positive")
-    if k is not None and k <= 0:
-        raise ConfigError(f"huber bound k must be positive, got {k}")
     n = len(q)
     x = t - q
     if k is None:
         per = 0.5 * x * x
         dper = x
-        clipped = np.zeros(n, dtype=bool)
     else:
         clipped = np.abs(x) > k
         per = np.where(clipped, k * (np.abs(x) - 0.5 * k), 0.5 * x * x)
         dper = np.where(clipped, k * np.sign(x), x)
     value = float(np.add.reduce(w * per) / n)
-    grad = -w * dper / n
-    return LossOutput(
-        value=value, grad=grad, diagnostics={"linear_branch": int(clipped.sum())}
-    )
+    return LossOutput(value=value, grad=-w * dper / n)
 
 
 def gradient_penalty(critic_params: nn.ParameterSet, inputs,
@@ -153,9 +146,4 @@ def gradient_penalty(critic_params: nn.ParameterSet, inputs,
     cot = g * scale[:, None]
     param_grads = nn.input_gradient_param_backward(critic_params, x, cot,
                                                    cache, chain)
-    return PenaltyOutput(
-        value=value,
-        param_grads=param_grads,
-        grad_norms=norms,
-        diagnostics={"active": int(active.sum())},
-    )
+    return PenaltyOutput(value=value, param_grads=param_grads)

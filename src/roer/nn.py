@@ -332,17 +332,6 @@ class AdamState:
         params.flat -= s
         return params
 
-    def state_arrays(self):
-        yield "m", self.m
-        yield "v", self.v
-
-    def scalars(self) -> np.ndarray:
-        return np.array([self.step_count, self.skipped], dtype=np.int64)
-
-    def restore_scalars(self, arr: np.ndarray) -> None:
-        self.step_count = int(arr[0])
-        self.skipped = int(arr[1])
-
 
 class ScalarAdam:
     """Adam on a single scalar (temperature parameter)."""
@@ -356,11 +345,10 @@ class ScalarAdam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.skipped = 0
 
     def step(self, value: float, grad: float) -> float:
+        """value after one step; a non-finite grad leaves it unchanged."""
         if not np.isfinite(grad):
-            self.skipped += 1
             return value
         self.step_count += 1
         t = self.step_count

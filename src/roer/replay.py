@@ -85,9 +85,6 @@ class SumTree:
     def total(self) -> float:
         return float(self._fresh_prefix()[-1])
 
-    def get(self, i: int) -> float:
-        return float(self.nodes[self._n + i])
-
     def leaves(self, count: int | None = None) -> np.ndarray:
         end = self._n if count is None else count
         return self.nodes[self._n : self._n + end]
@@ -239,7 +236,8 @@ class PriorityBuffer:
         self.size = min(self.size + 1, self.capacity)
         return i
 
-    def _gather(self, idx: np.ndarray, weights: np.ndarray) -> SampledBatch:
+    def gather(self, idx: np.ndarray, weights: np.ndarray) -> SampledBatch:
+        """The transitions in slots idx, carrying the given loss weights."""
         return SampledBatch(
             indices=idx,
             states=self._states[idx],
@@ -262,7 +260,7 @@ class PriorityBuffer:
         # guard: prefix rounding at the extreme right edge (find_prefix
         # never returns a negative slot)
         np.minimum(idx, self.size - 1, out=idx)
-        return self._gather(idx, np.ones(n, dtype=np.float64))
+        return self.gather(idx, np.ones(n, dtype=np.float64))
 
     def sample_uniform(self, n: int, rng: np.random.Generator,
                        priorities_as_weights: bool = False) -> SampledBatch:
@@ -275,7 +273,7 @@ class PriorityBuffer:
             weights = self.tree.leaves(self.capacity)[idx]
         else:
             weights = np.ones(n, dtype=np.float64)
-        return self._gather(idx, weights)
+        return self.gather(idx, weights)
 
     def update_priorities(self, indices, new_priorities) -> None:
         """Replace priorities at the given slots."""
@@ -376,25 +374,22 @@ class PriorityBuffer:
         """Rebuild a snapshot; a payload that does not describe a valid
         buffer raises binio.FormatError.
 
-        Every column is checked against the meta before anything is
-        allocated, and a meta naming a buffer above MAX_BYTES (4 GiB) is
-        refused."""
+        Every column is checked against the meta, and every priority for
+        being positive and finite, before anything is allocated; a meta
+        naming a buffer above MAX_BYTES (4 GiB) is refused."""
         payload = binio.read_envelope(path_or_stream, binio.KIND_BUFFER)
         arrays = binio.payload_to_arrays(payload)
-        meta = arrays.get("meta")
-        if meta is None or meta.shape != (6,) or meta.dtype != np.int64:
-            raise binio.FormatError("buffer meta must be 6 int64 values")
+        meta = binio.checked(arrays, "meta", (6,), np.int64)
         capacity, size, cursor, sdim, adim, discrete = (int(v) for v in meta)
         if (capacity < 1 or not 0 <= size <= capacity or not 0 <= cursor < capacity
                 or (size < capacity and cursor != size)
                 or sdim < 0 or adim < 0 or discrete not in (0, 1)):
             raise binio.FormatError(f"inconsistent buffer meta {meta.tolist()}")
         for name, (dtype, row) in cls._row_layout(sdim, adim, discrete).items():
-            got = arrays.get(name)
-            if got is None or got.shape != (size, *row) or got.dtype != dtype:
-                found = "missing" if got is None else f"{got.dtype} {got.shape}"
-                raise binio.FormatError(f"buffer column {name!r} is {found}, "
-                                        f"expected {dtype} {(size, *row)}")
+            binio.checked(arrays, name, (size, *row), dtype)
+        # priorities enter here under update_priorities' rule
+        if not ((arrays["priorities"] > 0.0) & (arrays["priorities"] < np.inf)).all():
+            raise binio.FormatError("buffer priorities must be positive and finite")
         try:
             buf = cls(capacity, sdim, adim, discrete=bool(discrete))
         except ValueError as exc:

@@ -13,9 +13,15 @@ per_priority is the loss-adjusted PER form (priority floor pairs with a
 Huber critic loss); laber_select resamples a uniformly drawn large batch
 proportionally to surrogate priorities with importance corrections.
 
-Inputs are validated where they enter: TD errors where they leave the
-agents, priorities by the buffer, knobs by the config dataclasses. Only
-laber_select checks its surrogates, which meet no later check.
+Inputs are validated where they enter, and nowhere else:
+  - knobs (lam, beta, grad_clip, the clips, alpha, large_batch) by the
+    config dataclasses below, when the config loads;
+  - TD errors where they leave the agents: the value estimates by
+    losses.td_error, the tabular TD errors by TabularAgent.update, and the
+    critic's by the finite critic-loss check of the same SAC phase;
+  - priorities by the buffer, on every write (update_priorities) and when
+    a snapshot loads;
+  - surrogates by laber_select itself, since they meet no later check.
 """
 
 from __future__ import annotations
@@ -110,15 +116,6 @@ SCHEME_CONFIGS: dict[str, type | None] = {
 }
 
 
-def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInputError(f"{what} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{what} contains non-finite values")
-    return arr
-
-
 def roer_update(td_errors, current_priorities, cfg: RoerConfig,
                 div: DivergenceSpec = ROER_DIVERGENCES["roer"]) -> np.ndarray:
     """One multiplicative priority update d' = [lam * w + (1 - lam)] * d.
@@ -153,7 +150,11 @@ def laber_select(surrogate_priorities, n: int, rng: np.random.Generator):
 
     All-zero surrogates fall back to uniform selection with unit weights.
     """
-    s = _check_finite(surrogate_priorities, "surrogate_priorities")
+    s = np.asarray(surrogate_priorities, dtype=np.float64)
+    if s.ndim != 1 or s.size == 0:
+        raise InvalidInputError("surrogate_priorities must be a non-empty 1-d vector")
+    if not np.isfinite(s).all():
+        raise InvalidInputError("surrogate_priorities contains non-finite values")
     if np.any(s < 0):
         raise InvalidInputError("surrogates must be nonnegative")
     if n < 1:

@@ -12,6 +12,7 @@ from roer.agents import (
     TabularConfig,
     aux_obs_of,
 )
+from roer.binio import FormatError
 from roer.replay import PriorityBuffer, Transition
 from roer.schemes import ConfigError, RoerConfig
 
@@ -37,7 +38,7 @@ def make_batch(rng, n=16, obs_dim=3, action_dim=1):
 
 
 def fresh_agent(seed=0, **cfg):
-    config = SacConfig.test_profile(hidden_dims=(8, 8), batch_size=16, **cfg)
+    config = SacConfig(hidden_dims=(8, 8), batch_size=16, **cfg)
     return SacAgent(3, 1, config, seed=seed)
 
 
@@ -209,7 +210,7 @@ class TestUpdate:
             arrays = agent.checkpoint_arrays()
             arrays.pop("meta")  # holds the abort count
             return ({k: v.tobytes() for k, v in arrays.items()},
-                    [(o.step_count, o.skipped) for o in opts])
+                    [(o.step_count, o.skipped) for o in opts[:4]])
 
         before = state()
         stepped = []
@@ -283,6 +284,14 @@ class TestInPlaceRollback:
                 return out
             return wrapped
 
+        def nan_q_on_second(q_pred, *args, **kwargs):
+            # the loss makes no check of its own: a NaN critic output gives
+            # a NaN loss, which the phase's finite check catches
+            calls.append(1)
+            if len(calls) == 2:
+                q_pred = np.full_like(q_pred, math.nan)
+            return real(q_pred, *args, **kwargs)
+
         def nan_obs_half(*args, **kwargs):
             # the one draw covers (next_obs, obs); a NaN log-density in its
             # obs half reaches only the actor loss
@@ -294,6 +303,9 @@ class TestInPlaceRollback:
         if phase == "critic":  # the second critic, after the first stepped
             real = losses.weighted_huber_critic_loss
             mp.setattr(losses, "weighted_huber_critic_loss", nan_on(2))
+        elif phase == "critic_output":  # the second critic's predictions
+            real = losses.weighted_huber_critic_loss
+            mp.setattr(losses, "weighted_huber_critic_loss", nan_q_on_second)
         elif phase == "value":
             real = losses.extreme_v_loss
             mp.setattr(losses, "extreme_v_loss", nan_on(1))
@@ -302,7 +314,8 @@ class TestInPlaceRollback:
             mp.setattr(agent, "_sample", nan_obs_half)
 
     @pytest.mark.parametrize("phase, stepped", [
-        ("critic", [1, 0, 0]), ("value", [1, 1, 0]), ("actor", [1, 1, 1])])
+        ("critic", [1, 0, 0]), ("critic_output", [1, 0, 0]), ("value", [1, 1, 0]),
+        ("actor", [1, 1, 1])])
     def test_abort_restores_in_place_and_matches_a_twin(self, monkeypatch,
                                                        phase, stepped):
         agent, twin = fresh_agent(seed=30), fresh_agent(seed=30)
@@ -338,7 +351,8 @@ class TestInPlaceRollback:
             metrics_bytes(update_with(twin, batch, 300))
         assert state_bytes(agent) == state_bytes(twin)
 
-    @pytest.mark.parametrize("phase", [None, "critic", "value", "actor"])
+    @pytest.mark.parametrize("phase", [None, "critic", "critic_output", "value",
+                                       "actor"])
     def test_every_update_takes_one_stacked_draw(self, monkeypatch, phase):
         """An update takes one (2n, A) normal draw from a shared generator,
         whether it completes or aborts, and whichever phase aborts it."""
@@ -401,6 +415,47 @@ class TestCheckpoint:
         for params in sets:
             for _, arr in params.arrays():
                 assert np.shares_memory(arr, params.flat)
+
+
+class TestCheckpointMismatch:
+    """A checkpoint that does not fit the agent a config builds is a
+    FormatError naming the first entry that does not fit."""
+
+    @staticmethod
+    def sac_arrays():
+        return fresh_agent(seed=24).checkpoint_arrays()
+
+    @staticmethod
+    def saved(arrays):
+        stream = io.BytesIO()
+        nn.save_checkpoint(stream, arrays)
+        stream.seek(0)
+        return stream
+
+    def test_missing_entry(self):
+        arrays = self.sac_arrays()
+        del arrays["opt.value.v.b2"]
+        with pytest.raises(FormatError, match="'opt.value.v.b2' is missing"):
+            SacAgent.load(self.saved(arrays), fresh_agent().config)
+
+    def test_other_network_sizes(self):
+        with pytest.raises(FormatError, match="'critic1.w0' is float64 \\(8, 4\\)"):
+            SacAgent.load(self.saved(self.sac_arrays()), SacConfig(hidden_dims=(16, 16)))
+
+    def test_wrong_dtype(self):
+        arrays = self.sac_arrays()
+        arrays["opt.actor.scalars"] = arrays["opt.actor.scalars"].astype(np.float64)
+        with pytest.raises(FormatError, match="'opt.actor.scalars'"):
+            SacAgent.load(self.saved(arrays), fresh_agent().config)
+
+    def test_agent_kinds_not_interchangeable(self):
+        tabular = io.BytesIO()
+        TabularAgent(3, 2, TabularConfig()).save(tabular)
+        tabular.seek(0)
+        with pytest.raises(FormatError, match="'meta'"):
+            SacAgent.load(tabular, fresh_agent().config)
+        with pytest.raises(FormatError, match="'meta'"):
+            TabularAgent.load(self.saved(self.sac_arrays()), TabularConfig())
 
 
 def rollback_sets(agent):
@@ -542,7 +597,7 @@ class TestConfigChecks:
     ])
     def test_sac_rejects(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            SacConfig.test_profile(**{field: value})
+            SacConfig(**{field: value})
 
     def test_edges_accepted(self):
         TabularConfig(epsilon=0.0)

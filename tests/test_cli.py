@@ -120,6 +120,21 @@ class TestBiasCommand:
         assert len(series) == 1  # final checkpoint only
         assert "bias" in series[0]
 
+    def test_checkpoint_of_other_nets_exit_code(self, tmp_path, capsys):
+        run = dict(env="pendulum", scheme="uniform", total_steps=40,
+                   train_start_step=30, eval_period=40, env_horizon=20,
+                   bias_eval_pairs=4, bias_eval_horizon=10)
+        cfg_path = write_config(tmp_path, **run,
+                                agent=dict(profile="test", hidden_dims=[8, 8],
+                                           batch_size=8))
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        full = tmp_path / "full"
+        full.mkdir()
+        full_path = write_config(full, **run, agent=dict(profile="full"))
+        assert main(["bias", str(tmp_path / "run" / "seed_0"),
+                     "-c", str(full_path)]) == 2
+        assert "'critic1.w0'" in capsys.readouterr().err
+
 
 class TestReplayInspect:
     def test_inspect_output(self, tmp_path, capsys):
@@ -133,6 +148,18 @@ class TestReplayInspect:
         out = capsys.readouterr().out
         assert "size 4" in out
         assert "implied distribution" in out
+
+    def test_nan_priority_exit_code(self, tmp_path, capsys):
+        buf = PriorityBuffer(8, 1, 1, discrete=True)
+        buf.push(Transition(0, 0, 0.0, 0, False))
+        path = tmp_path / "buffer.bin"
+        buf.snapshot(path)
+        data = path.read_bytes()
+        one = struct.pack("<d", 1.0)
+        assert data.endswith(one)  # the priorities column ends the payload
+        path.write_bytes(data[:-8] + struct.pack("<d", float("nan")))
+        assert main(["replay-inspect", str(path)]) == 2
+        assert "priorities must be positive and finite" in capsys.readouterr().err
 
     def test_truncated_snapshot_exit_code(self, tmp_path, capsys):
         buf = PriorityBuffer(8, 1, 1, discrete=True)
@@ -186,7 +213,7 @@ class TestCorruptShapes:
     @pytest.mark.parametrize("field, dims", [
         (f, d) for f, shapes in CORRUPT_CHECKPOINT_SHAPES.items() for d in shapes])
     def test_checkpoint(self, tmp_path, field, dims):
-        config = SacConfig.test_profile(hidden_dims=(4,))
+        config = SacConfig(hidden_dims=(4,))
         path = tmp_path / "checkpoint.bin"
         SacAgent(3, 1, config, seed=0).save(path)
         declare_shape(path, field, dims)

@@ -226,20 +226,19 @@ class TestEchoRoundTrip:
 
 
 class TestMetricsStream:
-    def test_append_only_and_torn_tail_dropped(self, tmp_path):
+    def test_fresh_file_nan_as_null_and_torn_tail_dropped(self, tmp_path):
         path = tmp_path / "m.jsonl"
+        path.write_text('{"step": 9}\n{"step": 10, "x":')  # an earlier stream
         w = MetricsWriter(path)
         w.write({"step": 1, "x": 1.5})
         w.write({"step": 2, "x": float("nan")})
         w.close()
+        assert path.read_text() == '{"step":1,"x":1.5}\n{"step":2,"x":null}\n'
         with open(path, "a") as fh:
             fh.write('{"step": 3, "x":')  # torn record, no newline
-        assert [r["step"] for r in read_metrics(path)] == [1, 2]
-        assert read_metrics(path)[1]["x"] is None  # nan persisted as null
-        w2 = MetricsWriter(path)
-        w2.write({"step": 3, "x": 0.0})
-        w2.close()
-        assert [r["step"] for r in read_metrics(path)] == [1, 2, 3]
+        records = read_metrics(path)
+        assert [r["step"] for r in records] == [1, 2]
+        assert records[1]["x"] is None  # nan persisted as null
 
 
 class TestMakeEnv:
@@ -304,7 +303,8 @@ class TestRunTrain:
         snapshots = sorted(p.name for p in seed_dir.glob("*_*.bin"))
         assert snapshots == ["buffer_00000100.bin", "buffer_00000200.bin",
                              "checkpoint_00000100.bin", "checkpoint_00000200.bin"]
-        assert {e["step"] for e in estimate_bias(seed_dir, cfg)} == {100, 200}
+        # the final checkpoint duplicates the one at step 200: probed once
+        assert [e["step"] for e in estimate_bias(seed_dir, cfg)] == [100, 200]
         # the rerun's directory holds exactly the files a fresh run writes
         fresh = run_train(cmod.from_dict(base_raw(
             tmp_path, checkpoint_period=100, total_steps=200,
@@ -431,8 +431,16 @@ class TestBias:
         ))
         out = run_train(cfg)
         series = estimate_bias(out / "seed_0", cfg)
-        # checkpoints at 100, 200, 300 plus the final one
-        assert [r["step"] for r in series] == [100, 200, 300, 300]
+        # checkpoints at 100, 200 and 300; the final one holds step 300 too
+        assert [r["step"] for r in series] == [100, 200, 300]
+
+    def test_final_checkpoint_probed_after_the_last_scheduled_one(self, tmp_path):
+        cfg = cmod.from_dict(base_raw(
+            tmp_path, total_steps=250, checkpoint_period=100,
+            bias_eval_pairs=8, bias_eval_horizon=30,
+        ))
+        series = estimate_bias(run_train(cfg) / "seed_0", cfg)
+        assert [r["step"] for r in series] == [100, 200, 250]
 
     def test_tabular_optimal_q_has_small_bias(self):
         from roer.envs import chain_mdp

@@ -40,7 +40,7 @@ class TestSumTree:
         t = SumTree(4)
         t.set_many(np.array([0, 1, 2]), np.array([1.0, 2.0, 3.0]))
         assert t.total() == 6.0
-        assert t.get(1) == 2.0
+        assert t.leaves(3)[1] == 2.0
 
     def test_find_prefix_deterministic(self):
         t = SumTree(4)
@@ -128,10 +128,10 @@ class TestPush:
             buf.push(make_transition(s=i))
         buf.update_priorities([0, 1, 2], [9.0, 9.0, 9.0])
         buf.push(make_transition(s=3))
-        assert buf.tree.get(3) == 1.0
+        assert buf.priorities[3] == 1.0
         for i in range(2):  # wrap and evict
             buf.push(make_transition(s=10 + i))
-        assert buf.tree.get(0) == 1.0
+        assert buf.priorities[0] == 1.0
 
 
 class TestSampling:
@@ -410,6 +410,18 @@ class TestSnapshot:
         arrays = snapshot_arrays(buf)
         break_payload(arrays, defect)
         with pytest.raises(FormatError):
+            PriorityBuffer.load(envelope(arrays))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_priority_rejected(self, bad):
+        # once loaded, a priority meets no later check: sampling and the loss
+        # weights trust the tree
+        buf = tabular_buffer()
+        for i in range(3):
+            buf.push(make_transition(s=i))
+        arrays = snapshot_arrays(buf)
+        arrays["priorities"][1] = bad
+        with pytest.raises(FormatError, match="priorities"):
             PriorityBuffer.load(envelope(arrays))
 
     def test_offline_fill_unit_priorities(self):

@@ -7,7 +7,8 @@ The first argument is the `src` directory of the other tree (the "parent").
 Both trees' `roer` packages are loaded side by side in this one process,
 under the names `roer_parent` and `roer_change`, so that host drift hits
 both sides alike. Each side builds the same SacAgent (pendulum's obs 3,
-action 1, the profile's networks and batch size) and the same batches from
+action 1, and the SacConfig fields that this tree's
+`config.SAC_PROFILES[profile]` sets) and the same batches from
 one fixed set of random transitions (seed 0). The script then alternates
 blocks of updates (20 per side at the test profile, 2 at full) between the
 two agents, parent first in odd blocks and change first in even ones;
@@ -56,7 +57,7 @@ def load_package(name: str, src: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("agents", "cli", "replay", "schemes"):
+    for sub in ("agents", "cli", "config", "replay", "schemes"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -64,11 +65,9 @@ def load_package(name: str, src: Path):
 class Side:
     """One tree's agent, batches and recorded update times."""
 
-    def __init__(self, pkg, profile: str, pool: dict):
+    def __init__(self, pkg, fields: dict, pool: dict):
         agents, replay = pkg.agents, pkg.replay
-        make = (agents.SacConfig.full_profile if profile == "full"
-                else agents.SacConfig.test_profile)
-        self.config = make()
+        self.config = agents.SacConfig(**fields)
         self.agent = agents.SacAgent(OBS_DIM, ACTION_DIM, self.config, SEED)
         self.roer = pkg.schemes.RoerConfig()
         n = self.config.batch_size
@@ -130,8 +129,10 @@ def main(argv=None) -> int:
     change_pkg = load_package("roer_change", HERE.parent / "src")
     change_pkg.cli._keep_freed_memory()
     pool = transitions()
-    parent = Side(parent_pkg, args.profile, pool)
-    change = Side(change_pkg, args.profile, pool)
+    # the parent tree may predate SAC_PROFILES: both sides take this tree's fields
+    fields = change_pkg.config.SAC_PROFILES[args.profile]
+    parent = Side(parent_pkg, fields, pool)
+    change = Side(change_pkg, fields, pool)
 
     ratios = []
     for block in range(args.blocks):
