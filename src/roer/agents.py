@@ -137,8 +137,10 @@ class SacAgent:
         return a, log_prob, dict(mu=mu, log_std=log_std, std=std, eps=eps,
                                  u=u, squashed_raw=squashed, cache=cache)
 
-    def act(self, obs, deterministic: bool = False,
-            rng: np.random.Generator | None = None) -> np.ndarray:
+    def act(self, obs, rng: np.random.Generator | None = None,
+            deterministic: bool = False) -> np.ndarray:
+        """The tanh-Gaussian action, or its mean when deterministic, which
+        draws nothing from rng."""
         obs = np.asarray(obs, dtype=np.float64)
         single = obs.ndim == 1
         if single:
@@ -312,18 +314,18 @@ class SacAgent:
         nn.polyak(self._targets, self._critics, cfg.polyak_tau)
         return metrics
 
-    def td_surrogates(self, states, actions, rewards, next_states, terminals,
+    def td_surrogates(self, batch: SampledBatch,
                       rng: np.random.Generator) -> np.ndarray:
-        """|critic TD error| of arbitrary transitions (large-batch surrogate
-        priorities)."""
-        not_done = 1.0 - np.asarray(terminals, dtype=np.float64)
-        next_act, next_logp, _ = self._sample(next_states, rng)
+        """|critic TD error| of a batch's transitions (LaBER's large-batch
+        surrogate priorities)."""
+        not_done = 1.0 - batch.terminals.astype(np.float64)
+        next_act, next_logp, _ = self._sample(batch.next_states, rng)
         q_next = self._min_q(self.target1, self.target2,
-                             np.concatenate([next_states, next_act], axis=1))
-        target = rewards + self.config.gamma * not_done * (
+                             np.concatenate([batch.next_states, next_act], axis=1))
+        target = batch.rewards + self.config.gamma * not_done * (
             q_next - self.alpha * next_logp
         )
-        x = np.concatenate([states, actions], axis=1)
+        x = np.concatenate([batch.states, batch.actions], axis=1)
         q1, _ = self._scalar(self.critic1, x)
         q2, _ = self._scalar(self.critic2, x)
         return np.abs(target - 0.5 * (q1 + q2))
@@ -385,7 +387,14 @@ class SacAgent:
         dtype differs from what config's agent holds, raises FormatError."""
         arrays = nn.load_checkpoint(path_or_stream)
         meta = binio.checked(arrays, "meta", (3,), np.int64)
-        agent = cls(int(meta[0]), int(meta[1]), config, seed=0)
+        obs_dim, action_dim = int(meta[0]), int(meta[1])
+        if min(obs_dim, action_dim) < 1:
+            raise binio.FormatError(f"checkpoint meta {meta.tolist()} has a dim below 1")
+        # the file's own first layers must hold those dims before any net is built
+        width = config.hidden_dims[0]
+        binio.checked(arrays, "critic1.w0", (width, obs_dim + action_dim), np.float64)
+        binio.checked(arrays, "value.w0", (width, obs_dim), np.float64)
+        agent = cls(obs_dim, action_dim, config, seed=0)
         for key, arr in agent._checkpoint_entries():
             arr[...] = binio.checked(arrays, key, arr.shape, arr.dtype)
         for name, opt in zip(cls._OPTIMIZED, agent._optimizers()):
@@ -469,6 +478,11 @@ class TabularAgent:
             critic_td_errors=delta,
         )
 
+    def td_surrogates(self, batch: SampledBatch, rng=None) -> np.ndarray:
+        """|TD error| of a batch's transitions; draws nothing from rng."""
+        return np.abs(self.td_errors(batch.states, batch.actions, batch.rewards,
+                                     batch.next_states, batch.terminals))
+
     def td_errors(self, states, actions, rewards, next_states, terminals) -> np.ndarray:
         """TD errors of arbitrary transitions under the current table."""
         s = np.asarray(states, dtype=np.int64)
@@ -487,7 +501,11 @@ class TabularAgent:
     def load(cls, path_or_stream, config: TabularConfig) -> "TabularAgent":
         arrays = nn.load_checkpoint(path_or_stream)
         meta = binio.checked(arrays, "meta", (2,), np.int64)
-        agent = cls(int(meta[0]), int(meta[1]), config)
-        agent.q_table[...] = binio.checked(arrays, "q_table", agent.q_table.shape,
-                                           np.float64)
+        n_states, n_actions = int(meta[0]), int(meta[1])
+        if min(n_states, n_actions) < 1:
+            raise binio.FormatError(f"checkpoint meta {meta.tolist()} has a dim below 1")
+        # checked against the file's own table before the agent allocates one
+        q_table = binio.checked(arrays, "q_table", (n_states, n_actions), np.float64)
+        agent = cls(n_states, n_actions, config)
+        agent.q_table[...] = q_table
         return agent

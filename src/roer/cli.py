@@ -11,6 +11,7 @@ import argparse
 import ctypes
 import json
 import sys
+from dataclasses import replace
 
 from . import config as config_mod
 from . import harness
@@ -24,14 +25,10 @@ EXIT_CONFIG_ERROR = 2
 
 
 def _load_config(args) -> config_mod.ExperimentConfig:
+    """The config file; --output-dir and --workers replace its values when given."""
     cfg = config_mod.load(args.config)
-    if getattr(args, "output_dir", None):
-        from dataclasses import replace
-        cfg = replace(cfg, output_dir=args.output_dir)
-    if getattr(args, "workers", None):
-        from dataclasses import replace
-        cfg = replace(cfg, workers=args.workers)
-    return cfg
+    flags = {k: getattr(args, k, None) for k in ("output_dir", "workers")}
+    return replace(cfg, **{k: v for k, v in flags.items() if v})
 
 
 def cmd_train(args) -> int:

@@ -9,7 +9,8 @@ these five generators, so a (config, seed) pair fixes a run exactly.
 
 Schema (all keys optional unless noted):
 
-    env: pendulum | chain-<n> | grid-<r>x<c> | random-<s>x<a>-<seed>   [required]
+    env: pendulum | chain-<n> | grid-<r>x<c> | random-<s>x<a>[-<seed>] [required]
+                                # sizes >= 1; the seed defaults to 0
     scheme: uniform | per | laber | roer | roer_chi2                   [required]
                                 # roer: KL ratio, roer_chi2: Pearson chi^2
                                 # ratio, both through schemes.roer_update
@@ -18,16 +19,16 @@ Schema (all keys optional unless noted):
     train_start_step: int       # tau, default 0
     eval_period: int            # default 1000
     eval_episodes: int          # default 5
-    output_dir: str             # default runs/<env>-<scheme>
+    output_dir: str             # default runs/<env>-<scheme>; roer train
+                                # --output-dir overrides it
     sampling_mode: proportional | weighted
     buffer_capacity: int
     env_horizon: int            # episode cap, default 1000 (200 pendulum)
     offline_dataset: path to .npz or null
     checkpoint_period: int      # 0 = final checkpoint only
-    bias_eval_period: int       # 0 = off
-    bias_eval_pairs: int
-    bias_eval_horizon: int
-    workers: int                # parallel seed workers
+    bias_eval_pairs: int        # roer bias: pairs probed per checkpoint
+    bias_eval_horizon: int      # roer bias: Monte-Carlo rollout length
+    workers: int                # parallel seed workers; --workers overrides it
     agent:                      # SAC fields (continuous envs)
       profile: test | full      # SAC_PROFILES: test = SacConfig's defaults,
                                 # (64, 64) nets, batch 64, lr 3e-4; full =
@@ -41,6 +42,7 @@ Schema (all keys optional unless noted):
       lam, beta, grad_clip, max_exp_clip, min_priority_clip   (roer, roer_chi2)
       alpha, min_priority                                     (per)
       large_batch                                             (laber)
+                                # laber: at least the agent's batch_size
                                 # roer/roer_chi2: beta and grad_clip also set
                                 # the value network's loss
     sweep:
@@ -53,18 +55,16 @@ this schema is a ConfigError. The config.yaml that a run writes (echo) is
 this same schema with every value spelled out, so it can be passed back
 to `roer train` and `roer bias`. Each sweep cell is the echoed file with
 the cell's grid values set, loaded again through from_dict. Files in the
-older resolved form (top-level sac / roer / per / laber / sweep_grid)
-fail with "unknown config keys", which the CLI maps to exit code 2.
-
-Environment variables: ROER_OUTPUT_DIR overrides output_dir, ROER_WORKERS
-overrides workers.
+older resolved form (top-level sac / roer / per / laber / sweep_grid),
+and files that still hold the removed bias_eval_period key, fail with
+"unknown config keys", which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
-import os
+import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
@@ -91,7 +91,6 @@ class ExperimentConfig:
     env_horizon: int | None = None
     offline_dataset: str | None = None
     checkpoint_period: int = 0
-    bias_eval_period: int = 0
     bias_eval_pairs: int = 64
     bias_eval_horizon: int = 1000
     workers: int = 1
@@ -123,6 +122,28 @@ class ExperimentConfig:
             raise ConfigError("eval_episodes must be >= 1")
         if self.sampling_mode not in ("proportional", "weighted"):
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
+        family, _ = parse_env_id(self.env)
+        batch = (self.sac if family == "pendulum" else self.tabular).batch_size
+        if self.scheme == "laber" and self.scheme_config.large_batch < batch:
+            raise ConfigError(f"large_batch {self.scheme_config.large_batch} "
+                              f"smaller than minibatch {batch}")
+
+
+# env id family -> the pattern of the whole id: sizes are >= 1, written
+# without leading zeros, and random's seed defaults to 0
+_SIZE = r"([1-9][0-9]*)"
+_ENV_IDS = {"pendulum": r"pendulum", "chain": f"chain-{_SIZE}",
+            "grid": f"grid-{_SIZE}x{_SIZE}",
+            "random": f"random-{_SIZE}x{_SIZE}(?:-([0-9]+))?"}
+
+
+def parse_env_id(env_id) -> tuple[str, tuple[int, ...]]:
+    """(family, integer arguments) of an env id of the schema above."""
+    for family, pattern in _ENV_IDS.items():
+        match = re.fullmatch(pattern, str(env_id))
+        if match:
+            return family, tuple(int(v) for v in match.groups(default="0"))
+    raise ConfigError(f"unknown environment id {env_id!r}")
 
 
 def seed_streams(experiment_seed: int) -> dict[str, np.random.Generator]:
@@ -136,8 +157,8 @@ def seed_streams(experiment_seed: int) -> dict[str, np.random.Generator]:
 _TOP_LEVEL = ("env", "scheme", "total_steps", "train_start_step",
               "eval_period", "eval_episodes", "output_dir", "sampling_mode",
               "buffer_capacity", "env_horizon", "offline_dataset",
-              "checkpoint_period", "bias_eval_period", "bias_eval_pairs",
-              "bias_eval_horizon", "workers")
+              "checkpoint_period", "bias_eval_pairs", "bias_eval_horizon",
+              "workers")
 
 
 # agent.profile -> the SacConfig fields it sets; the agent section's own
@@ -192,14 +213,8 @@ def from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
     _check_grid(cfg)
-    out_dir = os.environ.get("ROER_OUTPUT_DIR")
-    if out_dir:
-        cfg = replace(cfg, output_dir=out_dir)
-    elif not cfg.output_dir:
+    if not cfg.output_dir:
         cfg = replace(cfg, output_dir=f"runs/{cfg.env}-{cfg.scheme}")
-    workers = os.environ.get("ROER_WORKERS")
-    if workers:
-        cfg = replace(cfg, workers=int(workers))
     return cfg
 
 

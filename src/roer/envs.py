@@ -197,14 +197,13 @@ class TabularEnv:
         return returns
 
 
-@dataclass
-class PendulumParams:
-    gravity: float = 10.0
-    mass: float = 1.0
-    length: float = 1.0
-    dt: float = 0.05
-    max_torque: float = 2.0
-    max_speed: float = 8.0
+# pendulum physics
+GRAVITY = 10.0
+MASS = 1.0
+LENGTH = 1.0
+DT = 0.05
+MAX_TORQUE = 2.0
+MAX_SPEED = 8.0
 
 
 class PendulumEnv:
@@ -220,11 +219,9 @@ class PendulumEnv:
     obs_dim = 3
     action_dim = 1
 
-    def __init__(self, horizon: int = 200, rng: np.random.Generator | None = None,
-                 params: PendulumParams | None = None):
+    def __init__(self, horizon: int = 200, rng: np.random.Generator | None = None):
         self.horizon = horizon
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.p = params if params is not None else PendulumParams()
         self._theta = 0.0
         self._thdot = 0.0
         self._t = 0
@@ -255,19 +252,18 @@ class PendulumEnv:
         return ((x + np.pi) % (2.0 * np.pi)) - np.pi
 
     def _dynamics(self, theta, thdot, torque):
-        p = self.p
         cost = self._angle_norm(theta) ** 2 + 0.1 * thdot**2 + 0.001 * torque**2
-        accel = (3.0 * p.gravity / (2.0 * p.length)) * np.sin(theta) \
-            + 3.0 * torque / (p.mass * p.length**2)
-        new_thdot = np.clip(thdot + accel * p.dt, -p.max_speed, p.max_speed)
-        new_theta = theta + new_thdot * p.dt
+        accel = (3.0 * GRAVITY / (2.0 * LENGTH)) * np.sin(theta) \
+            + 3.0 * torque / (MASS * LENGTH**2)
+        new_thdot = np.clip(thdot + accel * DT, -MAX_SPEED, MAX_SPEED)
+        new_theta = theta + new_thdot * DT
         return new_theta, new_thdot, -cost
 
     def step(self, action):
         if self._done:
             raise ProtocolError("step() after episode end; call reset()")
         u = float(np.clip(np.asarray(action).reshape(-1)[0], -1.0, 1.0))
-        torque = u * self.p.max_torque
+        torque = u * MAX_TORQUE
         self._theta, self._thdot, reward = self._dynamics(
             self._theta, self._thdot, torque
         )
@@ -286,7 +282,7 @@ class PendulumEnv:
         returns = np.zeros(len(obs))
         discount = 1.0
         for t in range(horizon):
-            torque = np.clip(act, -1.0, 1.0) * self.p.max_torque
+            torque = np.clip(act, -1.0, 1.0) * MAX_TORQUE
             theta, thdot, reward = self._dynamics(theta, thdot, torque)
             returns += discount * reward
             discount *= gamma
@@ -296,7 +292,6 @@ class PendulumEnv:
 
     def energy(self) -> float:
         """Mechanical energy; tests/test_envs.py bounds it under zero torque."""
-        p = self.p
-        kinetic = 0.5 * p.mass * (p.length * self._thdot) ** 2
-        potential = p.mass * p.gravity * p.length * np.cos(self._theta)
+        kinetic = 0.5 * MASS * (LENGTH * self._thdot) ** 2
+        potential = MASS * GRAVITY * LENGTH * np.cos(self._theta)
         return float(kinetic + potential)

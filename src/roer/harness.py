@@ -25,33 +25,27 @@ import numpy as np
 
 from . import divergences, oracles, schemes
 from .agents import SacAgent, StepMetrics, TabularAgent
-from .config import ExperimentConfig, echo, from_dict, seed_streams, sweep_cells
+from .config import (ExperimentConfig, echo, from_dict, parse_env_id, seed_streams,
+                     sweep_cells)
 from .envs import PendulumEnv, TabularEnv, chain_mdp, gridworld_mdp, random_mdp
 from .oracles import kl_divergence_to_implied, mc_true_value, occupancy, value_iteration
-from .replay import PriorityBuffer, SampledBatch
+from .replay import PriorityBuffer, SampledBatch, Transition
 from .schemes import ConfigError
 
 
 # ----------------------------------------------------------------------
 # environment registry
 
+# env id family -> the MDP builder of its integer arguments
+_MDPS = {"chain": chain_mdp, "grid": gridworld_mdp,
+         "random": lambda s, a, seed: random_mdp(s, a, seed=seed)}
+
+
 def make_env(env_id: str, horizon: int | None, rng: np.random.Generator):
-    if env_id == "pendulum":
+    family, args = parse_env_id(env_id)
+    if family == "pendulum":
         return PendulumEnv(horizon=horizon or 200, rng=rng)
-    if env_id.startswith("chain-"):
-        n = int(env_id.split("-")[1])
-        return TabularEnv(chain_mdp(n), horizon=horizon or 1000, rng=rng)
-    if env_id.startswith("grid-"):
-        rows, cols = (int(v) for v in env_id.split("-")[1].split("x"))
-        return TabularEnv(gridworld_mdp(rows, cols), horizon=horizon or 1000,
-                          rng=rng)
-    if env_id.startswith("random-"):
-        parts = env_id.split("-")
-        s, a = (int(v) for v in parts[1].split("x"))
-        seed = int(parts[2]) if len(parts) > 2 else 0
-        return TabularEnv(random_mdp(s, a, seed=seed), horizon=horizon or 1000,
-                          rng=rng)
-    raise ConfigError(f"unknown environment id {env_id!r}")
+    return TabularEnv(_MDPS[family](*args), horizon=horizon or 1000, rng=rng)
 
 
 # ----------------------------------------------------------------------
@@ -134,11 +128,10 @@ class _SeedRun:
         self.streams = seed_streams(seed)
         self.env = make_env(cfg.env, cfg.env_horizon, self.streams["env"])
         self.eval_env = make_env(cfg.env, cfg.env_horizon, self.streams["eval"])
-        self.discrete = getattr(self.env, "discrete", False)
+        self.discrete = self.env.discrete
         if self.discrete:
             self.agent = TabularAgent(self.env.n_states, self.env.n_actions,
                                       cfg.tabular)
-            self.batch_size = cfg.tabular.batch_size
             self.buffer = PriorityBuffer(cfg.buffer_capacity, 1, 1, discrete=True)
             # the oracle solves the problem the agent learns: the env's
             # dynamics under the agent's discount
@@ -148,10 +141,8 @@ class _SeedRun:
         else:
             self.agent = SacAgent(self.env.obs_dim, self.env.action_dim,
                                   cfg.sac, self.streams["init"])
-            self.batch_size = cfg.sac.batch_size
             self.buffer = PriorityBuffer(cfg.buffer_capacity, self.env.obs_dim,
                                          self.env.action_dim)
-            self.d_star = None
         # the scheme's value-loss knobs and divergence; None trains no value net
         self.div = schemes.ROER_DIVERGENCES.get(cfg.scheme)
         self.value_loss_cfg = cfg.scheme_config if self.div is not None else None
@@ -160,31 +151,22 @@ class _SeedRun:
 
     # -- scheme dispatch -------------------------------------------------
 
-    def _sample_batch(self):
+    def _sample_batch(self) -> tuple[SampledBatch, np.ndarray]:
+        """A minibatch and the loss weights the agent trains it with."""
         cfg = self.cfg
         brng = self.streams["buffer"]
+        n = self.agent.config.batch_size
         if cfg.scheme == "laber":
-            cfg.scheme_config.check_minibatch(self.batch_size)
-            big_n = min(cfg.scheme_config.large_batch, len(self.buffer))
-            big = self.buffer.sample_uniform(big_n, brng)
-            surrogates = self._surrogates(big)
-            idx, weights = schemes.laber_select(surrogates, self.batch_size, brng)
-            return self.buffer.gather(big.indices[idx], weights)
+            big = self.buffer.sample_uniform(
+                min(cfg.scheme_config.large_batch, len(self.buffer)), brng)
+            surrogates = self.agent.td_surrogates(big, self.streams["agent"])
+            idx, weights = schemes.laber_select(surrogates, n, brng)
+            return self.buffer.gather(big.indices[idx]), weights
         if cfg.sampling_mode == "weighted" and cfg.scheme != "uniform":
-            return self.buffer.sample_uniform(self.batch_size, brng,
-                                              priorities_as_weights=True)
-        return self.buffer.sample_proportional(self.batch_size, brng)
-
-    def _surrogates(self, batch: SampledBatch) -> np.ndarray:
-        if self.discrete:
-            return np.abs(self.agent.td_errors(
-                batch.states, batch.actions, batch.rewards, batch.next_states,
-                batch.terminals,
-            ))
-        return self.agent.td_surrogates(
-            batch.states, batch.actions, batch.rewards, batch.next_states,
-            batch.terminals, self.streams["agent"],
-        )
+            # a uniform draw that weights each loss term by its priority
+            batch = self.buffer.sample_uniform(n, brng)
+            return batch, batch.priorities
+        return self.buffer.sample_proportional(n, brng), np.ones(n)
 
     def _refresh_priorities(self, batch: SampledBatch, metrics: StepMetrics) -> None:
         cfg = self.cfg
@@ -201,11 +183,10 @@ class _SeedRun:
 
     def _act(self, obs, step: int):
         arng = self.streams["agent"]
-        if self.discrete:
-            return self.agent.act(obs, arng)
-        if step <= self.cfg.train_start_step:
+        if not self.discrete and step <= self.cfg.train_start_step:
+            # SAC warms up on uniform actions
             return arng.uniform(-1.0, 1.0, size=self.env.action_dim)
-        return self.agent.act(obs, rng=arng)
+        return self.agent.act(obs, arng)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -217,10 +198,7 @@ class _SeedRun:
             obs = env.reset()
             done = False
             while not done:
-                if self.discrete:
-                    action = self.agent.act(obs, rng, deterministic=True)
-                else:
-                    action = self.agent.act(obs, deterministic=True)
+                action = self.agent.act(obs, rng, deterministic=True)
                 obs, reward, terminal, truncated = env.step(action)
                 total += reward
                 done = terminal or truncated
@@ -231,14 +209,12 @@ class _SeedRun:
     def _accumulate(self, metrics: StepMetrics) -> None:
         for key in ("critic_loss", "value_loss", "actor_loss", "alpha_loss"):
             v = getattr(metrics, key)
-            if v is not None and np.isfinite(v):
+            if np.isfinite(v):
                 self._loss_sums[key] = self._loss_sums.get(key, 0.0) + v
                 self._loss_counts[key] = self._loss_counts.get(key, 0) + 1
 
     def _drain_losses(self) -> dict:
-        out = {}
-        for key, total in self._loss_sums.items():
-            out[key] = total / self._loss_counts[key]
+        out = {k: total / self._loss_counts[k] for k, total in self._loss_sums.items()}
         self._loss_sums.clear()
         self._loss_counts.clear()
         return out
@@ -246,8 +222,6 @@ class _SeedRun:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> dict:
-        from .replay import Transition
-
         cfg = self.cfg
         t_start = time.monotonic()
         if cfg.offline_dataset:
@@ -263,7 +237,7 @@ class _SeedRun:
                 path.unlink()
         writer = MetricsWriter(self.out_dir / "metrics.jsonl")
         obs = self.env.reset()
-        kl_at_tau = None
+        kl_at_tau = final_kl = None
         final_eval = None
         clip_hits = 0
         for step in range(1, cfg.total_steps + 1):
@@ -275,9 +249,9 @@ class _SeedRun:
             ))
             obs = self.env.reset() if (terminal or truncated) else next_obs
 
-            if step >= cfg.train_start_step and len(self.buffer) >= self.batch_size:
-                batch = self._sample_batch()
-                weights = batch.sampling_weights
+            if (step >= cfg.train_start_step
+                    and len(self.buffer) >= self.agent.config.batch_size):
+                batch, weights = self._sample_batch()
                 if self.discrete:
                     metrics = self.agent.update(batch, weights)
                 else:
@@ -295,16 +269,12 @@ class _SeedRun:
                 record = {"step": step, "eval_return": self._evaluate()}
                 record.update(self._drain_losses())
                 if self.discrete:
-                    kl = kl_divergence_to_implied(
+                    final_kl = kl_divergence_to_implied(
                         self.d_star, self.buffer.implied_distribution()
                     )
-                    record["kl_to_optimal"] = kl
+                    record["kl_to_optimal"] = final_kl
                     if at_tau:
-                        kl_at_tau = kl
-                if cfg.bias_eval_period and step % cfg.bias_eval_period == 0:
-                    record["bias"] = probe_bias(
-                        self.agent, self.eval_env, self.buffer, cfg,
-                        self.streams["eval"], self.discrete)["bias"]
+                        kl_at_tau = final_kl
                 record["clip_hits"] = clip_hits
                 if not self.discrete:
                     record["aborted_updates"] = self.agent.aborted_updates
@@ -326,9 +296,8 @@ class _SeedRun:
         }
         if self.discrete:
             summary["kl_at_tau"] = kl_at_tau
-            summary["final_kl"] = kl_divergence_to_implied(
-                self.d_star, self.buffer.implied_distribution()
-            )
+            # the step-total_steps record's; the buffer has not changed since
+            summary["final_kl"] = final_kl
             gap = np.max(np.abs(self.agent.q_table - self.q_star))
             summary["q_error_sup"] = float(gap)
             summary["q_star_sup"] = float(np.max(np.abs(self.q_star)))
@@ -385,10 +354,9 @@ def run_train(cfg: ExperimentConfig) -> Path:
 # ----------------------------------------------------------------------
 # value-bias estimation
 
-def compute_bias(agent, env, states, actions, rng, horizon: int,
-                 discrete: bool) -> dict:
+def compute_bias(agent, env, states, actions, rng, horizon: int) -> dict:
     """mean(true MC return - critic estimate) over the given pairs."""
-    if discrete:
+    if env.discrete:
         greedy = agent.q_table.argmax(axis=1)
         policy = lambda s: greedy[np.asarray(s, dtype=np.int64)]
         estimates = agent.q_table[
@@ -409,15 +377,6 @@ def compute_bias(agent, env, states, actions, rng, horizon: int,
     }
 
 
-def probe_bias(agent, env, buffer: PriorityBuffer, cfg: ExperimentConfig,
-               rng, discrete: bool) -> dict:
-    """compute_bias over min(bias_eval_pairs, len(buffer)) slots drawn
-    uniformly from the buffer with rng, which then drives the rollouts."""
-    probe = buffer.sample_uniform(min(cfg.bias_eval_pairs, len(buffer)), rng)
-    return compute_bias(agent, env, probe.states, probe.actions, rng,
-                        horizon=cfg.bias_eval_horizon, discrete=discrete)
-
-
 def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     """Bias series over every (checkpoint, buffer) snapshot pair in a run
     directory, scheduled checkpoints first, then the final checkpoint
@@ -425,7 +384,6 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     seed_dir = Path(seed_dir)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     env = make_env(cfg.env, cfg.env_horizon, np.random.default_rng(seed))
-    discrete = getattr(env, "discrete", False)
     pairs = sorted(
         (int(p.stem.split("_")[1]), p) for p in seed_dir.glob("checkpoint_*.bin")
     )
@@ -438,11 +396,15 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
         if not ckpt_path.exists() or not buffer_path.exists():
             continue
         buffer = PriorityBuffer.load(buffer_path)
-        if discrete:
+        if env.discrete:
             agent = TabularAgent.load(ckpt_path, cfg.tabular)
         else:
             agent = SacAgent.load(ckpt_path, cfg.sac)
-        record = probe_bias(agent, env, buffer, cfg, rng, discrete)
+        # min(bias_eval_pairs, len(buffer)) slots drawn uniformly with rng,
+        # which then drives the rollouts
+        probe = buffer.sample_uniform(min(cfg.bias_eval_pairs, len(buffer)), rng)
+        record = compute_bias(agent, env, probe.states, probe.actions, rng,
+                              horizon=cfg.bias_eval_horizon)
         record["step"] = step
         series.append(record)
     return series
@@ -526,7 +488,6 @@ def run_oracle_suite(corrupt_kind: str | None = None,
     })
 
     buf = PriorityBuffer(4, 1, 1, discrete=True)
-    from .replay import Transition
     for i in range(3):
         buf.push(Transition(i, 0, 0.0, i, False))
     buf.update_priorities([0, 1, 2], [1.0, 2.0, 3.0])
@@ -571,9 +532,8 @@ def run_sweep(cfg: ExperimentConfig) -> Path:
     for name, raw in sweep_cells(cfg):
         entry = {"cell": name}
         try:
-            # set after from_dict, which applies ROER_OUTPUT_DIR to every config
-            cell_cfg = replace(from_dict(raw),
-                               output_dir=str(out_dir / name.replace("/", "_")))
+            cell_cfg = from_dict({**raw,
+                                  "output_dir": str(out_dir / name.replace("/", "_"))})
             run_train(cell_cfg)
             summary = json.loads((Path(cell_cfg.output_dir) / "summary.json")
                                  .read_text())

@@ -133,12 +133,8 @@ class SumTree:
 
 @dataclass
 class SampledBatch:
-    """A minibatch drawn from the buffer, stored columnar for speed.
-
-    sampling_weights are all 1 under proportional sampling; under the
-    uniform-sampling/weighted-objective mode they carry the priorities as
-    explicit loss weights.
-    """
+    """A minibatch drawn from the buffer, stored columnar for speed; the
+    priorities are those of its slots when it was drawn."""
 
     indices: np.ndarray
     states: np.ndarray
@@ -148,7 +144,6 @@ class SampledBatch:
     terminals: np.ndarray
     insert_steps: np.ndarray
     priorities: np.ndarray
-    sampling_weights: np.ndarray
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -207,6 +202,10 @@ class PriorityBuffer:
 
     def _coerce(self, value, dim: int, what: str) -> np.ndarray | int:
         if self.discrete:
+            # the index rule of fill_offline too: an integer >= 0, not a bool
+            # (type(True) is bool, not int)
+            if type(value) is not int and not isinstance(value, np.integer) or value < 0:
+                raise InvalidTransitionError(f"{what} {value!r} is not an index >= 0")
             return int(value)
         arr = np.asarray(value, dtype=np.float64).reshape(-1)
         if arr.shape != (dim,):
@@ -236,8 +235,8 @@ class PriorityBuffer:
         self.size = min(self.size + 1, self.capacity)
         return i
 
-    def gather(self, idx: np.ndarray, weights: np.ndarray) -> SampledBatch:
-        """The transitions in slots idx, carrying the given loss weights."""
+    def gather(self, idx: np.ndarray) -> SampledBatch:
+        """The transitions in slots idx."""
         return SampledBatch(
             indices=idx,
             states=self._states[idx],
@@ -247,7 +246,6 @@ class PriorityBuffer:
             terminals=self._terminals[idx],
             insert_steps=self._insert_steps[idx],
             priorities=self.tree.leaves(self.capacity)[idx],
-            sampling_weights=weights,
         )
 
     def sample_proportional(self, n: int, rng: np.random.Generator) -> SampledBatch:
@@ -260,20 +258,13 @@ class PriorityBuffer:
         # guard: prefix rounding at the extreme right edge (find_prefix
         # never returns a negative slot)
         np.minimum(idx, self.size - 1, out=idx)
-        return self.gather(idx, np.ones(n, dtype=np.float64))
+        return self.gather(idx)
 
-    def sample_uniform(self, n: int, rng: np.random.Generator,
-                       priorities_as_weights: bool = False) -> SampledBatch:
-        """Uniform draw; optionally carry priorities as explicit loss
-        weights (the weighted-objective mode)."""
+    def sample_uniform(self, n: int, rng: np.random.Generator) -> SampledBatch:
+        """Draw n slots uniformly, whatever their priorities."""
         if self.size == 0:
             raise EmptyBufferError("cannot sample from an empty buffer")
-        idx = rng.integers(0, self.size, size=n)
-        if priorities_as_weights:
-            weights = self.tree.leaves(self.capacity)[idx]
-        else:
-            weights = np.ones(n, dtype=np.float64)
-        return self.gather(idx, weights)
+        return self.gather(rng.integers(0, self.size, size=n))
 
     def update_priorities(self, indices, new_priorities) -> None:
         """Replace priorities at the given slots."""
@@ -434,7 +425,8 @@ class PriorityBuffer:
     def _offline_column(name: str, values, n: int, dest: np.ndarray) -> np.ndarray:
         """values as n rows shaped like dest's rows, in dest's dtype.
 
-        Index columns must hold integers; float columns must be finite.
+        Index columns must hold integers >= 0 (push's rule; bools are not
+        integers here); float columns must be finite.
         """
         arr = np.asarray(values)
         if arr.shape[:1] != (n,):
@@ -446,11 +438,14 @@ class PriorityBuffer:
             raise InvalidTransitionError(
                 f"{name} rows have shape {arr.shape[1:]}, expected {row_shape}"
             )
-        if dest.dtype == np.int64 and arr.dtype.kind not in "biu":
+        if dest.dtype == np.int64 and arr.dtype.kind not in "iu":
             raise InvalidTransitionError(
                 f"{name} must hold integer indices, got dtype {arr.dtype}"
             )
         arr = arr.reshape((n,) + row_shape).astype(dest.dtype, copy=False)
+        # after the cast, so a uint64 above the int64 range counts as negative
+        if dest.dtype == np.int64 and n and arr.min() < 0:
+            raise InvalidTransitionError(f"{name} holds an index below 0")
         if dest.dtype == np.float64 and not np.isfinite(arr).all():
             raise InvalidTransitionError(f"{name} contains non-finite values")
         return arr

@@ -15,7 +15,8 @@ proportionally to surrogate priorities with importance corrections.
 
 Inputs are validated where they enter, and nowhere else:
   - knobs (lam, beta, grad_clip, the clips, alpha, large_batch) by the
-    config dataclasses below, when the config loads;
+    config dataclasses below, and large_batch against the agent's batch
+    size by config.ExperimentConfig, when the config loads;
   - TD errors where they leave the agents: the value estimates by
     losses.td_error, the tabular TD errors by TabularAgent.update, and the
     critic's by the finite critic-loss check of the same SAC phase;
@@ -93,12 +94,6 @@ class LaberConfig:
         if self.large_batch < 1:
             raise ConfigError("large_batch must be positive")
 
-    def check_minibatch(self, n: int) -> None:
-        if self.large_batch < n:
-            raise ConfigError(
-                f"large_batch {self.large_batch} smaller than minibatch {n}"
-            )
-
 
 # The divergence whose conjugate derivative sets each ROER scheme's ratio
 # and the loss of its value network.
@@ -149,6 +144,8 @@ def laber_select(surrogate_priorities, n: int, rng: np.random.Generator):
     mean(surrogates) / surrogate).
 
     All-zero surrogates fall back to uniform selection with unit weights.
+    Surrogates whose sum overflows are first divided by their maximum;
+    the probabilities and the weights do not depend on their scale.
     """
     s = np.asarray(surrogate_priorities, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -157,9 +154,11 @@ def laber_select(surrogate_priorities, n: int, rng: np.random.Generator):
         raise InvalidInputError("surrogate_priorities contains non-finite values")
     if np.any(s < 0):
         raise InvalidInputError("surrogates must be nonnegative")
-    if n < 1:
-        raise InvalidInputError("minibatch size must be >= 1")
-    total = s.sum()
+    with np.errstate(over="ignore"):
+        total = s.sum()
+    if total == np.inf:
+        s = s / s.max()
+        total = s.sum()
     if total <= 0.0:
         idx = rng.integers(0, len(s), size=n)
         return idx, np.ones(n, dtype=np.float64)

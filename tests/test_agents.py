@@ -59,6 +59,18 @@ class TestAct:
         acts = agent.act(obs, rng=rng)
         assert np.all(acts > -1.0) and np.all(acts < 1.0)
 
+    def test_same_call_as_the_tabular_agent(self):
+        # act(obs, rng, deterministic): the mean action draws nothing
+        agent = fresh_agent(seed=3)
+        obs = np.random.default_rng(4).normal(size=3)
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        mean = agent.act(obs, rng, deterministic=True)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(mean, np.tanh(agent._policy_stats(obs[None])[0][0]))
+        assert np.array_equal(agent.act(obs, rng),
+                              agent.act(obs, rng=np.random.default_rng(9)))
+
     def test_seeded_sequence_identical(self):
         agent = fresh_agent(seed=3)
         obs = np.random.default_rng(4).normal(size=(5, 3))
@@ -457,6 +469,21 @@ class TestCheckpointMismatch:
         with pytest.raises(FormatError, match="'meta'"):
             TabularAgent.load(self.saved(self.sac_arrays()), TabularConfig())
 
+    @pytest.mark.parametrize("dims", [(0, 1), (3, 0), (-1, 1), (3, -1),
+                                      (2**40, 1), (3, 2**40)])
+    def test_meta_dims_checked_before_the_nets_are_built(self, dims):
+        arrays = self.sac_arrays()
+        arrays["meta"] = np.array([*dims, 0], dtype=np.int64)
+        with pytest.raises(FormatError):
+            SacAgent.load(self.saved(arrays), fresh_agent().config)
+
+    @pytest.mark.parametrize("dims", [(0, 2), (3, 0), (-1, 2), (3, -1),
+                                      (2**40, 2), (3, 2**40)])
+    def test_tabular_meta_dims_checked_before_the_table_is_built(self, dims):
+        arrays = dict(q_table=np.zeros((3, 2)), meta=np.array(dims, dtype=np.int64))
+        with pytest.raises(FormatError):
+            TabularAgent.load(self.saved(arrays), TabularConfig())
+
 
 def rollback_sets(agent):
     """The four online networks and the eight Adam moments."""
@@ -547,6 +574,18 @@ class TestTabularAgent:
         # zero table: soft state value is temp * ln(n_actions)
         expect = 2.0 + 0.9 * cfg.soft_temperature * math.log(2.0)
         assert m.value_td_errors == pytest.approx([expect])
+
+    def test_td_surrogates_are_absolute_td_errors(self):
+        agent = TabularAgent(3, 2, TabularConfig())
+        agent.q_table[:] = np.random.default_rng(0).normal(size=(3, 2))
+        batch = self.batch_of([[0, 1, 1.0, 2, 0], [2, 0, -0.5, 1, 1]])
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        got = agent.td_surrogates(batch, rng)
+        assert rng.bit_generator.state == state  # draws nothing
+        assert np.array_equal(got, np.abs(agent.td_errors(
+            batch.states, batch.actions, batch.rewards, batch.next_states,
+            batch.terminals)))
 
     def test_epsilon_greedy_determinism(self):
         agent = TabularAgent(4, 3, TabularConfig(epsilon=0.5))

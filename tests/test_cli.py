@@ -49,13 +49,28 @@ class TestTrainCommand:
         (dict(eval_episodes=0), "eval_episodes must be >= 1"),
         (dict(tabular=dict(gamma=1.5)), "gamma must be in (0, 1), got 1.5"),
         (dict(tabular=dict(batch_size=0)), "batch_size must be >= 1, got 0"),
+        (dict(env="chain-x"), "unknown environment id 'chain-x'"),
+        (dict(env="cartpole"), "unknown environment id 'cartpole'"),
+        (dict(scheme="laber", scheme_config=dict(large_batch=16),
+              tabular=dict(batch_size=64)), "large_batch 16 smaller than minibatch 64"),
     ])
     def test_bad_value_exits_before_the_run(self, tmp_path, capsys,
                                             overrides, message):
         path = write_config(tmp_path, **overrides)
         assert main(["train", "-c", str(path)]) == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_output_dir_and_workers_flags(self, tmp_path):
+        # the flags replace the file's output_dir and workers
+        path = write_config(tmp_path, seeds=[0, 1], workers=1)
+        out = tmp_path / "flag-out"
+        assert main(["train", "-c", str(path), "--output-dir", str(out),
+                     "--workers", "2"]) == 0
+        assert not (tmp_path / "run").exists()
+        written = yaml.safe_load((out / "config.yaml").read_text())
+        assert (written["output_dir"], written["workers"]) == (str(out), 2)
+        assert (out / "seed_1" / "metrics.jsonl").exists()
 
     def test_resolved_form_sections_exit_code(self, tmp_path, capsys):
         # the sections an older config.yaml held in place of agent/scheme_config

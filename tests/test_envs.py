@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from roer import envs
 from roer.envs import (
     PendulumEnv,
     ProtocolError,
@@ -114,9 +115,8 @@ class TestPendulumEnv:
             energies.append(env.energy())
             if truncated:
                 break
-        p = env.p
-        bound = 0.5 * p.mass * (p.length * p.max_speed) ** 2 \
-            + p.mass * p.gravity * p.length
+        bound = 0.5 * envs.MASS * (envs.LENGTH * envs.MAX_SPEED) ** 2 \
+            + envs.MASS * envs.GRAVITY * envs.LENGTH
         assert max(np.abs(energies)) <= bound + 1e-9
 
     def test_rewards_nonpositive_and_finite(self):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from roer import config as cmod
 from roer import divergences, harness, losses, schemes
 from roer.agents import TabularAgent, TabularConfig
+from roer.cli import main
 from roer.config import seed_streams
 from roer.envs import TabularEnv, TabularMdp, gridworld_mdp
 from roer.harness import (
@@ -25,7 +26,7 @@ from roer.harness import (
     run_train,
 )
 from roer.oracles import value_iteration
-from roer.replay import PriorityBuffer
+from roer.replay import PriorityBuffer, Transition
 from roer.schemes import ConfigError, LaberConfig, PerConfig, RoerConfig
 
 
@@ -52,7 +53,7 @@ class TestConfig:
 
     # the last five are the sections of the resolved form that config.yaml
     # used to hold; the file schema has agent, scheme_config and sweep.grid
-    @pytest.mark.parametrize("key", ["bogus", "priority_refresh",
+    @pytest.mark.parametrize("key", ["bogus", "priority_refresh", "bias_eval_period",
                                      "full_refresh_period",
                                      "refresh_offline_priorities",
                                      "sac", "roer", "per", "laber",
@@ -145,12 +146,30 @@ class TestConfig:
         assert data["scheme_config"]["beta"] == 2.0
         assert cmod.from_dict(data) == cfg
 
-    def test_env_var_overrides(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROER_OUTPUT_DIR", str(tmp_path / "elsewhere"))
-        monkeypatch.setenv("ROER_WORKERS", "3")
-        cfg = cmod.from_dict(base_raw(tmp_path))
-        assert cfg.output_dir == str(tmp_path / "elsewhere")
-        assert cfg.workers == 3
+    @pytest.mark.parametrize("env_id, parsed", [
+        ("pendulum", ("pendulum", ())), ("chain-7", ("chain", (7,))),
+        ("grid-3x4", ("grid", (3, 4))), ("random-4x2", ("random", (4, 2, 0))),
+        ("random-4x2-9", ("random", (4, 2, 9)))])
+    def test_env_ids_parse(self, env_id, parsed):
+        assert cmod.parse_env_id(env_id) == parsed
+
+    @pytest.mark.parametrize("env_id", [
+        "chain-x", "chain-0", "chain-5-3", "chain--1", "grid-3", "grid-0x4",
+        "random-4x0", "random-4x2-", "cartpole", "pendulum-1", "chain-\u0663"])
+    def test_bad_env_ids_rejected_when_the_config_loads(self, tmp_path, env_id):
+        with pytest.raises(ConfigError, match="unknown environment id"):
+            cmod.from_dict(base_raw(tmp_path, env=env_id))
+
+    @pytest.mark.parametrize("env, section, batch", [
+        ("chain-5", "tabular", 16), ("pendulum", "agent", 64)])
+    def test_laber_large_batch_checked_against_the_agents_batch(
+            self, tmp_path, env, section, batch):
+        raw = base_raw(tmp_path, env=env, scheme="laber",
+                       **{section: dict(batch_size=batch)})
+        assert cmod.from_dict({**raw, "scheme_config": dict(large_batch=batch)})
+        with pytest.raises(ConfigError, match=f"large_batch {batch - 1} smaller "
+                                              f"than minibatch {batch}"):
+            cmod.from_dict({**raw, "scheme_config": dict(large_batch=batch - 1)})
 
     def test_seed_streams_disjoint_and_deterministic(self):
         a = seed_streams(7)
@@ -179,9 +198,12 @@ def file_configs(draw):
                      min_priority_clip=st.floats(0.0, 10.0, **_floats)),
         "per": dict(alpha=st.floats(0.0, 2.0, **_floats),
                     min_priority=st.floats(1e-6, 10.0, **_floats)),
-        "laber": dict(large_batch=st.integers(1, 4096)),
+        "laber": dict(large_batch=st.integers(512, 4096)),
     }
     knobs["roer_chi2"] = knobs["roer"]
+    # large_batch must be at least the batch_size drawn below, which may
+    # exceed its default 256: laber draws it always, from 512 up
+    required = knobs.pop("laber") if scheme == "laber" else {}
     raw = dict(
         env=draw(st.sampled_from(["pendulum", "chain-5", "grid-3x4"])),
         scheme=scheme, seeds=draw(st.lists(st.integers(0, 2**31), min_size=1,
@@ -204,7 +226,8 @@ def file_configs(draw):
             epsilon=st.floats(0.0, 1.0, **_floats),
             soft_temperature=st.floats(1e-4, 1.0, **_floats),
             batch_size=st.integers(1, 512)))),
-        scheme_config=draw(st.fixed_dictionaries({}, optional=knobs.get(scheme, {}))),
+        scheme_config=draw(st.fixed_dictionaries(required,
+                                                 optional=knobs.get(scheme, {}))),
         sweep=dict(grid=draw(st.fixed_dictionaries({}, optional={
             "buffer_capacity": st.lists(st.integers(1, 10**6), min_size=1),
             "tabular.epsilon": st.lists(st.floats(0.0, 1.0, **_floats),
@@ -350,6 +373,20 @@ class TestRunTrain:
         buf = PriorityBuffer.load(out / "seed_0" / "buffer.bin")
         assert np.all(buf.priorities == 1.0)  # surrogates never persist
 
+    @pytest.mark.parametrize("mode", ["weighted", "proportional"])
+    def test_loss_weights_of_each_sampling_mode(self, tmp_path, mode):
+        cfg = cmod.from_dict(base_raw(tmp_path, scheme="roer", sampling_mode=mode))
+        run = harness._SeedRun(cfg, 0, tmp_path / "seed_0")
+        for i in range(20):
+            run.buffer.push(Transition(i % 5, i % 2, 0.0, 0, False))
+        run.buffer.update_priorities(np.arange(20), np.arange(1.0, 21.0))
+        batch, weights = run._sample_batch()
+        assert len(batch) == cfg.tabular.batch_size
+        if mode == "weighted":
+            assert np.array_equal(weights, batch.priorities)
+        else:
+            assert np.array_equal(weights, np.ones(len(batch)))
+
     def test_weighted_sampling_mode(self, tmp_path):
         cfg = cmod.from_dict(base_raw(
             tmp_path, scheme="roer", sampling_mode="weighted",
@@ -420,7 +457,7 @@ class TestBias:
         states = np.array([0, 1, 0, 1])
         actions = np.zeros(4, dtype=int)
         rec = compute_bias(agent, env, states, actions,
-                           np.random.default_rng(1), horizon=50, discrete=True)
+                           np.random.default_rng(1), horizon=50)
         assert rec["bias"] == pytest.approx(-4.0)
         assert rec["true_mean"] == 0.0
 
@@ -453,7 +490,7 @@ class TestBias:
         states = np.array([0, 1, 2, 3] * 8)
         actions = np.array([0, 1] * 16)
         rec = compute_bias(agent, env, states, actions,
-                           np.random.default_rng(3), horizon=400, discrete=True)
+                           np.random.default_rng(3), horizon=400)
         assert abs(rec["bias"]) <= 1e-5 + rec["tail_bound"]
 
 
@@ -532,8 +569,7 @@ class TestSweep:
     def test_each_cell_trains_its_value_net_at_its_own_beta(self, tmp_path,
                                                            monkeypatch):
         # the value loss reads the cell's scheme_config, and every cell
-        # writes below the sweep's directory even when ROER_OUTPUT_DIR is set
-        monkeypatch.setenv("ROER_OUTPUT_DIR", str(tmp_path / "env-out"))
+        # writes below the directory that `roer sweep --output-dir` names
         seen = []
 
         def recording(loss, tag):
@@ -550,9 +586,13 @@ class TestSweep:
                    train_start_step=200, eval_period=130, eval_episodes=1,
                    env_horizon=50, agent=dict(profile="test", hidden_dims=[16, 16]),
                    scheme_config=dict(beta=1.0, grad_clip=5.0),
+                   output_dir=str(tmp_path / "in-file"),
                    sweep=dict(grid={"scheme_config.beta": [0.5, 2.0]}))
-        out = run_sweep(cmod.from_dict(raw))
-        assert out == tmp_path / "env-out"
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "flag-out"
+        assert main(["sweep", "-c", str(path), "--output-dir", str(out)]) == 0
+        assert not (tmp_path / "in-file").exists()
         cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
         assert not any(c["failed"] for c in cells)
         updates = 61  # steps 200..260

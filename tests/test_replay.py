@@ -100,6 +100,33 @@ class TestPush:
             buf.push(Transition(np.zeros(3), np.zeros(2), float("inf"),
                                 np.zeros(3), False))
 
+    # push and fill_offline take the same tabular indices: integers >= 0
+    @pytest.mark.parametrize("index, valid", [
+        (0, True), (5, True), (np.int64(7), True), (np.uint8(3), True),
+        (2.7, False), (np.float64(2.0), False), (True, False), (np.bool_(True), False),
+        (-3, False), (np.int64(-1), False)])
+    @pytest.mark.parametrize("field", ["state", "action", "next_state"])
+    def test_one_index_rule_for_push_and_offline_fill(self, field, index, valid):
+        pushed, filled = tabular_buffer(), tabular_buffer()
+        parts = dict(state=0, action=0, next_state=1)
+        parts[field] = index
+        column = dict(states=parts["state"], actions=parts["action"],
+                      next_states=parts["next_state"])
+        rows = dict({k: np.array([v]) for k, v in column.items()},
+                    rewards=np.zeros(1), terminals=np.zeros(1, dtype=bool))
+        if valid:
+            pushed.push(Transition(parts["state"], parts["action"], 0.0,
+                                   parts["next_state"], False))
+            filled.fill_offline(**rows)
+            assert buffer_state(pushed) == buffer_state(filled)
+            return
+        with pytest.raises(InvalidTransitionError, match=field):
+            pushed.push(Transition(parts["state"], parts["action"], 0.0,
+                                   parts["next_state"], False))
+        with pytest.raises(InvalidTransitionError, match=field):
+            filled.fill_offline(**rows)
+        assert len(pushed) == len(filled) == 0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["state", "action", "reward", "next_state"])
     def test_rejects_each_nonfinite_field_before_any_write(self, field, bad):
@@ -169,15 +196,15 @@ class TestSampling:
             tabular_buffer().sample_proportional(1, np.random.default_rng(0))
 
     def test_uniform_mode_weights(self):
+        # the weighted mode draws uniformly and weights by the priorities
+        # the batch carries: those of its slots
         buf = tabular_buffer()
         for i in range(4):
             buf.push(make_transition(s=i))
         buf.update_priorities([0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0])
-        rng = np.random.default_rng(1)
-        batch = buf.sample_uniform(100, rng, priorities_as_weights=True)
-        assert np.allclose(batch.sampling_weights, batch.indices + 1.0)
-        plain = buf.sample_uniform(100, rng)
-        assert np.all(plain.sampling_weights == 1.0)
+        batch = buf.sample_uniform(100, np.random.default_rng(1))
+        assert np.array_equal(batch.priorities, batch.indices + 1.0)
+        assert np.array_equal(batch.priorities, buf.priorities[batch.indices])
 
     def test_proportional_equals_uniform_when_priorities_equal(self):
         # with all-ones priorities the two sampling paths induce the same
@@ -472,7 +499,7 @@ def buffer_state(buf):
 @st.composite
 def dataset(draw, discrete: bool, n: int, ds=3, da=2):
     if discrete:
-        index = hnp.arrays(np.int64, n, elements=st.integers(-3, 2**40))
+        index = hnp.arrays(np.int64, n, elements=st.integers(0, 2**40))
         states, actions, next_states = draw(index), draw(index), draw(index)
     else:
         states = draw(hnp.arrays(np.float64, (n, ds), elements=finite))
@@ -553,7 +580,7 @@ class TestOfflineFillProperties:
         if col.dtype == np.float64:
             defects.append("non-finite")
         if discrete and name in ("states", "actions", "next_states"):
-            defects.append("float index")
+            defects += ["float index", "negative index"]
         defect = data.draw(st.sampled_from(defects))
         if defect == "short":
             rows[name] = col[:-1]
@@ -563,6 +590,11 @@ class TestOfflineFillProperties:
             col = col.copy()
             col.flat[data.draw(st.integers(0, col.size - 1))] = data.draw(
                 st.sampled_from([np.nan, np.inf, -np.inf]))
+            rows[name] = col
+        elif defect == "negative index":
+            col = col.copy()
+            col.flat[data.draw(st.integers(0, col.size - 1))] = data.draw(
+                st.integers(-2**40, -1))
             rows[name] = col
         else:
             rows[name] = col.astype(np.float64)
@@ -749,7 +781,7 @@ class TestImpliedDistributionProperties:
         if len(buf) == 0:
             buf.push(make_transition())
         # a few repeated pairs make buckets hold several slots
-        pairs = data.draw(st.lists(st.tuples(st.integers(-2, 3), st.integers(0, 2)),
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)),
                                    max_size=3 * buf.capacity))
         for s, a in pairs:
             buf.push(make_transition(s=s, a=a))

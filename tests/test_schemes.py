@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from roer.schemes import (
     ROER_DIVERGENCES,
     ConfigError,
-    LaberConfig,
     PerConfig,
     RoerConfig,
     laber_select,
@@ -251,8 +250,22 @@ class TestLaberSelect:
         assert len(idx) == 3
         assert np.all(w == 1.0)
 
-    def test_config_guard(self):
-        LaberConfig(large_batch=256).check_minibatch(64)
-        with pytest.raises(ConfigError):
-            LaberConfig(large_batch=32).check_minibatch(64)
+    def test_overflowing_sum_rescaled(self):
+        # the sum of these overflows; the selection is that of [1, 1, 1e-308]
+        s = np.array([1e308, 1e308, 1.0])
+        idx, w = laber_select(s, 1000, np.random.default_rng(0))
+        assert set(idx.tolist()) <= {0, 1}
+        assert np.all(w == (2.0 + 1e-308) / 3.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(s=hnp.arrays(np.float64, st.integers(1, 40),
+                        elements=st.floats(0.0, 1e300)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_finite_sum_keeps_its_bits(self, s, seed):
+        # the selection of the unrescaled formula, bit for bit
+        assume(s.sum() > 0.0)
+        idx, w = laber_select(s, 16, np.random.default_rng(seed))
+        want = np.random.default_rng(seed).choice(len(s), size=16, p=s / s.sum())
+        assert np.array_equal(idx, want)
+        assert np.array_equal(w, s.mean() / s[want])
 

@@ -8,8 +8,9 @@ Both trees' `roer` packages are loaded side by side in this one process,
 under the names `roer_parent` and `roer_change`, so that host drift hits
 both sides alike. Each side builds the same SacAgent (pendulum's obs 3,
 action 1, and the SacConfig fields that this tree's
-`config.SAC_PROFILES[profile]` sets) and the same batches from
-one fixed set of random transitions (seed 0). The script then alternates
+`config.SAC_PROFILES[profile]` sets) and the same batches: its own
+PriorityBuffer holds one fixed set of random transitions (seed 0) and
+draws them uniformly. The script then alternates
 blocks of updates (20 per side at the test profile, 2 at full) between the
 two agents, parent first in odd blocks and change first in even ones;
 every update of block b, step i gets the same generator seed on both
@@ -72,16 +73,10 @@ class Side:
         self.roer = pkg.schemes.RoerConfig()
         n = self.config.batch_size
         rng = np.random.default_rng(SEED + 1)
-        self.batches = []
-        for _ in range(BATCHES):
-            rows = rng.integers(0, POOL_ROWS, size=n)
-            self.batches.append(replay.SampledBatch(
-                indices=rows, states=pool["states"][rows],
-                actions=pool["actions"][rows], rewards=pool["rewards"][rows],
-                next_states=pool["next_states"][rows],
-                terminals=pool["terminals"][rows],
-                insert_steps=np.zeros(n, dtype=np.int64),
-                priorities=np.ones(n), sampling_weights=np.ones(n)))
+        # each tree's own buffer holds the pool and draws the batches
+        buffer = replay.PriorityBuffer(POOL_ROWS, OBS_DIM, ACTION_DIM)
+        buffer.fill_offline(**pool)
+        self.batches = [buffer.sample_uniform(n, rng) for _ in range(BATCHES)]
         self.weights = [rng.uniform(0.5, 2.0, size=n) for _ in range(BATCHES)]
         self.times_ns: list[int] = []
 
