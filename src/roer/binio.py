@@ -9,10 +9,11 @@ Layout (all little-endian):
     bytes 12..15  u32 payload byte length
     bytes 16..    payload
 
-Payloads are sequences of tagged numpy arrays written with write_array /
-read_array: u32 name length, name bytes (utf-8), u8 dtype code, u8 ndim,
-u64 per dimension, then the raw array bytes. dtype codes: 0 = float64,
-1 = int64, 2 = uint8.
+Payloads are a u32 array count, then that many tagged numpy arrays, each
+u32 name length, name bytes (utf-8), u8 dtype code, u8 ndim, u64 per
+dimension, then the raw array bytes. dtype codes: 0 = float64, 1 = int64,
+2 = uint8. arrays_to_payload describes them without copying the arrays'
+bytes; read_array reads one back.
 """
 
 from __future__ import annotations
@@ -43,18 +44,17 @@ def _read_exact(stream, n: int) -> bytes:
     return data
 
 
-def write_array(stream, name: str, arr: np.ndarray) -> None:
+def _array_parts(name: str, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """One tagged array: its tag, and its raw little-endian bytes as a flat
+    uint8 view of arr (a copy only if arr is not contiguous little-endian)."""
     arr = np.ascontiguousarray(arr)
     code = _CODES.get(arr.dtype.newbyteorder("<"))
     if code is None:
         raise FormatError(f"unsupported dtype {arr.dtype} for field {name!r}")
     nb = name.encode("utf-8")
-    stream.write(struct.pack("<I", len(nb)))
-    stream.write(nb)
-    stream.write(struct.pack("<BB", code, arr.ndim))
-    for d in arr.shape:
-        stream.write(struct.pack("<Q", d))
-    stream.write(arr.astype(_DTYPES[code], copy=False).tobytes())
+    tag = (struct.pack("<I", len(nb)) + nb + struct.pack("<BB", code, arr.ndim)
+           + struct.pack(f"<{arr.ndim}Q", *arr.shape))
+    return tag, arr.astype(_DTYPES[code], copy=False).reshape(-1).view(np.uint8)
 
 
 def read_array(stream) -> tuple[str, np.ndarray]:
@@ -88,17 +88,35 @@ def _remaining(stream) -> int:
     return end - pos
 
 
-def write_envelope(path_or_stream, kind: int, payload: bytes) -> None:
-    """Write the header, then the payload: two writes, so the payload is
-    never copied into one header + payload buffer."""
+class _Payload:
+    """An envelope payload of tagged arrays that refers to the arrays' own
+    memory: len() is its byte count, and write_to streams its parts one by
+    one, so it is never joined into one buffer."""
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self._parts = [struct.pack("<I", len(arrays))]
+        for name, arr in arrays.items():
+            self._parts.extend(_array_parts(name, arr))
+        self._nbytes = sum(len(part) for part in self._parts)
+
+    def __len__(self) -> int:
+        return self._nbytes
+
+    def write_to(self, stream) -> None:
+        for part in self._parts:
+            stream.write(part)
+
+
+def write_envelope(path_or_stream, kind: int, payload: _Payload) -> None:
+    """Write the header, then stream the payload's parts."""
     header = MAGIC + struct.pack("<HHI", VERSION, kind, len(payload))
     if hasattr(path_or_stream, "write"):
         path_or_stream.write(header)
-        path_or_stream.write(payload)
+        payload.write_to(path_or_stream)
     else:
         with open(path_or_stream, "wb") as fh:
             fh.write(header)
-            fh.write(payload)
+            payload.write_to(fh)
 
 
 def read_envelope(path_or_stream, expected_kind: int) -> io.BytesIO:
@@ -122,12 +140,10 @@ def read_envelope(path_or_stream, expected_kind: int) -> io.BytesIO:
     return io.BytesIO(payload)
 
 
-def arrays_to_payload(arrays: dict[str, np.ndarray]) -> bytes:
-    buf = io.BytesIO()
-    buf.write(struct.pack("<I", len(arrays)))
-    for name, arr in arrays.items():
-        write_array(buf, name, arr)
-    return buf.getvalue()
+def arrays_to_payload(arrays: dict[str, np.ndarray]) -> _Payload:
+    """The payload of these arrays, in order; it holds views of them, so
+    write it before they change."""
+    return _Payload(arrays)
 
 
 def payload_to_arrays(stream) -> dict[str, np.ndarray]:

@@ -22,13 +22,13 @@ Schema (all keys optional unless noted):
     output_dir: str             # default runs/<env>-<scheme>; roer train
                                 # --output-dir overrides it
     sampling_mode: proportional | weighted
-    buffer_capacity: int
-    env_horizon: int            # episode cap, default 1000 (200 pendulum)
+    buffer_capacity: int        # at least the agent's batch_size
+    env_horizon: int            # episode cap >= 1, default 1000 (200 pendulum)
     offline_dataset: path to .npz or null
     checkpoint_period: int      # 0 = final checkpoint only
     bias_eval_pairs: int        # roer bias: pairs probed per checkpoint
     bias_eval_horizon: int      # roer bias: Monte-Carlo rollout length
-    workers: int                # parallel seed workers; --workers overrides it
+    workers: int                # parallel seed workers, >= 1; --workers overrides it
     agent:                      # SAC fields (continuous envs)
       profile: test | full      # SAC_PROFILES: test = SacConfig's defaults,
                                 # (64, 64) nets, batch 64, lr 3e-4; full =
@@ -122,8 +122,16 @@ class ExperimentConfig:
             raise ConfigError("eval_episodes must be >= 1")
         if self.sampling_mode not in ("proportional", "weighted"):
             raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.env_horizon is not None and self.env_horizon < 1:
+            raise ConfigError(f"env_horizon must be >= 1 or null, got {self.env_horizon}")
         family, _ = parse_env_id(self.env)
         batch = (self.sac if family == "pendulum" else self.tabular).batch_size
+        # a buffer smaller than one minibatch never reaches the update gate
+        if self.buffer_capacity < batch:
+            raise ConfigError(f"buffer_capacity {self.buffer_capacity} "
+                              f"smaller than minibatch {batch}")
         if self.scheme == "laber" and self.scheme_config.large_batch < batch:
             raise ConfigError(f"large_batch {self.scheme_config.large_batch} "
                               f"smaller than minibatch {batch}")

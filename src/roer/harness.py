@@ -29,7 +29,7 @@ from .config import (ExperimentConfig, echo, from_dict, parse_env_id, seed_strea
                      sweep_cells)
 from .envs import PendulumEnv, TabularEnv, chain_mdp, gridworld_mdp, random_mdp
 from .oracles import kl_divergence_to_implied, mc_true_value, occupancy, value_iteration
-from .replay import PriorityBuffer, SampledBatch, Transition
+from .replay import InvalidTransitionError, PriorityBuffer, SampledBatch, Transition
 from .schemes import ConfigError
 
 
@@ -114,6 +114,18 @@ def load_offline_dataset(path):
             f"rewards (rows per field: {rows})"
         )
     return columns
+
+
+def _check_offline_indices(data: dict, env: TabularEnv) -> None:
+    """A tabular dataset's integer index columns must index env's states
+    and actions (fill_offline checks the dtypes and the bound below)."""
+    for name, bound in (("states", env.n_states), ("actions", env.n_actions),
+                        ("next_states", env.n_states)):
+        column = data[name]
+        if column.dtype.kind in "iu" and column.size and column.max() >= bound:
+            raise InvalidTransitionError(
+                f"offline dataset {name} holds index {column.max()}, but the "
+                f"environment has {bound} {name.removeprefix('next_')}")
 
 
 # ----------------------------------------------------------------------
@@ -227,6 +239,8 @@ class _SeedRun:
         if cfg.offline_dataset:
             # filled before the metrics stream opens: a bad dataset leaves no file
             data = load_offline_dataset(cfg.offline_dataset)
+            if self.discrete:
+                _check_offline_indices(data, self.env)
             self.buffer.fill_offline(**data)
             del data  # the buffer holds its own copy for the whole run
         # a rerun starts afresh: delete every name this method writes below, so no

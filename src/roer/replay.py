@@ -100,6 +100,20 @@ class SumTree:
             nodes[idx] = nodes[2 * idx] + nodes[2 * idx + 1]
         self._stale = True
 
+    def set_range(self, start: int, stop: int, values) -> None:
+        """Replace the leaves of slots [start, stop) with values (a scalar
+        or stop - start values) and repair their ancestors up to the
+        P-level, one slice per level: the sums set_many would write, with
+        no index arrays."""
+        lo, hi = start + self._n, stop + self._n
+        nodes = self.nodes
+        nodes[lo:hi] = values
+        for _ in range(self._depth):
+            lo, hi = lo >> 1, (hi + 1) >> 1
+            np.add(nodes[2 * lo : 2 * hi : 2], nodes[2 * lo + 1 : 2 * hi : 2],
+                   out=nodes[lo:hi])
+        self._stale = True
+
     def set(self, index: int, value: float) -> None:
         i = index + self._n
         nodes = self.nodes
@@ -288,6 +302,11 @@ class PriorityBuffer:
         Keys are Python-int pairs in the order of their first slot. Each
         bucket adds its priorities in slot order, and the total adds the
         buckets in key order, exactly as a running per-slot sum would.
+
+        When the pairs' key range (state span x action span) is at most the
+        live size, the pair key itself is the bucket, and the work is one
+        bincount and one minimum.at over it; a wider range falls back to
+        sorting the pairs into dense ranks.
         """
         if self.size == 0:
             raise EmptyBufferError("buffer is empty")
@@ -297,19 +316,32 @@ class PriorityBuffer:
             )
         n = self.size
         states, actions = self._states[:n], self._actions[:n]
-        # dense ranks keep the pair key below n**2, whatever the index range
-        _, s_rank = np.unique(states, return_inverse=True)
-        _, a_rank = np.unique(actions, return_inverse=True)
-        _, first, bucket = np.unique(s_rank * n + a_rank, return_index=True,
-                                     return_inverse=True)
-        # bincount accumulates each bucket sequentially in slot order
-        sums = np.bincount(bucket, weights=self.tree.leaves(n))
-        order = np.argsort(first)
-        slots, sums = first[order], sums[order]
+        s_min, a_min = int(states.min()), int(actions.min())
+        a_span = int(actions.max()) - a_min + 1
+        buckets = (int(states.max()) - s_min + 1) * a_span  # Python ints
+        if buckets <= n:
+            # a pair's offset in the box of its indices is its bucket
+            bucket = states - s_min
+            bucket *= a_span
+            bucket += actions
+            bucket -= a_min
+            first = np.full(buckets, n)
+            np.minimum.at(first, bucket, np.arange(n))
+            first = first[first < n]
+        else:
+            # dense ranks keep the pair key below n**2, whatever the index range
+            _, s_rank = np.unique(states, return_inverse=True)
+            _, a_rank = np.unique(actions, return_inverse=True)
+            _, first, bucket = np.unique(s_rank * n + a_rank, return_index=True,
+                                         return_inverse=True)
+        # each bucket's first slot, in slot order; bincount accumulates each
+        # bucket sequentially in slot order
+        first.sort()
+        sums = np.bincount(bucket, weights=self.tree.leaves(n))[bucket[first]]
         total = sum(sums)
         return {
             (s, a): v / total
-            for s, a, v in zip(states[slots].tolist(), actions[slots].tolist(), sums)
+            for s, a, v in zip(states[first].tolist(), actions[first].tolist(), sums)
         }
 
     @staticmethod
@@ -388,8 +420,8 @@ class PriorityBuffer:
         buf.size, buf.write_cursor = size, cursor
         for name, dest in buf._live_columns().items():
             dest[...] = arrays[name]
-        # the leaves now hold the priorities; set_many also sums their parents
-        buf.tree.set_many(np.arange(size), arrays["priorities"])
+        # the leaves now hold the priorities; set_range also sums their parents
+        buf.tree.set_range(0, size, arrays["priorities"])
         return buf
 
     def fill_offline(self, states, actions, rewards, next_states, terminals) -> None:
@@ -411,15 +443,21 @@ class PriorityBuffer:
                 ("terminals", terminals, self._terminals),
             )
         ]
-        kept = min(n, self.capacity)
-        rows = np.arange(n - kept, n)
-        slots = (self.write_cursor + rows) % self.capacity
-        for dest, column in columns:
-            dest[slots] = column[n - kept:]
-        self._insert_steps[slots] = 0
-        self.tree.set_many(slots, self.INITIAL_PRIORITY)
-        self.write_cursor = (self.write_cursor + n) % self.capacity
-        self.size = min(self.size + n, self.capacity)
+        # the kept rows fill one run of slots from `start`, and a second run
+        # from slot 0 when they wrap the ring
+        cap = self.capacity
+        kept = min(n, cap)
+        start = (self.write_cursor + n - kept) % cap
+        for lo, hi, row in ((start, min(start + kept, cap), n - kept),
+                            (0, start + kept - cap, n - kept + cap - start)):
+            if lo >= hi:
+                continue
+            for dest, column in columns:
+                dest[lo:hi] = column[row : row + hi - lo]
+            self._insert_steps[lo:hi] = 0
+            self.tree.set_range(lo, hi, self.INITIAL_PRIORITY)
+        self.write_cursor = (self.write_cursor + n) % cap
+        self.size = min(self.size + n, cap)
 
     @staticmethod
     def _offline_column(name: str, values, n: int, dest: np.ndarray) -> np.ndarray:
@@ -446,6 +484,8 @@ class PriorityBuffer:
         # after the cast, so a uint64 above the int64 range counts as negative
         if dest.dtype == np.int64 and n and arr.min() < 0:
             raise InvalidTransitionError(f"{name} holds an index below 0")
-        if dest.dtype == np.float64 and not np.isfinite(arr).all():
+        # min and max are nan when any value is, and infinite when any is
+        if (dest.dtype == np.float64 and arr.size
+                and not np.isfinite([arr.min(), arr.max()]).all()):
             raise InvalidTransitionError(f"{name} contains non-finite values")
         return arr

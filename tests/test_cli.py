@@ -53,6 +53,14 @@ class TestTrainCommand:
         (dict(env="cartpole"), "unknown environment id 'cartpole'"),
         (dict(scheme="laber", scheme_config=dict(large_batch=16),
               tabular=dict(batch_size=64)), "large_batch 16 smaller than minibatch 64"),
+        (dict(buffer_capacity=4), "buffer_capacity 4 smaller than minibatch 8"),
+        (dict(scheme="roer", buffer_capacity=8, tabular=dict(batch_size=16)),
+         "buffer_capacity 8 smaller than minibatch 16"),
+        (dict(env="pendulum", buffer_capacity=63), "buffer_capacity 63 smaller than minibatch 64"),
+        (dict(workers=0), "workers must be >= 1, got 0"),
+        (dict(workers=-3), "workers must be >= 1, got -3"),
+        (dict(env_horizon=0), "env_horizon must be >= 1 or null, got 0"),
+        (dict(env_horizon=-5), "env_horizon must be >= 1 or null, got -5"),
     ])
     def test_bad_value_exits_before_the_run(self, tmp_path, capsys,
                                             overrides, message):
@@ -107,6 +115,34 @@ class TestTrainCommand:
         assert "rewards contains non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("field, bound", [("states", 64), ("actions", 4),
+                                              ("next_states", 64)])
+    @pytest.mark.parametrize("excess", [0, 2**40])
+    def test_offline_index_beyond_the_env_exit_code(self, tmp_path, capsys,
+                                                     field, bound, excess):
+        # grid-8x8 has 64 states and 4 actions; the buffer alone cannot tell
+        n = 10
+        columns = dict(states=np.arange(n) % 64, actions=np.arange(n) % 4,
+                       rewards=np.zeros(n), next_states=np.arange(n) % 64,
+                       terminals=np.zeros(n, dtype=bool))
+        columns[field][3] = bound + excess
+        data = tmp_path / "data.npz"
+        np.savez(data, **columns)
+        path = write_config(tmp_path, env="grid-8x8", offline_dataset=str(data))
+        assert main(["train", "-c", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} holds index {bound + excess}" in err
+        assert not (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
+
+    def test_offline_dataset_at_the_env_bounds_runs(self, tmp_path):
+        n = 10
+        data = tmp_path / "data.npz"
+        np.savez(data, states=np.full(n, 63), actions=np.full(n, 3),
+                 rewards=np.zeros(n), next_states=np.full(n, 63),
+                 terminals=np.zeros(n, dtype=bool))
+        path = write_config(tmp_path, env="grid-8x8", offline_dataset=str(data))
+        assert main(["train", "-c", str(path)]) == 0
+
 
 class TestOracleCommand:
     def test_pass_exit_zero(self, tmp_path, capsys):
@@ -145,7 +181,9 @@ class TestBiasCommand:
         assert main(["train", "-c", str(cfg_path)]) == 0
         full = tmp_path / "full"
         full.mkdir()
-        full_path = write_config(full, **run, agent=dict(profile="full"))
+        # the full profile's batch of 256 needs as many buffer slots
+        full_path = write_config(full, **run, agent=dict(profile="full"),
+                                 buffer_capacity=256)
         assert main(["bias", str(tmp_path / "run" / "seed_0"),
                      "-c", str(full_path)]) == 2
         assert "'critic1.w0'" in capsys.readouterr().err

@@ -1,7 +1,10 @@
 import io
 import itertools
 import struct
+import tempfile
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from roer import binio
+from roer import binio, nn
 from roer.binio import FormatError
 from roer.replay import (
     EmptyBufferError,
@@ -341,17 +344,61 @@ def envelope(arrays):
     return stream
 
 
+def reference_envelope(kind, arrays):
+    """An envelope as one bytes object, built field by field from the layout
+    in binio's docstring: the bytes a streamed payload must write."""
+    codes = {"<f8": 0, "<i8": 1, "|u1": 2}
+    out = [struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(arr)
+        dtype = arr.dtype.newbyteorder("<")
+        nb = name.encode("utf-8")
+        out += [struct.pack("<I", len(nb)), nb,
+                struct.pack("<BB", codes[dtype.str], arr.ndim),
+                *(struct.pack("<Q", d) for d in arr.shape),
+                arr.astype(dtype).tobytes()]
+    payload = b"".join(out)
+    return binio.MAGIC + struct.pack("<HHI", binio.VERSION, kind, len(payload)) + payload
+
+
 class TestEnvelope:
     @pytest.mark.parametrize("kind", [binio.KIND_BUFFER, binio.KIND_CHECKPOINT])
     def test_written_bytes_are_header_plus_payload(self, kind, tmp_path):
-        payload = binio.arrays_to_payload({"a": np.arange(5.0), "b": np.eye(2)})
-        header = binio.MAGIC + struct.pack("<HHI", binio.VERSION, kind, len(payload))
+        arrays = {"a": np.arange(5.0), "b": np.eye(2)}
+        payload = binio.arrays_to_payload(arrays)
+        want = reference_envelope(kind, arrays)
+        assert len(payload) == len(want) - 16
         stream = io.BytesIO()
         binio.write_envelope(stream, kind, payload)
         path = tmp_path / "envelope.bin"
         binio.write_envelope(path, kind, payload)
-        assert stream.getvalue() == header + payload
-        assert path.read_bytes() == header + payload
+        assert stream.getvalue() == want
+        assert path.read_bytes() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays=st.dictionaries(
+        st.text(max_size=6),
+        hnp.arrays(st.sampled_from(["<f8", ">f8", "<i8", ">i8", "u1"]),
+                   hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+        max_size=4),
+        transpose=st.booleans())
+    def test_streamed_checkpoint_equals_the_bytes_reference(self, arrays, transpose):
+        # any byte order, zero-size and 0-d arrays, and (transposed) arrays
+        # that are not contiguous
+        if transpose:
+            arrays = {name: arr.T for name, arr in arrays.items()}
+        want = reference_envelope(binio.KIND_CHECKPOINT, arrays)
+        stream = io.BytesIO()
+        nn.save_checkpoint(stream, arrays)
+        assert len(binio.arrays_to_payload(arrays)) == len(want) - 16
+        assert stream.getvalue() == want
+        stream.seek(0)
+        loaded = nn.load_checkpoint(stream)
+        assert list(loaded) == list(arrays)
+        for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr)
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.astype(loaded[name].dtype).tobytes()
 
 
 PAYLOAD_DEFECTS = ("short meta", "v1 layout", "missing column",
@@ -408,6 +455,31 @@ class TestSnapshot:
         assert ((loaded.capacity, loaded.state_dim, loaded.action_dim,
                  loaded.discrete)
                 == (buf.capacity, buf.state_dim, buf.action_dim, buf.discrete))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_streamed_snapshot_equals_the_bytes_reference(self, data):
+        buf = data.draw(reachable_buffers(discrete=data.draw(st.booleans())))
+        meta = np.array([buf.capacity, buf.size, buf.write_cursor, buf.state_dim,
+                         buf.action_dim, int(buf.discrete)], dtype=np.int64)
+        want = reference_envelope(binio.KIND_BUFFER, {"meta": meta, **buf._live_columns()})
+        assert snapshot_bytes(buf) == want
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "buffer.bin"
+            buf.snapshot(path)
+            assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("buf", [tabular_buffer(), vector_buffer()],
+                             ids=["tabular", "vector"])
+    def test_empty_buffer_round_trip(self, buf):
+        # every column has zero rows, and vector columns are (0, dim)
+        data = snapshot_bytes(buf)
+        assert data == reference_envelope(binio.KIND_BUFFER, {
+            "meta": np.array([8, 0, 0, buf.state_dim, buf.action_dim,
+                              int(buf.discrete)]), **buf._live_columns()})
+        loaded = PriorityBuffer.load(io.BytesIO(data))
+        assert buffer_state(loaded) == buffer_state(buf)
+        assert loaded._states.shape == buf._states.shape
 
     def test_truncated_stream(self):
         buf = tabular_buffer()
@@ -773,6 +845,71 @@ class TestTwoTierLayout:
                               buf.tree.find_prefix(targets))
 
 
+def narrow_tree(capacity, depth):
+    """A SumTree class whose prefix sits `depth` binary levels above the
+    leaves of a tree of this capacity."""
+    n = 1 << (capacity - 1).bit_length()
+    return type("Tree", (SumTree,), {"PREFIX_WIDTH": max(1, n >> depth)})
+
+
+@st.composite
+def tree_capacities(draw, depth):
+    """A capacity whose tree has at least 2**depth leaves, rounded up from
+    anywhere in its power-of-two bracket."""
+    n = 1 << draw(st.integers(depth, depth + 5))
+    return draw(st.integers(n // 2 + 1, n))
+
+
+class TestRangeWrite:
+    @pytest.mark.parametrize("depth", [0, 1, 2, 4])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_set_many_over_the_same_slots(self, depth, data):
+        capacity = data.draw(tree_capacities(depth))
+        cls = narrow_tree(capacity, depth)
+        tree, ref = cls(capacity), cls(capacity)
+        assert tree._depth == depth
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for idx, values in data.draw(tree_writes(capacity)):
+            tree.set_many(idx, values)
+            ref.set_many(idx, values)
+        for _ in range(data.draw(st.integers(1, 4))):
+            start = data.draw(st.integers(0, capacity))
+            stop = data.draw(st.integers(start, capacity))
+            # a scalar, as an offline fill writes, or one value per slot
+            values = data.draw(st.sampled_from([
+                1.0, rng.random(stop - start) * 10.0 ** rng.integers(-8, 9, stop - start)]))
+            tree.set_range(start, stop, values)
+            ref.set_many(np.arange(start, stop), values)
+            assert tree.nodes.tobytes() == ref.nodes.tobytes()
+            assert tree.total() == ref.total()
+            assert tree.prefix.tobytes() == ref.prefix.tobytes()
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_offline_fill_tree_equals_set_many_over_its_slots(self, depth, data):
+        capacity = data.draw(tree_capacities(depth))
+        buf = tabular_buffer(capacity)
+        buf.tree = narrow_tree(capacity, depth)(capacity)
+        # pushes and priority writes first, so the fill starts anywhere
+        push_rows(buf, **data.draw(dataset(True, data.draw(st.integers(0, 2 * capacity)))))
+        if len(buf):
+            buf.update_priorities(np.arange(len(buf)), data.draw(hnp.arrays(
+                np.float64, len(buf), elements=st.floats(0.01, 100.0))))
+        ref = narrow_tree(capacity, depth)(capacity)
+        ref.nodes[:] = buf.tree.nodes
+        cursor = buf.write_cursor
+        # below, at and above capacity: runs that wrap the ring or cover it
+        n = data.draw(st.sampled_from([0, 1, capacity - cursor, capacity - cursor + 1,
+                                       capacity, capacity + 1, 2 * capacity + 3]))
+        buf.fill_offline(**data.draw(dataset(True, n)))
+        kept = min(n, capacity)
+        ref.set_many((cursor + np.arange(n - kept, n)) % capacity, 1.0)
+        assert buf.tree.nodes.tobytes() == ref.nodes.tobytes()
+        assert buf.total_priority() == ref.total()
+
+
 class TestImpliedDistributionProperties:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -790,3 +927,89 @@ class TestImpliedDistributionProperties:
         got, want = buf.implied_distribution(), implied_reference(buf)
         assert list(got.items()) == list(want.items())
         assert all(type(s) is int and type(a) is int for s, a in got)
+
+    @pytest.mark.parametrize("dense", [True, False],
+                             ids=["key range within size", "wider key range"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_running_sum_reference_on_both_sides_of_the_key_range(
+            self, dense, data):
+        n = data.draw(st.integers(1 if dense else 2, 40))
+        # spans whose product is the largest key range the size allows
+        s_span = data.draw(st.integers(1, n))
+        a_span = data.draw(st.integers(1, n // s_span))
+        s_base, a_base = (data.draw(st.integers(0, 2**40)) for _ in range(2))
+        states = s_base + data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, s_span - 1)))
+        actions = a_base + data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, a_span - 1)))
+        if not dense:
+            # states at the base and n past it, in two drawn slots: a state
+            # span above n
+            i, j = data.draw(st.permutations(range(n)))[:2]
+            states[i], states[j] = s_base, s_base + n
+        key_range = ((int(states.max()) - int(states.min()) + 1)
+                     * (int(actions.max()) - int(actions.min()) + 1))
+        assert (key_range <= n) == dense
+        buf = tabular_buffer(n)
+        buf.fill_offline(states, actions, np.zeros(n), states, np.zeros(n, dtype=bool))
+        buf.update_priorities(np.arange(n), data.draw(hnp.arrays(
+            np.float64, n, elements=st.floats(1e-3, 1e3))))
+        got, want = buf.implied_distribution(), implied_reference(buf)
+        assert list(got.items()) == list(want.items())
+        assert all(type(s) is int and type(a) is int for s, a in got)
+
+
+class TestBulkPathMemory:
+    """What the bulk paths allocate beyond the buffer, as tracemalloc sees
+    it (numpy reports its array allocations to it): less than 2.5 int64
+    columns of the live size, on a full 2^16-slot tabular buffer."""
+
+    N = 1 << 16
+    BOUND = 2.5 * 8 * N
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        """Peak traced bytes during call(), above those traced before it."""
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        # grid-8x8's index ranges: 64 states, 4 actions
+        rng = np.random.default_rng(3)
+        n = self.N
+        return dict(states=rng.integers(0, 64, n), actions=rng.integers(0, 4, n),
+                    rewards=rng.normal(size=n), next_states=rng.integers(0, 64, n),
+                    terminals=rng.random(n) < 0.01)
+
+    @pytest.fixture
+    def full(self, rows):
+        buf = tabular_buffer(self.N)
+        buf.fill_offline(**rows)
+        rng = np.random.default_rng(4)
+        buf.update_priorities(np.arange(self.N), rng.random(self.N) + 0.5)
+        return buf
+
+    def test_offline_fill(self, rows):
+        buf = tabular_buffer(self.N)
+        assert self.traced_peak(lambda: buf.fill_offline(**rows)) < self.BOUND
+        assert len(buf) == self.N
+
+    def test_implied_distribution(self, full):
+        out = {}
+        assert self.traced_peak(lambda: out.update(full.implied_distribution())) < self.BOUND
+        assert list(out.items()) == list(implied_reference(full).items())
+
+    def test_snapshot_to_a_file(self, full, tmp_path):
+        path = tmp_path / "buffer.bin"
+        assert self.traced_peak(lambda: full.snapshot(path)) < self.BOUND
+        loaded = PriorityBuffer.load(path)
+        assert buffer_state(loaded) == buffer_state(full)
