@@ -12,7 +12,11 @@ batch, generator-state) triple fixes the update bit-for-bit.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +29,70 @@ from .schemes import ROER_DIVERGENCES, ConfigError, InvalidInputError, RoerConfi
 LOG_STD_MIN = -10.0
 LOG_STD_MAX = 2.0
 TANH_EPS = 1e-6
+
+# A SAC agent runs each twin pair's passes on two threads when its process
+# has this many CPUs to itself and batch_size * max(hidden_dims)**2 reaches
+# PAIR_THREAD_WORK: then the passes are bound by BLAS, which releases the
+# GIL. Smaller nets are bound by numpy calls that hold it, and lose from the
+# second thread.
+PAIR_THREAD_CPUS = 2
+PAIR_THREAD_WORK = 1 << 22
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
+try:
+    _sched_getcpu = ctypes.CDLL(None).sched_getcpu  # glibc
+    _sched_getcpu.argtypes, _sched_getcpu.restype = (), ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _sched_getcpu = None
+
+
+def _leave_cpu(cpu) -> None:
+    """Let this thread run on any of its CPUs but cpu, if it has another."""
+    if cpu is None:
+        return
+    others = os.sched_getaffinity(0) - {cpu}
+    if others:
+        os.sched_setaffinity(0, others)
+
+
+def _pair(fn, a, b, threaded: bool):
+    """(fn(a), fn(b)). Threaded, fn(b) runs on a short-lived helper thread,
+    in a copy of this thread's context (numpy's errstate lives there),
+    while fn(a) runs here; both finish before an exception is raised, fn(a)'s
+    first.
+
+    A new thread starts on its creator's CPU. On a 2-vCPU VM both threads
+    stayed there for pairs of a few ms, with the other vCPU idle, so the
+    helper first moves off the caller's CPU; that affinity ends with it."""
+    if not threaded:
+        return fn(a), fn(b)
+    ctx = contextvars.copy_context()
+    here = _sched_getcpu() if _sched_getcpu is not None else None
+    second, error = [None], [None]
+
+    def helper():
+        try:
+            _leave_cpu(here)
+            second[0] = ctx.run(fn, b)
+        except BaseException as exc:  # raised on the caller's thread
+            error[0] = exc
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        first = fn(a)
+    finally:
+        thread.join()
+    if error[0] is not None:
+        raise error[0]
+    return first, second[0]
 
 
 def _require(cfg, checks) -> None:
@@ -72,7 +140,11 @@ class StepMetrics:
 
 
 class SacAgent:
-    def __init__(self, obs_dim: int, action_dim: int, config: SacConfig, seed):
+    def __init__(self, obs_dim: int, action_dim: int, config: SacConfig, seed,
+                 processes: int = 1):
+        """processes counts the processes that share this one's CPUs (a
+        multi-seed run's concurrent seeds): the twin pairs take two threads
+        only if each process has PAIR_THREAD_CPUS CPUs to itself."""
         self.obs_dim = obs_dim
         self.action_dim = action_dim
         self.config = config
@@ -105,6 +177,9 @@ class SacAgent:
             else -float(action_dim)
         )
         self.aborted_updates = 0
+        self.pair_threads = (
+            _usable_cpus() >= PAIR_THREAD_CPUS * processes
+            and config.batch_size * max(h, default=0) ** 2 >= PAIR_THREAD_WORK)
 
     @property
     def alpha(self) -> float:
@@ -162,8 +237,39 @@ class SacAgent:
         y, cache = nn.forward_cache(params, x)
         return y[:, 0], cache
 
+    def _q_pair(self, p1, p2, x):
+        """Both networks of a critic or target pair on the rows of x."""
+        return _pair(lambda p: self._scalar(p, x)[0], p1, p2, self.pair_threads)
+
     def _min_q(self, p1, p2, x) -> np.ndarray:
-        return np.minimum(self._scalar(p1, x)[0], self._scalar(p2, x)[0])
+        return np.minimum(*self._q_pair(p1, p2, x))
+
+    def _critic_step(self, params, opt, x, target, weights):
+        """One critic's weighted Huber loss and gradient penalty, and its
+        Adam step; returns the loss and the critic's predictions. A
+        non-finite loss raises before the step."""
+        cfg = self.config
+        q, cache = self._scalar(params, x)
+        out = losses.weighted_huber_critic_loss(q, target, weights, k=cfg.huber_k)
+        grads, _ = nn.backward(params, x, out.grad[:, None], cache)
+        penalty = 0.0
+        if cfg.penalty_coef > 0.0:
+            pen = losses.gradient_penalty(params, x, cache)
+            penalty = pen.value
+            # the penalty's bias gradients are +0.0, so the flat sum leaves
+            # every bias bit as it was, but for a -0.0 that it makes +0.0
+            # (Adam cannot tell the two apart)
+            grads.flat += cfg.penalty_coef * pen.param_grads.flat
+        loss_val = out.value + cfg.penalty_coef * penalty
+        if not math.isfinite(loss_val):
+            raise FloatingPointError("critic loss diverged")
+        opt.step(params, grads)
+        return loss_val, q
+
+    def _critic_input_gradient(self, params, x):
+        """A critic on the rows of x, and its gradient w.r.t. the actions."""
+        q, cache = self._scalar(params, x)
+        return q, nn.input_gradient(params, x, cache)[:, self.obs_dim:]
 
     # -- state snapshot for non-finite rollback --------------------------
 
@@ -205,6 +311,17 @@ class SacAgent:
         at some other sizes (16, 50) OpenBLAS rounds a stacked row
         differently in the last bit.
 
+        The two networks of a twin pair never read each other's weights
+        within a step, so when pair_threads is set (PAIR_THREAD_CPUS CPUs
+        per process and BLAS-bound passes; see PAIR_THREAD_WORK) network
+        2's half runs on a helper thread while network 1's runs on this
+        one: the target pair's forward, each critic's loss, backward,
+        penalty and Adam step, and the actor phase's critic forward and
+        input gradient. Each half
+        makes the same one-thread BLAS and ufunc calls on the same operands
+        as the serial path, so the bytes are the same; the helper is joined
+        before either result is read, and no thread outlives the step.
+
         A non-finite loss or input aborts the step: the one vector that
         holds the online networks and their Adam moments is copied back in
         place from a snapshot taken on entry, and the abort is counted. The
@@ -244,30 +361,12 @@ class SacAgent:
         target = batch.rewards + cfg.gamma * not_done * (
             q_target[:n] - self.alpha * logp[:n]
         )
-        critic_losses = []
-        preds = []
-        for params, opt in ((self.critic1, self.opt_critic1),
-                            (self.critic2, self.opt_critic2)):
-            q, cache = self._scalar(params, x)
-            preds.append(q)
-            out = losses.weighted_huber_critic_loss(q, target, weights,
-                                                    k=cfg.huber_k)
-            grads, _ = nn.backward(params, x, out.grad[:, None], cache)
-            penalty = 0.0
-            if cfg.penalty_coef > 0.0:
-                pen = losses.gradient_penalty(params, x, cache)
-                penalty = pen.value
-                # the penalty's bias gradients are +0.0, so the flat sum
-                # leaves every bias bit as it was, but for a -0.0 that it
-                # makes +0.0 (Adam cannot tell the two apart)
-                grads.flat += cfg.penalty_coef * pen.param_grads.flat
-            loss_val = out.value + cfg.penalty_coef * penalty
-            if not math.isfinite(loss_val):
-                raise FloatingPointError("critic loss diverged")
-            critic_losses.append(loss_val)
-            opt.step(params, grads)
-        metrics.critic_loss = (critic_losses[0] + critic_losses[1]) / 2
-        metrics.critic_td_errors = target - 0.5 * (preds[0] + preds[1])
+        (loss1, q1), (loss2, q2) = _pair(
+            lambda net: self._critic_step(*net, x, target, weights),
+            (self.critic1, self.opt_critic1), (self.critic2, self.opt_critic2),
+            self.pair_threads)
+        metrics.critic_loss = (loss1 + loss2) / 2
+        metrics.critic_td_errors = target - 0.5 * (q1 + q2)
 
         # value network (priority TD source)
         if roer is not None:
@@ -293,15 +392,14 @@ class SacAgent:
         logp = logp[n:]
         aux = _rows_from(aux, n)
         x_new = np.concatenate([obs, act[n:]], axis=1)
-        q1, c1 = self._scalar(self.critic1, x_new)
-        q2, c2 = self._scalar(self.critic2, x_new)
+        (q1, g1), (q2, g2) = _pair(
+            lambda p: self._critic_input_gradient(p, x_new),
+            self.critic1, self.critic2, self.pair_threads)
         use_first = q1 <= q2
         q_min = np.where(use_first, q1, q2)
         metrics.actor_loss = float(np.add.reduce(self.alpha * logp - q_min) / n)
         if not math.isfinite(metrics.actor_loss):
             raise FloatingPointError("actor loss diverged")
-        g1 = nn.input_gradient(self.critic1, x_new, c1)[:, self.obs_dim:]
-        g2 = nn.input_gradient(self.critic2, x_new, c2)[:, self.obs_dim:]
         dq_da = np.where(use_first[:, None], g1, g2)
         agrads = self._actor_backward(aux, dq_da, n)
         self.opt_actor.step(self.actor, agrads)
@@ -326,8 +424,7 @@ class SacAgent:
             q_next - self.alpha * next_logp
         )
         x = np.concatenate([batch.states, batch.actions], axis=1)
-        q1, _ = self._scalar(self.critic1, x)
-        q2, _ = self._scalar(self.critic2, x)
+        q1, q2 = self._q_pair(self.critic1, self.critic2, x)
         return np.abs(target - 0.5 * (q1 + q2))
 
     def _actor_backward(self, aux: dict, dq_da: np.ndarray, n: int) -> nn.ParameterSet:

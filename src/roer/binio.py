@@ -13,12 +13,12 @@ Payloads are a u32 array count, then that many tagged numpy arrays, each
 u32 name length, name bytes (utf-8), u8 dtype code, u8 ndim, u64 per
 dimension, then the raw array bytes. dtype codes: 0 = float64, 1 = int64,
 2 = uint8. arrays_to_payload describes them without copying the arrays'
-bytes; read_array reads one back.
+bytes; payload_to_arrays reads them back as read-only views of the one
+payload, so a loader copies each array once, into its own memory.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 
@@ -57,35 +57,46 @@ def _array_parts(name: str, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
     return tag, arr.astype(_DTYPES[code], copy=False).reshape(-1).view(np.uint8)
 
 
-def read_array(stream) -> tuple[str, np.ndarray]:
-    (nlen,) = struct.unpack("<I", _read_exact(stream, 4))
-    name = _read_exact(stream, nlen).decode("utf-8")
-    code, ndim = struct.unpack("<BB", _read_exact(stream, 2))
+class _Cursor:
+    """A read position in one payload's bytes."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> int:
+        """Step over the next n bytes; returns where they start."""
+        left = len(self.data) - self.pos
+        if n > left:
+            raise FormatError(f"truncated stream: wanted {n} bytes, got {left}")
+        self.pos += n
+        return self.pos - n
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self.take(struct.calcsize(fmt)))
+
+
+def _read_array(cur: _Cursor) -> tuple[str, np.ndarray]:
+    """The next tagged array, as a read-only view of the payload."""
+    (nlen,) = cur.unpack("<I")
+    start = cur.take(nlen)
+    name = str(cur.data[start:start + nlen], "utf-8")
+    code, ndim = cur.unpack("<BB")
     if code not in _DTYPES:
         raise FormatError(f"unknown dtype code {code} for field {name!r}")
-    shape = tuple(
-        struct.unpack("<Q", _read_exact(stream, 8))[0] for _ in range(ndim)
-    )
+    shape = cur.unpack(f"<{ndim}Q")
     dtype = _DTYPES[code]
-    nbytes = dtype.itemsize * math.prod(shape)   # Python ints: no overflow
-    left = _remaining(stream)
-    if nbytes > left:
-        raise FormatError(f"field {name!r} of shape {shape} needs {nbytes} "
-                          f"bytes, but {left} remain")
-    raw = _read_exact(stream, nbytes)
+    count = math.prod(shape)   # Python ints: no overflow
+    left = len(cur.data) - cur.pos
+    if dtype.itemsize * count > left:
+        raise FormatError(f"field {name!r} of shape {shape} needs "
+                          f"{dtype.itemsize * count} bytes, but {left} remain")
+    start = cur.take(dtype.itemsize * count)
     try:
-        arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        arr = np.frombuffer(cur.data, dtype, count, start).reshape(shape)
     except ValueError as exc:   # an empty array with a dimension numpy refuses
         raise FormatError(f"field {name!r} has bad shape {shape}: {exc}") from None
-    return name, arr.copy()
-
-
-def _remaining(stream) -> int:
-    """Bytes from the stream's position to its end."""
-    pos = stream.tell()
-    end = stream.seek(0, io.SEEK_END)
-    stream.seek(pos)
-    return end - pos
+    return name, arr
 
 
 class _Payload:
@@ -119,7 +130,8 @@ def write_envelope(path_or_stream, kind: int, payload: _Payload) -> None:
             payload.write_to(fh)
 
 
-def read_envelope(path_or_stream, expected_kind: int) -> io.BytesIO:
+def read_envelope(path_or_stream, expected_kind: int) -> bytes:
+    """The payload of an envelope of the expected kind, as one bytes object."""
     if hasattr(path_or_stream, "read"):
         stream = path_or_stream
     else:
@@ -137,7 +149,7 @@ def read_envelope(path_or_stream, expected_kind: int) -> io.BytesIO:
     finally:
         if stream is not path_or_stream:
             stream.close()
-    return io.BytesIO(payload)
+    return payload
 
 
 def arrays_to_payload(arrays: dict[str, np.ndarray]) -> _Payload:
@@ -146,9 +158,12 @@ def arrays_to_payload(arrays: dict[str, np.ndarray]) -> _Payload:
     return _Payload(arrays)
 
 
-def payload_to_arrays(stream) -> dict[str, np.ndarray]:
-    (count,) = struct.unpack("<I", _read_exact(stream, 4))
-    return dict(read_array(stream) for _ in range(count))
+def payload_to_arrays(payload: bytes) -> dict[str, np.ndarray]:
+    """The payload's arrays, in order, as read-only views of its bytes; copy
+    one to change it."""
+    cur = _Cursor(payload)
+    (count,) = cur.unpack("<I")
+    return dict(_read_array(cur) for _ in range(count))
 
 
 def checked(arrays: dict[str, np.ndarray], name: str, shape: tuple,

@@ -128,14 +128,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _keep_freed_memory() -> None:
-    """Keep freed heap memory in the process (glibc malloc only). Each SAC
-    update frees and reallocates array temporaries of up to a few MB; by
-    default glibc returns them to the OS and faults them in again, which
-    costs (256, 256) networks about a fifth of their update time."""
+    """Keep freed heap memory in the process, in one heap (glibc malloc
+    only). Each SAC update frees and reallocates array temporaries of up to
+    a few MB; by default glibc returns them to the OS and faults them in
+    again, which costs (256, 256) networks about a fifth of their update
+    time. A SAC agent that runs its twin passes on two threads allocates
+    from its helper thread too: with one arena those temporaries come from,
+    and return to, the same kept heap rather than a second arena of their
+    own."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD: heap-allocate blocks up to 32 MB
         mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD: keep up to 128 MB of free heap
+        mallopt(-8, 1)          # M_ARENA_MAX: every thread allocates from one arena
 
 
 def main(argv=None) -> int:

@@ -151,8 +151,10 @@ class _SeedRun:
             self.q_star, _, pi_star = value_iteration(oracle_mdp)
             self.d_star = occupancy(oracle_mdp, pi_star)
         else:
+            # run_train runs this many seeds at once, one process each
             self.agent = SacAgent(self.env.obs_dim, self.env.action_dim,
-                                  cfg.sac, self.streams["init"])
+                                  cfg.sac, self.streams["init"],
+                                  processes=min(cfg.workers, len(cfg.seeds)))
             self.buffer = PriorityBuffer(cfg.buffer_capacity, self.env.obs_dim,
                                          self.env.action_dim)
         # the scheme's value-loss knobs and divergence; None trains no value net

@@ -1,10 +1,13 @@
 import io
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from roer import losses, nn
+from roer import agents, losses, nn
 from roer.agents import (
     SacAgent,
     SacConfig,
@@ -13,6 +16,7 @@ from roer.agents import (
     aux_obs_of,
 )
 from roer.binio import FormatError
+from roer.config import SAC_PROFILES
 from roer.replay import PriorityBuffer, Transition
 from roer.schemes import ConfigError, RoerConfig
 
@@ -296,13 +300,24 @@ class TestInPlaceRollback:
                 return out
             return wrapped
 
-        def nan_q_on_second(q_pred, *args, **kwargs):
+        # the critic pair may run on two threads, in no fixed call order:
+        # the poisons pick critic 2 by its params
+        def nan_penalty_of(critic):
+            def wrapped(params, *args, **kwargs):
+                out = real(params, *args, **kwargs)
+                if params is critic:
+                    out.value = math.nan
+                return out
+            return wrapped
+
+        def nan_q_of_second(params, x):
             # the loss makes no check of its own: a NaN critic output gives
             # a NaN loss, which the phase's finite check catches
-            calls.append(1)
-            if len(calls) == 2:
-                q_pred = np.full_like(q_pred, math.nan)
-            return real(q_pred, *args, **kwargs)
+            q, cache = real(params, x)
+            if params is agent.critic2 and not calls:  # its critic-step pass
+                calls.append(1)
+                q = np.full_like(q, math.nan)
+            return q, cache
 
         def nan_obs_half(*args, **kwargs):
             # the one draw covers (next_obs, obs); a NaN log-density in its
@@ -312,12 +327,13 @@ class TestInPlaceRollback:
             logp[len(logp) // 2:] = math.nan
             return act, logp, aux
 
-        if phase == "critic":  # the second critic, after the first stepped
-            real = losses.weighted_huber_critic_loss
-            mp.setattr(losses, "weighted_huber_critic_loss", nan_on(2))
+        if phase in ("critic", "first_critic"):  # one critic's loss
+            real = losses.gradient_penalty
+            mp.setattr(losses, "gradient_penalty", nan_penalty_of(
+                agent.critic2 if phase == "critic" else agent.critic1))
         elif phase == "critic_output":  # the second critic's predictions
-            real = losses.weighted_huber_critic_loss
-            mp.setattr(losses, "weighted_huber_critic_loss", nan_q_on_second)
+            real = agent._scalar
+            mp.setattr(agent, "_scalar", nan_q_of_second)
         elif phase == "value":
             real = losses.extreme_v_loss
             mp.setattr(losses, "extreme_v_loss", nan_on(1))
@@ -378,6 +394,110 @@ class TestInPlaceRollback:
         assert m.aborted == (phase is not None)
         twin.standard_normal((2 * len(batch), agent.action_dim))
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def force_pair_threads(mp):
+    """Run every twin pair of the agents built from here on on two threads,
+    whatever their size and the CPUs at hand."""
+    mp.setattr(agents, "PAIR_THREAD_WORK", 0)
+    mp.setattr(agents, "PAIR_THREAD_CPUS", 1)
+
+
+class TestThreadedRollback(TestInPlaceRollback):
+    """TestInPlaceRollback's cases with the pairs on two threads: a NaN in
+    the helper's half (critic 2) aborts the step as it does serially."""
+
+    @pytest.fixture(autouse=True)
+    def threaded(self, monkeypatch):
+        force_pair_threads(monkeypatch)
+        assert fresh_agent().pair_threads
+
+    def test_first_critic_abort_waits_for_the_second(self, monkeypatch):
+        # critic 1 fails on this thread while critic 2 steps on the helper:
+        # the rollback starts only after that step, and undoes it
+        agent, twin = fresh_agent(seed=33), fresh_agent(seed=33)
+        before = state_bytes(agent)
+        reached = []
+        with monkeypatch.context() as mp:
+            self.poison(mp, agent, "first_critic", reached)
+            m = update_with(agent, make_batch(np.random.default_rng(34)), 35)
+        assert reached == [[0, 1, 0]]
+        assert m.aborted and state_bytes(agent) == before
+        batch = make_batch(np.random.default_rng(36))
+        assert metrics_bytes(update_with(agent, batch, 37)) == \
+            metrics_bytes(update_with(twin, batch, 37))
+
+
+class TestPairThreads:
+    @pytest.mark.parametrize("hidden, n", [((8, 8), 16), ((64, 64), 64)])
+    def test_threaded_agent_matches_the_serial_one(self, monkeypatch, hidden, n):
+        def agent():
+            config = SacConfig(hidden_dims=hidden, batch_size=n)
+            return SacAgent(3, 1, config, seed=50)
+
+        serial = agent()
+        force_pair_threads(monkeypatch)
+        threaded = agent()
+        assert threaded.pair_threads and not serial.pair_threads
+        rng = np.random.default_rng(51)
+        for i in range(6):
+            batch = make_batch(rng, n=n)
+            roer = RoerConfig() if i % 3 else None
+            assert metrics_bytes(update_with(serial, batch, 60 + i, roer)) == \
+                metrics_bytes(update_with(threaded, batch, 60 + i, roer))
+            assert serial.td_surrogates(batch, np.random.default_rng(i)).tobytes() == \
+                threaded.td_surrogates(batch, np.random.default_rng(i)).tobytes()
+        assert state_bytes(serial) == state_bytes(threaded)
+        assert serial.checkpoint_arrays()["meta"].tobytes() == \
+            threaded.checkpoint_arrays()["meta"].tobytes()
+
+    def test_both_halves_finish_before_the_first_error(self):
+        done, go = [], threading.Event()
+
+        def fail(tag):
+            if tag == "b":  # still running when "a" fails
+                assert go.wait(timeout=10)
+                time.sleep(0.05)
+            else:
+                go.set()
+            done.append(tag)
+            raise ValueError(tag)
+
+        with pytest.raises(ValueError, match="a"):
+            agents._pair(fail, "a", "b", threaded=True)
+        assert done == ["a", "b"]
+        done.clear()
+        go.clear()
+        with pytest.raises(ValueError, match="b"):
+            agents._pair(lambda t: fail(t) if t == "b" else go.set(),
+                         "a", "b", threaded=True)
+        assert done == ["b"]
+
+    def test_helper_runs_under_the_callers_errstate(self):
+        def overflow(scale):
+            return np.float64(1e308) * scale
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                agents._pair(overflow, 1.0, 10.0, threaded=True)
+        with np.errstate(over="ignore"):
+            assert agents._pair(overflow, 1.0, 10.0, threaded=True) == (1e308, np.inf)
+
+    def test_no_thread_or_affinity_outlives_a_pair(self):
+        count, cpus = threading.active_count(), os.sched_getaffinity(0)
+        masks = agents._pair(lambda _: os.sched_getaffinity(0), 1, 2, threaded=True)
+        assert threading.active_count() == count
+        assert os.sched_getaffinity(0) == cpus
+        # the helper left the caller's CPU, when there was another to go to
+        assert masks[0] == cpus
+        if len(cpus) > 1 and agents._sched_getcpu is not None:
+            assert len(masks[1]) == len(cpus) - 1 and masks[1] < cpus
+
+    @pytest.mark.parametrize("profile", ["test", "full"])
+    def test_only_blas_bound_pairs_take_two_threads(self, profile):
+        agent = SacAgent(3, 1, SacConfig(**SAC_PROFILES[profile]), seed=0)
+        assert agent.pair_threads == (
+            profile == "full" and agents._usable_cpus() >= 2)
 
 
 class TestForwardPasses:

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import yaml
 
 import roer
+from roer import agents
 from roer.agents import SacAgent, SacConfig
 from roer.binio import FormatError
 from roer.cli import main
@@ -284,6 +286,60 @@ def test_cli_import_loads_no_scipy():
                          text=True, check=True,
                          env=os.environ | {"PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+PENDULUM_RUN = dict(env="pendulum", scheme="roer", total_steps=60,
+                    train_start_step=30, eval_period=60, env_horizon=20,
+                    agent=dict(profile="test", hidden_dims=[8, 8], batch_size=8))
+
+
+class TestPairThreadHygiene:
+    def test_threaded_train_leaves_no_thread_and_the_same_files(
+            self, tmp_path, monkeypatch):
+        serial = tmp_path / "serial"
+        serial.mkdir()
+        assert main(["train", "-c", str(write_config(serial, **PENDULUM_RUN))]) == 0
+        monkeypatch.setattr(agents, "PAIR_THREAD_WORK", 0)
+        monkeypatch.setattr(agents, "PAIR_THREAD_CPUS", 1)
+        starts = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        count = threading.active_count()
+        assert main(["train", "-c", str(write_config(tmp_path, **PENDULUM_RUN))]) == 0
+        assert starts  # one helper per twin pair of each update
+        assert threading.active_count() == count
+        for name in ("metrics.jsonl", "checkpoint.bin", "buffer.bin", "summary.json"):
+            assert (tmp_path / "run" / "seed_0" / name).read_bytes() == \
+                (serial / "run" / "seed_0" / name).read_bytes()
+
+    def test_forked_seeds_after_a_threaded_update_finish(self, tmp_path):
+        # the pool forks this process after its own threaded update: no
+        # helper thread (or lock it held) is left for a child to inherit
+        path = write_config(tmp_path, **PENDULUM_RUN, seeds=[0, 1], workers=2)
+        code = ("import sys, threading, numpy as np; "
+                "from roer import cli, agents; "
+                # every SAC agent from here on runs its pairs on two threads
+                "agents.PAIR_THREAD_WORK, agents.PAIR_THREAD_CPUS = 0, 1; "
+                "from roer.schemes import RoerConfig; "
+                "from roer.replay import PriorityBuffer; "
+                "agent = agents.SacAgent(3, 1, agents.SacConfig(hidden_dims=(8,), "
+                "batch_size=4), 0); assert agent.pair_threads; "
+                "rng = np.random.default_rng(0); buf = PriorityBuffer(8, 3, 1); "
+                "buf.fill_offline(rng.normal(size=(8, 3)), rng.normal(size=(8, 1)), "
+                "rng.normal(size=8), rng.normal(size=(8, 3)), np.zeros(8, bool)); "
+                "m = agent.update(buf.sample_uniform(4, rng), np.ones(4), rng, RoerConfig()); "
+                "assert not m.aborted and threading.active_count() == 1; "
+                "sys.exit(cli.main(['train', '-c', sys.argv[1]]))")
+        src = str(Path(roer.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code, str(path)], check=True,
+                       timeout=120, env=os.environ | {"PYTHONPATH": src})
+        for seed in (0, 1):
+            assert (tmp_path / "run" / f"seed_{seed}" / "summary.json").is_file()
 
 
 class TestSweepCommand:

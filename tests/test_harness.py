@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roer import config as cmod
-from roer import divergences, harness, losses, schemes
+from roer import agents, divergences, harness, losses, schemes
 from roer.agents import TabularAgent, TabularConfig
 from roer.cli import main
 from roer.config import seed_streams
@@ -372,6 +372,19 @@ class TestRunTrain:
         out = run_train(laber)
         buf = PriorityBuffer.load(out / "seed_0" / "buffer.bin")
         assert np.all(buf.priorities == 1.0)  # surrogates never persist
+
+    @pytest.mark.parametrize("workers, seeds, cpus, threaded", [
+        (1, [0, 1], 2, True), (2, [0], 2, True), (2, [0, 1], 2, False),
+        (2, [0, 1, 2], 4, True), (3, [0, 1, 2], 4, False)])
+    def test_seeds_run_at_once_share_the_cpus(self, tmp_path, monkeypatch,
+                                              workers, seeds, cpus, threaded):
+        # two full-profile seed processes with two threads each on two CPUs
+        # ran 1.35x slower than serial pairs
+        monkeypatch.setattr(agents, "_usable_cpus", lambda: cpus)
+        cfg = cmod.from_dict(base_raw(tmp_path, env="pendulum", scheme="roer",
+                                      agent=dict(profile="full"), buffer_capacity=256,
+                                      workers=workers, seeds=seeds))
+        assert harness._SeedRun(cfg, 0, tmp_path / "seed_0").agent.pair_threads == threaded
 
     @pytest.mark.parametrize("mode", ["weighted", "proportional"])
     def test_loss_weights_of_each_sampling_mode(self, tmp_path, mode):

@@ -333,8 +333,9 @@ def snapshot_bytes(buf):
 
 
 def snapshot_arrays(buf):
+    """The snapshot's arrays, as copies that a test may change."""
     payload = binio.read_envelope(io.BytesIO(snapshot_bytes(buf)), binio.KIND_BUFFER)
-    return binio.payload_to_arrays(payload)
+    return {name: arr.copy() for name, arr in binio.payload_to_arrays(payload).items()}
 
 
 def envelope(arrays):
@@ -362,6 +363,20 @@ def reference_envelope(kind, arrays):
 
 
 class TestEnvelope:
+    def test_read_arrays_are_read_only_views_of_the_payload(self):
+        arrays = {"a": np.arange(5.0), "b": np.eye(2), "c": np.zeros((0, 3))}
+        stream = io.BytesIO()
+        nn.save_checkpoint(stream, arrays)
+        stream.seek(0)
+        payload = binio.read_envelope(stream, binio.KIND_CHECKPOINT)
+        loaded = binio.payload_to_arrays(payload)
+        for name, arr in arrays.items():
+            assert np.array_equal(loaded[name], arr)
+            assert not loaded[name].flags.writeable
+        assert np.shares_memory(loaded["a"], np.frombuffer(payload, np.uint8))
+        with pytest.raises(ValueError, match="read-only"):
+            loaded["a"][0] = 1.0
+
     @pytest.mark.parametrize("kind", [binio.KIND_BUFFER, binio.KIND_CHECKPOINT])
     def test_written_bytes_are_header_plus_payload(self, kind, tmp_path):
         arrays = {"a": np.arange(5.0), "b": np.eye(2)}
@@ -967,8 +982,9 @@ class TestBulkPathMemory:
     BOUND = 2.5 * 8 * N
 
     @staticmethod
-    def traced_peak(call) -> int:
-        """Peak traced bytes during call(), above those traced before it."""
+    def traced(call) -> tuple[int, int]:
+        """Peak traced bytes during call(), and those still held after it,
+        both above those traced before it."""
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -976,10 +992,15 @@ class TestBulkPathMemory:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             call()
-            return tracemalloc.get_traced_memory()[1] - before
+            held, peak = tracemalloc.get_traced_memory()
+            return peak - before, held - before
         finally:
             if not tracing:
                 tracemalloc.stop()
+
+    @classmethod
+    def traced_peak(cls, call) -> int:
+        return cls.traced(call)[0]
 
     @pytest.fixture(scope="class")
     def rows(self):
@@ -1013,3 +1034,14 @@ class TestBulkPathMemory:
         assert self.traced_peak(lambda: full.snapshot(path)) < self.BOUND
         loaded = PriorityBuffer.load(path)
         assert buffer_state(loaded) == buffer_state(full)
+
+    def test_load_from_a_file(self, full, tmp_path):
+        # every array is a view of the one payload, copied once into the
+        # buffer: beyond the buffer, load holds about the file's bytes
+        path = tmp_path / "buffer.bin"
+        full.snapshot(path)
+        out = []
+        peak, held = self.traced(lambda: out.append(PriorityBuffer.load(path)))
+        assert peak - held < path.stat().st_size + self.BOUND / 5
+        assert buffer_state(out[0]) == buffer_state(full)
+        assert all(col.flags.writeable for col in out[0]._live_columns().values())

@@ -18,8 +18,13 @@ sides, and runs under a ROER scheme with positive weights.
 
 It prints each side's p50 update time, the fraction of blocks in which the
 change's block median was lower, and the median over blocks of the ratio
-change / parent of block medians. It exits 1 unless both agents'
-checkpoint arrays are byte-equal at the end, 0 otherwise.
+change / parent of block medians. It also prints the CPUs each side may
+run on, whether each agent runs its twin pairs on two threads (an agent
+without the `pair_threads` attribute never does), and the hypervisor's
+steal time over the blocks from /proc/stat (read only): a ratio near 1.0
+with steal time high says the second CPU was busy elsewhere, not that the
+threads gained nothing. It exits 1 unless both agents' checkpoint arrays
+are byte-equal at the end, 0 otherwise.
 
 BLAS is pinned to one thread unless OPENBLAS_NUM_THREADS is already set,
 and freed heap is kept in the process as `roer train` does.
@@ -105,6 +110,18 @@ def transitions() -> dict:
     )
 
 
+def cpu_ticks() -> tuple[int, int] | None:
+    """(steal, total) jiffies of all CPUs so far, from /proc/stat's cpu line."""
+    try:
+        with open("/proc/stat") as fh:
+            fields = [int(v) for v in fh.readline().split()[1:]]
+    except (OSError, ValueError):
+        return None
+    # user nice system idle iowait irq softirq steal guest guest_nice; the
+    # guest times are already counted in user and nice
+    return fields[7], sum(fields[:8])
+
+
 def same_state(a, b) -> bool:
     arrays_a, arrays_b = a.checkpoint_arrays(), b.checkpoint_arrays()
     return (arrays_a.keys() == arrays_b.keys()
@@ -129,6 +146,7 @@ def main(argv=None) -> int:
     parent = Side(parent_pkg, fields, pool)
     change = Side(change_pkg, fields, pool)
 
+    ticks = cpu_ticks()
     ratios = []
     for block in range(args.blocks):
         order = (parent, change) if block % 2 == 0 else (change, parent)
@@ -136,6 +154,7 @@ def main(argv=None) -> int:
                    for side in order}
         ratios.append(medians[id(change)] / medians[id(parent)])
 
+    end_ticks = cpu_ticks()
     identical = same_state(parent.agent, change.agent)
     p50 = {name: statistics.median(side.times_ns) / 1e3
            for name, side in (("parent", parent), ("change", change))}
@@ -143,6 +162,13 @@ def main(argv=None) -> int:
     print(f"parent p50 {p50['parent']:.0f} us   change p50 {p50['change']:.0f} us")
     print(f"change faster in {sum(r < 1.0 for r in ratios)}/{len(ratios)} blocks; "
           f"median ratio change/parent {statistics.median(ratios):.3f}")
+    for name, side in (("parent", parent), ("change", change)):
+        print(f"{name}: {len(os.sched_getaffinity(0))} CPUs, twin pairs on two threads: "
+              f"{getattr(side.agent, 'pair_threads', False)}")
+    if ticks is not None and end_ticks is not None:
+        steal, total = (end - start for end, start in zip(end_ticks, ticks))
+        print(f"steal time over the blocks: {steal} of {total} CPU ticks "
+              f"({steal / max(total, 1):.1%})")
     print(f"checkpoint arrays byte-equal: {identical}")
     return 0 if identical else 1
 
