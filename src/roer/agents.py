@@ -172,6 +172,7 @@ class SacAgent:
                                *(s for o in self._optimizers() for s in (o.m, o.v))])
         self._critics = self._targets._like(self._state.flat[:len(self._targets.flat)])
         self._saved = np.empty(len(self._state.flat))
+        self._saved_counters: list[tuple[int, int]] = []  # (step_count, skipped)
         self.target_entropy = (
             config.target_entropy if config.target_entropy is not None
             else -float(action_dim)
@@ -273,22 +274,22 @@ class SacAgent:
 
     # -- state snapshot for non-finite rollback --------------------------
 
-    # The targets and the temperature change only after the last check that
-    # can raise (the actor loss), so an abort never reaches them and the
-    # snapshot leaves them out. The rollback copies values back in place, so
+    # The targets and the temperature change only after the last checks that
+    # can raise (the value and actor losses), so an abort never reaches them
+    # and the snapshot leaves them out. The rollback copies values back in place, so
     # every ParameterSet and AdamState keeps its identity and its views.
     _OPTIMIZED = ("critic1", "critic2", "actor", "value")  # _optimizers()' networks
 
     def _optimizers(self):
         return (self.opt_critic1, self.opt_critic2, self.opt_actor, self.opt_value)
 
-    def _snapshot(self):
+    def _snapshot(self) -> None:
         np.copyto(self._saved, self._state.flat)
-        return [(o.step_count, o.skipped) for o in self._optimizers()]
+        self._saved_counters = [(o.step_count, o.skipped) for o in self._optimizers()]
 
-    def _restore(self, counters):
+    def _restore(self) -> None:
         np.copyto(self._state.flat, self._saved)
-        for opt, (step_count, skipped) in zip(self._optimizers(), counters):
+        for opt, (step_count, skipped) in zip(self._optimizers(), self._saved_counters):
             opt.step_count, opt.skipped = step_count, skipped
 
     # -- update ----------------------------------------------------------
@@ -311,37 +312,51 @@ class SacAgent:
         at some other sizes (16, 50) OpenBLAS rounds a stacked row
         differently in the last bit.
 
-        The two networks of a twin pair never read each other's weights
-        within a step, so when pair_threads is set (PAIR_THREAD_CPUS CPUs
-        per process and BLAS-bound passes; see PAIR_THREAD_WORK) network
-        2's half runs on a helper thread while network 1's runs on this
-        one: the target pair's forward, each critic's loss, backward,
-        penalty and Adam step, and the actor phase's critic forward and
-        input gradient. Each half
-        makes the same one-thread BLAS and ufunc calls on the same operands
-        as the serial path, so the bytes are the same; the helper is joined
-        before either result is read, and no thread outlives the step.
+        Work that reads nothing the other half writes runs in two lanes
+        through _pair. When pair_threads is set (PAIR_THREAD_CPUS CPUs per
+        process and BLAS-bound passes; see PAIR_THREAD_WORK) the second
+        lane runs on a helper thread while the first runs on this one:
+        - the actor's stacked pass and draw, beside the rollback snapshot;
+        - the target pair's forward, network 2's on the helper;
+        - each critic's loss, backward, penalty and Adam step;
+        - the actor phase's critic forward and input gradient, which read
+          only the stepped critics and so come before the value step;
+        - under a ROER scheme, the value network's forward, loss, backward,
+          Adam step and TD pass, beside the actor's loss, finite check,
+          backward and Adam step. Neither reads the other's network, and
+          the temperature moves only after both.
+        Each lane makes the same one-thread BLAS and ufunc calls on the
+        same operands as the serial path, which runs the first lane and
+        then the second (the value step before the actor step), so the
+        bytes are the same; the helper is joined before either result is
+        read, and no thread outlives its pair. That is 5 threads started
+        per update under a ROER scheme, 4 without, at about 85 us each to
+        start and join (measured on a 2-vCPU Xeon VM).
 
         A non-finite loss or input aborts the step: the one vector that
         holds the online networks and their Adam moments is copied back in
-        place from a snapshot taken on entry, and the abort is counted. The
-        step has still taken its one (2n, A) normal draw from rng, whichever
-        phase aborted."""
+        place from the snapshot, and the abort is counted. Both lanes
+        finish before the first lane's error is raised, so the rollback
+        never races a late Adam step; threaded, the actor has stepped when
+        the value loss aborts, and the rollback undoes it. An aborted step
+        returns fresh StepMetrics with only aborted set, and has still
+        taken its one (2n, A) normal draw from rng, whichever phase
+        aborted."""
         weights = np.asarray(weights, dtype=np.float64)
-        counters = self._snapshot()
-        metrics = StepMetrics()
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return self._update_inner(batch, weights, rng, roer, div, metrics)
+                return self._update_inner(batch, weights, rng, roer, div)
         except (FloatingPointError, InvalidInputError):
             # non-finite collapse: abort, count, roll back all state
-            self._restore(counters)
+            self._restore()
             self.aborted_updates += 1
-            metrics.aborted = True
-            return metrics
+            return StepMetrics(aborted=True)
 
-    def _update_inner(self, batch, weights, rng, roer, div,
-                      metrics: StepMetrics) -> StepMetrics:
+    def _lanes(self, first, second):
+        """(first(), second()) through _pair, two lanes when pair_threads."""
+        return _pair(lambda job: job(), first, second, self.pair_threads)
+
+    def _update_inner(self, batch, weights, rng, roer, div) -> StepMetrics:
         cfg = self.config
         n = len(batch)
         obs = batch.states
@@ -350,8 +365,10 @@ class SacAgent:
         not_done = 1.0 - batch.terminals.astype(np.float64)
         # the actor moves only at its own step: one pass and one draw over
         # (next_obs, obs) give the critic target's next action and the
-        # actor loss's sample
-        act, logp, aux = self._sample(np.concatenate([nobs, obs]), rng)
+        # actor loss's sample. _sample makes no check, so the snapshot
+        # beside it is whole before anything can raise.
+        (act, logp, aux), _ = self._lanes(
+            lambda: self._sample(np.concatenate([nobs, obs]), rng), self._snapshot)
         # critic update against the entropy-regularized min-target; the
         # targets move only at the Polyak step, so under a ROER scheme the
         # same pass also gives the value loss its min-target on (obs, act)
@@ -365,44 +382,25 @@ class SacAgent:
             lambda net: self._critic_step(*net, x, target, weights),
             (self.critic1, self.opt_critic1), (self.critic2, self.opt_critic2),
             self.pair_threads)
-        metrics.critic_loss = (loss1 + loss2) / 2
-        metrics.critic_td_errors = target - 0.5 * (q1 + q2)
+        metrics = StepMetrics(critic_loss=(loss1 + loss2) / 2,
+                              critic_td_errors=target - 0.5 * (q1 + q2))
 
-        # value network (priority TD source)
-        if roer is not None:
-            v_pred, v_cache = self._scalar(self.value, obs)
-            residual = q_target[n:] - v_pred
-            if div.kind is Kind.PEARSON_CHI2:
-                out = losses.pearson_v_loss(residual, roer.beta)
-            else:
-                out = losses.extreme_v_loss(residual, roer.beta, roer.grad_clip)
-                metrics.value_clip_count = out.clipped
-            if not math.isfinite(out.value):
-                raise FloatingPointError("value loss diverged")
-            metrics.value_loss = out.value
-            vgrads, _ = nn.backward(self.value, obs, -out.grad[:, None], v_cache)
-            self.opt_value.step(self.value, vgrads)
-            # TD errors from the freshly updated value function
-            v, _ = self._scalar(self.value, np.concatenate([obs, nobs]))
-            metrics.value_td_errors = losses.td_error(
-                batch.rewards, cfg.gamma, v[n:], v[:n], batch.terminals
-            )
-
-        # actor, through the min online critic, on the obs half of the draw
-        logp = logp[n:]
-        aux = _rows_from(aux, n)
+        # the actor's gradient through the min online critic, on the obs
+        # half of the draw
         x_new = np.concatenate([obs, act[n:]], axis=1)
-        (q1, g1), (q2, g2) = _pair(
-            lambda p: self._critic_input_gradient(p, x_new),
-            self.critic1, self.critic2, self.pair_threads)
-        use_first = q1 <= q2
-        q_min = np.where(use_first, q1, q2)
-        metrics.actor_loss = float(np.add.reduce(self.alpha * logp - q_min) / n)
-        if not math.isfinite(metrics.actor_loss):
-            raise FloatingPointError("actor loss diverged")
-        dq_da = np.where(use_first[:, None], g1, g2)
-        agrads = self._actor_backward(aux, dq_da, n)
-        self.opt_actor.step(self.actor, agrads)
+        critics = _pair(lambda p: self._critic_input_gradient(p, x_new),
+                        self.critic1, self.critic2, self.pair_threads)
+        logp, aux = logp[n:], _rows_from(aux, n)
+
+        def actor_step():
+            return self._actor_step(aux, logp, critics, n)
+
+        if roer is None:
+            metrics.actor_loss = actor_step()
+        else:  # the value network (priority TD source), then the actor
+            value, metrics.actor_loss = self._lanes(
+                lambda: self._value_step(batch, q_target[n:], roer, div), actor_step)
+            metrics.value_loss, metrics.value_clip_count, metrics.value_td_errors = value
 
         # temperature toward the target entropy
         entropy_gap = float(np.add.reduce(logp) / n) + self.target_entropy
@@ -411,6 +409,41 @@ class SacAgent:
 
         nn.polyak(self._targets, self._critics, cfg.polyak_tau)
         return metrics
+
+    def _value_step(self, batch, q_min, roer, div):
+        """The value network's loss against the target pair's min on (obs,
+        act), its Adam step, and the TD errors of the stepped network:
+        (loss, clipped count, TD errors). A non-finite loss raises before
+        the step."""
+        obs, n = batch.states, len(batch)
+        v_pred, v_cache = self._scalar(self.value, obs)
+        residual = q_min - v_pred
+        if div.kind is Kind.PEARSON_CHI2:
+            out = losses.pearson_v_loss(residual, roer.beta)
+        else:
+            out = losses.extreme_v_loss(residual, roer.beta, roer.grad_clip)
+        if not math.isfinite(out.value):
+            raise FloatingPointError("value loss diverged")
+        vgrads, _ = nn.backward(self.value, obs, -out.grad[:, None], v_cache)
+        self.opt_value.step(self.value, vgrads)
+        v, _ = self._scalar(self.value, np.concatenate([obs, batch.next_states]))
+        td = losses.td_error(batch.rewards, self.config.gamma, v[n:], v[:n],
+                             batch.terminals)
+        return out.value, out.clipped, td
+
+    def _actor_step(self, aux, logp, critics, n: int) -> float:
+        """The actor loss against the min of the critics' (q, dq/da) pair,
+        and the actor's Adam step; returns the loss. A non-finite loss
+        raises before the step."""
+        (q1, g1), (q2, g2) = critics
+        use_first = q1 <= q2
+        q_min = np.where(use_first, q1, q2)
+        loss = float(np.add.reduce(self.alpha * logp - q_min) / n)
+        if not math.isfinite(loss):
+            raise FloatingPointError("actor loss diverged")
+        dq_da = np.where(use_first[:, None], g1, g2)
+        self.opt_actor.step(self.actor, self._actor_backward(aux, dq_da, n))
+        return loss
 
     def td_surrogates(self, batch: SampledBatch,
                       rng: np.random.Generator) -> np.ndarray:

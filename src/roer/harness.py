@@ -223,7 +223,7 @@ class _SeedRun:
     def _accumulate(self, metrics: StepMetrics) -> None:
         for key in ("critic_loss", "value_loss", "actor_loss", "alpha_loss"):
             v = getattr(metrics, key)
-            if np.isfinite(v):
+            if math.isfinite(v):
                 self._loss_sums[key] = self._loss_sums.get(key, 0.0) + v
                 self._loss_counts[key] = self._loss_counts.get(key, 0) + 1
 

@@ -18,7 +18,7 @@ from roer.agents import (
 from roer.binio import FormatError
 from roer.config import SAC_PROFILES
 from roer.replay import PriorityBuffer, Transition
-from roer.schemes import ConfigError, RoerConfig
+from roer.schemes import ROER_DIVERGENCES, ConfigError, RoerConfig
 
 
 def rel_err(a, b):
@@ -271,8 +271,9 @@ def metrics_bytes(m):
         "value_td_errors", "critic_td_errors", "value_clip_count", "aborted")]
 
 
-def update_with(agent, batch, seed, roer=RoerConfig()):
-    return agent.update(batch, np.ones(len(batch)), np.random.default_rng(seed), roer)
+def update_with(agent, batch, seed, roer=RoerConfig(), div=ROER_DIVERGENCES["roer"]):
+    return agent.update(batch, np.ones(len(batch)), np.random.default_rng(seed),
+                        roer, div)
 
 
 class TestInPlaceRollback:
@@ -427,6 +428,31 @@ class TestThreadedRollback(TestInPlaceRollback):
         assert metrics_bytes(update_with(agent, batch, 37)) == \
             metrics_bytes(update_with(twin, batch, 37))
 
+    def test_value_abort_undoes_the_actor_step_beside_it(self, monkeypatch):
+        # the value loss fails on this thread while the actor steps on the
+        # helper: the rollback starts only after that step, and undoes it
+        agent, twin = fresh_agent(seed=38), fresh_agent(seed=38)
+        before = state_bytes(agent)
+        reached, actor_reached = [], []
+        with monkeypatch.context() as mp:
+            self.poison(mp, agent, "value", reached)
+            restore = agent._restore
+
+            def recording_restore(*args):
+                actor_reached.append((agent.opt_actor.step_count, agent.opt_actor.skipped))
+                return restore(*args)
+
+            mp.setattr(agent, "_restore", recording_restore)
+            m = update_with(agent, make_batch(np.random.default_rng(39)), 40)
+        assert reached == [[1, 1, 0]] and actor_reached == [(1, 0)]
+        assert m.aborted and agent.aborted_updates == 1
+        assert state_bytes(agent) == before
+        assert (agent.opt_actor.step_count, agent.opt_actor.skipped) == (0, 0)
+        batch = make_batch(np.random.default_rng(41))
+        assert metrics_bytes(update_with(agent, batch, 42)) == \
+            metrics_bytes(update_with(twin, batch, 42))
+        assert state_bytes(agent) == state_bytes(twin)
+
 
 class TestPairThreads:
     @pytest.mark.parametrize("hidden, n", [((8, 8), 16), ((64, 64), 64)])
@@ -443,8 +469,10 @@ class TestPairThreads:
         for i in range(6):
             batch = make_batch(rng, n=n)
             roer = RoerConfig() if i % 3 else None
-            assert metrics_bytes(update_with(serial, batch, 60 + i, roer)) == \
-                metrics_bytes(update_with(threaded, batch, 60 + i, roer))
+            # the value lane's Gumbel and Pearson losses
+            div = ROER_DIVERGENCES["roer_chi2" if i % 3 == 2 else "roer"]
+            assert metrics_bytes(update_with(serial, batch, 60 + i, roer, div)) == \
+                metrics_bytes(update_with(threaded, batch, 60 + i, roer, div))
             assert serial.td_surrogates(batch, np.random.default_rng(i)).tobytes() == \
                 threaded.td_surrogates(batch, np.random.default_rng(i)).tobytes()
         assert state_bytes(serial) == state_bytes(threaded)
@@ -498,6 +526,42 @@ class TestPairThreads:
         agent = SacAgent(3, 1, SacConfig(**SAC_PROFILES[profile]), seed=0)
         assert agent.pair_threads == (
             profile == "full" and agents._usable_cpus() >= 2)
+
+
+class TestLanes:
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_overlapped_phases_run_on_two_threads(self, monkeypatch, threaded):
+        """Threaded, the snapshot runs on the helper beside the actor's pass
+        and draw, and the actor's Adam step beside the value network's;
+        serially all four run on the caller's thread."""
+        if threaded:
+            force_pair_threads(monkeypatch)
+        agent = fresh_agent(seed=44)
+        assert agent.pair_threads == threaded
+        threads = {}
+
+        def record(tag, owner, name):
+            real = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                threads.setdefault(tag, set()).add(threading.get_ident())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        record("snapshot", agent, "_snapshot")
+        record("sample", agent, "_sample")
+        record("value", agent.opt_value, "step")
+        record("actor", agent.opt_actor, "step")
+        rng = np.random.default_rng(45)
+        for i in range(2):
+            assert not update_with(agent, make_batch(rng), 46 + i).aborted
+        here = {threading.get_ident()}
+        assert threads["sample"] == threads["value"] == here
+        if threaded:
+            assert here.isdisjoint(threads["snapshot"] | threads["actor"])
+        else:
+            assert threads["snapshot"] == threads["actor"] == here
 
 
 class TestForwardPasses:

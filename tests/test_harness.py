@@ -386,6 +386,43 @@ class TestRunTrain:
                                       workers=workers, seeds=seeds))
         assert harness._SeedRun(cfg, 0, tmp_path / "seed_0").agent.pair_threads == threaded
 
+    def test_aborted_updates_leave_no_metrics_behind(self, tmp_path, monkeypatch):
+        # every fifth actor step diverges after the critic and value steps:
+        # the eval records' loss means and clip counts are those of the
+        # completed updates alone
+        real_update, real_backward = agents.SacAgent.update, agents.SacAgent._actor_backward
+        calls, updates = [], []
+
+        def failing_backward(self, *args):
+            calls.append(1)
+            if len(calls) % 5 == 0:
+                raise FloatingPointError("actor backward diverged")
+            return real_backward(self, *args)
+
+        def recording_update(self, *args, **kwargs):
+            updates.append(real_update(self, *args, **kwargs))
+            return updates[-1]
+
+        monkeypatch.setattr(agents.SacAgent, "_actor_backward", failing_backward)
+        monkeypatch.setattr(agents.SacAgent, "update", recording_update)
+        cfg = cmod.from_dict(base_raw(
+            tmp_path, env="pendulum", scheme="roer", total_steps=240,
+            train_start_step=64, eval_period=80, eval_episodes=1,
+            buffer_capacity=256))
+        records = read_metrics(run_train(cfg) / "seed_0" / "metrics.jsonl")
+        # records at steps 64 (the first update), 80, 160 and 240
+        windows = [updates[:1], updates[1:17], updates[17:97], updates[97:]]
+        assert len(updates) == 177 and len(records) == len(windows)
+        assert records[-1]["aborted_updates"] == sum(m.aborted for m in updates) == 35
+        clip_hits = 0
+        for record, window in zip(records, windows):
+            done = [m for m in window if not m.aborted]
+            clip_hits += sum(m.value_clip_count for m in done)
+            assert record["clip_hits"] == clip_hits
+            for key in ("critic_loss", "value_loss", "actor_loss", "alpha_loss"):
+                values = [getattr(m, key) for m in done]
+                assert record.get(key) == (sum(values) / len(values) if values else None)
+
     @pytest.mark.parametrize("mode", ["weighted", "proportional"])
     def test_loss_weights_of_each_sampling_mode(self, tmp_path, mode):
         cfg = cmod.from_dict(base_raw(tmp_path, scheme="roer", sampling_mode=mode))

@@ -23,8 +23,10 @@ run on, whether each agent runs its twin pairs on two threads (an agent
 without the `pair_threads` attribute never does), and the hypervisor's
 steal time over the blocks from /proc/stat (read only): a ratio near 1.0
 with steal time high says the second CPU was busy elsewhere, not that the
-threads gained nothing. It exits 1 unless both agents' checkpoint arrays
-are byte-equal at the end, 0 otherwise.
+threads gained nothing. It exits 1 unless every update's StepMetrics (the
+four losses, both TD-error vectors and the clip count) are byte-equal on
+the two sides, and so are both agents' checkpoint arrays at the end; 0
+otherwise.
 
 BLAS is pinned to one thread unless OPENBLAS_NUM_THREADS is already set,
 and freed heap is kept in the process as `roer train` does.
@@ -33,6 +35,7 @@ and freed heap is kept in the process as `roer train` does.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import os
 import statistics
@@ -51,6 +54,8 @@ POOL_ROWS = 4096
 BATCHES = 20
 SEED = 0
 BLOCK_UPDATES = {"test": 20, "full": 2}  # updates per side and block
+METRIC_FIELDS = ("critic_loss", "value_loss", "actor_loss", "alpha_loss",
+                 "value_td_errors", "critic_td_errors", "value_clip_count")
 
 
 def load_package(name: str, src: Path):
@@ -84,6 +89,7 @@ class Side:
         self.batches = [buffer.sample_uniform(n, rng) for _ in range(BATCHES)]
         self.weights = [rng.uniform(0.5, 2.0, size=n) for _ in range(BATCHES)]
         self.times_ns: list[int] = []
+        self.metrics: dict[tuple[int, int], bytes] = {}  # (block, i) -> digest
 
     def run_block(self, block: int, updates: int) -> list[int]:
         clock, agent, out = time.perf_counter_ns, self.agent, []
@@ -95,6 +101,7 @@ class Side:
             out.append(clock() - t0)
             if m.aborted:
                 raise SystemExit("ab_update: an update aborted")
+            self.metrics[block, i] = metrics_digest(m)
         self.times_ns += out
         return out
 
@@ -120,6 +127,13 @@ def cpu_ticks() -> tuple[int, int] | None:
     # user nice system idle iowait irq softirq steal guest guest_nice; the
     # guest times are already counted in user and nice
     return fields[7], sum(fields[:8])
+
+
+def metrics_digest(m) -> bytes:
+    digest = hashlib.sha256()
+    for name in METRIC_FIELDS:
+        digest.update(np.asarray(getattr(m, name)).tobytes())
+    return digest.digest()
 
 
 def same_state(a, b) -> bool:
@@ -156,6 +170,7 @@ def main(argv=None) -> int:
 
     end_ticks = cpu_ticks()
     identical = same_state(parent.agent, change.agent)
+    mismatched = sum(parent.metrics[k] != change.metrics[k] for k in parent.metrics)
     p50 = {name: statistics.median(side.times_ns) / 1e3
            for name, side in (("parent", parent), ("change", change))}
     print(f"profile {args.profile}: {args.blocks} blocks of {per_block} updates per side")
@@ -169,8 +184,10 @@ def main(argv=None) -> int:
         steal, total = (end - start for end, start in zip(end_ticks, ticks))
         print(f"steal time over the blocks: {steal} of {total} CPU ticks "
               f"({steal / max(total, 1):.1%})")
+    print(f"update metrics byte-equal: {len(parent.metrics) - mismatched}"
+          f"/{len(parent.metrics)}")
     print(f"checkpoint arrays byte-equal: {identical}")
-    return 0 if identical else 1
+    return 0 if identical and not mismatched else 1
 
 
 if __name__ == "__main__":
