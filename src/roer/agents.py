@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import binio, losses, nn
-from .divergences import DivergenceSpec, Kind
+from .divergences import DivergenceSpec
 from .replay import SampledBatch
-from .schemes import ROER_DIVERGENCES, ConfigError, InvalidInputError, RoerConfig
+from .schemes import ROER_DIVERGENCES, InvalidInputError, RoerConfig, require
 
 LOG_STD_MIN = -10.0
 LOG_STD_MAX = 2.0
@@ -95,13 +95,6 @@ def _pair(fn, a, b, threaded: bool):
     return first, second[0]
 
 
-def _require(cfg, checks) -> None:
-    """Raise ConfigError for the first (field, holds, rule) that fails."""
-    for name, holds, rule in checks:
-        if not holds:
-            raise ConfigError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")
-
-
 @dataclass(frozen=True)
 class SacConfig:
     gamma: float = 0.99
@@ -115,14 +108,19 @@ class SacConfig:
     penalty_coef: float = 1.0
 
     def __post_init__(self):
-        _require(self, (
+        require(self, (
             ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("polyak_tau", 0.0 < self.polyak_tau <= 1.0, "in (0, 1]"),
-            ("learning_rate", self.learning_rate > 0.0, "positive"),
-            ("penalty_coef", self.penalty_coef >= 0.0, ">= 0"),
+            ("learning_rate", 0.0 < self.learning_rate < math.inf,
+             "positive and finite"),
+            ("init_temperature", 0.0 < self.init_temperature < math.inf,
+             "positive and finite"),
+            ("target_entropy", self.target_entropy is None
+             or -math.inf < self.target_entropy < math.inf, "None or finite"),
             ("huber_k", self.huber_k is None or self.huber_k > 0.0,
              "None or positive"),
+            ("penalty_coef", 0.0 <= self.penalty_coef < math.inf, ">= 0 and finite"),
             ("hidden_dims", all(d >= 1 for d in self.hidden_dims), "all >= 1"),
         ))
 
@@ -298,9 +296,9 @@ class SacAgent:
                rng: np.random.Generator, roer: RoerConfig | None = None,
                div: DivergenceSpec = ROER_DIVERGENCES["roer"]) -> StepMetrics:
         """One SAC step. The value network trains only under a ROER scheme:
-        roer holds its loss temperature beta and exponent clip, and div its
-        divergence (Pearson chi^2 takes the squared loss, every other the
-        Gumbel loss). With roer=None the value network is left alone.
+        roer holds its loss temperature beta and upper clip, and div the
+        divergence whose conjugate sets the loss (losses.extreme_v_loss).
+        With roer=None the value network is left alone.
 
         A network runs once over two stacked row blocks wherever it does not
         move between two uses: the actor over (next_obs, obs), with one
@@ -418,10 +416,7 @@ class SacAgent:
         obs, n = batch.states, len(batch)
         v_pred, v_cache = self._scalar(self.value, obs)
         residual = q_min - v_pred
-        if div.kind is Kind.PEARSON_CHI2:
-            out = losses.pearson_v_loss(residual, roer.beta)
-        else:
-            out = losses.extreme_v_loss(residual, roer.beta, roer.grad_clip)
+        out = losses.extreme_v_loss(residual, roer.beta, roer.grad_clip, div)
         if not math.isfinite(out.value):
             raise FloatingPointError("value loss diverged")
         vgrads, _ = nn.backward(self.value, obs, -out.grad[:, None], v_cache)
@@ -559,12 +554,14 @@ class TabularConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        _require(self, (
+        require(self, (
             ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("epsilon", 0.0 <= self.epsilon <= 1.0, "in [0, 1]"),
-            ("learning_rate", self.learning_rate > 0.0, "positive"),
-            ("soft_temperature", self.soft_temperature > 0.0, "positive"),
+            ("learning_rate", 0.0 < self.learning_rate < math.inf,
+             "positive and finite"),
+            ("soft_temperature", 0.0 < self.soft_temperature < math.inf,
+             "positive and finite"),
         ))
 
 

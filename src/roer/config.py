@@ -12,8 +12,10 @@ Schema (all keys optional unless noted):
     env: pendulum | chain-<n> | grid-<r>x<c> | random-<s>x<a>[-<seed>] [required]
                                 # sizes >= 1; the seed defaults to 0
     scheme: uniform | per | laber | roer | roer_chi2                   [required]
-                                # roer: KL ratio, roer_chi2: Pearson chi^2
-                                # ratio, both through schemes.roer_update
+                                # roer: KL, roer_chi2: Pearson chi^2; the
+                                # divergence sets the priority ratio
+                                # (schemes.roer_update) and the value loss
+                                # (losses.extreme_v_loss)
     seeds: [0, 1, ...]                                                 [required]
     total_steps: int            # N                                    [required]
     train_start_step: int       # tau, default 0
@@ -22,6 +24,9 @@ Schema (all keys optional unless noted):
     output_dir: str             # default runs/<env>-<scheme>; roer train
                                 # --output-dir overrides it
     sampling_mode: proportional | weighted
+                                # weighted: uniform draws, loss weighted by
+                                # priority; the expected update is the
+                                # proportional one times sum(p) / N
     buffer_capacity: int        # at least the agent's batch_size
     env_horizon: int            # episode cap >= 1, default 1000 (200 pendulum)
     offline_dataset: path to .npz or null
@@ -44,7 +49,8 @@ Schema (all keys optional unless noted):
       large_batch                                             (laber)
                                 # laber: at least the agent's batch_size
                                 # roer/roer_chi2: beta and grad_clip also set
-                                # the value network's loss
+                                # the value network's loss mean(f*(z) - z),
+                                # z = min(R / beta, grad_clip)
     sweep:
       grid: {dotted.key: [values], ...}   # e.g. scheme_config.beta, agent.learning_rate,
                                           # tabular.epsilon, buffer_capacity
@@ -73,7 +79,7 @@ import yaml
 
 from .agents import SacConfig, TabularConfig
 from .schemes import (SCHEME_CONFIGS, ConfigError, LaberConfig, PerConfig,
-                      RoerConfig)
+                      RoerConfig, require)
 
 
 @dataclass(frozen=True)
@@ -110,22 +116,19 @@ class ExperimentConfig:
         if not isinstance(self.scheme_config, cls or type(None)):
             raise ConfigError(f"scheme {self.scheme!r} needs scheme_config of "
                               f"type {cls and cls.__name__}")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        if self.total_steps <= self.train_start_step:
-            raise ConfigError("total_steps must exceed train_start_step")
-        if self.train_start_step < 0:
-            raise ConfigError("train_start_step must be >= 0")
-        if self.eval_period <= 0:
-            raise ConfigError("eval_period must be positive")
-        if self.eval_episodes < 1:
-            raise ConfigError("eval_episodes must be >= 1")
-        if self.sampling_mode not in ("proportional", "weighted"):
-            raise ConfigError(f"unknown sampling_mode {self.sampling_mode!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.env_horizon is not None and self.env_horizon < 1:
-            raise ConfigError(f"env_horizon must be >= 1 or null, got {self.env_horizon}")
+        require(self, (
+            ("seeds", len(self.seeds) >= 1, "a non-empty list"),
+            ("train_start_step", self.train_start_step >= 0, ">= 0"),
+            ("total_steps", self.total_steps > self.train_start_step,
+             "more than train_start_step"),
+            ("eval_period", self.eval_period >= 1, ">= 1"),
+            ("eval_episodes", self.eval_episodes >= 1, ">= 1"),
+            ("sampling_mode", self.sampling_mode in ("proportional", "weighted"),
+             "proportional or weighted"),
+            ("workers", self.workers >= 1, ">= 1"),
+            ("env_horizon", self.env_horizon is None or self.env_horizon >= 1,
+             ">= 1 or null"),
+        ))
         family, _ = parse_env_id(self.env)
         batch = (self.sac if family == "pendulum" else self.tabular).batch_size
         # a buffer smaller than one minibatch never reaches the update gate

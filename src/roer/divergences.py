@@ -11,8 +11,8 @@ the Legendre-Fenchel conjugates of the shifted generators, so the identity
 
 holds on the whole generator domain. conjugate_prime is the occupancy-ratio
 map: evaluated at a scaled TD error it returns the priority multiplier, and
-conjugate_prime(0) == 1 for every non-degenerate kind (zero TD error keeps
-the sampling distribution unchanged).
+conjugate_prime(0) == 1 for every kind (zero TD error keeps the sampling
+distribution unchanged).
 
 Every function is elementwise over arrays; a scalar argument is the 0-d
 case and returns a numpy scalar. The domain checks cover the whole array.
@@ -35,20 +35,11 @@ class Kind(enum.Enum):
     REVERSE_KL = "reverse_kl"
     PEARSON_CHI2 = "pearson_chi2"
     NEYMAN_CHI2 = "neyman_chi2"
-    TOTAL_VARIATION = "total_variation"
     SQUARED_HELLINGER = "squared_hellinger"
 
 
 class DomainError(ValueError):
     """Argument outside the valid domain of a generator or conjugate."""
-
-
-class NondifferentiableError(ValueError):
-    """Derivative requested at a kink; carries the subgradient interval."""
-
-    def __init__(self, message: str, subgradient: tuple[float, float]):
-        super().__init__(message)
-        self.subgradient = subgradient
 
 
 Elementwise = Callable[[np.ndarray], np.ndarray]
@@ -60,8 +51,8 @@ class DivergenceSpec:
     elementwise maps (f, f', f*, f*').
 
     domain_f is an open interval of valid generator arguments (positive
-    reals for every kind here). domain_conj is the conjugate's domain;
-    closed-at-the-right kinds (total variation) include the endpoint.
+    reals for every kind here). domain_conj is the conjugate's domain, open
+    at a finite upper end.
     The four maps do no domain checks: callers either go through the
     checked module functions or guarantee the domain themselves.
     """
@@ -69,7 +60,6 @@ class DivergenceSpec:
     kind: Kind
     domain_f: tuple[float, float]
     domain_conj: tuple[float, float]
-    conj_upper_open: bool
     f: Elementwise = field(repr=False)
     f_prime: Elementwise = field(repr=False)
     f_star: Elementwise = field(repr=False)
@@ -104,12 +94,10 @@ class DivergenceSpec:
         lo, hi = self.domain_conj
         if y.ndim == 0:  # the same test in Python arithmetic
             bad = float(y)
-            if math.isfinite(bad) and lo <= bad and (
-                    bad < hi if self.conj_upper_open else bad <= hi):
+            if math.isfinite(bad) and lo <= bad < hi:
                 return y
         else:
-            below_hi = y < hi if self.conj_upper_open else y <= hi
-            ok = np.isfinite(y) & (y >= lo) & below_hi
+            ok = np.isfinite(y) & (y >= lo) & (y < hi)
             if ok.all():
                 return y
             bad = float(y.flat[np.argmin(ok)])  # the first failing element
@@ -117,81 +105,51 @@ class DivergenceSpec:
             raise DomainError(
                 f"{self.name}: conjugate argument {bad!r} is not finite"
             )
-        bound = f"y < {hi}" if self.conj_upper_open else f"y <= {hi}"
         raise DomainError(
-            f"{self.name}: conjugate argument {bad!r} violates {bound}"
+            f"{self.name}: conjugate argument {bad!r} violates y < {hi}"
             + (f" and y >= {lo}" if lo > -math.inf else "")
         )
-
-
-def _tv_prime(x: np.ndarray) -> np.ndarray:
-    if np.any(x == 1.0):
-        raise NondifferentiableError(
-            "total_variation generator is not differentiable at x=1; "
-            "subgradient is [-0.5, 0.5]",
-            subgradient=(-0.5, 0.5),
-        )
-    return 0.5 * np.sign(x - 1.0)
 
 
 _INF = math.inf
 
 SPECS: dict[Kind, DivergenceSpec] = {sp.kind: sp for sp in (
     DivergenceSpec(
-        Kind.KL, (0.0, _INF), (-_INF, _INF), False,
+        Kind.KL, (0.0, _INF), (-_INF, _INF),
         f=lambda x: x * np.log(x) - x + 1.0,
         f_prime=np.log,
         f_star=lambda y: np.exp(y) - 1.0,
         f_star_prime=np.exp,
     ),
     DivergenceSpec(
-        Kind.REVERSE_KL, (0.0, _INF), (-_INF, 1.0), True,
+        Kind.REVERSE_KL, (0.0, _INF), (-_INF, 1.0),
         f=lambda x: -np.log(x) + x - 1.0,
         f_prime=lambda x: 1.0 - 1.0 / x,
         f_star=lambda y: -np.log(1.0 - y),
         f_star_prime=lambda y: 1.0 / (1.0 - y),
     ),
     DivergenceSpec(
-        Kind.PEARSON_CHI2, (0.0, _INF), (-_INF, _INF), False,
+        Kind.PEARSON_CHI2, (0.0, _INF), (-_INF, _INF),
         f=lambda x: 0.5 * np.square(x - 1.0),
         f_prime=lambda x: x - 1.0,
         f_star=lambda y: 0.5 * y * y + y,
         f_star_prime=lambda y: y + 1.0,
     ),
     DivergenceSpec(
-        Kind.NEYMAN_CHI2, (0.0, _INF), (-_INF, 0.5), True,
+        Kind.NEYMAN_CHI2, (0.0, _INF), (-_INF, 0.5),
         f=lambda x: np.square(x - 1.0) / (2.0 * x),
         f_prime=lambda x: 0.5 * (1.0 - 1.0 / (x * x)),
         f_star=lambda y: 1.0 - np.sqrt(1.0 - 2.0 * y),
         f_star_prime=lambda y: 1.0 / np.sqrt(1.0 - 2.0 * y),
     ),
     DivergenceSpec(
-        Kind.TOTAL_VARIATION, (0.0, _INF), (-0.5, 0.5), False,
-        f=lambda x: 0.5 * np.abs(x - 1.0),
-        f_prime=_tv_prime,
-        f_star=lambda y: 1.0 * y,
-        f_star_prime=lambda y: 0.0 * y + 1.0,  # the conjugate is linear
-    ),
-    DivergenceSpec(
-        Kind.SQUARED_HELLINGER, (0.0, _INF), (-_INF, 2.0), True,
+        Kind.SQUARED_HELLINGER, (0.0, _INF), (-_INF, 2.0),
         f=lambda x: 2.0 * np.square(np.sqrt(x) - 1.0),
         f_prime=lambda x: 2.0 * (1.0 - 1.0 / np.sqrt(x)),
         f_star=lambda y: 2.0 * y / (2.0 - y),
         f_star_prime=lambda y: 4.0 / np.square(2.0 - y),
     ),
 )}
-
-# Kinds with a differentiable generator on all of domain_f. Total variation
-# is tabulated for completeness but excluded here (f*' == 1 gives uniform
-# priorities, a degenerate scheme) and from the priority registry.
-DIFFERENTIABLE_KINDS = (
-    Kind.KL,
-    Kind.REVERSE_KL,
-    Kind.PEARSON_CHI2,
-    Kind.NEYMAN_CHI2,
-    Kind.SQUARED_HELLINGER,
-)
-
 
 def spec(kind: Kind | str) -> DivergenceSpec:
     """Look up a DivergenceSpec by Kind or by its stable string name."""
@@ -210,11 +168,7 @@ def generator(sp: DivergenceSpec, x):
 
 
 def generator_prime(sp: DivergenceSpec, x):
-    """Derivative of the shifted generator; f'(1) = 0 for every smooth kind.
-
-    Total variation has a kink at x = 1: there the full subgradient interval
-    is reported via NondifferentiableError rather than any single number.
-    """
+    """Derivative of the shifted generator; f'(1) = 0 for every kind."""
     return sp.f_prime(sp.check_x(x))
 
 
@@ -226,7 +180,6 @@ def conjugate(sp: DivergenceSpec, y):
 def conjugate_prime(sp: DivergenceSpec, y):
     """Derivative f*'(y): the occupancy ratio at scaled TD error y.
 
-    Inverse of generator_prime, so conjugate_prime(0) = 1 for all kinds
-    except total variation (whose conjugate is linear).
+    Inverse of generator_prime, so conjugate_prime(0) = 1 for every kind.
     """
     return sp.f_star_prime(sp.check_y(y))

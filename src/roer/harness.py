@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import divergences, oracles, schemes
+from . import divergences, losses, oracles, schemes
 from .agents import SacAgent, StepMetrics, TabularAgent
 from .config import (ExperimentConfig, echo, from_dict, parse_env_id, seed_streams,
                      sweep_cells)
@@ -177,7 +177,8 @@ class _SeedRun:
             idx, weights = schemes.laber_select(surrogates, n, brng)
             return self.buffer.gather(big.indices[idx]), weights
         if cfg.sampling_mode == "weighted" and cfg.scheme != "uniform":
-            # a uniform draw that weights each loss term by its priority
+            # a uniform draw that weights each loss term by its priority:
+            # the expected update is the proportional draw's times sum(p)/N
             batch = self.buffer.sample_uniform(n, brng)
             return batch, batch.priorities
         return self.buffer.sample_proportional(n, brng), np.ones(n)
@@ -446,8 +447,7 @@ def run_oracle_suite(corrupt_kind: str | None = None,
         return val
 
     grid = np.logspace(np.log10(0.1), np.log10(10.0), 200)
-    for kind in divergences.DIFFERENTIABLE_KINDS:
-        sp = divergences.spec(kind)
+    for sp in divergences.SPECS.values():
         worst = float(np.max(np.abs(
             conj_prime(sp, divergences.generator_prime(sp, grid)) - grid
         )))
@@ -457,8 +457,7 @@ def run_oracle_suite(corrupt_kind: str | None = None,
         })
 
     rng = np.random.default_rng(2718)
-    for kind in divergences.DIFFERENTIABLE_KINDS:
-        sp = divergences.spec(kind)
+    for sp in divergences.SPECS.values():
         lo = max(sp.domain_conj[0], -20.0)
         hi = min(sp.domain_conj[1], 20.0)
         xs = rng.uniform(0.05, 20.0, size=10_000)
@@ -469,6 +468,24 @@ def run_oracle_suite(corrupt_kind: str | None = None,
         report.append({
             "check": "fenchel_young", "kind": sp.name, "tolerance": 1e-12,
             "measured": worst, "passed": worst <= 1e-12,
+        })
+
+    # the unclipped value loss settles where E[f*'((Q - V) / beta)] = 1:
+    # bisect a scalar V on the sign of the loss's own gradient over fixed
+    # Q samples
+    q = np.random.default_rng(1618).normal(size=4096)
+    for sp in schemes.ROER_DIVERGENCES.values():
+        worst = 0.0
+        for beta in (0.5, 1.0, 2.0):
+            lo, hi = float(q.min()), float(q.max())
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                out = losses.extreme_v_loss(q - mid, beta, math.inf, sp)
+                lo, hi = (mid, hi) if np.add.reduce(out.grad) > 0.0 else (lo, mid)
+            ratio = float(np.mean(conj_prime(sp, (q - lo) / beta)))
+            worst = max(worst, abs(ratio - 1.0))
+        report.append({
+            "check": "value_fixed_point", "kind": sp.name, "tolerance": 1e-10,
+            "measured": worst, "passed": worst <= 1e-10,
         })
 
     worst = 0.0

@@ -1,17 +1,23 @@
-"""Training objectives: TD error, the Gumbel value-regression loss with
-exponent clipping, weighted Huber critic loss, and the input-gradient-norm
+"""Training objectives: TD error, the value network's f-divergence loss
+with an upper clip, weighted Huber critic loss, and the input-gradient-norm
 penalty.
 
-The Gumbel loss operates on residuals R (prediction targets minus value
-estimates). With z = min(R / beta, grad_clip), the loss is
+The value loss operates on residuals R (prediction targets minus value
+estimates). With z = min(R / beta, grad_clip) and f* the conjugate of the
+ROER scheme's divergence, the loss is
 
-    mean(exp(z) - z) - 1
+    mean(f*(z) - z)
 
-so it is nonnegative with equality exactly at all-zero residuals, for any
-beta, and the clip freezes both terms (clipped samples contribute zero
-gradient). Gradients returned are with respect to the vector handed in
-(residuals / q_pred); value-network training negates the residual gradient
-since the estimate enters the residual with a minus sign.
+(the f-divergence value objective of OptiDICE). Its minimizer over a
+value V satisfies E[f*'((Q - V) / beta)] = 1, the normalization under
+which f*'(delta / beta) is an occupancy ratio. For KL it is the Gumbel
+loss of XQL, mean(exp(z) - z) - 1, with V = beta log E exp(Q / beta); for
+Pearson chi^2 it is mean(z^2) / 2, with V = E[Q]. It is nonnegative with
+equality exactly at all-zero residuals, for any beta, and the clip
+freezes both terms (clipped samples contribute zero gradient). Gradients
+returned are with respect to the vector handed in (residuals / q_pred);
+value-network training negates the residual gradient since the estimate
+enters the residual with a minus sign.
 
 Batch means are written np.add.reduce(x) / n: the arithmetic np.mean
 runs, without its Python-level wrapper.
@@ -27,7 +33,7 @@ the one finite check per phase in SacAgent.update aborts the step before
 any optimizer moves. Only the value estimates V(s), V(s') and the value
 residuals are checked here (_vec): a non-finite V would reach the
 buffer's priorities, and a +inf residual would be clipped to a finite
-Gumbel loss.
+loss.
 """
 
 from __future__ import annotations
@@ -37,13 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .divergences import DivergenceSpec
 from .schemes import InvalidInputError
 
 
 @dataclass
 class LossOutput:
     """Scalar loss, gradient w.r.t. the supplied prediction vector, and
-    the number of clipped samples (the Gumbel loss's exponent clip)."""
+    the number of clipped samples (the value loss's upper clip)."""
 
     value: float
     grad: np.ndarray
@@ -78,27 +85,20 @@ def td_error(reward, gamma: float, v_next, v_curr, terminal) -> np.ndarray:
     return r + gamma * vn * (1.0 - t) - vc
 
 
-def extreme_v_loss(residuals, beta: float, grad_clip: float) -> LossOutput:
-    """Gumbel regression loss over residuals with an upper exponent clip."""
+def extreme_v_loss(residuals, beta: float, grad_clip: float,
+                   div: DivergenceSpec) -> LossOutput:
+    """The value loss mean(f*(z) - z) of div's conjugate f*, with
+    z = min(R / beta, grad_clip); for KL, the Gumbel regression loss.
+
+    The gradient (f*'(z) - 1) / (n beta) is 0 where z was clipped."""
     r = _vec(residuals, "residuals")
     n = len(r)
     z_raw = r / beta
     clipped = z_raw > grad_clip
     z = np.where(clipped, grad_clip, z_raw)
-    ez = np.exp(z)
-    value = float(np.add.reduce(ez - z) / n - 1.0)
-    grad = np.where(clipped, 0.0, (ez - 1.0) / (n * beta))
+    value = float(np.add.reduce(div.f_star(z) - z) / n)
+    grad = np.where(clipped, 0.0, (div.f_star_prime(z) - 1.0) / (n * beta))
     return LossOutput(value=value, grad=grad, clipped=int(clipped.sum()))
-
-
-def pearson_v_loss(residuals, beta: float) -> LossOutput:
-    """Conservative (squared) value objective paired with the shifted-linear
-    priority: mean(R^2 / (2 beta) + R)."""
-    r = _vec(residuals, "residuals")
-    n = len(r)
-    value = float(np.add.reduce(r * r / (2.0 * beta) + r) / n)
-    grad = (r / beta + 1.0) / n
-    return LossOutput(value=value, grad=grad)
 
 
 def weighted_huber_critic_loss(q_pred, target, weights, k: float | None = 1.0) -> LossOutput:

@@ -27,6 +27,7 @@ Inputs are validated where they enter, and nowhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,14 @@ class ConfigError(ValueError):
     pass
 
 
+def require(cfg, checks) -> None:
+    """Raise ConfigError for the first (field, holds, rule) that fails.
+    Each rule is written as comparisons that a NaN fails."""
+    for name, holds, rule in checks:
+        if not holds:
+            raise ConfigError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")
+
+
 class InvalidInputError(ValueError):
     pass
 
@@ -47,10 +56,11 @@ class RoerConfig:
     """Knobs of the regularized priority update.
 
     lam is the convergence rate (0 < lam <= 1), beta the temperature of
-    both the ratio f*'(delta / beta) and the value network's loss,
-    grad_clip the Gumbel exponent clip of that loss, max_exp_clip
-    the immediate-weight clip, min_priority_clip the floor applied to the
-    final priority (0 disables it).
+    both the ratio f*'(delta / beta) and the value network's loss
+    mean(f*(z) - z), grad_clip the upper clip of that loss's
+    z = R / beta (a clipped sample has zero gradient), max_exp_clip the
+    immediate-weight clip, min_priority_clip the floor applied to the
+    final priority (0 disables it). Every knob is finite.
     """
 
     lam: float = 0.01
@@ -60,18 +70,15 @@ class RoerConfig:
     min_priority_clip: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.lam <= 1.0):
-            raise ConfigError(f"lambda must be in (0, 1], got {self.lam}")
-        if self.beta <= 0.0 or not np.isfinite(self.beta):
-            raise ConfigError(f"beta must be positive, got {self.beta}")
-        if not (1.0 <= self.max_exp_clip < np.inf):
-            raise ConfigError(
-                f"max_exp_clip must be finite and >= 1, got {self.max_exp_clip}"
-            )
-        if self.min_priority_clip < 0.0:
-            raise ConfigError("min_priority_clip must be >= 0")
-        if self.grad_clip <= 0.0:
-            raise ConfigError("grad_clip must be positive")
+        require(self, (
+            ("lam", 0.0 < self.lam <= 1.0, "in (0, 1]"),
+            ("beta", 0.0 < self.beta < math.inf, "positive and finite"),
+            ("grad_clip", 0.0 < self.grad_clip < math.inf, "positive and finite"),
+            ("max_exp_clip", 1.0 <= self.max_exp_clip < math.inf,
+             ">= 1 and finite"),
+            ("min_priority_clip", 0.0 <= self.min_priority_clip < math.inf,
+             ">= 0 and finite"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -80,10 +87,11 @@ class PerConfig:
     min_priority: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if self.min_priority <= 0.0:
-            raise ConfigError("min_priority must be positive")
+        require(self, (
+            ("alpha", 0.0 <= self.alpha < math.inf, ">= 0 and finite"),
+            ("min_priority", 0.0 < self.min_priority < math.inf,
+             "positive and finite"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -91,8 +99,7 @@ class LaberConfig:
     large_batch: int = 256
 
     def __post_init__(self):
-        if self.large_batch < 1:
-            raise ConfigError("large_batch must be positive")
+        require(self, (("large_batch", self.large_batch >= 1, ">= 1"),))
 
 
 # The divergence whose conjugate derivative sets each ROER scheme's ratio

@@ -17,7 +17,7 @@ from scipy import stats
 
 from roer import config as cmod
 from roer import divergences, harness, losses, nn, oracles, schemes
-from roer.divergences import DIFFERENTIABLE_KINDS, Kind, spec
+from roer.divergences import SPECS, Kind, spec
 from roer.envs import random_mdp
 from roer.oracles import (
     OccupancyTable,
@@ -46,8 +46,7 @@ def test_criterion_1_divergence_identity_suite():
     t0 = time.perf_counter()
     grid = np.logspace(np.log10(0.1), np.log10(10.0), 200)
     worst_identity = 0.0
-    for kind in DIFFERENTIABLE_KINDS:
-        sp = spec(kind)
+    for sp in SPECS.values():
         worst_identity = max(
             worst_identity,
             max(abs(divergences.conjugate_prime(sp, divergences.generator_prime(sp, x)) - x)
@@ -55,8 +54,7 @@ def test_criterion_1_divergence_identity_suite():
         )
     rng = np.random.default_rng(314)
     worst_fy = -np.inf
-    for kind in DIFFERENTIABLE_KINDS:
-        sp = spec(kind)
+    for sp in SPECS.values():
         lo = max(sp.domain_conj[0], -20.0)
         hi = min(sp.domain_conj[1], 20.0)
         xs = rng.uniform(0.05, 20.0, size=10_000)
@@ -120,16 +118,18 @@ def test_criterion_3_gradient_checks():
                 fd = (up - down) / (2.0 * h)
                 worst["mlp"] = max(worst["mlp"], rel_err(store[idx], fd))
 
-        # extreme_v_loss gradient w.r.t. the residuals
+        # the value loss's gradient w.r.t. the residuals, for each ROER
+        # divergence
         r = rng.normal(scale=2.0, size=12)
         beta = float(rng.uniform(0.4, 4.0))
-        out_ev = losses.extreme_v_loss(r, beta, 7.0)
-        fd_v = np.zeros(12)
-        for i in range(12):
-            e = h * np.eye(12)[i]
-            fd_v[i] = (losses.extreme_v_loss(r + e, beta, 7.0).value
-                       - losses.extreme_v_loss(r - e, beta, 7.0).value) / (2 * h)
-        worst["extreme_v"] = max(worst["extreme_v"], rel_err(out_ev.grad, fd_v))
+        for div in schemes.ROER_DIVERGENCES.values():
+            out_ev = losses.extreme_v_loss(r, beta, 7.0, div)
+            fd_v = np.zeros(12)
+            for i in range(12):
+                e = h * np.eye(12)[i]
+                fd_v[i] = (losses.extreme_v_loss(r + e, beta, 7.0, div).value
+                           - losses.extreme_v_loss(r - e, beta, 7.0, div).value) / (2 * h)
+            worst["extreme_v"] = max(worst["extreme_v"], rel_err(out_ev.grad, fd_v))
 
         # weighted Huber gradient w.r.t. q_pred
         q = rng.normal(size=12)

@@ -17,7 +17,7 @@ from roer.agents import (
 )
 from roer.binio import FormatError
 from roer.config import SAC_PROFILES
-from roer.replay import PriorityBuffer, Transition
+from roer.replay import PriorityBuffer, SampledBatch, Transition
 from roer.schemes import ROER_DIVERGENCES, ConfigError, RoerConfig
 
 
@@ -276,6 +276,32 @@ def update_with(agent, batch, seed, roer=RoerConfig(), div=ROER_DIVERGENCES["roe
                         roer, div)
 
 
+class TestValueFixedPoint:
+    @pytest.mark.parametrize("scheme", ["roer", "roer_chi2"])
+    def test_value_net_settles_at_the_unit_ratio(self, scheme):
+        # 4 states x 16 Q values with the min-target held fixed, so the
+        # critics play no part: V(s) must reach the V where the batch mean of
+        # f*'((Q - V) / beta) is 1 at each state
+        rng = np.random.default_rng(5)
+        n, beta = 64, 1.0
+        states = np.repeat(rng.normal(size=(4, 3)), 16, axis=0)
+        q = rng.normal(size=n) + np.repeat([0.0, 1.0, -1.0, 2.0], 16)
+        batch = SampledBatch(
+            indices=np.arange(n), states=states, actions=np.zeros((n, 1)),
+            rewards=np.zeros(n), next_states=states, terminals=np.zeros(n, bool),
+            insert_steps=np.zeros(n, np.int64), priorities=np.ones(n))
+        agent = SacAgent(3, 1, SacConfig(hidden_dims=(16, 16), batch_size=n,
+                                         learning_rate=3e-3), seed=0)
+        roer = RoerConfig(beta=beta, grad_clip=50.0)
+        for _ in range(3000):
+            agent._value_step(batch, q, roer, ROER_DIVERGENCES[scheme])
+        v, _ = agent._scalar(agent.value, states[::16])
+        qs = q.reshape(4, 16)
+        expect = (beta * np.log(np.mean(np.exp(qs / beta), axis=1))
+                  if scheme == "roer" else qs.mean(axis=1))
+        assert np.max(np.abs(v - expect)) <= 1e-8
+
+
 class TestInPlaceRollback:
     @staticmethod
     def poison(mp, agent, phase, reached):
@@ -469,7 +495,7 @@ class TestPairThreads:
         for i in range(6):
             batch = make_batch(rng, n=n)
             roer = RoerConfig() if i % 3 else None
-            # the value lane's Gumbel and Pearson losses
+            # the value lane's loss under both ROER divergences
             div = ROER_DIVERGENCES["roer_chi2" if i % 3 == 2 else "roer"]
             assert metrics_bytes(update_with(serial, batch, 60 + i, roer, div)) == \
                 metrics_bytes(update_with(threaded, batch, 60 + i, roer, div))
@@ -808,6 +834,8 @@ class TestConfigChecks:
         ("gamma", 0.0), ("gamma", 1.0), ("gamma", float("nan")),
         ("batch_size", 0), ("epsilon", -0.1), ("epsilon", 1.5),
         ("learning_rate", 0.0), ("soft_temperature", 0.0),
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("soft_temperature", math.nan), ("soft_temperature", math.inf),
     ])
     def test_tabular_rejects(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -817,6 +845,12 @@ class TestConfigChecks:
         ("gamma", 1.0), ("batch_size", 0), ("polyak_tau", 0.0),
         ("polyak_tau", 1.5), ("learning_rate", -1e-3), ("penalty_coef", -1.0),
         ("huber_k", 0.0), ("hidden_dims", (64, 0)),
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("penalty_coef", math.nan), ("penalty_coef", math.inf),
+        ("init_temperature", -1.0), ("init_temperature", 0.0),
+        ("init_temperature", math.nan), ("init_temperature", math.inf),
+        ("target_entropy", math.nan), ("target_entropy", -math.inf),
+        ("huber_k", math.nan),
     ])
     def test_sac_rejects(self, field, value):
         with pytest.raises(ConfigError, match=field):

@@ -18,6 +18,9 @@ from roer.cli import main
 from roer.replay import PriorityBuffer, Transition
 
 
+nan, inf = float("nan"), float("inf")
+
+
 def write_config(tmp_path, **overrides):
     raw = dict(
         env="chain-4", scheme="uniform", seeds=[0], total_steps=200,
@@ -63,6 +66,33 @@ class TestTrainCommand:
         (dict(workers=-3), "workers must be >= 1, got -3"),
         (dict(env_horizon=0), "env_horizon must be >= 1 or null, got 0"),
         (dict(env_horizon=-5), "env_horizon must be >= 1 or null, got -5"),
+        # non-finite and out-of-range knobs, NaN included
+        (dict(env="pendulum", agent=dict(init_temperature=-1)),
+         "init_temperature must be positive and finite, got -1"),
+        (dict(env="pendulum", agent=dict(init_temperature=0.0)),
+         "init_temperature must be positive and finite, got 0.0"),
+        (dict(env="pendulum", agent=dict(init_temperature=nan)),
+         "init_temperature must be positive and finite, got nan"),
+        (dict(env="pendulum", agent=dict(learning_rate=inf)),
+         "learning_rate must be positive and finite, got inf"),
+        (dict(env="pendulum", agent=dict(penalty_coef=nan)),
+         "penalty_coef must be >= 0 and finite, got nan"),
+        (dict(env="pendulum", agent=dict(target_entropy=nan)),
+         "target_entropy must be None or finite, got nan"),
+        (dict(tabular=dict(learning_rate=nan)),
+         "learning_rate must be positive and finite, got nan"),
+        (dict(tabular=dict(soft_temperature=inf)),
+         "soft_temperature must be positive and finite, got inf"),
+        (dict(scheme="roer", scheme_config=dict(grad_clip=nan)),
+         "grad_clip must be positive and finite, got nan"),
+        (dict(scheme="roer", scheme_config=dict(grad_clip=inf)),
+         "grad_clip must be positive and finite, got inf"),
+        (dict(scheme="roer_chi2", scheme_config=dict(min_priority_clip=nan)),
+         "min_priority_clip must be >= 0 and finite, got nan"),
+        (dict(scheme="per", scheme_config=dict(alpha=nan)),
+         "alpha must be >= 0 and finite, got nan"),
+        (dict(scheme="per", scheme_config=dict(min_priority=inf)),
+         "min_priority must be positive and finite, got inf"),
     ])
     def test_bad_value_exits_before_the_run(self, tmp_path, capsys,
                                             overrides, message):
@@ -158,6 +188,15 @@ class TestOracleCommand:
     def test_corrupt_exit_one(self, tmp_path, capsys):
         assert main(["oracle", "--corrupt", "kl"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["kl", "pearson_chi2"])
+    def test_corrupt_names_the_kind(self, kind, capsys):
+        assert main(["oracle", "--corrupt", kind]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert [line.split(":")[0] for line in failed] == [
+            f"FAIL  conjugate_inverse_identity [{kind}]",
+            f"FAIL  value_fixed_point [{kind}]"]
 
 
 class TestBiasCommand:

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from roer.divergences import (
-    DIFFERENTIABLE_KINDS,
     DomainError,
     Kind,
-    NondifferentiableError,
     conjugate,
     conjugate_prime,
     generator,
@@ -29,15 +27,14 @@ def x_elements():
 def y_elements(sp):
     # inside the conjugate domain, capped where exp() would overflow
     lo, hi = sp.domain_conj
-    return st.floats(max(lo, -50.0), min(hi, 50.0),
-                     exclude_max=sp.conj_upper_open and hi <= 50.0)
+    return st.floats(max(lo, -50.0), min(hi, 50.0), exclude_max=hi <= 50.0)
 
 
 def bad_y_values(sp):
     lo, hi = sp.domain_conj
     bad = [math.nan, math.inf, -math.inf]
     if math.isfinite(hi):
-        bad.append(hi if sp.conj_upper_open else hi + 0.1)
+        bad.append(hi)
     if math.isfinite(lo):
         bad.append(lo - 0.1)
     return bad
@@ -80,7 +77,7 @@ class TestNormalization:
     def test_generator_zero_at_one(self, kind):
         assert generator(spec(kind), 1.0) == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("kind", DIFFERENTIABLE_KINDS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_generator_prime_zero_at_one(self, kind):
         assert generator_prime(spec(kind), 1.0) == pytest.approx(0.0, abs=1e-15)
 
@@ -95,7 +92,7 @@ class TestNormalization:
 
 
 class TestConjugateDuality:
-    @pytest.mark.parametrize("kind", DIFFERENTIABLE_KINDS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_conjugate_inverse_identity(self, kind):
         sp = spec(kind)
         grid = np.logspace(np.log10(0.1), np.log10(10.0), 200)
@@ -104,7 +101,7 @@ class TestConjugateDuality:
         )
         assert worst <= 1e-9
 
-    @pytest.mark.parametrize("kind", DIFFERENTIABLE_KINDS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_fenchel_young_inequality(self, kind):
         sp = spec(kind)
         rng = np.random.default_rng(11)
@@ -117,7 +114,7 @@ class TestConjugateDuality:
         for x, y in zip(xs, ys):
             assert generator(sp, x) + conjugate(sp, y) >= x * y - 1e-12
 
-    @pytest.mark.parametrize("kind", DIFFERENTIABLE_KINDS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_fenchel_young_equality_at_gradient(self, kind):
         sp = spec(kind)
         rng = np.random.default_rng(13)
@@ -155,8 +152,6 @@ class TestDomains:
             (Kind.REVERSE_KL, 2.0),
             (Kind.NEYMAN_CHI2, 0.5),
             (Kind.SQUARED_HELLINGER, 2.0),
-            (Kind.TOTAL_VARIATION, 0.6),
-            (Kind.TOTAL_VARIATION, -0.6),
         ],
     )
     def test_conjugate_rejects_out_of_domain(self, kind, y):
@@ -170,11 +165,6 @@ class TestDomains:
             conjugate(spec(Kind.REVERSE_KL), 1.5)
         with pytest.raises(DomainError, match="y < 0.5"):
             conjugate(spec(Kind.NEYMAN_CHI2), 0.7)
-
-    def test_total_variation_kink_reports_subgradient(self):
-        with pytest.raises(NondifferentiableError) as exc:
-            generator_prime(spec(Kind.TOTAL_VARIATION), 1.0)
-        assert exc.value.subgradient == (-0.5, 0.5)
 
     def test_spec_lookup_by_name(self):
         assert spec("kl").kind is Kind.KL
@@ -191,8 +181,6 @@ class TestArrayCalls:
         sp = spec(kind)
         shapes = hnp.array_shapes(max_dims=2, max_side=8)
         xs = data.draw(hnp.arrays(np.float64, shapes, elements=x_elements()))
-        if kind is Kind.TOTAL_VARIATION:
-            xs[xs == 1.0] = 2.0  # the kink has no derivative
         ys = data.draw(hnp.arrays(np.float64, shapes, elements=y_elements(sp)))
         for fn, args in zip(FUNCTIONS, (xs, xs, ys, ys)):
             out = fn(sp, args)
@@ -207,11 +195,8 @@ class TestArrayCalls:
         sp = spec(kind)
         lo, hi = sp.domain_conj
         xs = np.geomspace(1e-6, 1e6, 10_001)
-        if kind is Kind.TOTAL_VARIATION:
-            xs[xs == 1.0] = 2.0
         ys = np.linspace(max(lo, -50.0), min(hi, 50.0), 10_001)
-        if sp.conj_upper_open:
-            ys = ys[ys < hi]
+        ys = ys[ys < hi]
         for fn, args in zip(FUNCTIONS, (xs, xs, ys, ys)):
             each = np.array([fn(sp, v) for v in args])
             assert fn(sp, args).tobytes() == each.tobytes(), fn.__name__
@@ -250,7 +235,3 @@ class TestArrayCalls:
                 except DomainError as exc:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1] == outcomes[2], check.__name__
-
-    def test_total_variation_kink_anywhere_in_the_array(self):
-        with pytest.raises(NondifferentiableError):
-            generator_prime(spec(Kind.TOTAL_VARIATION), np.array([0.5, 1.0, 2.0]))

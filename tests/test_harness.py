@@ -437,6 +437,38 @@ class TestRunTrain:
         else:
             assert np.array_equal(weights, np.ones(len(batch)))
 
+    def test_weighted_mode_scales_the_expected_update_by_the_mean_priority(
+            self, tmp_path):
+        # exact enumeration over the slot a draw picks: the weighted mode
+        # picks slot i with probability 1/N and weights its loss by p_i, the
+        # proportional mode with probability p_i / sum(p) at weight 1, so
+        # the weighted mode's expected loss and update are sum(p)/N times
+        # the proportional mode's
+        p = np.array([0.5, 1.0, 2.0, 4.5, 3.0])
+        expected = {}
+        for mode in ("weighted", "proportional"):
+            cfg = cmod.from_dict(base_raw(tmp_path, scheme="roer", sampling_mode=mode))
+            run = harness._SeedRun(cfg, 0, tmp_path / mode)
+            for i in range(5):
+                run.buffer.push(Transition(i, i % 2, i - 1.5, (i + 1) % 5, i == 4))
+            run.buffer.update_priorities(np.arange(5), p)
+            draw = {"weighted": np.full(5, 1 / 5), "proportional": p / p.sum()}[mode]
+            loss, update = 0.0, np.zeros_like(run.agent.q_table)
+            for i in range(5):
+                def slot_i(n, rng, i=i):
+                    return run.buffer.gather(np.full(n, i))
+                run.buffer.sample_uniform = run.buffer.sample_proportional = slot_i
+                batch, weights = run._sample_batch()
+                run.agent.q_table[...] = 0.0
+                loss += draw[i] * run.agent.update(batch, weights).critic_loss
+                update += draw[i] * run.agent.q_table
+            expected[mode] = loss, update
+        (w_loss, w_update), (p_loss, p_update) = expected.values()
+        scale = p.sum() / len(p)
+        assert w_loss == pytest.approx(scale * p_loss, rel=1e-12)
+        assert np.allclose(w_update, scale * p_update, rtol=1e-12, atol=0.0)
+        assert np.any(p_update != 0.0)
+
     def test_weighted_sampling_mode(self, tmp_path):
         cfg = cmod.from_dict(base_raw(
             tmp_path, scheme="roer", sampling_mode="weighted",
@@ -550,8 +582,10 @@ class TestOracleSuite:
         assert ok
         names = {r["check"] for r in report}
         assert {"conjugate_inverse_identity", "fenchel_young",
-                "telescoping_identity", "dual_recovery_tv",
+                "value_fixed_point", "telescoping_identity", "dual_recovery_tv",
                 "sum_tree_proportionality"} <= names
+        assert [r["kind"] for r in report if r["check"] == "value_fixed_point"] \
+            == ["kl", "pearson_chi2"]
         for r in report:
             assert "tolerance" in r and "measured" in r
 
@@ -564,6 +598,26 @@ class TestOracleSuite:
                    and r.get("kind") == "kl" for r in failed)
         saved = json.loads(path.read_text())
         assert saved["passed"] is False
+
+
+    def test_value_fixed_point_rejects_a_loss_that_settles_off_the_unit_ratio(
+            self, monkeypatch):
+        # mean(R^2 / (2 beta) + R) settles at V = E[Q] + beta, where the
+        # Pearson ratio z + 1 averages to 0
+        real = losses.extreme_v_loss
+
+        def shifted(residuals, beta, grad_clip, div):
+            out = real(residuals, beta, grad_clip, div)
+            if div.name == "pearson_chi2":
+                out.grad = (residuals / beta + 1.0) / len(residuals)
+            return out
+
+        monkeypatch.setattr(losses, "extreme_v_loss", shifted)
+        report, ok = run_oracle_suite()
+        failed = [(r["check"], r.get("kind")) for r in report if not r["passed"]]
+        assert failed == [("value_fixed_point", "pearson_chi2")]
+        assert [r["measured"] for r in report if r["check"] == "value_fixed_point"
+                and r["kind"] == "pearson_chi2"] == [pytest.approx(1.0)]
 
 
 class TestSweep:
@@ -618,20 +672,17 @@ class TestSweep:
 
     def test_each_cell_trains_its_value_net_at_its_own_beta(self, tmp_path,
                                                            monkeypatch):
-        # the value loss reads the cell's scheme_config, and every cell
-        # writes below the directory that `roer sweep --output-dir` names
+        # the value loss reads the cell's scheme_config and the scheme's
+        # divergence, and every cell writes below the directory that
+        # `roer sweep --output-dir` names
         seen = []
+        real = losses.extreme_v_loss
 
-        def recording(loss, tag):
-            def wrapper(residuals, beta, *clip):
-                seen.append((tag, beta, *clip))
-                return loss(residuals, beta, *clip)
-            return wrapper
+        def recording(residuals, beta, grad_clip, div):
+            seen.append((div.name, beta, grad_clip))
+            return real(residuals, beta, grad_clip, div)
 
-        monkeypatch.setattr(losses, "extreme_v_loss",
-                            recording(losses.extreme_v_loss, "gumbel"))
-        monkeypatch.setattr(losses, "pearson_v_loss",
-                            recording(losses.pearson_v_loss, "pearson"))
+        monkeypatch.setattr(losses, "extreme_v_loss", recording)
         raw = dict(env="pendulum", scheme="roer", seeds=[0], total_steps=260,
                    train_start_step=200, eval_period=130, eval_episodes=1,
                    env_horizon=50, agent=dict(profile="test", hidden_dims=[16, 16]),
@@ -646,8 +697,8 @@ class TestSweep:
         cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
         assert not any(c["failed"] for c in cells)
         updates = 61  # steps 200..260
-        assert seen == ([("gumbel", 0.5, 5.0)] * updates
-                        + [("gumbel", 2.0, 5.0)] * updates)
+        assert seen == ([("kl", 0.5, 5.0)] * updates
+                        + [("kl", 2.0, 5.0)] * updates)
         metrics = [(out / f"scheme_config.beta={b}" / "seed_0" / "metrics.jsonl")
                    .read_bytes() for b in (0.5, 2.0)]
         assert metrics[0] != metrics[1]
@@ -655,4 +706,4 @@ class TestSweep:
         seen.clear()
         raw.update(scheme="roer_chi2", sweep=dict(grid={"scheme_config.beta": [3.0]}))
         run_sweep(cmod.from_dict(raw))
-        assert seen == [("pearson", 3.0)] * updates
+        assert seen == [("pearson_chi2", 3.0, 5.0)] * updates

@@ -9,12 +9,14 @@ from roer import losses, nn
 from roer.losses import (
     extreme_v_loss,
     gradient_penalty,
-    pearson_v_loss,
     td_error,
     weighted_huber_critic_loss,
 )
 from roer.nn import NetworkSpec, ParameterSet
-from roer.schemes import InvalidInputError
+from roer.schemes import ROER_DIVERGENCES, InvalidInputError
+
+KL = ROER_DIVERGENCES["roer"]
+PEARSON = ROER_DIVERGENCES["roer_chi2"]
 
 
 def rel_err(a, b):
@@ -63,13 +65,13 @@ class TestTdError:
 class TestExtremeVLoss:
     def test_zero_residuals(self):
         for beta in (0.4, 1.0, 4.0):
-            out = extreme_v_loss(np.zeros(5), beta, 7.0)
+            out = extreme_v_loss(np.zeros(5), beta, 7.0, KL)
             assert out.value == pytest.approx(0.0, abs=1e-15)
             assert np.allclose(out.grad, 0.0)
 
     def test_single_residual_analytic(self):
         for beta in (0.5, 1.0, 2.0):
-            out = extreme_v_loss(np.array([beta * math.log(2.0)]), beta, 7.0)
+            out = extreme_v_loss(np.array([beta * math.log(2.0)]), beta, 7.0, KL)
             assert out.value == pytest.approx(1.0 - math.log(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("beta", [0.4, 1.0, 4.0])
@@ -79,16 +81,16 @@ class TestExtremeVLoss:
 
         def value_of_v(v):
             # residual depends on the estimate with a minus sign
-            return extreme_v_loss(r - v, beta, 7.0).value
+            return extreme_v_loss(r - v, beta, 7.0, KL).value
 
         v0 = np.zeros(16)
         fd = fd_vector_grad(value_of_v, v0)
-        analytic = -extreme_v_loss(r, beta, 7.0).grad
+        analytic = -extreme_v_loss(r, beta, 7.0, KL).grad
         assert rel_err(analytic, fd) <= 1e-4
 
     def test_exponent_clip_keeps_loss_finite(self):
         clip = 7.0
-        out = extreme_v_loss(np.array([(clip + 5.0) * 1.0]), 1.0, clip)
+        out = extreme_v_loss(np.array([(clip + 5.0) * 1.0]), 1.0, clip, KL)
         assert np.isfinite(out.value)
         assert out.value == pytest.approx(math.exp(clip) - clip - 1.0)
         assert out.clipped == 1
@@ -99,22 +101,43 @@ class TestExtremeVLoss:
         rng = np.random.default_rng(8)
         for _ in range(200):
             r = rng.normal(scale=3.0, size=8)
-            out = extreme_v_loss(r, beta, 50.0)
+            out = extreme_v_loss(r, beta, 50.0, KL)
             assert out.value >= 0.0
             if np.any(np.abs(r) > 1e-8):
                 assert out.value > 0.0
 
 
 class TestPearsonVLoss:
+    """The value loss of roer_chi2: mean(f*(z) - z) = mean(z^2) / 2."""
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         r = rng.normal(size=12)
-        fd = fd_vector_grad(lambda q: pearson_v_loss(q, 2.0).value, r.copy())
-        assert rel_err(pearson_v_loss(r, 2.0).grad, fd) <= 1e-4
+        fd = fd_vector_grad(lambda q: extreme_v_loss(q, 2.0, 7.0, PEARSON).value,
+                            r.copy())
+        assert rel_err(extreme_v_loss(r, 2.0, 7.0, PEARSON).grad, fd) <= 1e-4
 
-    def test_minimum_at_negative_beta(self):
-        out = pearson_v_loss(np.array([-2.0]), 2.0)
-        assert np.allclose(out.grad, 0.0)
+    def test_squared_residual_with_the_upper_clip(self):
+        out = extreme_v_loss(np.array([-2.0, 1.0, 9.0]), 0.5, 7.0, PEARSON)
+        assert out.value == pytest.approx((16.0 + 4.0 + 49.0) / 2.0 / 3.0, rel=1e-14)
+        assert out.grad.tolist() == pytest.approx([-4.0 / 1.5, 2.0 / 1.5, 0.0],
+                                                  rel=1e-14)
+        assert out.clipped == 1
+
+
+class TestValueFixedPoint:
+    @pytest.mark.parametrize("div", ROER_DIVERGENCES.values(),
+                             ids=ROER_DIVERGENCES.keys())
+    def test_summed_gradient_vanishes_at_the_unit_ratio(self, div):
+        # at V with E[f*'((Q - V) / beta)] = 1 the gradient w.r.t. V is zero:
+        # the ratio f*'(delta / beta) averages to 1 over the batch
+        q = np.random.default_rng(6).normal(size=256)
+        beta = 0.7
+        v = (beta * math.log(np.mean(np.exp(q / beta))) if div is KL
+             else float(np.mean(q)))
+        grad = extreme_v_loss(q - v, beta, math.inf, div).grad
+        assert abs(np.sum(grad)) <= 1e-12
+        assert np.mean(div.f_star_prime((q - v) / beta)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWeightedHuber:

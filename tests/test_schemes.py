@@ -109,6 +109,17 @@ class TestRoerUpdate:
         with pytest.raises(ConfigError):
             RoerConfig(max_exp_clip=math.inf)
 
+    @pytest.mark.parametrize("cls, field", [
+        (RoerConfig, "lam"), (RoerConfig, "beta"), (RoerConfig, "grad_clip"),
+        (RoerConfig, "max_exp_clip"), (RoerConfig, "min_priority_clip"),
+        (PerConfig, "alpha"), (PerConfig, "min_priority"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_knobs_rejected(self, cls, field, value):
+        # a NaN min_priority_clip would turn the floor off (nan > 0 is false)
+        with pytest.raises(ConfigError, match=field):
+            cls(**{field: value})
+
     def test_huge_td_error_stays_finite(self):
         for div in ROER_DIVERGENCES.values():
             out = roer_update(np.array([1e6, 0.0]), np.ones(2),
