@@ -24,7 +24,8 @@ import numpy as np
 from . import binio, losses, nn
 from .divergences import DivergenceSpec
 from .replay import SampledBatch
-from .schemes import ROER_DIVERGENCES, InvalidInputError, RoerConfig, require
+from .schemes import (ROER_DIVERGENCES, InvalidInputError, RoerConfig, integer_rules,
+                      require)
 
 LOG_STD_MIN = -10.0
 LOG_STD_MAX = 2.0
@@ -109,6 +110,8 @@ class SacConfig:
 
     def __post_init__(self):
         require(self, (
+            *integer_rules(self, "batch_size"),
+            ("hidden_dims", all(type(d) is int for d in self.hidden_dims), "integers"),
             ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("polyak_tau", 0.0 < self.polyak_tau <= 1.0, "in (0, 1]"),
@@ -555,6 +558,7 @@ class TabularConfig:
 
     def __post_init__(self):
         require(self, (
+            *integer_rules(self, "batch_size"),
             ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("epsilon", 0.0 <= self.epsilon <= 1.0, "in [0, 1]"),
@@ -581,10 +585,18 @@ class TabularAgent:
 
     def soft_value(self, states) -> np.ndarray:
         temp = self.config.soft_temperature
+        # a fancy gather copies, even for a scalar state, so q is ours to
+        # round in place: m + temp * log(sum(exp((q - m) / temp)))
         q = self.q_table[np.asarray(states, dtype=np.int64)]
         # the reductions that q.max and np.sum run, without their wrappers
         m = np.maximum.reduce(q, axis=-1)
-        return m + temp * np.log(np.add.reduce(np.exp((q - m[..., None]) / temp), axis=-1))
+        q -= m[..., None]
+        q /= temp
+        np.exp(q, out=q)
+        v = np.log(np.add.reduce(q, axis=-1))
+        v *= temp
+        v += m
+        return v
 
     def act(self, state: int, rng: np.random.Generator,
             deterministic: bool = False) -> int:

@@ -16,7 +16,7 @@ Schema (all keys optional unless noted):
                                 # divergence sets the priority ratio
                                 # (schemes.roer_update) and the value loss
                                 # (losses.extreme_v_loss)
-    seeds: [0, 1, ...]                                                 [required]
+    seeds: [0, 1, ...]          # integers >= 0                        [required]
     total_steps: int            # N                                    [required]
     train_start_step: int       # tau, default 0
     eval_period: int            # default 1000
@@ -30,9 +30,9 @@ Schema (all keys optional unless noted):
     buffer_capacity: int        # at least the agent's batch_size
     env_horizon: int            # episode cap >= 1, default 1000 (200 pendulum)
     offline_dataset: path to .npz or null
-    checkpoint_period: int      # 0 = final checkpoint only
-    bias_eval_pairs: int        # roer bias: pairs probed per checkpoint
-    bias_eval_horizon: int      # roer bias: Monte-Carlo rollout length
+    checkpoint_period: int      # >= 0; 0 = final checkpoint only
+    bias_eval_pairs: int        # roer bias: pairs probed per checkpoint, >= 1
+    bias_eval_horizon: int      # roer bias: Monte-Carlo rollout length, >= 1
     workers: int                # parallel seed workers, >= 1; --workers overrides it
     agent:                      # SAC fields (continuous envs)
       profile: test | full      # SAC_PROFILES: test = SacConfig's defaults,
@@ -56,14 +56,16 @@ Schema (all keys optional unless noted):
                                           # tabular.epsilon, buffer_capacity
 
 Every key is checked when the file loads: an unknown key, a scheme_config
-key the scheme does not have, or a sweep.grid key that names no key of
-this schema is a ConfigError. The config.yaml that a run writes (echo) is
-this same schema with every value spelled out, so it can be passed back
-to `roer train` and `roer bias`. Each sweep cell is the echoed file with
-the cell's grid values set, loaded again through from_dict. Files in the
-older resolved form (top-level sac / roer / per / laber / sweep_grid),
-and files that still hold the removed bias_eval_period key, fail with
-"unknown config keys", which the CLI maps to exit code 2.
+key the scheme does not have, a sweep.grid key that names no key of this
+schema, or a count (a size, step, period or seed above) that is not an
+int is a ConfigError; 8.0 and true are not ints. The config.yaml that a
+run writes (echo) is this same schema with every value spelled out, so
+it can be passed back to `roer train` and `roer bias`. Each sweep cell is
+the echoed file with the cell's grid values set, loaded again through
+from_dict. Files in the older resolved form (top-level sac / roer / per /
+laber / sweep_grid), and files that still hold the removed
+bias_eval_period key, fail with "unknown config keys", which the CLI maps
+to exit code 2.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ import yaml
 
 from .agents import SacConfig, TabularConfig
 from .schemes import (SCHEME_CONFIGS, ConfigError, LaberConfig, PerConfig,
-                      RoerConfig, require)
+                      RoerConfig, integer_rules, require)
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,13 @@ class ExperimentConfig:
                               f"type {cls and cls.__name__}")
         require(self, (
             ("seeds", len(self.seeds) >= 1, "a non-empty list"),
+            ("seeds", all(type(s) is int and s >= 0 for s in self.seeds),
+             "integers >= 0"),
+            *integer_rules(self, "total_steps", "train_start_step", "eval_period",
+                           "eval_episodes", "buffer_capacity", "checkpoint_period",
+                           "bias_eval_pairs", "bias_eval_horizon", "workers"),
+            ("env_horizon", self.env_horizon is None or type(self.env_horizon) is int,
+             "an integer or null"),
             ("train_start_step", self.train_start_step >= 0, ">= 0"),
             ("total_steps", self.total_steps > self.train_start_step,
              "more than train_start_step"),
@@ -126,6 +135,9 @@ class ExperimentConfig:
             ("sampling_mode", self.sampling_mode in ("proportional", "weighted"),
              "proportional or weighted"),
             ("workers", self.workers >= 1, ">= 1"),
+            ("checkpoint_period", self.checkpoint_period >= 0, ">= 0"),
+            ("bias_eval_pairs", self.bias_eval_pairs >= 1, ">= 1"),
+            ("bias_eval_horizon", self.bias_eval_horizon >= 1, ">= 1"),
             ("env_horizon", self.env_horizon is None or self.env_horizon >= 1,
              ">= 1 or null"),
         ))
@@ -209,7 +221,7 @@ def from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         if seeds is None:
             raise ConfigError("config requires 'seeds'")
         kwargs: dict[str, Any] = {k: raw.pop(k) for k in _TOP_LEVEL if k in raw}
-        kwargs["seeds"] = tuple(int(s) for s in seeds)
+        kwargs["seeds"] = tuple(seeds)
         kwargs["sac"] = _build_sac(raw.pop("agent", None) or {})
         kwargs["tabular"] = TabularConfig(**(raw.pop("tabular", None) or {}))
         kwargs["scheme_config"] = _build_scheme_config(

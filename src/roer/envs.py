@@ -151,7 +151,7 @@ class TabularEnv:
         return self.mdp.n_actions
 
     def reset(self) -> int:
-        self._state = int(np.searchsorted(self._cum_init, self.rng.random()))
+        self._state = int(self._cum_init.searchsorted(self.rng.random()))
         self._t = 0
         self._done = False
         return self._state
@@ -169,7 +169,7 @@ class TabularEnv:
             raise ProtocolError("step() after episode end; call reset()")
         s = self._state
         a = int(action)
-        nxt = int(np.searchsorted(self._cum[s, a], self.rng.random()))
+        nxt = int(self._cum[s, a].searchsorted(self.rng.random()))
         reward = float(self.mdp.rewards[s, a])
         self._t += 1
         truncated = self._t >= self.horizon

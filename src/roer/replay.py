@@ -54,10 +54,13 @@ class SumTree:
     Lower tier: a flat binary tree (node i has children 2i and 2i + 1, the
     n leaves in nodes[n:2n]) kept up to the level of P = min(n,
     PREFIX_WIDTH) nodes: each node of nodes[P:n] is fl(left + right), and
-    nodes[:P] are unused. Upper tier: `prefix`, a 0 and then the P running
-    sums of that level. A write repairs the written leaves' ancestors up to
-    the P-level and marks the prefix stale; the next total() or find_prefix
-    rebuilds it with one np.add.accumulate, so one step's writes share it.
+    nodes[:P] are unused. A write repairs the written leaves' ancestors up
+    to the P-level, one gather of child pairs per level, and marks the
+    prefix stale. Upper tier: `prefix`, a 0 and then the P running sums of
+    that level. The next total() or find_prefix rebuilds it with one
+    np.add.accumulate up to the last P-level node ever written, so one
+    step's writes share it; the nodes past that are still zeros, and their
+    running sums are the last one plus 0.0, as a full accumulate gives.
     """
 
     # Width of the level under the prefix. 2048 and 8192 ran within 2% of
@@ -71,14 +74,20 @@ class SumTree:
         self._width = width = min(n, self.PREFIX_WIDTH)
         # binary levels between the leaves and the prefix's level
         self._depth = (n // width).bit_length() - 1
+        # never rebound: _pairs views it, row i holding node i's children
         self.nodes = np.zeros(2 * n, dtype=np.float64)
+        self._pairs = self.nodes.reshape(n, 2)
         self.prefix = np.zeros(width + 1, dtype=np.float64)
+        # P-level nodes [0, _written) may have been written; the rest are 0
+        self._written = 0
         self._stale = False
 
     def _fresh_prefix(self) -> np.ndarray:
         if self._stale:
-            w = self._width
-            np.add.accumulate(self.nodes[w : 2 * w], out=self.prefix[1:])
+            w, m, prefix = self._width, self._written, self.prefix
+            np.add.accumulate(self.nodes[w : w + m], out=prefix[1 : m + 1])
+            # adding the unwritten zeros leaves each sum, but makes -0.0 +0.0
+            prefix[m + 1 :] = prefix[m] + 0.0
             self._stale = False  # cleared last, once the prefix is whole
         return self.prefix
 
@@ -93,11 +102,14 @@ class SumTree:
         """Replace leaf values and repair their ancestors up to the P-level;
         duplicate parents in a level write identical sums."""
         idx = np.asarray(indices, dtype=np.int64) + self._n
-        nodes = self.nodes
+        nodes, pairs = self.nodes, self._pairs
         nodes[idx] = values
         for _ in range(self._depth):
             idx >>= 1
-            nodes[idx] = nodes[2 * idx] + nodes[2 * idx + 1]
+            kids = pairs.take(idx, axis=0)
+            nodes[idx] = kids[:, 0] + kids[:, 1]
+        # idx now holds P-level nodes
+        self._written = max(self._written, int(idx.max(initial=0)) + 1 - self._width)
         self._stale = True
 
     def set_range(self, start: int, stop: int, values) -> None:
@@ -112,6 +124,7 @@ class SumTree:
             lo, hi = lo >> 1, (hi + 1) >> 1
             np.add(nodes[2 * lo : 2 * hi : 2], nodes[2 * lo + 1 : 2 * hi : 2],
                    out=nodes[lo:hi])
+        self._written = max(self._written, hi - self._width)
         self._stale = True
 
     def set(self, index: int, value: float) -> None:
@@ -121,6 +134,7 @@ class SumTree:
         for _ in range(self._depth):
             i >>= 1
             nodes[i] = nodes[2 * i] + nodes[2 * i + 1]
+        self._written = max(self._written, i + 1 - self._width)
         self._stale = True
 
     def find_prefix(self, targets: np.ndarray) -> np.ndarray:
@@ -281,7 +295,11 @@ class PriorityBuffer:
         return self.gather(rng.integers(0, self.size, size=n))
 
     def update_priorities(self, indices, new_priorities) -> None:
-        """Replace priorities at the given slots."""
+        """Replace priorities at the given slots.
+
+        A slot named k times (drawn k times in one batch) ends at the last
+        of its k values, and its ancestors at the sums a fresh set_range
+        over the leaves gives: every duplicate writes the same sums."""
         idx = np.asarray(indices, dtype=np.int64)
         vals = np.asarray(new_priorities, dtype=np.float64)
         if idx.shape != vals.shape:

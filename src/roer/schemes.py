@@ -47,6 +47,12 @@ def require(cfg, checks) -> None:
             raise ConfigError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")
 
 
+def integer_rules(cfg, *names) -> tuple:
+    """require's rule that each named count is an int: not a float, even
+    an integral one like 8.0, and not a bool (type(True) is bool)."""
+    return tuple((name, type(getattr(cfg, name)) is int, "an integer") for name in names)
+
+
 class InvalidInputError(ValueError):
     pass
 
@@ -99,7 +105,8 @@ class LaberConfig:
     large_batch: int = 256
 
     def __post_init__(self):
-        require(self, (("large_batch", self.large_batch >= 1, ">= 1"),))
+        require(self, (*integer_rules(self, "large_batch"),
+                       ("large_batch", self.large_batch >= 1, ">= 1")))
 
 
 # The divergence whose conjugate derivative sets each ROER scheme's ratio
@@ -127,6 +134,10 @@ def roer_update(td_errors, current_priorities, cfg: RoerConfig,
     (and any single-element batch) leaves priorities bit-identical: the
     interpolation factor is computed as lam * (w - 1) + 1, which is exactly
     1.0 when w == 1. A ratio that overflows to inf lands on max_exp_clip.
+
+    A slot drawn k times in one batch has k rows: all k count in the batch
+    mean of w, each starts from the same current priority, and
+    PriorityBuffer.update_priorities keeps the last row's result.
     """
     with np.errstate(over="ignore"):
         w = div.f_star_prime(np.asarray(td_errors, dtype=np.float64) / cfg.beta)

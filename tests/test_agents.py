@@ -828,6 +828,25 @@ class TestTabularAgent:
         assert agent.q_table.tobytes() == q.tobytes()
         assert m.critic_loss == float(np.mean(weights * delta**2))
 
+    @pytest.mark.parametrize("states", [
+        np.array([0, 3, 3, 5, 1]), [2, 2], 4, np.int64(0), np.zeros(0, dtype=np.int64)])
+    def test_soft_value_rounds_in_place_with_the_same_bits(self, states):
+        # wide-ranging Q values, so the shift, exp and log all round
+        rng = np.random.default_rng(11)
+        cfg = TabularConfig(soft_temperature=0.05)
+        agent = TabularAgent(6, 3, cfg)
+        agent.q_table[:] = rng.normal(size=(6, 3)) * 10.0 ** rng.integers(-3, 3, (6, 3))
+        table = agent.q_table.copy()
+        q = table[np.asarray(states, dtype=np.int64)]
+        m = q.max(axis=-1)
+        want = m + cfg.soft_temperature * np.log(
+            np.sum(np.exp((q - m[..., None]) / cfg.soft_temperature), axis=-1))
+        got = agent.soft_value(states)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # the in-place steps work on a copy, even for a scalar state
+        assert agent.q_table.tobytes() == table.tobytes()
+
 
 class TestConfigChecks:
     @pytest.mark.parametrize("field, value", [

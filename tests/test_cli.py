@@ -93,6 +93,34 @@ class TestTrainCommand:
          "alpha must be >= 0 and finite, got nan"),
         (dict(scheme="per", scheme_config=dict(min_priority=inf)),
          "min_priority must be positive and finite, got inf"),
+        # counts are ints: not floats, integral or not, and not bools
+        (dict(tabular=dict(batch_size=8.5)), "batch_size must be an integer, got 8.5"),
+        (dict(tabular=dict(batch_size=8.0)), "batch_size must be an integer, got 8.0"),
+        (dict(env="pendulum", agent=dict(batch_size=64.0)),
+         "batch_size must be an integer, got 64.0"),
+        (dict(total_steps=200.5), "total_steps must be an integer, got 200.5"),
+        (dict(train_start_step=50.0), "train_start_step must be an integer, got 50.0"),
+        (dict(eval_period=100.5), "eval_period must be an integer, got 100.5"),
+        (dict(eval_episodes=True), "eval_episodes must be an integer, got True"),
+        (dict(buffer_capacity=200.0), "buffer_capacity must be an integer, got 200.0"),
+        (dict(checkpoint_period=50.5), "checkpoint_period must be an integer, got 50.5"),
+        (dict(bias_eval_pairs=4.5), "bias_eval_pairs must be an integer, got 4.5"),
+        (dict(bias_eval_horizon=20.5), "bias_eval_horizon must be an integer, got 20.5"),
+        (dict(workers=True), "workers must be an integer, got True"),
+        (dict(env_horizon=40.5), "env_horizon must be an integer or null, got 40.5"),
+        (dict(env="pendulum", agent=dict(hidden_dims=[64.5, 64])),
+         "hidden_dims must be integers, got (64.5, 64)"),
+        (dict(scheme="laber", scheme_config=dict(large_batch=16.5)),
+         "large_batch must be an integer, got 16.5"),
+        # seeds are not truncated to an int
+        (dict(seeds=[0.5]), "seeds must be integers >= 0, got (0.5,)"),
+        (dict(seeds=[0, 1.0]), "seeds must be integers >= 0, got (0, 1.0)"),
+        (dict(seeds=[-1]), "seeds must be integers >= 0, got (-1,)"),
+        # a negative period is not a period; a bias probe of no pairs
+        # reports NaN, and one of zero-step rollouts measures nothing
+        (dict(checkpoint_period=-200), "checkpoint_period must be >= 0, got -200"),
+        (dict(bias_eval_pairs=0), "bias_eval_pairs must be >= 1, got 0"),
+        (dict(bias_eval_horizon=0), "bias_eval_horizon must be >= 1, got 0"),
     ])
     def test_bad_value_exits_before_the_run(self, tmp_path, capsys,
                                             overrides, message):

@@ -285,6 +285,30 @@ class TestUpdatePriorities:
         buf.update_priorities([0, 1, 2], [0.3, 0.7, 1.9])
         assert buf.total_priority() == before  # exact, not approx
 
+    def test_duplicate_slot_keeps_its_last_value(self):
+        buf = tabular_buffer(capacity=16)
+        for i in range(16):
+            buf.push(make_transition(s=i))
+        buf.update_priorities([3, 7, 3, 3, 7, 12], [2.0, 5.0, 0.5, 4.0, 1.5, 3.0])
+        assert (buf.priorities[3], buf.priorities[7], buf.priorities[12]) == (4.0, 1.5, 3.0)
+        assert buf.total_priority() == 13 + 4.0 + 1.5 + 3.0
+
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_duplicate_slots_leave_the_tree_a_fresh_rebuild_gives(self, depth):
+        capacity = 200
+        cls = narrow_tree(capacity, depth)
+        tree = cls(capacity)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            # a batch of 64 draws over 10 slots: every slot repeats
+            slots = rng.choice(rng.integers(0, capacity, 10), size=64)
+            tree.set_many(slots, rng.random(64) * 10.0 ** rng.integers(-8, 9, 64))
+        ref = cls(capacity)
+        ref.set_range(0, capacity, tree.leaves(capacity))
+        assert tree.nodes.tobytes() == ref.nodes.tobytes()
+        assert tree.total() == ref.total()
+        assert tree.prefix.tobytes() == ref.prefix.tobytes()
+
     def test_eviction_preserves_consistency(self):
         rng = np.random.default_rng(9)
         buf = tabular_buffer(capacity=16)
@@ -821,11 +845,23 @@ class TestTwoTierLayout:
     @given(data=st.data())
     def test_nodes_match_per_level_repair_bytewise(self, data):
         capacity = data.draw(st.sampled_from(TREE_CAPACITIES))
-        tree = SumTree(capacity)
+        self.check_per_level_repair(SumTree(capacity), data.draw(tree_writes(capacity)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_nodes_match_per_level_repair_bytewise_eight_levels_deep(self, data):
+        # offline-per's depth: 2^20 leaves under a 4096-node prefix level
+        capacity = data.draw(tree_capacities(8))
+        tree = narrow_tree(capacity, 8)(capacity)
+        assert tree._depth == 8
+        self.check_per_level_repair(tree, data.draw(tree_writes(capacity)))
+
+    @staticmethod
+    def check_per_level_repair(tree, writes):
         p, _ = tiers(tree)
         ref = tree.nodes.copy()
         nodes = tree.nodes
-        for idx, values in data.draw(tree_writes(capacity)):
+        for idx, values in writes:
             tree.set_many(idx, values)
             reference_set_many(ref, idx, values)
             # the levels from the leaves up to the P-level are the full
@@ -858,6 +894,60 @@ class TestTwoTierLayout:
         targets = rng.random(256) * buf.total_priority()
         assert np.array_equal(loaded.tree.find_prefix(targets),
                               buf.tree.find_prefix(targets))
+
+
+class TestPrefixMark:
+    """The prefix is accumulated up to the last P-level node written and
+    filled past it; it must hold the full accumulate's bytes."""
+
+    @staticmethod
+    def assert_full_prefix(tree):
+        p, _ = tiers(tree)
+        tree.total()
+        assert tree.prefix.tobytes() == prefix_of(tree.nodes[p:2 * p]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_accumulate_of_the_whole_level(self, data):
+        capacity = data.draw(st.sampled_from(TREE_CAPACITIES))
+        buf = tabular_buffer(capacity)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ops = data.draw(st.lists(st.sampled_from(["push", "fill", "write", "zeros", "load"]),
+                                 min_size=1, max_size=6))
+        for op in ops:
+            if op == "push":
+                # past capacity, pushes wrap the ring
+                for _ in range(int(rng.integers(1, 40))):
+                    buf.push(make_transition(s=int(rng.integers(9))))
+            elif op == "fill":
+                n = int(rng.choice([1, capacity - buf.write_cursor + 1, 2 * capacity + 3]))
+                buf.fill_offline(rng.integers(0, 9, n), rng.integers(0, 3, n),
+                                 rng.normal(size=n), rng.integers(0, 9, n), rng.random(n) < 0.1)
+            elif op == "write" and len(buf):
+                k = int(rng.integers(1, 65))
+                buf.update_priorities(rng.integers(0, len(buf), k),
+                                      rng.random(k) * 10.0 ** rng.integers(-8, 9, k) + 1e-12)
+            elif op == "zeros" and len(buf) < capacity:
+                # zeros of either sign past the live slots grow the mark
+                k = int(rng.integers(1, 65))
+                buf.tree.set_many(rng.integers(len(buf), capacity, k),
+                                  rng.choice([0.0, -0.0], k))
+            elif op == "load":
+                buf = PriorityBuffer.load(io.BytesIO(snapshot_bytes(buf)))
+            self.assert_full_prefix(buf.tree)
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_written_region_of_zeros(self, depth, zero):
+        capacity = 64
+        tree = narrow_tree(capacity, depth)(capacity)
+        tree.set_many(np.arange(10), np.full(10, zero))
+        tree.set_range(10, 20, zero)
+        tree.set(20, zero)
+        # the level past the written nodes is filled, not accumulated
+        assert tree._written < tiers(tree)[0]
+        self.assert_full_prefix(tree)
+        assert tree.total() == 0.0
 
 
 def narrow_tree(capacity, depth):
@@ -912,8 +1002,11 @@ class TestRangeWrite:
         if len(buf):
             buf.update_priorities(np.arange(len(buf)), data.draw(hnp.arrays(
                 np.float64, len(buf), elements=st.floats(0.01, 100.0))))
+        # a reference rebuilt from the leaves through set_range, which
+        # keeps its record of the written P-level nodes
         ref = narrow_tree(capacity, depth)(capacity)
-        ref.nodes[:] = buf.tree.nodes
+        ref.set_range(0, capacity, buf.tree.leaves(capacity))
+        assert ref.nodes.tobytes() == buf.tree.nodes.tobytes()
         cursor = buf.write_cursor
         # below, at and above capacity: runs that wrap the ring or cover it
         n = data.draw(st.sampled_from([0, 1, capacity - cursor, capacity - cursor + 1,

@@ -43,6 +43,14 @@ class TestRoerUpdate:
         out = roer_update(np.array([0.0, math.log(2.0)]), np.ones(2), cfg(lam=1.0))
         assert out == pytest.approx([2 / 3, 4 / 3])
 
+    def test_every_draw_of_a_duplicate_slot_counts_in_the_batch_mean(self):
+        # slot A drawn three times (delta/beta = ln 2), slot B once (0):
+        # w = {2, 1, 2, 2} has mean 7/4, not the distinct slots' 3/2
+        out = roer_update(np.array([math.log(2.0), 0.0, math.log(2.0), math.log(2.0)]),
+                          np.ones(4), cfg(lam=1.0))
+        assert out[0] == out[2] == out[3]
+        assert out == pytest.approx([8 / 7, 4 / 7, 8 / 7, 8 / 7])
+
     def test_max_exp_clip_applied_before_normalization(self):
         c = cfg(lam=1.0, max_exp_clip=100.0)
         out = roer_update(np.array([math.log(200.0), 0.0]), np.ones(2), c)
