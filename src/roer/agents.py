@@ -63,37 +63,37 @@ def _leave_cpu(cpu) -> None:
         os.sched_setaffinity(0, others)
 
 
-def _pair(fn, a, b, threaded: bool):
-    """(fn(a), fn(b)). Threaded, fn(b) runs on a short-lived helper thread,
-    in a copy of this thread's context (numpy's errstate lives there),
-    while fn(a) runs here; both finish before an exception is raised, fn(a)'s
-    first.
+def _lanes(first, second, threaded: bool):
+    """(first(), second()). Threaded, second() runs on a short-lived helper
+    thread, in a copy of this thread's context (numpy's errstate lives
+    there), while first() runs here; both finish before an exception is
+    raised, first()'s first.
 
     A new thread starts on its creator's CPU. On a 2-vCPU VM both threads
     stayed there for pairs of a few ms, with the other vCPU idle, so the
     helper first moves off the caller's CPU; that affinity ends with it."""
     if not threaded:
-        return fn(a), fn(b)
+        return first(), second()
     ctx = contextvars.copy_context()
     here = _sched_getcpu() if _sched_getcpu is not None else None
-    second, error = [None], [None]
+    late, error = [None], [None]
 
     def helper():
         try:
             _leave_cpu(here)
-            second[0] = ctx.run(fn, b)
+            late[0] = ctx.run(second)
         except BaseException as exc:  # raised on the caller's thread
             error[0] = exc
 
     thread = threading.Thread(target=helper)
     thread.start()
     try:
-        first = fn(a)
+        early = first()
     finally:
         thread.join()
     if error[0] is not None:
         raise error[0]
-    return first, second[0]
+    return early, late[0]
 
 
 @dataclass(frozen=True)
@@ -173,11 +173,9 @@ class SacAgent:
                                *(s for o in self._optimizers() for s in (o.m, o.v))])
         self._critics = self._targets._like(self._state.flat[:len(self._targets.flat)])
         self._saved = np.empty(len(self._state.flat))
-        self._saved_counters: list[tuple[int, int]] = []  # (step_count, skipped)
-        self.target_entropy = (
-            config.target_entropy if config.target_entropy is not None
-            else -float(action_dim)
-        )
+        self._saved_steps: list[int] = []
+        self.target_entropy = (-float(action_dim) if config.target_entropy is None
+                               else config.target_entropy)
         self.aborted_updates = 0
         self.pair_threads = (
             _usable_cpus() >= PAIR_THREAD_CPUS * processes
@@ -241,15 +239,13 @@ class SacAgent:
 
     def _q_pair(self, p1, p2, x):
         """Both networks of a critic or target pair on the rows of x."""
-        return _pair(lambda p: self._scalar(p, x)[0], p1, p2, self.pair_threads)
-
-    def _min_q(self, p1, p2, x) -> np.ndarray:
-        return np.minimum(*self._q_pair(p1, p2, x))
+        return _lanes(lambda: self._scalar(p1, x)[0], lambda: self._scalar(p2, x)[0],
+                      self.pair_threads)
 
     def _critic_step(self, params, opt, x, target, weights):
         """One critic's weighted Huber loss and gradient penalty, and its
         Adam step; returns the loss and the critic's predictions. A
-        non-finite loss raises before the step."""
+        non-finite loss or gradient raises before the step."""
         cfg = self.config
         q, cache = self._scalar(params, x)
         out = losses.weighted_huber_critic_loss(q, target, weights, k=cfg.huber_k)
@@ -275,9 +271,9 @@ class SacAgent:
 
     # -- state snapshot for non-finite rollback --------------------------
 
-    # The targets and the temperature change only after the last checks that
-    # can raise (the value and actor losses), so an abort never reaches them
-    # and the snapshot leaves them out. The rollback copies values back in place, so
+    # The last check that can raise is the temperature's, before its step;
+    # the targets move after it. So an abort never reaches either, and the
+    # snapshot leaves them out. The rollback copies values back in place, so
     # every ParameterSet and AdamState keeps its identity and its views.
     _OPTIMIZED = ("critic1", "critic2", "actor", "value")  # _optimizers()' networks
 
@@ -286,12 +282,12 @@ class SacAgent:
 
     def _snapshot(self) -> None:
         np.copyto(self._saved, self._state.flat)
-        self._saved_counters = [(o.step_count, o.skipped) for o in self._optimizers()]
+        self._saved_steps = [o.step_count for o in self._optimizers()]
 
     def _restore(self) -> None:
         np.copyto(self._state.flat, self._saved)
-        for opt, (step_count, skipped) in zip(self._optimizers(), self._saved_counters):
-            opt.step_count, opt.skipped = step_count, skipped
+        for opt, step_count in zip(self._optimizers(), self._saved_steps):
+            opt.step_count = step_count
 
     # -- update ----------------------------------------------------------
 
@@ -314,7 +310,7 @@ class SacAgent:
         differently in the last bit.
 
         Work that reads nothing the other half writes runs in two lanes
-        through _pair. When pair_threads is set (PAIR_THREAD_CPUS CPUs per
+        through _lanes. When pair_threads is set (PAIR_THREAD_CPUS CPUs per
         process and BLAS-bound passes; see PAIR_THREAD_WORK) the second
         lane runs on a helper thread while the first runs on this one:
         - the actor's stacked pass and draw, beside the rollback snapshot;
@@ -334,54 +330,47 @@ class SacAgent:
         per update under a ROER scheme, 4 without, at about 85 us each to
         start and join (measured on a 2-vCPU Xeon VM).
 
-        A non-finite loss or input aborts the step: the one vector that
-        holds the online networks and their Adam moments is copied back in
-        place from the snapshot, and the abort is counted. Both lanes
+        A non-finite loss, input or gradient of any network or of the
+        temperature aborts the whole step. Each check raises before its step
+        changes anything; the one vector that holds the online networks and
+        their Adam moments is copied back in place from the snapshot, the
+        Adam step counts are restored, and the abort is counted. Both lanes
         finish before the first lane's error is raised, so the rollback
         never races a late Adam step; threaded, the actor has stepped when
         the value loss aborts, and the rollback undoes it. An aborted step
-        returns fresh StepMetrics with only aborted set, and has still
-        taken its one (2n, A) normal draw from rng, whichever phase
-        aborted."""
+        returns fresh StepMetrics with only aborted set, and has still taken
+        its one (2n, A) normal draw from rng, whichever phase aborted."""
         weights = np.asarray(weights, dtype=np.float64)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 return self._update_inner(batch, weights, rng, roer, div)
         except (FloatingPointError, InvalidInputError):
-            # non-finite collapse: abort, count, roll back all state
             self._restore()
             self.aborted_updates += 1
             return StepMetrics(aborted=True)
 
-    def _lanes(self, first, second):
-        """(first(), second()) through _pair, two lanes when pair_threads."""
-        return _pair(lambda job: job(), first, second, self.pair_threads)
-
     def _update_inner(self, batch, weights, rng, roer, div) -> StepMetrics:
-        cfg = self.config
         n = len(batch)
         obs = batch.states
         nobs = batch.next_states
         x = np.concatenate([obs, batch.actions], axis=1)
-        not_done = 1.0 - batch.terminals.astype(np.float64)
         # the actor moves only at its own step: one pass and one draw over
         # (next_obs, obs) give the critic target's next action and the
         # actor loss's sample. _sample makes no check, so the snapshot
         # beside it is whole before anything can raise.
-        (act, logp, aux), _ = self._lanes(
-            lambda: self._sample(np.concatenate([nobs, obs]), rng), self._snapshot)
+        (act, logp, aux), _ = _lanes(
+            lambda: self._sample(np.concatenate([nobs, obs]), rng), self._snapshot,
+            self.pair_threads)
         # critic update against the entropy-regularized min-target; the
         # targets move only at the Polyak step, so under a ROER scheme the
         # same pass also gives the value loss its min-target on (obs, act)
         x_next = np.concatenate([nobs, act[:n]], axis=1)
-        q_target = self._min_q(self.target1, self.target2,
-                               x_next if roer is None else np.concatenate([x_next, x]))
-        target = batch.rewards + cfg.gamma * not_done * (
-            q_target[:n] - self.alpha * logp[:n]
-        )
-        (loss1, q1), (loss2, q2) = _pair(
-            lambda net: self._critic_step(*net, x, target, weights),
-            (self.critic1, self.opt_critic1), (self.critic2, self.opt_critic2),
+        rows = x_next if roer is None else np.concatenate([x_next, x])
+        q_target = np.minimum(*self._q_pair(self.target1, self.target2, rows))
+        target = self._soft_target(batch, q_target[:n], logp[:n])
+        (loss1, q1), (loss2, q2) = _lanes(
+            lambda: self._critic_step(self.critic1, self.opt_critic1, x, target, weights),
+            lambda: self._critic_step(self.critic2, self.opt_critic2, x, target, weights),
             self.pair_threads)
         metrics = StepMetrics(critic_loss=(loss1 + loss2) / 2,
                               critic_td_errors=target - 0.5 * (q1 + q2))
@@ -389,33 +378,32 @@ class SacAgent:
         # the actor's gradient through the min online critic, on the obs
         # half of the draw
         x_new = np.concatenate([obs, act[n:]], axis=1)
-        critics = _pair(lambda p: self._critic_input_gradient(p, x_new),
-                        self.critic1, self.critic2, self.pair_threads)
+        critics = _lanes(lambda: self._critic_input_gradient(self.critic1, x_new),
+                         lambda: self._critic_input_gradient(self.critic2, x_new),
+                         self.pair_threads)
         logp, aux = logp[n:], _rows_from(aux, n)
-
-        def actor_step():
-            return self._actor_step(aux, logp, critics, n)
-
         if roer is None:
-            metrics.actor_loss = actor_step()
+            metrics.actor_loss = self._actor_step(aux, logp, critics, n)
         else:  # the value network (priority TD source), then the actor
-            value, metrics.actor_loss = self._lanes(
-                lambda: self._value_step(batch, q_target[n:], roer, div), actor_step)
+            value, metrics.actor_loss = _lanes(
+                lambda: self._value_step(batch, q_target[n:], roer, div),
+                lambda: self._actor_step(aux, logp, critics, n), self.pair_threads)
             metrics.value_loss, metrics.value_clip_count, metrics.value_td_errors = value
 
-        # temperature toward the target entropy
+        # temperature toward the target entropy; its step raises before it
+        # changes anything
         entropy_gap = float(np.add.reduce(logp) / n) + self.target_entropy
         metrics.alpha_loss = -self.log_alpha * entropy_gap
         self.log_alpha = self.opt_alpha.step(self.log_alpha, -entropy_gap)
 
-        nn.polyak(self._targets, self._critics, cfg.polyak_tau)
+        nn.polyak(self._targets, self._critics, self.config.polyak_tau)
         return metrics
 
     def _value_step(self, batch, q_min, roer, div):
         """The value network's loss against the target pair's min on (obs,
         act), its Adam step, and the TD errors of the stepped network:
-        (loss, clipped count, TD errors). A non-finite loss raises before
-        the step."""
+        (loss, clipped count, TD errors). A non-finite loss or gradient
+        raises before the step."""
         obs, n = batch.states, len(batch)
         v_pred, v_cache = self._scalar(self.value, obs)
         residual = q_min - v_pred
@@ -431,8 +419,8 @@ class SacAgent:
 
     def _actor_step(self, aux, logp, critics, n: int) -> float:
         """The actor loss against the min of the critics' (q, dq/da) pair,
-        and the actor's Adam step; returns the loss. A non-finite loss
-        raises before the step."""
+        and the actor's Adam step; returns the loss. A non-finite loss or
+        gradient raises before the step."""
         (q1, g1), (q2, g2) = critics
         use_first = q1 <= q2
         q_min = np.where(use_first, q1, q2)
@@ -447,16 +435,20 @@ class SacAgent:
                       rng: np.random.Generator) -> np.ndarray:
         """|critic TD error| of a batch's transitions (LaBER's large-batch
         surrogate priorities)."""
-        not_done = 1.0 - batch.terminals.astype(np.float64)
         next_act, next_logp, _ = self._sample(batch.next_states, rng)
-        q_next = self._min_q(self.target1, self.target2,
-                             np.concatenate([batch.next_states, next_act], axis=1))
-        target = batch.rewards + self.config.gamma * not_done * (
-            q_next - self.alpha * next_logp
-        )
+        x_next = np.concatenate([batch.next_states, next_act], axis=1)
+        q_next = np.minimum(*self._q_pair(self.target1, self.target2, x_next))
+        target = self._soft_target(batch, q_next, next_logp)
         x = np.concatenate([batch.states, batch.actions], axis=1)
         q1, q2 = self._q_pair(self.critic1, self.critic2, x)
         return np.abs(target - 0.5 * (q1 + q2))
+
+    def _soft_target(self, batch, q_next, logp_next) -> np.ndarray:
+        """The soft Bellman target r + gamma (1 - d) (min Q' - alpha log pi')."""
+        not_done = 1.0 - batch.terminals.astype(np.float64)
+        return batch.rewards + self.config.gamma * not_done * (
+            q_next - self.alpha * logp_next
+        )
 
     def _actor_backward(self, aux: dict, dq_da: np.ndarray, n: int) -> nn.ParameterSet:
         """Assemble d(actor loss)/d(actor params) from the sampled-action
@@ -495,8 +487,8 @@ class SacAgent:
             for mk, mset in (("m", opt.m), ("v", opt.v)):
                 for key, arr in mset.arrays():
                     yield f"opt.{name}.{mk}.{key}", arr
-            yield f"opt.{name}.scalars", np.array([opt.step_count, opt.skipped],
-                                                   dtype=np.int64)
+            # the second slot once counted skipped steps; it is always 0
+            yield f"opt.{name}.scalars", np.array([opt.step_count, 0], dtype=np.int64)
         yield "log_alpha", np.array([self.log_alpha])
         yield "alpha_opt", np.array(
             [self.opt_alpha.m, self.opt_alpha.v, float(self.opt_alpha.step_count)])
@@ -526,7 +518,7 @@ class SacAgent:
         for key, arr in agent._checkpoint_entries():
             arr[...] = binio.checked(arrays, key, arr.shape, arr.dtype)
         for name, opt in zip(cls._OPTIMIZED, agent._optimizers()):
-            opt.step_count, opt.skipped = (int(v) for v in arrays[f"opt.{name}.scalars"])
+            opt.step_count = int(arrays[f"opt.{name}.scalars"][0])
         agent.log_alpha = float(arrays["log_alpha"][0])
         m, v, steps = arrays["alpha_opt"]
         agent.opt_alpha.m, agent.opt_alpha.v = float(m), float(v)

@@ -25,10 +25,13 @@ EXIT_CONFIG_ERROR = 2
 
 
 def _load_config(args) -> config_mod.ExperimentConfig:
-    """The config file; --output-dir and --workers replace its values when given."""
+    """The config file, with --output-dir and --workers in place of its values
+    when given, checked as its keys are; an empty --output-dir is refused."""
     cfg = config_mod.load(args.config)
     flags = {k: getattr(args, k, None) for k in ("output_dir", "workers")}
-    return replace(cfg, **{k: v for k, v in flags.items() if v})
+    if flags["output_dir"] == "":
+        raise ConfigError("--output-dir is empty")
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_train(args) -> int:
@@ -62,6 +65,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bias(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = _load_config(args)
     series = harness.estimate_bias(args.run_dir, cfg, seed=args.seed)
     payload = json.dumps(series, indent=2)

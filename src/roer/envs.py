@@ -121,6 +121,18 @@ def random_mdp(n_states: int, n_actions: int, gamma: float = 0.95,
     return TabularMdp(P, r, rho, gamma)
 
 
+def _draw_table(probs: np.ndarray) -> np.ndarray:
+    """Running sums over the last axis for TabularEnv's one draw rule: a u in
+    [0, 1) picks the first state whose sum is above u. The sums are +inf from
+    a row's last state of positive probability on, so no u (0, or one at or
+    above a row's rounded total) picks a state of probability zero or runs
+    past the row."""
+    cum = np.cumsum(probs, axis=-1)
+    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
+    cum[np.arange(probs.shape[-1]) >= last[..., None]] = np.inf
+    return cum
+
+
 class TabularEnv:
     """Episodic wrapper around a TabularMdp.
 
@@ -139,8 +151,8 @@ class TabularEnv:
         self._state: int | None = None
         self._t = 0
         self._done = True
-        self._cum = np.cumsum(mdp.transitions, axis=2)
-        self._cum_init = np.cumsum(mdp.initial)
+        self._cum = _draw_table(mdp.transitions)
+        self._cum_init = _draw_table(mdp.initial)
 
     @property
     def n_states(self) -> int:
@@ -151,7 +163,7 @@ class TabularEnv:
         return self.mdp.n_actions
 
     def reset(self) -> int:
-        self._state = int(self._cum_init.searchsorted(self.rng.random()))
+        self._state = int(self._cum_init.searchsorted(self.rng.random(), side="right"))
         self._t = 0
         self._done = False
         return self._state
@@ -169,7 +181,7 @@ class TabularEnv:
             raise ProtocolError("step() after episode end; call reset()")
         s = self._state
         a = int(action)
-        nxt = int(self._cum[s, a].searchsorted(self.rng.random()))
+        nxt = int(self._cum[s, a].searchsorted(self.rng.random(), side="right"))
         reward = float(self.mdp.rewards[s, a])
         self._t += 1
         truncated = self._t >= self.horizon

@@ -29,7 +29,7 @@ from .config import (ExperimentConfig, echo, from_dict, parse_env_id, seed_strea
                      sweep_cells)
 from .envs import PendulumEnv, TabularEnv, chain_mdp, gridworld_mdp, random_mdp
 from .oracles import kl_divergence_to_implied, mc_true_value, occupancy, value_iteration
-from .replay import InvalidTransitionError, PriorityBuffer, SampledBatch, Transition
+from .replay import InvalidTransitionError, PriorityBuffer, SampledBatch
 from .schemes import ConfigError
 
 
@@ -260,10 +260,7 @@ class _SeedRun:
         for step in range(1, cfg.total_steps + 1):
             action = self._act(obs, step)
             next_obs, reward, terminal, truncated = self.env.step(action)
-            self.buffer.push(Transition(
-                state=obs, action=action, reward=reward, next_state=next_obs,
-                terminal=terminal, insert_step=step,
-            ))
+            self.buffer.push(obs, action, reward, next_obs, terminal, step)
             obs = self.env.reset() if (terminal or truncated) else next_obs
 
             if (step >= cfg.train_start_step
@@ -381,8 +378,8 @@ def compute_bias(agent, env, states, actions, rng, horizon: int) -> dict:
         ]
     else:
         policy = lambda obs: agent.act(obs, rng=rng)
-        estimates = agent._min_q(agent.critic1, agent.critic2, np.concatenate(
-            [states, actions.reshape(len(states), -1)], axis=1))
+        x = np.concatenate([states, actions.reshape(len(states), -1)], axis=1)
+        estimates = np.minimum(*agent._q_pair(agent.critic1, agent.critic2, x))
     result = mc_true_value(env, policy, (states, actions), agent.config.gamma,
                            rng, horizon=horizon)
     return {
@@ -522,7 +519,7 @@ def run_oracle_suite(corrupt_kind: str | None = None,
 
     buf = PriorityBuffer(4, 1, 1, discrete=True)
     for i in range(3):
-        buf.push(Transition(i, 0, 0.0, i, False))
+        buf.push(i, 0, 0.0, i, False)
     buf.update_priorities([0, 1, 2], [1.0, 2.0, 3.0])
     batch = buf.sample_proportional(60_000, np.random.default_rng(2024))
     freqs = np.bincount(batch.indices, minlength=3) / 60_000

@@ -5,7 +5,8 @@ with ReLU between, linear output): enough for desk-scale actor-critic
 training with full determinism. Also provides exact input gradients and
 the mixed parameter derivative of input gradients (needed to train
 through a gradient-norm penalty), the Adam optimizer, and Polyak target
-averaging.
+averaging. Both Adam steps raise FloatingPointError on a non-finite
+gradient before they change anything.
 """
 
 from __future__ import annotations
@@ -286,8 +287,8 @@ def input_gradient_param_backward(params: ParameterSet, x: np.ndarray,
 class AdamState:
     """Bias-corrected Adam over a ParameterSet; deterministic.
 
-    Non-finite gradients skip the update and are counted rather than
-    poisoning the moments.
+    A non-finite gradient raises FloatingPointError before the moments,
+    the step count or the parameters change.
     """
 
     def __init__(self, params: ParameterSet, learning_rate: float = 3e-4,
@@ -299,12 +300,10 @@ class AdamState:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.skipped = 0
 
     def step(self, params: ParameterSet, grads: ParameterSet) -> ParameterSet:
         if not grads.all_finite():
-            self.skipped += 1
-            return params
+            raise FloatingPointError("non-finite Adam gradient")
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1**t
@@ -347,9 +346,10 @@ class ScalarAdam:
         self.eps = eps
 
     def step(self, value: float, grad: float) -> float:
-        """value after one step; a non-finite grad leaves it unchanged."""
+        """value after one step; a non-finite grad raises
+        FloatingPointError before the moments or the step count change."""
         if not np.isfinite(grad):
-            return value
+            raise FloatingPointError("non-finite Adam gradient")
         self.step_count += 1
         t = self.step_count
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad

@@ -13,7 +13,7 @@ vectorized over the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,22 +30,6 @@ class InvalidTransitionError(ValueError):
 
 class UnsupportedModeError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One environment step plus buffer bookkeeping.
-
-    state / next_state are float vectors in continuous mode or integer
-    indices in tabular mode; actions likewise.
-    """
-
-    state: np.ndarray | int
-    action: np.ndarray | int
-    reward: float
-    next_state: np.ndarray | int
-    terminal: bool
-    insert_step: int = 0
 
 
 class SumTree:
@@ -170,7 +154,6 @@ class SampledBatch:
     rewards: np.ndarray
     next_states: np.ndarray
     terminals: np.ndarray
-    insert_steps: np.ndarray
     priorities: np.ndarray
 
     def __len__(self) -> int:
@@ -242,22 +225,24 @@ class PriorityBuffer:
             raise InvalidTransitionError(f"{what} contains non-finite values")
         return arr
 
-    def push(self, t: Transition) -> int:
-        """Store t at the write cursor with priority 1; evicts the oldest
-        entry once full. Returns the slot index.
+    def push(self, state, action, reward: float, next_state, terminal: bool,
+             insert_step: int = 0) -> int:
+        """Store one transition at the write cursor with priority 1; evicts
+        the oldest entry once full. Returns the slot index. States and
+        actions are float vectors, or integer indices in tabular mode.
 
         Every field is checked before anything is written: once the buffer
         is full, the slot holds the live oldest entry."""
-        if not math.isfinite(t.reward):
-            raise InvalidTransitionError(f"reward {t.reward!r} is not finite")
-        state = self._coerce(t.state, self.state_dim, "state")
-        next_state = self._coerce(t.next_state, self.state_dim, "next_state")
-        action = self._coerce(t.action, self.action_dim, "action")
+        if not math.isfinite(reward):
+            raise InvalidTransitionError(f"reward {reward!r} is not finite")
+        state = self._coerce(state, self.state_dim, "state")
+        next_state = self._coerce(next_state, self.state_dim, "next_state")
+        action = self._coerce(action, self.action_dim, "action")
         i = self.write_cursor
         self._states[i], self._next_states[i], self._actions[i] = state, next_state, action
-        self._rewards[i] = float(t.reward)
-        self._terminals[i] = bool(t.terminal)
-        self._insert_steps[i] = int(t.insert_step)
+        self._rewards[i] = float(reward)
+        self._terminals[i] = bool(terminal)
+        self._insert_steps[i] = int(insert_step)
         self.tree.set(i, self.INITIAL_PRIORITY)
         self.write_cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
@@ -272,7 +257,6 @@ class PriorityBuffer:
             rewards=self._rewards[idx],
             next_states=self._next_states[idx],
             terminals=self._terminals[idx],
-            insert_steps=self._insert_steps[idx],
             priorities=self.tree.leaves(self.capacity)[idx],
         )
 
@@ -415,9 +399,10 @@ class PriorityBuffer:
         """Rebuild a snapshot; a payload that does not describe a valid
         buffer raises binio.FormatError.
 
-        Every column is checked against the meta, and every priority for
-        being positive and finite, before anything is allocated; a meta
-        naming a buffer above MAX_BYTES (4 GiB) is refused."""
+        Every column is checked against the meta before anything is
+        allocated: the data columns under fill_offline's rule (indices >= 0,
+        float values finite) and every priority for being positive and
+        finite. A meta naming a buffer above MAX_BYTES (4 GiB) is refused."""
         payload = binio.read_envelope(path_or_stream, binio.KIND_BUFFER)
         arrays = binio.payload_to_arrays(payload)
         meta = binio.checked(arrays, "meta", (6,), np.int64)
@@ -427,7 +412,9 @@ class PriorityBuffer:
                 or sdim < 0 or adim < 0 or discrete not in (0, 1)):
             raise binio.FormatError(f"inconsistent buffer meta {meta.tolist()}")
         for name, (dtype, row) in cls._row_layout(sdim, adim, discrete).items():
-            binio.checked(arrays, name, (size, *row), dtype)
+            column = binio.checked(arrays, name, (size, *row), dtype)
+            if name in ("states", "actions", "rewards", "next_states"):
+                cls._check_values(name, column, binio.FormatError)
         # priorities enter here under update_priorities' rule
         if not ((arrays["priorities"] > 0.0) & (arrays["priorities"] < np.inf)).all():
             raise binio.FormatError("buffer priorities must be positive and finite")
@@ -498,12 +485,17 @@ class PriorityBuffer:
             raise InvalidTransitionError(
                 f"{name} must hold integer indices, got dtype {arr.dtype}"
             )
+        # cast first, so a uint64 above the int64 range counts as negative
         arr = arr.reshape((n,) + row_shape).astype(dest.dtype, copy=False)
-        # after the cast, so a uint64 above the int64 range counts as negative
-        if dest.dtype == np.int64 and n and arr.min() < 0:
-            raise InvalidTransitionError(f"{name} holds an index below 0")
-        # min and max are nan when any value is, and infinite when any is
-        if (dest.dtype == np.float64 and arr.size
-                and not np.isfinite([arr.min(), arr.max()]).all()):
-            raise InvalidTransitionError(f"{name} contains non-finite values")
+        PriorityBuffer._check_values(name, arr)
         return arr
+
+    @staticmethod
+    def _check_values(name: str, arr: np.ndarray, error=InvalidTransitionError) -> None:
+        """Index (int64) columns hold values >= 0, float64 ones finite values."""
+        if arr.dtype == np.int64 and arr.size and arr.min() < 0:
+            raise error(f"{name} holds an index below 0")
+        # min and max are nan when any value is, and infinite when any is
+        if (arr.dtype == np.float64 and arr.size
+                and not np.isfinite([arr.min(), arr.max()]).all()):
+            raise error(f"{name} contains non-finite values")

@@ -28,7 +28,7 @@ from roer.oracles import (
     total_variation,
     value_iteration,
 )
-from roer.replay import PriorityBuffer, Transition
+from roer.replay import PriorityBuffer
 
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -74,7 +74,7 @@ def test_criterion_2_sum_tree_proportionality():
     t0 = time.perf_counter()
     buf = PriorityBuffer(4, 1, 1, discrete=True)
     for i in range(3):
-        buf.push(Transition(i, 0, 0.0, i, False))
+        buf.push(i, 0, 0.0, i, False)
     buf.update_priorities([0, 1, 2], [1.0, 2.0, 3.0])
     batch = buf.sample_proportional(60_000, np.random.default_rng(2024))
     freqs = np.bincount(batch.indices, minlength=3) / 60_000

@@ -17,7 +17,7 @@ from roer.agents import (
 )
 from roer.binio import FormatError
 from roer.config import SAC_PROFILES
-from roer.replay import PriorityBuffer, SampledBatch, Transition
+from roer.replay import PriorityBuffer, SampledBatch
 from roer.schemes import ROER_DIVERGENCES, ConfigError, RoerConfig
 
 
@@ -30,14 +30,14 @@ def rel_err(a, b):
 def make_batch(rng, n=16, obs_dim=3, action_dim=1):
     buf = PriorityBuffer(64, obs_dim, action_dim)
     for i in range(n):
-        buf.push(Transition(
+        buf.push(
             state=rng.normal(size=obs_dim),
             action=np.tanh(rng.normal(size=action_dim)),
             reward=float(rng.normal()),
             next_state=rng.normal(size=obs_dim),
             terminal=bool(rng.random() < 0.1),
             insert_step=i,
-        ))
+        )
     return buf.sample_proportional(n, rng)
 
 
@@ -218,7 +218,6 @@ class TestUpdate:
         rng = np.random.default_rng(23)
         for _ in range(3):  # nonzero moments, step counts and temperature state
             agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        agent.opt_critic2.skipped = 2
         opts = (agent.opt_critic1, agent.opt_critic2, agent.opt_value,
                 agent.opt_actor, agent.opt_alpha)
 
@@ -226,7 +225,7 @@ class TestUpdate:
             arrays = agent.checkpoint_arrays()
             arrays.pop("meta")  # holds the abort count
             return ({k: v.tobytes() for k, v in arrays.items()},
-                    [(o.step_count, o.skipped) for o in opts[:4]])
+                    [o.step_count for o in opts[:4]])
 
         before = state()
         stepped = []
@@ -238,7 +237,7 @@ class TestUpdate:
         monkeypatch.setattr(agent, "_actor_backward", fail)
         m = agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
         # both critics and the value net had stepped when the abort came
-        assert stepped == [[s + 1 for s, _ in before[1][:3]]]
+        assert stepped == [[s + 1 for s in before[1][:3]]]
         assert m.aborted and agent.aborted_updates == 1
         assert state() == before
 
@@ -289,7 +288,7 @@ class TestValueFixedPoint:
         batch = SampledBatch(
             indices=np.arange(n), states=states, actions=np.zeros((n, 1)),
             rewards=np.zeros(n), next_states=states, terminals=np.zeros(n, bool),
-            insert_steps=np.zeros(n, np.int64), priorities=np.ones(n))
+            priorities=np.ones(n))
         agent = SacAgent(3, 1, SacConfig(hidden_dims=(16, 16), batch_size=n,
                                          learning_rate=3e-3), seed=0)
         roer = RoerConfig(beta=beta, grad_clip=50.0)
@@ -465,18 +464,69 @@ class TestThreadedRollback(TestInPlaceRollback):
             restore = agent._restore
 
             def recording_restore(*args):
-                actor_reached.append((agent.opt_actor.step_count, agent.opt_actor.skipped))
+                actor_reached.append(agent.opt_actor.step_count)
                 return restore(*args)
 
             mp.setattr(agent, "_restore", recording_restore)
             m = update_with(agent, make_batch(np.random.default_rng(39)), 40)
-        assert reached == [[1, 1, 0]] and actor_reached == [(1, 0)]
+        assert reached == [[1, 1, 0]] and actor_reached == [1]
         assert m.aborted and agent.aborted_updates == 1
         assert state_bytes(agent) == before
-        assert (agent.opt_actor.step_count, agent.opt_actor.skipped) == (0, 0)
+        assert agent.opt_actor.step_count == 0
         batch = make_batch(np.random.default_rng(41))
         assert metrics_bytes(update_with(agent, batch, 42)) == \
             metrics_bytes(update_with(twin, batch, 42))
+        assert state_bytes(agent) == state_bytes(twin)
+
+
+class TestNonFiniteGradient:
+    """A non-finite gradient with a finite loss, in any of the four networks'
+    Adam steps or the temperature's, aborts the whole update: the step
+    raises before it changes anything, and the rollback restores every
+    online array, Adam moment, step count and log_alpha byte for byte."""
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("net", ["critic1", "critic2", "value", "actor", "alpha"])
+    def test_aborts_and_restores_everything(self, monkeypatch, net, threaded):
+        if threaded:
+            force_pair_threads(monkeypatch)
+        agent, twin = fresh_agent(seed=70), fresh_agent(seed=70)
+        assert agent.pair_threads == threaded
+        rng = np.random.default_rng(71)
+        for i in range(3):  # nonzero moments, step counts and temperature state
+            batch = make_batch(rng)
+            update_with(agent, batch, 72 + i)
+            update_with(twin, batch, 72 + i)
+        opts = (agent.opt_critic1, agent.opt_critic2, agent.opt_actor,
+                agent.opt_value, agent.opt_alpha)
+        before = state_bytes(agent), [o.step_count for o in opts], agent.log_alpha
+        opt = getattr(agent, f"opt_{net}")
+        real, raised = opt.step, []
+
+        def poisoned(value, grad):
+            if isinstance(grad, nn.ParameterSet):
+                grad = grad.copy()
+                grad.flat[-1] = math.nan
+            else:
+                grad = math.inf
+            try:
+                return real(value, grad)
+            except FloatingPointError:
+                raised.append(net)
+                raise
+
+        monkeypatch.setattr(opt, "step", poisoned)
+        m = update_with(agent, make_batch(rng), 80)
+        monkeypatch.undo()
+        assert raised == [net]
+        assert m.aborted and agent.aborted_updates == 1
+        assert math.isnan(m.critic_loss)  # fresh metrics, nothing of the step
+        assert (state_bytes(agent), [o.step_count for o in opts],
+                agent.log_alpha) == before
+        # the next update is the twin's, byte for byte
+        batch = make_batch(rng)
+        assert metrics_bytes(update_with(agent, batch, 81)) == \
+            metrics_bytes(update_with(twin, batch, 81))
         assert state_bytes(agent) == state_bytes(twin)
 
 
@@ -518,28 +568,32 @@ class TestPairThreads:
             raise ValueError(tag)
 
         with pytest.raises(ValueError, match="a"):
-            agents._pair(fail, "a", "b", threaded=True)
+            agents._lanes(lambda: fail("a"), lambda: fail("b"), threaded=True)
         assert done == ["a", "b"]
         done.clear()
         go.clear()
         with pytest.raises(ValueError, match="b"):
-            agents._pair(lambda t: fail(t) if t == "b" else go.set(),
-                         "a", "b", threaded=True)
+            agents._lanes(go.set, lambda: fail("b"), threaded=True)
         assert done == ["b"]
 
     def test_helper_runs_under_the_callers_errstate(self):
         def overflow(scale):
             return np.float64(1e308) * scale
 
+        def lanes():
+            return agents._lanes(lambda: overflow(1.0), lambda: overflow(10.0),
+                                 threaded=True)
+
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                agents._pair(overflow, 1.0, 10.0, threaded=True)
+                lanes()
         with np.errstate(over="ignore"):
-            assert agents._pair(overflow, 1.0, 10.0, threaded=True) == (1e308, np.inf)
+            assert lanes() == (1e308, np.inf)
 
     def test_no_thread_or_affinity_outlives_a_pair(self):
         count, cpus = threading.active_count(), os.sched_getaffinity(0)
-        masks = agents._pair(lambda _: os.sched_getaffinity(0), 1, 2, threaded=True)
+        masks = agents._lanes(lambda: os.sched_getaffinity(0),
+                              lambda: os.sched_getaffinity(0), threaded=True)
         assert threading.active_count() == count
         assert os.sched_getaffinity(0) == cpus
         # the helper left the caller's CPU, when there was another to go to

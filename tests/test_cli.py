@@ -15,7 +15,7 @@ from roer import agents
 from roer.agents import SacAgent, SacConfig
 from roer.binio import FormatError
 from roer.cli import main
-from roer.replay import PriorityBuffer, Transition
+from roer.replay import PriorityBuffer
 
 
 nan, inf = float("nan"), float("inf")
@@ -140,6 +140,17 @@ class TestTrainCommand:
         assert (written["output_dir"], written["workers"]) == (str(out), 2)
         assert (out / "seed_1" / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "0"], "workers must be >= 1, got 0"),
+        (["--workers", "-2"], "workers must be >= 1, got -2"),
+        (["--output-dir", ""], "--output-dir is empty")])
+    def test_every_given_flag_is_checked(self, tmp_path, capsys, flags, message):
+        # a falsy flag is passed on too, not dropped for the file's value
+        path = write_config(tmp_path, workers=1)
+        assert main(["train", "-c", str(path), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_resolved_form_sections_exit_code(self, tmp_path, capsys):
         # the sections an older config.yaml held in place of agent/scheme_config
         path = write_config(tmp_path, scheme="roer", roer=dict(beta=2.0))
@@ -240,6 +251,21 @@ class TestBiasCommand:
         assert len(series) == 1  # final checkpoint only
         assert "bias" in series[0]
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(["bias", str(tmp_path), "-c", str(cfg_path), "--seed", "-1"]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_snapshot_with_a_negative_state_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        path = tmp_path / "run" / "seed_0" / "buffer.bin"
+        buf = PriorityBuffer.load(path)
+        buf._states[0] = -3
+        buf.snapshot(path)
+        assert main(["bias", str(path.parent), "-c", str(cfg_path)]) == 2
+        assert "states holds an index below 0" in capsys.readouterr().err
+
     def test_checkpoint_of_other_nets_exit_code(self, tmp_path, capsys):
         run = dict(env="pendulum", scheme="uniform", total_steps=40,
                    train_start_step=30, eval_period=40, env_horizon=20,
@@ -262,7 +288,7 @@ class TestReplayInspect:
     def test_inspect_output(self, tmp_path, capsys):
         buf = PriorityBuffer(8, 1, 1, discrete=True)
         for i in range(4):
-            buf.push(Transition(i % 2, 0, 0.0, 0, False))
+            buf.push(i % 2, 0, 0.0, 0, False)
         buf.update_priorities([0, 1], [2.0, 3.0])
         path = tmp_path / "buf.bin"
         buf.snapshot(path)
@@ -273,7 +299,7 @@ class TestReplayInspect:
 
     def test_nan_priority_exit_code(self, tmp_path, capsys):
         buf = PriorityBuffer(8, 1, 1, discrete=True)
-        buf.push(Transition(0, 0, 0.0, 0, False))
+        buf.push(0, 0, 0.0, 0, False)
         path = tmp_path / "buffer.bin"
         buf.snapshot(path)
         data = path.read_bytes()
@@ -285,7 +311,7 @@ class TestReplayInspect:
 
     def test_truncated_snapshot_exit_code(self, tmp_path, capsys):
         buf = PriorityBuffer(8, 1, 1, discrete=True)
-        buf.push(Transition(0, 0, 0.0, 0, False))
+        buf.push(0, 0, 0.0, 0, False)
         path = tmp_path / "buffer.bin"
         buf.snapshot(path)
         path.write_bytes(path.read_bytes()[:-3])
@@ -316,7 +342,7 @@ CORRUPT_CHECKPOINT_SHAPES = {"critic1.b0": [(2**61,)],
 def buffer_snapshot(path):
     buf = PriorityBuffer(8, 3, 1)
     for i in range(4):
-        buf.push(Transition(np.full(3, i), np.zeros(1), 0.0, np.zeros(3), False))
+        buf.push(np.full(3, i), np.zeros(1), 0.0, np.zeros(3), False)
     buf.snapshot(path)
     return path
 

@@ -93,6 +93,60 @@ class TestTabularEnv:
             assert got[i] == pytest.approx(total, abs=1e-12)
 
 
+class FixedDraws:
+    """A generator stub whose every uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+def edge_mdp():
+    """Rows and an initial distribution with zero-probability states at
+    both ends."""
+    P = np.zeros((4, 2, 4))
+    P[:, 0, 1:3] = 0.5
+    P[:, 1, 2] = 1.0
+    return TabularMdp(P, np.zeros((4, 2)), np.array([0.0, 0.25, 0.75, 0.0]), 0.9)
+
+
+class TestOneDrawRule:
+    """reset, step and batch_rollout pick the first state whose running sum
+    exceeds the draw; the extreme draws land on the first and the last
+    state of positive probability, never on one of probability zero and
+    never past the row (random MDP rows can sum to 1 - 2^-52)."""
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("mdp", [edge_mdp(), random_mdp(20, 3, seed=5)],
+                             ids=["edge", "random-20x3-5"])
+    def test_extreme_draws_land_on_positive_probability(self, mdp, u):
+        def expect(probs):
+            support = np.flatnonzero(probs > 0.0)
+            return support[0] if u == 0.0 else support[-1]
+
+        env = TabularEnv(mdp, horizon=10**9, rng=FixedDraws(u))
+        assert env.reset() == expect(mdp.initial)
+        S, A = mdp.n_states, mdp.n_actions
+        for s in range(S):
+            for a in range(A):
+                env.reset_to(s)
+                nxt, _, _, _ = env.step(a)
+                assert nxt == expect(mdp.transitions[s, a])
+                env.step(0)  # the state drawn is one the next step can use
+        states, actions = np.repeat(np.arange(S), A), np.tile(np.arange(A), S)
+        seen = []
+
+        def policy(batch):
+            seen.append(batch.copy())
+            return np.zeros(len(batch), dtype=np.int64)
+
+        env.batch_rollout(states, actions, policy, 1, 0.9, FixedDraws(u))
+        assert seen[0].tolist() == [expect(mdp.transitions[s, a])
+                                    for s, a in zip(states, actions)]
+
+
 class TestPendulumEnv:
     def test_reset_determinism(self):
         a = PendulumEnv(rng=np.random.default_rng(2))

@@ -26,7 +26,7 @@ from roer.harness import (
     run_train,
 )
 from roer.oracles import value_iteration
-from roer.replay import PriorityBuffer, Transition
+from roer.replay import PriorityBuffer
 from roer.schemes import ConfigError, LaberConfig, PerConfig, RoerConfig
 
 
@@ -428,7 +428,7 @@ class TestRunTrain:
         cfg = cmod.from_dict(base_raw(tmp_path, scheme="roer", sampling_mode=mode))
         run = harness._SeedRun(cfg, 0, tmp_path / "seed_0")
         for i in range(20):
-            run.buffer.push(Transition(i % 5, i % 2, 0.0, 0, False))
+            run.buffer.push(i % 5, i % 2, 0.0, 0, False)
         run.buffer.update_priorities(np.arange(20), np.arange(1.0, 21.0))
         batch, weights = run._sample_batch()
         assert len(batch) == cfg.tabular.batch_size
@@ -450,7 +450,7 @@ class TestRunTrain:
             cfg = cmod.from_dict(base_raw(tmp_path, scheme="roer", sampling_mode=mode))
             run = harness._SeedRun(cfg, 0, tmp_path / mode)
             for i in range(5):
-                run.buffer.push(Transition(i, i % 2, i - 1.5, (i + 1) % 5, i == 4))
+                run.buffer.push(i, i % 2, i - 1.5, (i + 1) % 5, i == 4)
             run.buffer.update_priorities(np.arange(5), p)
             draw = {"weighted": np.full(5, 1 / 5), "proportional": p / p.sum()}[mode]
             loss, update = 0.0, np.zeros_like(run.agent.q_table)

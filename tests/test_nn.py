@@ -217,16 +217,28 @@ class TestAdam:
 
         assert run() == run()
 
-    def test_nonfinite_skipped_and_counted(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_raises_before_any_change(self, bad):
         params = nn.init(NetworkSpec(2, (3,), 1), 0)
-        before = params.copy()
         state = AdamState(params)
-        bad = params.zeros_like()
-        bad.weights[0][0, 0] = np.nan
-        state.step(params, bad)
-        assert params == before
-        assert state.skipped == 1
-        assert state.step_count == 0
+        grads = params.copy()
+        state.step(params, grads)  # nonzero moments
+        before = [p.copy() for p in (params, state.m, state.v)]
+        grads.weights[0][0, 0] = bad
+        with pytest.raises(FloatingPointError):
+            state.step(params, grads)
+        assert [p.flat.tobytes() for p in (params, state.m, state.v)] == \
+            [p.flat.tobytes() for p in before]
+        assert state.step_count == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scalar_nonfinite_raises_before_any_change(self, bad):
+        opt = ScalarAdam(learning_rate=1e-2)
+        opt.step(0.0, 4.0)
+        before = (opt.m, opt.v, opt.step_count)
+        with pytest.raises(FloatingPointError):
+            opt.step(0.5, bad)
+        assert (opt.m, opt.v, opt.step_count) == before
 
     def test_scalar_adam_matches_direction(self):
         opt = ScalarAdam(learning_rate=1e-2)
@@ -296,9 +308,6 @@ def networks(draw, scalar_output=False):
 
 def adam_reference(state, params, grads):
     """Per-layer Adam step: the loop the flat step replaces."""
-    if not all(np.all(np.isfinite(g)) for g in flat_params(grads)):
-        state.skipped += 1
-        return
     state.step_count += 1
     c1 = 1.0 - state.beta1**state.step_count
     c2 = 1.0 - state.beta2**state.step_count
@@ -391,11 +400,15 @@ class TestFlatParameters:
             if data.draw(st.booleans()):
                 grads.flat[rng.integers(grads.flat.size)] = data.draw(
                     st.sampled_from([np.nan, np.inf, -np.inf]))
-            state.step(params, grads)
-            adam_reference(ref, ref_params, grads)
+            if np.isfinite(grads.flat).all():
+                state.step(params, grads)
+                adam_reference(ref, ref_params, grads)
+            else:  # raises before it changes anything
+                with pytest.raises(FloatingPointError):
+                    state.step(params, grads)
             assert same_bytes(params, ref_params)
             assert same_bytes(state.m, ref.m) and same_bytes(state.v, ref.v)
-            assert (state.step_count, state.skipped) == (ref.step_count, ref.skipped)
+            assert state.step_count == ref.step_count
 
     @settings(max_examples=60, deadline=None)
     @given(net=networks(), tau=st.floats(1e-3, 1.0))

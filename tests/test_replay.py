@@ -14,20 +14,20 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from roer import binio, nn
+from roer.agents import SacAgent, SacConfig, TabularAgent, TabularConfig
 from roer.binio import FormatError
 from roer.replay import (
     EmptyBufferError,
     InvalidTransitionError,
     PriorityBuffer,
     SumTree,
-    Transition,
     UnsupportedModeError,
 )
 
 
 def make_transition(s=0, a=0, r=0.0, s2=1, terminal=False, step=0):
-    return Transition(state=s, action=a, reward=r, next_state=s2,
-                      terminal=terminal, insert_step=step)
+    """push's arguments for one transition."""
+    return (s, a, r, s2, terminal, step)
 
 
 def tabular_buffer(capacity=8):
@@ -68,7 +68,7 @@ class TestSumTree:
 class TestPush:
     def test_push_into_empty(self):
         buf = tabular_buffer()
-        buf.push(make_transition())
+        buf.push(*make_transition())
         assert len(buf) == 1
         assert buf.total_priority() == 1.0
 
@@ -82,14 +82,14 @@ class TestPush:
     def test_priority_additivity(self):
         buf = tabular_buffer()
         for i in range(3):
-            buf.push(make_transition(s=i))
+            buf.push(*make_transition(s=i))
         buf.update_priorities([0, 1, 2], [1.0, 2.0, 3.0])
         assert buf.total_priority() == 6.0
 
     def test_ring_overwrite(self):
         buf = tabular_buffer(capacity=4)
         for i in range(5):
-            buf.push(make_transition(s=i))
+            buf.push(*make_transition(s=i))
         assert len(buf) == 4
         assert int(buf._states[0]) == 4  # slot 0 overwritten by the 5th push
         assert buf.write_cursor == 1
@@ -97,11 +97,11 @@ class TestPush:
     def test_rejects_nonfinite(self):
         buf = vector_buffer()
         with pytest.raises(InvalidTransitionError):
-            buf.push(Transition(np.full(3, np.nan), np.zeros(2), 0.0,
-                                np.zeros(3), False))
+            buf.push(np.full(3, np.nan), np.zeros(2), 0.0,
+                     np.zeros(3), False)
         with pytest.raises(InvalidTransitionError):
-            buf.push(Transition(np.zeros(3), np.zeros(2), float("inf"),
-                                np.zeros(3), False))
+            buf.push(np.zeros(3), np.zeros(2), float("inf"),
+                     np.zeros(3), False)
 
     # push and fill_offline take the same tabular indices: integers >= 0
     @pytest.mark.parametrize("index, valid", [
@@ -118,14 +118,14 @@ class TestPush:
         rows = dict({k: np.array([v]) for k, v in column.items()},
                     rewards=np.zeros(1), terminals=np.zeros(1, dtype=bool))
         if valid:
-            pushed.push(Transition(parts["state"], parts["action"], 0.0,
-                                   parts["next_state"], False))
+            pushed.push(parts["state"], parts["action"], 0.0,
+                        parts["next_state"], False)
             filled.fill_offline(**rows)
             assert buffer_state(pushed) == buffer_state(filled)
             return
         with pytest.raises(InvalidTransitionError, match=field):
-            pushed.push(Transition(parts["state"], parts["action"], 0.0,
-                                   parts["next_state"], False))
+            pushed.push(parts["state"], parts["action"], 0.0,
+                        parts["next_state"], False)
         with pytest.raises(InvalidTransitionError, match=field):
             filled.fill_offline(**rows)
         assert len(pushed) == len(filled) == 0
@@ -135,7 +135,7 @@ class TestPush:
     def test_rejects_each_nonfinite_field_before_any_write(self, field, bad):
         buf = vector_buffer(capacity=2)
         for k in range(2):  # full: the next push overwrites live slot 0
-            buf.push(Transition(np.full(3, k), np.full(2, k), float(k), np.full(3, k), False))
+            buf.push(np.full(3, k), np.full(2, k), float(k), np.full(3, k), False)
         before = buffer_state(buf)
         parts = {"state": np.full(3, 5.0), "action": np.full(2, 5.0), "reward": 5.0,
                  "next_state": np.full(3, 5.0)}
@@ -144,23 +144,23 @@ class TestPush:
         else:
             parts[field][-1] = bad
         with pytest.raises(InvalidTransitionError, match=field):
-            buf.push(Transition(**parts, terminal=False))
+            buf.push(**parts, terminal=False)
         assert buffer_state(buf) == before
 
     def test_rejects_wrong_shape(self):
         buf = vector_buffer(ds=3)
         with pytest.raises(InvalidTransitionError):
-            buf.push(Transition(np.zeros(4), np.zeros(2), 0.0, np.zeros(3), False))
+            buf.push(np.zeros(4), np.zeros(2), 0.0, np.zeros(3), False)
 
     def test_new_entries_get_unit_priority(self):
         buf = tabular_buffer(capacity=4)
         for i in range(3):
-            buf.push(make_transition(s=i))
+            buf.push(*make_transition(s=i))
         buf.update_priorities([0, 1, 2], [9.0, 9.0, 9.0])
-        buf.push(make_transition(s=3))
+        buf.push(*make_transition(s=3))
         assert buf.priorities[3] == 1.0
         for i in range(2):  # wrap and evict
-            buf.push(make_transition(s=10 + i))
+            buf.push(*make_transition(s=10 + i))
         assert buf.priorities[0] == 1.0
 
 
@@ -168,7 +168,7 @@ class TestSampling:
     def test_proportional_frequencies(self):
         buf = tabular_buffer()
         for i in range(3):
-            buf.push(make_transition(s=i))
+            buf.push(*make_transition(s=i))
         buf.update_priorities([0, 1, 2], [1.0, 2.0, 3.0])
         rng = np.random.default_rng(2024)
         batch = buf.sample_proportional(60_000, rng)
@@ -178,7 +178,7 @@ class TestSampling:
 
     def test_single_entry(self):
         buf = tabular_buffer()
-        buf.push(make_transition(s=7))
+        buf.push(*make_transition(s=7))
         batch = buf.sample_proportional(100, np.random.default_rng(0))
         assert np.all(batch.indices == 0)
         assert np.all(batch.states == 7)
@@ -186,7 +186,7 @@ class TestSampling:
     def test_equal_priorities_chi2_uniform(self):
         buf = tabular_buffer(capacity=10)
         for i in range(10):
-            buf.push(make_transition(s=i))
+            buf.push(*make_transition(s=i))
         rng = np.random.default_rng(5)
         batch = buf.sample_proportional(10_000, rng)
         counts = np.bincount(batch.indices, minlength=10)
@@ -203,7 +203,7 @@ class TestSampling:
         # the batch carries: those of its slots
         buf = tabular_buffer()
         for i in range(4):
-            buf.push(make_transition(s=i))
+            buf.push(*make_transition(s=i))
         buf.update_priorities([0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0])
         batch = buf.sample_uniform(100, np.random.default_rng(1))
         assert np.array_equal(batch.priorities, batch.indices + 1.0)
@@ -214,7 +214,7 @@ class TestSampling:
         # distribution over slots (chi-squared on each against uniform)
         buf = tabular_buffer(capacity=10)
         for i in range(10):
-            buf.push(make_transition(s=i))
+            buf.push(*make_transition(s=i))
         rng = np.random.default_rng(31)
         crit = stats.chi2.ppf(0.999, df=9)
         for draw in (buf.sample_proportional, buf.sample_uniform):
@@ -226,21 +226,21 @@ class TestSampling:
         buf = vector_buffer()
         rng = np.random.default_rng(3)
         for i in range(5):
-            buf.push(Transition(rng.normal(size=3), rng.normal(size=2),
-                                float(i), rng.normal(size=3), i % 2 == 0,
-                                insert_step=i))
+            buf.push(rng.normal(size=3), rng.normal(size=2),
+                     float(i), rng.normal(size=3), i % 2 == 0,
+                     insert_step=i)
         batch = buf.sample_proportional(8, rng)
         assert len(batch) == 8
         assert np.array_equal(batch.states, buf._states[batch.indices])
         assert np.array_equal(batch.rewards, buf._rewards[batch.indices])
-        assert np.array_equal(batch.insert_steps, batch.indices)
+        assert np.array_equal(buf._insert_steps[batch.indices], batch.indices)
 
 
 class TestUpdatePriorities:
     def test_replace_not_accumulate(self):
         buf = tabular_buffer()
         for i in range(3):
-            buf.push(make_transition(s=i))
+            buf.push(*make_transition(s=i))
         buf.update_priorities([0], [5.0])
         assert buf.total_priority() == 7.0
         buf.update_priorities([0], [5.0])
@@ -248,7 +248,7 @@ class TestUpdatePriorities:
 
     def test_zero_priority_rejected(self):
         buf = tabular_buffer()
-        buf.push(make_transition())
+        buf.push(*make_transition())
         with pytest.raises(InvalidTransitionError):
             buf.update_priorities([0], [0.0])
         with pytest.raises(InvalidTransitionError):
@@ -261,8 +261,8 @@ class TestUpdatePriorities:
     ])
     def test_bad_write_rejected_before_any_change(self, slots, values):
         buf = tabular_buffer()
-        buf.push(make_transition())
-        buf.push(make_transition(s=1))
+        buf.push(*make_transition())
+        buf.push(*make_transition(s=1))
         before = buf.tree.nodes.tobytes()
         with pytest.raises(InvalidTransitionError):
             buf.update_priorities(slots, values)
@@ -270,7 +270,7 @@ class TestUpdatePriorities:
 
     def test_empty_write_accepted(self):
         buf = tabular_buffer()
-        buf.push(make_transition())
+        buf.push(*make_transition())
         before = buf.tree.nodes.tobytes()
         buf.update_priorities([], [])
         buf.update_priorities(np.zeros(0, dtype=np.int64), np.zeros(0))
@@ -279,7 +279,7 @@ class TestUpdatePriorities:
     def test_noop_update_bit_identical(self):
         buf = tabular_buffer()
         for i in range(3):
-            buf.push(make_transition(s=i))
+            buf.push(*make_transition(s=i))
         buf.update_priorities([0, 1, 2], [0.3, 0.7, 1.9])
         before = buf.total_priority()
         buf.update_priorities([0, 1, 2], [0.3, 0.7, 1.9])
@@ -288,7 +288,7 @@ class TestUpdatePriorities:
     def test_duplicate_slot_keeps_its_last_value(self):
         buf = tabular_buffer(capacity=16)
         for i in range(16):
-            buf.push(make_transition(s=i))
+            buf.push(*make_transition(s=i))
         buf.update_priorities([3, 7, 3, 3, 7, 12], [2.0, 5.0, 0.5, 4.0, 1.5, 3.0])
         assert (buf.priorities[3], buf.priorities[7], buf.priorities[12]) == (4.0, 1.5, 3.0)
         assert buf.total_priority() == 13 + 4.0 + 1.5 + 3.0
@@ -313,7 +313,7 @@ class TestUpdatePriorities:
         rng = np.random.default_rng(9)
         buf = tabular_buffer(capacity=16)
         for step in range(2_000):
-            buf.push(make_transition(s=step % 5, step=step))
+            buf.push(*make_transition(s=step % 5, step=step))
             if len(buf) > 1 and step % 3 == 0:
                 i = int(rng.integers(len(buf)))
                 buf.update_priorities([i], [float(rng.uniform(0.1, 4.0))])
@@ -325,8 +325,8 @@ class TestUpdatePriorities:
 class TestImpliedDistribution:
     def test_two_entry_weights(self):
         buf = tabular_buffer()
-        buf.push(make_transition(s=0, a=0))
-        buf.push(make_transition(s=1, a=0))
+        buf.push(*make_transition(s=0, a=0))
+        buf.push(*make_transition(s=1, a=0))
         buf.update_priorities([0, 1], [1.0, 3.0])
         dist = buf.implied_distribution()
         assert dist[(0, 0)] == pytest.approx(0.25)
@@ -336,7 +336,7 @@ class TestImpliedDistribution:
         buf = tabular_buffer(capacity=12)
         for s in range(3):
             for a in range(2):
-                buf.push(make_transition(s=s, a=a))
+                buf.push(*make_transition(s=s, a=a))
         dist = buf.implied_distribution()
         assert len(dist) == 6
         for v in dist.values():
@@ -345,7 +345,7 @@ class TestImpliedDistribution:
 
     def test_continuous_requires_bucketing(self):
         buf = vector_buffer()
-        buf.push(Transition(np.zeros(3), np.zeros(2), 0.0, np.zeros(3), False))
+        buf.push(np.zeros(3), np.zeros(2), 0.0, np.zeros(3), False)
         with pytest.raises(UnsupportedModeError):
             buf.implied_distribution()
 
@@ -484,6 +484,47 @@ def break_payload(arrays, defect):
         meta[3] = 2**40
 
 
+def trained_files():
+    """(loader, bytes) of a buffer snapshot, a SAC checkpoint and a tabular
+    checkpoint, each written after some training-like writes."""
+    rng = np.random.default_rng(5)
+    buf = vector_buffer(capacity=8)
+    for i in range(11):
+        buf.push(rng.normal(size=3), rng.normal(size=2), float(i), rng.normal(size=3),
+                 i % 3 == 0, insert_step=i)
+    buf.update_priorities(np.arange(4), rng.uniform(0.5, 2.0, size=4))
+    sac_config = SacConfig(hidden_dims=(4,), batch_size=4)
+    sac = SacAgent(3, 2, sac_config, seed=6)
+    sac.update(buf.sample_uniform(4, rng), np.ones(4), rng)
+    tabular_config = TabularConfig()
+    tabular = TabularAgent(5, 2, tabular_config)
+    tabular.q_table[:] = rng.normal(size=(5, 2))
+    files = {}
+    for name, obj, load in (
+            ("buffer", buf, PriorityBuffer.load),
+            ("sac", sac, lambda f: SacAgent.load(f, sac_config)),
+            ("tabular", tabular, lambda f: TabularAgent.load(f, tabular_config))):
+        stream = io.BytesIO()
+        (obj.snapshot if name == "buffer" else obj.save)(stream)
+        files[name] = load, stream.getvalue()
+    return files
+
+
+TRAINED_FILES = trained_files()
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("kind", sorted(TRAINED_FILES))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_truncation_is_a_format_error(self, kind, data):
+        load, whole = TRAINED_FILES[kind]
+        load(io.BytesIO(whole))  # the whole file loads
+        cut = data.draw(st.integers(0, len(whole) - 1))
+        with pytest.raises(FormatError):
+            load(io.BytesIO(whole[:cut]))
+
+
 class TestSnapshot:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -522,7 +563,7 @@ class TestSnapshot:
 
     def test_truncated_stream(self):
         buf = tabular_buffer()
-        buf.push(make_transition())
+        buf.push(*make_transition())
         stream = io.BytesIO()
         buf.snapshot(stream)
         data = stream.getvalue()
@@ -543,8 +584,8 @@ class TestSnapshot:
     def test_malformed_payload_rejected(self, defect):
         buf = vector_buffer(capacity=8)
         for i in range(10):
-            buf.push(Transition(np.full(3, i), np.zeros(2), 0.0, np.zeros(3),
-                                False, insert_step=i))
+            buf.push(np.full(3, i), np.zeros(2), 0.0, np.zeros(3),
+                     False, insert_step=i)
         arrays = snapshot_arrays(buf)
         break_payload(arrays, defect)
         with pytest.raises(FormatError):
@@ -556,10 +597,30 @@ class TestSnapshot:
         # weights trust the tree
         buf = tabular_buffer()
         for i in range(3):
-            buf.push(make_transition(s=i))
+            buf.push(*make_transition(s=i))
         arrays = snapshot_arrays(buf)
         arrays["priorities"][1] = bad
         with pytest.raises(FormatError, match="priorities"):
+            PriorityBuffer.load(envelope(arrays))
+
+    @pytest.mark.parametrize("discrete, column, bad, message", [
+        (True, "states", -3, "states holds an index below 0"),
+        (True, "actions", -1, "actions holds an index below 0"),
+        (True, "next_states", -2**62, "next_states holds an index below 0"),
+        (True, "rewards", np.nan, "rewards contains non-finite values"),
+        (False, "states", np.inf, "states contains non-finite values"),
+        (False, "actions", np.nan, "actions contains non-finite values"),
+        (False, "next_states", -np.inf, "next_states contains non-finite values"),
+        (False, "rewards", np.inf, "rewards contains non-finite values")])
+    def test_bad_column_value_rejected(self, discrete, column, bad, message):
+        # fill_offline's rule: indices >= 0, float columns finite
+        buf = tabular_buffer() if discrete else vector_buffer()
+        for i in range(3):
+            buf.push(*make_transition(s=i) if discrete else
+                     (np.full(3, i), np.zeros(2), 0.0, np.zeros(3), False))
+        arrays = snapshot_arrays(buf)
+        arrays[column].reshape(-1)[-1] = bad
+        with pytest.raises(FormatError, match=message):
             PriorityBuffer.load(envelope(arrays))
 
     def test_offline_fill_unit_priorities(self):
@@ -585,9 +646,9 @@ finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 def push_rows(buf, states, actions, rewards, next_states, terminals):
     """Reference for fill_offline: the per-row push sequence it replaces."""
     for i in range(len(rewards)):
-        buf.push(Transition(state=states[i], action=actions[i],
-                            reward=float(rewards[i]), next_state=next_states[i],
-                            terminal=bool(terminals[i]), insert_step=0))
+        buf.push(state=states[i], action=actions[i],
+                 reward=float(rewards[i]), next_state=next_states[i],
+                 terminal=bool(terminals[i]), insert_step=0)
 
 
 def implied_reference(buf):
@@ -659,8 +720,8 @@ def reachable_buffers(draw, discrete: bool):
             buf.fill_offline(**rows)
         else:
             for i in range(len(rows["rewards"])):
-                buf.push(Transition(*(rows[c][i] for c in COLUMNS),
-                                    insert_step=draw(st.integers(0, 2**40))))
+                buf.push(*(rows[c][i] for c in COLUMNS),
+                         insert_step=draw(st.integers(0, 2**40)))
     return buf
 
 
@@ -918,7 +979,7 @@ class TestPrefixMark:
             if op == "push":
                 # past capacity, pushes wrap the ring
                 for _ in range(int(rng.integers(1, 40))):
-                    buf.push(make_transition(s=int(rng.integers(9))))
+                    buf.push(*make_transition(s=int(rng.integers(9))))
             elif op == "fill":
                 n = int(rng.choice([1, capacity - buf.write_cursor + 1, 2 * capacity + 3]))
                 buf.fill_offline(rng.integers(0, 9, n), rng.integers(0, 3, n),
@@ -1024,12 +1085,12 @@ class TestImpliedDistributionProperties:
     def test_equals_running_sum_reference(self, data):
         buf, _ = data.draw(prefilled_buffers(discrete=True))
         if len(buf) == 0:
-            buf.push(make_transition())
+            buf.push(*make_transition())
         # a few repeated pairs make buckets hold several slots
         pairs = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)),
                                    max_size=3 * buf.capacity))
         for s, a in pairs:
-            buf.push(make_transition(s=s, a=a))
+            buf.push(*make_transition(s=s, a=a))
         buf.update_priorities(np.arange(len(buf)), data.draw(hnp.arrays(
             np.float64, len(buf), elements=st.floats(1e-3, 1e3))))
         got, want = buf.implied_distribution(), implied_reference(buf)

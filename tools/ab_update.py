@@ -24,9 +24,9 @@ without the `pair_threads` attribute never does), and the hypervisor's
 steal time over the blocks from /proc/stat (read only): a ratio near 1.0
 with steal time high says the second CPU was busy elsewhere, not that the
 threads gained nothing. It exits 1 unless every update's StepMetrics (the
-four losses, both TD-error vectors and the clip count) are byte-equal on
-the two sides, and so are both agents' checkpoint arrays at the end; 0
-otherwise.
+four losses, both TD-error vectors, the clip count and the abort flag)
+are byte-equal on the two sides, and so are both agents' checkpoint
+arrays at the end; 0 otherwise.
 
 BLAS is pinned to one thread unless OPENBLAS_NUM_THREADS is already set,
 and freed heap is kept in the process as `roer train` does.
@@ -55,7 +55,7 @@ BATCHES = 20
 SEED = 0
 BLOCK_UPDATES = {"test": 20, "full": 2}  # updates per side and block
 METRIC_FIELDS = ("critic_loss", "value_loss", "actor_loss", "alpha_loss",
-                 "value_td_errors", "critic_td_errors", "value_clip_count")
+                 "value_td_errors", "critic_td_errors", "value_clip_count", "aborted")
 
 
 def load_package(name: str, src: Path):
