@@ -24,8 +24,7 @@ import numpy as np
 from . import binio, losses, nn
 from .divergences import DivergenceSpec
 from .replay import SampledBatch
-from .schemes import (ROER_DIVERGENCES, InvalidInputError, RoerConfig, integer_rules,
-                      require)
+from .schemes import ROER_DIVERGENCES, RoerConfig, integer_rules, require
 
 LOG_STD_MIN = -10.0
 LOG_STD_MAX = 2.0
@@ -331,10 +330,12 @@ class SacAgent:
         start and join (measured on a 2-vCPU Xeon VM).
 
         A non-finite loss, input or gradient of any network or of the
-        temperature aborts the whole step. Each check raises before its step
-        changes anything; the one vector that holds the online networks and
-        their Adam moments is copied back in place from the snapshot, the
-        Adam step counts are restored, and the abort is counted. Both lanes
+        temperature aborts the whole step: each raises FloatingPointError,
+        the one class caught here (a shape or argument error surfaces, with
+        no abort counted). Each check raises before its step changes
+        anything; the one vector that holds the online networks and their
+        Adam moments is copied back in place from the snapshot, the Adam
+        step counts are restored, and the abort is counted. Both lanes
         finish before the first lane's error is raised, so the rollback
         never races a late Adam step; threaded, the actor has stepped when
         the value loss aborts, and the rollback undoes it. An aborted step
@@ -344,7 +345,7 @@ class SacAgent:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 return self._update_inner(batch, weights, rng, roer, div)
-        except (FloatingPointError, InvalidInputError):
+        except FloatingPointError:
             self._restore()
             self.aborted_updates += 1
             return StepMetrics(aborted=True)

@@ -1,8 +1,10 @@
 """Command-line entry points.
 
 Subcommands: train, sweep, oracle, bias, replay-inspect. Exit codes:
-0 success, 1 check or run failure, 2 configuration error or bad input file
-(an offline dataset the buffer rejects, a malformed snapshot or checkpoint).
+0 success, 1 check or run failure (a run whose values turn non-finite
+where no update can abort), 2 configuration error or bad input file (an
+offline dataset the buffer rejects, a malformed snapshot or checkpoint, a
+snapshot of another problem than the config's).
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ def cmd_replay_inspect(args) -> int:
     print(f"capacity {buf.capacity}  size {buf.size}  cursor {buf.write_cursor}")
     print(f"discrete {buf.discrete}  state_dim {buf.state_dim}  "
           f"action_dim {buf.action_dim}")
+    if buf.size == 0:
+        print("empty buffer: no priorities")
+        return EXIT_OK
     print(f"priority total {buf.total_priority():.6g}  "
           f"min {pri.min():.6g}  max {pri.max():.6g}  mean {pri.mean():.6g}")
     if buf.discrete:
@@ -161,6 +166,9 @@ def main(argv=None) -> int:
     except (InvalidTransitionError, FormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except FloatingPointError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import divergences, losses, oracles, schemes
 from .agents import SacAgent, StepMetrics, TabularAgent
+from .binio import FormatError
 from .config import (ExperimentConfig, echo, from_dict, parse_env_id, seed_streams,
                      sweep_cells)
 from .envs import PendulumEnv, TabularEnv, chain_mdp, gridworld_mdp, random_mdp
@@ -98,34 +99,33 @@ def read_metrics(path) -> list[dict]:
 
 
 def load_offline_dataset(path):
-    """Columnar .npz with states, actions, rewards, next_states, terminals,
-    all with the same number of rows."""
-    required = ("states", "actions", "rewards", "next_states", "terminals")
+    """The buffer's data columns (PriorityBuffer.DATA) from a columnar .npz;
+    fill_offline checks their rows."""
     with np.load(path) as data:
-        missing = [k for k in required if k not in data]
+        missing = [k for k in PriorityBuffer.DATA if k not in data]
         if missing:
             raise ConfigError(f"offline dataset {path!r} missing fields {missing}")
-        columns = {k: data[k] for k in required}
-    rows = {k: v.shape[0] if v.ndim else None for k, v in columns.items()}
-    uneven = [k for k in required if rows[k] is None or rows[k] != rows["rewards"]]
-    if uneven:
-        raise ConfigError(
-            f"offline dataset {path!r}: fields {uneven} differ in length from "
-            f"rewards (rows per field: {rows})"
-        )
-    return columns
+        return {k: data[k] for k in PriorityBuffer.DATA}
 
 
-def _check_offline_indices(data: dict, env: TabularEnv) -> None:
-    """A tabular dataset's integer index columns must index env's states
-    and actions (fill_offline checks the dtypes and the bound below)."""
-    for name, bound in (("states", env.n_states), ("actions", env.n_actions),
-                        ("next_states", env.n_states)):
-        column = data[name]
-        if column.dtype.kind in "iu" and column.size and column.max() >= bound:
-            raise InvalidTransitionError(
-                f"offline dataset {name} holds index {column.max()}, but the "
-                f"environment has {bound} {name.removeprefix('next_')}")
+def _check_offline_indices(data: dict, env: TabularEnv,
+                           error=InvalidTransitionError) -> None:
+    """data's index columns (a tabular buffer's int64 DATA columns) must
+    index env's states and actions; fill_offline and load check their
+    dtype and the bound below."""
+    layout = PriorityBuffer._row_layout(1, 1, discrete=True)
+    bounds = {"states": env.n_states, "actions": env.n_actions}
+    for name in (k for k in PriorityBuffer.DATA if layout[k][0] == np.int64):
+        kind, column = name.removeprefix("next_"), data[name]
+        if column.dtype.kind in "iu" and column.size and column.max() >= bounds[kind]:
+            raise error(f"{name} holds index {column.max()}, but the "
+                        f"environment has {bounds[kind]} {kind}")
+
+
+def _buffer_dims(env) -> tuple[int, int, bool]:
+    """(state_dim, action_dim, discrete) of env's buffer: tabular indices
+    are scalars."""
+    return (1, 1, True) if env.discrete else (env.obs_dim, env.action_dim, False)
 
 
 # ----------------------------------------------------------------------
@@ -141,10 +141,12 @@ class _SeedRun:
         self.env = make_env(cfg.env, cfg.env_horizon, self.streams["env"])
         self.eval_env = make_env(cfg.env, cfg.env_horizon, self.streams["eval"])
         self.discrete = self.env.discrete
+        # agent before buffer: the other order read about 5% fewer pendulum-full
+        # env-steps/s (4 alternating pairs, 2-vCPU Xeon VM)
         if self.discrete:
             self.agent = TabularAgent(self.env.n_states, self.env.n_actions,
                                       cfg.tabular)
-            self.buffer = PriorityBuffer(cfg.buffer_capacity, 1, 1, discrete=True)
+            self.buffer = PriorityBuffer(cfg.buffer_capacity, *_buffer_dims(self.env))
             # the oracle solves the problem the agent learns: the env's
             # dynamics under the agent's discount
             oracle_mdp = replace(self.env.mdp, gamma=cfg.tabular.gamma)
@@ -155,8 +157,7 @@ class _SeedRun:
             self.agent = SacAgent(self.env.obs_dim, self.env.action_dim,
                                   cfg.sac, self.streams["init"],
                                   processes=min(cfg.workers, len(cfg.seeds)))
-            self.buffer = PriorityBuffer(cfg.buffer_capacity, self.env.obs_dim,
-                                         self.env.action_dim)
+            self.buffer = PriorityBuffer(cfg.buffer_capacity, *_buffer_dims(self.env))
         # the scheme's value-loss knobs and divergence; None trains no value net
         self.div = schemes.ROER_DIVERGENCES.get(cfg.scheme)
         self.value_loss_cfg = cfg.scheme_config if self.div is not None else None
@@ -391,10 +392,27 @@ def compute_bias(agent, env, states, actions, rng, horizon: int) -> dict:
     }
 
 
+def _check_snapshot_pair(agent, buffer: PriorityBuffer, env) -> None:
+    """A checkpoint and a buffer of env's problem, or FormatError."""
+    if env.discrete:
+        got, want = agent.q_table.shape, (env.n_states, env.n_actions)
+    else:
+        got, want = (agent.obs_dim, agent.action_dim), (env.obs_dim, env.action_dim)
+    if got != want:
+        raise FormatError(f"checkpoint dims {got} are not the environment's {want}")
+    got, want = (buffer.state_dim, buffer.action_dim, buffer.discrete), _buffer_dims(env)
+    if got != want:
+        raise FormatError(f"buffer (state_dim, action_dim, discrete) {got} is not "
+                          f"the environment's {want}")
+    if env.discrete:
+        _check_offline_indices(buffer._live_columns(), env, FormatError)
+
+
 def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     """Bias series over every (checkpoint, buffer) snapshot pair in a run
     directory, scheduled checkpoints first, then the final checkpoint
-    unless a scheduled one was taken at the last step."""
+    unless a scheduled one was taken at the last step. A directory with no
+    pair, or a pair of another problem than cfg's env, raises FormatError."""
     seed_dir = Path(seed_dir)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     env = make_env(cfg.env, cfg.env_horizon, np.random.default_rng(seed))
@@ -414,6 +432,7 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
             agent = TabularAgent.load(ckpt_path, cfg.tabular)
         else:
             agent = SacAgent.load(ckpt_path, cfg.sac)
+        _check_snapshot_pair(agent, buffer, env)
         # min(bias_eval_pairs, len(buffer)) slots drawn uniformly with rng,
         # which then drives the rollouts
         probe = buffer.sample_uniform(min(cfg.bias_eval_pairs, len(buffer)), rng)
@@ -421,6 +440,8 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
                               horizon=cfg.bias_eval_horizon)
         record["step"] = step
         series.append(record)
+    if not series:
+        raise FormatError(f"{seed_dir} holds no (checkpoint, buffer) pair")
     return series
 
 
@@ -437,6 +458,10 @@ def run_oracle_suite(corrupt_kind: str | None = None,
     """
     report: list[dict] = []
 
+    def record(check: str, tolerance: float, measured: float, **kind) -> None:
+        report.append({"check": check, **kind, "tolerance": tolerance,
+                       "measured": measured, "passed": measured <= tolerance})
+
     def conj_prime(sp, y):
         val = divergences.conjugate_prime(sp, y)
         if corrupt_kind and sp.name == corrupt_kind:
@@ -448,10 +473,7 @@ def run_oracle_suite(corrupt_kind: str | None = None,
         worst = float(np.max(np.abs(
             conj_prime(sp, divergences.generator_prime(sp, grid)) - grid
         )))
-        report.append({
-            "check": "conjugate_inverse_identity", "kind": sp.name,
-            "tolerance": 1e-9, "measured": worst, "passed": worst <= 1e-9,
-        })
+        record("conjugate_inverse_identity", 1e-9, worst, kind=sp.name)
 
     rng = np.random.default_rng(2718)
     for sp in divergences.SPECS.values():
@@ -462,10 +484,7 @@ def run_oracle_suite(corrupt_kind: str | None = None,
         worst = float(np.max(
             xs * ys - divergences.generator(sp, xs) - divergences.conjugate(sp, ys)
         ))
-        report.append({
-            "check": "fenchel_young", "kind": sp.name, "tolerance": 1e-12,
-            "measured": worst, "passed": worst <= 1e-12,
-        })
+        record("fenchel_young", 1e-12, worst, kind=sp.name)
 
     # the unclipped value loss settles where E[f*'((Q - V) / beta)] = 1:
     # bisect a scalar V on the sign of the loss's own gradient over fixed
@@ -480,10 +499,7 @@ def run_oracle_suite(corrupt_kind: str | None = None,
                 lo, hi = (mid, hi) if np.add.reduce(out.grad) > 0.0 else (lo, mid)
             ratio = float(np.mean(conj_prime(sp, (q - lo) / beta)))
             worst = max(worst, abs(ratio - 1.0))
-        report.append({
-            "check": "value_fixed_point", "kind": sp.name, "tolerance": 1e-10,
-            "measured": worst, "passed": worst <= 1e-10,
-        })
+        record("value_fixed_point", 1e-10, worst, kind=sp.name)
 
     worst = 0.0
     for _ in range(100):
@@ -491,10 +507,7 @@ def run_oracle_suite(corrupt_kind: str | None = None,
         pi = rng.dirichlet(np.ones(2), size=5)
         Q = rng.normal(scale=5.0, size=(5, 2))
         worst = max(worst, oracles.telescoping_check(mdp, pi, Q))
-    report.append({
-        "check": "telescoping_identity", "tolerance": 1e-8,
-        "measured": worst, "passed": worst <= 1e-8,
-    })
+    record("telescoping_identity", 1e-8, worst)
 
     mdp = random_mdp(2, 2, gamma=0.9, seed=50)
     _, _, pi_star = value_iteration(mdp, tol=1e-12)
@@ -504,18 +517,12 @@ def run_oracle_suite(corrupt_kind: str | None = None,
     Q = oracles.dual_minimize(mdp, d_data, 1.0, kl, pi_star)
     rec = oracles.recovered_distribution(mdp, Q, d_data, 1.0, kl, pi_star)
     tv = oracles.total_variation(rec, d_star.table)
-    report.append({
-        "check": "dual_recovery_tv", "tolerance": 0.05, "measured": tv,
-        "passed": tv <= 0.05,
-    })
+    record("dual_recovery_tv", 0.05, tv)
     Q2 = oracles.dual_minimize(mdp, d_star, 1.0, kl, pi_star)
     delta = oracles.bellman_backup(mdp, Q2, pi_star) - Q2
     support = d_star.table > 1e-12
     dev = float(np.max(np.abs(np.exp(delta[support]) - 1.0)))
-    report.append({
-        "check": "dual_matched_unit_ratio", "tolerance": 0.05,
-        "measured": dev, "passed": dev <= 0.05,
-    })
+    record("dual_matched_unit_ratio", 0.05, dev)
 
     buf = PriorityBuffer(4, 1, 1, discrete=True)
     for i in range(3):
@@ -527,14 +534,8 @@ def run_oracle_suite(corrupt_kind: str | None = None,
     max_dev = float(np.max(np.abs(freqs - expect)))
     chi2 = float((((freqs - expect) * 60_000) ** 2 / (expect * 60_000)).sum())
     crit = -2.0 * math.log(0.001)  # chi-squared 0.999 quantile, 2 dof
-    report.append({
-        "check": "sum_tree_proportionality", "tolerance": 0.01,
-        "measured": max_dev, "passed": max_dev <= 0.01,
-    })
-    report.append({
-        "check": "sum_tree_chi2", "tolerance": crit, "measured": chi2,
-        "passed": chi2 <= crit,
-    })
+    record("sum_tree_proportionality", 0.01, max_dev)
+    record("sum_tree_chi2", crit, chi2)
 
     ok = all(r["passed"] for r in report)
     if report_path:

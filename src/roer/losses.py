@@ -33,7 +33,9 @@ the one finite check per phase in SacAgent.update aborts the step before
 any optimizer moves. Only the value estimates V(s), V(s') and the value
 residuals are checked here (_vec): a non-finite V would reach the
 buffer's priorities, and a +inf residual would be clipped to a finite
-loss.
+loss. A non-finite value raises FloatingPointError, the one non-finite
+signal, on which SacAgent.update aborts; InvalidInputError is a shape or
+argument error, a caller's bug, and surfaces.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _vec(x, what: str) -> np.ndarray:
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if not np.isfinite(arr).all():
-        raise InvalidInputError(f"{what} contains non-finite values")
+        raise FloatingPointError(f"{what} contains non-finite values")
     return arr
 
 

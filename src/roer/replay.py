@@ -1,6 +1,7 @@
 """Fixed-capacity transition storage with proportional sampling.
 
-A ring buffer of transitions plus a sum tree over per-transition priorities
+A ring buffer of transitions, its columns laid out by one table
+(PriorityBuffer._row_layout), plus a sum tree over per-transition priorities
 d(s, a). New transitions always enter with priority 1; priority schemes
 rewrite the leaves afterwards. The sum tree has two tiers: binary partial
 sums from the leaves up to a level of at most SumTree.PREFIX_WIDTH nodes,
@@ -8,6 +9,10 @@ where a write repairs only the written leaves' ancestors, and one running
 prefix sum over that level, rebuilt once after any number of writes.
 Sampling searches the prefix and descends the binary levels below it,
 vectorized over the batch.
+
+Values are checked where they enter, one rule per kind of column; a
+rejected one raises InvalidTransitionError (FormatError at load): a bad
+input, not the FloatingPointError that signals a run's own non-finite values.
 """
 
 from __future__ import annotations
@@ -161,7 +166,7 @@ class SampledBatch:
 
 
 class PriorityBuffer:
-    """Ring buffer + sum-tree of priorities d(s, a).
+    """Ring buffer (_row_layout's columns) + sum-tree of priorities d(s, a).
 
     Single-writer, multiple-reader: push/update_priorities need exclusive
     access; sampling and implied_distribution may run concurrently with
@@ -169,6 +174,8 @@ class PriorityBuffer:
     """
 
     INITIAL_PRIORITY = 1.0
+    # the columns a transition brings: push's fields and SampledBatch's
+    DATA = ("states", "actions", "rewards", "next_states", "terminals")
     # Ceiling on what one buffer allocates (its columns plus the sum tree):
     # 4 GiB, room for 2^26 tabular or 2^25 pendulum slots. A 2^20-slot
     # tabular buffer takes 57 MiB.
@@ -178,7 +185,13 @@ class PriorityBuffer:
                  discrete: bool = False):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        nbytes = self._nbytes(capacity, state_dim, action_dim, discrete)
+        layout = self._row_layout(state_dim, action_dim, discrete)
+        del layout["priorities"]  # the sum tree's leaves
+        layout["terminals"] = (np.dtype(bool), ())  # written as their uint8 bytes
+        # the columns, and the tree's float64 nodes (2 per leaf)
+        nbytes = (capacity * sum(dtype.itemsize * math.prod(row)
+                                 for dtype, row in layout.values())
+                  + 16 * (1 << (capacity - 1).bit_length()))
         if nbytes > self.MAX_BYTES:
             raise ValueError(f"a buffer of {capacity} slots needs {nbytes} bytes, "
                              f"above the ceiling of {self.MAX_BYTES}")
@@ -186,17 +199,8 @@ class PriorityBuffer:
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.discrete = discrete
-        if discrete:
-            self._states = np.zeros(capacity, dtype=np.int64)
-            self._actions = np.zeros(capacity, dtype=np.int64)
-            self._next_states = np.zeros(capacity, dtype=np.int64)
-        else:
-            self._states = np.zeros((capacity, state_dim), dtype=np.float64)
-            self._actions = np.zeros((capacity, action_dim), dtype=np.float64)
-            self._next_states = np.zeros((capacity, state_dim), dtype=np.float64)
-        self._rewards = np.zeros(capacity, dtype=np.float64)
-        self._terminals = np.zeros(capacity, dtype=bool)
-        self._insert_steps = np.zeros(capacity, dtype=np.int64)
+        self.columns = {name: np.zeros((capacity, *row), dtype)
+                        for name, (dtype, row) in layout.items()}
         self.tree = SumTree(capacity)
         self.size = 0
         self.write_cursor = 0
@@ -213,8 +217,7 @@ class PriorityBuffer:
 
     def _coerce(self, value, dim: int, what: str) -> np.ndarray | int:
         if self.discrete:
-            # the index rule of fill_offline too: an integer >= 0, not a bool
-            # (type(True) is bool, not int)
+            # fill_offline's index rule too: an integer >= 0, not a bool
             if type(value) is not int and not isinstance(value, np.integer) or value < 0:
                 raise InvalidTransitionError(f"{what} {value!r} is not an index >= 0")
             return int(value)
@@ -235,30 +238,28 @@ class PriorityBuffer:
         is full, the slot holds the live oldest entry."""
         if not math.isfinite(reward):
             raise InvalidTransitionError(f"reward {reward!r} is not finite")
+        if insert_step < 0:
+            raise InvalidTransitionError(f"insert_step {insert_step!r} is below 0")
         state = self._coerce(state, self.state_dim, "state")
         next_state = self._coerce(next_state, self.state_dim, "next_state")
         action = self._coerce(action, self.action_dim, "action")
         i = self.write_cursor
-        self._states[i], self._next_states[i], self._actions[i] = state, next_state, action
-        self._rewards[i] = float(reward)
-        self._terminals[i] = bool(terminal)
-        self._insert_steps[i] = int(insert_step)
+        cols = self.columns
+        cols["states"][i], cols["next_states"][i], cols["actions"][i] = (
+            state, next_state, action)
+        cols["rewards"][i] = float(reward)
+        cols["terminals"][i] = bool(terminal)
+        cols["insert_steps"][i] = int(insert_step)
         self.tree.set(i, self.INITIAL_PRIORITY)
         self.write_cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
         return i
 
     def gather(self, idx: np.ndarray) -> SampledBatch:
-        """The transitions in slots idx."""
-        return SampledBatch(
-            indices=idx,
-            states=self._states[idx],
-            actions=self._actions[idx],
-            rewards=self._rewards[idx],
-            next_states=self._next_states[idx],
-            terminals=self._terminals[idx],
-            priorities=self.tree.leaves(self.capacity)[idx],
-        )
+        """The transitions in slots idx (SampledBatch's fields are in DATA's order)."""
+        cols = self.columns
+        return SampledBatch(idx, *[cols[name][idx] for name in self.DATA],
+                            self.tree.leaves(self.capacity)[idx])
 
     def sample_proportional(self, n: int, rng: np.random.Generator) -> SampledBatch:
         """Draw n slots, each with probability priority / root_sum."""
@@ -267,8 +268,7 @@ class PriorityBuffer:
         total = self.tree.total()
         targets = rng.random(n) * total
         idx = self.tree.find_prefix(targets)
-        # guard: prefix rounding at the extreme right edge (find_prefix
-        # never returns a negative slot)
+        # prefix rounding at the right edge can land past the live slots
         np.minimum(idx, self.size - 1, out=idx)
         return self.gather(idx)
 
@@ -292,9 +292,7 @@ class PriorityBuffer:
             return
         if idx.min() < 0 or idx.max() >= self.size:
             raise InvalidTransitionError("slot index out of range")
-        # min and max are nan when any value is, which fails both tests
-        if not (vals.min() > 0.0 and vals.max() < np.inf):
-            raise InvalidTransitionError("priorities must be positive and finite")
+        self._check_values("priorities", vals)
         self.tree.set_many(idx, vals)
 
     def implied_distribution(self) -> dict:
@@ -317,7 +315,7 @@ class PriorityBuffer:
                 "continuous buffers have no (state, action) buckets"
             )
         n = self.size
-        states, actions = self._states[:n], self._actions[:n]
+        states, actions = self.columns["states"][:n], self.columns["actions"][:n]
         s_min, a_min = int(states.min()), int(actions.min())
         a_span = int(actions.max()) - a_min + 1
         buckets = (int(states.max()) - s_min + 1) * a_span  # Python ints
@@ -349,7 +347,9 @@ class PriorityBuffer:
     @staticmethod
     def _row_layout(state_dim: int, action_dim: int,
                     discrete: bool) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
-        """Snapshot column -> (dtype, shape of one row)."""
+        """The buffer's columns in snapshot order, name -> (dtype, shape of
+        one row): the one table that allocation, the byte ceiling, gather,
+        fill_offline, snapshot and load read."""
         f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
         if discrete:
             states = actions = (i8, ())
@@ -359,31 +359,15 @@ class PriorityBuffer:
                 "next_states": states, "terminals": (np.dtype(np.uint8), ()),
                 "insert_steps": (i8, ()), "priorities": (f8, ())}
 
-    @classmethod
-    def _nbytes(cls, capacity: int, state_dim: int, action_dim: int,
-               discrete: bool) -> int:
-        """Bytes a buffer of this shape allocates: its columns, and the sum
-        tree (2 x capacity rounded up to a power of two) that holds the
-        priorities."""
-        layout = cls._row_layout(state_dim, action_dim, discrete)
-        row = sum(dtype.itemsize * math.prod(shape)
-                  for name, (dtype, shape) in layout.items() if name != "priorities")
-        return capacity * row + 16 * (1 << (capacity - 1).bit_length())
-
     # Snapshot format: binio envelope (magic, version, kind=1) wrapping
     # meta = [capacity, size, write_cursor, state_dim, action_dim, discrete]
-    # and the live slots of every column in slot order.
+    # and the live slots of every column of _row_layout in slot order.
     def _live_columns(self) -> dict[str, np.ndarray]:
         n = self.size
-        return {
-            "states": self._states[:n],
-            "actions": self._actions[:n],
-            "rewards": self._rewards[:n],
-            "next_states": self._next_states[:n],
-            "terminals": self._terminals[:n].view(np.uint8),
-            "insert_steps": self._insert_steps[:n],
-            "priorities": self.tree.leaves(n),
-        }
+        live = {name: column[:n] for name, column in self.columns.items()}
+        live["terminals"] = live["terminals"].view(np.uint8)
+        live["priorities"] = self.tree.leaves(n)
+        return live
 
     def snapshot(self, path_or_stream) -> None:
         meta = np.array([self.capacity, self.size, self.write_cursor,
@@ -399,10 +383,9 @@ class PriorityBuffer:
         """Rebuild a snapshot; a payload that does not describe a valid
         buffer raises binio.FormatError.
 
-        Every column is checked against the meta before anything is
-        allocated: the data columns under fill_offline's rule (indices >= 0,
-        float values finite) and every priority for being positive and
-        finite. A meta naming a buffer above MAX_BYTES (4 GiB) is refused."""
+        Every column of _row_layout is checked against the meta, and under
+        its kind's value rule, before anything is allocated. A meta naming
+        a buffer above MAX_BYTES (4 GiB) is refused."""
         payload = binio.read_envelope(path_or_stream, binio.KIND_BUFFER)
         arrays = binio.payload_to_arrays(payload)
         meta = binio.checked(arrays, "meta", (6,), np.int64)
@@ -413,11 +396,7 @@ class PriorityBuffer:
             raise binio.FormatError(f"inconsistent buffer meta {meta.tolist()}")
         for name, (dtype, row) in cls._row_layout(sdim, adim, discrete).items():
             column = binio.checked(arrays, name, (size, *row), dtype)
-            if name in ("states", "actions", "rewards", "next_states"):
-                cls._check_values(name, column, binio.FormatError)
-        # priorities enter here under update_priorities' rule
-        if not ((arrays["priorities"] > 0.0) & (arrays["priorities"] < np.inf)).all():
-            raise binio.FormatError("buffer priorities must be positive and finite")
+            cls._check_values(name, column, binio.FormatError)
         try:
             buf = cls(capacity, sdim, adim, discrete=bool(discrete))
         except ValueError as exc:
@@ -437,17 +416,13 @@ class PriorityBuffer:
         dataset larger than the buffer keeps its last `capacity` rows. Every
         column is validated before any slot changes.
         """
+        if np.ndim(rewards) != 1:
+            raise InvalidTransitionError(f"rewards has shape {np.shape(rewards)}, "
+                                         "expected one value a row")
         n = len(rewards)
-        columns = [
-            (dest, self._offline_column(name, values, n, dest))
-            for name, values, dest in (
-                ("states", states, self._states),
-                ("actions", actions, self._actions),
-                ("rewards", rewards, self._rewards),
-                ("next_states", next_states, self._next_states),
-                ("terminals", terminals, self._terminals),
-            )
-        ]
+        given = zip(self.DATA, (states, actions, rewards, next_states, terminals))
+        columns = {name: self._offline_column(name, values, n, self.columns[name])
+                   for name, values in given}
         # the kept rows fill one run of slots from `start`, and a second run
         # from slot 0 when they wrap the ring
         cap = self.capacity
@@ -457,34 +432,28 @@ class PriorityBuffer:
                             (0, start + kept - cap, n - kept + cap - start)):
             if lo >= hi:
                 continue
-            for dest, column in columns:
-                dest[lo:hi] = column[row : row + hi - lo]
-            self._insert_steps[lo:hi] = 0
+            for name, column in columns.items():
+                self.columns[name][lo:hi] = column[row : row + hi - lo]
+            self.columns["insert_steps"][lo:hi] = 0
             self.tree.set_range(lo, hi, self.INITIAL_PRIORITY)
         self.write_cursor = (self.write_cursor + n) % cap
         self.size = min(self.size + n, cap)
 
     @staticmethod
     def _offline_column(name: str, values, n: int, dest: np.ndarray) -> np.ndarray:
-        """values as n rows shaped like dest's rows, in dest's dtype.
-
-        Index columns must hold integers >= 0 (push's rule; bools are not
-        integers here); float columns must be finite.
-        """
+        """values as n rows shaped like dest's rows, in dest's dtype, under
+        _check_values; index columns take integers only (push's rule)."""
         arr = np.asarray(values)
         if arr.shape[:1] != (n,):
-            raise InvalidTransitionError(
-                f"{name} has shape {arr.shape}, but rewards has {n} rows"
-            )
+            raise InvalidTransitionError(f"{name} has shape {arr.shape}, "
+                                         f"but rewards has {n} rows")
         row_shape = dest.shape[1:]
         if math.prod(arr.shape[1:]) != math.prod(row_shape):
-            raise InvalidTransitionError(
-                f"{name} rows have shape {arr.shape[1:]}, expected {row_shape}"
-            )
+            raise InvalidTransitionError(f"{name} rows have shape {arr.shape[1:]}, "
+                                         f"expected {row_shape}")
         if dest.dtype == np.int64 and arr.dtype.kind not in "iu":
-            raise InvalidTransitionError(
-                f"{name} must hold integer indices, got dtype {arr.dtype}"
-            )
+            raise InvalidTransitionError(f"{name} must hold integer indices, "
+                                         f"got dtype {arr.dtype}")
         # cast first, so a uint64 above the int64 range counts as negative
         arr = arr.reshape((n,) + row_shape).astype(dest.dtype, copy=False)
         PriorityBuffer._check_values(name, arr)
@@ -492,10 +461,21 @@ class PriorityBuffer:
 
     @staticmethod
     def _check_values(name: str, arr: np.ndarray, error=InvalidTransitionError) -> None:
-        """Index (int64) columns hold values >= 0, float64 ones finite values."""
-        if arr.dtype == np.int64 and arr.size and arr.min() < 0:
-            raise error(f"{name} holds an index below 0")
-        # min and max are nan when any value is, and infinite when any is
-        if (arr.dtype == np.float64 and arr.size
-                and not np.isfinite([arr.min(), arr.max()]).all()):
-            raise error(f"{name} contains non-finite values")
+        """One value rule per kind of column: priorities positive and finite,
+        indices and steps (int64) >= 0, flags (uint8) 0 or 1, other float64
+        values finite. A bool column needs no rule."""
+        if not arr.size or arr.dtype.kind == "b":
+            return
+        # min and max are nan when any value is, which fails every float test
+        if name == "priorities":
+            ok = arr.min() > 0.0 and arr.max() < np.inf
+            rule = "must be positive and finite"
+        elif arr.dtype.kind == "i":
+            ok, rule = arr.min() >= 0, "holds an index below 0"
+        elif arr.dtype.kind == "u":
+            ok, rule = arr.max() <= 1, "holds a flag other than 0 or 1"
+        else:
+            ok = np.isfinite([arr.min(), arr.max()]).all()
+            rule = "contains non-finite values"
+        if not ok:
+            raise error(f"{name} {rule}")

@@ -23,6 +23,9 @@ Inputs are validated where they enter, and nowhere else:
   - priorities by the buffer, on every write (update_priorities) and when
     a snapshot loads;
   - surrogates by laber_select itself, since they meet no later check.
+A non-finite value raises FloatingPointError, the one non-finite signal
+(SacAgent.update aborts on it, and `roer` reports it as a run error);
+InvalidInputError is left for shape and argument errors.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def laber_select(surrogate_priorities, n: int, rng: np.random.Generator):
     if s.ndim != 1 or s.size == 0:
         raise InvalidInputError("surrogate_priorities must be a non-empty 1-d vector")
     if not np.isfinite(s).all():
-        raise InvalidInputError("surrogate_priorities contains non-finite values")
+        raise FloatingPointError("surrogate_priorities contains non-finite values")
     if np.any(s < 0):
         raise InvalidInputError("surrogates must be nonnegative")
     with np.errstate(over="ignore"):

@@ -18,7 +18,7 @@ from roer.agents import (
 from roer.binio import FormatError
 from roer.config import SAC_PROFILES
 from roer.replay import PriorityBuffer, SampledBatch
-from roer.schemes import ROER_DIVERGENCES, ConfigError, RoerConfig
+from roer.schemes import ROER_DIVERGENCES, ConfigError, InvalidInputError, RoerConfig
 
 
 def rel_err(a, b):
@@ -212,6 +212,19 @@ class TestUpdate:
         assert agent.aborted_updates == 1
         assert agent.critic1 == before
         assert agent.opt_critic1.step_count == opt_steps
+
+    def test_caller_error_is_raised_not_counted(self):
+        # 15 loss weights for 16 rows: the Huber loss's length check raises
+        # before any optimizer steps, and no abort is counted
+        agent = fresh_agent(seed=18)
+        rng = np.random.default_rng(19)
+        batch = make_batch(rng)
+        before = agent.checkpoint_arrays()
+        with pytest.raises(InvalidInputError, match="length mismatch"):
+            agent.update(batch, np.ones(len(batch) - 1), rng, RoerConfig())
+        assert agent.aborted_updates == 0
+        after = agent.checkpoint_arrays()
+        assert all(after[k].tobytes() == v.tobytes() for k, v in before.items())
 
     def test_abort_in_actor_phase_restores_everything(self, monkeypatch):
         agent = fresh_agent(seed=22)

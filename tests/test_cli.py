@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import roer
-from roer import agents
+from roer import agents, config as cmod
 from roer.agents import SacAgent, SacConfig
 from roer.binio import FormatError
 from roer.cli import main
@@ -151,6 +151,20 @@ class TestTrainCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_diverging_tabular_run_is_a_run_error(self, tmp_path, capsys):
+        # at lr 0.3 this chain-5 run's Q table overflows, and LaBER's surrogates
+        # are the first values to turn non-finite
+        path = write_config(tmp_path, env="chain-5", scheme="laber", total_steps=3000,
+                            buffer_capacity=2000, env_horizon=100,
+                            scheme_config=dict(large_batch=256),
+                            tabular=dict(learning_rate=0.3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "-c", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "run error: surrogate_priorities contains non-finite values" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "run").rglob("summary.json"))
+
     def test_resolved_form_sections_exit_code(self, tmp_path, capsys):
         # the sections an older config.yaml held in place of agent/scheme_config
         path = write_config(tmp_path, scheme="roer", roer=dict(beta=2.0))
@@ -261,10 +275,68 @@ class TestBiasCommand:
         assert main(["train", "-c", str(cfg_path)]) == 0
         path = tmp_path / "run" / "seed_0" / "buffer.bin"
         buf = PriorityBuffer.load(path)
-        buf._states[0] = -3
+        buf.columns["states"][0] = -3
         buf.snapshot(path)
         assert main(["bias", str(path.parent), "-c", str(cfg_path)]) == 2
         assert "states holds an index below 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env, states", [("chain-10", 10), ("chain-3", 3)])
+    def test_config_of_another_chain_exit_code(self, tmp_path, capsys, env, states):
+        # a chain-4 run: its Q table is (4, 2)
+        assert main(["train", "-c", str(write_config(tmp_path))]) == 0
+        other = tmp_path / "other"
+        other.mkdir()
+        code = main(["bias", str(tmp_path / "run" / "seed_0"),
+                     "-c", str(write_config(other, env=env))])
+        assert code == 2
+        assert (f"checkpoint dims (4, 2) are not the environment's ({states}, 2)"
+                in capsys.readouterr().err)
+
+    def test_checkpoint_of_other_dims_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, env="pendulum", scheme="uniform",
+                                agent=dict(profile="test", hidden_dims=[8, 8],
+                                           batch_size=8))
+        seed_dir = tmp_path / "seed_0"
+        seed_dir.mkdir()
+        # a SAC agent of (obs 4, action 2) beside a pendulum buffer
+        cfg = cmod.load(cfg_path)
+        SacAgent(4, 2, cfg.sac, seed=0).save(seed_dir / "checkpoint.bin")
+        buf = PriorityBuffer(8, 3, 1)
+        buf.push(np.zeros(3), np.zeros(1), 0.0, np.zeros(3), False)
+        buf.snapshot(seed_dir / "buffer.bin")
+        assert main(["bias", str(seed_dir), "-c", str(cfg_path)]) == 2
+        assert ("checkpoint dims (4, 2) are not the environment's (3, 1)"
+                in capsys.readouterr().err)
+
+    def test_buffer_of_another_kind_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        buf = PriorityBuffer(8, 3, 1)
+        buf.push(np.zeros(3), np.zeros(1), 0.0, np.zeros(3), False)
+        buf.snapshot(tmp_path / "run" / "seed_0" / "buffer.bin")
+        assert main(["bias", str(tmp_path / "run" / "seed_0"), "-c", str(cfg_path)]) == 2
+        assert ("buffer (state_dim, action_dim, discrete) (3, 1, False) is not the "
+                "environment's (1, 1, True)" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("column, bound", [("states", 4), ("actions", 2),
+                                               ("next_states", 4)])
+    def test_buffer_index_beyond_the_env_exit_code(self, tmp_path, capsys,
+                                                   column, bound):
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        path = tmp_path / "run" / "seed_0" / "buffer.bin"
+        buf = PriorityBuffer.load(path)
+        buf.columns[column][3] = bound
+        buf.snapshot(path)
+        assert main(["bias", str(path.parent), "-c", str(cfg_path)]) == 2
+        assert f"{column} holds index {bound}" in capsys.readouterr().err
+
+    def test_directory_without_a_pair_exit_code(self, tmp_path, capsys):
+        # the run root, not its seed directory
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        assert main(["bias", str(tmp_path / "run"), "-c", str(cfg_path)]) == 2
+        assert "holds no (checkpoint, buffer) pair" in capsys.readouterr().err
 
     def test_checkpoint_of_other_nets_exit_code(self, tmp_path, capsys):
         run = dict(env="pendulum", scheme="uniform", total_steps=40,
@@ -296,6 +368,16 @@ class TestReplayInspect:
         out = capsys.readouterr().out
         assert "size 4" in out
         assert "implied distribution" in out
+
+    @pytest.mark.parametrize("dims", [(1, 1, True), (3, 1, False)],
+                             ids=["tabular", "vector"])
+    def test_empty_snapshot(self, tmp_path, capsys, dims):
+        path = tmp_path / "buf.bin"
+        PriorityBuffer(8, *dims).snapshot(path)
+        assert main(["replay-inspect", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "capacity 8  size 0  cursor 0"
+        assert out[2:] == ["empty buffer: no priorities"]
 
     def test_nan_priority_exit_code(self, tmp_path, capsys):
         buf = PriorityBuffer(8, 1, 1, discrete=True)

@@ -26,7 +26,7 @@ from roer.harness import (
     run_train,
 )
 from roer.oracles import value_iteration
-from roer.replay import PriorityBuffer
+from roer.replay import InvalidTransitionError, PriorityBuffer
 from roer.schemes import ConfigError, LaberConfig, PerConfig, RoerConfig
 
 
@@ -493,12 +493,23 @@ class TestRunTrain:
         assert rec  # ran to completion with a prefilled buffer
 
     def test_offline_columns_of_unequal_length_rejected(self, tmp_path):
+        # the loader reads the buffer's columns; fill_offline checks their rows
         path = tmp_path / "offline.npz"
         np.savez(path, states=np.zeros(5, dtype=int), actions=np.zeros(5, dtype=int),
                  rewards=np.zeros(5), next_states=np.zeros(6, dtype=int),
                  terminals=np.zeros(5, dtype=bool))
-        with pytest.raises(ConfigError, match="next_states"):
-            harness.load_offline_dataset(path)
+        assert list(harness.load_offline_dataset(path)) == list(PriorityBuffer.DATA)
+        cfg = cmod.from_dict(base_raw(tmp_path, offline_dataset=str(path)))
+        with pytest.raises(InvalidTransitionError,
+                           match=r"next_states has shape \(6,\), but rewards has 5 rows"):
+            run_train(cfg)
+        assert not (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
+        # a 0-d rewards column has no rows to count
+        np.savez(path, states=np.zeros(5, dtype=int), actions=np.zeros(5, dtype=int),
+                 rewards=np.float64(0.0), next_states=np.zeros(5, dtype=int),
+                 terminals=np.zeros(5, dtype=bool))
+        with pytest.raises(InvalidTransitionError, match=r"rewards has shape \(\)"):
+            run_train(cfg)
 
     def test_oracle_solved_at_the_agent_discount(self, tmp_path):
         # grid MDPs discount at 0.95, the default tabular agent at 0.99

@@ -57,8 +57,9 @@ class TestTdError:
 
     @pytest.mark.parametrize("v_next, v_curr", [(math.nan, 0.0), (0.0, math.inf)])
     def test_nonfinite_value_estimate_rejected(self, v_next, v_curr):
-        # the one check V meets before its TD errors become priorities
-        with pytest.raises(InvalidInputError):
+        # the one check V meets before its TD errors become priorities; a
+        # FloatingPointError, the one non-finite signal SacAgent.update aborts on
+        with pytest.raises(FloatingPointError, match="non-finite"):
             td_error(1.0, 0.9, v_next, v_curr, False)
 
 

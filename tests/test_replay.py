@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import struct
@@ -20,6 +21,7 @@ from roer.replay import (
     EmptyBufferError,
     InvalidTransitionError,
     PriorityBuffer,
+    SampledBatch,
     SumTree,
     UnsupportedModeError,
 )
@@ -28,6 +30,11 @@ from roer.replay import (
 def make_transition(s=0, a=0, r=0.0, s2=1, terminal=False, step=0):
     """push's arguments for one transition."""
     return (s, a, r, s2, terminal, step)
+
+
+def allocated_bytes(buf):
+    """What a buffer's constructor allocated: its columns and the tree's nodes."""
+    return sum(col.nbytes for col in buf.columns.values()) + buf.tree.nodes.nbytes
 
 
 def tabular_buffer(capacity=8):
@@ -74,10 +81,38 @@ class TestPush:
 
     def test_byte_ceiling(self):
         # a 2^20-slot tabular buffer: 41 bytes a row plus a 2^21-node tree
-        assert PriorityBuffer._nbytes(1 << 20, 1, 1, True) == (41 + 16) << 20
-        assert PriorityBuffer(1 << 20, 1, 1, discrete=True).capacity == 1 << 20
+        buf = PriorityBuffer(1 << 20, 1, 1, discrete=True)
+        assert allocated_bytes(buf) == (41 + 16) << 20
         with pytest.raises(ValueError, match="ceiling"):
             PriorityBuffer(2**40, 3, 2)
+
+    @pytest.mark.parametrize("args", [(1000, 1, 1, True), (1000, 3, 2, False),
+                                      (1, 5, 4, False)])
+    def test_ceiling_counts_what_is_allocated(self, monkeypatch, args):
+        # a buffer of exactly MAX_BYTES fits, and one byte less refuses it
+        allocated = allocated_bytes(PriorityBuffer(*args))
+        monkeypatch.setattr(PriorityBuffer, "MAX_BYTES", allocated)
+        assert allocated_bytes(PriorityBuffer(*args)) == allocated
+        monkeypatch.setattr(PriorityBuffer, "MAX_BYTES", allocated - 1)
+        with pytest.raises(ValueError, match=f"needs {allocated} bytes"):
+            PriorityBuffer(*args)
+
+    @pytest.mark.parametrize("discrete", [True, False])
+    def test_columns_are_the_row_layout(self, discrete):
+        # every column but the tree's priorities, in the table's order and
+        # dtypes; terminals held as bool
+        buf = tabular_buffer(5) if discrete else vector_buffer(5)
+        layout = PriorityBuffer._row_layout(buf.state_dim, buf.action_dim, discrete)
+        held = {name: (col.dtype, col.shape) for name, col in buf.columns.items()}
+        assert list(layout) == [*held, "priorities"]
+        assert list(PriorityBuffer.DATA) == list(held)[:5]
+        # gather fills SampledBatch positionally
+        assert [f.name for f in dataclasses.fields(SampledBatch)] == [
+            "indices", *PriorityBuffer.DATA, "priorities"]
+        for name, (dtype, row) in layout.items():
+            if name in held:
+                want = np.dtype(bool) if name == "terminals" else dtype
+                assert held[name] == (want, (5, *row)), name
 
     def test_priority_additivity(self):
         buf = tabular_buffer()
@@ -91,8 +126,15 @@ class TestPush:
         for i in range(5):
             buf.push(*make_transition(s=i))
         assert len(buf) == 4
-        assert int(buf._states[0]) == 4  # slot 0 overwritten by the 5th push
+        assert int(buf.columns["states"][0]) == 4  # slot 0 overwritten by the 5th push
         assert buf.write_cursor == 1
+
+    def test_rejects_a_negative_insert_step(self):
+        # load's rule for the int64 columns: a snapshot holds no step below 0
+        buf = tabular_buffer()
+        with pytest.raises(InvalidTransitionError, match="insert_step -1"):
+            buf.push(0, 0, 0.0, 1, False, insert_step=-1)
+        assert len(buf) == 0
 
     def test_rejects_nonfinite(self):
         buf = vector_buffer()
@@ -231,9 +273,10 @@ class TestSampling:
                      insert_step=i)
         batch = buf.sample_proportional(8, rng)
         assert len(batch) == 8
-        assert np.array_equal(batch.states, buf._states[batch.indices])
-        assert np.array_equal(batch.rewards, buf._rewards[batch.indices])
-        assert np.array_equal(buf._insert_steps[batch.indices], batch.indices)
+        cols = buf.columns
+        for name in PriorityBuffer.DATA:
+            assert np.array_equal(getattr(batch, name), cols[name][batch.indices])
+        assert np.array_equal(cols["insert_steps"][batch.indices], batch.indices)
 
 
 class TestUpdatePriorities:
@@ -559,7 +602,8 @@ class TestSnapshot:
                               int(buf.discrete)]), **buf._live_columns()})
         loaded = PriorityBuffer.load(io.BytesIO(data))
         assert buffer_state(loaded) == buffer_state(buf)
-        assert loaded._states.shape == buf._states.shape
+        assert all(loaded.columns[name].shape == column.shape
+                   for name, column in buf.columns.items())
 
     def test_truncated_stream(self):
         buf = tabular_buffer()
@@ -611,9 +655,12 @@ class TestSnapshot:
         (False, "states", np.inf, "states contains non-finite values"),
         (False, "actions", np.nan, "actions contains non-finite values"),
         (False, "next_states", -np.inf, "next_states contains non-finite values"),
-        (False, "rewards", np.inf, "rewards contains non-finite values")])
+        (False, "rewards", np.inf, "rewards contains non-finite values"),
+        (True, "terminals", 7, "terminals holds a flag other than 0 or 1"),
+        (False, "terminals", 2, "terminals holds a flag other than 0 or 1"),
+        (True, "insert_steps", -1, "insert_steps holds an index below 0")])
     def test_bad_column_value_rejected(self, discrete, column, bad, message):
-        # fill_offline's rule: indices >= 0, float columns finite
+        # one rule per kind of column: indices >= 0, floats finite, flags 0/1
         buf = tabular_buffer() if discrete else vector_buffer()
         for i in range(3):
             buf.push(*make_transition(s=i) if discrete else
@@ -638,8 +685,8 @@ class TestSnapshot:
 # property tests
 
 COLUMNS = ("states", "actions", "rewards", "next_states", "terminals")
-BUFFER_FIELDS = ("_states", "_actions", "_rewards", "_next_states", "_terminals",
-                 "_insert_steps")
+BUFFER_FIELDS = ("states", "actions", "rewards", "next_states", "terminals",
+                 "insert_steps")
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -656,7 +703,7 @@ def implied_reference(buf):
     pri = buf.tree.leaves(buf.size)
     out = {}
     for i in range(buf.size):
-        k = (int(buf._states[i]), int(buf._actions[i]))
+        k = (int(buf.columns["states"][i]), int(buf.columns["actions"][i]))
         out[k] = out.get(k, 0.0) + pri[i]
     total = sum(out.values())
     return {k: v / total for k, v in out.items()}
@@ -664,7 +711,7 @@ def implied_reference(buf):
 
 def buffer_state(buf):
     """Every stored byte and counter of a buffer, for exact comparison."""
-    return ([getattr(buf, name).tobytes() for name in BUFFER_FIELDS]
+    return ([buf.columns[name].tobytes() for name in BUFFER_FIELDS]
             + [buf.tree.nodes.tobytes(), buf.size, buf.write_cursor])
 
 

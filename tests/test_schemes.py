@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from roer.schemes import (
     ROER_DIVERGENCES,
     ConfigError,
+    InvalidInputError,
     PerConfig,
     RoerConfig,
     laber_select,
@@ -263,6 +264,14 @@ class TestLaberSelect:
             idx, w = laber_select(s, 3, rng)
             at_mean = s[idx] == 2.0
             assert np.all(w[at_mean] == 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_surrogates_are_a_floating_point_error(self, bad):
+        # the one non-finite signal; a negative surrogate is a caller's error
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            laber_select(np.array([1.0, bad]), 2, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            laber_select(np.array([1.0, -1.0]), 2, np.random.default_rng(0))
 
     def test_all_zero_fallback(self):
         idx, w = laber_select(np.zeros(6), 3, np.random.default_rng(0))
