@@ -147,6 +147,7 @@ class SacAgent:
         only if each process has PAIR_THREAD_CPUS CPUs to itself."""
         self.obs_dim = obs_dim
         self.action_dim = action_dim
+        self.dims = (obs_dim, action_dim)
         self.config = config
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         h = config.hidden_dims
@@ -567,12 +568,14 @@ class TabularAgent:
 
     The behavior policy is epsilon-greedy; targets bootstrap through the
     soft (log-sum-exp) state value, which approaches the hard max as the
-    temperature shrinks.
+    temperature shrinks. It takes SacAgent's calls, but reads neither the
+    constructor's seed and processes (the table starts at zeros) nor
+    update's rng, roer and div (it trains no value function).
     """
 
-    def __init__(self, n_states: int, n_actions: int, config: TabularConfig):
-        self.n_states = n_states
-        self.n_actions = n_actions
+    def __init__(self, n_states: int, n_actions: int, config: TabularConfig,
+                 seed=None, processes: int = 1):
+        self.dims = (n_states, n_actions)
         self.config = config
         self.q_table = np.zeros((n_states, n_actions))
 
@@ -594,10 +597,12 @@ class TabularAgent:
     def act(self, state: int, rng: np.random.Generator,
             deterministic: bool = False) -> int:
         if not deterministic and rng.random() < self.config.epsilon:
-            return int(rng.integers(self.n_actions))
+            return int(rng.integers(self.dims[1]))
         return int(self.q_table[int(state)].argmax())
 
-    def update(self, batch: SampledBatch, weights: np.ndarray) -> StepMetrics:
+    def update(self, batch: SampledBatch, weights: np.ndarray, rng=None,
+               roer=None, div=None) -> StepMetrics:
+        """One soft-Q step; the table's own TD errors are its value TD errors."""
         s = np.asarray(batch.states, dtype=np.int64)
         a = np.asarray(batch.actions, dtype=np.int64)
         delta = self.td_errors(s, a, batch.rewards, batch.next_states, batch.terminals)
@@ -626,7 +631,7 @@ class TabularAgent:
     def save(self, path_or_stream) -> None:
         nn.save_checkpoint(path_or_stream, {
             "q_table": self.q_table,
-            "meta": np.array([self.n_states, self.n_actions], dtype=np.int64),
+            "meta": np.array(self.dims, dtype=np.int64),
         })
 
     @classmethod

@@ -80,6 +80,8 @@ def cmd_bias(args) -> int:
 
 
 def cmd_replay_inspect(args) -> int:
+    if args.top < 0:
+        raise ConfigError(f"--top must be >= 0, got {args.top}")
     buf = PriorityBuffer.load(args.snapshot)
     pri = buf.priorities
     print(f"capacity {buf.capacity}  size {buf.size}  cursor {buf.write_cursor}")

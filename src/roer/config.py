@@ -141,8 +141,7 @@ class ExperimentConfig:
             ("env_horizon", self.env_horizon is None or self.env_horizon >= 1,
              ">= 1 or null"),
         ))
-        family, _ = parse_env_id(self.env)
-        batch = (self.sac if family == "pendulum" else self.tabular).batch_size
+        batch = self.agent_config.batch_size
         # a buffer smaller than one minibatch never reaches the update gate
         if self.buffer_capacity < batch:
             raise ConfigError(f"buffer_capacity {self.buffer_capacity} "
@@ -150,6 +149,12 @@ class ExperimentConfig:
         if self.scheme == "laber" and self.scheme_config.large_batch < batch:
             raise ConfigError(f"large_batch {self.scheme_config.large_batch} "
                               f"smaller than minibatch {batch}")
+
+    @property
+    def agent_config(self) -> SacConfig | TabularConfig:
+        """The config of env's agent, the one place that picks its kind: SAC
+        on pendulum, the tabular agent on every finite env."""
+        return self.sac if parse_env_id(self.env)[0] == "pendulum" else self.tabular
 
 
 # env id family -> the pattern of the whole id: sizes are >= 1, written

@@ -17,14 +17,16 @@ import concurrent.futures
 import multiprocessing
 import json
 import math
+import re
 import time
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import divergences, losses, oracles, schemes
-from .agents import SacAgent, StepMetrics, TabularAgent
+from .agents import SacAgent, SacConfig, StepMetrics, TabularAgent
 from .binio import FormatError
 from .config import (ExperimentConfig, echo, from_dict, parse_env_id, seed_streams,
                      sweep_cells)
@@ -53,8 +55,6 @@ def make_env(env_id: str, horizon: int | None, rng: np.random.Generator):
 # metrics persistence
 
 def _clean(value):
-    if value is None:
-        return None
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
     if isinstance(value, (np.floating, float)):
@@ -100,12 +100,20 @@ def read_metrics(path) -> list[dict]:
 
 def load_offline_dataset(path):
     """The buffer's data columns (PriorityBuffer.DATA) from a columnar .npz;
-    fill_offline checks their rows."""
-    with np.load(path) as data:
-        missing = [k for k in PriorityBuffer.DATA if k not in data]
-        if missing:
-            raise ConfigError(f"offline dataset {path!r} missing fields {missing}")
-        return {k: data[k] for k in PriorityBuffer.DATA}
+    fill_offline checks their rows. A path that holds no readable .npz of
+    plain arrays (no pickled objects) raises ConfigError naming it."""
+    try:
+        data = np.load(path)  # allow_pickle is off: object arrays raise
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            columns = {k: data[k] for k in PriorityBuffer.DATA if k in data}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"offline dataset {path!r} is not a readable .npz: {exc}") from None
+    missing = [k for k in PriorityBuffer.DATA if k not in columns]
+    if missing:
+        raise ConfigError(f"offline dataset {path!r} missing fields {missing}")
+    return columns
 
 
 def _check_offline_indices(data: dict, env: TabularEnv,
@@ -122,10 +130,22 @@ def _check_offline_indices(data: dict, env: TabularEnv,
                         f"environment has {bounds[kind]} {kind}")
 
 
-def _buffer_dims(env) -> tuple[int, int, bool]:
-    """(state_dim, action_dim, discrete) of env's buffer: tabular indices
-    are scalars."""
-    return (1, 1, True) if env.discrete else (env.obs_dim, env.action_dim, False)
+def _dims(env) -> tuple[tuple[int, int], tuple[int, int, bool]]:
+    """(env's agent's dims, its buffer's (state_dim, action_dim, discrete)): a
+    tabular agent's table is states x actions, and its buffer holds indices."""
+    if env.discrete:
+        return (env.n_states, env.n_actions), (1, 1, True)
+    return (env.obs_dim, env.action_dim), (env.obs_dim, env.action_dim, False)
+
+
+def _agent(cfg: ExperimentConfig, env, init=None, checkpoint=None):
+    """env's agent, of the kind cfg.agent_config configures: loaded from a
+    checkpoint, or else built from init (the seed's init stream) to share
+    the CPUs with the min(workers, seeds) seeds that run_train runs at once."""
+    cls = SacAgent if isinstance(cfg.agent_config, SacConfig) else TabularAgent
+    if checkpoint is not None:
+        return cls.load(checkpoint, cfg.agent_config)
+    return cls(*_dims(env)[0], cfg.agent_config, init, min(cfg.workers, len(cfg.seeds)))
 
 
 # ----------------------------------------------------------------------
@@ -143,21 +163,14 @@ class _SeedRun:
         self.discrete = self.env.discrete
         # agent before buffer: the other order read about 5% fewer pendulum-full
         # env-steps/s (4 alternating pairs, 2-vCPU Xeon VM)
+        self.agent = _agent(cfg, self.env, self.streams["init"])
+        self.buffer = PriorityBuffer(cfg.buffer_capacity, *_dims(self.env)[1])
         if self.discrete:
-            self.agent = TabularAgent(self.env.n_states, self.env.n_actions,
-                                      cfg.tabular)
-            self.buffer = PriorityBuffer(cfg.buffer_capacity, *_buffer_dims(self.env))
             # the oracle solves the problem the agent learns: the env's
             # dynamics under the agent's discount
             oracle_mdp = replace(self.env.mdp, gamma=cfg.tabular.gamma)
             self.q_star, _, pi_star = value_iteration(oracle_mdp)
             self.d_star = occupancy(oracle_mdp, pi_star)
-        else:
-            # run_train runs this many seeds at once, one process each
-            self.agent = SacAgent(self.env.obs_dim, self.env.action_dim,
-                                  cfg.sac, self.streams["init"],
-                                  processes=min(cfg.workers, len(cfg.seeds)))
-            self.buffer = PriorityBuffer(cfg.buffer_capacity, *_buffer_dims(self.env))
         # the scheme's value-loss knobs and divergence; None trains no value net
         self.div = schemes.ROER_DIVERGENCES.get(cfg.scheme)
         self.value_loss_cfg = cfg.scheme_config if self.div is not None else None
@@ -255,8 +268,7 @@ class _SeedRun:
                 path.unlink()
         writer = MetricsWriter(self.out_dir / "metrics.jsonl")
         obs = self.env.reset()
-        kl_at_tau = final_kl = None
-        final_eval = None
+        kl_at_tau = None
         clip_hits = 0
         for step in range(1, cfg.total_steps + 1):
             action = self._act(obs, step)
@@ -267,13 +279,8 @@ class _SeedRun:
             if (step >= cfg.train_start_step
                     and len(self.buffer) >= self.agent.config.batch_size):
                 batch, weights = self._sample_batch()
-                if self.discrete:
-                    metrics = self.agent.update(batch, weights)
-                else:
-                    metrics = self.agent.update(
-                        batch, weights, self.streams["agent"],
-                        self.value_loss_cfg, self.div,
-                    )
+                metrics = self.agent.update(batch, weights, self.streams["agent"],
+                                            self.value_loss_cfg, self.div)
                 clip_hits += metrics.value_clip_count
                 self._accumulate(metrics)
                 if not metrics.aborted:
@@ -281,38 +288,35 @@ class _SeedRun:
 
             at_tau = step == cfg.train_start_step
             if step % cfg.eval_period == 0 or at_tau or step == cfg.total_steps:
-                record = {"step": step, "eval_return": self._evaluate()}
-                record.update(self._drain_losses())
+                record = {"step": step, "eval_return": self._evaluate(),
+                          "clip_hits": clip_hits, **self._drain_losses()}
                 if self.discrete:
-                    final_kl = kl_divergence_to_implied(
+                    record["kl_to_optimal"] = kl_divergence_to_implied(
                         self.d_star, self.buffer.implied_distribution()
                     )
-                    record["kl_to_optimal"] = final_kl
                     if at_tau:
-                        kl_at_tau = final_kl
-                record["clip_hits"] = clip_hits
-                if not self.discrete:
+                        kl_at_tau = record["kl_to_optimal"]
+                else:
                     record["aborted_updates"] = self.agent.aborted_updates
                 writer.write(record)
-                final_eval = record["eval_return"]
             if cfg.checkpoint_period and step % cfg.checkpoint_period == 0:
                 self.agent.save(self.out_dir / f"checkpoint_{step:08d}.bin")
                 self.buffer.snapshot(self.out_dir / f"buffer_{step:08d}.bin")
         writer.close()
         self.agent.save(self.out_dir / "checkpoint.bin")
         self.buffer.snapshot(self.out_dir / "buffer.bin")
+        # record is the step-total_steps one; nothing has changed since
         summary = {
             "seed": self.seed,
             "steps": cfg.total_steps,
-            "final_eval_return": final_eval,
+            "final_eval_return": record["eval_return"],
             # read by perfbench/run.py; the serial loop never writes an overwritten slot
             "stale_updates": 0,
             "clip_hits": clip_hits,
         }
         if self.discrete:
             summary["kl_at_tau"] = kl_at_tau
-            # the step-total_steps record's; the buffer has not changed since
-            summary["final_kl"] = final_kl
+            summary["final_kl"] = record["kl_to_optimal"]
             gap = np.max(np.abs(self.agent.q_table - self.q_star))
             summary["q_error_sup"] = float(gap)
             summary["q_star_sup"] = float(np.max(np.abs(self.q_star)))
@@ -394,16 +398,14 @@ def compute_bias(agent, env, states, actions, rng, horizon: int) -> dict:
 
 def _check_snapshot_pair(agent, buffer: PriorityBuffer, env) -> None:
     """A checkpoint and a buffer of env's problem, or FormatError."""
-    if env.discrete:
-        got, want = agent.q_table.shape, (env.n_states, env.n_actions)
-    else:
-        got, want = (agent.obs_dim, agent.action_dim), (env.obs_dim, env.action_dim)
-    if got != want:
-        raise FormatError(f"checkpoint dims {got} are not the environment's {want}")
-    got, want = (buffer.state_dim, buffer.action_dim, buffer.discrete), _buffer_dims(env)
-    if got != want:
+    agent_dims, buffer_dims = _dims(env)
+    if agent.dims != agent_dims:
+        raise FormatError(f"checkpoint dims {agent.dims} are not the environment's "
+                          f"{agent_dims}")
+    got = (buffer.state_dim, buffer.action_dim, buffer.discrete)
+    if got != buffer_dims:
         raise FormatError(f"buffer (state_dim, action_dim, discrete) {got} is not "
-                          f"the environment's {want}")
+                          f"the environment's {buffer_dims}")
     if env.discrete:
         _check_offline_indices(buffer._live_columns(), env, FormatError)
 
@@ -412,13 +414,18 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     """Bias series over every (checkpoint, buffer) snapshot pair in a run
     directory, scheduled checkpoints first, then the final checkpoint
     unless a scheduled one was taken at the last step. A directory with no
-    pair, or a pair of another problem than cfg's env, raises FormatError."""
+    pair, a pair of another problem than cfg's env, or a checkpoint_*.bin
+    not named checkpoint_<8-digit step>.bin raises FormatError."""
     seed_dir = Path(seed_dir)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     env = make_env(cfg.env, cfg.env_horizon, np.random.default_rng(seed))
-    pairs = sorted(
-        (int(p.stem.split("_")[1]), p) for p in seed_dir.glob("checkpoint_*.bin")
-    )
+    pairs = []
+    for path in seed_dir.glob("checkpoint_*.bin"):
+        match = re.fullmatch(r"checkpoint_([0-9]{8})\.bin", path.name)
+        if match is None:
+            raise FormatError(f"{path} is not named checkpoint_<8-digit step>.bin")
+        pairs.append((int(match[1]), path))
+    pairs.sort()
     # a scheduled checkpoint at the last step holds the final state already
     if not pairs or pairs[-1][0] != cfg.total_steps:
         pairs.append((cfg.total_steps, seed_dir / "checkpoint.bin"))
@@ -428,10 +435,7 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
         if not ckpt_path.exists() or not buffer_path.exists():
             continue
         buffer = PriorityBuffer.load(buffer_path)
-        if env.discrete:
-            agent = TabularAgent.load(ckpt_path, cfg.tabular)
-        else:
-            agent = SacAgent.load(ckpt_path, cfg.sac)
+        agent = _agent(cfg, env, checkpoint=ckpt_path)
         _check_snapshot_pair(agent, buffer, env)
         # min(bias_eval_pairs, len(buffer)) slots drawn uniformly with rng,
         # which then drives the rollouts

@@ -238,6 +238,11 @@ class PriorityBuffer:
         is full, the slot holds the live oldest entry."""
         if not math.isfinite(reward):
             raise InvalidTransitionError(f"reward {reward!r} is not finite")
+        # load's 0/1 flag rule and _coerce's integer rule, as plain Python tests
+        if terminal not in (0, 1):
+            raise InvalidTransitionError(f"terminal {terminal!r} is not 0 or 1")
+        if type(insert_step) is not int and not isinstance(insert_step, np.integer):
+            raise InvalidTransitionError(f"insert_step {insert_step!r} is not an integer")
         if insert_step < 0:
             raise InvalidTransitionError(f"insert_step {insert_step!r} is below 0")
         state = self._coerce(state, self.state_dim, "state")
@@ -454,6 +459,9 @@ class PriorityBuffer:
         if dest.dtype == np.int64 and arr.dtype.kind not in "iu":
             raise InvalidTransitionError(f"{name} must hold integer indices, "
                                          f"got dtype {arr.dtype}")
+        # the flag rule, before the cast to bool hides a value other than 0 or 1
+        if dest.dtype == bool and not (arr == arr.astype(bool)).all():
+            raise InvalidTransitionError(f"{name} holds a flag other than 0 or 1")
         # cast first, so a uint64 above the int64 range counts as negative
         arr = arr.reshape((n,) + row_shape).astype(dest.dtype, copy=False)
         PriorityBuffer._check_values(name, arr)

@@ -200,6 +200,35 @@ class TestTrainCommand:
         assert "rewards contains non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("defect", ["text", "directory", "truncated", "npy",
+                                        "objects"])
+    def test_unreadable_offline_dataset_exit_code(self, tmp_path, capsys, defect):
+        n = 10
+        columns = dict(states=np.zeros(n, dtype=np.int64),
+                       actions=np.zeros(n, dtype=np.int64), rewards=np.zeros(n),
+                       next_states=np.ones(n, dtype=np.int64),
+                       terminals=np.zeros(n, dtype=bool))
+        data = tmp_path / "data.npz"
+        if defect == "text":
+            data.write_text("states,actions,rewards\n0,0,0.0\n")
+        elif defect == "directory":
+            data.mkdir()
+        elif defect == "truncated":
+            np.savez(data, **columns)
+            data.write_bytes(data.read_bytes()[:200])
+        elif defect == "npy":
+            data = tmp_path / "data.npy"
+            np.save(data, columns["rewards"])
+        else:
+            np.savez(data, **dict(columns, rewards=columns["rewards"].astype(object)))
+        path = write_config(tmp_path, offline_dataset=str(data))
+        assert main(["train", "-c", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: offline dataset {str(data)!r} is not "
+                              "a readable .npz: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
+
     @pytest.mark.parametrize("field, bound", [("states", 64), ("actions", 4),
                                               ("next_states", 64)])
     @pytest.mark.parametrize("excess", [0, 2**40])
@@ -269,6 +298,19 @@ class TestBiasCommand:
         cfg_path = write_config(tmp_path)
         assert main(["bias", str(tmp_path), "-c", str(cfg_path), "--seed", "-1"]) == 2
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["checkpoint_final.bin", "checkpoint_100.bin",
+                                      "checkpoint_000000100.bin",
+                                      "checkpoint_-0000100.bin"])
+    def test_stray_checkpoint_name_exit_code(self, tmp_path, capsys, name):
+        # the scheduled checkpoints are checkpoint_<step:08d>.bin
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        seed_dir = tmp_path / "run" / "seed_0"
+        (seed_dir / name).write_bytes((seed_dir / "checkpoint.bin").read_bytes())
+        assert main(["bias", str(seed_dir), "-c", str(cfg_path)]) == 2
+        assert (f"input error: {seed_dir / name} is not named "
+                "checkpoint_<8-digit step>.bin") in capsys.readouterr().err
 
     def test_snapshot_with_a_negative_state_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -378,6 +420,13 @@ class TestReplayInspect:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "capacity 8  size 0  cursor 0"
         assert out[2:] == ["empty buffer: no priorities"]
+
+    def test_negative_top_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "buf.bin"
+        PriorityBuffer(8, 1, 1, discrete=True).snapshot(path)
+        assert main(["replay-inspect", str(path), "--top", "-1"]) == 2
+        assert "--top must be >= 0, got -1" in capsys.readouterr().err
+        assert main(["replay-inspect", str(path), "--top", "0"]) == 0
 
     def test_nan_priority_exit_code(self, tmp_path, capsys):
         buf = PriorityBuffer(8, 1, 1, discrete=True)

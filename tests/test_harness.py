@@ -57,7 +57,7 @@ class TestConfig:
                                      "full_refresh_period",
                                      "refresh_offline_priorities",
                                      "sac", "roer", "per", "laber",
-                                     "sweep_grid"])
+                                     "sweep_grid", "agent_config"])
     def test_unknown_keys_rejected(self, tmp_path, key):
         with pytest.raises(ConfigError, match="unknown config keys"):
             cmod.from_dict(base_raw(tmp_path, **{key: 1}))
@@ -534,6 +534,41 @@ class TestRunTrain:
             a = (out_s / f"seed_{seed}" / "metrics.jsonl").read_bytes()
             b = (out_t / f"seed_{seed}" / "metrics.jsonl").read_bytes()
             assert a == b
+
+
+class TestAgentSite:
+    @pytest.mark.parametrize("env, kind", [("chain-5", TabularAgent),
+                                           ("pendulum", agents.SacAgent)])
+    def test_one_site_builds_updates_and_reloads_either_agent(self, tmp_path, env,
+                                                              kind):
+        cfg = cmod.from_dict(base_raw(tmp_path, env=env, scheme="roer",
+                                      agent=dict(hidden_dims=[8, 8], batch_size=16)))
+        assert cfg.agent_config is (cfg.sac if env == "pendulum" else cfg.tabular)
+        with pytest.raises(TypeError):  # derived from env, not a field
+            replace(cfg, agent_config=cfg.sac)
+        run = harness._SeedRun(cfg, 0, tmp_path / "seed_0")
+        assert type(run.agent) is kind and run.agent.config is cfg.agent_config
+        assert run.agent.dims == harness._dims(run.env)[0]
+        obs = run.env.reset()
+        for step in range(1, 33):
+            action = run._act(obs, step)
+            next_obs, reward, terminal, truncated = run.env.step(action)
+            run.buffer.push(obs, action, reward, next_obs, terminal, step)
+            obs = run.env.reset() if terminal or truncated else next_obs
+        batch, weights = run._sample_batch()
+        rng = run.streams["agent"]
+        state = rng.bit_generator.state
+        # the loop's one call, for either kind
+        metrics = run.agent.update(batch, weights, rng, run.value_loss_cfg, run.div)
+        assert not metrics.aborted and np.isfinite(metrics.value_td_errors).all()
+        # the tabular agent draws nothing; SAC draws its actor noise
+        assert (rng.bit_generator.state == state) == (kind is TabularAgent)
+        run.agent.save(tmp_path / "checkpoint.bin")
+        loaded = harness._agent(cfg, run.env, checkpoint=tmp_path / "checkpoint.bin")
+        assert type(loaded) is kind and loaded.dims == run.agent.dims
+        loaded.save(tmp_path / "again.bin")
+        assert ((tmp_path / "again.bin").read_bytes()
+                == (tmp_path / "checkpoint.bin").read_bytes())
 
 
 class TestBias:

@@ -136,6 +136,25 @@ class TestPush:
             buf.push(0, 0, 0.0, 1, False, insert_step=-1)
         assert len(buf) == 0
 
+    # push's rules as Python tests: load's 0/1 flag rule for terminals, and
+    # the index rule's integer test for the insert step
+    @pytest.mark.parametrize("terminal, step, message", [
+        ("yes", 2, "terminal 'yes' is not 0 or 1"), (0.5, 2, "terminal 0.5"),
+        (7, 2, "terminal 7"), (np.nan, 2, "terminal nan"), (None, 2, "terminal None"),
+        (False, 2.7, "insert_step 2.7 is not an integer"),
+        (False, True, "insert_step True is not an integer"),
+        (False, np.float64(3.0), r"insert_step np.float64\(3.0\) is not an integer")])
+    def test_rejects_a_terminal_or_insert_step_without_its_rule(self, terminal, step,
+                                                                message):
+        buf = tabular_buffer()
+        with pytest.raises(InvalidTransitionError, match=message):
+            buf.push(0, 0, 0.0, 1, terminal, insert_step=step)
+        assert len(buf) == 0
+        for terminal, step in ((1, np.int32(2)), (0.0, 3), (np.bool_(True), 4)):
+            buf.push(0, 0, 0.0, 1, terminal, insert_step=step)
+        assert buf.columns["terminals"][:3].tolist() == [True, False, True]
+        assert buf.columns["insert_steps"][:3].tolist() == [2, 3, 4]
+
     def test_rejects_nonfinite(self):
         buf = vector_buffer()
         with pytest.raises(InvalidTransitionError):
@@ -800,6 +819,8 @@ class TestOfflineFillProperties:
             defects.append("non-finite")
         if discrete and name in ("states", "actions", "next_states"):
             defects += ["float index", "negative index"]
+        if name == "terminals":
+            defects.append("flag")
         defect = data.draw(st.sampled_from(defects))
         if defect == "short":
             rows[name] = col[:-1]
@@ -814,6 +835,11 @@ class TestOfflineFillProperties:
             col = col.copy()
             col.flat[data.draw(st.integers(0, col.size - 1))] = data.draw(
                 st.integers(-2**40, -1))
+            rows[name] = col
+        elif defect == "flag":  # load's rule: a terminal is 0 or 1
+            col = col.astype(np.float64)
+            col.flat[data.draw(st.integers(0, col.size - 1))] = data.draw(
+                st.sampled_from([0.5, 7.0, np.nan, -1.0, 2.0]))
             rows[name] = col
         else:
             rows[name] = col.astype(np.float64)
