@@ -152,27 +152,23 @@ class SacAgent:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         h = config.hidden_dims
         critic_spec = nn.NetworkSpec(obs_dim + action_dim, h, 1)
-        self.critic1 = nn.init(critic_spec, rng)
-        self.critic2 = nn.init(critic_spec, rng)
-        self.target1 = self.critic1.copy()
-        self.target2 = self.critic2.copy()
+        # clipped double Q's twin critics and their targets, as two stacks
+        self.critics = nn.ParameterSet.stack([nn.init(critic_spec, rng) for _ in range(2)])
+        self.targets = self.critics.copy()
         self.actor = nn.init(nn.NetworkSpec(obs_dim, h, 2 * action_dim), rng)
         self.value = nn.init(nn.NetworkSpec(obs_dim, h, 1), rng)
         self.log_alpha = float(np.log(config.init_temperature))
         lr = config.learning_rate
-        self.opt_critic1 = nn.AdamState(self.critic1, lr)
-        self.opt_critic2 = nn.AdamState(self.critic2, lr)
+        self.opt_q = nn.AdamState(self.critics, lr)
         self.opt_actor = nn.AdamState(self.actor, lr)
         self.opt_value = nn.AdamState(self.value, lr)
         self.opt_alpha = nn.ScalarAdam(lr)
         # One contiguous vector holds all an update can roll back: the online
-        # networks (the critic pair first) and every Adam moment. Another
-        # holds the target pair, so Polyak averaging is one pass over both.
-        self._targets = nn.pack([self.target1, self.target2])
-        self._state = nn.pack([self.critic1, self.critic2, self.actor, self.value,
+        # networks (the critic stack first) and every Adam moment. The target
+        # stack is a vector of its own, so Polyak averaging is one pass.
+        self._state = nn.pack([self.critics, self.actor, self.value,
                                *(s for o in self._optimizers() for s in (o.m, o.v))])
-        self._critics = self._targets._like(self._state.flat[:len(self._targets.flat)])
-        self._saved = np.empty(len(self._state.flat))
+        self._saved = np.empty(len(self._state))
         self._saved_steps: list[int] = []
         self.target_entropy = (-float(action_dim) if config.target_entropy is None
                                else config.target_entropy)
@@ -237,15 +233,26 @@ class SacAgent:
         y, cache = nn.forward_cache(params, x)
         return y[:, 0], cache
 
-    def _q_pair(self, p1, p2, x):
-        """Both networks of a critic or target pair on the rows of x."""
-        return _lanes(lambda: self._scalar(p1, x)[0], lambda: self._scalar(p2, x)[0],
+    def _pair(self, job, stack):
+        """(job(stack.row(0), 0), job(stack.row(1), 1)) over a critic or
+        target stack, as two lanes."""
+        return _lanes(lambda: job(stack.row(0), 0), lambda: job(stack.row(1), 1),
                       self.pair_threads)
 
-    def _critic_step(self, params, opt, x, target, weights):
-        """One critic's weighted Huber loss and gradient penalty, and its
-        Adam step; returns the loss and the critic's predictions. A
-        non-finite loss or gradient raises before the step."""
+    def _q(self, stack, x):
+        """Both networks of a critic or target stack on the rows of x; each
+        lane drops its forward cache."""
+        return self._pair(lambda params, _: self._scalar(params, x)[0], stack)
+
+    def min_q(self, x) -> np.ndarray:
+        """Clipped double Q: the min of the two critics on the rows of x."""
+        return np.minimum(*self._q(self.critics, x))
+
+    def _critic_step(self, params, row, x, target, weights):
+        """Critic row's weighted Huber loss and gradient penalty, and its
+        step on its half of the critics' Adam state; returns the loss and
+        the critic's predictions. A non-finite loss or gradient raises
+        before the step."""
         cfg = self.config
         q, cache = self._scalar(params, x)
         out = losses.weighted_huber_critic_loss(q, target, weights, k=cfg.huber_k)
@@ -261,7 +268,7 @@ class SacAgent:
         loss_val = out.value + cfg.penalty_coef * penalty
         if not math.isfinite(loss_val):
             raise FloatingPointError("critic loss diverged")
-        opt.step(params, grads)
+        self.opt_q.step(params, grads, row)
         return loss_val, q
 
     def _critic_input_gradient(self, params, x):
@@ -275,17 +282,15 @@ class SacAgent:
     # the targets move after it. So an abort never reaches either, and the
     # snapshot leaves them out. The rollback copies values back in place, so
     # every ParameterSet and AdamState keeps its identity and its views.
-    _OPTIMIZED = ("critic1", "critic2", "actor", "value")  # _optimizers()' networks
-
     def _optimizers(self):
-        return (self.opt_critic1, self.opt_critic2, self.opt_actor, self.opt_value)
+        return (self.opt_q, self.opt_actor, self.opt_value)
 
     def _snapshot(self) -> None:
-        np.copyto(self._saved, self._state.flat)
+        np.copyto(self._saved, self._state)
         self._saved_steps = [o.step_count for o in self._optimizers()]
 
     def _restore(self) -> None:
-        np.copyto(self._state.flat, self._saved)
+        np.copyto(self._state, self._saved)
         for opt, step_count in zip(self._optimizers(), self._saved_steps):
             opt.step_count = step_count
 
@@ -314,10 +319,12 @@ class SacAgent:
         process and BLAS-bound passes; see PAIR_THREAD_WORK) the second
         lane runs on a helper thread while the first runs on this one:
         - the actor's stacked pass and draw, beside the rollback snapshot;
-        - the target pair's forward, network 2's on the helper;
-        - each critic's loss, backward, penalty and Adam step;
-        - the actor phase's critic forward and input gradient, which read
-          only the stepped critics and so come before the value step;
+        - through _pair, one lane per network of the target or critic
+          stack: the targets' forward; each critic's loss, backward,
+          penalty and step on its half of the one Adam state, whose count
+          moves once after both; and the actor phase's critic forward and
+          input gradient, which read only the stepped critics and so come
+          before the value step;
         - under a ROER scheme, the value network's forward, loss, backward,
           Adam step and TD pass, beside the actor's loss, finite check,
           backward and Adam step. Neither reads the other's network, and
@@ -368,21 +375,20 @@ class SacAgent:
         # same pass also gives the value loss its min-target on (obs, act)
         x_next = np.concatenate([nobs, act[:n]], axis=1)
         rows = x_next if roer is None else np.concatenate([x_next, x])
-        q_target = np.minimum(*self._q_pair(self.target1, self.target2, rows))
+        q_target = np.minimum(*self._q(self.targets, rows))
         target = self._soft_target(batch, q_target[:n], logp[:n])
-        (loss1, q1), (loss2, q2) = _lanes(
-            lambda: self._critic_step(self.critic1, self.opt_critic1, x, target, weights),
-            lambda: self._critic_step(self.critic2, self.opt_critic2, x, target, weights),
-            self.pair_threads)
+        (loss1, q1), (loss2, q2) = self._pair(
+            lambda params, row: self._critic_step(params, row, x, target, weights),
+            self.critics)
+        self.opt_q.count_step()  # each lane stepped its critic at the next count
         metrics = StepMetrics(critic_loss=(loss1 + loss2) / 2,
                               critic_td_errors=target - 0.5 * (q1 + q2))
 
         # the actor's gradient through the min online critic, on the obs
         # half of the draw
         x_new = np.concatenate([obs, act[n:]], axis=1)
-        critics = _lanes(lambda: self._critic_input_gradient(self.critic1, x_new),
-                         lambda: self._critic_input_gradient(self.critic2, x_new),
-                         self.pair_threads)
+        critics = self._pair(
+            lambda params, _: self._critic_input_gradient(params, x_new), self.critics)
         logp, aux = logp[n:], _rows_from(aux, n)
         if roer is None:
             metrics.actor_loss = self._actor_step(aux, logp, critics, n)
@@ -398,7 +404,7 @@ class SacAgent:
         metrics.alpha_loss = -self.log_alpha * entropy_gap
         self.log_alpha = self.opt_alpha.step(self.log_alpha, -entropy_gap)
 
-        nn.polyak(self._targets, self._critics, self.config.polyak_tau)
+        nn.polyak(self.targets, self.critics, self.config.polyak_tau)
         return metrics
 
     def _value_step(self, batch, q_min, roer, div):
@@ -439,10 +445,9 @@ class SacAgent:
         surrogate priorities)."""
         next_act, next_logp, _ = self._sample(batch.next_states, rng)
         x_next = np.concatenate([batch.next_states, next_act], axis=1)
-        q_next = np.minimum(*self._q_pair(self.target1, self.target2, x_next))
+        q_next = np.minimum(*self._q(self.targets, x_next))
         target = self._soft_target(batch, q_next, next_logp)
-        x = np.concatenate([batch.states, batch.actions], axis=1)
-        q1, q2 = self._q_pair(self.critic1, self.critic2, x)
+        q1, q2 = self._q(self.critics, np.concatenate([batch.states, batch.actions], axis=1))
         return np.abs(target - 0.5 * (q1 + q2))
 
     def _soft_target(self, batch, q_next, logp_next) -> np.ndarray:
@@ -479,14 +484,20 @@ class SacAgent:
     # -- checkpointing ----------------------------------------------------
 
     def _checkpoint_entries(self):
-        """Every checkpoint entry in file order, as (key, array). The network
-        and Adam-moment arrays are views into the agent, so load writes
-        through them; the counter entries are fresh arrays."""
-        for name in ("critic1", "critic2", "target1", "target2", "actor", "value"):
-            for key, arr in getattr(self, name).arrays():
+        """Every checkpoint entry in file order, as (key, array). Each stack's
+        networks are entries of their own (critic1, critic2, target1, ...).
+        The network and Adam-moment arrays are views into the agent, so load
+        writes through them; the counter entries are fresh arrays."""
+        q, rows = self.opt_q, range(2)
+        for name, params in [*((f"critic{i + 1}", self.critics.row(i)) for i in rows),
+                             *((f"target{i + 1}", self.targets.row(i)) for i in rows),
+                             ("actor", self.actor), ("value", self.value)]:
+            for key, arr in params.arrays():
                 yield f"{name}.{key}", arr
-        for name, opt in zip(self._OPTIMIZED, self._optimizers()):
-            for mk, mset in (("m", opt.m), ("v", opt.v)):
+        for name, opt, m, v in [*((f"critic{i + 1}", q, q.m.row(i), q.v.row(i)) for i in rows),
+                                ("actor", self.opt_actor, self.opt_actor.m, self.opt_actor.v),
+                                ("value", self.opt_value, self.opt_value.m, self.opt_value.v)]:
+            for mk, mset in (("m", m), ("v", v)):
                 for key, arr in mset.arrays():
                     yield f"opt.{name}.{mk}.{key}", arr
             # the second slot once counted skipped steps; it is always 0
@@ -505,8 +516,13 @@ class SacAgent:
 
     @classmethod
     def load(cls, path_or_stream, config: SacConfig) -> "SacAgent":
-        """Rebuild a checkpoint; an entry that is missing, or whose shape or
-        dtype differs from what config's agent holds, raises FormatError."""
+        """Rebuild a checkpoint. An entry that is missing, whose shape or
+        dtype differs from what config's agent holds, or whose value breaks
+        its rule raises FormatError naming it. The rules: each step count
+        is >= 0, and the two critics' are equal (they share one Adam
+        state); each spare slot is 0; every Adam v is >= 0; log_alpha and
+        alpha_opt are finite, alpha_opt's v >= 0 and its step count integral
+        and >= 0; the abort count is >= 0."""
         arrays = nn.load_checkpoint(path_or_stream)
         meta = binio.checked(arrays, "meta", (3,), np.int64)
         obs_dim, action_dim = int(meta[0]), int(meta[1])
@@ -517,12 +533,30 @@ class SacAgent:
         binio.checked(arrays, "critic1.w0", (width, obs_dim + action_dim), np.float64)
         binio.checked(arrays, "value.w0", (width, obs_dim), np.float64)
         agent = cls(obs_dim, action_dim, config, seed=0)
+
+        def rule(key, holds, what, got=None):
+            if not holds:
+                got = arrays[key].tolist() if got is None else got
+                raise binio.FormatError(f"checkpoint entry {key!r} must hold {what}, got {got}")
+
         for key, arr in agent._checkpoint_entries():
             arr[...] = binio.checked(arrays, key, arr.shape, arr.dtype)
-        for name, opt in zip(cls._OPTIMIZED, agent._optimizers()):
+            if key.endswith(".scalars"):
+                rule(key, arr[0] >= 0 and arr[1] == 0, "a step count >= 0 and a spare slot of 0")
+            elif ".v." in key:
+                rule(key, (arr >= 0.0).all(), "values >= 0", f"min {arr.min()}")
+        rule("opt.critic2.scalars", (arrays["opt.critic1.scalars"][0]
+                                     == arrays["opt.critic2.scalars"][0]),
+             "opt.critic1's step count")
+        rule("log_alpha", np.isfinite(arrays["log_alpha"]).all(), "a finite value")
+        m, v, steps = arrays["alpha_opt"]
+        rule("alpha_opt", np.isfinite(arrays["alpha_opt"]).all() and v >= 0.0
+             and steps >= 0.0 and float(steps).is_integer(),
+             "finite values, v >= 0 and an integral step count >= 0")
+        rule("meta", meta[2] >= 0, "an abort count >= 0")
+        for opt, name in zip(agent._optimizers(), ("critic1", "actor", "value")):
             opt.step_count = int(arrays[f"opt.{name}.scalars"][0])
         agent.log_alpha = float(arrays["log_alpha"][0])
-        m, v, steps = arrays["alpha_opt"]
         agent.opt_alpha.m, agent.opt_alpha.v = float(m), float(v)
         agent.opt_alpha.step_count = int(steps)
         agent.aborted_updates = int(meta[2])

@@ -384,7 +384,7 @@ def compute_bias(agent, env, states, actions, rng, horizon: int) -> dict:
     else:
         policy = lambda obs: agent.act(obs, rng=rng)
         x = np.concatenate([states, actions.reshape(len(states), -1)], axis=1)
-        estimates = np.minimum(*agent._q_pair(agent.critic1, agent.critic2, x))
+        estimates = agent.min_q(x)
     result = mc_true_value(env, policy, (states, actions), agent.config.gamma,
                            rng, horizon=horizon)
     return {

@@ -50,9 +50,13 @@ class ParameterSet:
     per-layer pass would. The layout (each array's shape and its slice of
     `flat`) is computed once and shared by every copy. The constructor
     copies the given arrays.
+
+    A stack (ParameterSet.stack) holds k networks back to back: weights[i]
+    is a (k, out, in) view whose first stride is one network's length, and
+    row(j) views network j alone; the passes below take one network.
     """
 
-    __slots__ = ("flat", "weights", "biases", "_shapes", "_slices")
+    __slots__ = ("flat", "weights", "biases", "_shapes", "_slices", "_rows")
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         if len(weights) != len(biases):
@@ -71,14 +75,33 @@ class ParameterSet:
         self.flat = flat
         self._shapes = shapes
         self._slices = slices
-        views = [flat[s].reshape(shape) for s, shape in zip(slices, shapes)]
+        size = slices[-1].stop
+        if len(flat) == size:  # one network
+            views = [flat[s].reshape(shape) for s, shape in zip(slices, shapes)]
+            self._rows = ()
+        else:  # a stack: one row of flat per network, each a set of its own
+            rows = flat.reshape(-1, size)
+            views = [rows[:, s].reshape(shape) for s, shape in zip(slices, shapes)]
+            row_shapes = tuple(shape[1:] for shape in shapes)
+            self._rows = tuple(self._like(r, row_shapes) for r in rows)
         self.weights = views[0::2]
         self.biases = views[1::2]
 
-    def _like(self, flat: np.ndarray) -> "ParameterSet":
+    def _like(self, flat: np.ndarray, shapes=None) -> "ParameterSet":
         out = ParameterSet.__new__(ParameterSet)
-        out._bind(flat, self._shapes, self._slices)
+        out._bind(flat, shapes or self._shapes, self._slices)
         return out
+
+    @staticmethod
+    def stack(sets: list["ParameterSet"]) -> "ParameterSet":
+        """Sets of one layout as one stack, in the given order; copies them."""
+        return sets[0]._like(np.concatenate([s.flat for s in sets]),
+                             tuple((len(sets), *shape) for shape in sets[0]._shapes))
+
+    def row(self, j: int) -> "ParameterSet":
+        """Network j of a stack, as a set of views into the stack (made once
+        per binding, so each call returns the same object)."""
+        return self._rows[j]
 
     @property
     def n_layers(self) -> int:
@@ -105,19 +128,13 @@ class ParameterSet:
                 and np.array_equal(self.flat, other.flat))
 
 
-def pack(sets: list[ParameterSet]) -> ParameterSet:
-    """Move sets into one contiguous vector, back to back.
-
-    Returns the joined ParameterSet (its layers are those of every set in
-    turn); each given set keeps its identity and its values, but its flat
-    vector and layers become views into the joined one, so a whole-vector
-    operation on the joined set acts on all of them in one pass.
-    """
-    joined = ParameterSet([w for s in sets for w in s.weights],
-                          [b for s in sets for b in s.biases])
+def pack(sets: list[ParameterSet]) -> np.ndarray:
+    """Move sets into one contiguous vector, back to back, and return it;
+    each set keeps its identity and values, as views into the vector."""
+    joined = np.concatenate([s.flat for s in sets])
     offset = 0
     for s in sets:
-        s._bind(joined.flat[offset:offset + len(s.flat)], s._shapes, s._slices)
+        s._bind(joined[offset:offset + len(s.flat)], s._shapes, s._slices)
         offset += len(s.flat)
     return joined
 
@@ -301,14 +318,19 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
 
-    def step(self, params: ParameterSet, grads: ParameterSet) -> ParameterSet:
+    def step(self, params: ParameterSet, grads: ParameterSet,
+             row: int | None = None) -> ParameterSet:
+        """With row, only network row of this state's stack steps, at the
+        next count, which count_step then takes once every row has stepped."""
         if not grads.all_finite():
             raise FloatingPointError("non-finite Adam gradient")
-        self.step_count += 1
-        t = self.step_count
+        t = self.step_count + 1
+        if row is None:
+            self.step_count = t
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        g, m, v = grads.flat, self.m.flat, self.v.flat
+        m, v = (self.m, self.v) if row is None else (self.m.row(row), self.v.row(row))
+        g, m, v = grads.flat, m.flat, v.flat
         # Two transient scratch vectors and in-place ufuncs: each product,
         # sum and quotient is the one of the textbook form
         #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
@@ -330,6 +352,10 @@ class AdamState:
         s /= r
         params.flat -= s
         return params
+
+    def count_step(self) -> None:
+        """Take the count that each row of a split step used."""
+        self.step_count += 1
 
 
 class ScalarAdam:

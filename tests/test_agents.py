@@ -100,8 +100,8 @@ class TestActorGradient:
                 - np.log(1.0 - a**2 + 1e-6),
                 axis=1,
             )
-            q1 = nn.forward(agent.critic1, np.concatenate([obs, a], axis=1))[:, 0]
-            q2 = nn.forward(agent.critic2, np.concatenate([obs, a], axis=1))[:, 0]
+            x = np.concatenate([obs, a], axis=1)
+            q1, q2 = (nn.forward(agent.critics.row(i), x)[:, 0] for i in range(2))
             return float(np.mean(agent.alpha * logp - np.minimum(q1, q2)))
 
         # analytic gradient through the agent's own backward assembly
@@ -110,11 +110,9 @@ class TestActorGradient:
         u = mu + std * eps
         a = np.tanh(u)
         x = np.concatenate([obs, a], axis=1)
-        q1 = nn.forward(agent.critic1, x)[:, 0]
-        q2 = nn.forward(agent.critic2, x)[:, 0]
+        q1, q2 = (nn.forward(agent.critics.row(i), x)[:, 0] for i in range(2))
         use_first = q1 <= q2
-        g1 = nn.input_gradient(agent.critic1, x)[:, 3:]
-        g2 = nn.input_gradient(agent.critic2, x)[:, 3:]
+        g1, g2 = (nn.input_gradient(agent.critics.row(i), x)[:, 3:] for i in range(2))
         dq_da = np.where(use_first[:, None], g1, g2)
         aux = dict(mu=mu, log_std=log_std, std=std, eps=eps, u=u,
                    squashed_raw=squashed, cache=cache)
@@ -156,7 +154,7 @@ class TestUpdate:
         assert m1.actor_loss == m2.actor_loss
         assert m1.value_loss == m2.value_loss
         assert np.array_equal(m1.value_td_errors, m2.value_td_errors)
-        assert agent.critic1 == clone.critic1
+        assert agent.critics == clone.critics and agent.targets == clone.targets
         assert agent.actor == clone.actor
 
     def test_weight_doubling_doubles_critic_gradient(self):
@@ -168,9 +166,10 @@ class TestUpdate:
 
         def critic_grads(weights):
             x = np.concatenate([batch.states, batch.actions], axis=1)
-            q, cache = agent._scalar(agent.critic1, x)
+            critic = agent.critics.row(0)
+            q, cache = agent._scalar(critic, x)
             out = losses.weighted_huber_critic_loss(q, target, weights, k=1.0)
-            grads, _ = nn.backward(agent.critic1, x, out.grad[:, None], cache)
+            grads, _ = nn.backward(critic, x, out.grad[:, None], cache)
             return grads
 
         g1 = critic_grads(w)
@@ -205,13 +204,13 @@ class TestUpdate:
         rng = np.random.default_rng(17)
         batch = make_batch(rng)
         batch.rewards[:] = np.inf  # poisons the critic target
-        before = agent.critic1.copy()
-        opt_steps = agent.opt_critic1.step_count
+        before = agent.critics.copy()
+        opt_steps = agent.opt_q.step_count
         m = agent.update(batch, np.ones(len(batch)), rng, RoerConfig())
         assert m.aborted
         assert agent.aborted_updates == 1
-        assert agent.critic1 == before
-        assert agent.opt_critic1.step_count == opt_steps
+        assert agent.critics == before
+        assert agent.opt_q.step_count == opt_steps
 
     def test_caller_error_is_raised_not_counted(self):
         # 15 loss weights for 16 rows: the Huber loss's length check raises
@@ -231,26 +230,25 @@ class TestUpdate:
         rng = np.random.default_rng(23)
         for _ in range(3):  # nonzero moments, step counts and temperature state
             agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        opts = (agent.opt_critic1, agent.opt_critic2, agent.opt_value,
-                agent.opt_actor, agent.opt_alpha)
+        opts = (agent.opt_q, agent.opt_value, agent.opt_actor, agent.opt_alpha)
 
         def state():
             arrays = agent.checkpoint_arrays()
             arrays.pop("meta")  # holds the abort count
             return ({k: v.tobytes() for k, v in arrays.items()},
-                    [o.step_count for o in opts[:4]])
+                    [o.step_count for o in opts[:3]])
 
         before = state()
         stepped = []
 
         def fail(*args):
-            stepped.append([o.step_count for o in opts[:3]])
+            stepped.append([o.step_count for o in opts[:2]])
             raise FloatingPointError("actor backward diverged")
 
         monkeypatch.setattr(agent, "_actor_backward", fail)
         m = agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        # both critics and the value net had stepped when the abort came
-        assert stepped == [[s + 1 for s in before[1][:3]]]
+        # the critics and the value net had stepped when the abort came
+        assert stepped == [[s + 1 for s in before[1][:2]]]
         assert m.aborted and agent.aborted_updates == 1
         assert state() == before
 
@@ -320,7 +318,7 @@ class TestInPlaceRollback:
         """Make one loss of the given phase NaN; when the abort rolls back,
         record the step counts of the critic and value optimizers in
         `reached`."""
-        opts = (agent.opt_critic1, agent.opt_critic2, agent.opt_value)
+        opts = (agent.opt_q, agent.opt_value)
         calls = []
         restore = agent._restore
 
@@ -340,11 +338,12 @@ class TestInPlaceRollback:
             return wrapped
 
         # the critic pair may run on two threads, in no fixed call order:
-        # the poisons pick critic 2 by its params
+        # the poisons pick a critic by its row of the stack (a row is made
+        # once, so each lane gets the same object)
         def nan_penalty_of(critic):
             def wrapped(params, *args, **kwargs):
                 out = real(params, *args, **kwargs)
-                if params is critic:
+                if params is agent.critics.row(critic):
                     out.value = math.nan
                 return out
             return wrapped
@@ -353,7 +352,7 @@ class TestInPlaceRollback:
             # the loss makes no check of its own: a NaN critic output gives
             # a NaN loss, which the phase's finite check catches
             q, cache = real(params, x)
-            if params is agent.critic2 and not calls:  # its critic-step pass
+            if params is agent.critics.row(1) and not calls:  # its critic-step pass
                 calls.append(1)
                 q = np.full_like(q, math.nan)
             return q, cache
@@ -369,7 +368,7 @@ class TestInPlaceRollback:
         if phase in ("critic", "first_critic"):  # one critic's loss
             real = losses.gradient_penalty
             mp.setattr(losses, "gradient_penalty", nan_penalty_of(
-                agent.critic2 if phase == "critic" else agent.critic1))
+                1 if phase == "critic" else 0))
         elif phase == "critic_output":  # the second critic's predictions
             real = agent._scalar
             mp.setattr(agent, "_scalar", nan_q_of_second)
@@ -381,8 +380,8 @@ class TestInPlaceRollback:
             mp.setattr(agent, "_sample", nan_obs_half)
 
     @pytest.mark.parametrize("phase, stepped", [
-        ("critic", [1, 0, 0]), ("critic_output", [1, 0, 0]), ("value", [1, 1, 0]),
-        ("actor", [1, 1, 1])])
+        ("critic", [0, 0]), ("critic_output", [0, 0]), ("value", [1, 0]),
+        ("actor", [1, 1])])
     def test_abort_restores_in_place_and_matches_a_twin(self, monkeypatch,
                                                        phase, stepped):
         agent, twin = fresh_agent(seed=30), fresh_agent(seed=30)
@@ -391,12 +390,10 @@ class TestInPlaceRollback:
             batch = make_batch(rng)
             update_with(agent, batch, 100 + i)
             update_with(twin, batch, 100 + i)
-        nets = (agent.critic1, agent.critic2, agent.actor, agent.value)
-        opts = (agent.opt_critic1, agent.opt_critic2, agent.opt_actor,
-                agent.opt_value)
+        nets = (agent.critics, agent.targets, agent.actor, agent.value)
+        opts = (agent.opt_q, agent.opt_actor, agent.opt_value)
         moments = [(o.m, o.v) for o in opts]
-        counts = [o.step_count for o in (agent.opt_critic1, agent.opt_critic2,
-                                         agent.opt_value)]
+        counts = [o.step_count for o in (agent.opt_q, agent.opt_value)]
         before = state_bytes(agent)
         reached = []
         with monkeypatch.context() as mp:
@@ -407,9 +404,9 @@ class TestInPlaceRollback:
         assert state_bytes(agent) == before
         # the same objects, with every layer still a view of its flat vector
         assert all(a is b for a, b in zip(
-            (agent.critic1, agent.critic2, agent.actor, agent.value), nets))
-        assert all(a is b for a, b in zip((agent.opt_critic1, agent.opt_critic2,
-                                           agent.opt_actor, agent.opt_value), opts))
+            (agent.critics, agent.targets, agent.actor, agent.value), nets))
+        assert all(a is b for a, b in zip((agent.opt_q, agent.opt_actor,
+                                           agent.opt_value), opts))
         assert all(o.m is m0 and o.v is v0 for o, (m0, v0) in zip(opts, moments))
         for p in [*nets, *(s for pair in moments for s in pair)]:
             assert all(np.shares_memory(a, p.flat) for a in (*p.weights, *p.biases))
@@ -456,11 +453,21 @@ class TestThreadedRollback(TestInPlaceRollback):
         # the rollback starts only after that step, and undoes it
         agent, twin = fresh_agent(seed=33), fresh_agent(seed=33)
         before = state_bytes(agent)
-        reached = []
+        second = agent.critics.row(1).flat.tobytes()
+        reached, second_moved = [], []
         with monkeypatch.context() as mp:
             self.poison(mp, agent, "first_critic", reached)
+            restore = agent._restore
+
+            def recording_restore(*args):
+                second_moved.append(agent.critics.row(1).flat.tobytes() != second)
+                return restore(*args)
+
+            mp.setattr(agent, "_restore", recording_restore)
             m = update_with(agent, make_batch(np.random.default_rng(34)), 35)
-        assert reached == [[0, 1, 0]]
+        # critic 2 had stepped its half of the Adam state, which counts a
+        # step only once both halves have stepped
+        assert reached == [[0, 0]] and second_moved == [True]
         assert m.aborted and state_bytes(agent) == before
         batch = make_batch(np.random.default_rng(36))
         assert metrics_bytes(update_with(agent, batch, 37)) == \
@@ -482,7 +489,7 @@ class TestThreadedRollback(TestInPlaceRollback):
 
             mp.setattr(agent, "_restore", recording_restore)
             m = update_with(agent, make_batch(np.random.default_rng(39)), 40)
-        assert reached == [[1, 1, 0]] and actor_reached == [1]
+        assert reached == [[1, 0]] and actor_reached == [1]
         assert m.aborted and agent.aborted_updates == 1
         assert state_bytes(agent) == before
         assert agent.opt_actor.step_count == 0
@@ -510,20 +517,22 @@ class TestNonFiniteGradient:
             batch = make_batch(rng)
             update_with(agent, batch, 72 + i)
             update_with(twin, batch, 72 + i)
-        opts = (agent.opt_critic1, agent.opt_critic2, agent.opt_actor,
-                agent.opt_value, agent.opt_alpha)
+        opts = (agent.opt_q, agent.opt_actor, agent.opt_value, agent.opt_alpha)
         before = state_bytes(agent), [o.step_count for o in opts], agent.log_alpha
-        opt = getattr(agent, f"opt_{net}")
+        critic = {"critic1": 0, "critic2": 1}.get(net)
+        opt = agent.opt_q if critic is not None else getattr(agent, f"opt_{net}")
         real, raised = opt.step, []
 
-        def poisoned(value, grad):
+        def poisoned(value, grad, row=None):
+            # each critic steps its own row of opt_q with its lane's gradient
             if isinstance(grad, nn.ParameterSet):
-                grad = grad.copy()
-                grad.flat[-1] = math.nan
+                if row == critic:
+                    grad = grad.copy()
+                    grad.flat[-1] = math.nan
             else:
                 grad = math.inf
             try:
-                return real(value, grad)
+                return real(value, grad) if row is None else real(value, grad, row)
             except FloatingPointError:
                 raised.append(net)
                 raise
@@ -564,6 +573,8 @@ class TestPairThreads:
                 metrics_bytes(update_with(threaded, batch, 60 + i, roer, div))
             assert serial.td_surrogates(batch, np.random.default_rng(i)).tobytes() == \
                 threaded.td_surrogates(batch, np.random.default_rng(i)).tobytes()
+            x = np.concatenate([batch.states, batch.actions], axis=1)
+            assert serial.min_q(x).tobytes() == threaded.min_q(x).tobytes()
         assert state_bytes(serial) == state_bytes(threaded)
         assert serial.checkpoint_arrays()["meta"].tobytes() == \
             threaded.checkpoint_arrays()["meta"].tobytes()
@@ -695,12 +706,13 @@ class TestCheckpoint:
         assert set(a1) == set(a2)
         for k in a1:
             assert np.array_equal(a1[k], a2[k]), k
-        # loading writes through the per-layer views into each flat vector
-        sets = [clone.critic1, clone.critic2, clone.target1, clone.target2,
-                clone.actor, clone.value]
-        for opt in (clone.opt_critic1, clone.opt_critic2, clone.opt_actor,
-                    clone.opt_value):
+        # loading writes through the per-layer views into each flat vector,
+        # and through each stack's rows
+        sets = [clone.critics, clone.targets, clone.actor, clone.value]
+        for opt in (clone.opt_q, clone.opt_actor, clone.opt_value):
             sets += [opt.m, opt.v]
+        sets += [s.row(i) for s in (clone.critics, clone.targets, clone.opt_q.m,
+                                    clone.opt_q.v) for i in range(2)]
         for params in sets:
             for _, arr in params.arrays():
                 assert np.shares_memory(arr, params.flat)
@@ -762,27 +774,78 @@ class TestCheckpointMismatch:
             TabularAgent.load(self.saved(arrays), TabularConfig())
 
 
+def set_entry(arrays, key, index, value):
+    arr = arrays[key].copy()
+    arr[index] = value
+    arrays[key] = arr
+
+
+class TestCheckpointValueRules:
+    """A checkpoint entry of the right shape and dtype whose value breaks
+    its rule is a FormatError naming the entry."""
+
+    @pytest.mark.parametrize("key, index, value", [
+        ("opt.critic1.scalars", ..., [-3, 0]),    # a negative step count
+        ("opt.critic2.scalars", 0, 7),            # the critics' counts 0 and 7
+        ("opt.actor.scalars", 1, 9),              # a spare slot of 9
+        ("opt.value.scalars", 0, -1),
+        ("log_alpha", 0, math.nan),
+        ("log_alpha", 0, math.inf),
+        ("alpha_opt", ..., [0.0, -1.0, 2.5]),     # v < 0, a count of 2.5
+        ("alpha_opt", 1, -1.0),
+        ("alpha_opt", 2, 2.5),
+        ("alpha_opt", 2, -1.0),
+        ("alpha_opt", 0, math.nan),
+        ("alpha_opt", 2, math.inf),
+        ("meta", 2, -4),                          # a negative abort count
+        ("opt.value.v.w0", (0, 0), -1.0),         # an Adam v below 0
+        ("opt.critic2.v.b1", 0, math.nan),
+    ])
+    def test_value_rule_refused(self, key, index, value):
+        arrays = TestCheckpointMismatch.sac_arrays()
+        set_entry(arrays, key, index, value)
+        with pytest.raises(FormatError, match=f"entry '{key}'"):
+            SacAgent.load(TestCheckpointMismatch.saved(arrays), fresh_agent().config)
+
+    def test_values_at_their_edges_load(self):
+        arrays = TestCheckpointMismatch.sac_arrays()
+        for key in ("opt.critic1.scalars", "opt.critic2.scalars"):
+            set_entry(arrays, key, 0, 7)
+        set_entry(arrays, "alpha_opt", ..., [-0.5, 0.0, 3.0])  # m may be < 0
+        set_entry(arrays, "opt.actor.m.w0", (0, 0), -2.0)
+        set_entry(arrays, "meta", 2, 5)
+        agent = SacAgent.load(TestCheckpointMismatch.saved(arrays), fresh_agent().config)
+        assert agent.opt_q.step_count == 7 and agent.opt_alpha.step_count == 3
+        assert agent.aborted_updates == 5
+        assert all(a.tobytes() == arrays[k].tobytes()
+                   for k, a in agent.checkpoint_arrays().items())
+
+
 def rollback_sets(agent):
-    """The four online networks and the eight Adam moments."""
-    return [agent.critic1, agent.critic2, agent.actor, agent.value,
-            *(s for o in (agent.opt_critic1, agent.opt_critic2, agent.opt_actor,
-                          agent.opt_value) for s in (o.m, o.v))]
+    """The online networks (the critic stack, the actor, the value network)
+    and their Adam moments."""
+    return [agent.critics, agent.actor, agent.value,
+            *(s for o in (agent.opt_q, agent.opt_actor, agent.opt_value)
+              for s in (o.m, o.v))]
 
 
 class TestPackedState:
     @staticmethod
     def check_packed(agent):
-        state = agent._state.flat
+        state = agent._state
         sets = rollback_sets(agent)
         assert sum(p.flat.size for p in sets) == state.size
         for p in sets:
             assert np.shares_memory(p.flat, state)
             assert all(np.shares_memory(arr, state) for _, arr in p.arrays())
-        for t in (agent.target1, agent.target2):
-            assert np.shares_memory(t.flat, agent._targets.flat)
-            assert not np.shares_memory(t.flat, state)
-        for c in (agent.critic1, agent.critic2):
-            assert np.shares_memory(c.flat, agent._critics.flat)
+        # each stack is a (2, out, in) view whose first stride is one
+        # network's length
+        for stack in (agent.critics, agent.targets, agent.opt_q.m, agent.opt_q.v):
+            size = stack.row(0).flat.nbytes
+            assert stack.flat.nbytes == 2 * size
+            assert all(a.shape[0] == 2 and a.strides[0] == size
+                       for a in (*stack.weights, *stack.biases))
+        assert not np.shares_memory(agent.targets.flat, state)
         assert not np.shares_memory(agent._saved, state)
 
     def test_one_rollback_vector_after_init_and_load(self):
@@ -803,12 +866,11 @@ class TestPackedState:
         agent = fresh_agent(seed=52)
         rng = np.random.default_rng(53)
         agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        refs = [agent.target1.copy(), agent.target2.copy()]
+        refs = [agent.targets.row(i).copy() for i in range(2)]
         agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        for ref, online, target in zip(refs, (agent.critic1, agent.critic2),
-                                       (agent.target1, agent.target2)):
-            nn.polyak(ref, online, agent.config.polyak_tau)
-            assert ref.flat.tobytes() == target.flat.tobytes()
+        for i, ref in enumerate(refs):
+            nn.polyak(ref, agent.critics.row(i), agent.config.polyak_tau)
+            assert ref.flat.tobytes() == agent.targets.row(i).flat.tobytes()
 
 
 class TestTabularAgent:

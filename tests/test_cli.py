@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import roer
-from roer import agents, config as cmod
+from roer import agents, config as cmod, nn
 from roer.agents import SacAgent, SacConfig
 from roer.binio import FormatError
 from roer.cli import main
@@ -396,6 +396,24 @@ class TestBiasCommand:
         assert main(["bias", str(tmp_path / "run" / "seed_0"),
                      "-c", str(full_path)]) == 2
         assert "'critic1.w0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, index, value", [
+        ("opt.critic2.scalars", 0, 7), ("alpha_opt", 2, 2.5), ("meta", 2, -4)])
+    def test_checkpoint_value_rule_exit_code(self, tmp_path, capsys, key, index, value):
+        cfg_path = write_config(tmp_path, env="pendulum", scheme="uniform",
+                                total_steps=40, train_start_step=30, eval_period=40,
+                                env_horizon=20, bias_eval_pairs=4, bias_eval_horizon=10,
+                                agent=dict(profile="test", hidden_dims=[8, 8],
+                                           batch_size=8))
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        seed_dir = tmp_path / "run" / "seed_0"
+        path = seed_dir / "checkpoint.bin"
+        arrays = nn.load_checkpoint(path)
+        arrays[key] = arrays[key].copy()
+        arrays[key][index] = value
+        nn.save_checkpoint(path, arrays)
+        assert main(["bias", str(seed_dir), "-c", str(cfg_path)]) == 2
+        assert f"checkpoint entry '{key}'" in capsys.readouterr().err
 
 
 class TestReplayInspect:

@@ -4,19 +4,22 @@ matrix of short runs.
     git archive HEAD~1 --prefix=roer-parent/ | tar -x -C ..
     python3 tools/parity.py --against ../roer-parent
 
-Both trees run the same 22 configs, each `roer train` in a fresh process
+Both trees run the same 23 configs, each `roer train` in a fresh process
 with that tree's `src` on PYTHONPATH:
 - chain-5 (the tabular agent) and pendulum (SAC, `test` profile), each
   under every scheme of this tree's schemes.SCHEME_CONFIGS and both
   sampling modes: 20 runs;
 - a chain-5 `roer` run whose buffer is prefilled from an offline dataset
   (a fixed .npz this script writes once), larger than the buffer;
-- a pendulum `roer` run with the `full` profile, whose twin passes run on
-  two threads where the process may use two CPUs.
+- a pendulum `roer` run with the `full` profile, whose split twin pairs
+  run their two lanes on two threads where the process may use two CPUs;
+- the same run with seeds [0, 1] and `workers: 2`: with two seed
+  processes on fewer than four CPUs, each runs its two lanes in turn on
+  one thread.
 Every run takes scheduled checkpoints: the chain runs' last one at the
-last step, the pendulum runs' before it. Then `roer bias` runs on its seed
-directory and its config.yaml, and `roer replay-inspect` on its final
-buffer, each in a fresh process too.
+last step, the pendulum runs' before it. Then `roer bias` runs on each
+seed directory and the run's config.yaml, and `roer replay-inspect` on each
+seed's final buffer, each in a fresh process too.
 
 For each config it compares every file the runs wrote, but timing.json
 (wall time) and config.yaml's output_dir; for metrics.jsonl it names the
@@ -84,6 +87,8 @@ def matrix(dataset: Path) -> dict[str, dict]:
     configs["pendulum-roer-full"] = {**_pendulum("roer", "proportional"),
                                      "total_steps": 320, "checkpoint_period": 288,
                                      "agent": dict(profile="full")}
+    configs["pendulum-roer-full-workers"] = {**configs["pendulum-roer-full"],
+                                             "seeds": [0, 1], "workers": 2}
     return configs
 
 
@@ -109,16 +114,18 @@ def _command(src: Path, args: list[str], cwd: Path) -> dict:
 
 def run_config(src: Path, run_dir: Path, cfg: dict) -> dict:
     """Train one config with the tree at src, then bias and replay-inspect
-    on its outputs; the three commands' results, run_dir as PLACEHOLDER."""
+    on each seed's outputs; the commands' results, run_dir as PLACEHOLDER."""
     run_dir.mkdir(parents=True)
     path = run_dir.parent / f"{run_dir.name}.yaml"
     path.write_text(yaml.safe_dump({**cfg, "output_dir": str(run_dir)}))
-    seed_dir = run_dir / "seed_0"
     results = {"train": _command(src, ["train", "-c", str(path)], run_dir.parent)}
-    results["bias"] = _command(src, ["bias", str(seed_dir), "-c", str(run_dir / "config.yaml"),
-                                     "--out", str(run_dir / "bias.json")], run_dir.parent)
-    results["replay-inspect"] = _command(src, ["replay-inspect",
-                                               str(seed_dir / "buffer.bin")], run_dir.parent)
+    for seed in cfg["seeds"]:
+        seed_dir = run_dir / f"seed_{seed}"
+        results[f"bias seed_{seed}"] = _command(
+            src, ["bias", str(seed_dir), "-c", str(run_dir / "config.yaml"),
+                  "--out", str(run_dir / f"bias_{seed}.json")], run_dir.parent)
+        results[f"replay-inspect seed_{seed}"] = _command(
+            src, ["replay-inspect", str(seed_dir / "buffer.bin")], run_dir.parent)
     for result in results.values():
         for key in ("stderr", "stdout"):
             result[key] = result[key].replace(str(run_dir), PLACEHOLDER)
