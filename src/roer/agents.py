@@ -152,21 +152,20 @@ class SacAgent:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         h = config.hidden_dims
         critic_spec = nn.NetworkSpec(obs_dim + action_dim, h, 1)
-        # clipped double Q's twin critics and their targets, as two stacks
-        self.critics = nn.ParameterSet.stack([nn.init(critic_spec, rng) for _ in range(2)])
-        self.targets = self.critics.copy()
+        # clipped double Q's twin critics and their targets, as pairs
+        self.critics = tuple(nn.init(critic_spec, rng) for _ in range(2))
+        self.targets = tuple(c.copy() for c in self.critics)
         self.actor = nn.init(nn.NetworkSpec(obs_dim, h, 2 * action_dim), rng)
         self.value = nn.init(nn.NetworkSpec(obs_dim, h, 1), rng)
         self.log_alpha = float(np.log(config.init_temperature))
         lr = config.learning_rate
-        self.opt_q = nn.AdamState(self.critics, lr)
+        self.opt_q = tuple(nn.AdamState(c, lr) for c in self.critics)
         self.opt_actor = nn.AdamState(self.actor, lr)
         self.opt_value = nn.AdamState(self.value, lr)
         self.opt_alpha = nn.ScalarAdam(lr)
         # One contiguous vector holds all an update can roll back: the online
-        # networks (the critic stack first) and every Adam moment. The target
-        # stack is a vector of its own, so Polyak averaging is one pass.
-        self._state = nn.pack([self.critics, self.actor, self.value,
+        # networks (the critic pair first) and every Adam moment.
+        self._state = nn.pack([*self.critics, self.actor, self.value,
                                *(s for o in self._optimizers() for s in (o.m, o.v))])
         self._saved = np.empty(len(self._state))
         self._saved_steps: list[int] = []
@@ -233,26 +232,25 @@ class SacAgent:
         y, cache = nn.forward_cache(params, x)
         return y[:, 0], cache
 
-    def _pair(self, job, stack):
-        """(job(stack.row(0), 0), job(stack.row(1), 1)) over a critic or
-        target stack, as two lanes."""
-        return _lanes(lambda: job(stack.row(0), 0), lambda: job(stack.row(1), 1),
+    def _pair(self, job, pair):
+        """(job(pair[0], 0), job(pair[1], 1)) over the critic or target pair,
+        as two lanes."""
+        return _lanes(lambda: job(pair[0], 0), lambda: job(pair[1], 1),
                       self.pair_threads)
 
-    def _q(self, stack, x):
-        """Both networks of a critic or target stack on the rows of x; each
+    def _q(self, pair, x):
+        """Both networks of the critic or target pair on the rows of x; each
         lane drops its forward cache."""
-        return self._pair(lambda params, _: self._scalar(params, x)[0], stack)
+        return self._pair(lambda params, _: self._scalar(params, x)[0], pair)
 
     def min_q(self, x) -> np.ndarray:
         """Clipped double Q: the min of the two critics on the rows of x."""
         return np.minimum(*self._q(self.critics, x))
 
-    def _critic_step(self, params, row, x, target, weights):
-        """Critic row's weighted Huber loss and gradient penalty, and its
-        step on its half of the critics' Adam state; returns the loss and
-        the critic's predictions. A non-finite loss or gradient raises
-        before the step."""
+    def _critic_step(self, params, i, x, target, weights):
+        """Critic i's weighted Huber loss and gradient penalty, and its step
+        on its own Adam state opt_q[i]; returns the loss and the critic's
+        predictions. A non-finite loss or gradient raises before the step."""
         cfg = self.config
         q, cache = self._scalar(params, x)
         out = losses.weighted_huber_critic_loss(q, target, weights, k=cfg.huber_k)
@@ -268,7 +266,7 @@ class SacAgent:
         loss_val = out.value + cfg.penalty_coef * penalty
         if not math.isfinite(loss_val):
             raise FloatingPointError("critic loss diverged")
-        self.opt_q.step(params, grads, row)
+        self.opt_q[i].step(params, grads)
         return loss_val, q
 
     def _critic_input_gradient(self, params, x):
@@ -282,8 +280,10 @@ class SacAgent:
     # the targets move after it. So an abort never reaches either, and the
     # snapshot leaves them out. The rollback copies values back in place, so
     # every ParameterSet and AdamState keeps its identity and its views.
+    _OPT_NAMES = ("critic1", "critic2", "actor", "value")  # _optimizers' checkpoint names
+
     def _optimizers(self):
-        return (self.opt_q, self.opt_actor, self.opt_value)
+        return (*self.opt_q, self.opt_actor, self.opt_value)
 
     def _snapshot(self) -> None:
         np.copyto(self._saved, self._state)
@@ -320,11 +320,10 @@ class SacAgent:
         lane runs on a helper thread while the first runs on this one:
         - the actor's stacked pass and draw, beside the rollback snapshot;
         - through _pair, one lane per network of the target or critic
-          stack: the targets' forward; each critic's loss, backward,
-          penalty and step on its half of the one Adam state, whose count
-          moves once after both; and the actor phase's critic forward and
-          input gradient, which read only the stepped critics and so come
-          before the value step;
+          pair: the targets' forward; each critic's loss, backward, penalty
+          and step on its own Adam state; and the actor phase's critic
+          forward and input gradient, which read only the stepped critics
+          and so come before the value step;
         - under a ROER scheme, the value network's forward, loss, backward,
           Adam step and TD pass, beside the actor's loss, finite check,
           backward and Adam step. Neither reads the other's network, and
@@ -378,9 +377,8 @@ class SacAgent:
         q_target = np.minimum(*self._q(self.targets, rows))
         target = self._soft_target(batch, q_target[:n], logp[:n])
         (loss1, q1), (loss2, q2) = self._pair(
-            lambda params, row: self._critic_step(params, row, x, target, weights),
+            lambda params, i: self._critic_step(params, i, x, target, weights),
             self.critics)
-        self.opt_q.count_step()  # each lane stepped its critic at the next count
         metrics = StepMetrics(critic_loss=(loss1 + loss2) / 2,
                               critic_td_errors=target - 0.5 * (q1 + q2))
 
@@ -404,7 +402,8 @@ class SacAgent:
         metrics.alpha_loss = -self.log_alpha * entropy_gap
         self.log_alpha = self.opt_alpha.step(self.log_alpha, -entropy_gap)
 
-        nn.polyak(self.targets, self.critics, self.config.polyak_tau)
+        for target_net, critic in zip(self.targets, self.critics):
+            nn.polyak(target_net, critic, self.config.polyak_tau)
         return metrics
 
     def _value_step(self, batch, q_min, roer, div):
@@ -484,20 +483,16 @@ class SacAgent:
     # -- checkpointing ----------------------------------------------------
 
     def _checkpoint_entries(self):
-        """Every checkpoint entry in file order, as (key, array). Each stack's
-        networks are entries of their own (critic1, critic2, target1, ...).
-        The network and Adam-moment arrays are views into the agent, so load
-        writes through them; the counter entries are fresh arrays."""
-        q, rows = self.opt_q, range(2)
-        for name, params in [*((f"critic{i + 1}", self.critics.row(i)) for i in rows),
-                             *((f"target{i + 1}", self.targets.row(i)) for i in rows),
+        """Every checkpoint entry in file order, as (key, array). The network
+        and Adam-moment arrays are views into the agent, so load writes
+        through them; the counter entries are fresh arrays."""
+        for name, params in [("critic1", self.critics[0]), ("critic2", self.critics[1]),
+                             ("target1", self.targets[0]), ("target2", self.targets[1]),
                              ("actor", self.actor), ("value", self.value)]:
             for key, arr in params.arrays():
                 yield f"{name}.{key}", arr
-        for name, opt, m, v in [*((f"critic{i + 1}", q, q.m.row(i), q.v.row(i)) for i in rows),
-                                ("actor", self.opt_actor, self.opt_actor.m, self.opt_actor.v),
-                                ("value", self.opt_value, self.opt_value.m, self.opt_value.v)]:
-            for mk, mset in (("m", m), ("v", v)):
+        for name, opt in zip(self._OPT_NAMES, self._optimizers()):
+            for mk, mset in (("m", opt.m), ("v", opt.v)):
                 for key, arr in mset.arrays():
                     yield f"opt.{name}.{mk}.{key}", arr
             # the second slot once counted skipped steps; it is always 0
@@ -519,10 +514,12 @@ class SacAgent:
         """Rebuild a checkpoint. An entry that is missing, whose shape or
         dtype differs from what config's agent holds, or whose value breaks
         its rule raises FormatError naming it. The rules: each step count
-        is >= 0, and the two critics' are equal (they share one Adam
-        state); each spare slot is 0; every Adam v is >= 0; log_alpha and
-        alpha_opt are finite, alpha_opt's v >= 0 and its step count integral
-        and >= 0; the abort count is >= 0."""
+        is >= 0, and the two critics' are equal (each critic's Adam state
+        steps once per completed update); each spare slot is 0; every Adam v
+        is >= 0; every other float entry (each network, each Adam m,
+        log_alpha and alpha_opt) is finite, alpha_opt's v >= 0 and its step
+        count integral and >= 0; the abort count is >= 0. An update aborts
+        on a non-finite value before it steps, so every saved agent meets them."""
         arrays = nn.load_checkpoint(path_or_stream)
         meta = binio.checked(arrays, "meta", (3,), np.int64)
         obs_dim, action_dim = int(meta[0]), int(meta[1])
@@ -545,16 +542,17 @@ class SacAgent:
                 rule(key, arr[0] >= 0 and arr[1] == 0, "a step count >= 0 and a spare slot of 0")
             elif ".v." in key:
                 rule(key, (arr >= 0.0).all(), "values >= 0", f"min {arr.min()}")
+            elif arr.dtype == np.float64:
+                bad = np.count_nonzero(~np.isfinite(arr))
+                rule(key, bad == 0, "finite values", f"{bad} non-finite")
         rule("opt.critic2.scalars", (arrays["opt.critic1.scalars"][0]
                                      == arrays["opt.critic2.scalars"][0]),
              "opt.critic1's step count")
-        rule("log_alpha", np.isfinite(arrays["log_alpha"]).all(), "a finite value")
         m, v, steps = arrays["alpha_opt"]
-        rule("alpha_opt", np.isfinite(arrays["alpha_opt"]).all() and v >= 0.0
-             and steps >= 0.0 and float(steps).is_integer(),
-             "finite values, v >= 0 and an integral step count >= 0")
+        rule("alpha_opt", v >= 0.0 and steps >= 0.0 and float(steps).is_integer(),
+             "v >= 0 and an integral step count >= 0")
         rule("meta", meta[2] >= 0, "an abort count >= 0")
-        for opt, name in zip(agent._optimizers(), ("critic1", "actor", "value")):
+        for opt, name in zip(agent._optimizers(), cls._OPT_NAMES):
             opt.step_count = int(arrays[f"opt.{name}.scalars"][0])
         agent.log_alpha = float(arrays["log_alpha"][0])
         agent.opt_alpha.m, agent.opt_alpha.v = float(m), float(v)
@@ -677,6 +675,11 @@ class TabularAgent:
             raise binio.FormatError(f"checkpoint meta {meta.tolist()} has a dim below 1")
         # checked against the file's own table before the agent allocates one
         q_table = binio.checked(arrays, "q_table", (n_states, n_actions), np.float64)
+        # an update aborts on a non-finite TD error, so a saved table is finite
+        bad = np.count_nonzero(~np.isfinite(q_table))
+        if bad:
+            raise binio.FormatError(
+                f"checkpoint entry 'q_table' must hold finite values, got {bad} non-finite")
         agent = cls(n_states, n_actions, config)
         agent.q_table[...] = q_table
         return agent

@@ -74,15 +74,10 @@ class DivergenceSpec:
         (which also rejects nan and infinities)."""
         x = np.asarray(x, dtype=np.float64)
         lo, hi = self.domain_f
-        if x.ndim == 0:  # one Python comparison, not three 0-d ufunc calls
-            if lo < float(x) < hi:
-                return x
-            bad = x
-        else:
-            ok = (lo < x) & (x < hi)
-            if ok.all():
-                return x
-            bad = x.flat[np.argmin(ok)]  # the first failing element
+        ok = (lo < x) & (x < hi)
+        if ok.all():
+            return x
+        bad = x.flat[np.argmin(ok)]  # the first failing element
         raise DomainError(
             f"{self.name}: generator argument {float(bad)!r} outside open "
             f"interval ({lo}, {hi})"
@@ -92,15 +87,10 @@ class DivergenceSpec:
         """y as a float64 array, every element finite and inside domain_conj."""
         y = np.asarray(y, dtype=np.float64)
         lo, hi = self.domain_conj
-        if y.ndim == 0:  # the same test in Python arithmetic
-            bad = float(y)
-            if math.isfinite(bad) and lo <= bad < hi:
-                return y
-        else:
-            ok = np.isfinite(y) & (y >= lo) & (y < hi)
-            if ok.all():
-                return y
-            bad = float(y.flat[np.argmin(ok)])  # the first failing element
+        ok = np.isfinite(y) & (y >= lo) & (y < hi)
+        if ok.all():
+            return y
+        bad = float(y.flat[np.argmin(ok)])  # the first failing element
         if not math.isfinite(bad):
             raise DomainError(
                 f"{self.name}: conjugate argument {bad!r} is not finite"

@@ -397,7 +397,7 @@ def compute_bias(agent, env, states, actions, rng, horizon: int) -> dict:
 
 
 def _check_snapshot_pair(agent, buffer: PriorityBuffer, env) -> None:
-    """A checkpoint and a buffer of env's problem, or FormatError."""
+    """A checkpoint and a nonempty buffer of env's problem, or FormatError."""
     agent_dims, buffer_dims = _dims(env)
     if agent.dims != agent_dims:
         raise FormatError(f"checkpoint dims {agent.dims} are not the environment's "
@@ -406,6 +406,8 @@ def _check_snapshot_pair(agent, buffer: PriorityBuffer, env) -> None:
     if got != buffer_dims:
         raise FormatError(f"buffer (state_dim, action_dim, discrete) {got} is not "
                           f"the environment's {buffer_dims}")
+    if len(buffer) == 0:
+        raise FormatError("buffer holds no transitions")
     if env.discrete:
         _check_offline_indices(buffer._live_columns(), env, FormatError)
 
@@ -414,8 +416,9 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     """Bias series over every (checkpoint, buffer) snapshot pair in a run
     directory, scheduled checkpoints first, then the final checkpoint
     unless a scheduled one was taken at the last step. A directory with no
-    pair, a pair of another problem than cfg's env, or a checkpoint_*.bin
-    not named checkpoint_<8-digit step>.bin raises FormatError."""
+    pair, a pair of another problem than cfg's env or with an empty
+    buffer, or a checkpoint_*.bin not named checkpoint_<8-digit step>.bin
+    raises FormatError."""
     seed_dir = Path(seed_dir)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     env = make_env(cfg.env, cfg.env_horizon, np.random.default_rng(seed))

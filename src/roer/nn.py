@@ -50,13 +50,9 @@ class ParameterSet:
     per-layer pass would. The layout (each array's shape and its slice of
     `flat`) is computed once and shared by every copy. The constructor
     copies the given arrays.
-
-    A stack (ParameterSet.stack) holds k networks back to back: weights[i]
-    is a (k, out, in) view whose first stride is one network's length, and
-    row(j) views network j alone; the passes below take one network.
     """
 
-    __slots__ = ("flat", "weights", "biases", "_shapes", "_slices", "_rows")
+    __slots__ = ("flat", "weights", "biases", "_shapes", "_slices")
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         if len(weights) != len(biases):
@@ -75,33 +71,14 @@ class ParameterSet:
         self.flat = flat
         self._shapes = shapes
         self._slices = slices
-        size = slices[-1].stop
-        if len(flat) == size:  # one network
-            views = [flat[s].reshape(shape) for s, shape in zip(slices, shapes)]
-            self._rows = ()
-        else:  # a stack: one row of flat per network, each a set of its own
-            rows = flat.reshape(-1, size)
-            views = [rows[:, s].reshape(shape) for s, shape in zip(slices, shapes)]
-            row_shapes = tuple(shape[1:] for shape in shapes)
-            self._rows = tuple(self._like(r, row_shapes) for r in rows)
+        views = [flat[s].reshape(shape) for s, shape in zip(slices, shapes)]
         self.weights = views[0::2]
         self.biases = views[1::2]
 
-    def _like(self, flat: np.ndarray, shapes=None) -> "ParameterSet":
+    def _like(self, flat: np.ndarray) -> "ParameterSet":
         out = ParameterSet.__new__(ParameterSet)
-        out._bind(flat, shapes or self._shapes, self._slices)
+        out._bind(flat, self._shapes, self._slices)
         return out
-
-    @staticmethod
-    def stack(sets: list["ParameterSet"]) -> "ParameterSet":
-        """Sets of one layout as one stack, in the given order; copies them."""
-        return sets[0]._like(np.concatenate([s.flat for s in sets]),
-                             tuple((len(sets), *shape) for shape in sets[0]._shapes))
-
-    def row(self, j: int) -> "ParameterSet":
-        """Network j of a stack, as a set of views into the stack (made once
-        per binding, so each call returns the same object)."""
-        return self._rows[j]
 
     @property
     def n_layers(self) -> int:
@@ -318,19 +295,14 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
 
-    def step(self, params: ParameterSet, grads: ParameterSet,
-             row: int | None = None) -> ParameterSet:
-        """With row, only network row of this state's stack steps, at the
-        next count, which count_step then takes once every row has stepped."""
+    def step(self, params: ParameterSet, grads: ParameterSet) -> ParameterSet:
         if not grads.all_finite():
             raise FloatingPointError("non-finite Adam gradient")
-        t = self.step_count + 1
-        if row is None:
-            self.step_count = t
+        self.step_count += 1
+        t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        m, v = (self.m, self.v) if row is None else (self.m.row(row), self.v.row(row))
-        g, m, v = grads.flat, m.flat, v.flat
+        g, m, v = grads.flat, self.m.flat, self.v.flat
         # Two transient scratch vectors and in-place ufuncs: each product,
         # sum and quotient is the one of the textbook form
         #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
@@ -352,10 +324,6 @@ class AdamState:
         s /= r
         params.flat -= s
         return params
-
-    def count_step(self) -> None:
-        """Take the count that each row of a split step used."""
-        self.step_count += 1
 
 
 class ScalarAdam:

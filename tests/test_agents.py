@@ -101,7 +101,7 @@ class TestActorGradient:
                 axis=1,
             )
             x = np.concatenate([obs, a], axis=1)
-            q1, q2 = (nn.forward(agent.critics.row(i), x)[:, 0] for i in range(2))
+            q1, q2 = (nn.forward(agent.critics[i], x)[:, 0] for i in range(2))
             return float(np.mean(agent.alpha * logp - np.minimum(q1, q2)))
 
         # analytic gradient through the agent's own backward assembly
@@ -110,9 +110,9 @@ class TestActorGradient:
         u = mu + std * eps
         a = np.tanh(u)
         x = np.concatenate([obs, a], axis=1)
-        q1, q2 = (nn.forward(agent.critics.row(i), x)[:, 0] for i in range(2))
+        q1, q2 = (nn.forward(agent.critics[i], x)[:, 0] for i in range(2))
         use_first = q1 <= q2
-        g1, g2 = (nn.input_gradient(agent.critics.row(i), x)[:, 3:] for i in range(2))
+        g1, g2 = (nn.input_gradient(agent.critics[i], x)[:, 3:] for i in range(2))
         dq_da = np.where(use_first[:, None], g1, g2)
         aux = dict(mu=mu, log_std=log_std, std=std, eps=eps, u=u,
                    squashed_raw=squashed, cache=cache)
@@ -166,7 +166,7 @@ class TestUpdate:
 
         def critic_grads(weights):
             x = np.concatenate([batch.states, batch.actions], axis=1)
-            critic = agent.critics.row(0)
+            critic = agent.critics[0]
             q, cache = agent._scalar(critic, x)
             out = losses.weighted_huber_critic_loss(q, target, weights, k=1.0)
             grads, _ = nn.backward(critic, x, out.grad[:, None], cache)
@@ -204,13 +204,13 @@ class TestUpdate:
         rng = np.random.default_rng(17)
         batch = make_batch(rng)
         batch.rewards[:] = np.inf  # poisons the critic target
-        before = agent.critics.copy()
-        opt_steps = agent.opt_q.step_count
+        before = tuple(c.copy() for c in agent.critics)
+        opt_steps = [o.step_count for o in agent.opt_q]
         m = agent.update(batch, np.ones(len(batch)), rng, RoerConfig())
         assert m.aborted
         assert agent.aborted_updates == 1
         assert agent.critics == before
-        assert agent.opt_q.step_count == opt_steps
+        assert [o.step_count for o in agent.opt_q] == opt_steps
 
     def test_caller_error_is_raised_not_counted(self):
         # 15 loss weights for 16 rows: the Huber loss's length check raises
@@ -230,25 +230,25 @@ class TestUpdate:
         rng = np.random.default_rng(23)
         for _ in range(3):  # nonzero moments, step counts and temperature state
             agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        opts = (agent.opt_q, agent.opt_value, agent.opt_actor, agent.opt_alpha)
+        opts = (*agent.opt_q, agent.opt_value, agent.opt_actor, agent.opt_alpha)
 
         def state():
             arrays = agent.checkpoint_arrays()
             arrays.pop("meta")  # holds the abort count
             return ({k: v.tobytes() for k, v in arrays.items()},
-                    [o.step_count for o in opts[:3]])
+                    [o.step_count for o in opts[:4]])
 
         before = state()
         stepped = []
 
         def fail(*args):
-            stepped.append([o.step_count for o in opts[:2]])
+            stepped.append([o.step_count for o in opts[:3]])
             raise FloatingPointError("actor backward diverged")
 
         monkeypatch.setattr(agent, "_actor_backward", fail)
         m = agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        # the critics and the value net had stepped when the abort came
-        assert stepped == [[s + 1 for s in before[1][:2]]]
+        # both critics and the value net had stepped when the abort came
+        assert stepped == [[s + 1 for s in before[1][:3]]]
         assert m.aborted and agent.aborted_updates == 1
         assert state() == before
 
@@ -318,7 +318,7 @@ class TestInPlaceRollback:
         """Make one loss of the given phase NaN; when the abort rolls back,
         record the step counts of the critic and value optimizers in
         `reached`."""
-        opts = (agent.opt_q, agent.opt_value)
+        opts = (*agent.opt_q, agent.opt_value)
         calls = []
         restore = agent._restore
 
@@ -338,12 +338,11 @@ class TestInPlaceRollback:
             return wrapped
 
         # the critic pair may run on two threads, in no fixed call order:
-        # the poisons pick a critic by its row of the stack (a row is made
-        # once, so each lane gets the same object)
+        # the poisons pick a critic by its params
         def nan_penalty_of(critic):
             def wrapped(params, *args, **kwargs):
                 out = real(params, *args, **kwargs)
-                if params is agent.critics.row(critic):
+                if params is agent.critics[critic]:
                     out.value = math.nan
                 return out
             return wrapped
@@ -352,7 +351,7 @@ class TestInPlaceRollback:
             # the loss makes no check of its own: a NaN critic output gives
             # a NaN loss, which the phase's finite check catches
             q, cache = real(params, x)
-            if params is agent.critics.row(1) and not calls:  # its critic-step pass
+            if params is agent.critics[1] and not calls:  # its critic-step pass
                 calls.append(1)
                 q = np.full_like(q, math.nan)
             return q, cache
@@ -380,8 +379,8 @@ class TestInPlaceRollback:
             mp.setattr(agent, "_sample", nan_obs_half)
 
     @pytest.mark.parametrize("phase, stepped", [
-        ("critic", [0, 0]), ("critic_output", [0, 0]), ("value", [1, 0]),
-        ("actor", [1, 1])])
+        ("critic", [1, 0, 0]), ("critic_output", [1, 0, 0]), ("value", [1, 1, 0]),
+        ("actor", [1, 1, 1])])
     def test_abort_restores_in_place_and_matches_a_twin(self, monkeypatch,
                                                        phase, stepped):
         agent, twin = fresh_agent(seed=30), fresh_agent(seed=30)
@@ -390,10 +389,10 @@ class TestInPlaceRollback:
             batch = make_batch(rng)
             update_with(agent, batch, 100 + i)
             update_with(twin, batch, 100 + i)
-        nets = (agent.critics, agent.targets, agent.actor, agent.value)
-        opts = (agent.opt_q, agent.opt_actor, agent.opt_value)
+        nets = (*agent.critics, *agent.targets, agent.actor, agent.value)
+        opts = (*agent.opt_q, agent.opt_actor, agent.opt_value)
         moments = [(o.m, o.v) for o in opts]
-        counts = [o.step_count for o in (agent.opt_q, agent.opt_value)]
+        counts = [o.step_count for o in (*agent.opt_q, agent.opt_value)]
         before = state_bytes(agent)
         reached = []
         with monkeypatch.context() as mp:
@@ -404,8 +403,8 @@ class TestInPlaceRollback:
         assert state_bytes(agent) == before
         # the same objects, with every layer still a view of its flat vector
         assert all(a is b for a, b in zip(
-            (agent.critics, agent.targets, agent.actor, agent.value), nets))
-        assert all(a is b for a, b in zip((agent.opt_q, agent.opt_actor,
+            (*agent.critics, *agent.targets, agent.actor, agent.value), nets))
+        assert all(a is b for a, b in zip((*agent.opt_q, agent.opt_actor,
                                            agent.opt_value), opts))
         assert all(o.m is m0 and o.v is v0 for o, (m0, v0) in zip(opts, moments))
         for p in [*nets, *(s for pair in moments for s in pair)]:
@@ -453,21 +452,20 @@ class TestThreadedRollback(TestInPlaceRollback):
         # the rollback starts only after that step, and undoes it
         agent, twin = fresh_agent(seed=33), fresh_agent(seed=33)
         before = state_bytes(agent)
-        second = agent.critics.row(1).flat.tobytes()
+        second = agent.critics[1].flat.tobytes()
         reached, second_moved = [], []
         with monkeypatch.context() as mp:
             self.poison(mp, agent, "first_critic", reached)
             restore = agent._restore
 
             def recording_restore(*args):
-                second_moved.append(agent.critics.row(1).flat.tobytes() != second)
+                second_moved.append(agent.critics[1].flat.tobytes() != second)
                 return restore(*args)
 
             mp.setattr(agent, "_restore", recording_restore)
             m = update_with(agent, make_batch(np.random.default_rng(34)), 35)
-        # critic 2 had stepped its half of the Adam state, which counts a
-        # step only once both halves have stepped
-        assert reached == [[0, 0]] and second_moved == [True]
+        # critic 2 had stepped, network and Adam state, when the rollback began
+        assert reached == [[0, 1, 0]] and second_moved == [True]
         assert m.aborted and state_bytes(agent) == before
         batch = make_batch(np.random.default_rng(36))
         assert metrics_bytes(update_with(agent, batch, 37)) == \
@@ -489,7 +487,7 @@ class TestThreadedRollback(TestInPlaceRollback):
 
             mp.setattr(agent, "_restore", recording_restore)
             m = update_with(agent, make_batch(np.random.default_rng(39)), 40)
-        assert reached == [[1, 0]] and actor_reached == [1]
+        assert reached == [[1, 1, 0]] and actor_reached == [1]
         assert m.aborted and agent.aborted_updates == 1
         assert state_bytes(agent) == before
         assert agent.opt_actor.step_count == 0
@@ -517,22 +515,20 @@ class TestNonFiniteGradient:
             batch = make_batch(rng)
             update_with(agent, batch, 72 + i)
             update_with(twin, batch, 72 + i)
-        opts = (agent.opt_q, agent.opt_actor, agent.opt_value, agent.opt_alpha)
+        opts = (*agent.opt_q, agent.opt_actor, agent.opt_value, agent.opt_alpha)
         before = state_bytes(agent), [o.step_count for o in opts], agent.log_alpha
         critic = {"critic1": 0, "critic2": 1}.get(net)
-        opt = agent.opt_q if critic is not None else getattr(agent, f"opt_{net}")
+        opt = agent.opt_q[critic] if critic is not None else getattr(agent, f"opt_{net}")
         real, raised = opt.step, []
 
-        def poisoned(value, grad, row=None):
-            # each critic steps its own row of opt_q with its lane's gradient
+        def poisoned(value, grad):
             if isinstance(grad, nn.ParameterSet):
-                if row == critic:
-                    grad = grad.copy()
-                    grad.flat[-1] = math.nan
+                grad = grad.copy()
+                grad.flat[-1] = math.nan
             else:
                 grad = math.inf
             try:
-                return real(value, grad) if row is None else real(value, grad, row)
+                return real(value, grad)
             except FloatingPointError:
                 raised.append(net)
                 raise
@@ -706,13 +702,10 @@ class TestCheckpoint:
         assert set(a1) == set(a2)
         for k in a1:
             assert np.array_equal(a1[k], a2[k]), k
-        # loading writes through the per-layer views into each flat vector,
-        # and through each stack's rows
-        sets = [clone.critics, clone.targets, clone.actor, clone.value]
-        for opt in (clone.opt_q, clone.opt_actor, clone.opt_value):
+        # loading writes through the per-layer views into each flat vector
+        sets = [*clone.critics, *clone.targets, clone.actor, clone.value]
+        for opt in (*clone.opt_q, clone.opt_actor, clone.opt_value):
             sets += [opt.m, opt.v]
-        sets += [s.row(i) for s in (clone.critics, clone.targets, clone.opt_q.m,
-                                    clone.opt_q.v) for i in range(2)]
         for params in sets:
             for _, arr in params.arrays():
                 assert np.shares_memory(arr, params.flat)
@@ -773,6 +766,16 @@ class TestCheckpointMismatch:
         with pytest.raises(FormatError):
             TabularAgent.load(self.saved(arrays), TabularConfig())
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_tabular_nonfinite_q_table(self, value):
+        table = np.arange(6.0).reshape(3, 2)
+        arrays = dict(q_table=table, meta=np.array([3, 2], dtype=np.int64))
+        agent = TabularAgent.load(self.saved(arrays), TabularConfig())
+        assert agent.q_table.tobytes() == table.tobytes()
+        table[2, 1] = value
+        with pytest.raises(FormatError, match="entry 'q_table' must hold finite values"):
+            TabularAgent.load(self.saved(arrays), TabularConfig())
+
 
 def set_entry(arrays, key, index, value):
     arr = arrays[key].copy()
@@ -800,6 +803,14 @@ class TestCheckpointValueRules:
         ("meta", 2, -4),                          # a negative abort count
         ("opt.value.v.w0", (0, 0), -1.0),         # an Adam v below 0
         ("opt.critic2.v.b1", 0, math.nan),
+        ("critic1.w0", (0, 0), math.nan),         # a non-finite network entry
+        ("critic2.b2", 0, math.inf),
+        ("target2.w1", (2, 3), -math.inf),
+        ("actor.b0", 1, math.nan),
+        ("value.w2", (0, 0), math.inf),
+        ("opt.critic1.m.w0", (0, 0), math.nan),   # a non-finite Adam m
+        ("opt.actor.m.b2", 0, -math.inf),
+        ("opt.value.m.w1", (1, 1), math.inf),
     ])
     def test_value_rule_refused(self, key, index, value):
         arrays = TestCheckpointMismatch.sac_arrays()
@@ -813,19 +824,21 @@ class TestCheckpointValueRules:
             set_entry(arrays, key, 0, 7)
         set_entry(arrays, "alpha_opt", ..., [-0.5, 0.0, 3.0])  # m may be < 0
         set_entry(arrays, "opt.actor.m.w0", (0, 0), -2.0)
+        set_entry(arrays, "critic2.w1", (0, 0), -1e308)  # finite, however large
+        set_entry(arrays, "opt.critic1.m.b0", 0, 1e308)
         set_entry(arrays, "meta", 2, 5)
         agent = SacAgent.load(TestCheckpointMismatch.saved(arrays), fresh_agent().config)
-        assert agent.opt_q.step_count == 7 and agent.opt_alpha.step_count == 3
+        assert [o.step_count for o in agent.opt_q] == [7, 7]
+        assert agent.opt_alpha.step_count == 3
         assert agent.aborted_updates == 5
         assert all(a.tobytes() == arrays[k].tobytes()
                    for k, a in agent.checkpoint_arrays().items())
 
 
 def rollback_sets(agent):
-    """The online networks (the critic stack, the actor, the value network)
-    and their Adam moments."""
-    return [agent.critics, agent.actor, agent.value,
-            *(s for o in (agent.opt_q, agent.opt_actor, agent.opt_value)
+    """The four online networks and the eight Adam moments."""
+    return [*agent.critics, agent.actor, agent.value,
+            *(s for o in (*agent.opt_q, agent.opt_actor, agent.opt_value)
               for s in (o.m, o.v))]
 
 
@@ -838,14 +851,11 @@ class TestPackedState:
         for p in sets:
             assert np.shares_memory(p.flat, state)
             assert all(np.shares_memory(arr, state) for _, arr in p.arrays())
-        # each stack is a (2, out, in) view whose first stride is one
-        # network's length
-        for stack in (agent.critics, agent.targets, agent.opt_q.m, agent.opt_q.v):
-            size = stack.row(0).flat.nbytes
-            assert stack.flat.nbytes == 2 * size
-            assert all(a.shape[0] == 2 and a.strides[0] == size
-                       for a in (*stack.weights, *stack.biases))
-        assert not np.shares_memory(agent.targets.flat, state)
+        # the critic pair lies side by side at the head of the vector
+        first, second = (c.flat for c in agent.critics)
+        assert first.ctypes.data == state.ctypes.data
+        assert second.ctypes.data == first.ctypes.data + first.nbytes
+        assert not any(np.shares_memory(t.flat, state) for t in agent.targets)
         assert not np.shares_memory(agent._saved, state)
 
     def test_one_rollback_vector_after_init_and_load(self):
@@ -866,11 +876,11 @@ class TestPackedState:
         agent = fresh_agent(seed=52)
         rng = np.random.default_rng(53)
         agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        refs = [agent.targets.row(i).copy() for i in range(2)]
+        refs = [t.copy() for t in agent.targets]
         agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        for i, ref in enumerate(refs):
-            nn.polyak(ref, agent.critics.row(i), agent.config.polyak_tau)
-            assert ref.flat.tobytes() == agent.targets.row(i).flat.tobytes()
+        for ref, online, target in zip(refs, agent.critics, agent.targets):
+            nn.polyak(ref, online, agent.config.polyak_tau)
+            assert ref.flat.tobytes() == target.flat.tobytes()
 
 
 class TestTabularAgent:

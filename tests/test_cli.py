@@ -373,6 +373,29 @@ class TestBiasCommand:
         assert main(["bias", str(path.parent), "-c", str(cfg_path)]) == 2
         assert f"{column} holds index {bound}" in capsys.readouterr().err
 
+    def test_empty_buffer_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        path = tmp_path / "run" / "seed_0" / "buffer.bin"
+        PriorityBuffer(200, 1, 1, discrete=True).snapshot(path)
+        assert main(["bias", str(path.parent), "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "input error: buffer holds no transitions" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [nan, inf, -inf])
+    def test_nonfinite_q_table_exit_code(self, tmp_path, capsys, value):
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        path = tmp_path / "run" / "seed_0" / "checkpoint.bin"
+        arrays = nn.load_checkpoint(path)
+        arrays["q_table"] = arrays["q_table"].copy()
+        arrays["q_table"][1, 0] = value
+        nn.save_checkpoint(path, arrays)
+        assert main(["bias", str(path.parent), "-c", str(cfg_path)]) == 2
+        assert ("checkpoint entry 'q_table' must hold finite values, got 1 non-finite"
+                in capsys.readouterr().err)
+
     def test_directory_without_a_pair_exit_code(self, tmp_path, capsys):
         # the run root, not its seed directory
         cfg_path = write_config(tmp_path)
@@ -398,7 +421,8 @@ class TestBiasCommand:
         assert "'critic1.w0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, index, value", [
-        ("opt.critic2.scalars", 0, 7), ("alpha_opt", 2, 2.5), ("meta", 2, -4)])
+        ("opt.critic2.scalars", 0, 7), ("alpha_opt", 2, 2.5), ("meta", 2, -4),
+        ("target1.w1", (0, 0), nan)])
     def test_checkpoint_value_rule_exit_code(self, tmp_path, capsys, key, index, value):
         cfg_path = write_config(tmp_path, env="pendulum", scheme="uniform",
                                 total_steps=40, train_start_step=30, eval_period=40,

@@ -547,83 +547,3 @@ class TestMaskedPasses:
             twin_state.step(twin, negated)
             assert same_bytes(params, twin)
             assert same_bytes(state.m, twin_state.m) and same_bytes(state.v, twin_state.v)
-
-
-# ----------------------------------------------------------------------
-# a stack of two networks (SacAgent's twin critics and twin targets): one
-# vector, each network a row of it that the passes take alone
-
-
-def critic_pair(hidden, seed=0):
-    """(stack, its two networks as rows): two scalar critics of a
-    (4, hidden, 1) spec stacked inside one packed vector with a third
-    network after them, as the agent lays them out."""
-    rng = np.random.default_rng(seed)
-    spec = NetworkSpec(4, hidden, 1)
-    stack = ParameterSet.stack([nn.init(spec, rng), nn.init(spec, rng)])
-    before = stack.row(0)
-    nn.pack([stack, nn.init(NetworkSpec(3, hidden, 2), rng)])
-    # pack rebinds the stack, and its rows are made again for the new vector
-    assert stack.row(0) is stack.row(0) and stack.row(0) is not before
-    assert all(np.shares_memory(stack.row(i).flat, stack.flat) for i in range(2))
-    return stack, [stack.row(i) for i in range(2)]
-
-
-class TestStackedNetworks:
-    def test_stack_is_one_vector_of_rows(self):
-        rng = np.random.default_rng(3)
-        nets = [nn.init(NetworkSpec(4, (5, 6), 1), rng) for _ in range(2)]
-        stack = ParameterSet.stack(nets)
-        assert stack.flat.tobytes() == b"".join(p.flat.tobytes() for p in nets)
-        assert not any(np.shares_memory(stack.flat, p.flat) for p in nets)
-        size = nets[0].flat.nbytes
-        for l, (w, b) in enumerate(zip(stack.weights, stack.biases)):
-            assert w.shape == (2, *nets[0].weights[l].shape) and w.strides[0] == size
-            assert b.shape == (2, *nets[0].biases[l].shape) and b.strides[0] == size
-        assert shares_flat(stack)
-        for i, p in enumerate(nets):
-            row = stack.row(i)
-            assert row == p and shares_flat(row)
-            assert np.shares_memory(row.flat, stack.flat)
-            assert all(np.shares_memory(a, stack.flat) for a in flat_params(row))
-        for like in (stack.copy(), stack.zeros_like()):
-            assert like._shapes == stack._shapes and shares_flat(like)
-
-    @pytest.mark.parametrize("hidden", [(64, 64), (256, 256)])
-    def test_adam_steps_the_stack_or_one_row_at_a_time(self, hidden):
-        stack, nets = critic_pair(hidden)
-        by_rows = stack.copy()
-        singles = [p.copy() for p in nets]
-        state, row_state = AdamState(stack, 1e-2), AdamState(by_rows, 1e-2)
-        single_states = [AdamState(p, 1e-2) for p in singles]
-        rng = np.random.default_rng(4)
-        for _ in range(3):
-            grads = stack.zeros_like()
-            grads.flat[:] = rng.normal(size=grads.flat.size)
-            state.step(stack, grads)
-            for i in range(2):
-                row_state.step(by_rows.row(i), grads.row(i), i)
-                single_states[i].step(singles[i], grads.row(i))
-            # each row stepped at the next count; count_step then takes it
-            assert row_state.step_count == state.step_count - 1
-            row_state.count_step()
-            assert row_state.step_count == state.step_count
-        assert same_bytes(by_rows, stack)
-        assert same_bytes(row_state.m, state.m) and same_bytes(row_state.v, state.v)
-        for i, (p, s) in enumerate(zip(singles, single_states)):
-            assert same_bytes(stack.row(i), p)
-            assert same_bytes(state.m.row(i), s.m) and same_bytes(state.v.row(i), s.v)
-        bad = stack.zeros_like()
-        bad.flat[-1] = np.nan
-        before = by_rows.copy()
-        with pytest.raises(FloatingPointError):
-            row_state.step(by_rows.row(1), bad.row(1), 1)
-        assert same_bytes(by_rows, before)
-
-    def test_polyak_over_a_stack_is_polyak_per_row(self):
-        target, _ = critic_pair((8, 8), seed=5)
-        online, _ = critic_pair((8, 8), seed=6)
-        refs = [target.row(i).copy() for i in range(2)]
-        nn.polyak(target, online, 0.3)
-        for i, ref in enumerate(refs):
-            assert same_bytes(nn.polyak(ref, online.row(i), 0.3), target.row(i))

@@ -586,6 +586,18 @@ class TestTruncation:
         with pytest.raises(FormatError):
             load(io.BytesIO(whole[:cut]))
 
+    @pytest.mark.parametrize("kind", sorted(TRAINED_FILES))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_header_byte_change_is_a_format_error(self, kind, data):
+        # magic, version, payload kind and payload length: bytes 0..15
+        load, whole = TRAINED_FILES[kind]
+        at = data.draw(st.integers(0, 15))
+        changed = bytearray(whole)
+        changed[at] = data.draw(st.integers(0, 255).filter(lambda b: b != whole[at]))
+        with pytest.raises(FormatError):
+            load(io.BytesIO(bytes(changed)))
+
 
 class TestSnapshot:
     @settings(max_examples=100, deadline=None)

@@ -19,13 +19,16 @@ with that tree's `src` on PYTHONPATH:
 Every run takes scheduled checkpoints: the chain runs' last one at the
 last step, the pendulum runs' before it. Then `roer bias` runs on each
 seed directory and the run's config.yaml, and `roer replay-inspect` on each
-seed's final buffer, each in a fresh process too.
+seed's final buffer, each in a fresh process too. Beside the configs, both
+trees run the oracle suite twice: `roer oracle --report <file>` and the
+negative control `roer oracle --corrupt kl`.
 
-For each config it compares every file the runs wrote, but timing.json
-(wall time) and config.yaml's output_dir; for metrics.jsonl it names the
-fields that differ. It also compares each command's exit code, the first
-line of its stderr and its stdout (printing the first line that differs), with the run's own directory replaced
-by a placeholder. It prints each difference and exits 1 on any, 0 when the
+For each config, and for the oracle suite's report, it compares every file
+the runs wrote, but timing.json (wall time) and config.yaml's output_dir;
+for metrics.jsonl it names the fields that differ. It also compares each
+command's exit code, the first line of its stderr and its stdout (printing
+the first line that differs), with the run's own directory replaced by a
+placeholder. It prints each difference and exits 1 on any, 0 when the
 two trees agree. The whole matrix takes about a minute on a 2-vCPU VM.
 BLAS runs one thread per process, as in perfbench/run.py.
 """
@@ -112,6 +115,25 @@ def _command(src: Path, args: list[str], cwd: Path) -> dict:
             "stdout": proc.stdout}
 
 
+def _without_run_dir(results: dict, run_dir: Path) -> dict:
+    """results with run_dir replaced by PLACEHOLDER in each stderr and stdout."""
+    for result in results.values():
+        for key in ("stderr", "stdout"):
+            result[key] = result[key].replace(str(run_dir), PLACEHOLDER)
+    return results
+
+
+def run_oracle(src: Path, run_dir: Path) -> dict:
+    """The oracle suite with the tree at src, its report written to run_dir,
+    and its negative control on the KL kind; the commands' results."""
+    run_dir.mkdir(parents=True)
+    report = str(run_dir / "report.json")
+    return _without_run_dir({
+        "oracle": _command(src, ["oracle", "--report", report], run_dir),
+        "oracle --corrupt kl": _command(src, ["oracle", "--corrupt", "kl"], run_dir),
+    }, run_dir)
+
+
 def run_config(src: Path, run_dir: Path, cfg: dict) -> dict:
     """Train one config with the tree at src, then bias and replay-inspect
     on each seed's outputs; the commands' results, run_dir as PLACEHOLDER."""
@@ -126,10 +148,7 @@ def run_config(src: Path, run_dir: Path, cfg: dict) -> dict:
                   "--out", str(run_dir / f"bias_{seed}.json")], run_dir.parent)
         results[f"replay-inspect seed_{seed}"] = _command(
             src, ["replay-inspect", str(seed_dir / "buffer.bin")], run_dir.parent)
-    for result in results.values():
-        for key in ("stderr", "stdout"):
-            result[key] = result[key].replace(str(run_dir), PLACEHOLDER)
-    return results
+    return _without_run_dir(results, run_dir)
 
 
 def _metrics_fields(a: Path, b: Path) -> list[str]:
@@ -214,15 +233,17 @@ def main(argv=None) -> int:
         with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
             futures = {(side, name): pool.submit(run_config, src, work / side / name, cfg)
                        for name, cfg in configs.items() for side, src in trees.items()}
+            futures |= {(side, "oracle"): pool.submit(run_oracle, src, work / side / "oracle")
+                        for side, src in trees.items()}
             results = {key: f.result() for key, f in futures.items()}
         n_diffs = 0
-        for name in configs:
+        for name in [*configs, "oracle"]:
             diffs = (compare_results(results["this", name], results["other", name])
                      + compare_dirs(work / "this" / name, work / "other" / name))
             n_diffs += len(diffs)
             for line in diffs:
                 print(f"DIFF {name}: {line}")
-        print(f"parity: {len(configs)} configs, {n_diffs} differences "
+        print(f"parity: {len(configs)} configs and the oracle suite, {n_diffs} differences "
               f"({time.monotonic() - t0:.0f} s)")
         return 1 if n_diffs else 0
     finally:
