@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
 from dataclasses import replace
 
 from . import config as config_mod
 from . import harness
 from .binio import FormatError
+from .divergences import SPECS
 from .replay import InvalidTransitionError, PriorityBuffer
 from .schemes import ConfigError
 
@@ -34,6 +36,20 @@ def _load_config(args) -> config_mod.ExperimentConfig:
     if flags["output_dir"] == "":
         raise ConfigError("--output-dir is empty")
     return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _check_writable(flag: str, path: str | None) -> None:
+    """Refuse an output path that cannot be opened for writing, before any
+    work starts; the probe leaves no file that was not there before."""
+    if not path:
+        return
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path} cannot be written: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
 
 
 def cmd_train(args) -> int:
@@ -54,6 +70,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.corrupt is not None and args.corrupt not in SPECS:
+        raise ConfigError(f"--corrupt must be one of {', '.join(SPECS)}, "
+                          f"got {args.corrupt!r}")
+    _check_writable("--report", args.report)
     report, ok = harness.run_oracle_suite(
         corrupt_kind=args.corrupt, report_path=args.report
     )
@@ -69,6 +89,7 @@ def cmd_oracle(args) -> int:
 def cmd_bias(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    _check_writable("--out", args.out)
     cfg = _load_config(args)
     series = harness.estimate_bias(args.run_dir, cfg, seed=args.seed)
     payload = json.dumps(series, indent=2)
@@ -122,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="run the oracle verification suite")
     p.add_argument("--report", help="write a JSON report here")
-    p.add_argument("--corrupt", help="negative control: corrupt this kind")
+    p.add_argument("--corrupt", help="negative control: corrupt this divergence")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bias", help="value-bias series from run checkpoints")

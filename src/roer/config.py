@@ -16,7 +16,7 @@ Schema (all keys optional unless noted):
                                 # divergence sets the priority ratio
                                 # (schemes.roer_update) and the value loss
                                 # (losses.extreme_v_loss)
-    seeds: [0, 1, ...]          # integers >= 0                        [required]
+    seeds: [0, 1, ...]          # distinct integers >= 0               [required]
     total_steps: int            # N                                    [required]
     train_start_step: int       # tau, default 0
     eval_period: int            # default 1000
@@ -53,7 +53,8 @@ Schema (all keys optional unless noted):
                                 # z = min(R / beta, grad_clip)
     sweep:
       grid: {dotted.key: [values], ...}   # e.g. scheme_config.beta, agent.learning_rate,
-                                          # tabular.epsilon, buffer_capacity
+                                          # tabular.epsilon, buffer_capacity; no
+                                          # two values of a key name one cell
 
 Every key is checked when the file loads: an unknown key, a scheme_config
 key the scheme does not have, a sweep.grid key that names no key of this
@@ -122,6 +123,7 @@ class ExperimentConfig:
             ("seeds", len(self.seeds) >= 1, "a non-empty list"),
             ("seeds", all(type(s) is int and s >= 0 for s in self.seeds),
              "integers >= 0"),
+            ("seeds", all(self.seeds.count(s) == 1 for s in self.seeds), "distinct"),
             *integer_rules(self, "total_steps", "train_start_step", "eval_period",
                            "eval_episodes", "buffer_capacity", "checkpoint_period",
                            "bias_eval_pairs", "bias_eval_horizon", "workers"),
@@ -295,6 +297,9 @@ def _check_grid(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"sweep.grid key {key!r} names no config key")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.grid[{key!r}] must be a non-empty list")
+        names = [str(v).replace("/", "_") for v in values]  # as run_sweep's cell dirs
+        if len(set(names)) < len(names):
+            raise ConfigError(f"sweep.grid[{key!r}] gives two cells one name: {values!r}")
 
 
 def sweep_cells(cfg: ExperimentConfig) -> list[tuple[str, dict[str, Any]]]:

@@ -11,8 +11,9 @@ the Legendre-Fenchel conjugates of the shifted generators, so the identity
 
 holds on the whole generator domain. conjugate_prime is the occupancy-ratio
 map: evaluated at a scaled TD error it returns the priority multiplier, and
-conjugate_prime(0) == 1 for every kind (zero TD error keeps the sampling
-distribution unchanged).
+conjugate_prime(0) == 1 for every divergence (zero TD error keeps the
+sampling distribution unchanged). SPECS is keyed by the divergence names
+that configs, oracle reports and `roer oracle --corrupt` use.
 
 Every function is elementwise over arrays; a scalar argument is the 0-d
 case and returns a numpy scalar. The domain checks cover the whole array.
@@ -22,20 +23,11 @@ which can round differently from the array path's x * x.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-
-class Kind(enum.Enum):
-    KL = "kl"
-    REVERSE_KL = "reverse_kl"
-    PEARSON_CHI2 = "pearson_chi2"
-    NEYMAN_CHI2 = "neyman_chi2"
-    SQUARED_HELLINGER = "squared_hellinger"
 
 
 class DomainError(ValueError):
@@ -47,41 +39,32 @@ Elementwise = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class DivergenceSpec:
-    """A named f-divergence with its generator/conjugate domains and the
-    elementwise maps (f, f', f*, f*').
+    """A named f-divergence with its conjugate domain and the elementwise
+    maps (f, f', f*, f*').
 
-    domain_f is an open interval of valid generator arguments (positive
-    reals for every kind here). domain_conj is the conjugate's domain, open
-    at a finite upper end.
+    Every generator here takes the open interval (0, inf). domain_conj is
+    the conjugate's domain, open at a finite upper end.
     The four maps do no domain checks: callers either go through the
     checked module functions or guarantee the domain themselves.
     """
 
-    kind: Kind
-    domain_f: tuple[float, float]
+    name: str
     domain_conj: tuple[float, float]
     f: Elementwise = field(repr=False)
     f_prime: Elementwise = field(repr=False)
     f_star: Elementwise = field(repr=False)
     f_star_prime: Elementwise = field(repr=False)
 
-    @property
-    def name(self) -> str:
-        return self.kind.value
-
     def check_x(self, x) -> np.ndarray:
-        """x as a float64 array, every element inside the open domain_f
-        (which also rejects nan and infinities)."""
+        """x as a float64 array, every element inside the open interval
+        (0, inf) (which also rejects nan and infinities)."""
         x = np.asarray(x, dtype=np.float64)
-        lo, hi = self.domain_f
-        ok = (lo < x) & (x < hi)
+        ok = (0.0 < x) & (x < math.inf)
         if ok.all():
             return x
         bad = x.flat[np.argmin(ok)]  # the first failing element
-        raise DomainError(
-            f"{self.name}: generator argument {float(bad)!r} outside open "
-            f"interval ({lo}, {hi})"
-        )
+        raise DomainError(f"{self.name}: generator argument {float(bad)!r} "
+                          "outside open interval (0.0, inf)")
 
     def check_y(self, y) -> np.ndarray:
         """y as a float64 array, every element finite and inside domain_conj."""
@@ -101,55 +84,43 @@ class DivergenceSpec:
         )
 
 
-_INF = math.inf
-
-SPECS: dict[Kind, DivergenceSpec] = {sp.kind: sp for sp in (
+SPECS: dict[str, DivergenceSpec] = {sp.name: sp for sp in (
     DivergenceSpec(
-        Kind.KL, (0.0, _INF), (-_INF, _INF),
+        "kl", (-math.inf, math.inf),
         f=lambda x: x * np.log(x) - x + 1.0,
         f_prime=np.log,
         f_star=lambda y: np.exp(y) - 1.0,
         f_star_prime=np.exp,
     ),
     DivergenceSpec(
-        Kind.REVERSE_KL, (0.0, _INF), (-_INF, 1.0),
+        "reverse_kl", (-math.inf, 1.0),
         f=lambda x: -np.log(x) + x - 1.0,
         f_prime=lambda x: 1.0 - 1.0 / x,
         f_star=lambda y: -np.log(1.0 - y),
         f_star_prime=lambda y: 1.0 / (1.0 - y),
     ),
     DivergenceSpec(
-        Kind.PEARSON_CHI2, (0.0, _INF), (-_INF, _INF),
+        "pearson_chi2", (-math.inf, math.inf),
         f=lambda x: 0.5 * np.square(x - 1.0),
         f_prime=lambda x: x - 1.0,
         f_star=lambda y: 0.5 * y * y + y,
         f_star_prime=lambda y: y + 1.0,
     ),
     DivergenceSpec(
-        Kind.NEYMAN_CHI2, (0.0, _INF), (-_INF, 0.5),
+        "neyman_chi2", (-math.inf, 0.5),
         f=lambda x: np.square(x - 1.0) / (2.0 * x),
         f_prime=lambda x: 0.5 * (1.0 - 1.0 / (x * x)),
         f_star=lambda y: 1.0 - np.sqrt(1.0 - 2.0 * y),
         f_star_prime=lambda y: 1.0 / np.sqrt(1.0 - 2.0 * y),
     ),
     DivergenceSpec(
-        Kind.SQUARED_HELLINGER, (0.0, _INF), (-_INF, 2.0),
+        "squared_hellinger", (-math.inf, 2.0),
         f=lambda x: 2.0 * np.square(np.sqrt(x) - 1.0),
         f_prime=lambda x: 2.0 * (1.0 - 1.0 / np.sqrt(x)),
         f_star=lambda y: 2.0 * y / (2.0 - y),
         f_star_prime=lambda y: 4.0 / np.square(2.0 - y),
     ),
 )}
-
-def spec(kind: Kind | str) -> DivergenceSpec:
-    """Look up a DivergenceSpec by Kind or by its stable string name."""
-    if isinstance(kind, str):
-        try:
-            kind = Kind(kind)
-        except ValueError:
-            names = ", ".join(k.value for k in Kind)
-            raise DomainError(f"unknown divergence {kind!r}; expected one of {names}")
-    return SPECS[kind]
 
 
 def generator(sp: DivergenceSpec, x):
@@ -158,7 +129,7 @@ def generator(sp: DivergenceSpec, x):
 
 
 def generator_prime(sp: DivergenceSpec, x):
-    """Derivative of the shifted generator; f'(1) = 0 for every kind."""
+    """Derivative of the shifted generator; f'(1) = 0 for every divergence."""
     return sp.f_prime(sp.check_x(x))
 
 
@@ -170,6 +141,6 @@ def conjugate(sp: DivergenceSpec, y):
 def conjugate_prime(sp: DivergenceSpec, y):
     """Derivative f*'(y): the occupancy ratio at scaled TD error y.
 
-    Inverse of generator_prime, so conjugate_prime(0) = 1 for every kind.
+    Inverse of generator_prime, so conjugate_prime(0) = 1 for every divergence.
     """
     return sp.f_star_prime(sp.check_y(y))

@@ -471,7 +471,7 @@ def run_oracle_suite(corrupt_kind: str | None = None,
 
     def conj_prime(sp, y):
         val = divergences.conjugate_prime(sp, y)
-        if corrupt_kind and sp.name == corrupt_kind:
+        if sp.name == corrupt_kind:
             val += 1e-6
         return val
 
@@ -520,7 +520,7 @@ def run_oracle_suite(corrupt_kind: str | None = None,
     _, _, pi_star = value_iteration(mdp, tol=1e-12)
     d_star = occupancy(mdp, pi_star)
     d_data = oracles.OccupancyTable(np.full((2, 2), 0.25))
-    kl = divergences.spec(divergences.Kind.KL)
+    kl = divergences.SPECS["kl"]
     Q = oracles.dual_minimize(mdp, d_data, 1.0, kl, pi_star)
     rec = oracles.recovered_distribution(mdp, Q, d_data, 1.0, kl, pi_star)
     tv = oracles.total_variation(rec, d_star.table)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import SPECS, DivergenceSpec, Kind
+from .divergences import SPECS, DivergenceSpec
 
 
 class ConfigError(ValueError):
@@ -115,8 +115,8 @@ class LaberConfig:
 # The divergence whose conjugate derivative sets each ROER scheme's ratio
 # and the loss of its value network.
 ROER_DIVERGENCES: dict[str, DivergenceSpec] = {
-    "roer": SPECS[Kind.KL],
-    "roer_chi2": SPECS[Kind.PEARSON_CHI2],
+    "roer": SPECS["kl"],
+    "roer_chi2": SPECS["pearson_chi2"],
 }
 
 # The dataclass that holds each scheme's knobs (uniform has none).

@@ -17,7 +17,7 @@ from scipy import stats
 
 from roer import config as cmod
 from roer import divergences, harness, losses, nn, oracles, schemes
-from roer.divergences import SPECS, Kind, spec
+from roer.divergences import SPECS
 from roer.envs import random_mdp
 from roer.oracles import (
     OccupancyTable,
@@ -210,7 +210,7 @@ def test_criterion_6_dual_objective_recovery():
     mdp = random_mdp(2, 2, gamma=0.9, seed=50)
     _, _, pi_star = value_iteration(mdp, tol=1e-12)
     d_star = occupancy(mdp, pi_star)
-    kl = spec(Kind.KL)
+    kl = SPECS["kl"]
     d_uniform = OccupancyTable(np.full((2, 2), 0.25))
     Q = dual_minimize(mdp, d_uniform, 1.0, kl, pi_star)
     rec = recovered_distribution(mdp, Q, d_uniform, 1.0, kl, pi_star)

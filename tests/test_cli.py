@@ -121,6 +121,13 @@ class TestTrainCommand:
         (dict(checkpoint_period=-200), "checkpoint_period must be >= 0, got -200"),
         (dict(bias_eval_pairs=0), "bias_eval_pairs must be >= 1, got 0"),
         (dict(bias_eval_horizon=0), "bias_eval_horizon must be >= 1, got 0"),
+        # two runs into one directory: a seed twice, or two grid values
+        # that name one sweep cell
+        (dict(seeds=[0, 0], workers=2), "seeds must be distinct, got (0, 0)"),
+        (dict(scheme="roer", sweep=dict(grid={"scheme_config.beta": [1.0, 1.0]})),
+         "sweep.grid['scheme_config.beta'] gives two cells one name: [1.0, 1.0]"),
+        (dict(sweep=dict(grid={"offline_dataset": ["a/b", "a_b"]})),
+         "sweep.grid['offline_dataset'] gives two cells one name"),
     ])
     def test_bad_value_exits_before_the_run(self, tmp_path, capsys,
                                             overrides, message):
@@ -280,6 +287,25 @@ class TestOracleCommand:
             f"FAIL  conjugate_inverse_identity [{kind}]",
             f"FAIL  value_fixed_point [{kind}]"]
 
+    @pytest.mark.parametrize("name", ["klx", "KL", ""])
+    def test_corrupt_unknown_name_exit_code(self, name, capsys):
+        # a mistyped negative control would corrupt nothing and pass
+        assert main(["oracle", "--corrupt", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: --corrupt must be one of kl, reverse_kl, pearson_chi2, "
+            f"neyman_chi2, squared_hellinger, got {name!r}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_report_exit_code(self, tmp_path, capsys, where):
+        report = tmp_path if where == "directory" else tmp_path / "nope" / "r.json"
+        assert main(["oracle", "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: --report {report} cannot be written")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""  # refused before the suite ran
+
 
 class TestBiasCommand:
     def test_bias_series(self, tmp_path, capsys):
@@ -298,6 +324,24 @@ class TestBiasCommand:
         cfg_path = write_config(tmp_path)
         assert main(["bias", str(tmp_path), "-c", str(cfg_path), "--seed", "-1"]) == 2
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["bias", str(tmp_path / "run" / "seed_0"), "-c", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: --out {tmp_path} cannot be written")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""  # refused before the series was computed
+
+    def test_failed_bias_leaves_no_out_file(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "bias.json"
+        assert main(["bias", str(tmp_path), "-c", str(cfg_path), "--out", str(out)]) == 2
+        assert "holds no (checkpoint, buffer) pair" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["checkpoint_final.bin", "checkpoint_100.bin",
                                       "checkpoint_000000100.bin",

@@ -207,7 +207,7 @@ def file_configs(draw):
     raw = dict(
         env=draw(st.sampled_from(["pendulum", "chain-5", "grid-3x4"])),
         scheme=scheme, seeds=draw(st.lists(st.integers(0, 2**31), min_size=1,
-                                           max_size=3)),
+                                           max_size=3, unique=True)),
         train_start_step=draw(st.integers(0, 1000)),
         sampling_mode=draw(st.sampled_from(["proportional", "weighted"])),
         env_horizon=draw(st.none() | st.integers(1, 1000)),
@@ -229,9 +229,9 @@ def file_configs(draw):
         scheme_config=draw(st.fixed_dictionaries(required,
                                                  optional=knobs.get(scheme, {}))),
         sweep=dict(grid=draw(st.fixed_dictionaries({}, optional={
-            "buffer_capacity": st.lists(st.integers(1, 10**6), min_size=1),
+            "buffer_capacity": st.lists(st.integers(1, 10**6), min_size=1, unique=True),
             "tabular.epsilon": st.lists(st.floats(0.0, 1.0, **_floats),
-                                        min_size=1)}))),
+                                        min_size=1, unique=True)}))),
     )
     raw["total_steps"] = raw["train_start_step"] + draw(st.integers(1, 10**6))
     return raw

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from roer import divergences, oracles
-from roer.divergences import DomainError, Kind, spec
+from roer.divergences import SPECS, DomainError
 from roer.envs import PendulumEnv, TabularEnv, TabularMdp, chain_mdp, random_mdp
 from roer.oracles import (
     OccupancyTable,
@@ -154,7 +154,7 @@ class TestDualObjective:
         mdp = random_mdp(3, 2, gamma=0.9, seed=40)
         Q, _, pi_star = value_iteration(mdp, tol=1e-12)
         d_star = occupancy(mdp, pi_star)
-        val = dual_objective(mdp, Q, d_star, beta=1.0, div=spec(Kind.KL),
+        val = dual_objective(mdp, Q, d_star, beta=1.0, div=SPECS["kl"],
                              policy=pi_star)
         init_only = (1.0 - mdp.gamma) * float(
             np.sum(mdp.initial[:, None] * pi_star * Q)
@@ -169,7 +169,7 @@ class TestDualObjective:
         d = OccupancyTable(np.full((3, 2), 1.0 / 6.0))
         init_only = (1.0 - mdp.gamma) * float(np.sum(mdp.initial[:, None] * pi * Q))
         vals = [
-            dual_objective(mdp, Q, d, beta, spec(Kind.KL), pi)
+            dual_objective(mdp, Q, d, beta, SPECS["kl"], pi)
             for beta in (1e2, 1e4, 1e6)
         ]
         gaps = [abs(v - init_only - np.sum(d.table * (bellman_backup(mdp, Q, pi) - Q)))
@@ -199,7 +199,7 @@ class TestDualObjective:
         for s in range(2):
             for a in range(2):
                 ref += (1.0 - mdp.gamma) * mdp.initial[s] * pi[s, a] * Q[s, a]
-        val = dual_objective(mdp, Q, d, beta, spec(Kind.KL), pi)
+        val = dual_objective(mdp, Q, d, beta, SPECS["kl"], pi)
         assert val == pytest.approx(ref, abs=1e-12)
 
     def test_domain_violation_propagates(self):
@@ -209,7 +209,7 @@ class TestDualObjective:
         with pytest.raises(DomainError):
             # huge positive residual exceeds the neyman conjugate domain
             dual_objective(mdp, np.zeros((1, 1)), d, 1.0,
-                           spec(Kind.NEYMAN_CHI2), pi)
+                           SPECS["neyman_chi2"], pi)
 
 
 class TestDualMinimize:
@@ -221,15 +221,15 @@ class TestDualMinimize:
         _, _, pi_star = value_iteration(mdp, tol=1e-12)
         d_star = occupancy(mdp, pi_star)
         d_data = OccupancyTable(np.full((2, 2), 0.25))
-        Q = dual_minimize(mdp, d_data, 1.0, spec(Kind.KL), pi_star)
-        rec = recovered_distribution(mdp, Q, d_data, 1.0, spec(Kind.KL), pi_star)
+        Q = dual_minimize(mdp, d_data, 1.0, SPECS["kl"], pi_star)
+        rec = recovered_distribution(mdp, Q, d_data, 1.0, SPECS["kl"], pi_star)
         assert total_variation(rec, d_star.table) <= 0.05
 
     def test_matched_data_gives_unit_ratio(self):
         mdp = self.fixed_mdp()
         _, _, pi_star = value_iteration(mdp, tol=1e-12)
         d_star = occupancy(mdp, pi_star)
-        Q = dual_minimize(mdp, d_star, 1.0, spec(Kind.KL), pi_star)
+        Q = dual_minimize(mdp, d_star, 1.0, SPECS["kl"], pi_star)
         delta = bellman_backup(mdp, Q, pi_star) - Q
         ratio = np.exp(delta)
         support = d_star.table > 1e-12
@@ -241,10 +241,10 @@ class TestDualMinimize:
         d_data = OccupancyTable(np.full((2, 2), 0.25))
         max_abs_delta = []
         for beta in (1.0, 10.0, 100.0, 1000.0):
-            Q = dual_minimize(mdp, d_data, beta, spec(Kind.KL), pi_star)
+            Q = dual_minimize(mdp, d_data, beta, SPECS["kl"], pi_star)
             delta = bellman_backup(mdp, Q, pi_star) - Q
             max_abs_delta.append(np.max(np.abs(delta)))
-            rec = recovered_distribution(mdp, Q, d_data, beta, spec(Kind.KL),
+            rec = recovered_distribution(mdp, Q, d_data, beta, SPECS["kl"],
                                          pi_star)
             assert total_variation(rec, occupancy(mdp, pi_star).table) <= 0.05
         assert all(b >= a - 1e-9 for a, b in zip(max_abs_delta, max_abs_delta[1:]))

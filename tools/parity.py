@@ -20,8 +20,10 @@ Every run takes scheduled checkpoints: the chain runs' last one at the
 last step, the pendulum runs' before it. Then `roer bias` runs on each
 seed directory and the run's config.yaml, and `roer replay-inspect` on each
 seed's final buffer, each in a fresh process too. Beside the configs, both
-trees run the oracle suite twice: `roer oracle --report <file>` and the
-negative control `roer oracle --corrupt kl`.
+trees run the oracle suite: `roer oracle --report <file>`, and the negative
+control `roer oracle --corrupt <name>` once for each divergence name of this
+tree's divergences.SPECS, so a name that one tree does not know shows as a
+difference in exit code and stderr.
 
 For each config, and for the oracle suite's report, it compares every file
 the runs wrote, but timing.json (wall time) and config.yaml's output_dir;
@@ -53,6 +55,7 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from roer.divergences import SPECS  # noqa: E402
 from roer.schemes import SCHEME_CONFIGS  # noqa: E402
 
 COMMAND_TIMEOUT_S = 600
@@ -125,12 +128,13 @@ def _without_run_dir(results: dict, run_dir: Path) -> dict:
 
 def run_oracle(src: Path, run_dir: Path) -> dict:
     """The oracle suite with the tree at src, its report written to run_dir,
-    and its negative control on the KL kind; the commands' results."""
+    and its negative control on each divergence; the commands' results."""
     run_dir.mkdir(parents=True)
     report = str(run_dir / "report.json")
     return _without_run_dir({
         "oracle": _command(src, ["oracle", "--report", report], run_dir),
-        "oracle --corrupt kl": _command(src, ["oracle", "--corrupt", "kl"], run_dir),
+        **{f"oracle --corrupt {name}": _command(src, ["oracle", "--corrupt", name], run_dir)
+           for name in SPECS},
     }, run_dir)
 
 
