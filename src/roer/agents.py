@@ -204,8 +204,8 @@ class SacAgent:
             - np.log(1.0 - a**2 + TANH_EPS),
             axis=1,
         )
-        return a, log_prob, dict(mu=mu, log_std=log_std, std=std, eps=eps,
-                                 u=u, squashed_raw=squashed, cache=cache)
+        return a, log_prob, dict(std=std, eps=eps, a=a, squashed_raw=squashed,
+                                 cache=cache)
 
     def act(self, obs, rng: np.random.Generator | None = None,
             deterministic: bool = False) -> np.ndarray:
@@ -272,7 +272,7 @@ class SacAgent:
     def _critic_input_gradient(self, params, x):
         """A critic on the rows of x, and its gradient w.r.t. the actions."""
         q, cache = self._scalar(params, x)
-        return q, nn.input_gradient(params, x, cache)[:, self.obs_dim:]
+        return q, nn.input_gradient(params, x, cache)[0][:, self.obs_dim:]
 
     # -- state snapshot for non-finite rollback --------------------------
 
@@ -465,7 +465,7 @@ class SacAgent:
         -log(1 - a^2 + eps_c) whose u-derivative is 2 a (1-a^2)/(1-a^2+eps_c).
         """
         alpha = self.alpha
-        a = np.tanh(aux["u"])
+        a = aux["a"]
         one_m_a2 = 1.0 - a**2
         dlogp_du = 2.0 * a * one_m_a2 / (one_m_a2 + TANH_EPS)
         dq_du = dq_da * one_m_a2

@@ -129,17 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="run the training loop for every seed")
-    p.add_argument("-c", "--config", required=True)
-    p.add_argument("--output-dir")
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("sweep", help="grid sweep over config overrides")
-    p.add_argument("-c", "--config", required=True)
-    p.add_argument("--output-dir")
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=cmd_sweep)
+    for name, func, help_text in [
+            ("train", cmd_train, "run the training loop for every seed"),
+            ("sweep", cmd_sweep, "grid sweep over config overrides")]:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("-c", "--config", required=True)
+        p.add_argument("--output-dir")
+        p.add_argument("--workers", type=int)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("oracle", help="run the oracle verification suite")
     p.add_argument("--report", help="write a JSON report here")

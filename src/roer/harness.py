@@ -416,9 +416,9 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     """Bias series over every (checkpoint, buffer) snapshot pair in a run
     directory, scheduled checkpoints first, then the final checkpoint
     unless a scheduled one was taken at the last step. A directory with no
-    pair, a pair of another problem than cfg's env or with an empty
-    buffer, or a checkpoint_*.bin not named checkpoint_<8-digit step>.bin
-    raises FormatError."""
+    pair, a pair with one of its two files missing, a pair of another
+    problem than cfg's env or with an empty buffer, or a checkpoint_*.bin
+    not named checkpoint_<8-digit step>.bin raises FormatError."""
     seed_dir = Path(seed_dir)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     env = make_env(cfg.env, cfg.env_horizon, np.random.default_rng(seed))
@@ -435,8 +435,11 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     series = []
     for step, ckpt_path in pairs:
         buffer_path = seed_dir / ckpt_path.name.replace("checkpoint", "buffer")
-        if not ckpt_path.exists() or not buffer_path.exists():
+        missing = [p for p in (ckpt_path, buffer_path) if not p.exists()]
+        if len(missing) == 2:
             continue
+        if missing:
+            raise FormatError(f"{missing[0]} is missing: the step-{step} pair is half")
         buffer = PriorityBuffer.load(buffer_path)
         agent = _agent(cfg, env, checkpoint=ckpt_path)
         _check_snapshot_pair(agent, buffer, env)

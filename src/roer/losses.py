@@ -128,16 +128,12 @@ def weighted_huber_critic_loss(q_pred, target, weights, k: float | None = 1.0) -
 
 
 def gradient_penalty(critic_params: nn.ParameterSet, inputs,
-                     cache=None) -> PenaltyOutput:
+                     cache) -> PenaltyOutput:
     """Hinge penalty mean(max(||dQ/dx|| - 1, 0)^2) over the batch, with
     exact parameter gradients via the input-gradient backward pass.
 
-    cache is the critic's nn.forward_cache of these inputs, if the caller
-    already holds it."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if cache is None:
-        _, cache = nn.forward_cache(critic_params, x)
-    g, chain = nn.input_gradient(critic_params, x, cache, return_chain=True)
+    cache is the critic's nn.forward_cache of these inputs."""
+    g, chain = nn.input_gradient(critic_params, inputs, cache)
     norms = np.sqrt(np.add.reduce(g * g, axis=1))
     excess = np.maximum(norms - 1.0, 0.0)
     n = len(norms)
@@ -146,6 +142,6 @@ def gradient_penalty(critic_params: nn.ParameterSet, inputs,
     scale = np.zeros(n)
     scale[active] = 2.0 * excess[active] / (n * norms[active])
     cot = g * scale[:, None]
-    param_grads = nn.input_gradient_param_backward(critic_params, x, cot,
+    param_grads = nn.input_gradient_param_backward(critic_params, inputs, cot,
                                                    cache, chain)
     return PenaltyOutput(value=value, param_grads=param_grads)

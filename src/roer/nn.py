@@ -5,7 +5,9 @@ with ReLU between, linear output): enough for desk-scale actor-critic
 training with full determinism. Also provides exact input gradients and
 the mixed parameter derivative of input gradients (needed to train
 through a gradient-norm penalty), the Adam optimizer, and Polyak target
-averaging. Both Adam steps raise FloatingPointError on a non-finite
+averaging. Every backward pass takes the forward cache that its caller
+holds, from forward_cache, which checks the input; no pass recomputes a
+forward. Both Adam steps raise FloatingPointError on a non-finite
 gradient before they change anything.
 """
 
@@ -131,23 +133,9 @@ def init(spec: NetworkSpec, seed) -> ParameterSet:
     return ParameterSet(weights, biases)
 
 
-def _check_input(params: ParameterSet, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.weights[0].shape[1]:
-        raise ShapeError(
-            f"input shape {x.shape} incompatible with first layer "
-            f"{params.weights[0].shape}"
-        )
-    return x
-
-
-def forward(params: ParameterSet, x: np.ndarray) -> np.ndarray:
-    y, _ = forward_cache(params, x)
-    return y
-
-
 def forward_cache(params: ParameterSet, x: np.ndarray):
-    """Forward pass keeping what the backward passes need.
+    """Forward pass keeping what the backward passes need; x is checked
+    here, where it enters, and taken as float64.
 
     Returns (output, (hidden, masks)): hidden[0] is the input and
     hidden[l] for 0 < l < L the ReLU activation of layer l - 1; masks[l]
@@ -156,7 +144,12 @@ def forward_cache(params: ParameterSet, x: np.ndarray):
     pre-activation is rounded as h @ W.T + b and then overwritten by its
     activation, so the cache holds no pre-activations.
     """
-    x = _check_input(params, x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.weights[0].shape[1]:
+        raise ShapeError(
+            f"input shape {x.shape} incompatible with first layer "
+            f"{params.weights[0].shape}"
+        )
     L = params.n_layers
     h = x
     hidden = [x]
@@ -174,22 +167,20 @@ def forward_cache(params: ParameterSet, x: np.ndarray):
 
 
 def backward(params: ParameterSet, x: np.ndarray, output_gradient: np.ndarray,
-             cache=None):
+             cache):
     """Exact reverse-mode gradients of the forward map.
 
-    output_gradient holds d(loss)/d(output) per sample; returns parameter
-    gradients (summed over the batch) and d(loss)/d(input) per sample.
-    Each layer's gradient is written once into a fresh flat vector.
+    cache is forward_cache(params, x)'s; output_gradient holds
+    d(loss)/d(output) per sample. Returns parameter gradients (summed over
+    the batch) and d(loss)/d(input) per sample. Each layer's gradient is
+    written once into a fresh flat vector.
     """
-    x = _check_input(params, x)
-    if cache is None:
-        _, cache = forward_cache(params, x)
     hidden, masks = cache
     g = np.asarray(output_gradient, dtype=np.float64)
-    if g.shape != (x.shape[0], params.weights[-1].shape[0]):
+    if g.shape != (len(x), params.weights[-1].shape[0]):
         raise ShapeError(
             f"output_gradient shape {g.shape} mismatch with "
-            f"({x.shape[0]}, {params.weights[-1].shape[0]})"
+            f"({len(x)}, {params.weights[-1].shape[0]})"
         )
     L = params.n_layers
     grads = params._like(np.empty(len(params.flat)))
@@ -205,67 +196,49 @@ def backward(params: ParameterSet, x: np.ndarray, output_gradient: np.ndarray,
     return grads, g
 
 
-def _input_gradient_chain(params: ParameterSet, masks: list[np.ndarray],
-                          n: int) -> list[np.ndarray]:
-    """Backward chain of a scalar-output network from its ReLU masks.
+def input_gradient(params: ParameterSet, x: np.ndarray, cache):
+    """Per-sample gradient of a scalar-output network w.r.t. its input,
+    from forward_cache(params, x)'s cache.
 
-    chain[L] is all ones (the output's own gradient); chain[l] for
-    0 < l < L is d(output)/d(pre-activation of layer l - 1), i.e. masked by
-    that layer's ReLU; chain[0] is d(output)/d(input).
+    Returns (gradient, chain): chain is the backward chain, for
+    input_gradient_param_backward. chain[L] is all ones (the output's own
+    gradient); chain[l] for 0 < l < L is d(output)/d(pre-activation of
+    layer l - 1), i.e. masked by that layer's ReLU; chain[0] is the
+    gradient, d(output)/d(input).
     """
+    if params.weights[-1].shape[0] != 1:
+        raise ShapeError("input_gradient requires a scalar-output network")
+    _, masks = cache
     L = params.n_layers
-    chain = [np.ones((n, 1))] * (L + 1)
+    chain = [np.ones((len(x), 1))] * (L + 1)
     # ones @ W is W's one row on every row: broadcast it, one rounding each
     g = params.weights[L - 1]
-    g = g * masks[L - 2] if L > 1 else np.repeat(g, n, axis=0)
+    g = g * masks[L - 2] if L > 1 else np.repeat(g, len(x), axis=0)
     chain[L - 1] = g
     for l in range(L - 2, -1, -1):
         g = g @ params.weights[l]
         if l > 0:
             g *= masks[l - 1]
         chain[l] = g
-    return chain
-
-
-def input_gradient(params: ParameterSet, x: np.ndarray, cache=None,
-                   return_chain: bool = False):
-    """Per-sample gradient of a scalar-output network w.r.t. its input.
-
-    With return_chain, returns (gradient, chain) where chain holds every
-    intermediate of the backward pass, for input_gradient_param_backward.
-    """
-    if params.weights[-1].shape[0] != 1:
-        raise ShapeError("input_gradient requires a scalar-output network")
-    x = _check_input(params, x)
-    if cache is None:
-        _, cache = forward_cache(params, x)
-    _, masks = cache
-    chain = _input_gradient_chain(params, masks, x.shape[0])
-    return (chain[0], chain) if return_chain else chain[0]
+    return chain[0], chain
 
 
 def input_gradient_param_backward(params: ParameterSet, x: np.ndarray,
-                                  cotangent: np.ndarray, cache=None,
-                                  chain=None) -> ParameterSet:
+                                  cotangent: np.ndarray, cache,
+                                  chain) -> ParameterSet:
     """Parameter gradient of sum_i <g_i, c_i> where g_i is the input
     gradient of sample i and c_i the given cotangent row.
 
     Computed as reverse-mode over the directional-derivative (JVP) pass
     with the ReLU masks held fixed, which is the exact derivative almost
     everywhere. Biases only move activations, so their contribution is
-    zero a.e. chain is the backward chain that
-    input_gradient(params, x, cache, return_chain=True) returned for the
-    same params and x; without it the chain is computed here.
+    zero a.e. cache is forward_cache(params, x)'s and chain the one
+    input_gradient(params, x, cache) returned.
     """
-    x = _check_input(params, x)
-    if cache is None:
-        _, cache = forward_cache(params, x)
     _, masks = cache
     c = np.asarray(cotangent, dtype=np.float64)
-    if c.shape != x.shape:
-        raise ShapeError(f"cotangent shape {c.shape} != input shape {x.shape}")
-    if chain is None:
-        chain = _input_gradient_chain(params, masks, x.shape[0])
+    if c.shape != np.shape(x):
+        raise ShapeError(f"cotangent shape {c.shape} != input shape {np.shape(x)}")
     L = params.n_layers
     grads = params.zeros_like()
     # tangent pass along direction c, meeting the backward chain per layer

@@ -101,7 +101,7 @@ def test_criterion_3_gradient_checks():
         params = nn.init(net_spec, seed)
         x = rng.normal(size=(4, 3))
         gout = rng.normal(size=(4, 2))
-        analytic, _ = nn.backward(params, x, gout)
+        analytic, _ = nn.backward(params, x, gout, nn.forward_cache(params, x)[1])
         for target, store in zip(
             [*params.weights, *params.biases],
             [*analytic.weights, *analytic.biases],
@@ -111,9 +111,9 @@ def test_criterion_3_gradient_checks():
                 idx = it.multi_index
                 orig = target[idx]
                 target[idx] = orig + h
-                up = float(np.sum(nn.forward(params, x) * gout))
+                up = float(np.sum(nn.forward_cache(params, x)[0] * gout))
                 target[idx] = orig - h
-                down = float(np.sum(nn.forward(params, x) * gout))
+                down = float(np.sum(nn.forward_cache(params, x)[0] * gout))
                 target[idx] = orig
                 fd = (up - down) / (2.0 * h)
                 worst["mlp"] = max(worst["mlp"], rel_err(store[idx], fd))
@@ -148,16 +148,16 @@ def test_criterion_3_gradient_checks():
         for wmat in pen_params.weights:
             wmat *= 3.0  # activate the hinge
         xin = rng.normal(size=(4, 3))
-        pen = losses.gradient_penalty(pen_params, xin)
+        pen = losses.gradient_penalty(pen_params, xin, nn.forward_cache(pen_params, xin)[1])
         for target, store in zip(pen_params.weights, pen.param_grads.weights):
             it = np.nditer(target, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
                 orig = target[idx]
                 target[idx] = orig + h
-                up = losses.gradient_penalty(pen_params, xin).value
+                up = losses.gradient_penalty(pen_params, xin, nn.forward_cache(pen_params, xin)[1]).value
                 target[idx] = orig - h
-                down = losses.gradient_penalty(pen_params, xin).value
+                down = losses.gradient_penalty(pen_params, xin, nn.forward_cache(pen_params, xin)[1]).value
                 target[idx] = orig
                 fd = (up - down) / (2.0 * h)
                 worst["penalty"] = max(worst["penalty"], rel_err(store[idx], fd))

@@ -101,7 +101,7 @@ class TestActorGradient:
                 axis=1,
             )
             x = np.concatenate([obs, a], axis=1)
-            q1, q2 = (nn.forward(agent.critics[i], x)[:, 0] for i in range(2))
+            q1, q2 = (nn.forward_cache(agent.critics[i], x)[0][:, 0] for i in range(2))
             return float(np.mean(agent.alpha * logp - np.minimum(q1, q2)))
 
         # analytic gradient through the agent's own backward assembly
@@ -110,12 +110,12 @@ class TestActorGradient:
         u = mu + std * eps
         a = np.tanh(u)
         x = np.concatenate([obs, a], axis=1)
-        q1, q2 = (nn.forward(agent.critics[i], x)[:, 0] for i in range(2))
+        q1, q2 = (nn.forward_cache(agent.critics[i], x)[0][:, 0] for i in range(2))
         use_first = q1 <= q2
-        g1, g2 = (nn.input_gradient(agent.critics[i], x)[:, 3:] for i in range(2))
+        g1, g2 = (nn.input_gradient(c, x, nn.forward_cache(c, x)[1])[0][:, 3:]
+                  for c in agent.critics)
         dq_da = np.where(use_first[:, None], g1, g2)
-        aux = dict(mu=mu, log_std=log_std, std=std, eps=eps, u=u,
-                   squashed_raw=squashed, cache=cache)
+        aux = dict(std=std, eps=eps, a=a, squashed_raw=squashed, cache=cache)
         analytic = agent._actor_backward(aux, dq_da, len(obs))
 
         h = 1e-6
@@ -182,8 +182,8 @@ class TestUpdate:
         rng = np.random.default_rng(13)
         batch = make_batch(rng)
         m = agent.update(batch, np.ones(len(batch)), rng, RoerConfig())
-        v_curr = nn.forward(agent.value, batch.states)[:, 0]
-        v_next = nn.forward(agent.value, batch.next_states)[:, 0]
+        v_curr = nn.forward_cache(agent.value, batch.states)[0][:, 0]
+        v_next = nn.forward_cache(agent.value, batch.next_states)[0][:, 0]
         expect = losses.td_error(batch.rewards, agent.config.gamma, v_next,
                                  v_curr, batch.terminals)
         assert np.array_equal(m.value_td_errors, expect)

@@ -343,6 +343,29 @@ class TestBiasCommand:
         assert "holds no (checkpoint, buffer) pair" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("total_steps, removed, named, step", [
+        # a scheduled checkpoint without its buffer; the final pair duplicates
+        # the one at step 400
+        (400, ["buffer_00000200.bin", "checkpoint.bin"], "buffer_00000200.bin", 200),
+        # the final pair, with no scheduled one at the last step
+        (250, ["buffer.bin"], "buffer.bin", 250),
+        (250, ["checkpoint.bin"], "checkpoint.bin", 250),
+    ])
+    def test_half_pair_exit_code(self, tmp_path, capsys, total_steps, removed, named,
+                                 step):
+        cfg_path = write_config(tmp_path, total_steps=total_steps, checkpoint_period=100,
+                                bias_eval_pairs=4, bias_eval_horizon=10)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        seed_dir = tmp_path / "run" / "seed_0"
+        for name in removed:
+            (seed_dir / name).unlink()
+        capsys.readouterr()
+        assert main(["bias", str(seed_dir), "-c", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"input error: {seed_dir / named} is missing: "
+                                f"the step-{step} pair is half\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("name", ["checkpoint_final.bin", "checkpoint_100.bin",
                                       "checkpoint_000000100.bin",
                                       "checkpoint_-0000100.bin"])

@@ -205,35 +205,23 @@ class TestGradientPenalty:
 
     def test_inactive_below_unit_norm(self):
         params = self.linear_critic([0.3, 0.4])  # norm 0.5
-        out = gradient_penalty(params, np.zeros((3, 2)))
+        x = np.zeros((3, 2))
+        out = gradient_penalty(params, x, nn.forward_cache(params, x)[1])
         assert out.value == 0.0
         assert not out.param_grads.flat.any()
 
     def test_norm_two_gives_one(self):
         params = self.linear_critic([2.0, 0.0])
-        out = gradient_penalty(params, np.zeros((3, 2)))
+        x = np.zeros((3, 2))
+        out = gradient_penalty(params, x, nn.forward_cache(params, x)[1])
         assert out.value == pytest.approx(1.0)
 
     def test_linear_critic_norm_three(self):
         params = self.linear_critic([3.0, 0.0, 0.0])
         rng = np.random.default_rng(0)
-        out = gradient_penalty(params, rng.normal(size=(5, 3)))
+        x = rng.normal(size=(5, 3))
+        out = gradient_penalty(params, x, nn.forward_cache(params, x)[1])
         assert out.value == pytest.approx(4.0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(input_dim=st.integers(1, 5),
-           hidden=st.lists(st.integers(1, 6), max_size=2),
-           scale=st.sampled_from([0.5, 2.0, 6.0]), n=st.integers(1, 7),
-           seed=st.integers(0, 2**32 - 1))
-    def test_caller_cache_changes_no_bit(self, input_dim, hidden, scale, n, seed):
-        params = nn.init(NetworkSpec(input_dim, tuple(hidden), 1), seed)
-        params.flat *= scale  # hinges active, inactive and mixed
-        x = np.random.default_rng(seed).normal(size=(n, input_dim))
-        _, cache = nn.forward_cache(params, x)
-        reused = gradient_penalty(params, x, cache)
-        own = gradient_penalty(params, x)
-        assert reused.value == own.value
-        assert reused.param_grads.flat.tobytes() == own.param_grads.flat.tobytes()
 
     def test_caller_cache_skips_forward_pass(self, monkeypatch):
         params = nn.init(NetworkSpec(3, (4,), 1), 0)
@@ -256,9 +244,9 @@ class TestGradientPenalty:
         x = rng.normal(size=(6, 4))
 
         def value():
-            return gradient_penalty(params, x).value
+            return gradient_penalty(params, x, nn.forward_cache(params, x)[1]).value
 
-        analytic = gradient_penalty(params, x).param_grads
+        analytic = gradient_penalty(params, x, nn.forward_cache(params, x)[1]).param_grads
         h = 1e-6
         for target, store in zip(params.weights, analytic.weights):
             it = np.nditer(target, flags=["multi_index"])

@@ -64,25 +64,25 @@ class TestForward:
             w.fill(0.0)
         for b in p.biases:
             b.fill(0.0)
-        out = nn.forward(p, np.random.default_rng(0).normal(size=(5, 3)))
+        out, _ = nn.forward_cache(p, np.random.default_rng(0).normal(size=(5, 3)))
         assert np.all(out == 0.0)
 
     def test_identity_single_layer(self):
         p = ParameterSet([np.eye(3)], [np.zeros(3)])
         x = np.random.default_rng(1).normal(size=(4, 3))
-        assert np.allclose(nn.forward(p, x), x)
+        assert np.allclose(nn.forward_cache(p, x)[0], x)
 
     def test_batch_equals_stacked_singles(self):
         p = nn.init(NetworkSpec(3, (8, 8), 2), 7)
         x = np.random.default_rng(2).normal(size=(6, 3))
-        batched = nn.forward(p, x)
-        singles = np.vstack([nn.forward(p, x[i : i + 1]) for i in range(6)])
+        batched, _ = nn.forward_cache(p, x)
+        singles = np.vstack([nn.forward_cache(p, x[i : i + 1])[0] for i in range(6)])
         assert np.allclose(batched, singles, atol=1e-14)
 
     def test_shape_mismatch(self):
         p = nn.init(NetworkSpec(3, (4,), 1), 0)
         with pytest.raises(ShapeError):
-            nn.forward(p, np.zeros((2, 5)))
+            nn.forward_cache(p, np.zeros((2, 5)))
 
 
 class TestStackedRows:
@@ -116,7 +116,7 @@ class TestBackward:
         # loss = sum of outputs of a single linear layer: dL/dW = sum_i x_i
         p = ParameterSet([np.zeros((2, 3))], [np.zeros(2)])
         x = np.arange(12, dtype=float).reshape(4, 3)
-        grads, gin = nn.backward(p, x, np.ones((4, 2)))
+        grads, gin = nn.backward(p, x, np.ones((4, 2)), nn.forward_cache(p, x)[1])
         assert np.allclose(grads.weights[0], np.tile(x.sum(axis=0), (2, 1)))
         assert np.allclose(grads.biases[0], [4.0, 4.0])
         assert np.allclose(gin, np.zeros((4, 3)))  # zero weights
@@ -131,9 +131,9 @@ class TestBackward:
         gout = rng.normal(size=(5, spec.output_dim))
 
         def loss():
-            return float(np.sum(nn.forward(params, x) * gout))
+            return float(np.sum(nn.forward_cache(params, x)[0] * gout))
 
-        analytic, _ = nn.backward(params, x, gout)
+        analytic, _ = nn.backward(params, x, gout, nn.forward_cache(params, x)[1])
         fd = fd_param_grads(loss, params)
         for a, f in zip(flat_params(analytic), flat_params(fd)):
             assert rel_err(a, f) <= 1e-4
@@ -144,16 +144,16 @@ class TestBackward:
         rng = np.random.default_rng(55)
         x = rng.normal(size=(4, 3))
         gout = rng.normal(size=(4, 2))
-        _, gin = nn.backward(params, x, gout)
+        _, gin = nn.backward(params, x, gout, nn.forward_cache(params, x)[1])
         h = 1e-5
         fd = np.zeros_like(x)
         for i in range(x.shape[0]):
             for j in range(x.shape[1]):
                 orig = x[i, j]
                 x[i, j] = orig + h
-                up = float(np.sum(nn.forward(params, x) * gout))
+                up = float(np.sum(nn.forward_cache(params, x)[0] * gout))
                 x[i, j] = orig - h
-                down = float(np.sum(nn.forward(params, x) * gout))
+                down = float(np.sum(nn.forward_cache(params, x)[0] * gout))
                 x[i, j] = orig
                 fd[i, j] = (up - down) / (2.0 * h)
         assert rel_err(gin, fd) <= 1e-4
@@ -162,8 +162,9 @@ class TestBackward:
         spec = NetworkSpec(4, (8,), 1)
         params = nn.init(spec, 3)
         x = np.random.default_rng(6).normal(size=(5, 4))
-        _, gin = nn.backward(params, x, np.ones((5, 1)))
-        assert np.allclose(nn.input_gradient(params, x), gin, atol=1e-15)
+        _, cache = nn.forward_cache(params, x)
+        _, gin = nn.backward(params, x, np.ones((5, 1)), cache)
+        assert np.allclose(nn.input_gradient(params, x, cache)[0], gin, atol=1e-15)
 
     def test_input_gradient_param_backward_matches_fd(self):
         spec = NetworkSpec(3, (6, 5), 1)
@@ -173,10 +174,12 @@ class TestBackward:
         cot = rng.normal(size=(4, 3))
 
         def scalar():
-            g = nn.input_gradient(params, x)
+            g, _ = nn.input_gradient(params, x, nn.forward_cache(params, x)[1])
             return float(np.sum(g * cot))
 
-        analytic = nn.input_gradient_param_backward(params, x, cot)
+        _, cache = nn.forward_cache(params, x)
+        _, chain = nn.input_gradient(params, x, cache)
+        analytic = nn.input_gradient_param_backward(params, x, cot, cache, chain)
         fd = fd_param_grads(scalar, params)
         for a, f in zip(analytic.weights, fd.weights):
             assert rel_err(a, f) <= 1e-4
@@ -445,14 +448,12 @@ class TestFlatParameters:
 class TestInputGradientChain:
     @settings(max_examples=60, deadline=None)
     @given(net=networks(scalar_output=True), data=st.data())
-    def test_passed_chain_equals_own_chain_and_reference(self, net, data):
+    def test_passed_chain_equals_reference(self, net, data):
         params, x = net
         _, cache = nn.forward_cache(params, x)
-        g, chain = nn.input_gradient(params, x, cache, return_chain=True)
-        assert g.tobytes() == nn.input_gradient(params, x).tobytes()
+        _, chain = nn.input_gradient(params, x, cache)
         cot = np.random.default_rng(data.draw(st.integers(0, 99))).normal(size=x.shape)
         with_chain = nn.input_gradient_param_backward(params, x, cot, cache, chain)
-        assert same_bytes(with_chain, nn.input_gradient_param_backward(params, x, cot))
         assert same_bytes(with_chain, param_backward_reference(params, x, cot))
 
 
@@ -522,7 +523,7 @@ class TestMaskedPasses:
             params = ParameterSet(params.weights[:-1] + [params.weights[-1][:1]],
                                   params.biases[:-1] + [params.biases[-1][:1]])
         _, cache = nn.forward_cache(params, x)
-        g, chain = nn.input_gradient(params, x, cache, return_chain=True)
+        g, chain = nn.input_gradient(params, x, cache)
         ref = chain_reference(params, x)
         assert [c.tobytes() for c in chain] == [c.tobytes() for c in ref]
         assert g.tobytes() == ref[0].tobytes()
