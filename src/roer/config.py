@@ -3,8 +3,8 @@
 Seed derivation rule: the experiment seed s feeds numpy's SeedSequence(s),
 whose first five spawned children seed, in order, (1) the training
 environment, (2) agent updates and action sampling, (3) buffer sampling,
-(4) network / table initialization, (5) evaluation (its own environment
-and rollout noise). Every stream an experiment consumes comes from one of
+(4) network / table initialization, (5) pendulum evaluation (its own
+environment). Every stream an experiment consumes comes from one of
 these five generators, so a (config, seed) pair fixes a run exactly.
 
 Schema (all keys optional unless noted):
@@ -20,7 +20,7 @@ Schema (all keys optional unless noted):
     total_steps: int            # N                                    [required]
     train_start_step: int       # tau, default 0
     eval_period: int            # default 1000
-    eval_episodes: int          # default 5
+    eval_episodes: int          # default 5; pendulum only (tabular is exact)
     output_dir: str             # default runs/<env>-<scheme>; roer train
                                 # --output-dir overrides it
     sampling_mode: proportional | weighted
@@ -32,7 +32,7 @@ Schema (all keys optional unless noted):
     offline_dataset: path to .npz or null
     checkpoint_period: int      # >= 0; 0 = final checkpoint only
     bias_eval_pairs: int        # roer bias: pairs probed per checkpoint, >= 1
-    bias_eval_horizon: int      # roer bias: Monte-Carlo rollout length, >= 1
+    bias_eval_horizon: int      # roer bias: pendulum rollout length, >= 1
     workers: int                # parallel seed workers, >= 1; --workers overrides it
     agent:                      # SAC fields (continuous envs)
       profile: test | full      # SAC_PROFILES: test = SacConfig's defaults,

@@ -2,10 +2,10 @@
 pendulum swing-up task.
 
 Tabular instances (chain, gridworld, random) expose their full model
-(transition tensor, rewards, initial distribution) so the oracles can
-compute exact quantities. Both environment classes have batch rollouts
-from arbitrary (state, action) starts, which the Monte-Carlo true-value
-protocol needs, so value estimation stays vectorized.
+(transition tensor, rewards, initial distribution), so the oracles compute
+their values and returns exactly. The pendulum has no such model: it has
+batch rollouts from arbitrary (observation, action) starts, which roer bias
+uses to estimate its true values by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class TabularEnv:
 
     def reset_to(self, state: int) -> int:
         """Start an episode in a given state; tests/test_envs.py uses it to
-        check step frequencies and batch_rollout against serial steps."""
+        check step frequencies and the draw rule."""
         self._state = int(state)
         self._t = 0
         self._done = False
@@ -188,25 +188,6 @@ class TabularEnv:
         self._done = truncated
         self._state = nxt
         return nxt, reward, False, truncated
-
-    def batch_rollout(self, states, first_actions, policy_fn, horizon: int,
-                      gamma: float, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized discounted returns from each (state, action) start,
-        following policy_fn (batch states -> batch actions) afterwards."""
-        s = np.asarray(states, dtype=np.int64).copy()
-        a = np.asarray(first_actions, dtype=np.int64).copy()
-        n = len(s)
-        returns = np.zeros(n)
-        discount = 1.0
-        for t in range(horizon):
-            returns += discount * self.mdp.rewards[s, a]
-            u = rng.random(n)
-            rows = self._cum[s, a]
-            nxt = (u[:, None] < rows).argmax(axis=1)
-            s = nxt
-            a = np.asarray(policy_fn(s), dtype=np.int64)
-            discount *= gamma
-        return returns
 
 
 # pendulum physics
@@ -230,6 +211,8 @@ class PendulumEnv:
     discrete = False
     obs_dim = 3
     action_dim = 1
+    # no step costs more: pi^2 + 0.1 * MAX_SPEED^2 + 0.001 * MAX_TORQUE^2 < 16.3
+    COST_BOUND = 16.5
 
     def __init__(self, horizon: int = 200, rng: np.random.Generator | None = None):
         self.horizon = horizon

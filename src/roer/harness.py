@@ -31,7 +31,8 @@ from .binio import FormatError
 from .config import (ExperimentConfig, echo, from_dict, parse_env_id, seed_streams,
                      sweep_cells)
 from .envs import PendulumEnv, TabularEnv, chain_mdp, gridworld_mdp, random_mdp
-from .oracles import kl_divergence_to_implied, mc_true_value, occupancy, value_iteration
+from .oracles import (expected_return, greedy_policy, kl_divergence_to_implied,
+                      occupancy, policy_q, value_iteration)
 from .replay import InvalidTransitionError, PriorityBuffer, SampledBatch
 from .schemes import ConfigError
 
@@ -159,8 +160,9 @@ class _SeedRun:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.streams = seed_streams(seed)
         self.env = make_env(cfg.env, cfg.env_horizon, self.streams["env"])
-        self.eval_env = make_env(cfg.env, cfg.env_horizon, self.streams["eval"])
         self.discrete = self.env.discrete
+        if not self.discrete:
+            self.eval_env = make_env(cfg.env, cfg.env_horizon, self.streams["eval"])
         # agent before buffer: the other order read about 5% fewer pendulum-full
         # env-steps/s (4 alternating pairs, 2-vCPU Xeon VM)
         self.agent = _agent(cfg, self.env, self.streams["init"])
@@ -220,6 +222,10 @@ class _SeedRun:
     # -- evaluation ----------------------------------------------------------
 
     def _evaluate(self) -> float:
+        """The greedy policy's mean episode return, exact on a tabular env."""
+        if self.discrete:
+            return expected_return(self.env.mdp, greedy_policy(self.agent.q_table),
+                                   self.env.horizon)
         env = self.eval_env
         rng = self.streams["eval"]
         total = 0.0
@@ -374,24 +380,25 @@ def run_train(cfg: ExperimentConfig) -> Path:
 # value-bias estimation
 
 def compute_bias(agent, env, states, actions, rng, horizon: int) -> dict:
-    """mean(true MC return - critic estimate) over the given pairs."""
+    """mean(true value - critic estimate) over the given pairs. True values
+    are exact on a tabular env (the greedy policy's Q at the agent's gamma);
+    on pendulum, Monte-Carlo returns with rng, cut at the horizon."""
+    gamma = agent.config.gamma
     if env.discrete:
-        greedy = agent.q_table.argmax(axis=1)
-        policy = lambda s: greedy[np.asarray(s, dtype=np.int64)]
-        estimates = agent.q_table[
-            np.asarray(states, dtype=np.int64), np.asarray(actions, dtype=np.int64)
-        ]
+        s, a = np.asarray(states, dtype=np.int64), np.asarray(actions, dtype=np.int64)
+        q = policy_q(replace(env.mdp, gamma=gamma), greedy_policy(agent.q_table))
+        true, estimates, tail = q[s, a], agent.q_table[s, a], 0.0
     else:
-        policy = lambda obs: agent.act(obs, rng=rng)
         x = np.concatenate([states, actions.reshape(len(states), -1)], axis=1)
         estimates = agent.min_q(x)
-    result = mc_true_value(env, policy, (states, actions), agent.config.gamma,
-                           rng, horizon=horizon)
+        true = env.batch_rollout(states, actions, lambda obs: agent.act(obs, rng=rng),
+                                 horizon, gamma, rng)
+        tail = gamma**horizon * env.COST_BOUND / (1.0 - gamma)
     return {
-        "bias": float(np.mean(result.returns - estimates)),
-        "true_mean": float(result.mean),
+        "bias": float(np.mean(true - estimates)),
+        "true_mean": float(true.mean()),
         "estimate_mean": float(np.mean(estimates)),
-        "tail_bound": result.tail_bound,
+        "tail_bound": tail,
         "n_pairs": len(states),
     }
 
@@ -416,9 +423,10 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     """Bias series over every (checkpoint, buffer) snapshot pair in a run
     directory, scheduled checkpoints first, then the final checkpoint
     unless a scheduled one was taken at the last step. A directory with no
-    pair, a pair with one of its two files missing, a pair of another
-    problem than cfg's env or with an empty buffer, or a checkpoint_*.bin
-    not named checkpoint_<8-digit step>.bin raises FormatError."""
+    pair, a listed pair with either file missing (so a run cut short fails
+    on its final pair), a pair of another problem than cfg's env or with an
+    empty buffer, or a checkpoint_*.bin not named checkpoint_<8-digit
+    step>.bin raises FormatError."""
     seed_dir = Path(seed_dir)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     env = make_env(cfg.env, cfg.env_horizon, np.random.default_rng(seed))
@@ -432,26 +440,28 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     # a scheduled checkpoint at the last step holds the final state already
     if not pairs or pairs[-1][0] != cfg.total_steps:
         pairs.append((cfg.total_steps, seed_dir / "checkpoint.bin"))
-    series = []
-    for step, ckpt_path in pairs:
-        buffer_path = seed_dir / ckpt_path.name.replace("checkpoint", "buffer")
-        missing = [p for p in (ckpt_path, buffer_path) if not p.exists()]
-        if len(missing) == 2:
-            continue
+    pairs = [(step, ckpt, seed_dir / ckpt.name.replace("checkpoint", "buffer"))
+             for step, ckpt in pairs]
+    # a missing file fails before any pair's rollouts run
+    for step, *files in pairs:
+        missing = [p for p in files if not p.exists()]
+        if len(missing) == 2 and len(pairs) == 1:
+            raise FormatError(f"{seed_dir} holds no (checkpoint, buffer) pair")
         if missing:
-            raise FormatError(f"{missing[0]} is missing: the step-{step} pair is half")
+            whole = "half" if len(missing) == 1 else "absent"
+            raise FormatError(f"{missing[0]} is missing: the step-{step} pair is {whole}")
+    series = []
+    for step, ckpt_path, buffer_path in pairs:
         buffer = PriorityBuffer.load(buffer_path)
         agent = _agent(cfg, env, checkpoint=ckpt_path)
         _check_snapshot_pair(agent, buffer, env)
         # min(bias_eval_pairs, len(buffer)) slots drawn uniformly with rng,
-        # which then drives the rollouts
+        # which then drives the pendulum's rollouts
         probe = buffer.sample_uniform(min(cfg.bias_eval_pairs, len(buffer)), rng)
         record = compute_bias(agent, env, probe.states, probe.actions, rng,
                               horizon=cfg.bias_eval_horizon)
         record["step"] = step
         series.append(record)
-    if not series:
-        raise FormatError(f"{seed_dir} holds no (checkpoint, buffer) pair")
     return series
 
 
@@ -546,6 +556,12 @@ def run_oracle_suite(corrupt_kind: str | None = None,
     crit = -2.0 * math.log(0.001)  # chi-squared 0.999 quantile, 2 dof
     record("sum_tree_proportionality", 0.01, max_dev)
     record("sum_tree_chi2", crit, chi2)
+
+    # policy evaluation by one linear solve recovers Q* from the optimal policy
+    mdp = random_mdp(5, 2)
+    q_star, _, pi_star = value_iteration(mdp, tol=1e-12)
+    record("policy_q_matches_q_star", 1e-9,
+           float(np.max(np.abs(policy_q(mdp, pi_star) - q_star))))
 
     ok = all(r["passed"] for r in report)
     if report_path:

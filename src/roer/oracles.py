@@ -1,11 +1,13 @@
-"""Exact tabular oracles: optimal values, discounted occupancies, the dual
-objective of the divergence-regularized return and its minimizer, the
-telescoping identity check, and Monte-Carlo true-value estimation.
+"""Exact tabular oracles: optimal values, a policy's values and expected
+episode return, discounted occupancies, the dual objective of the
+divergence-regularized return and its minimizer, and the telescoping
+identity check.
 
 These are the reference paths the rest of the system is verified against,
-so everything here favors exactness over scalability: occupancies come
-from a dense linear solve, the dual minimizer from quasi-Newton descent
-to a 1e-8 gradient norm, expectations from full summation.
+so everything here favors exactness over scalability: a policy's Q and
+its occupancy come from dense linear solves, the dual minimizer from
+quasi-Newton descent to a 1e-8 gradient norm, expectations from full
+summation. Nothing here samples.
 """
 
 from __future__ import annotations
@@ -54,11 +56,13 @@ def value_iteration(mdp: TabularMdp, tol: float = 1e-10):
         # the contraction shrinks the new iterate's residual below gamma*residual
         if residual <= tol:
             break
-    V = Q.max(axis=1)
-    greedy = Q.argmax(axis=1)
-    policy = np.zeros_like(Q)
-    policy[np.arange(mdp.n_states), greedy] = 1.0
-    return Q, V, policy
+    return Q, Q.max(axis=1), greedy_policy(Q)
+
+
+def greedy_policy(Q: np.ndarray) -> np.ndarray:
+    """The deterministic policy table that takes argmax Q in each state,
+    ties to the lowest action index (TabularAgent.act's rule)."""
+    return np.eye(Q.shape[1])[Q.argmax(axis=1)]
 
 
 def occupancy(mdp: TabularMdp, policy: np.ndarray) -> OccupancyTable:
@@ -86,6 +90,24 @@ def _affine_td_map(mdp: TabularMdp, policy: np.ndarray):
     # T[(s,a), (s',a')] = P(s'|s,a) pi(a'|s')
     T = np.einsum("sat,tb->satb", mdp.transitions, policy).reshape(S * A_n, S * A_n)
     return mdp.gamma * T - np.eye(S * A_n), mdp.rewards.ravel()
+
+
+def policy_q(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
+    """Exact discounted Q of a policy: the zero of its affine TD map."""
+    A, b = _affine_td_map(mdp, policy)
+    return np.linalg.solve(A, -b).reshape(mdp.n_states, mdp.n_actions)
+
+
+def expected_return(mdp: TabularMdp, policy: np.ndarray, horizon: int) -> float:
+    """Expected undiscounted return of an episode that starts from
+    mdp.initial, follows the policy and is cut after horizon steps."""
+    P_pi = np.einsum("sa,sat->st", policy, mdp.transitions)
+    r_pi = np.einsum("sa,sa->s", policy, mdp.rewards)
+    dist, total = mdp.initial, 0.0
+    for _ in range(horizon):
+        total += float(dist @ r_pi)
+        dist = dist @ P_pi
+    return total
 
 
 def bellman_backup(mdp: TabularMdp, Q: np.ndarray, policy: np.ndarray) -> np.ndarray:
@@ -199,29 +221,3 @@ def kl_divergence_to_implied(d_target: OccupancyTable, implied: dict,
             q = max(implied.get((s, a), 0.0), eps)
             out += p * np.log(p / q)
     return float(out)
-
-
-@dataclass
-class McValueResult:
-    returns: np.ndarray
-    mean: float
-    tail_bound: float
-
-
-def mc_true_value(env, policy_fn, pairs, gamma: float,
-                  rng: np.random.Generator, horizon: int = 1000) -> McValueResult:
-    """Monte-Carlo discounted returns from stored (state, action) pairs:
-    reset to the state, take the stored action, then follow the policy.
-
-    Rollouts are truncated at the horizon; the reported tail bound is
-    gamma^horizon * r_max / (1 - gamma) with r_max the largest magnitude
-    reward seen along the rollouts.
-    """
-    states, actions = pairs
-    returns = env.batch_rollout(states, actions, policy_fn, horizon, gamma, rng)
-    if hasattr(env, "mdp"):
-        r_max = float(np.max(np.abs(env.mdp.rewards)))
-    else:
-        r_max = 16.5  # pendulum cost bound: pi^2 + 0.1 * 64 + 0.001 * 4
-    tail = gamma**horizon * r_max / (1.0 - gamma)
-    return McValueResult(returns=returns, mean=float(returns.mean()), tail_bound=tail)

@@ -366,6 +366,22 @@ class TestBiasCommand:
                                 f"the step-{step} pair is half\n")
         assert captured.out == ""
 
+    def test_cut_run_exit_code(self, tmp_path, capsys):
+        # a run cut before its last step leaves no final pair: the series
+        # must not stop at the last scheduled pair as if it were whole
+        cfg_path = write_config(tmp_path, total_steps=250, checkpoint_period=100,
+                                bias_eval_pairs=4, bias_eval_horizon=10)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        seed_dir = tmp_path / "run" / "seed_0"
+        for name in ("checkpoint.bin", "buffer.bin"):
+            (seed_dir / name).unlink()
+        capsys.readouterr()
+        assert main(["bias", str(seed_dir), "-c", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"input error: {seed_dir / 'checkpoint.bin'} is missing: "
+                                "the step-250 pair is absent\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("name", ["checkpoint_final.bin", "checkpoint_100.bin",
                                       "checkpoint_000000100.bin",
                                       "checkpoint_-0000100.bin"])

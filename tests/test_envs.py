@@ -73,25 +73,6 @@ class TestTabularEnv:
         with pytest.raises(ProtocolError):
             env.step(1)
 
-    def test_batch_rollout_matches_serial_on_deterministic_chain(self):
-        mdp = chain_mdp(5, gamma=0.9)
-        env = TabularEnv(mdp, horizon=10**9, rng=np.random.default_rng(0))
-        policy = lambda s: np.ones(len(np.atleast_1d(s)), dtype=int)
-        horizon = 200
-        got = env.batch_rollout(
-            np.array([0, 3]), np.array([1, 1]), policy, horizon, 0.9,
-            np.random.default_rng(5),
-        )
-        # serial reference, exact for the deterministic chain
-        for i, start in enumerate([0, 3]):
-            env.reset_to(start)
-            total, disc = 0.0, 1.0
-            for _ in range(horizon):
-                _, r, _, _ = env.step(1)
-                total += disc * r
-                disc *= 0.9
-            assert got[i] == pytest.approx(total, abs=1e-12)
-
 
 class FixedDraws:
     """A generator stub whose every uniform draw is u."""
@@ -99,8 +80,8 @@ class FixedDraws:
     def __init__(self, u):
         self.u = u
 
-    def random(self, size=None):
-        return self.u if size is None else np.full(size, self.u)
+    def random(self):
+        return self.u
 
 
 def edge_mdp():
@@ -113,10 +94,10 @@ def edge_mdp():
 
 
 class TestOneDrawRule:
-    """reset, step and batch_rollout pick the first state whose running sum
-    exceeds the draw; the extreme draws land on the first and the last
-    state of positive probability, never on one of probability zero and
-    never past the row (random MDP rows can sum to 1 - 2^-52)."""
+    """reset and step pick the first state whose running sum exceeds the
+    draw; the extreme draws land on the first and the last state of
+    positive probability, never on one of probability zero and never past
+    the row (random MDP rows can sum to 1 - 2^-52)."""
 
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
     @pytest.mark.parametrize("mdp", [edge_mdp(), random_mdp(20, 3, seed=5)],
@@ -135,16 +116,6 @@ class TestOneDrawRule:
                 nxt, _, _, _ = env.step(a)
                 assert nxt == expect(mdp.transitions[s, a])
                 env.step(0)  # the state drawn is one the next step can use
-        states, actions = np.repeat(np.arange(S), A), np.tile(np.arange(A), S)
-        seen = []
-
-        def policy(batch):
-            seen.append(batch.copy())
-            return np.zeros(len(batch), dtype=np.int64)
-
-        env.batch_rollout(states, actions, policy, 1, 0.9, FixedDraws(u))
-        assert seen[0].tolist() == [expect(mdp.transitions[s, a])
-                                    for s, a in zip(states, actions)]
 
 
 class TestPendulumEnv:

@@ -14,7 +14,7 @@ from roer import agents, divergences, harness, losses, schemes
 from roer.agents import TabularAgent, TabularConfig
 from roer.cli import main
 from roer.config import seed_streams
-from roer.envs import TabularEnv, TabularMdp, gridworld_mdp
+from roer.envs import PendulumEnv, TabularEnv, TabularMdp, gridworld_mdp, random_mdp
 from roer.harness import (
     MetricsWriter,
     compute_bias,
@@ -25,7 +25,7 @@ from roer.harness import (
     run_sweep,
     run_train,
 )
-from roer.oracles import value_iteration
+from roer.oracles import greedy_policy, policy_q, value_iteration
 from roer.replay import InvalidTransitionError, PriorityBuffer
 from roer.schemes import ConfigError, LaberConfig, PerConfig, RoerConfig
 
@@ -621,6 +621,33 @@ class TestBias:
                            np.random.default_rng(3), horizon=400)
         assert abs(rec["bias"]) <= 1e-5 + rec["tail_bound"]
 
+    def test_tabular_true_values_are_the_greedy_policy_q(self):
+        # an env at gamma 0.9 and an agent that discounts by 0.8: the true
+        # values are its greedy policy's, at its own gamma, and draw nothing
+        mdp = random_mdp(4, 2, gamma=0.9, seed=3)
+        agent = TabularAgent(4, 2, TabularConfig(gamma=0.8))
+        agent.q_table[:] = np.random.default_rng(5).normal(size=(4, 2))
+        states, actions = np.repeat(np.arange(4), 2), np.tile(np.arange(2), 4)
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        rec = compute_bias(agent, TabularEnv(mdp), states, actions, rng, horizon=1)
+        q = policy_q(replace(mdp, gamma=0.8), greedy_policy(agent.q_table))
+        assert rec["true_mean"] == pytest.approx(q.mean(), abs=1e-12)
+        assert rec["bias"] == pytest.approx(np.mean(q - agent.q_table), abs=1e-12)
+        assert rec["tail_bound"] == 0.0
+        assert rng.bit_generator.state == state
+
+    def test_pendulum_pairs_run(self):
+        env = PendulumEnv(rng=np.random.default_rng(3))
+        obs = np.stack([env.reset() for _ in range(4)])
+        agent = agents.SacAgent(3, 1, agents.SacConfig(hidden_dims=(8, 8)), seed=0)
+        rec = compute_bias(agent, env, obs, np.zeros((4, 1)),
+                           np.random.default_rng(4), horizon=300)
+        assert rec["n_pairs"] == 4
+        assert rec["true_mean"] <= 0.0  # every step costs
+        assert rec["tail_bound"] == 0.99**300 * PendulumEnv.COST_BOUND / (1.0 - 0.99)
+        assert rec["tail_bound"] < 100.0
+
 
 class TestOracleSuite:
     def test_fresh_checkout_passes(self):
@@ -629,7 +656,7 @@ class TestOracleSuite:
         names = {r["check"] for r in report}
         assert {"conjugate_inverse_identity", "fenchel_young",
                 "value_fixed_point", "telescoping_identity", "dual_recovery_tv",
-                "sum_tree_proportionality"} <= names
+                "sum_tree_proportionality", "policy_q_matches_q_star"} <= names
         assert [r["kind"] for r in report if r["check"] == "value_fixed_point"] \
             == ["kl", "pearson_chi2"]
         for r in report:

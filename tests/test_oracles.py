@@ -6,15 +6,17 @@ import pytest
 
 from roer import divergences, oracles
 from roer.divergences import SPECS, DomainError
-from roer.envs import PendulumEnv, TabularEnv, TabularMdp, chain_mdp, random_mdp
+from roer.envs import TabularEnv, TabularMdp, chain_mdp, gridworld_mdp, random_mdp
 from roer.oracles import (
     OccupancyTable,
     bellman_backup,
     dual_minimize,
     dual_objective,
+    expected_return,
+    greedy_policy,
     kl_divergence_to_implied,
-    mc_true_value,
     occupancy,
+    policy_q,
     recovered_distribution,
     telescoping_check,
     total_variation,
@@ -250,41 +252,47 @@ class TestDualMinimize:
         assert all(b >= a - 1e-9 for a, b in zip(max_abs_delta, max_abs_delta[1:]))
 
 
-class TestMcTrueValue:
-    def test_single_state_deterministic(self):
-        env = TabularEnv(single_state_mdp(reward=1.0, gamma=0.9), horizon=10**9,
-                         rng=np.random.default_rng(0))
-        policy = lambda s: np.zeros(len(np.atleast_1d(s)), dtype=int)
-        res = mc_true_value(env, policy, (np.zeros(8, dtype=int),
-                                          np.zeros(8, dtype=int)),
-                            gamma=0.9, rng=np.random.default_rng(1), horizon=400)
-        assert np.all(np.abs(res.returns - 10.0) <= res.tail_bound + 1e-9)
+EXACT_MDPS = pytest.mark.parametrize("mdp", [
+    chain_mdp(5, gamma=0.9), gridworld_mdp(3, 3, gamma=0.9),
+    random_mdp(4, 2, gamma=0.9, seed=0)], ids=["chain-5", "grid-3x3", "random-4x2"])
 
-    def test_optimal_policy_matches_q_star(self):
-        mdp = random_mdp(5, 2, gamma=0.9, seed=60)
+
+class TestPolicyQ:
+    @EXACT_MDPS
+    def test_optimal_policy_recovers_q_star(self, mdp):
         Q, _, pi_star = value_iteration(mdp, tol=1e-12)
-        env = TabularEnv(mdp, horizon=10**9, rng=np.random.default_rng(0))
-        greedy = pi_star.argmax(axis=1)
-        policy = lambda s: greedy[np.asarray(s, dtype=int)]
-        rng = np.random.default_rng(61)
-        n = 400
-        states = rng.integers(0, 5, size=n)
-        actions = rng.integers(0, 2, size=n)
-        res = mc_true_value(env, policy, (states, actions), gamma=0.9, rng=rng,
-                            horizon=400)
-        diffs = res.returns - Q[states, actions]
-        se = diffs.std(ddof=1) / np.sqrt(n)
-        assert abs(diffs.mean()) <= 3.0 * se + res.tail_bound
+        assert np.max(np.abs(policy_q(mdp, pi_star) - Q)) <= 1e-9
 
-    def test_pendulum_pairs_run(self):
-        env = PendulumEnv(rng=np.random.default_rng(3))
-        obs = np.stack([env.reset() for _ in range(4)])
-        policy = lambda o: np.zeros((len(o), 1))
-        res = mc_true_value(env, policy, (obs, np.zeros((4, 1))), gamma=0.99,
-                            rng=np.random.default_rng(4), horizon=300)
-        assert res.returns.shape == (4,)
-        assert np.all(res.returns <= 0.0)
-        assert res.tail_bound < 100.0
+    def test_stochastic_policy_is_a_bellman_fixed_point(self):
+        mdp = random_mdp(5, 3, gamma=0.9, seed=8)
+        pi = np.random.default_rng(9).dirichlet(np.ones(3), size=5)
+        Q = policy_q(mdp, pi)
+        assert np.max(np.abs(bellman_backup(mdp, Q, pi) - Q)) <= 1e-12
+
+
+class TestExpectedReturn:
+    @EXACT_MDPS
+    def test_matches_serial_episodes(self, mdp):
+        # the greedy optimal policy's episodes of 30 steps from mdp.initial
+        _, _, pi_star = value_iteration(mdp, tol=1e-12)
+        greedy = pi_star.argmax(axis=1)
+        env = TabularEnv(mdp, horizon=30, rng=np.random.default_rng(11))
+        returns = []
+        for _ in range(2_000):
+            s, total, done = env.reset(), 0.0, False
+            while not done:
+                s, r, _, done = env.step(greedy[s])
+                total += r
+            returns.append(total)
+        se = np.std(returns, ddof=1) / np.sqrt(len(returns))
+        exact = expected_return(mdp, pi_star, 30)
+        # the chain is deterministic: se is 0 and the sums must agree
+        assert abs(np.mean(returns) - exact) <= 4.0 * se + 1e-12
+
+
+def test_greedy_policy_breaks_ties_to_the_lowest_action():
+    Q = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
+    assert greedy_policy(Q).tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 
 
 class TestKlHelper:

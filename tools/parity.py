@@ -27,7 +27,9 @@ difference in exit code and stderr.
 
 For each config, and for the oracle suite's report, it compares every file
 the runs wrote, but timing.json (wall time) and config.yaml's output_dir;
-for metrics.jsonl it names the fields that differ. It also compares each
+for a JSON file (metrics.jsonl, summary.json, bias_*.json, report.json) it
+names the keys that differ, dotted below the top level, with a list's
+items compared in order under the list's key. It also compares each
 command's exit code, the first line of its stderr and its stdout (printing
 the first line that differs), with the run's own directory replaced by a
 placeholder. It prints each difference and exits 1 on any, 0 when the
@@ -155,15 +157,28 @@ def run_config(src: Path, run_dir: Path, cfg: dict) -> dict:
     return _without_run_dir(results, run_dir)
 
 
-def _metrics_fields(a: Path, b: Path) -> list[str]:
-    """The fields whose values differ in some record of two metrics streams."""
-    ra, rb = ([json.loads(line) for line in p.read_text().splitlines()] for p in (a, b))
-    fields = set()
-    for x, y in zip(ra, rb):
-        fields.update(k for k in x.keys() | y.keys() if x.get(k, ...) != y.get(k, ...))
-    if len(ra) != len(rb):
-        fields.add(f"<{len(ra)} vs {len(rb)} records>")
-    return sorted(fields)
+def _keys(x, y, key: str = "") -> set[str]:
+    """The dotted keys under which two parsed JSON values differ; the items
+    of a list are compared in order, under the list's own key."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        return set().union(*(_keys(x.get(k, ...), y.get(k, ...), f"{key}.{k}" if key else k)
+                             for k in x.keys() | y.keys()))
+    if isinstance(x, list) and isinstance(y, list):
+        keys = set().union(*(_keys(p, q, key) for p, q in zip(x, y)))
+        if len(x) != len(y):
+            keys.add(f"{key or '<list>'}: {len(x)} vs {len(y)} items")
+        return keys
+    return set() if x == y else {key or "<value>"}
+
+
+def _json_keys(a: Path, b: Path) -> list[str]:
+    """The keys whose values differ between two JSON files, or two JSON
+    Lines streams (read as lists of records)."""
+    def load(path):
+        if path.suffix == ".jsonl":
+            return [json.loads(line) for line in path.read_text().splitlines()]
+        return json.loads(path.read_text())
+    return sorted(_keys(load(a), load(b)))
 
 
 def _config_yaml(path: Path) -> dict:
@@ -174,8 +189,9 @@ def _config_yaml(path: Path) -> dict:
 
 def compare_dirs(a: Path, b: Path) -> list[str]:
     """Each difference between two run directories, as one line: a file in
-    one only, or one whose contents differ (timing.json is skipped, and
-    config.yaml compared without output_dir)."""
+    one only, or one whose contents differ, with the differing keys of a
+    JSON file (timing.json is skipped, and config.yaml compared without
+    output_dir)."""
     names = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     names |= {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     diffs = []
@@ -189,8 +205,9 @@ def compare_dirs(a: Path, b: Path) -> list[str]:
             if _config_yaml(pa) != _config_yaml(pb):
                 diffs.append(f"{rel}: differs")
         elif pa.read_bytes() != pb.read_bytes():
-            if rel.name == "metrics.jsonl":
-                diffs.append(f"{rel}: fields differ: {', '.join(_metrics_fields(pa, pb))}")
+            if rel.suffix in (".json", ".jsonl"):
+                keys = ", ".join(_json_keys(pa, pb)) or "none, formatting only"
+                diffs.append(f"{rel}: keys differ: {keys}")
             else:
                 diffs.append(f"{rel}: bytes differ")
     return diffs
