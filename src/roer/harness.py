@@ -99,36 +99,66 @@ def read_metrics(path) -> list[dict]:
     return records
 
 
-def load_offline_dataset(path):
-    """The buffer's data columns (PriorityBuffer.DATA) from a columnar .npz;
-    fill_offline checks their rows. A path that holds no readable .npz of
-    plain arrays (no pickled objects) raises ConfigError naming it."""
+class _NpzColumns:
+    """The arrays of an open .npz archive by name (np.savez's `<name>.npy`
+    members). Each lookup reads its member afresh into one new array, in
+    pieces of PIECE bytes, so a read holds the array and one piece (np.load
+    holds two 256 KiB pieces beside it). Only plain arrays load: an object
+    dtype raises ValueError, as np.load does with allow_pickle off."""
+
+    PIECE = 1 << 16
+
+    def __init__(self, archive: zipfile.ZipFile):
+        self.archive = archive
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        fmt, member = np.lib.format, f"{name}.npy"
+        with self.archive.open(member) as fp:
+            version = fmt.read_magic(fp)
+            if version not in ((1, 0), (2, 0)):
+                raise ValueError(f"{member} has .npy format version {version}")
+            read_header = (fmt.read_array_header_1_0 if version == (1, 0)
+                           else fmt.read_array_header_2_0)
+            shape, fortran, dtype = read_header(fp)
+            if dtype.hasobject:
+                raise ValueError(f"{member} holds objects, which load only by unpickling")
+            # checked before allocating: the header cannot claim more than the member holds
+            if math.prod(shape) * dtype.itemsize > self.archive.getinfo(member).file_size:
+                raise ValueError(f"{member} is shorter than its header's shape {shape}")
+            array = np.empty(shape[::-1] if fortran else shape, dtype)
+            data = memoryview(array.reshape(-1).view(np.uint8))
+            for i in range(0, len(data), self.PIECE):
+                piece = data[i : i + self.PIECE]
+                if fp.readinto(piece) != len(piece):
+                    raise EOFError(f"{member} ends inside its data")
+        return array.T if fortran else array
+
+
+def load_offline_dataset(path, buffer: PriorityBuffer, bounds: dict | None = None) -> None:
+    """Fill buffer from the columnar .npz at path through fill_offline, with
+    its index bounds: the archive stays open through the fill, which reads
+    each DATA member twice (a check pass, then a write pass) and holds one
+    at a time. A path that holds no readable .npz of plain arrays (no
+    pickled objects), or a member that fails to read (a bad CRC, say),
+    raises ConfigError naming it; a column the buffer rejects raises
+    InvalidTransitionError, and leaves the buffer as it was."""
     try:
-        data = np.load(path)  # allow_pickle is off: object arrays raise
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz archive")
-        with data:
-            columns = {k: data[k] for k in PriorityBuffer.DATA if k in data}
+        with zipfile.ZipFile(path) as archive:
+            names = set(archive.namelist())
+            missing = [k for k in PriorityBuffer.DATA if f"{k}.npy" not in names]
+            if not missing:
+                buffer.fill_offline(_NpzColumns(archive), bounds)
+    except InvalidTransitionError:
+        raise
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"offline dataset {path!r} is not a readable .npz: {exc}") from None
-    missing = [k for k in PriorityBuffer.DATA if k not in columns]
     if missing:
         raise ConfigError(f"offline dataset {path!r} missing fields {missing}")
-    return columns
 
 
-def _check_offline_indices(data: dict, env: TabularEnv,
-                           error=InvalidTransitionError) -> None:
-    """data's index columns (a tabular buffer's int64 DATA columns) must
-    index env's states and actions; fill_offline and load check their
-    dtype and the bound below."""
-    layout = PriorityBuffer._row_layout(1, 1, discrete=True)
-    bounds = {"states": env.n_states, "actions": env.n_actions}
-    for name in (k for k in PriorityBuffer.DATA if layout[k][0] == np.int64):
-        kind, column = name.removeprefix("next_"), data[name]
-        if column.dtype.kind in "iu" and column.size and column.max() >= bounds[kind]:
-            raise error(f"{name} holds index {column.max()}, but the "
-                        f"environment has {bounds[kind]} {kind}")
+def _index_bounds(env: TabularEnv) -> dict[str, int]:
+    """What a tabular buffer's index columns must stay below."""
+    return {"states": env.n_states, "actions": env.n_actions}
 
 
 def _dims(env) -> tuple[tuple[int, int], tuple[int, int, bool]]:
@@ -261,11 +291,8 @@ class _SeedRun:
         t_start = time.monotonic()
         if cfg.offline_dataset:
             # filled before the metrics stream opens: a bad dataset leaves no file
-            data = load_offline_dataset(cfg.offline_dataset)
-            if self.discrete:
-                _check_offline_indices(data, self.env)
-            self.buffer.fill_offline(**data)
-            del data  # the buffer holds its own copy for the whole run
+            load_offline_dataset(cfg.offline_dataset, self.buffer,
+                                 _index_bounds(self.env) if self.discrete else None)
         # a rerun starts afresh: delete every name this method writes below, so no
         # file of an earlier run here survives it
         for pattern in ("metrics.jsonl", "checkpoint_*.bin", "buffer_*.bin",
@@ -416,7 +443,9 @@ def _check_snapshot_pair(agent, buffer: PriorityBuffer, env) -> None:
     if len(buffer) == 0:
         raise FormatError("buffer holds no transitions")
     if env.discrete:
-        _check_offline_indices(buffer._live_columns(), env, FormatError)
+        bounds = _index_bounds(env)
+        for name, column in buffer._live_columns().items():
+            PriorityBuffer._check_index_bound(name, column, bounds, FormatError)
 
 
 def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:

@@ -413,45 +413,65 @@ class PriorityBuffer:
         buf.tree.set_range(0, size, arrays["priorities"])
         return buf
 
-    def fill_offline(self, states, actions, rewards, next_states, terminals) -> None:
-        """Bulk-load an offline dataset in one columnar write.
+    def fill_offline(self, columns, bounds: dict | None = None) -> None:
+        """Bulk-load an offline dataset: columns maps each DATA name to its
+        rows, as a dict of arrays or an open archive whose every lookup reads
+        one member (harness.load_offline_dataset's).
 
         The result is that of pushing the rows in order with insert step 0:
         row k lands in slot (cursor + k) % capacity with priority 1, so a
-        dataset larger than the buffer keeps its last `capacity` rows. Every
-        column is validated before any slot changes.
+        dataset larger than the buffer keeps its last `capacity` rows.
+        bounds, for a tabular buffer, maps "states" and "actions" to the
+        environment's counts, which the index columns must stay below.
+
+        Two passes hold one column at a time. The first looks up each column
+        and checks it under every rule, so a rejected dataset changes no
+        slot; the second looks each up again and copies it into its one or
+        two runs of slots. A slot at or past the old size still holds the
+        constructor's insert step 0, which is not written again.
         """
+        rewards = columns["rewards"]
         if np.ndim(rewards) != 1:
             raise InvalidTransitionError(f"rewards has shape {np.shape(rewards)}, "
                                          "expected one value a row")
         n = len(rewards)
-        given = zip(self.DATA, (states, actions, rewards, next_states, terminals))
-        columns = {name: self._offline_column(name, values, n, self.columns[name])
-                   for name, values in given}
+        # rewards first, as looked up for the row count
+        self._check_offline_column("rewards", rewards, n, bounds)
+        del rewards
+        for name in self.DATA:
+            if name != "rewards":
+                self._check_offline_column(name, columns[name], n, bounds)
         # the kept rows fill one run of slots from `start`, and a second run
         # from slot 0 when they wrap the ring
-        cap = self.capacity
+        cap, old_size = self.capacity, self.size
         kept = min(n, cap)
         start = (self.write_cursor + n - kept) % cap
-        for lo, hi, row in ((start, min(start + kept, cap), n - kept),
-                            (0, start + kept - cap, n - kept + cap - start)):
-            if lo >= hi:
-                continue
-            for name, column in columns.items():
-                self.columns[name][lo:hi] = column[row : row + hi - lo]
-            self.columns["insert_steps"][lo:hi] = 0
+        runs = [(lo, hi, row) for lo, hi, row in (
+            (start, min(start + kept, cap), n - kept),
+            (0, start + kept - cap, n - kept + cap - start)) if lo < hi]
+        for name in self.DATA:
+            dest = self.columns[name]
+            # the assignment casts as the check's astype did
+            column = np.asarray(columns[name]).reshape((n, *dest.shape[1:]))
+            for lo, hi, row in runs:
+                dest[lo:hi] = column[row : row + hi - lo]
+            del column  # before the next lookup reads its member
+        for lo, hi, _ in runs:
+            self.columns["insert_steps"][lo : min(hi, old_size)] = 0
             self.tree.set_range(lo, hi, self.INITIAL_PRIORITY)
         self.write_cursor = (self.write_cursor + n) % cap
         self.size = min(self.size + n, cap)
 
-    @staticmethod
-    def _offline_column(name: str, values, n: int, dest: np.ndarray) -> np.ndarray:
-        """values as n rows shaped like dest's rows, in dest's dtype, under
-        _check_values; index columns take integers only (push's rule)."""
+    def _check_offline_column(self, name: str, values, n: int,
+                              bounds: dict | None) -> None:
+        """values must be n rows shaped like the column's rows that pass its
+        rules in its dtype; index columns take integers only (push's rule),
+        below bounds when given."""
         arr = np.asarray(values)
         if arr.shape[:1] != (n,):
             raise InvalidTransitionError(f"{name} has shape {arr.shape}, "
                                          f"but rewards has {n} rows")
+        dest = self.columns[name]
         row_shape = dest.shape[1:]
         if math.prod(arr.shape[1:]) != math.prod(row_shape):
             raise InvalidTransitionError(f"{name} rows have shape {arr.shape[1:]}, "
@@ -459,13 +479,23 @@ class PriorityBuffer:
         if dest.dtype == np.int64 and arr.dtype.kind not in "iu":
             raise InvalidTransitionError(f"{name} must hold integer indices, "
                                          f"got dtype {arr.dtype}")
+        if bounds:
+            self._check_index_bound(name, arr, bounds)
         # the flag rule, before the cast to bool hides a value other than 0 or 1
         if dest.dtype == bool and not (arr == arr.astype(bool)).all():
             raise InvalidTransitionError(f"{name} holds a flag other than 0 or 1")
         # cast first, so a uint64 above the int64 range counts as negative
-        arr = arr.reshape((n,) + row_shape).astype(dest.dtype, copy=False)
-        PriorityBuffer._check_values(name, arr)
-        return arr
+        self._check_values(name, arr.astype(dest.dtype, copy=False))
+
+    @staticmethod
+    def _check_index_bound(name: str, arr: np.ndarray, bounds: dict,
+                           error=InvalidTransitionError) -> None:
+        """A tabular index column (states, actions, next_states) must stay
+        below bounds' count of its kind, the environment's."""
+        kind = name.removeprefix("next_")
+        if kind in bounds and arr.size and arr.max() >= bounds[kind]:
+            raise error(f"{name} holds index {arr.max()}, but the "
+                        f"environment has {bounds[kind]} {kind}")
 
     @staticmethod
     def _check_values(name: str, arr: np.ndarray, error=InvalidTransitionError) -> None:

@@ -208,7 +208,7 @@ class TestTrainCommand:
         assert not (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize("defect", ["text", "directory", "truncated", "npy",
-                                        "objects"])
+                                        "objects", "crc"])
     def test_unreadable_offline_dataset_exit_code(self, tmp_path, capsys, defect):
         n = 10
         columns = dict(states=np.zeros(n, dtype=np.int64),
@@ -226,6 +226,12 @@ class TestTrainCommand:
         elif defect == "npy":
             data = tmp_path / "data.npy"
             np.save(data, columns["rewards"])
+        elif defect == "crc":
+            # one byte of the first member's array data, past its .npy header
+            np.savez(data, **columns)
+            raw = bytearray(data.read_bytes())
+            raw[raw.index(b"\n", raw.index(b"\x93NUMPY")) + 1] ^= 1
+            data.write_bytes(bytes(raw))
         else:
             np.savez(data, **dict(columns, rewards=columns["rewards"].astype(object)))
         path = write_config(tmp_path, offline_dataset=str(data))
@@ -679,8 +685,9 @@ class TestPairThreadHygiene:
                 "agent = agents.SacAgent(3, 1, agents.SacConfig(hidden_dims=(8,), "
                 "batch_size=4), 0); assert agent.pair_threads; "
                 "rng = np.random.default_rng(0); buf = PriorityBuffer(8, 3, 1); "
-                "buf.fill_offline(rng.normal(size=(8, 3)), rng.normal(size=(8, 1)), "
-                "rng.normal(size=8), rng.normal(size=(8, 3)), np.zeros(8, bool)); "
+                "buf.fill_offline(dict(states=rng.normal(size=(8, 3)), "
+                "actions=rng.normal(size=(8, 1)), rewards=rng.normal(size=8), "
+                "next_states=rng.normal(size=(8, 3)), terminals=np.zeros(8, bool))); "
                 "m = agent.update(buf.sample_uniform(4, rng), np.ones(4), rng, RoerConfig()); "
                 "assert not m.aborted and threading.active_count() == 1; "
                 "sys.exit(cli.main(['train', '-c', sys.argv[1]]))")

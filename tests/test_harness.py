@@ -493,12 +493,11 @@ class TestRunTrain:
         assert rec  # ran to completion with a prefilled buffer
 
     def test_offline_columns_of_unequal_length_rejected(self, tmp_path):
-        # the loader reads the buffer's columns; fill_offline checks their rows
+        # the loader finds the buffer's columns; fill_offline checks their rows
         path = tmp_path / "offline.npz"
         np.savez(path, states=np.zeros(5, dtype=int), actions=np.zeros(5, dtype=int),
                  rewards=np.zeros(5), next_states=np.zeros(6, dtype=int),
                  terminals=np.zeros(5, dtype=bool))
-        assert list(harness.load_offline_dataset(path)) == list(PriorityBuffer.DATA)
         cfg = cmod.from_dict(base_raw(tmp_path, offline_dataset=str(path)))
         with pytest.raises(InvalidTransitionError,
                            match=r"next_states has shape \(6,\), but rewards has 5 rows"):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
@@ -17,6 +17,7 @@ from scipy import stats
 from roer import binio, nn
 from roer.agents import SacAgent, SacConfig, TabularAgent, TabularConfig
 from roer.binio import FormatError
+from roer.harness import load_offline_dataset
 from roer.replay import (
     EmptyBufferError,
     InvalidTransitionError,
@@ -181,14 +182,14 @@ class TestPush:
         if valid:
             pushed.push(parts["state"], parts["action"], 0.0,
                         parts["next_state"], False)
-            filled.fill_offline(**rows)
+            filled.fill_offline(rows)
             assert buffer_state(pushed) == buffer_state(filled)
             return
         with pytest.raises(InvalidTransitionError, match=field):
             pushed.push(parts["state"], parts["action"], 0.0,
                         parts["next_state"], False)
         with pytest.raises(InvalidTransitionError, match=field):
-            filled.fill_offline(**rows)
+            filled.fill_offline(rows)
         assert len(pushed) == len(filled) == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -704,11 +705,11 @@ class TestSnapshot:
     def test_offline_fill_unit_priorities(self):
         buf = tabular_buffer(capacity=32)
         n = 20
-        buf.fill_offline(
+        buf.fill_offline(dict(
             states=np.arange(n), actions=np.zeros(n, dtype=int),
             rewards=np.linspace(0, 1, n), next_states=np.arange(n) + 1,
             terminals=np.zeros(n, dtype=bool),
-        )
+        ))
         assert np.all(buf.priorities == 1.0)
 
 
@@ -746,6 +747,24 @@ def buffer_state(buf):
             + [buf.tree.nodes.tobytes(), buf.size, buf.write_cursor])
 
 
+def filled_state(buf):
+    """buffer_state, and the sum tree's prefix as the next draw reads it."""
+    buf.total_priority()
+    return buffer_state(buf) + [buf.tree.prefix.tobytes()]
+
+
+def npz(rows) -> io.BytesIO:
+    """rows as an np.savez archive, in a stream the loader reads."""
+    stream = io.BytesIO()
+    np.savez(stream, **rows)
+    stream.seek(0)
+    return stream
+
+
+# index bounds above every index that dataset() draws
+BOUNDS = {"states": 2**41, "actions": 2**41}
+
+
 @st.composite
 def dataset(draw, discrete: bool, n: int, ds=3, da=2):
     if discrete:
@@ -764,16 +783,20 @@ def dataset(draw, discrete: bool, n: int, ds=3, da=2):
 @st.composite
 def prefilled_buffers(draw, discrete: bool):
     """A buffer pair (the one under test, a reference twin) after a drawn
-    number of pushes and priority writes, so the cursor starts anywhere."""
+    number of pushes and priority writes, so the cursor starts anywhere;
+    the pushes carry insert steps above 0, which a slot keeps until a
+    later row evicts it."""
     capacity = draw(st.integers(1, 10))
     pair = [tabular_buffer(capacity) if discrete else vector_buffer(capacity)
             for _ in range(2)]
     prefix = draw(st.integers(0, 2 * capacity))
     rows = draw(dataset(discrete, prefix))
+    steps = draw(hnp.arrays(np.int64, prefix, elements=st.integers(1, 2**40)))
     written = draw(hnp.arrays(np.float64, min(prefix, capacity),
                               elements=st.floats(0.01, 100.0)))
     for buf in pair:
-        push_rows(buf, **rows)
+        for i in range(prefix):
+            buf.push(*(rows[c][i] for c in COLUMNS), insert_step=int(steps[i]))
         buf.update_priorities(np.arange(len(written)), written)
     return pair
 
@@ -795,7 +818,7 @@ def reachable_buffers(draw, discrete: bool):
             continue
         rows = draw(dataset(discrete, draw(st.integers(0, 2 * capacity))))
         if op == "fill":
-            buf.fill_offline(**rows)
+            buf.fill_offline(rows)
         else:
             for i in range(len(rows["rewards"])):
                 buf.push(*(rows[c][i] for c in COLUMNS),
@@ -813,7 +836,7 @@ class TestOfflineFillProperties:
         n = data.draw(st.sampled_from([0, buf.capacity // 2, buf.capacity,
                                        buf.capacity + 1, 2 * buf.capacity + 3]))
         rows = data.draw(dataset(discrete, n))
-        buf.fill_offline(**rows)
+        buf.fill_offline(rows)
         push_rows(ref, **rows)
         assert buffer_state(buf) == buffer_state(ref)
 
@@ -857,8 +880,27 @@ class TestOfflineFillProperties:
             rows[name] = col.astype(np.float64)
         before = buffer_state(buf)
         with pytest.raises(InvalidTransitionError, match=name):
-            buf.fill_offline(**rows)
+            buf.fill_offline(rows)
         assert buffer_state(buf) == before
+
+    @pytest.mark.parametrize("discrete", [True, False])
+    @pytest.mark.parametrize("defect, message", [
+        ("flag", "terminals holds a flag other than 0 or 1"),
+        ("short", r"terminals has shape \(5,\), but rewards has 6 rows")])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_a_file_whose_last_column_breaks_a_rule_changes_nothing(
+            self, discrete, defect, message, data):
+        # the check pass reads the file's last column after every other one
+        buf, _ = data.draw(prefilled_buffers(discrete))
+        assume(len(buf))
+        rows = data.draw(dataset(discrete, 6))
+        rows["terminals"] = (np.array([0, 1, 2, 0, 1, 0]) if defect == "flag"
+                             else rows["terminals"][:5])
+        before = filled_state(buf)
+        with pytest.raises(InvalidTransitionError, match=message):
+            load_offline_dataset(npz(rows), buf, BOUNDS if discrete else None)
+        assert filled_state(buf) == before
 
 
 W = SumTree.PREFIX_WIDTH
@@ -1024,8 +1066,9 @@ class TestTwoTierLayout:
         buf = tabular_buffer(capacity)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         n = int(rng.integers(1, 2 * capacity + 1))
-        buf.fill_offline(rng.integers(0, 9, n), rng.integers(0, 3, n),
-                         rng.normal(size=n), rng.integers(0, 9, n), rng.random(n) < 0.1)
+        buf.fill_offline(dict(zip(COLUMNS, (
+            rng.integers(0, 9, n), rng.integers(0, 3, n), rng.normal(size=n),
+            rng.integers(0, 9, n), rng.random(n) < 0.1))))
         for idx, values in data.draw(tree_writes(capacity)):
             buf.update_priorities(idx % len(buf), values + 1e-9)
         p, _ = tiers(buf.tree)
@@ -1067,8 +1110,9 @@ class TestPrefixMark:
                     buf.push(*make_transition(s=int(rng.integers(9))))
             elif op == "fill":
                 n = int(rng.choice([1, capacity - buf.write_cursor + 1, 2 * capacity + 3]))
-                buf.fill_offline(rng.integers(0, 9, n), rng.integers(0, 3, n),
-                                 rng.normal(size=n), rng.integers(0, 9, n), rng.random(n) < 0.1)
+                buf.fill_offline(dict(zip(COLUMNS, (
+                    rng.integers(0, 9, n), rng.integers(0, 3, n), rng.normal(size=n),
+                    rng.integers(0, 9, n), rng.random(n) < 0.1))))
             elif op == "write" and len(buf):
                 k = int(rng.integers(1, 65))
                 buf.update_priorities(rng.integers(0, len(buf), k),
@@ -1157,11 +1201,39 @@ class TestRangeWrite:
         # below, at and above capacity: runs that wrap the ring or cover it
         n = data.draw(st.sampled_from([0, 1, capacity - cursor, capacity - cursor + 1,
                                        capacity, capacity + 1, 2 * capacity + 3]))
-        buf.fill_offline(**data.draw(dataset(True, n)))
+        buf.fill_offline(data.draw(dataset(True, n)))
         kept = min(n, capacity)
         ref.set_many((cursor + np.arange(n - kept, n)) % capacity, 1.0)
         assert buf.tree.nodes.tobytes() == ref.nodes.tobytes()
         assert buf.total_priority() == ref.total()
+
+    @pytest.mark.parametrize("discrete", [True, False])
+    @pytest.mark.parametrize("start", ["fresh", "non-empty"])
+    @pytest.mark.parametrize("depth", [0, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_fill_from_an_npz_equals_the_fill_from_its_arrays(self, discrete, start,
+                                                              depth, data):
+        capacity = data.draw(tree_capacities(depth))
+        pair = [tabular_buffer(capacity) if discrete else vector_buffer(capacity)
+                for _ in range(2)]
+        for buf in pair:
+            buf.tree = narrow_tree(capacity, depth)(capacity)
+        if start == "non-empty":
+            rows = data.draw(dataset(discrete, data.draw(st.integers(1, 2 * capacity))))
+            written = data.draw(hnp.arrays(np.float64, min(len(rows["rewards"]), capacity),
+                                           elements=st.floats(0.01, 100.0)))
+            for buf in pair:
+                push_rows(buf, **rows)
+                buf.update_priorities(np.arange(len(written)), written)
+        cursor = pair[0].write_cursor
+        n = data.draw(st.sampled_from([0, 1, capacity - cursor, capacity - cursor + 1,
+                                       capacity, capacity + 1, 2 * capacity + 3]))
+        rows = data.draw(dataset(discrete, n))
+        bounds = BOUNDS if discrete else None
+        load_offline_dataset(npz(rows), pair[0], bounds)
+        pair[1].fill_offline(rows, bounds)
+        assert filled_state(pair[0]) == filled_state(pair[1])
 
 
 class TestImpliedDistributionProperties:
@@ -1204,7 +1276,8 @@ class TestImpliedDistributionProperties:
                      * (int(actions.max()) - int(actions.min()) + 1))
         assert (key_range <= n) == dense
         buf = tabular_buffer(n)
-        buf.fill_offline(states, actions, np.zeros(n), states, np.zeros(n, dtype=bool))
+        buf.fill_offline(dict(zip(COLUMNS, (states, actions, np.zeros(n), states,
+                                            np.zeros(n, dtype=bool)))))
         buf.update_priorities(np.arange(n), data.draw(hnp.arrays(
             np.float64, n, elements=st.floats(1e-3, 1e3))))
         got, want = buf.implied_distribution(), implied_reference(buf)
@@ -1253,15 +1326,26 @@ class TestBulkPathMemory:
     @pytest.fixture
     def full(self, rows):
         buf = tabular_buffer(self.N)
-        buf.fill_offline(**rows)
+        buf.fill_offline(rows)
         rng = np.random.default_rng(4)
         buf.update_priorities(np.arange(self.N), rng.random(self.N) + 0.5)
         return buf
 
     def test_offline_fill(self, rows):
         buf = tabular_buffer(self.N)
-        assert self.traced_peak(lambda: buf.fill_offline(**rows)) < self.BOUND
+        assert self.traced_peak(lambda: buf.fill_offline(rows)) < self.BOUND
         assert len(buf) == self.N
+
+    def test_offline_fill_from_a_file(self, rows, tmp_path):
+        # the loader and the fill hold one column of the file at a time
+        path = tmp_path / "data.npz"
+        np.savez(path, **rows)
+        buf, ref = tabular_buffer(self.N), tabular_buffer(self.N)
+        bounds = {"states": 64, "actions": 4}
+        peak = self.traced_peak(lambda: load_offline_dataset(path, buf, bounds))
+        assert peak < 1.5 * 8 * self.N
+        ref.fill_offline(rows)
+        assert buffer_state(buf) == buffer_state(ref)
 
     def test_implied_distribution(self, full):
         out = {}

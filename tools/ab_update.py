@@ -85,7 +85,7 @@ class Side:
         rng = np.random.default_rng(SEED + 1)
         # each tree's own buffer holds the pool and draws the batches
         buffer = replay.PriorityBuffer(POOL_ROWS, OBS_DIM, ACTION_DIM)
-        buffer.fill_offline(**pool)
+        buffer.fill_offline(pool)
         self.batches = [buffer.sample_uniform(n, rng) for _ in range(BATCHES)]
         self.weights = [rng.uniform(0.5, 2.0, size=n) for _ in range(BATCHES)]
         self.times_ns: list[int] = []

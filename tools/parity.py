@@ -4,13 +4,17 @@ matrix of short runs.
     git archive HEAD~1 --prefix=roer-parent/ | tar -x -C ..
     python3 tools/parity.py --against ../roer-parent
 
-Both trees run the same 23 configs, each `roer train` in a fresh process
+Both trees run the same 25 configs, each `roer train` in a fresh process
 with that tree's `src` on PYTHONPATH:
 - chain-5 (the tabular agent) and pendulum (SAC, `test` profile), each
   under every scheme of this tree's schemes.SCHEME_CONFIGS and both
   sampling modes: 20 runs;
-- a chain-5 `roer` run whose buffer is prefilled from an offline dataset
-  (a fixed .npz this script writes once), larger than the buffer;
+- a grid-3x3 `roer` run: chain-5 is deterministic, so only a stochastic
+  MDP shows a change to tabular evaluation or bias;
+- two chain-5 `roer` runs whose buffers are prefilled from an offline
+  dataset (fixed .npz files this script writes once): one larger than the
+  buffer, whose fill wraps the ring, and one smaller, whose fill writes
+  only fresh slots;
 - a pendulum `roer` run with the `full` profile, whose split twin pairs
   run their two lanes on two threads where the process may use two CPUs;
 - the same run with seeds [0, 1] and `workers: 2`: with two seed
@@ -83,15 +87,19 @@ def _pendulum(scheme: str, mode: str) -> dict:
                 agent=dict(profile="test"))
 
 
-def matrix(dataset: Path) -> dict[str, dict]:
-    """name -> config, in the file schema of roer.config."""
+def matrix(work: Path) -> dict[str, dict]:
+    """name -> config, in the file schema of roer.config; the offline
+    datasets are write_datasets' files in work."""
     configs = {}
     for scheme in SCHEME_CONFIGS:
         for mode in ("proportional", "weighted"):
             configs[f"chain-{scheme}-{mode}"] = _chain(scheme, mode)
             configs[f"pendulum-{scheme}-{mode}"] = _pendulum(scheme, mode)
-    configs["chain-roer-offline"] = {**_chain("roer", "proportional"),
-                                     "offline_dataset": str(dataset)}
+    configs["grid-roer"] = {**_chain("roer", "proportional"), "env": "grid-3x3"}
+    for name, file in (("chain-roer-offline", "offline.npz"),
+                       ("chain-roer-offline-small", "offline-small.npz")):
+        configs[name] = {**_chain("roer", "proportional"),
+                         "offline_dataset": str(work / file)}
     configs["pendulum-roer-full"] = {**_pendulum("roer", "proportional"),
                                      "total_steps": 320, "checkpoint_period": 288,
                                      "agent": dict(profile="full")}
@@ -100,13 +108,14 @@ def matrix(dataset: Path) -> dict[str, dict]:
     return configs
 
 
-def write_dataset(path: Path) -> None:
-    """600 random chain-5 transitions, more than the runs' 256 slots."""
-    rng = np.random.default_rng(0)
-    n = 600
-    np.savez(path, states=rng.integers(0, 5, n), actions=rng.integers(0, 2, n),
-             rewards=rng.normal(size=n), next_states=rng.integers(0, 5, n),
-             terminals=rng.random(n) < 0.05)
+def write_datasets(work: Path) -> None:
+    """Random chain-5 transitions into work: 600 in offline.npz, more than
+    the runs' 256 slots, and 100 in offline-small.npz, fewer."""
+    for file, n in (("offline.npz", 600), ("offline-small.npz", 100)):
+        rng = np.random.default_rng(0)
+        np.savez(work / file, states=rng.integers(0, 5, n),
+                 actions=rng.integers(0, 2, n), rewards=rng.normal(size=n),
+                 next_states=rng.integers(0, 5, n), terminals=rng.random(n) < 0.05)
 
 
 def _command(src: Path, args: list[str], cwd: Path) -> dict:
@@ -247,9 +256,8 @@ def main(argv=None) -> int:
     work = Path(args.keep or tempfile.mkdtemp(prefix="roer-parity-")).resolve()
     work.mkdir(parents=True, exist_ok=True)
     try:
-        dataset = work / "offline.npz"
-        write_dataset(dataset)
-        configs = matrix(dataset)
+        write_datasets(work)
+        configs = matrix(work)
         trees = {"this": ROOT / "src", "other": other / "src"}
         with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
             futures = {(side, name): pool.submit(run_config, src, work / side / name, cfg)
