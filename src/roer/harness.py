@@ -134,9 +134,10 @@ class _NpzColumns:
         return array.T if fortran else array
 
 
-def load_offline_dataset(path, buffer: PriorityBuffer, bounds: dict | None = None) -> None:
-    """Fill buffer from the columnar .npz at path through fill_offline, with
-    its index bounds: the archive stays open through the fill, which reads
+def load_offline_dataset(path, buffer: PriorityBuffer) -> None:
+    """Fill buffer from the columnar .npz at path through fill_offline, which
+    holds a tabular buffer's indices below its counts (the env's): the
+    archive stays open through the fill, which reads
     each DATA member twice (a check pass, then a write pass) and holds one
     at a time. A path that holds no readable .npz of plain arrays (no
     pickled objects), or a member that fails to read (a bad CRC, say),
@@ -147,7 +148,7 @@ def load_offline_dataset(path, buffer: PriorityBuffer, bounds: dict | None = Non
             names = set(archive.namelist())
             missing = [k for k in PriorityBuffer.DATA if f"{k}.npy" not in names]
             if not missing:
-                buffer.fill_offline(_NpzColumns(archive), bounds)
+                buffer.fill_offline(_NpzColumns(archive))
     except InvalidTransitionError:
         raise
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -156,17 +157,12 @@ def load_offline_dataset(path, buffer: PriorityBuffer, bounds: dict | None = Non
         raise ConfigError(f"offline dataset {path!r} missing fields {missing}")
 
 
-def _index_bounds(env: TabularEnv) -> dict[str, int]:
-    """What a tabular buffer's index columns must stay below."""
-    return {"states": env.n_states, "actions": env.n_actions}
-
-
-def _dims(env) -> tuple[tuple[int, int], tuple[int, int, bool]]:
-    """(env's agent's dims, its buffer's (state_dim, action_dim, discrete)): a
-    tabular agent's table is states x actions, and its buffer holds indices."""
+def _dims(env) -> tuple[int, int]:
+    """The (state, action) dims of env's agent and buffer alike: a tabular
+    env's state and action counts, the sizes of pendulum's vectors."""
     if env.discrete:
-        return (env.n_states, env.n_actions), (1, 1, True)
-    return (env.obs_dim, env.action_dim), (env.obs_dim, env.action_dim, False)
+        return env.n_states, env.n_actions
+    return env.obs_dim, env.action_dim
 
 
 def _agent(cfg: ExperimentConfig, env, init=None, checkpoint=None):
@@ -176,7 +172,7 @@ def _agent(cfg: ExperimentConfig, env, init=None, checkpoint=None):
     cls = SacAgent if isinstance(cfg.agent_config, SacConfig) else TabularAgent
     if checkpoint is not None:
         return cls.load(checkpoint, cfg.agent_config)
-    return cls(*_dims(env)[0], cfg.agent_config, init, min(cfg.workers, len(cfg.seeds)))
+    return cls(*_dims(env), cfg.agent_config, init, min(cfg.workers, len(cfg.seeds)))
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +192,7 @@ class _SeedRun:
         # agent before buffer: the other order read about 5% fewer pendulum-full
         # env-steps/s (4 alternating pairs, 2-vCPU Xeon VM)
         self.agent = _agent(cfg, self.env, self.streams["init"])
-        self.buffer = PriorityBuffer(cfg.buffer_capacity, *_dims(self.env)[1])
+        self.buffer = PriorityBuffer(cfg.buffer_capacity, *_dims(self.env), self.discrete)
         if self.discrete:
             # the oracle solves the problem the agent learns: the env's
             # dynamics under the agent's discount
@@ -291,8 +287,7 @@ class _SeedRun:
         t_start = time.monotonic()
         if cfg.offline_dataset:
             # filled before the metrics stream opens: a bad dataset leaves no file
-            load_offline_dataset(cfg.offline_dataset, self.buffer,
-                                 _index_bounds(self.env) if self.discrete else None)
+            load_offline_dataset(cfg.offline_dataset, self.buffer)
         # a rerun starts afresh: delete every name this method writes below, so no
         # file of an earlier run here survives it
         for pattern in ("metrics.jsonl", "checkpoint_*.bin", "buffer_*.bin",
@@ -432,20 +427,16 @@ def compute_bias(agent, env, states, actions, rng, horizon: int) -> dict:
 
 def _check_snapshot_pair(agent, buffer: PriorityBuffer, env) -> None:
     """A checkpoint and a nonempty buffer of env's problem, or FormatError."""
-    agent_dims, buffer_dims = _dims(env)
-    if agent.dims != agent_dims:
+    dims = _dims(env)
+    if agent.dims != dims:
         raise FormatError(f"checkpoint dims {agent.dims} are not the environment's "
-                          f"{agent_dims}")
-    got = (buffer.state_dim, buffer.action_dim, buffer.discrete)
-    if got != buffer_dims:
+                          f"{dims}")
+    got, want = (buffer.state_dim, buffer.action_dim, buffer.discrete), (*dims, env.discrete)
+    if got != want:
         raise FormatError(f"buffer (state_dim, action_dim, discrete) {got} is not "
-                          f"the environment's {buffer_dims}")
+                          f"the environment's {want}")
     if len(buffer) == 0:
         raise FormatError("buffer holds no transitions")
-    if env.discrete:
-        bounds = _index_bounds(env)
-        for name, column in buffer._live_columns().items():
-            PriorityBuffer._check_index_bound(name, column, bounds, FormatError)
 
 
 def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
@@ -573,7 +564,7 @@ def run_oracle_suite(corrupt_kind: str | None = None,
     dev = float(np.max(np.abs(np.exp(delta[support]) - 1.0)))
     record("dual_matched_unit_ratio", 0.05, dev)
 
-    buf = PriorityBuffer(4, 1, 1, discrete=True)
+    buf = PriorityBuffer(4, 3, 1, discrete=True)
     for i in range(3):
         buf.push(i, 0, 0.0, i, False)
     buf.update_priorities([0, 1, 2], [1.0, 2.0, 3.0])

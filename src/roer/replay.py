@@ -10,7 +10,8 @@ prefix sum over that level, rebuilt once after any number of writes.
 Sampling searches the prefix and descends the binary levels below it,
 vectorized over the batch.
 
-Values are checked where they enter, one rule per kind of column; a
+Values are checked where they enter, one rule per kind of column (a tabular
+buffer's dims are its table's counts, which its indices stay below); a
 rejected one raises InvalidTransitionError (FormatError at load): a bad
 input, not the FloatingPointError that signals a run's own non-finite values.
 """
@@ -167,6 +168,8 @@ class SampledBatch:
 
 class PriorityBuffer:
     """Ring buffer (_row_layout's columns) + sum-tree of priorities d(s, a).
+    A tabular (discrete) buffer's state_dim and action_dim are its S x A
+    table's counts, at least 1 each, and every index it holds is in [0, count).
 
     Single-writer, multiple-reader: push/update_priorities need exclusive
     access; sampling and implied_distribution may run concurrently with
@@ -185,6 +188,9 @@ class PriorityBuffer:
                  discrete: bool = False):
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        if discrete and min(state_dim, action_dim) < 1:
+            raise ValueError(f"a tabular buffer's counts ({state_dim}, {action_dim}) "
+                             "must be >= 1")
         layout = self._row_layout(state_dim, action_dim, discrete)
         del layout["priorities"]  # the sum tree's leaves
         layout["terminals"] = (np.dtype(bool), ())  # written as their uint8 bytes
@@ -217,9 +223,10 @@ class PriorityBuffer:
 
     def _coerce(self, value, dim: int, what: str) -> np.ndarray | int:
         if self.discrete:
-            # fill_offline's index rule too: an integer >= 0, not a bool
-            if type(value) is not int and not isinstance(value, np.integer) or value < 0:
-                raise InvalidTransitionError(f"{what} {value!r} is not an index >= 0")
+            # fill_offline's and load's index rule: an integer in [0, dim), not a bool
+            if (type(value) is not int and not isinstance(value, np.integer)
+                    or not 0 <= value < dim):
+                raise InvalidTransitionError(f"{what} {value!r} is not an index in [0, {dim})")
             return int(value)
         arr = np.asarray(value, dtype=np.float64).reshape(-1)
         if arr.shape != (dim,):
@@ -308,10 +315,10 @@ class PriorityBuffer:
         bucket adds its priorities in slot order, and the total adds the
         buckets in key order, exactly as a running per-slot sum would.
 
-        When the pairs' key range (state span x action span) is at most the
-        live size, the pair key itself is the bucket, and the work is one
-        bincount and one minimum.at over it; a wider range falls back to
-        sorting the pairs into dense ranks.
+        When the S x A table has at most as many cells as live slots, a
+        pair's offset s * A + a in it is its bucket, and the work is one
+        bincount and one minimum.at over the table; a larger table falls
+        back to sorting the pairs into dense ranks.
         """
         if self.size == 0:
             raise EmptyBufferError("buffer is empty")
@@ -321,20 +328,15 @@ class PriorityBuffer:
             )
         n = self.size
         states, actions = self.columns["states"][:n], self.columns["actions"][:n]
-        s_min, a_min = int(states.min()), int(actions.min())
-        a_span = int(actions.max()) - a_min + 1
-        buckets = (int(states.max()) - s_min + 1) * a_span  # Python ints
-        if buckets <= n:
-            # a pair's offset in the box of its indices is its bucket
-            bucket = states - s_min
-            bucket *= a_span
+        cells = self.state_dim * self.action_dim  # Python ints
+        if cells <= n:
+            bucket = states * self.action_dim
             bucket += actions
-            bucket -= a_min
-            first = np.full(buckets, n)
+            first = np.full(cells, n)
             np.minimum.at(first, bucket, np.arange(n))
             first = first[first < n]
         else:
-            # dense ranks keep the pair key below n**2, whatever the index range
+            # dense ranks keep the pair key below n**2, whatever the counts
             _, s_rank = np.unique(states, return_inverse=True)
             _, a_rank = np.unique(actions, return_inverse=True)
             _, first, bucket = np.unique(s_rank * n + a_rank, return_index=True,
@@ -364,6 +366,11 @@ class PriorityBuffer:
                 "next_states": states, "terminals": (np.dtype(np.uint8), ()),
                 "insert_steps": (i8, ()), "priorities": (f8, ())}
 
+    @staticmethod
+    def _counts(sdim: int, adim: int, discrete: bool) -> dict[str, int]:
+        """Each index column's count, which its indices stay below (none if vector)."""
+        return {"states": sdim, "actions": adim, "next_states": sdim} if discrete else {}
+
     # Snapshot format: binio envelope (magic, version, kind=1) wrapping
     # meta = [capacity, size, write_cursor, state_dim, action_dim, discrete]
     # and the live slots of every column of _row_layout in slot order.
@@ -388,9 +395,9 @@ class PriorityBuffer:
         """Rebuild a snapshot; a payload that does not describe a valid
         buffer raises binio.FormatError.
 
-        Every column of _row_layout is checked against the meta, and under
-        its kind's value rule, before anything is allocated. A meta naming
-        a buffer above MAX_BYTES (4 GiB) is refused."""
+        Every column of _row_layout is checked against the meta (its counts
+        too), and under its kind's value rule, before anything is allocated.
+        A meta naming a buffer above MAX_BYTES (4 GiB) is refused."""
         payload = binio.read_envelope(path_or_stream, binio.KIND_BUFFER)
         arrays = binio.payload_to_arrays(payload)
         meta = binio.checked(arrays, "meta", (6,), np.int64)
@@ -399,9 +406,10 @@ class PriorityBuffer:
                 or (size < capacity and cursor != size)
                 or sdim < 0 or adim < 0 or discrete not in (0, 1)):
             raise binio.FormatError(f"inconsistent buffer meta {meta.tolist()}")
+        counts = cls._counts(sdim, adim, discrete)
         for name, (dtype, row) in cls._row_layout(sdim, adim, discrete).items():
             column = binio.checked(arrays, name, (size, *row), dtype)
-            cls._check_values(name, column, binio.FormatError)
+            cls._check_values(name, column, counts.get(name), binio.FormatError)
         try:
             buf = cls(capacity, sdim, adim, discrete=bool(discrete))
         except ValueError as exc:
@@ -413,16 +421,16 @@ class PriorityBuffer:
         buf.tree.set_range(0, size, arrays["priorities"])
         return buf
 
-    def fill_offline(self, columns, bounds: dict | None = None) -> None:
+    def fill_offline(self, columns) -> None:
         """Bulk-load an offline dataset: columns maps each DATA name to its
         rows, as a dict of arrays or an open archive whose every lookup reads
         one member (harness.load_offline_dataset's).
 
         The result is that of pushing the rows in order with insert step 0:
         row k lands in slot (cursor + k) % capacity with priority 1, so a
-        dataset larger than the buffer keeps its last `capacity` rows.
-        bounds, for a tabular buffer, maps "states" and "actions" to the
-        environment's counts, which the index columns must stay below.
+        dataset larger than the buffer keeps its last `capacity` rows. A
+        tabular buffer's index columns must stay below its counts, as
+        push's indices do.
 
         Two passes hold one column at a time. The first looks up each column
         and checks it under every rule, so a rejected dataset changes no
@@ -436,11 +444,11 @@ class PriorityBuffer:
                                          "expected one value a row")
         n = len(rewards)
         # rewards first, as looked up for the row count
-        self._check_offline_column("rewards", rewards, n, bounds)
+        self._check_offline_column("rewards", rewards, n)
         del rewards
         for name in self.DATA:
             if name != "rewards":
-                self._check_offline_column(name, columns[name], n, bounds)
+                self._check_offline_column(name, columns[name], n)
         # the kept rows fill one run of slots from `start`, and a second run
         # from slot 0 when they wrap the ring
         cap, old_size = self.capacity, self.size
@@ -462,11 +470,9 @@ class PriorityBuffer:
         self.write_cursor = (self.write_cursor + n) % cap
         self.size = min(self.size + n, cap)
 
-    def _check_offline_column(self, name: str, values, n: int,
-                              bounds: dict | None) -> None:
+    def _check_offline_column(self, name: str, values, n: int) -> None:
         """values must be n rows shaped like the column's rows that pass its
-        rules in its dtype; index columns take integers only (push's rule),
-        below bounds when given."""
+        rules in its dtype; index columns take integers only (push's rule)."""
         arr = np.asarray(values)
         if arr.shape[:1] != (n,):
             raise InvalidTransitionError(f"{name} has shape {arr.shape}, "
@@ -479,29 +485,20 @@ class PriorityBuffer:
         if dest.dtype == np.int64 and arr.dtype.kind not in "iu":
             raise InvalidTransitionError(f"{name} must hold integer indices, "
                                          f"got dtype {arr.dtype}")
-        if bounds:
-            self._check_index_bound(name, arr, bounds)
         # the flag rule, before the cast to bool hides a value other than 0 or 1
         if dest.dtype == bool and not (arr == arr.astype(bool)).all():
             raise InvalidTransitionError(f"{name} holds a flag other than 0 or 1")
+        count = self._counts(self.state_dim, self.action_dim, self.discrete).get(name)
         # cast first, so a uint64 above the int64 range counts as negative
-        self._check_values(name, arr.astype(dest.dtype, copy=False))
+        self._check_values(name, arr.astype(dest.dtype, copy=False), count)
 
     @staticmethod
-    def _check_index_bound(name: str, arr: np.ndarray, bounds: dict,
-                           error=InvalidTransitionError) -> None:
-        """A tabular index column (states, actions, next_states) must stay
-        below bounds' count of its kind, the environment's."""
-        kind = name.removeprefix("next_")
-        if kind in bounds and arr.size and arr.max() >= bounds[kind]:
-            raise error(f"{name} holds index {arr.max()}, but the "
-                        f"environment has {bounds[kind]} {kind}")
-
-    @staticmethod
-    def _check_values(name: str, arr: np.ndarray, error=InvalidTransitionError) -> None:
+    def _check_values(name: str, arr: np.ndarray, count: int | None = None,
+                      error=InvalidTransitionError) -> None:
         """One value rule per kind of column: priorities positive and finite,
-        indices and steps (int64) >= 0, flags (uint8) 0 or 1, other float64
-        values finite. A bool column needs no rule."""
+        indices and steps (int64) >= 0, and an index column (one _counts
+        names) below its count, flags (uint8) 0 or 1, other float64 values
+        finite. A bool column needs no rule."""
         if not arr.size or arr.dtype.kind == "b":
             return
         # min and max are nan when any value is, which fails every float test
@@ -510,6 +507,11 @@ class PriorityBuffer:
             rule = "must be positive and finite"
         elif arr.dtype.kind == "i":
             ok, rule = arr.min() >= 0, "holds an index below 0"
+            if ok and count is not None:
+                top = arr.max()
+                ok = top < count
+                rule = (f"holds index {top}, but the buffer has {count} "
+                        f"{name.removeprefix('next_')}")
         elif arr.dtype.kind == "u":
             ok, rule = arr.max() <= 1, "holds a flag other than 0 or 1"
         else:

@@ -149,8 +149,8 @@ def roer_update(td_errors, current_priorities, cfg: RoerConfig,
     np.minimum(w, cfg.max_exp_clip, out=w)
     w /= w.sum() / len(w)
     new = (cfg.lam * (w - 1.0) + 1.0) * current_priorities
-    if cfg.min_priority_clip > 0.0:
-        np.maximum(new, cfg.min_priority_clip, out=new)
+    # a floor of 0 keeps every bit of the priorities, which are positive
+    np.maximum(new, cfg.min_priority_clip, out=new)
     return new
 
 

@@ -72,7 +72,7 @@ def test_criterion_1_divergence_identity_suite():
 
 def test_criterion_2_sum_tree_proportionality():
     t0 = time.perf_counter()
-    buf = PriorityBuffer(4, 1, 1, discrete=True)
+    buf = PriorityBuffer(4, 3, 1, discrete=True)
     for i in range(3):
         buf.push(i, 0, 0.0, i, False)
     buf.update_priorities([0, 1, 2], [1.0, 2.0, 3.0])

@@ -247,7 +247,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("excess", [0, 2**40])
     def test_offline_index_beyond_the_env_exit_code(self, tmp_path, capsys,
                                                      field, bound, excess):
-        # grid-8x8 has 64 states and 4 actions; the buffer alone cannot tell
+        # grid-8x8 has 64 states and 4 actions, the counts of the run's buffer
         n = 10
         columns = dict(states=np.arange(n) % 64, actions=np.arange(n) % 4,
                        rewards=np.zeros(n), next_states=np.arange(n) % 64,
@@ -258,7 +258,9 @@ class TestTrainCommand:
         path = write_config(tmp_path, env="grid-8x8", offline_dataset=str(data))
         assert main(["train", "-c", str(path)]) == 2
         err = capsys.readouterr().err
-        assert f"{field} holds index {bound + excess}" in err
+        kind = field.removeprefix("next_")
+        assert (f"{field} holds index {bound + excess}, but the buffer has {bound} {kind}"
+                in err)
         assert not (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
 
     def test_offline_dataset_at_the_env_bounds_runs(self, tmp_path):
@@ -447,7 +449,28 @@ class TestBiasCommand:
         buf.snapshot(tmp_path / "run" / "seed_0" / "buffer.bin")
         assert main(["bias", str(tmp_path / "run" / "seed_0"), "-c", str(cfg_path)]) == 2
         assert ("buffer (state_dim, action_dim, discrete) (3, 1, False) is not the "
-                "environment's (1, 1, True)" in capsys.readouterr().err)
+                "environment's (4, 2, True)" in capsys.readouterr().err)
+
+    def test_buffers_of_another_tabular_problem_exit_code(self, tmp_path, capsys):
+        # a grid-3x3 run whose buffer files are a chain-5 run's: each loads,
+        # and its counts name the problem it holds
+        run = dict(checkpoint_period=150, bias_eval_pairs=8, bias_eval_horizon=30)
+        grid, chain = tmp_path / "grid", tmp_path / "chain"
+        grid.mkdir()
+        chain.mkdir()
+        cfg_path = write_config(grid, env="grid-3x3", **run)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        assert main(["train", "-c", str(write_config(chain, env="chain-5", **run))]) == 0
+        seed_dir = grid / "run" / "seed_0"
+        names = sorted(p.name for p in seed_dir.glob("buffer*.bin"))
+        assert names == ["buffer.bin", "buffer_00000150.bin"]
+        for name in names:
+            (seed_dir / name).write_bytes((chain / "run" / "seed_0" / name).read_bytes())
+        capsys.readouterr()
+        assert main(["bias", str(seed_dir), "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("input error: buffer (state_dim, action_dim, discrete) "
+                       "(5, 2, True) is not the environment's (9, 4, True)\n")
 
     @pytest.mark.parametrize("column, bound", [("states", 4), ("actions", 2),
                                                ("next_states", 4)])
@@ -460,13 +483,14 @@ class TestBiasCommand:
         buf.columns[column][3] = bound
         buf.snapshot(path)
         assert main(["bias", str(path.parent), "-c", str(cfg_path)]) == 2
-        assert f"{column} holds index {bound}" in capsys.readouterr().err
+        assert (f"{column} holds index {bound}, but the buffer has {bound} "
+                f"{column.removeprefix('next_')}" in capsys.readouterr().err)
 
     def test_empty_buffer_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         assert main(["train", "-c", str(cfg_path)]) == 0
         path = tmp_path / "run" / "seed_0" / "buffer.bin"
-        PriorityBuffer(200, 1, 1, discrete=True).snapshot(path)
+        PriorityBuffer(200, 4, 2, discrete=True).snapshot(path)
         assert main(["bias", str(path.parent), "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "input error: buffer holds no transitions" in err
@@ -531,7 +555,7 @@ class TestBiasCommand:
 
 class TestReplayInspect:
     def test_inspect_output(self, tmp_path, capsys):
-        buf = PriorityBuffer(8, 1, 1, discrete=True)
+        buf = PriorityBuffer(8, 2, 1, discrete=True)
         for i in range(4):
             buf.push(i % 2, 0, 0.0, 0, False)
         buf.update_priorities([0, 1], [2.0, 3.0])
@@ -540,7 +564,23 @@ class TestReplayInspect:
         assert main(["replay-inspect", str(path)]) == 0
         out = capsys.readouterr().out
         assert "size 4" in out
+        # a tabular buffer's dims are its table's counts
+        assert "discrete True  state_dim 2  action_dim 1" in out
         assert "implied distribution" in out
+
+    @pytest.mark.parametrize("column, count", [("states", 5), ("actions", 2),
+                                               ("next_states", 5)])
+    def test_index_at_its_count_exit_code(self, tmp_path, capsys, column, count):
+        buf = PriorityBuffer(8, 5, 2, discrete=True)
+        for i in range(4):
+            buf.push(i, i % 2, 0.0, i + 1, False)
+        buf.columns[column][2] = count
+        path = tmp_path / "buffer.bin"
+        buf.snapshot(path)
+        assert main(["replay-inspect", str(path)]) == 2
+        kind = column.removeprefix("next_")
+        assert capsys.readouterr().err == (f"input error: {column} holds index {count}, "
+                                           f"but the buffer has {count} {kind}\n")
 
     @pytest.mark.parametrize("dims", [(1, 1, True), (3, 1, False)],
                              ids=["tabular", "vector"])

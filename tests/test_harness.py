@@ -547,7 +547,13 @@ class TestAgentSite:
             replace(cfg, agent_config=cfg.sac)
         run = harness._SeedRun(cfg, 0, tmp_path / "seed_0")
         assert type(run.agent) is kind and run.agent.config is cfg.agent_config
-        assert run.agent.dims == harness._dims(run.env)[0]
+        # the agent and the buffer share one pair of dims: counts on a tabular env
+        dims = harness._dims(run.env)
+        assert run.agent.dims == dims
+        assert (run.buffer.state_dim, run.buffer.action_dim, run.buffer.discrete) == (
+            *dims, env != "pendulum")
+        if env == "chain-5":
+            assert dims == (5, 2)
         obs = run.env.reset()
         for step in range(1, 33):
             action = run._act(obs, step)

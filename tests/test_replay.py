@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import itertools
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -38,8 +39,9 @@ def allocated_bytes(buf):
     return sum(col.nbytes for col in buf.columns.values()) + buf.tree.nodes.nbytes
 
 
-def tabular_buffer(capacity=8):
-    return PriorityBuffer(capacity, state_dim=1, action_dim=1, discrete=True)
+def tabular_buffer(capacity=8, counts=(16, 8)):
+    """A buffer of a tabular problem with counts' (states, actions)."""
+    return PriorityBuffer(capacity, *counts, discrete=True)
 
 
 def vector_buffer(capacity=8, ds=3, da=2):
@@ -165,7 +167,8 @@ class TestPush:
             buf.push(np.zeros(3), np.zeros(2), float("inf"),
                      np.zeros(3), False)
 
-    # push and fill_offline take the same tabular indices: integers >= 0
+    # push and fill_offline take the same tabular indices: integers >= 0,
+    # below the counts (16, 8)
     @pytest.mark.parametrize("index, valid", [
         (0, True), (5, True), (np.int64(7), True), (np.uint8(3), True),
         (2.7, False), (np.float64(2.0), False), (True, False), (np.bool_(True), False),
@@ -191,6 +194,28 @@ class TestPush:
         with pytest.raises(InvalidTransitionError, match=field):
             filled.fill_offline(rows)
         assert len(pushed) == len(filled) == 0
+
+    @pytest.mark.parametrize("field", ["state", "action", "next_state"])
+    def test_an_index_at_its_count_is_refused(self, field):
+        # counts (16, 8): count - 1 is the last index each field takes
+        buf = tabular_buffer(capacity=2)
+        count = 8 if field == "action" else 16
+        for index in (count - 1, np.int64(count - 1)):
+            parts = dict(state=0, action=0, next_state=0)
+            parts[field] = index
+            buf.push(parts["state"], parts["action"], 0.0, parts["next_state"], False)
+        before = buffer_state(buf)
+        for index in (count, np.int64(count), 2**62):
+            parts[field] = index
+            message = f"{field} {index!r} is not an index in [0, {count})"
+            with pytest.raises(InvalidTransitionError, match=f"^{re.escape(message)}$"):
+                buf.push(parts["state"], parts["action"], 0.0, parts["next_state"], False)
+            assert buffer_state(buf) == before
+
+    @pytest.mark.parametrize("counts", [(0, 1), (1, 0), (-1, 4)])
+    def test_a_tabular_count_below_one_is_refused(self, counts):
+        with pytest.raises(ValueError, match=r"counts .* must be >= 1"):
+            tabular_buffer(counts=counts)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["state", "action", "reward", "next_state"])
@@ -683,6 +708,11 @@ class TestSnapshot:
         (True, "states", -3, "states holds an index below 0"),
         (True, "actions", -1, "actions holds an index below 0"),
         (True, "next_states", -2**62, "next_states holds an index below 0"),
+        # the counts (16, 8) in the meta bound the index columns
+        (True, "states", 16, "states holds index 16, but the buffer has 16 states"),
+        (True, "actions", 8, "actions holds index 8, but the buffer has 8 actions"),
+        (True, "next_states", 2**62,
+         f"next_states holds index {2**62}, but the buffer has 16 states"),
         (True, "rewards", np.nan, "rewards contains non-finite values"),
         (False, "states", np.inf, "states contains non-finite values"),
         (False, "actions", np.nan, "actions contains non-finite values"),
@@ -702,9 +732,32 @@ class TestSnapshot:
         with pytest.raises(FormatError, match=message):
             PriorityBuffer.load(envelope(arrays))
 
+    @pytest.mark.parametrize("size", [0, 3])
+    @pytest.mark.parametrize("at", [3, 4])
+    def test_a_tabular_count_below_one_rejected(self, at, size):
+        buf = tabular_buffer()
+        for _ in range(size):
+            buf.push(*make_transition(s2=0))
+        arrays = snapshot_arrays(buf)
+        arrays["meta"][at] = 0
+        with pytest.raises(FormatError):
+            PriorityBuffer.load(envelope(arrays))
+
+    def test_unit_dims_of_an_older_tabular_snapshot_rejected(self):
+        # tabular snapshots once held dims (1, 1) beside indices of any size:
+        # an index of 1 or more breaks the meta's range
+        buf = tabular_buffer()
+        for i in range(3):
+            buf.push(*make_transition(s=i, s2=0))
+        arrays = snapshot_arrays(buf)
+        arrays["meta"][3:5] = 1
+        with pytest.raises(FormatError, match="states holds index 2, but the buffer "
+                                              "has 1 states"):
+            PriorityBuffer.load(envelope(arrays))
+
     def test_offline_fill_unit_priorities(self):
-        buf = tabular_buffer(capacity=32)
         n = 20
+        buf = tabular_buffer(capacity=32, counts=(n + 1, 1))
         buf.fill_offline(dict(
             states=np.arange(n), actions=np.zeros(n, dtype=int),
             rewards=np.linspace(0, 1, n), next_states=np.arange(n) + 1,
@@ -761,19 +814,24 @@ def npz(rows) -> io.BytesIO:
     return stream
 
 
-# index bounds above every index that dataset() draws
-BOUNDS = {"states": 2**41, "actions": 2**41}
+# a tabular buffer's (states, actions) counts: small ones, whose indices
+# repeat and reach count - 1, or any up to 2**41
+COUNT = st.integers(1, 5) | st.integers(1, 2**41)
+COUNTS = st.tuples(COUNT, COUNT)
 
 
 @st.composite
-def dataset(draw, discrete: bool, n: int, ds=3, da=2):
-    if discrete:
-        index = hnp.arrays(np.int64, n, elements=st.integers(0, 2**40))
-        states, actions, next_states = draw(index), draw(index), draw(index)
+def dataset(draw, buf: PriorityBuffer, n: int):
+    """n rows that buf takes: indices below its counts, or vectors of its dims."""
+    if buf.discrete:
+        def index(count):
+            return draw(hnp.arrays(np.int64, n, elements=st.integers(0, count - 1)))
+        states, actions = index(buf.state_dim), index(buf.action_dim)
+        next_states = index(buf.state_dim)
     else:
-        states = draw(hnp.arrays(np.float64, (n, ds), elements=finite))
-        actions = draw(hnp.arrays(np.float64, (n, da), elements=finite))
-        next_states = draw(hnp.arrays(np.float64, (n, ds), elements=finite))
+        states = draw(hnp.arrays(np.float64, (n, buf.state_dim), elements=finite))
+        actions = draw(hnp.arrays(np.float64, (n, buf.action_dim), elements=finite))
+        next_states = draw(hnp.arrays(np.float64, (n, buf.state_dim), elements=finite))
     return dict(states=states, actions=actions,
                 rewards=draw(hnp.arrays(np.float64, n, elements=finite)),
                 next_states=next_states,
@@ -787,10 +845,11 @@ def prefilled_buffers(draw, discrete: bool):
     the pushes carry insert steps above 0, which a slot keeps until a
     later row evicts it."""
     capacity = draw(st.integers(1, 10))
-    pair = [tabular_buffer(capacity) if discrete else vector_buffer(capacity)
+    counts = draw(COUNTS)
+    pair = [tabular_buffer(capacity, counts) if discrete else vector_buffer(capacity)
             for _ in range(2)]
     prefix = draw(st.integers(0, 2 * capacity))
-    rows = draw(dataset(discrete, prefix))
+    rows = draw(dataset(pair[0], prefix))
     steps = draw(hnp.arrays(np.int64, prefix, elements=st.integers(1, 2**40)))
     written = draw(hnp.arrays(np.float64, min(prefix, capacity),
                               elements=st.floats(0.01, 100.0)))
@@ -806,7 +865,7 @@ def reachable_buffers(draw, discrete: bool):
     """A buffer after a drawn sequence of pushes (which may wrap), offline
     fills and priority writes."""
     capacity = draw(st.integers(1, 10))
-    buf = tabular_buffer(capacity) if discrete else vector_buffer(capacity)
+    buf = tabular_buffer(capacity, draw(COUNTS)) if discrete else vector_buffer(capacity)
     for op in draw(st.lists(st.sampled_from(["push", "fill", "update"]),
                             max_size=6)):
         if op == "update":
@@ -816,7 +875,7 @@ def reachable_buffers(draw, discrete: bool):
                 buf.update_priorities(idx, draw(hnp.arrays(
                     np.float64, len(idx), elements=st.floats(0.01, 100.0))))
             continue
-        rows = draw(dataset(discrete, draw(st.integers(0, 2 * capacity))))
+        rows = draw(dataset(buf, draw(st.integers(0, 2 * capacity))))
         if op == "fill":
             buf.fill_offline(rows)
         else:
@@ -835,7 +894,7 @@ class TestOfflineFillProperties:
         # below, equal to and above capacity
         n = data.draw(st.sampled_from([0, buf.capacity // 2, buf.capacity,
                                        buf.capacity + 1, 2 * buf.capacity + 3]))
-        rows = data.draw(dataset(discrete, n))
+        rows = data.draw(dataset(buf, n))
         buf.fill_offline(rows)
         push_rows(ref, **rows)
         assert buffer_state(buf) == buffer_state(ref)
@@ -846,14 +905,14 @@ class TestOfflineFillProperties:
     def test_bad_column_rejected_before_any_write(self, discrete, data):
         buf, _ = data.draw(prefilled_buffers(discrete))
         n = data.draw(st.integers(1, 12))
-        rows = data.draw(dataset(discrete, n))
+        rows = data.draw(dataset(buf, n))
         name = data.draw(st.sampled_from(COLUMNS))
         col = rows[name]
         defects = ["short", "wide"]
         if col.dtype == np.float64:
             defects.append("non-finite")
         if discrete and name in ("states", "actions", "next_states"):
-            defects += ["float index", "negative index"]
+            defects += ["float index", "negative index", "index at its count"]
         if name == "terminals":
             defects.append("flag")
         defect = data.draw(st.sampled_from(defects))
@@ -870,6 +929,12 @@ class TestOfflineFillProperties:
             col = col.copy()
             col.flat[data.draw(st.integers(0, col.size - 1))] = data.draw(
                 st.integers(-2**40, -1))
+            rows[name] = col
+        elif defect == "index at its count":
+            count = buf.action_dim if name == "actions" else buf.state_dim
+            col = col.copy()
+            col.flat[data.draw(st.integers(0, col.size - 1))] = data.draw(
+                st.sampled_from([count, count + 1, 2**62]))
             rows[name] = col
         elif defect == "flag":  # load's rule: a terminal is 0 or 1
             col = col.astype(np.float64)
@@ -894,13 +959,68 @@ class TestOfflineFillProperties:
         # the check pass reads the file's last column after every other one
         buf, _ = data.draw(prefilled_buffers(discrete))
         assume(len(buf))
-        rows = data.draw(dataset(discrete, 6))
+        rows = data.draw(dataset(buf, 6))
         rows["terminals"] = (np.array([0, 1, 2, 0, 1, 0]) if defect == "flag"
                              else rows["terminals"][:5])
         before = filled_state(buf)
         with pytest.raises(InvalidTransitionError, match=message):
-            load_offline_dataset(npz(rows), buf, BOUNDS if discrete else None)
+            load_offline_dataset(npz(rows), buf)
         assert filled_state(buf) == before
+
+
+class TestIndexCounts:
+    """Every place an index enters a tabular buffer holds it below its
+    count: an index column whose maximum is count - 1 passes push,
+    fill_offline and load, and one at count (or past it) is refused there,
+    naming the column, before any slot changes."""
+
+    @pytest.mark.parametrize("name", ["states", "actions", "next_states"])
+    @pytest.mark.parametrize("at_count", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_count_minus_one_passes_and_count_is_refused(self, name, at_count, data):
+        buf, ref = data.draw(prefilled_buffers(discrete=True))
+        count = buf.action_dim if name == "actions" else buf.state_dim
+        n = data.draw(st.integers(1, 12))
+        rows = data.draw(dataset(buf, n))
+        k = data.draw(st.integers(0, n - 1))
+        rows[name][k] = count if at_count else count - 1
+        # the offline fill: the whole dataset, or nothing
+        before = buffer_state(buf)
+        if at_count:
+            with pytest.raises(InvalidTransitionError,
+                               match=f"^{name} holds index {count}, but the buffer has "
+                                     f"{count} {name.removeprefix('next_')}$"):
+                buf.fill_offline(rows)
+            assert buffer_state(buf) == before
+        else:
+            buf.fill_offline(rows)
+        # push, row by row: the row at its count changes no slot
+        field = name.removesuffix("s")
+        for i in range(n):
+            row = [rows[c][i] for c in COLUMNS]
+            if at_count and i == k:
+                before = buffer_state(ref)
+                with pytest.raises(InvalidTransitionError,
+                                   match=rf"^{field} .* is not an index in \[0, {count}\)$"):
+                    ref.push(*row, insert_step=0)
+                assert buffer_state(ref) == before
+            else:
+                ref.push(*row, insert_step=0)
+        if not at_count:
+            assert buffer_state(ref) == buffer_state(buf)
+        # load: the snapshot's meta holds the counts
+        if len(ref) == 0:
+            ref.push(*make_transition(s2=0))
+        arrays = snapshot_arrays(ref)
+        arrays[name][data.draw(st.integers(0, len(ref) - 1))] = (
+            count if at_count else count - 1)
+        if at_count:
+            with pytest.raises(FormatError, match=f"^{name} holds index {count}, "):
+                PriorityBuffer.load(envelope(arrays))
+        else:
+            loaded = PriorityBuffer.load(envelope(arrays))
+            assert loaded.columns[name][:len(ref)].tobytes() == arrays[name].tobytes()
 
 
 W = SumTree.PREFIX_WIDTH
@@ -1185,10 +1305,10 @@ class TestRangeWrite:
     @given(data=st.data())
     def test_offline_fill_tree_equals_set_many_over_its_slots(self, depth, data):
         capacity = data.draw(tree_capacities(depth))
-        buf = tabular_buffer(capacity)
+        buf = tabular_buffer(capacity, data.draw(COUNTS))
         buf.tree = narrow_tree(capacity, depth)(capacity)
         # pushes and priority writes first, so the fill starts anywhere
-        push_rows(buf, **data.draw(dataset(True, data.draw(st.integers(0, 2 * capacity)))))
+        push_rows(buf, **data.draw(dataset(buf, data.draw(st.integers(0, 2 * capacity)))))
         if len(buf):
             buf.update_priorities(np.arange(len(buf)), data.draw(hnp.arrays(
                 np.float64, len(buf), elements=st.floats(0.01, 100.0))))
@@ -1201,7 +1321,7 @@ class TestRangeWrite:
         # below, at and above capacity: runs that wrap the ring or cover it
         n = data.draw(st.sampled_from([0, 1, capacity - cursor, capacity - cursor + 1,
                                        capacity, capacity + 1, 2 * capacity + 3]))
-        buf.fill_offline(data.draw(dataset(True, n)))
+        buf.fill_offline(data.draw(dataset(buf, n)))
         kept = min(n, capacity)
         ref.set_many((cursor + np.arange(n - kept, n)) % capacity, 1.0)
         assert buf.tree.nodes.tobytes() == ref.nodes.tobytes()
@@ -1215,12 +1335,13 @@ class TestRangeWrite:
     def test_fill_from_an_npz_equals_the_fill_from_its_arrays(self, discrete, start,
                                                               depth, data):
         capacity = data.draw(tree_capacities(depth))
-        pair = [tabular_buffer(capacity) if discrete else vector_buffer(capacity)
+        counts = data.draw(COUNTS)
+        pair = [tabular_buffer(capacity, counts) if discrete else vector_buffer(capacity)
                 for _ in range(2)]
         for buf in pair:
             buf.tree = narrow_tree(capacity, depth)(capacity)
         if start == "non-empty":
-            rows = data.draw(dataset(discrete, data.draw(st.integers(1, 2 * capacity))))
+            rows = data.draw(dataset(pair[0], data.draw(st.integers(1, 2 * capacity))))
             written = data.draw(hnp.arrays(np.float64, min(len(rows["rewards"]), capacity),
                                            elements=st.floats(0.01, 100.0)))
             for buf in pair:
@@ -1229,10 +1350,9 @@ class TestRangeWrite:
         cursor = pair[0].write_cursor
         n = data.draw(st.sampled_from([0, 1, capacity - cursor, capacity - cursor + 1,
                                        capacity, capacity + 1, 2 * capacity + 3]))
-        rows = data.draw(dataset(discrete, n))
-        bounds = BOUNDS if discrete else None
-        load_offline_dataset(npz(rows), pair[0], bounds)
-        pair[1].fill_offline(rows, bounds)
+        rows = data.draw(dataset(pair[0], n))
+        load_offline_dataset(npz(rows), pair[0])
+        pair[1].fill_offline(rows)
         assert filled_state(pair[0]) == filled_state(pair[1])
 
 
@@ -1242,12 +1362,13 @@ class TestImpliedDistributionProperties:
     def test_equals_running_sum_reference(self, data):
         buf, _ = data.draw(prefilled_buffers(discrete=True))
         if len(buf) == 0:
-            buf.push(*make_transition())
+            buf.push(*make_transition(s2=0))
         # a few repeated pairs make buckets hold several slots
-        pairs = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2)),
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, min(5, buf.state_dim - 1)),
+                                             st.integers(0, min(2, buf.action_dim - 1))),
                                    max_size=3 * buf.capacity))
         for s, a in pairs:
-            buf.push(*make_transition(s=s, a=a))
+            buf.push(*make_transition(s=s, a=a, s2=0))
         buf.update_priorities(np.arange(len(buf)), data.draw(hnp.arrays(
             np.float64, len(buf), elements=st.floats(1e-3, 1e3))))
         got, want = buf.implied_distribution(), implied_reference(buf)
@@ -1260,22 +1381,22 @@ class TestImpliedDistributionProperties:
     @given(data=st.data())
     def test_equals_running_sum_reference_on_both_sides_of_the_key_range(
             self, dense, data):
-        n = data.draw(st.integers(1 if dense else 2, 40))
-        # spans whose product is the largest key range the size allows
-        s_span = data.draw(st.integers(1, n))
-        a_span = data.draw(st.integers(1, n // s_span))
-        s_base, a_base = (data.draw(st.integers(0, 2**40)) for _ in range(2))
-        states = s_base + data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, s_span - 1)))
-        actions = a_base + data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, a_span - 1)))
-        if not dense:
-            # states at the base and n past it, in two drawn slots: a state
-            # span above n
-            i, j = data.draw(st.permutations(range(n)))[:2]
-            states[i], states[j] = s_base, s_base + n
-        key_range = ((int(states.max()) - int(states.min()) + 1)
-                     * (int(actions.max()) - int(actions.min()) + 1))
-        assert (key_range <= n) == dense
-        buf = tabular_buffer(n)
+        # the key range is the S x A table: counts whose product is at most
+        # the size, or above it, with counts up to 2**41
+        n = data.draw(st.integers(1, 40))
+        s_count = data.draw(st.integers(1, n) if dense else COUNT)
+        a_count = data.draw(st.integers(1, n // s_count) if dense
+                            else st.integers(n // s_count + 1, 2**41))
+        assert (s_count * a_count <= n) == dense
+
+        def indices(count):
+            # a window of at most n indices anywhere in the count, so pairs repeat
+            span = data.draw(st.integers(1, min(count, n)))
+            base = data.draw(st.integers(0, count - span))
+            return base + data.draw(hnp.arrays(np.int64, n,
+                                               elements=st.integers(0, span - 1)))
+        states, actions = indices(s_count), indices(a_count)
+        buf = tabular_buffer(n, (s_count, a_count))
         buf.fill_offline(dict(zip(COLUMNS, (states, actions, np.zeros(n), states,
                                             np.zeros(n, dtype=bool)))))
         buf.update_priorities(np.arange(n), data.draw(hnp.arrays(
@@ -1325,14 +1446,14 @@ class TestBulkPathMemory:
 
     @pytest.fixture
     def full(self, rows):
-        buf = tabular_buffer(self.N)
+        buf = tabular_buffer(self.N, (64, 4))
         buf.fill_offline(rows)
         rng = np.random.default_rng(4)
         buf.update_priorities(np.arange(self.N), rng.random(self.N) + 0.5)
         return buf
 
     def test_offline_fill(self, rows):
-        buf = tabular_buffer(self.N)
+        buf = tabular_buffer(self.N, (64, 4))
         assert self.traced_peak(lambda: buf.fill_offline(rows)) < self.BOUND
         assert len(buf) == self.N
 
@@ -1340,9 +1461,8 @@ class TestBulkPathMemory:
         # the loader and the fill hold one column of the file at a time
         path = tmp_path / "data.npz"
         np.savez(path, **rows)
-        buf, ref = tabular_buffer(self.N), tabular_buffer(self.N)
-        bounds = {"states": 64, "actions": 4}
-        peak = self.traced_peak(lambda: load_offline_dataset(path, buf, bounds))
+        buf, ref = tabular_buffer(self.N, (64, 4)), tabular_buffer(self.N, (64, 4))
+        peak = self.traced_peak(lambda: load_offline_dataset(path, buf))
         assert peak < 1.5 * 8 * self.N
         ref.fill_offline(rows)
         assert buffer_state(buf) == buffer_state(ref)

@@ -203,6 +203,28 @@ def reference_update(delta, d, c, div):
     return new
 
 
+class TestZeroFloor:
+    @pytest.mark.parametrize("scheme", sorted(ROER_DIVERGENCES))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_zero_floor_keeps_every_bit(self, scheme, data):
+        # min_priority_clip 0 disables the floor: the output is the
+        # interpolated priority itself, bit for bit
+        n = data.draw(st.integers(1, 64))
+        delta = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+        d = data.draw(hnp.arrays(np.float64, n, elements=st.floats(1e-300, 1e300)))
+        c = RoerConfig(lam=data.draw(st.floats(1e-9, 1.0)),
+                       beta=data.draw(st.sampled_from([1e-2, 1.0, 1e2])),
+                       max_exp_clip=data.draw(st.floats(1.0, 1e300)),
+                       min_priority_clip=0.0)
+        div = ROER_DIVERGENCES[scheme]
+        with np.errstate(over="ignore"):
+            w = np.clip(div.f_star_prime(delta / c.beta), 1.0, c.max_exp_clip)
+        w /= w.mean()
+        want = (c.lam * (w - 1.0) + 1.0) * d
+        assert roer_update(delta, d, c, div).tobytes() == want.tobytes()
+
+
 class TestTrimmedOpsBitwise:
     @pytest.mark.parametrize("scheme", sorted(ROER_DIVERGENCES))
     @settings(max_examples=150, deadline=None)
