@@ -13,8 +13,10 @@ Payloads are a u32 array count, then that many tagged numpy arrays, each
 u32 name length, name bytes (utf-8), u8 dtype code, u8 ndim, u64 per
 dimension, then the raw array bytes. dtype codes: 0 = float64, 1 = int64,
 2 = uint8. arrays_to_payload describes them without copying the arrays'
-bytes; payload_to_arrays reads them back as read-only views of the one
-payload, so a loader copies each array once, into its own memory.
+bytes, and an array may be written in another dtype than it is held in,
+converted piece by piece as it is written; payload_to_arrays reads them
+back as read-only views of the one payload, so a loader copies each
+array once, into its own memory.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ MAGIC = b"ROERBIN\x00"
 VERSION = 2
 KIND_BUFFER = 1
 KIND_CHECKPOINT = 2
+# the most bytes of an array that one write passes to the stream
+PIECE_BYTES = 1 << 16
 
 _DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<i8"), 2: np.dtype("u1")}
 _CODES = {v: k for k, v in _DTYPES.items()}
@@ -44,17 +48,20 @@ def _read_exact(stream, n: int) -> bytes:
     return data
 
 
-def _array_parts(name: str, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """One tagged array: its tag, and its raw little-endian bytes as a flat
-    uint8 view of arr (a copy only if arr is not contiguous little-endian)."""
+def _array_parts(name: str, arr: np.ndarray,
+                 dtype: np.dtype | None = None) -> tuple[bytes, np.ndarray, np.dtype]:
+    """One tagged array, written in dtype (arr's own by default): its tag,
+    arr flattened (a copy only if arr is not contiguous), and the
+    little-endian dtype its bytes are written in."""
     arr = np.ascontiguousarray(arr)
-    code = _CODES.get(arr.dtype.newbyteorder("<"))
+    written = arr.dtype if dtype is None else np.dtype(dtype)
+    code = _CODES.get(written.newbyteorder("<"))
     if code is None:
-        raise FormatError(f"unsupported dtype {arr.dtype} for field {name!r}")
+        raise FormatError(f"unsupported dtype {written} for field {name!r}")
     nb = name.encode("utf-8")
     tag = (struct.pack("<I", len(nb)) + nb + struct.pack("<BB", code, arr.ndim)
            + struct.pack(f"<{arr.ndim}Q", *arr.shape))
-    return tag, arr.astype(_DTYPES[code], copy=False).reshape(-1).view(np.uint8)
+    return tag, arr.reshape(-1), _DTYPES[code]
 
 
 class _Cursor:
@@ -101,21 +108,28 @@ def _read_array(cur: _Cursor) -> tuple[str, np.ndarray]:
 
 class _Payload:
     """An envelope payload of tagged arrays that refers to the arrays' own
-    memory: len() is its byte count, and write_to streams its parts one by
-    one, so it is never joined into one buffer."""
+    memory: len() is its byte count, and write_to streams each array in
+    pieces of at most PIECE_BYTES, each a view of the array when it is
+    written in its own little-endian dtype and a converted copy otherwise,
+    so the payload is never joined into one buffer."""
 
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        self._parts = [struct.pack("<I", len(arrays))]
-        for name, arr in arrays.items():
-            self._parts.extend(_array_parts(name, arr))
-        self._nbytes = sum(len(part) for part in self._parts)
+    def __init__(self, arrays: dict[str, np.ndarray], dtypes: dict[str, np.dtype]):
+        self._count = struct.pack("<I", len(arrays))
+        self._arrays = [_array_parts(name, arr, dtypes.get(name))
+                        for name, arr in arrays.items()]
+        self._nbytes = len(self._count) + sum(len(tag) + flat.size * dtype.itemsize
+                                              for tag, flat, dtype in self._arrays)
 
     def __len__(self) -> int:
         return self._nbytes
 
     def write_to(self, stream) -> None:
-        for part in self._parts:
-            stream.write(part)
+        stream.write(self._count)
+        for tag, flat, dtype in self._arrays:
+            stream.write(tag)
+            step = PIECE_BYTES // dtype.itemsize
+            for lo in range(0, flat.size, step):
+                stream.write(flat[lo : lo + step].astype(dtype, copy=False))
 
 
 def write_envelope(path_or_stream, kind: int, payload: _Payload) -> None:
@@ -152,10 +166,12 @@ def read_envelope(path_or_stream, expected_kind: int) -> bytes:
     return payload
 
 
-def arrays_to_payload(arrays: dict[str, np.ndarray]) -> _Payload:
-    """The payload of these arrays, in order; it holds views of them, so
-    write it before they change."""
-    return _Payload(arrays)
+def arrays_to_payload(arrays: dict[str, np.ndarray],
+                      dtypes: dict[str, np.dtype] | None = None) -> _Payload:
+    """The payload of these arrays, in order, each written in its dtypes
+    entry (its own dtype if none); it holds views of them, so write it
+    before they change."""
+    return _Payload(arrays, dtypes or {})
 
 
 def payload_to_arrays(payload: bytes) -> dict[str, np.ndarray]:

@@ -295,42 +295,44 @@ class _SeedRun:
             for path in self.out_dir.glob(pattern):
                 path.unlink()
         writer = MetricsWriter(self.out_dir / "metrics.jsonl")
-        obs = self.env.reset()
-        kl_at_tau = None
-        clip_hits = 0
-        for step in range(1, cfg.total_steps + 1):
-            action = self._act(obs, step)
-            next_obs, reward, terminal, truncated = self.env.step(action)
-            self.buffer.push(obs, action, reward, next_obs, terminal, step)
-            obs = self.env.reset() if (terminal or truncated) else next_obs
+        try:
+            obs = self.env.reset()
+            kl_at_tau = None
+            clip_hits = 0
+            for step in range(1, cfg.total_steps + 1):
+                action = self._act(obs, step)
+                next_obs, reward, terminal, truncated = self.env.step(action)
+                self.buffer.push(obs, action, reward, next_obs, terminal, step)
+                obs = self.env.reset() if (terminal or truncated) else next_obs
 
-            if (step >= cfg.train_start_step
-                    and len(self.buffer) >= self.agent.config.batch_size):
-                batch, weights = self._sample_batch()
-                metrics = self.agent.update(batch, weights, self.streams["agent"],
-                                            self.value_loss_cfg, self.div)
-                clip_hits += metrics.value_clip_count
-                self._accumulate(metrics)
-                if not metrics.aborted:
-                    self._refresh_priorities(batch, metrics)
+                if (step >= cfg.train_start_step
+                        and len(self.buffer) >= self.agent.config.batch_size):
+                    batch, weights = self._sample_batch()
+                    metrics = self.agent.update(batch, weights, self.streams["agent"],
+                                                self.value_loss_cfg, self.div)
+                    clip_hits += metrics.value_clip_count
+                    self._accumulate(metrics)
+                    if not metrics.aborted:
+                        self._refresh_priorities(batch, metrics)
 
-            at_tau = step == cfg.train_start_step
-            if step % cfg.eval_period == 0 or at_tau or step == cfg.total_steps:
-                record = {"step": step, "eval_return": self._evaluate(),
-                          "clip_hits": clip_hits, **self._drain_losses()}
-                if self.discrete:
-                    record["kl_to_optimal"] = kl_divergence_to_implied(
-                        self.d_star, self.buffer.implied_distribution()
-                    )
-                    if at_tau:
-                        kl_at_tau = record["kl_to_optimal"]
-                else:
-                    record["aborted_updates"] = self.agent.aborted_updates
-                writer.write(record)
-            if cfg.checkpoint_period and step % cfg.checkpoint_period == 0:
-                self.agent.save(self.out_dir / f"checkpoint_{step:08d}.bin")
-                self.buffer.snapshot(self.out_dir / f"buffer_{step:08d}.bin")
-        writer.close()
+                at_tau = step == cfg.train_start_step
+                if step % cfg.eval_period == 0 or at_tau or step == cfg.total_steps:
+                    record = {"step": step, "eval_return": self._evaluate(),
+                              "clip_hits": clip_hits, **self._drain_losses()}
+                    if self.discrete:
+                        record["kl_to_optimal"] = kl_divergence_to_implied(
+                            self.d_star, self.buffer.implied_distribution()
+                        )
+                        if at_tau:
+                            kl_at_tau = record["kl_to_optimal"]
+                    else:
+                        record["aborted_updates"] = self.agent.aborted_updates
+                    writer.write(record)
+                if cfg.checkpoint_period and step % cfg.checkpoint_period == 0:
+                    self.agent.save(self.out_dir / f"checkpoint_{step:08d}.bin")
+                    self.buffer.snapshot(self.out_dir / f"buffer_{step:08d}.bin")
+        finally:
+            writer.close()
         self.agent.save(self.out_dir / "checkpoint.bin")
         self.buffer.snapshot(self.out_dir / "buffer.bin")
         # record is the step-total_steps one; nothing has changed since

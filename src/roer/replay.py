@@ -14,6 +14,8 @@ Values are checked where they enter, one rule per kind of column (a tabular
 buffer's dims are its table's counts, which its indices stay below); a
 rejected one raises InvalidTransitionError (FormatError at load): a bad
 input, not the FloatingPointError that signals a run's own non-finite values.
+A tabular buffer holds its indices in the narrowest unsigned dtype that
+holds count - 1, and hands them out and writes them as int64.
 """
 
 from __future__ import annotations
@@ -169,7 +171,8 @@ class SampledBatch:
 class PriorityBuffer:
     """Ring buffer (_row_layout's columns) + sum-tree of priorities d(s, a).
     A tabular (discrete) buffer's state_dim and action_dim are its S x A
-    table's counts, at least 1 each, and every index it holds is in [0, count).
+    table's counts, at least 1 each, and every index it holds is in [0, count),
+    held in the narrowest unsigned dtype that holds count - 1.
 
     Single-writer, multiple-reader: push/update_priorities need exclusive
     access; sampling and implied_distribution may run concurrently with
@@ -181,8 +184,11 @@ class PriorityBuffer:
     DATA = ("states", "actions", "rewards", "next_states", "terminals")
     # Ceiling on what one buffer allocates (its columns plus the sum tree):
     # 4 GiB, room for 2^26 tabular or 2^25 pendulum slots. A 2^20-slot
-    # tabular buffer takes 57 MiB.
+    # tabular buffer whose counts fit uint8 (36 bytes a slot) takes 36 MiB,
+    # and 2^26 such slots take 2.25 GiB.
     MAX_BYTES = 1 << 32
+    # slots a piece of implied_distribution's table pass covers
+    PIECE_SLOTS = 1 << 13
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int,
                  discrete: bool = False):
@@ -194,6 +200,9 @@ class PriorityBuffer:
         layout = self._row_layout(state_dim, action_dim, discrete)
         del layout["priorities"]  # the sum tree's leaves
         layout["terminals"] = (np.dtype(bool), ())  # written as their uint8 bytes
+        for name, count in self._counts(state_dim, action_dim, discrete).items():
+            # the narrowest unsigned dtype that holds count - 1; written as int64
+            layout[name] = (np.min_scalar_type(count - 1), ())
         # the columns, and the tree's float64 nodes (2 per leaf)
         nbytes = (capacity * sum(dtype.itemsize * math.prod(row)
                                  for dtype, row in layout.values())
@@ -268,10 +277,14 @@ class PriorityBuffer:
         return i
 
     def gather(self, idx: np.ndarray) -> SampledBatch:
-        """The transitions in slots idx (SampledBatch's fields are in DATA's order)."""
+        """The transitions in slots idx (SampledBatch's fields are in DATA's
+        order), a tabular buffer's indices as int64."""
         cols = self.columns
-        return SampledBatch(idx, *[cols[name][idx] for name in self.DATA],
-                            self.tree.leaves(self.capacity)[idx])
+        batch = {name: cols[name][idx] for name in self.DATA}
+        for name in self._counts(self.state_dim, self.action_dim, self.discrete):
+            batch[name] = batch[name].astype(np.int64)
+        priorities = self.tree.leaves(self.capacity)[idx]
+        return SampledBatch(idx, **batch, priorities=priorities)
 
     def sample_proportional(self, n: int, rng: np.random.Generator) -> SampledBatch:
         """Draw n slots, each with probability priority / root_sum."""
@@ -316,9 +329,11 @@ class PriorityBuffer:
         buckets in key order, exactly as a running per-slot sum would.
 
         When the S x A table has at most as many cells as live slots, a
-        pair's offset s * A + a in it is its bucket, and the work is one
-        bincount and one minimum.at over the table; a larger table falls
-        back to sorting the pairs into dense ranks.
+        pair's offset s * A + a in it is its bucket: the slots go in pieces
+        of PIECE_SLOTS through one minimum.at and one add.at into the table,
+        so beyond the table the temporaries do not grow with the live size.
+        A larger table falls back to sorting the pairs into dense ranks and
+        one bincount.
         """
         if self.size == 0:
             raise EmptyBufferError("buffer is empty")
@@ -326,25 +341,32 @@ class PriorityBuffer:
             raise UnsupportedModeError(
                 "continuous buffers have no (state, action) buckets"
             )
-        n = self.size
+        n, adim = self.size, self.action_dim
         states, actions = self.columns["states"][:n], self.columns["actions"][:n]
-        cells = self.state_dim * self.action_dim  # Python ints
+        leaves = self.tree.leaves(n)
+        cells = self.state_dim * adim  # Python ints
+        # add.at and bincount both add each bucket's priorities in slot order
         if cells <= n:
-            bucket = states * self.action_dim
-            bucket += actions
-            first = np.full(cells, n)
-            np.minimum.at(first, bucket, np.arange(n))
+            first, sums = np.full(cells, n), np.zeros(cells)
+            for lo in range(0, n, self.PIECE_SLOTS):
+                hi = min(lo + self.PIECE_SLOTS, n)
+                # int64 first: a narrow dtype times adim stays narrow
+                bucket = states[lo:hi].astype(np.int64) * adim
+                bucket += actions[lo:hi]
+                np.minimum.at(first, bucket, np.arange(lo, hi))
+                np.add.at(sums, bucket, leaves[lo:hi])
             first = first[first < n]
+            # each bucket's first slot, in slot order
+            first.sort()
+            sums = sums[states[first].astype(np.int64) * adim + actions[first]]
         else:
             # dense ranks keep the pair key below n**2, whatever the counts
             _, s_rank = np.unique(states, return_inverse=True)
             _, a_rank = np.unique(actions, return_inverse=True)
             _, first, bucket = np.unique(s_rank * n + a_rank, return_index=True,
                                          return_inverse=True)
-        # each bucket's first slot, in slot order; bincount accumulates each
-        # bucket sequentially in slot order
-        first.sort()
-        sums = np.bincount(bucket, weights=self.tree.leaves(n))[bucket[first]]
+            first.sort()
+            sums = np.bincount(bucket, weights=leaves)[bucket[first]]
         total = sum(sums)
         return {
             (s, a): v / total
@@ -373,22 +395,25 @@ class PriorityBuffer:
 
     # Snapshot format: binio envelope (magic, version, kind=1) wrapping
     # meta = [capacity, size, write_cursor, state_dim, action_dim, discrete]
-    # and the live slots of every column of _row_layout in slot order.
+    # and the live slots of every column of _row_layout in slot order, each
+    # in _row_layout's dtype, whatever the dtype it is held in.
     def _live_columns(self) -> dict[str, np.ndarray]:
         n = self.size
         live = {name: column[:n] for name, column in self.columns.items()}
-        live["terminals"] = live["terminals"].view(np.uint8)
         live["priorities"] = self.tree.leaves(n)
         return live
 
     def snapshot(self, path_or_stream) -> None:
+        """Write the snapshot; a column held narrower than its _row_layout
+        dtype is widened in binio's pieces as it is written, never whole."""
         meta = np.array([self.capacity, self.size, self.write_cursor,
                          self.state_dim, self.action_dim, int(self.discrete)],
                         dtype=np.int64)
-        arrays = {"meta": meta, **self._live_columns()}
-        binio.write_envelope(
-            path_or_stream, binio.KIND_BUFFER, binio.arrays_to_payload(arrays)
-        )
+        layout = self._row_layout(self.state_dim, self.action_dim, self.discrete)
+        payload = binio.arrays_to_payload(
+            {"meta": meta, **self._live_columns()},
+            {name: dtype for name, (dtype, _) in layout.items()})
+        binio.write_envelope(path_or_stream, binio.KIND_BUFFER, payload)
 
     @classmethod
     def load(cls, path_or_stream) -> "PriorityBuffer":
@@ -415,6 +440,7 @@ class PriorityBuffer:
         except ValueError as exc:
             raise binio.FormatError(str(exc)) from None
         buf.size, buf.write_cursor = size, cursor
+        # the indices are checked below their counts, so narrowing keeps them
         for name, dest in buf._live_columns().items():
             dest[...] = arrays[name]
         # the leaves now hold the priorities; set_range also sums their parents
@@ -429,8 +455,9 @@ class PriorityBuffer:
         The result is that of pushing the rows in order with insert step 0:
         row k lands in slot (cursor + k) % capacity with priority 1, so a
         dataset larger than the buffer keeps its last `capacity` rows. A
-        tabular buffer's index columns must stay below its counts, as
-        push's indices do.
+        tabular buffer's index columns must be integers below its counts, as
+        push's indices are; they are checked as int64 and copied into the
+        narrow columns that hold them.
 
         Two passes hold one column at a time. The first looks up each column
         and checks it under every rule, so a rejected dataset changes no
@@ -459,7 +486,8 @@ class PriorityBuffer:
             (0, start + kept - cap, n - kept + cap - start)) if lo < hi]
         for name in self.DATA:
             dest = self.columns[name]
-            # the assignment casts as the check's astype did
+            # the assignment casts to the held dtype, which holds every
+            # value the check passed
             column = np.asarray(columns[name]).reshape((n, *dest.shape[1:]))
             for lo, hi, row in runs:
                 dest[lo:hi] = column[row : row + hi - lo]
@@ -472,7 +500,8 @@ class PriorityBuffer:
 
     def _check_offline_column(self, name: str, values, n: int) -> None:
         """values must be n rows shaped like the column's rows that pass its
-        rules in its dtype; index columns take integers only (push's rule)."""
+        rules in its _row_layout dtype; index columns take integers only
+        (push's rule)."""
         arr = np.asarray(values)
         if arr.shape[:1] != (n,):
             raise InvalidTransitionError(f"{name} has shape {arr.shape}, "
@@ -482,15 +511,17 @@ class PriorityBuffer:
         if math.prod(arr.shape[1:]) != math.prod(row_shape):
             raise InvalidTransitionError(f"{name} rows have shape {arr.shape[1:]}, "
                                          f"expected {row_shape}")
-        if dest.dtype == np.int64 and arr.dtype.kind not in "iu":
+        count = self._counts(self.state_dim, self.action_dim, self.discrete).get(name)
+        if count is not None and arr.dtype.kind not in "iu":
             raise InvalidTransitionError(f"{name} must hold integer indices, "
                                          f"got dtype {arr.dtype}")
         # the flag rule, before the cast to bool hides a value other than 0 or 1
         if dest.dtype == bool and not (arr == arr.astype(bool)).all():
             raise InvalidTransitionError(f"{name} holds a flag other than 0 or 1")
-        count = self._counts(self.state_dim, self.action_dim, self.discrete).get(name)
-        # cast first, so a uint64 above the int64 range counts as negative
-        self._check_values(name, arr.astype(dest.dtype, copy=False), count)
+        # cast an index column to int64, not its held dtype, where uint8
+        # would wrap 300 to 44; a uint64 above the int64 range turns negative
+        dtype = np.int64 if count is not None else dest.dtype
+        self._check_values(name, arr.astype(dtype, copy=False), count)
 
     @staticmethod
     def _check_values(name: str, arr: np.ndarray, count: int | None = None,

@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import struct
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,15 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(raw))
     return path
+
+
+def diverging_config(tmp_path):
+    """A chain-5 run whose Q table overflows at lr 0.3; LaBER's surrogates
+    are the first values to turn non-finite."""
+    return write_config(tmp_path, env="chain-5", scheme="laber", total_steps=3000,
+                        buffer_capacity=2000, env_horizon=100,
+                        scheme_config=dict(large_batch=256),
+                        tabular=dict(learning_rate=0.3))
 
 
 class TestTrainCommand:
@@ -159,18 +170,24 @@ class TestTrainCommand:
         assert not (tmp_path / "run").exists()
 
     def test_diverging_tabular_run_is_a_run_error(self, tmp_path, capsys):
-        # at lr 0.3 this chain-5 run's Q table overflows, and LaBER's surrogates
-        # are the first values to turn non-finite
-        path = write_config(tmp_path, env="chain-5", scheme="laber", total_steps=3000,
-                            buffer_capacity=2000, env_horizon=100,
-                            scheme_config=dict(large_batch=256),
-                            tabular=dict(learning_rate=0.3))
+        path = diverging_config(tmp_path)
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["train", "-c", str(path)]) == 1
         err = capsys.readouterr().err
         assert "run error: surrogate_priorities contains non-finite values" in err
         assert "Traceback" not in err
         assert not list((tmp_path / "run").rglob("summary.json"))
+
+    def test_run_error_closes_the_metrics_file(self, tmp_path, capsys):
+        # its metrics.jsonl is closed on the error exit, not left to the collector
+        path = diverging_config(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(["train", "-c", str(path)]) == 1
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
 
     def test_resolved_form_sections_exit_code(self, tmp_path, capsys):
         # the sections an older config.yaml held in place of agent/scheme_config
@@ -406,10 +423,14 @@ class TestBiasCommand:
     def test_snapshot_with_a_negative_state_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         assert main(["train", "-c", str(cfg_path)]) == 0
+        # the file holds its indices as int64, whatever the width in memory
         path = tmp_path / "run" / "seed_0" / "buffer.bin"
-        buf = PriorityBuffer.load(path)
-        buf.columns["states"][0] = -3
-        buf.snapshot(path)
+        data = bytearray(path.read_bytes())
+        name = struct.pack("<I", 6) + b"states"
+        at = data.index(name) + len(name)
+        assert data[at : at + 2] == bytes([1, 1])  # int64, one dimension
+        data[at + 10 : at + 18] = struct.pack("<q", -3)
+        path.write_bytes(bytes(data))
         assert main(["bias", str(path.parent), "-c", str(cfg_path)]) == 2
         assert "states holds an index below 0" in capsys.readouterr().err
 

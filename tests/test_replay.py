@@ -83,9 +83,11 @@ class TestPush:
         assert buf.total_priority() == 1.0
 
     def test_byte_ceiling(self):
-        # a 2^20-slot tabular buffer: 41 bytes a row plus a 2^21-node tree
+        # a 2^20-slot tabular buffer: 20 bytes a row (three uint8 index
+        # columns, a bool flag, a float64 reward and an int64 insert step)
+        # plus a 2^21-node tree
         buf = PriorityBuffer(1 << 20, 1, 1, discrete=True)
-        assert allocated_bytes(buf) == (41 + 16) << 20
+        assert allocated_bytes(buf) == (3 + 1 + 8 + 8 + 16) << 20
         with pytest.raises(ValueError, match="ceiling"):
             PriorityBuffer(2**40, 3, 2)
 
@@ -103,7 +105,8 @@ class TestPush:
     @pytest.mark.parametrize("discrete", [True, False])
     def test_columns_are_the_row_layout(self, discrete):
         # every column but the tree's priorities, in the table's order and
-        # dtypes; terminals held as bool
+        # dtypes; terminals held as bool, and the indices of counts (16, 8),
+        # written as int64, held as uint8
         buf = tabular_buffer(5) if discrete else vector_buffer(5)
         layout = PriorityBuffer._row_layout(buf.state_dim, buf.action_dim, discrete)
         held = {name: (col.dtype, col.shape) for name, col in buf.columns.items()}
@@ -112,10 +115,14 @@ class TestPush:
         # gather fills SampledBatch positionally
         assert [f.name for f in dataclasses.fields(SampledBatch)] == [
             "indices", *PriorityBuffer.DATA, "priorities"]
+        narrow = {"terminals": np.dtype(bool)}
+        if discrete:
+            for name in ("states", "actions", "next_states"):
+                assert layout[name][0] == np.int64, name
+                narrow[name] = np.dtype(np.uint8)
         for name, (dtype, row) in layout.items():
             if name in held:
-                want = np.dtype(bool) if name == "terminals" else dtype
-                assert held[name] == (want, (5, *row)), name
+                assert held[name] == (narrow.get(name, dtype), (5, *row)), name
 
     def test_priority_additivity(self):
         buf = tabular_buffer()
@@ -438,6 +445,14 @@ class TestImpliedDistribution:
             buf.implied_distribution()
 
 
+def written_columns(buf):
+    """The buffer's live columns as a snapshot writes them: each in its
+    _row_layout dtype, whatever the dtype it is held in."""
+    layout = PriorityBuffer._row_layout(buf.state_dim, buf.action_dim, buf.discrete)
+    return {name: column.astype(layout[name][0])
+            for name, column in buf._live_columns().items()}
+
+
 def snapshot_bytes(buf):
     stream = io.BytesIO()
     buf.snapshot(stream)
@@ -488,6 +503,28 @@ class TestEnvelope:
         assert np.shares_memory(loaded["a"], np.frombuffer(payload, np.uint8))
         with pytest.raises(ValueError, match="read-only"):
             loaded["a"][0] = 1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_an_array_written_in_another_dtype_equals_its_cast(self, data):
+        # narrow integers and flags written as int64 or uint8, in pieces of
+        # binio.PIECE_BYTES: sizes on both sides of a piece's boundary
+        piece = binio.PIECE_BYTES // 8
+        arrays, dtypes = {}, {}
+        for name in data.draw(st.lists(st.text(max_size=4), max_size=3, unique=True)):
+            held = data.draw(st.sampled_from(["u1", "<u2", ">u4", "<u8", "?"]))
+            size = data.draw(st.sampled_from([0, 1, piece - 1, piece, piece + 1,
+                                              3 * piece + 5]))
+            arrays[name] = data.draw(hnp.arrays(held, size, elements=(
+                st.booleans() if held == "?" else st.integers(0, 255))))
+            dtypes[name] = np.dtype(data.draw(st.sampled_from(["<i8", "u1"])))
+        want = reference_envelope(binio.KIND_BUFFER, {
+            name: arr.astype(dtypes[name]) for name, arr in arrays.items()})
+        payload = binio.arrays_to_payload(arrays, dtypes)
+        assert len(payload) == len(want) - 16
+        stream = io.BytesIO()
+        binio.write_envelope(stream, binio.KIND_BUFFER, payload)
+        assert stream.getvalue() == want
 
     @pytest.mark.parametrize("kind", [binio.KIND_BUFFER, binio.KIND_CHECKPOINT])
     def test_written_bytes_are_header_plus_payload(self, kind, tmp_path):
@@ -642,7 +679,7 @@ class TestSnapshot:
         buf = data.draw(reachable_buffers(discrete=data.draw(st.booleans())))
         meta = np.array([buf.capacity, buf.size, buf.write_cursor, buf.state_dim,
                          buf.action_dim, int(buf.discrete)], dtype=np.int64)
-        want = reference_envelope(binio.KIND_BUFFER, {"meta": meta, **buf._live_columns()})
+        want = reference_envelope(binio.KIND_BUFFER, {"meta": meta, **written_columns(buf)})
         assert snapshot_bytes(buf) == want
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "buffer.bin"
@@ -656,7 +693,7 @@ class TestSnapshot:
         data = snapshot_bytes(buf)
         assert data == reference_envelope(binio.KIND_BUFFER, {
             "meta": np.array([8, 0, 0, buf.state_dim, buf.action_dim,
-                              int(buf.discrete)]), **buf._live_columns()})
+                              int(buf.discrete)]), **written_columns(buf)})
         loaded = PriorityBuffer.load(io.BytesIO(data))
         assert buffer_state(loaded) == buffer_state(buf)
         assert all(loaded.columns[name].shape == column.shape
@@ -1020,7 +1057,7 @@ class TestIndexCounts:
                 PriorityBuffer.load(envelope(arrays))
         else:
             loaded = PriorityBuffer.load(envelope(arrays))
-            assert loaded.columns[name][:len(ref)].tobytes() == arrays[name].tobytes()
+            assert snapshot_arrays(loaded)[name].tobytes() == arrays[name].tobytes()
 
 
 W = SumTree.PREFIX_WIDTH
@@ -1406,10 +1443,100 @@ class TestImpliedDistributionProperties:
         assert all(type(s) is int and type(a) is int for s, a in got)
 
 
+# the counts at which an index column's held dtype widens: uint8 up to 256,
+# uint16 up to 2**16, uint32 up to 2**32, uint64 above
+EDGE_COUNTS = (1, 255, 256, 257, 1 << 16, (1 << 16) + 1, 1 << 32, (1 << 32) + 1)
+
+
+def held_itemsize(count):
+    return next(size for size, top in ((1, 1 << 8), (2, 1 << 16), (4, 1 << 32), (8, None))
+                if top is None or count <= top)
+
+
+class TestNarrowIndices:
+    """A tabular buffer holds each index column in the narrowest unsigned
+    dtype that holds count - 1, and hands its indices out and writes them
+    as int64: at the counts where that dtype widens, and at any up to 2**41."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.tuples(st.sampled_from(EDGE_COUNTS) | COUNT,
+                            st.sampled_from(EDGE_COUNTS) | COUNT),
+           data=st.data())
+    def test_edge_indices_round_trip_as_int64(self, counts, data):
+        s_count, a_count = counts
+        buf, ref = tabular_buffer(6, counts), tabular_buffer(6, counts)
+        for name, count in (("states", s_count), ("actions", a_count),
+                            ("next_states", s_count)):
+            dtype = buf.columns[name].dtype
+            assert (dtype.kind, dtype.itemsize) == ("u", held_itemsize(count)), name
+
+        # 0 and count - 1 in every index column, then drawn indices
+        def edge(count):
+            return st.sampled_from([0, count - 1]) | st.integers(0, count - 1)
+        rows = {name: np.array([0, count - 1, count - 1, 0]
+                               + [data.draw(edge(count)) for _ in range(2)],
+                               dtype=np.int64)
+                for name, count in (("states", s_count), ("actions", a_count),
+                                    ("next_states", s_count))}
+        rows.update(rewards=np.arange(6.0), terminals=np.arange(6) % 2 == 0)
+        push_rows(buf, **rows)
+        ref.fill_offline(rows)
+        assert buffer_state(ref) == buffer_state(buf)
+        batch = buf.gather(np.arange(6))
+        arrays = snapshot_arrays(buf)
+        for name in ("states", "actions", "next_states"):
+            gathered = getattr(batch, name)
+            assert gathered.dtype == arrays[name].dtype == np.int64
+            assert gathered.tolist() == arrays[name].tolist() == rows[name].tolist()
+        loaded = PriorityBuffer.load(io.BytesIO(snapshot_bytes(buf)))
+        assert snapshot_bytes(loaded) == snapshot_bytes(buf)
+        assert buffer_state(loaded) == buffer_state(buf)
+
+    @pytest.mark.parametrize("index", [300, 2**16 + 7, 2**63 + 7])
+    def test_an_index_that_a_narrow_cast_wraps_is_refused(self, index):
+        # each is below 64 once narrowed to uint8 (44, 7 or 7)
+        buf = tabular_buffer(4, (64, 4))
+        states = np.array([1, index, 2], dtype=np.uint64 if index >= 2**63 else np.int64)
+        rows = dict(zip(COLUMNS, (states, np.zeros(3, dtype=int), np.zeros(3),
+                                  np.zeros(3, dtype=int), np.zeros(3, dtype=bool))))
+        before = buffer_state(buf)
+        with pytest.raises(InvalidTransitionError, match="^states holds "):
+            buf.fill_offline(rows)
+        assert buffer_state(buf) == before
+        buf.push(*make_transition())
+        arrays = snapshot_arrays(buf)
+        arrays["states"][0] = index - 2**64 if index >= 2**63 else index
+        with pytest.raises(FormatError, match="^states holds"):
+            PriorityBuffer.load(envelope(arrays))
+
+    @pytest.mark.parametrize("counts, n", [
+        *(((64, 4), n) for n in (PriorityBuffer.PIECE_SLOTS - 1,
+                                 PriorityBuffer.PIECE_SLOTS,
+                                 PriorityBuffer.PIECE_SLOTS + 1)),
+        # S x A past uint8's range, with uint8 indices: 99 * 3 + 2 = 299
+        ((100, 3), 300), ((100, 3), 2 * PriorityBuffer.PIECE_SLOTS + 1),
+        # uint16 states and uint8 actions, the whole table live
+        ((257, 255), 257 * 255)])
+    def test_implied_distribution_across_pieces(self, counts, n):
+        assert counts[0] * counts[1] <= n  # the table pass
+        rng = np.random.default_rng(n)
+        states, actions = rng.integers(0, counts[0], n), rng.integers(0, counts[1], n)
+        states[-1], actions[-1] = counts[0] - 1, counts[1] - 1
+        buf = tabular_buffer(n, counts)
+        buf.fill_offline(dict(zip(COLUMNS, (states, actions, np.zeros(n), states,
+                                            np.zeros(n, dtype=bool)))))
+        buf.update_priorities(np.arange(n), rng.random(n) + 1e-3)
+        got, want = buf.implied_distribution(), implied_reference(buf)
+        assert list(got.items()) == list(want.items())
+        assert (counts[0] - 1, counts[1] - 1) in got
+
+
 class TestBulkPathMemory:
     """What the bulk paths allocate beyond the buffer, as tracemalloc sees
-    it (numpy reports its array allocations to it): less than 2.5 int64
-    columns of the live size, on a full 2^16-slot tabular buffer."""
+    it (numpy reports its array allocations to it), on a full 2^16-slot
+    tabular buffer: less than 2.5 int64 columns of the live size, and for
+    the implied distribution and the snapshot's widened index columns a
+    bound that does not grow with it."""
 
     N = 1 << 16
     BOUND = 2.5 * 8 * N
@@ -1468,8 +1595,12 @@ class TestBulkPathMemory:
         assert buffer_state(buf) == buffer_state(ref)
 
     def test_implied_distribution(self, full):
+        # four pieces of int64 slot temporaries, the S x A table's first
+        # slots and sums (16 bytes a cell), and the 256-key result
         out = {}
-        assert self.traced_peak(lambda: out.update(full.implied_distribution())) < self.BOUND
+        bound = 4 * 8 * PriorityBuffer.PIECE_SLOTS + 16 * 64 * 4 + 64 * 1024
+        assert bound < 8 * self.N
+        assert self.traced_peak(lambda: out.update(full.implied_distribution())) < bound
         assert list(out.items()) == list(implied_reference(full).items())
 
     def test_snapshot_to_a_file(self, full, tmp_path):
@@ -1477,6 +1608,15 @@ class TestBulkPathMemory:
         assert self.traced_peak(lambda: full.snapshot(path)) < self.BOUND
         loaded = PriorityBuffer.load(path)
         assert buffer_state(loaded) == buffer_state(full)
+
+    def test_snapshot_widens_the_narrow_columns_piece_by_piece(self, full, tmp_path):
+        # the uint8 index columns are written as int64 a piece at a time:
+        # two pieces, where one int64 copy of a column takes 8 * N bytes
+        assert full.columns["states"].dtype == np.uint8
+        path = tmp_path / "buffer.bin"
+        assert self.traced_peak(lambda: full.snapshot(path)) < 2 * binio.PIECE_BYTES
+        assert binio.PIECE_BYTES < 8 * self.N
+        assert snapshot_arrays(PriorityBuffer.load(path))["states"].dtype == np.int64
 
     def test_load_from_a_file(self, full, tmp_path):
         # every array is a view of the one payload, copied once into the

@@ -4,13 +4,15 @@ matrix of short runs.
     git archive HEAD~1 --prefix=roer-parent/ | tar -x -C ..
     python3 tools/parity.py --against ../roer-parent
 
-Both trees run the same 25 configs, each `roer train` in a fresh process
+Both trees run the same 26 configs, each `roer train` in a fresh process
 with that tree's `src` on PYTHONPATH:
 - chain-5 (the tabular agent) and pendulum (SAC, `test` profile), each
   under every scheme of this tree's schemes.SCHEME_CONFIGS and both
   sampling modes: 20 runs;
 - a grid-3x3 `roer` run: chain-5 is deterministic, so only a stochastic
   MDP shows a change to tabular evaluation or bias;
+- a chain-300 `roer` run, whose state indices are held as uint16, and
+  whose last evaluation's 600 live slots fill its 300 x 2 table;
 - two chain-5 `roer` runs whose buffers are prefilled from an offline
   dataset (fixed .npz files this script writes once): one larger than the
   buffer, whose fill wraps the ring, and one smaller, whose fill writes
@@ -96,6 +98,8 @@ def matrix(work: Path) -> dict[str, dict]:
             configs[f"chain-{scheme}-{mode}"] = _chain(scheme, mode)
             configs[f"pendulum-{scheme}-{mode}"] = _pendulum(scheme, mode)
     configs["grid-roer"] = {**_chain("roer", "proportional"), "env": "grid-3x3"}
+    configs["chain-300-roer"] = {**_chain("roer", "proportional"), "env": "chain-300",
+                                 "buffer_capacity": 1024}
     for name, file in (("chain-roer-offline", "offline.npz"),
                        ("chain-roer-offline-small", "offline-small.npz")):
         configs[name] = {**_chain("roer", "proportional"),
