@@ -33,7 +33,7 @@ from .config import (ExperimentConfig, echo, from_dict, parse_env_id, seed_strea
 from .envs import PendulumEnv, TabularEnv, chain_mdp, gridworld_mdp, random_mdp
 from .oracles import (expected_return, greedy_policy, kl_divergence_to_implied,
                       occupancy, policy_q, value_iteration)
-from .replay import InvalidTransitionError, PriorityBuffer, SampledBatch
+from .replay import PriorityBuffer, SampledBatch
 from .schemes import ConfigError
 
 
@@ -100,61 +100,64 @@ def read_metrics(path) -> list[dict]:
 
 
 class _NpzColumns:
-    """The arrays of an open .npz archive by name (np.savez's `<name>.npy`
-    members). Each lookup reads its member afresh into one new array, in
-    pieces of PIECE bytes, so a read holds the array and one piece (np.load
-    holds two 256 KiB pieces beside it). Only plain arrays load: an object
-    dtype raises ValueError, as np.load does with allow_pickle off."""
+    """The arrays of the open .npz archive at path by name (np.savez's
+    `<name>.npy` members). Each lookup reads its member into one new array,
+    in pieces of PIECE bytes, so a read holds the array and one piece
+    (np.load holds two 256 KiB pieces beside it). Only plain arrays load,
+    as with np.load's allow_pickle off; a member that fails to read raises
+    ConfigError naming the file."""
 
     PIECE = 1 << 16
 
-    def __init__(self, archive: zipfile.ZipFile):
-        self.archive = archive
+    def __init__(self, archive: zipfile.ZipFile, path):
+        self.archive, self.path = archive, path
 
     def __getitem__(self, name: str) -> np.ndarray:
         fmt, member = np.lib.format, f"{name}.npy"
-        with self.archive.open(member) as fp:
-            version = fmt.read_magic(fp)
-            if version not in ((1, 0), (2, 0)):
-                raise ValueError(f"{member} has .npy format version {version}")
-            read_header = (fmt.read_array_header_1_0 if version == (1, 0)
-                           else fmt.read_array_header_2_0)
-            shape, fortran, dtype = read_header(fp)
-            if dtype.hasobject:
-                raise ValueError(f"{member} holds objects, which load only by unpickling")
-            # checked before allocating: the header cannot claim more than the member holds
-            if math.prod(shape) * dtype.itemsize > self.archive.getinfo(member).file_size:
-                raise ValueError(f"{member} is shorter than its header's shape {shape}")
-            array = np.empty(shape[::-1] if fortran else shape, dtype)
-            data = memoryview(array.reshape(-1).view(np.uint8))
-            for i in range(0, len(data), self.PIECE):
-                piece = data[i : i + self.PIECE]
-                if fp.readinto(piece) != len(piece):
-                    raise EOFError(f"{member} ends inside its data")
+        try:
+            with self.archive.open(member) as fp:
+                version = fmt.read_magic(fp)
+                if version not in ((1, 0), (2, 0)):
+                    raise ValueError(f"{member} has .npy format version {version}")
+                read_header = (fmt.read_array_header_1_0 if version == (1, 0)
+                               else fmt.read_array_header_2_0)
+                shape, fortran, dtype = read_header(fp)
+                if dtype.hasobject:
+                    raise ValueError(f"{member} holds objects, which load only by unpickling")
+                # checked before allocating: the header cannot claim more than the member holds
+                if math.prod(shape) * dtype.itemsize > self.archive.getinfo(member).file_size:
+                    raise ValueError(f"{member} is shorter than its header's shape {shape}")
+                array = np.empty(shape[::-1] if fortran else shape, dtype)
+                data = memoryview(array.reshape(-1).view(np.uint8))
+                for i in range(0, len(data), self.PIECE):
+                    piece = data[i : i + self.PIECE]
+                    if fp.readinto(piece) != len(piece):
+                        raise EOFError(f"{member} ends inside its data")
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ConfigError(f"offline dataset {self.path!r} is not a readable "
+                              f".npz: {exc}") from None
         return array.T if fortran else array
 
 
 def load_offline_dataset(path, buffer: PriorityBuffer) -> None:
-    """Fill buffer from the columnar .npz at path through fill_offline, which
-    holds a tabular buffer's indices below its counts (the env's): the
-    archive stays open through the fill, which reads
-    each DATA member twice (a check pass, then a write pass) and holds one
-    at a time. A path that holds no readable .npz of plain arrays (no
-    pickled objects), or a member that fails to read (a bad CRC, say),
-    raises ConfigError naming it; a column the buffer rejects raises
-    InvalidTransitionError, and leaves the buffer as it was."""
+    """Fill the empty buffer from the columnar .npz at path through
+    fill_offline, which holds a tabular buffer's indices below its counts
+    (the env's): the archive stays open through the fill, which reads each
+    DATA member once, checks it and writes it, holding one at a time. A
+    path that holds no readable .npz of plain arrays (no pickled objects),
+    or a member that fails to read (a bad CRC, say), raises ConfigError
+    naming it; a column the buffer rejects raises InvalidTransitionError.
+    Either way the buffer is left empty."""
     try:
-        with zipfile.ZipFile(path) as archive:
-            names = set(archive.namelist())
-            missing = [k for k in PriorityBuffer.DATA if f"{k}.npy" not in names]
-            if not missing:
-                buffer.fill_offline(_NpzColumns(archive))
-    except InvalidTransitionError:
-        raise
+        archive = zipfile.ZipFile(path)
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"offline dataset {path!r} is not a readable .npz: {exc}") from None
-    if missing:
-        raise ConfigError(f"offline dataset {path!r} missing fields {missing}")
+    with archive:
+        names = set(archive.namelist())
+        missing = [k for k in PriorityBuffer.DATA if f"{k}.npy" not in names]
+        if missing:
+            raise ConfigError(f"offline dataset {path!r} missing fields {missing}")
+        buffer.fill_offline(_NpzColumns(archive, path))
 
 
 def _dims(env) -> tuple[int, int]:

@@ -448,101 +448,93 @@ class PriorityBuffer:
         return buf
 
     def fill_offline(self, columns) -> None:
-        """Bulk-load an offline dataset: columns maps each DATA name to its
-        rows, as a dict of arrays or an open archive whose every lookup reads
-        one member (harness.load_offline_dataset's).
+        """Bulk-load an offline dataset into an empty buffer (one that holds
+        rows raises ValueError): columns maps each DATA name to its rows, as
+        a dict of arrays or an open archive whose every lookup reads one
+        member (harness.load_offline_dataset's).
 
         The result is that of pushing the rows in order with insert step 0:
-        row k lands in slot (cursor + k) % capacity with priority 1, so a
-        dataset larger than the buffer keeps its last `capacity` rows. A
-        tabular buffer's index columns must be integers below its counts, as
-        push's indices are; they are checked as int64 and copied into the
-        narrow columns that hold them.
+        row k lands in slot k % capacity with priority 1, so a dataset
+        larger than the buffer keeps its last `capacity` rows. A tabular
+        buffer's index columns must be integers below its counts, as push's
+        indices are, and are copied into the narrow columns that hold them.
 
-        Two passes hold one column at a time. The first looks up each column
-        and checks it under every rule, so a rejected dataset changes no
-        slot; the second looks each up again and copies it into its one or
-        two runs of slots. A slot at or past the old size still holds the
-        constructor's insert step 0, which is not written again.
+        One pass holds one column at a time: it looks up each column once
+        (rewards first, for the row count), checks it under every rule and
+        copies it into its slots. Size, cursor and tree change only after
+        the last column passes, and nothing reads a slot past size, so a
+        rejected dataset leaves the buffer empty. No insert step is written:
+        every slot holds the constructor's 0.
         """
-        rewards = columns["rewards"]
-        if np.ndim(rewards) != 1:
-            raise InvalidTransitionError(f"rewards has shape {np.shape(rewards)}, "
+        if self.size:
+            raise ValueError(f"fill_offline fills an empty buffer, but this one "
+                             f"holds {self.size} rows")
+        column = np.asarray(columns["rewards"])
+        if column.ndim != 1:
+            raise InvalidTransitionError(f"rewards has shape {column.shape}, "
                                          "expected one value a row")
-        n = len(rewards)
-        # rewards first, as looked up for the row count
-        self._check_offline_column("rewards", rewards, n)
-        del rewards
-        for name in self.DATA:
-            if name != "rewards":
-                self._check_offline_column(name, columns[name], n)
-        # the kept rows fill one run of slots from `start`, and a second run
-        # from slot 0 when they wrap the ring
-        cap, old_size = self.capacity, self.size
+        n, cap = len(column), self.capacity
         kept = min(n, cap)
-        start = (self.write_cursor + n - kept) % cap
-        runs = [(lo, hi, row) for lo, hi, row in (
-            (start, min(start + kept, cap), n - kept),
-            (0, start + kept - cap, n - kept + cap - start)) if lo < hi]
-        for name in self.DATA:
-            dest = self.columns[name]
+        # the kept rows fill slots [0, kept): from the first one's slot up,
+        # and from slot 0 once they wrap the ring
+        start = (n - kept) % cap
+        counts = self._counts(self.state_dim, self.action_dim, self.discrete)
+        for name in ("rewards", *(k for k in self.DATA if k != "rewards")):
+            if name != "rewards":
+                column = np.asarray(columns[name])
+            dest, count = self.columns[name], counts.get(name)
+            row_shape = dest.shape[1:]
+            if column.shape[:1] != (n,):
+                raise InvalidTransitionError(f"{name} has shape {column.shape}, "
+                                             f"but rewards has {n} rows")
+            if math.prod(column.shape[1:]) != math.prod(row_shape):
+                raise InvalidTransitionError(f"{name} rows have shape {column.shape[1:]}, "
+                                             f"expected {row_shape}")
+            # index columns take integers only (push's rule); flags bools too
+            index, flag = count is not None, dest.dtype == bool
+            if column.dtype.kind not in ("iu" if index else "biuf" if flag else "iuf"):
+                what = "integer indices" if index else "real numbers"
+                raise InvalidTransitionError(f"{name} must hold {what}, "
+                                             f"got dtype {column.dtype}")
+            # the flag rule, before the cast to bool hides a value other than 0 or 1
+            if flag and not (column == column.astype(bool)).all():
+                raise InvalidTransitionError(f"{name} holds a flag other than 0 or 1")
+            # indices in their own dtype: a narrow cast would wrap 300 to 44,
+            # and a cast to int64 would turn 2**63 + 7 negative
+            self._check_values(
+                name, column if index else column.astype(dest.dtype, copy=False), count)
             # the assignment casts to the held dtype, which holds every
             # value the check passed
-            column = np.asarray(columns[name]).reshape((n, *dest.shape[1:]))
-            for lo, hi, row in runs:
-                dest[lo:hi] = column[row : row + hi - lo]
+            column = column.reshape((n, *row_shape))
+            dest[start:kept] = column[n - kept : n - start]
+            dest[:start] = column[n - start :]
             del column  # before the next lookup reads its member
-        for lo, hi, _ in runs:
-            self.columns["insert_steps"][lo : min(hi, old_size)] = 0
-            self.tree.set_range(lo, hi, self.INITIAL_PRIORITY)
-        self.write_cursor = (self.write_cursor + n) % cap
-        self.size = min(self.size + n, cap)
-
-    def _check_offline_column(self, name: str, values, n: int) -> None:
-        """values must be n rows shaped like the column's rows that pass its
-        rules in its _row_layout dtype; index columns take integers only
-        (push's rule)."""
-        arr = np.asarray(values)
-        if arr.shape[:1] != (n,):
-            raise InvalidTransitionError(f"{name} has shape {arr.shape}, "
-                                         f"but rewards has {n} rows")
-        dest = self.columns[name]
-        row_shape = dest.shape[1:]
-        if math.prod(arr.shape[1:]) != math.prod(row_shape):
-            raise InvalidTransitionError(f"{name} rows have shape {arr.shape[1:]}, "
-                                         f"expected {row_shape}")
-        count = self._counts(self.state_dim, self.action_dim, self.discrete).get(name)
-        if count is not None and arr.dtype.kind not in "iu":
-            raise InvalidTransitionError(f"{name} must hold integer indices, "
-                                         f"got dtype {arr.dtype}")
-        # the flag rule, before the cast to bool hides a value other than 0 or 1
-        if dest.dtype == bool and not (arr == arr.astype(bool)).all():
-            raise InvalidTransitionError(f"{name} holds a flag other than 0 or 1")
-        # cast an index column to int64, not its held dtype, where uint8
-        # would wrap 300 to 44; a uint64 above the int64 range turns negative
-        dtype = np.int64 if count is not None else dest.dtype
-        self._check_values(name, arr.astype(dtype, copy=False), count)
+        self.tree.set_range(0, kept, self.INITIAL_PRIORITY)
+        self.write_cursor = n % cap
+        self.size = kept
 
     @staticmethod
     def _check_values(name: str, arr: np.ndarray, count: int | None = None,
                       error=InvalidTransitionError) -> None:
         """One value rule per kind of column: priorities positive and finite,
-        indices and steps (int64) >= 0, and an index column (one _counts
-        names) below its count, flags (uint8) 0 or 1, other float64 values
-        finite. A bool column needs no rule."""
+        an index column (one _counts names, of any integer dtype) in [0,
+        count), steps (int64) >= 0, flags (uint8) 0 or 1, other float64
+        values finite. A bool column needs no rule."""
         if not arr.size or arr.dtype.kind == "b":
             return
         # min and max are nan when any value is, which fails every float test
         if name == "priorities":
             ok = arr.min() > 0.0 and arr.max() < np.inf
             rule = "must be positive and finite"
-        elif arr.dtype.kind == "i":
+        elif count is not None:
             ok, rule = arr.min() >= 0, "holds an index below 0"
-            if ok and count is not None:
+            if ok:
                 top = arr.max()
                 ok = top < count
                 rule = (f"holds index {top}, but the buffer has {count} "
                         f"{name.removeprefix('next_')}")
+        elif arr.dtype.kind == "i":
+            ok, rule = arr.min() >= 0, "holds a step below 0"
         elif arr.dtype.kind == "u":
             ok, rule = arr.max() <= 1, "holds a flag other than 0 or 1"
         else:

@@ -224,6 +224,20 @@ class TestTrainCommand:
         assert "rewards contains non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
 
+    def test_complex_offline_rewards_exit_code(self, tmp_path, capsys):
+        # refused, where a cast to float64 would drop the imaginary part
+        n = 10
+        data = tmp_path / "data.npz"
+        np.savez(data, states=np.zeros(n, dtype=np.int64),
+                 actions=np.zeros(n, dtype=np.int64), rewards=np.full(n, 1 + 5j),
+                 next_states=np.ones(n, dtype=np.int64),
+                 terminals=np.zeros(n, dtype=bool))
+        path = write_config(tmp_path, offline_dataset=str(data))
+        assert main(["train", "-c", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: rewards must hold real numbers, got dtype complex128\n")
+        assert not (tmp_path / "run" / "seed_0" / "metrics.jsonl").exists()
+
     @pytest.mark.parametrize("defect", ["text", "directory", "truncated", "npy",
                                         "objects", "crc"])
     def test_unreadable_offline_dataset_exit_code(self, tmp_path, capsys, defect):

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from roer import binio, nn
+from roer import binio, harness, nn
 from roer.agents import SacAgent, SacConfig, TabularAgent, TabularConfig
 from roer.binio import FormatError
 from roer.harness import load_offline_dataset
@@ -757,7 +757,7 @@ class TestSnapshot:
         (False, "rewards", np.inf, "rewards contains non-finite values"),
         (True, "terminals", 7, "terminals holds a flag other than 0 or 1"),
         (False, "terminals", 2, "terminals holds a flag other than 0 or 1"),
-        (True, "insert_steps", -1, "insert_steps holds an index below 0")])
+        (True, "insert_steps", -1, "insert_steps holds a step below 0")])
     def test_bad_column_value_rejected(self, discrete, column, bad, message):
         # one rule per kind of column: indices >= 0, floats finite, flags 0/1
         buf = tabular_buffer() if discrete else vector_buffer()
@@ -843,6 +843,24 @@ def filled_state(buf):
     return buffer_state(buf) + [buf.tree.prefix.tobytes()]
 
 
+def observed_state(buf):
+    """What a reader of a buffer sees: its snapshot (counters, live slots
+    and their priorities) and its sum tree, prefix included; not the bytes
+    of slots past size, which nothing reads."""
+    buf.total_priority()
+    return [snapshot_bytes(buf), buf.tree.nodes.tobytes(), buf.tree.prefix.tobytes()]
+
+
+def fresh_twin(buf):
+    return PriorityBuffer(buf.capacity, buf.state_dim, buf.action_dim, buf.discrete)
+
+
+def assert_left_empty(buf):
+    """What a rejected fill leaves: a buffer that reads as a fresh one."""
+    assert (len(buf), buf.write_cursor, buf.total_priority()) == (0, 0, 0.0)
+    assert observed_state(buf) == observed_state(fresh_twin(buf))
+
+
 def npz(rows) -> io.BytesIO:
     """rows as an np.savez archive, in a stream the loader reads."""
     stream = io.BytesIO()
@@ -876,35 +894,23 @@ def dataset(draw, buf: PriorityBuffer, n: int):
 
 
 @st.composite
-def prefilled_buffers(draw, discrete: bool):
-    """A buffer pair (the one under test, a reference twin) after a drawn
-    number of pushes and priority writes, so the cursor starts anywhere;
-    the pushes carry insert steps above 0, which a slot keeps until a
-    later row evicts it."""
-    capacity = draw(st.integers(1, 10))
-    counts = draw(COUNTS)
-    pair = [tabular_buffer(capacity, counts) if discrete else vector_buffer(capacity)
+def empty_pairs(draw, discrete: bool):
+    """Two empty buffers (the one under test, a reference twin) of a drawn
+    capacity and counts: an offline fill fills only an empty buffer."""
+    capacity, counts = draw(st.integers(1, 10)), draw(COUNTS)
+    return [tabular_buffer(capacity, counts) if discrete else vector_buffer(capacity)
             for _ in range(2)]
-    prefix = draw(st.integers(0, 2 * capacity))
-    rows = draw(dataset(pair[0], prefix))
-    steps = draw(hnp.arrays(np.int64, prefix, elements=st.integers(1, 2**40)))
-    written = draw(hnp.arrays(np.float64, min(prefix, capacity),
-                              elements=st.floats(0.01, 100.0)))
-    for buf in pair:
-        for i in range(prefix):
-            buf.push(*(rows[c][i] for c in COLUMNS), insert_step=int(steps[i]))
-        buf.update_priorities(np.arange(len(written)), written)
-    return pair
 
 
 @st.composite
 def reachable_buffers(draw, discrete: bool):
-    """A buffer after a drawn sequence of pushes (which may wrap), offline
-    fills and priority writes."""
-    capacity = draw(st.integers(1, 10))
-    buf = tabular_buffer(capacity, draw(COUNTS)) if discrete else vector_buffer(capacity)
-    for op in draw(st.lists(st.sampled_from(["push", "fill", "update"]),
-                            max_size=6)):
+    """A buffer after an offline fill of a drawn number of rows (maybe none)
+    into it, then a drawn sequence of pushes (which may wrap) and priority
+    writes; the pushes carry any insert steps."""
+    buf, _ = draw(empty_pairs(discrete))
+    capacity = buf.capacity
+    buf.fill_offline(draw(dataset(buf, draw(st.integers(0, 2 * capacity)))))
+    for op in draw(st.lists(st.sampled_from(["push", "update"]), max_size=6)):
         if op == "update":
             if len(buf):
                 idx = draw(hnp.arrays(np.int64, st.integers(0, 2 * capacity),
@@ -913,12 +919,9 @@ def reachable_buffers(draw, discrete: bool):
                     np.float64, len(idx), elements=st.floats(0.01, 100.0))))
             continue
         rows = draw(dataset(buf, draw(st.integers(0, 2 * capacity))))
-        if op == "fill":
-            buf.fill_offline(rows)
-        else:
-            for i in range(len(rows["rewards"])):
-                buf.push(*(rows[c][i] for c in COLUMNS),
-                         insert_step=draw(st.integers(0, 2**40)))
+        for i in range(len(rows["rewards"])):
+            buf.push(*(rows[c][i] for c in COLUMNS),
+                     insert_step=draw(st.integers(0, 2**40)))
     return buf
 
 
@@ -927,7 +930,7 @@ class TestOfflineFillProperties:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_columnar_fill_equals_per_row_pushes(self, discrete, data):
-        buf, ref = data.draw(prefilled_buffers(discrete))
+        buf, ref = data.draw(empty_pairs(discrete))
         # below, equal to and above capacity
         n = data.draw(st.sampled_from([0, buf.capacity // 2, buf.capacity,
                                        buf.capacity + 1, 2 * buf.capacity + 3]))
@@ -940,12 +943,15 @@ class TestOfflineFillProperties:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_bad_column_rejected_before_any_write(self, discrete, data):
-        buf, _ = data.draw(prefilled_buffers(discrete))
+        # the columns before the bad one may have been copied into slots
+        # past size, but the buffer reads as empty, and a valid fill after
+        # it is a fill into a fresh buffer
+        buf, _ = data.draw(empty_pairs(discrete))
         n = data.draw(st.integers(1, 12))
         rows = data.draw(dataset(buf, n))
         name = data.draw(st.sampled_from(COLUMNS))
         col = rows[name]
-        defects = ["short", "wide"]
+        defects = ["short", "wide", "complex", "structured", "string"]
         if col.dtype == np.float64:
             defects.append("non-finite")
         if discrete and name in ("states", "actions", "next_states"):
@@ -978,12 +984,22 @@ class TestOfflineFillProperties:
             col.flat[data.draw(st.integers(0, col.size - 1))] = data.draw(
                 st.sampled_from([0.5, 7.0, np.nan, -1.0, 2.0]))
             rows[name] = col
+        elif defect == "complex":  # the imaginary part would be dropped
+            rows[name] = col + 5j
+        elif defect == "structured":
+            rows[name] = np.rec.fromarrays([col], names="value")
+        elif defect == "string":
+            rows[name] = col.astype(str)
         else:
             rows[name] = col.astype(np.float64)
-        before = buffer_state(buf)
         with pytest.raises(InvalidTransitionError, match=name):
             buf.fill_offline(rows)
-        assert buffer_state(buf) == before
+        assert_left_empty(buf)
+        valid = data.draw(dataset(buf, data.draw(st.integers(0, 2 * buf.capacity + 3))))
+        buf.fill_offline(valid)
+        ref = fresh_twin(buf)
+        ref.fill_offline(valid)
+        assert observed_state(buf) == observed_state(ref)
 
     @pytest.mark.parametrize("discrete", [True, False])
     @pytest.mark.parametrize("defect, message", [
@@ -993,43 +1009,54 @@ class TestOfflineFillProperties:
     @given(data=st.data())
     def test_a_file_whose_last_column_breaks_a_rule_changes_nothing(
             self, discrete, defect, message, data):
-        # the check pass reads the file's last column after every other one
-        buf, _ = data.draw(prefilled_buffers(discrete))
-        assume(len(buf))
+        # the fill reads the file's last column after copying every other one
+        buf, _ = data.draw(empty_pairs(discrete))
         rows = data.draw(dataset(buf, 6))
         rows["terminals"] = (np.array([0, 1, 2, 0, 1, 0]) if defect == "flag"
                              else rows["terminals"][:5])
-        before = filled_state(buf)
         with pytest.raises(InvalidTransitionError, match=message):
             load_offline_dataset(npz(rows), buf)
-        assert filled_state(buf) == before
+        assert_left_empty(buf)
+
+    def test_the_loader_looks_up_each_member_once(self, monkeypatch):
+        names = []
+        lookup = harness._NpzColumns.__getitem__
+        monkeypatch.setattr(harness._NpzColumns, "__getitem__",
+                            lambda self, name: names.append(name) or lookup(self, name))
+        buf, n = tabular_buffer(), 12
+        rows = dict(zip(COLUMNS, (np.arange(n) % 16, np.arange(n) % 8, np.arange(n) / 2,
+                                  np.arange(1, n + 1) % 16, np.arange(n) % 5 == 0)))
+        load_offline_dataset(npz(rows), buf)
+        assert names == ["rewards", "states", "actions", "next_states", "terminals"]
+        ref = tabular_buffer()
+        ref.fill_offline(rows)
+        assert buffer_state(buf) == buffer_state(ref)
 
 
 class TestIndexCounts:
     """Every place an index enters a tabular buffer holds it below its
     count: an index column whose maximum is count - 1 passes push,
     fill_offline and load, and one at count (or past it) is refused there,
-    naming the column, before any slot changes."""
+    naming the column, and leaves the buffer as it read before."""
 
     @pytest.mark.parametrize("name", ["states", "actions", "next_states"])
     @pytest.mark.parametrize("at_count", [False, True])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_count_minus_one_passes_and_count_is_refused(self, name, at_count, data):
-        buf, ref = data.draw(prefilled_buffers(discrete=True))
+        buf, ref = data.draw(empty_pairs(discrete=True))
         count = buf.action_dim if name == "actions" else buf.state_dim
         n = data.draw(st.integers(1, 12))
         rows = data.draw(dataset(buf, n))
         k = data.draw(st.integers(0, n - 1))
         rows[name][k] = count if at_count else count - 1
         # the offline fill: the whole dataset, or nothing
-        before = buffer_state(buf)
         if at_count:
             with pytest.raises(InvalidTransitionError,
                                match=f"^{name} holds index {count}, but the buffer has "
                                      f"{count} {name.removeprefix('next_')}$"):
                 buf.fill_offline(rows)
-            assert buffer_state(buf) == before
+            assert_left_empty(buf)
         else:
             buf.fill_offline(rows)
         # push, row by row: the row at its count changes no slot
@@ -1265,8 +1292,8 @@ class TestPrefixMark:
                 # past capacity, pushes wrap the ring
                 for _ in range(int(rng.integers(1, 40))):
                     buf.push(*make_transition(s=int(rng.integers(9))))
-            elif op == "fill":
-                n = int(rng.choice([1, capacity - buf.write_cursor + 1, 2 * capacity + 3]))
+            elif op == "fill" and not len(buf):
+                n = int(rng.choice([1, capacity + 1, 2 * capacity + 3]))
                 buf.fill_offline(dict(zip(COLUMNS, (
                     rng.integers(0, 9, n), rng.integers(0, 3, n), rng.normal(size=n),
                     rng.integers(0, 9, n), rng.random(n) < 0.1))))
@@ -1344,23 +1371,14 @@ class TestRangeWrite:
         capacity = data.draw(tree_capacities(depth))
         buf = tabular_buffer(capacity, data.draw(COUNTS))
         buf.tree = narrow_tree(capacity, depth)(capacity)
-        # pushes and priority writes first, so the fill starts anywhere
-        push_rows(buf, **data.draw(dataset(buf, data.draw(st.integers(0, 2 * capacity)))))
-        if len(buf):
-            buf.update_priorities(np.arange(len(buf)), data.draw(hnp.arrays(
-                np.float64, len(buf), elements=st.floats(0.01, 100.0))))
-        # a reference rebuilt from the leaves through set_range, which
-        # keeps its record of the written P-level nodes
         ref = narrow_tree(capacity, depth)(capacity)
-        ref.set_range(0, capacity, buf.tree.leaves(capacity))
-        assert ref.nodes.tobytes() == buf.tree.nodes.tobytes()
-        cursor = buf.write_cursor
         # below, at and above capacity: runs that wrap the ring or cover it
-        n = data.draw(st.sampled_from([0, 1, capacity - cursor, capacity - cursor + 1,
-                                       capacity, capacity + 1, 2 * capacity + 3]))
+        n = data.draw(st.sampled_from([0, 1, capacity - 1, capacity, capacity + 1,
+                                       2 * capacity + 3]))
         buf.fill_offline(data.draw(dataset(buf, n)))
         kept = min(n, capacity)
-        ref.set_many((cursor + np.arange(n - kept, n)) % capacity, 1.0)
+        # row k's slot, k % capacity, for the kept rows
+        ref.set_many(np.arange(n - kept, n) % capacity, 1.0)
         assert buf.tree.nodes.tobytes() == ref.nodes.tobytes()
         assert buf.total_priority() == ref.total()
 
@@ -1377,27 +1395,34 @@ class TestRangeWrite:
                 for _ in range(2)]
         for buf in pair:
             buf.tree = narrow_tree(capacity, depth)(capacity)
-        if start == "non-empty":
-            rows = data.draw(dataset(pair[0], data.draw(st.integers(1, 2 * capacity))))
-            written = data.draw(hnp.arrays(np.float64, min(len(rows["rewards"]), capacity),
-                                           elements=st.floats(0.01, 100.0)))
-            for buf in pair:
-                push_rows(buf, **rows)
-                buf.update_priorities(np.arange(len(written)), written)
-        cursor = pair[0].write_cursor
-        n = data.draw(st.sampled_from([0, 1, capacity - cursor, capacity - cursor + 1,
-                                       capacity, capacity + 1, 2 * capacity + 3]))
+        n = data.draw(st.sampled_from([0, 1, capacity - 1, capacity, capacity + 1,
+                                       2 * capacity + 3]))
         rows = data.draw(dataset(pair[0], n))
-        load_offline_dataset(npz(rows), pair[0])
-        pair[1].fill_offline(rows)
-        assert filled_state(pair[0]) == filled_state(pair[1])
+        if start == "fresh":
+            load_offline_dataset(npz(rows), pair[0])
+            pair[1].fill_offline(rows)
+            assert filled_state(pair[0]) == filled_state(pair[1])
+            return
+        # a buffer that holds rows is refused by both, and left as it was
+        pushed = data.draw(dataset(pair[0], data.draw(st.integers(1, 2 * capacity))))
+        written = data.draw(hnp.arrays(np.float64, min(len(pushed["rewards"]), capacity),
+                                       elements=st.floats(0.01, 100.0)))
+        for buf, fill in zip(pair, (lambda: load_offline_dataset(npz(rows), pair[0]),
+                                    lambda: pair[1].fill_offline(rows))):
+            push_rows(buf, **pushed)
+            buf.update_priorities(np.arange(len(written)), written)
+            before = filled_state(buf)
+            with pytest.raises(ValueError, match="^fill_offline fills an empty buffer, "
+                                                 f"but this one holds {len(buf)} rows$"):
+                fill()
+            assert filled_state(buf) == before
 
 
 class TestImpliedDistributionProperties:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_equals_running_sum_reference(self, data):
-        buf, _ = data.draw(prefilled_buffers(discrete=True))
+        buf = data.draw(reachable_buffers(discrete=True))
         if len(buf) == 0:
             buf.push(*make_transition(s2=0))
         # a few repeated pairs make buckets hold several slots
@@ -1499,10 +1524,10 @@ class TestNarrowIndices:
         states = np.array([1, index, 2], dtype=np.uint64 if index >= 2**63 else np.int64)
         rows = dict(zip(COLUMNS, (states, np.zeros(3, dtype=int), np.zeros(3),
                                   np.zeros(3, dtype=int), np.zeros(3, dtype=bool))))
-        before = buffer_state(buf)
-        with pytest.raises(InvalidTransitionError, match="^states holds "):
+        with pytest.raises(InvalidTransitionError,
+                           match=f"^states holds index {index}, but the buffer has 64 states$"):
             buf.fill_offline(rows)
-        assert buffer_state(buf) == before
+        assert_left_empty(buf)
         buf.push(*make_transition())
         arrays = snapshot_arrays(buf)
         arrays["states"][0] = index - 2**64 if index >= 2**63 else index

@@ -4,7 +4,7 @@ matrix of short runs.
     git archive HEAD~1 --prefix=roer-parent/ | tar -x -C ..
     python3 tools/parity.py --against ../roer-parent
 
-Both trees run the same 26 configs, each `roer train` in a fresh process
+Both trees run the same 27 configs, each `roer train` in a fresh process
 with that tree's `src` on PYTHONPATH:
 - chain-5 (the tabular agent) and pendulum (SAC, `test` profile), each
   under every scheme of this tree's schemes.SCHEME_CONFIGS and both
@@ -13,10 +13,11 @@ with that tree's `src` on PYTHONPATH:
   MDP shows a change to tabular evaluation or bias;
 - a chain-300 `roer` run, whose state indices are held as uint16, and
   whose last evaluation's 600 live slots fill its 300 x 2 table;
-- two chain-5 `roer` runs whose buffers are prefilled from an offline
+- three chain-5 `roer` runs whose buffers are prefilled from an offline
   dataset (fixed .npz files this script writes once): one larger than the
-  buffer, whose fill wraps the ring, and one smaller, whose fill writes
-  only fresh slots;
+  buffer, whose fill wraps the ring, one smaller, and one whose last
+  terminal is 2, which the fill refuses after copying every other column
+  (`input error`, exit 2, and no metrics.jsonl);
 - a pendulum `roer` run with the `full` profile, whose split twin pairs
   run their two lanes on two threads where the process may use two CPUs;
 - the same run with seeds [0, 1] and `workers: 2`: with two seed
@@ -101,7 +102,8 @@ def matrix(work: Path) -> dict[str, dict]:
     configs["chain-300-roer"] = {**_chain("roer", "proportional"), "env": "chain-300",
                                  "buffer_capacity": 1024}
     for name, file in (("chain-roer-offline", "offline.npz"),
-                       ("chain-roer-offline-small", "offline-small.npz")):
+                       ("chain-roer-offline-small", "offline-small.npz"),
+                       ("chain-roer-offline-bad", "offline-bad.npz")):
         configs[name] = {**_chain("roer", "proportional"),
                          "offline_dataset": str(work / file)}
     configs["pendulum-roer-full"] = {**_pendulum("roer", "proportional"),
@@ -114,12 +116,18 @@ def matrix(work: Path) -> dict[str, dict]:
 
 def write_datasets(work: Path) -> None:
     """Random chain-5 transitions into work: 600 in offline.npz, more than
-    the runs' 256 slots, and 100 in offline-small.npz, fewer."""
-    for file, n in (("offline.npz", 600), ("offline-small.npz", 100)):
+    the runs' 256 slots, and 100 in offline-small.npz, fewer; and
+    offline-bad.npz, offline-small.npz's rows with the last terminal 2."""
+    for file, n in (("offline.npz", 600), ("offline-small.npz", 100),
+                    ("offline-bad.npz", 100)):
         rng = np.random.default_rng(0)
-        np.savez(work / file, states=rng.integers(0, 5, n),
-                 actions=rng.integers(0, 2, n), rewards=rng.normal(size=n),
-                 next_states=rng.integers(0, 5, n), terminals=rng.random(n) < 0.05)
+        rows = dict(states=rng.integers(0, 5, n), actions=rng.integers(0, 2, n),
+                    rewards=rng.normal(size=n), next_states=rng.integers(0, 5, n),
+                    terminals=rng.random(n) < 0.05)
+        if file == "offline-bad.npz":
+            rows["terminals"] = rows["terminals"].astype(np.int64)
+            rows["terminals"][-1] = 2
+        np.savez(work / file, **rows)
 
 
 def _command(src: Path, args: list[str], cwd: Path) -> dict:
