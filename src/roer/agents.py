@@ -16,7 +16,9 @@ import contextvars
 import ctypes
 import math
 import os
+import queue
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,46 +55,78 @@ except (AttributeError, OSError, TypeError):
     _sched_getcpu = None
 
 
-def _leave_cpu(cpu) -> None:
-    """Let this thread run on any of its CPUs but cpu, if it has another."""
-    if cpu is None:
-        return
-    others = os.sched_getaffinity(0) - {cpu}
-    if others:
-        os.sched_setaffinity(0, others)
-
-
-def _lanes(first, second, threaded: bool):
-    """(first(), second()). Threaded, second() runs on a short-lived helper
-    thread, in a copy of this thread's context (numpy's errstate lives
-    there), while first() runs here; both finish before an exception is
-    raised, first()'s first.
-
-    A new thread starts on its creator's CPU. On a 2-vCPU VM both threads
-    stayed there for pairs of a few ms, with the other vCPU idle, so the
-    helper first moves off the caller's CPU; that affinity ends with it."""
-    if not threaded:
-        return first(), second()
-    ctx = contextvars.copy_context()
-    here = _sched_getcpu() if _sched_getcpu is not None else None
-    late, error = [None], [None]
-
-    def helper():
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """A pair helper's loop: run each task's lane in its context, off the
+    CPU its caller was on when there is another, until a None task. It
+    drops each task before it signals the task done, so it never holds
+    what a lane reads (an agent) past the caller's wait."""
+    cpus = os.sched_getaffinity(0) if _sched_getcpu is not None else None
+    left = None  # the CPU this thread's affinity leaves out
+    while (task := tasks.get()) is not None:
+        ctx, lane, here, out, done = task
+        del task
         try:
-            _leave_cpu(here)
-            late[0] = ctx.run(second)
+            if here != left:
+                os.sched_setaffinity(0, cpus - {here} or cpus)
+                left = here
+            out[0] = ctx.run(lane)
         except BaseException as exc:  # raised on the caller's thread
-            error[0] = exc
+            out[1] = exc
+        del ctx, lane, out
+        done.release()
 
-    thread = threading.Thread(target=helper)
-    thread.start()
-    try:
-        early = first()
-    finally:
-        thread.join()
-    if error[0] is not None:
-        raise error[0]
-    return early, late[0]
+
+def _end(pid: int, tasks: queue.SimpleQueue, thread: threading.Thread) -> None:
+    """Stop a helper that process pid started, and wait for its thread; a
+    forked child, which has no such thread, leaves its queue alone."""
+    if os.getpid() == pid:
+        tasks.put(None)
+        if thread is not threading.current_thread():
+            thread.join()
+
+
+class _PairHelper:
+    """One daemon thread that runs the second lane of each pair handed to
+    lanes(). Its thread holds nothing but its task queue, and ends when
+    this object is collected; it belongs to the process that built it."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self._tasks = queue.SimpleQueue()
+        thread = threading.Thread(target=_serve, args=(self._tasks,),
+                                  name="roer-pair-helper", daemon=True)
+        thread.start()
+        weakref.finalize(self, _end, self.pid, self._tasks, thread).atexit = False
+
+    def lanes(self, first, second):
+        """(first(), second()), with second() on the helper, in a copy of
+        this thread's context (numpy's errstate lives there), while first()
+        runs here; both finish before an exception is raised, first()'s
+        first. The helper runs one task at a time, so second() must not
+        hand it another.
+
+        A thread left to the scheduler stayed on its caller's CPU for pairs
+        of a few ms on a 2-vCPU VM, with the other vCPU idle, so each task
+        names the caller's CPU of the moment, and the helper's affinity
+        leaves it out."""
+        here = _sched_getcpu() if _sched_getcpu is not None else None
+        out, done = [None, None], threading.Lock()
+        done.acquire()
+        self._tasks.put((contextvars.copy_context(), second, here, out, done))
+        try:
+            early = first()
+        finally:
+            done.acquire()
+        late, error = out
+        del out
+        if error is not None:
+            # the error's traceback holds this frame: were the frame to hold
+            # the error too, the cycle would keep the agent until a gc pass
+            try:
+                raise error
+            finally:
+                del error
+        return early, late
 
 
 @dataclass(frozen=True)
@@ -175,6 +209,7 @@ class SacAgent:
         self.pair_threads = (
             _usable_cpus() >= PAIR_THREAD_CPUS * processes
             and config.batch_size * max(h, default=0) ** 2 >= PAIR_THREAD_WORK)
+        self._helper: _PairHelper | None = None
 
     @property
     def alpha(self) -> float:
@@ -232,11 +267,21 @@ class SacAgent:
         y, cache = nn.forward_cache(params, x)
         return y[:, 0], cache
 
+    def _lanes(self, first, second):
+        """(first(), second()): in turn on this thread, or, with pair_threads
+        set, as two lanes through this agent's pair helper. The helper starts
+        at the first such pair, and again in a forked child, which has no
+        thread of its parent's."""
+        if not self.pair_threads:
+            return first(), second()
+        if self._helper is None or self._helper.pid != os.getpid():
+            self._helper = _PairHelper()
+        return self._helper.lanes(first, second)
+
     def _pair(self, job, pair):
         """(job(pair[0], 0), job(pair[1], 1)) over the critic or target pair,
         as two lanes."""
-        return _lanes(lambda: job(pair[0], 0), lambda: job(pair[1], 1),
-                      self.pair_threads)
+        return self._lanes(lambda: job(pair[0], 0), lambda: job(pair[1], 1))
 
     def _q(self, pair, x):
         """Both networks of the critic or target pair on the rows of x; each
@@ -317,24 +362,28 @@ class SacAgent:
         Work that reads nothing the other half writes runs in two lanes
         through _lanes. When pair_threads is set (PAIR_THREAD_CPUS CPUs per
         process and BLAS-bound passes; see PAIR_THREAD_WORK) the second
-        lane runs on a helper thread while the first runs on this one:
+        lane runs on the agent's pair helper thread while the first runs on
+        this one:
         - the actor's stacked pass and draw, beside the rollback snapshot;
         - through _pair, one lane per network of the target or critic
-          pair: the targets' forward; each critic's loss, backward, penalty
-          and step on its own Adam state; and the actor phase's critic
-          forward and input gradient, which read only the stepped critics
-          and so come before the value step;
+          pair: the targets' forward, and each critic's loss, backward,
+          penalty and step on its own Adam state;
         - under a ROER scheme, the value network's forward, loss, backward,
-          Adam step and TD pass, beside the actor's loss, finite check,
-          backward and Adam step. Neither reads the other's network, and
-          the temperature moves only after both.
+          Adam step and TD pass, beside the actor's whole phase: both
+          critics' forward and input gradient, which read only the stepped
+          critics, then the actor's loss, finite check, backward and Adam
+          step. Neither lane reads the other's network, and the temperature
+          moves only after both. Without a ROER scheme the input gradients
+          are a critic pair of their own, and the actor steps after it.
         Each lane makes the same one-thread BLAS and ufunc calls on the
         same operands as the serial path, which runs the first lane and
-        then the second (the value step before the actor step), so the
-        bytes are the same; the helper is joined before either result is
-        read, and no thread outlives its pair. That is 5 threads started
-        per update under a ROER scheme, 4 without, at about 85 us each to
-        start and join (measured on a 2-vCPU Xeon VM).
+        then the second (the value step, both input gradients, then the
+        actor step), so the bytes are the same; both lanes finish before
+        either result is read. One helper thread serves every pair of an
+        agent: it starts at the first and ends when the agent is collected
+        (_PairHelper), so an update starts no thread of its own, where one
+        thread per pair took about 85 us to start and join (measured on a
+        2-vCPU Xeon VM).
 
         A non-finite loss, input or gradient of any network or of the
         temperature aborts the whole step: each raises FloatingPointError,
@@ -344,8 +393,9 @@ class SacAgent:
         Adam moments is copied back in place from the snapshot, the Adam
         step counts are restored, and the abort is counted. Both lanes
         finish before the first lane's error is raised, so the rollback
-        never races a late Adam step; threaded, the actor has stepped when
-        the value loss aborts, and the rollback undoes it. An aborted step
+        never races a late Adam step; threaded, the actor may have stepped
+        when the value loss aborts, or the value network when the actor's
+        phase does, and the rollback undoes it. An aborted step
         returns fresh StepMetrics with only aborted set, and has still taken
         its one (2n, A) normal draw from rng, whichever phase aborted."""
         weights = np.asarray(weights, dtype=np.float64)
@@ -366,9 +416,8 @@ class SacAgent:
         # (next_obs, obs) give the critic target's next action and the
         # actor loss's sample. _sample makes no check, so the snapshot
         # beside it is whole before anything can raise.
-        (act, logp, aux), _ = _lanes(
-            lambda: self._sample(np.concatenate([nobs, obs]), rng), self._snapshot,
-            self.pair_threads)
+        (act, logp, aux), _ = self._lanes(
+            lambda: self._sample(np.concatenate([nobs, obs]), rng), self._snapshot)
         # critic update against the entropy-regularized min-target; the
         # targets move only at the Polyak step, so under a ROER scheme the
         # same pass also gives the value loss its min-target on (obs, act)
@@ -383,17 +432,18 @@ class SacAgent:
                               critic_td_errors=target - 0.5 * (q1 + q2))
 
         # the actor's gradient through the min online critic, on the obs
-        # half of the draw
+        # half of the draw; the critics' passes read only the stepped critics
         x_new = np.concatenate([obs, act[n:]], axis=1)
-        critics = self._pair(
-            lambda params, _: self._critic_input_gradient(params, x_new), self.critics)
         logp, aux = logp[n:], _rows_from(aux, n)
         if roer is None:
+            critics = self._pair(
+                lambda params, _: self._critic_input_gradient(params, x_new), self.critics)
             metrics.actor_loss = self._actor_step(aux, logp, critics, n)
-        else:  # the value network (priority TD source), then the actor
-            value, metrics.actor_loss = _lanes(
+        else:  # the value network (priority TD source) beside the actor's whole phase
+            value, metrics.actor_loss = self._lanes(
                 lambda: self._value_step(batch, q_target[n:], roer, div),
-                lambda: self._actor_step(aux, logp, critics, n), self.pair_threads)
+                lambda: self._actor_step(aux, logp, [
+                    self._critic_input_gradient(c, x_new) for c in self.critics], n))
             metrics.value_loss, metrics.value_clip_count, metrics.value_td_errors = value
 
         # temperature toward the target entropy; its step raises before it

@@ -1,6 +1,9 @@
+import gc
 import io
+import itertools
 import math
 import os
+import sys
 import threading
 import time
 
@@ -496,6 +499,53 @@ class TestThreadedRollback(TestInPlaceRollback):
             metrics_bytes(update_with(twin, batch, 42))
         assert state_bytes(agent) == state_bytes(twin)
 
+    def test_actor_abort_waits_for_the_value_step(self, monkeypatch):
+        # the actor's loss turns NaN on the helper while the value network
+        # steps on this thread, held back until the loss has failed: the
+        # rollback starts only after that step, and undoes it
+        agent, twin = fresh_agent(seed=43), fresh_agent(seed=43)
+        rng = np.random.default_rng(44)
+        for i in range(3):  # nonzero moments and step counts on both
+            batch = make_batch(rng)
+            update_with(agent, batch, 45 + i)
+            update_with(twin, batch, 45 + i)
+        opts = (*agent.opt_q, agent.opt_actor, agent.opt_value, agent.opt_alpha)
+        before = state_bytes(agent), [o.step_count for o in opts]
+        value = agent.value.flat.tobytes()
+        failed, reached, value_moved = threading.Event(), [], []
+        with monkeypatch.context() as mp:
+            self.poison(mp, agent, "actor", reached)
+            actor_step, value_step, restore = (agent._actor_step, agent.opt_value.step,
+                                               agent._restore)
+
+            def failing_actor_step(*args):
+                try:
+                    return actor_step(*args)
+                except FloatingPointError:
+                    failed.set()
+                    raise
+
+            def late_value_step(*args):
+                assert failed.wait(timeout=10)
+                return value_step(*args)
+
+            def recording_restore(*args):
+                value_moved.append(agent.value.flat.tobytes() != value)
+                return restore(*args)
+
+            mp.setattr(agent, "_actor_step", failing_actor_step)
+            mp.setattr(agent.opt_value, "step", late_value_step)
+            mp.setattr(agent, "_restore", recording_restore)
+            m = update_with(agent, make_batch(rng), 48)
+        # both critics and the value network had stepped when the rollback began
+        assert reached == [[4, 4, 4]] and value_moved == [True]
+        assert m.aborted and agent.aborted_updates == 1
+        assert (state_bytes(agent), [o.step_count for o in opts]) == before
+        batch = make_batch(rng)
+        assert metrics_bytes(update_with(agent, batch, 49)) == \
+            metrics_bytes(update_with(twin, batch, 49))
+        assert state_bytes(agent) == state_bytes(twin)
+
 
 class TestNonFiniteGradient:
     """A non-finite gradient with a finite loss, in any of the four networks'
@@ -587,22 +637,24 @@ class TestPairThreads:
             done.append(tag)
             raise ValueError(tag)
 
+        helper = agents._PairHelper()
         with pytest.raises(ValueError, match="a"):
-            agents._lanes(lambda: fail("a"), lambda: fail("b"), threaded=True)
+            helper.lanes(lambda: fail("a"), lambda: fail("b"))
         assert done == ["a", "b"]
         done.clear()
         go.clear()
         with pytest.raises(ValueError, match="b"):
-            agents._lanes(go.set, lambda: fail("b"), threaded=True)
+            helper.lanes(go.set, lambda: fail("b"))
         assert done == ["b"]
 
     def test_helper_runs_under_the_callers_errstate(self):
         def overflow(scale):
             return np.float64(1e308) * scale
 
+        helper = agents._PairHelper()
+
         def lanes():
-            return agents._lanes(lambda: overflow(1.0), lambda: overflow(10.0),
-                                 threaded=True)
+            return helper.lanes(lambda: overflow(1.0), lambda: overflow(10.0))
 
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
@@ -610,16 +662,46 @@ class TestPairThreads:
         with np.errstate(over="ignore"):
             assert lanes() == (1e308, np.inf)
 
-    def test_no_thread_or_affinity_outlives_a_pair(self):
+    def test_each_pair_reads_its_own_results(self):
+        # many quick hand-overs to one helper, with the interpreter switching
+        # threads as often as it can: no result is lost or read by another pair
+        helper, interval = agents._PairHelper(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(2000):
+                assert helper.lanes(lambda: i, lambda: -i) == (i, -i)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_helper_per_agent_off_the_callers_cpu(self, monkeypatch):
+        """Many pairs and updates of a threaded agent start one thread, which
+        ends when the agent is collected. The caller's affinity never
+        changes, and on 2+ CPUs the helper's leaves out the caller's CPU of
+        the moment."""
+        force_pair_threads(monkeypatch)
+        gc.collect()  # no helper of an earlier test's agent ends during this one
         count, cpus = threading.active_count(), os.sched_getaffinity(0)
-        masks = agents._lanes(lambda: os.sched_getaffinity(0),
-                              lambda: os.sched_getaffinity(0), threaded=True)
-        assert threading.active_count() == count
+        # the caller's CPU at each hand-over, cycling through all of them
+        cycle, handed = itertools.cycle(sorted(cpus)), []
+        monkeypatch.setattr(agents, "_sched_getcpu",
+                            lambda: handed.append(next(cycle)) or handed[-1])
+        starts, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: starts.append(thread) or start(thread))
+        agent = fresh_agent(seed=47)
+        rng = np.random.default_rng(48)
+        for i in range(3):  # 4 pairs each under a ROER scheme
+            assert not update_with(agent, make_batch(rng), 49 + i).aborted
+        assert len(starts) == 1 and len(handed) == 3 * 4
+        for _ in range(2 * len(cpus)):
+            mine, helpers = agent._lanes(lambda: os.sched_getaffinity(0),
+                                         lambda: os.sched_getaffinity(0))
+            assert mine == cpus
+            assert helpers == (cpus - {handed[-1]} if len(cpus) > 1 else cpus)
+        assert len(starts) == 1 and threading.active_count() == count + 1
+        del agent
+        assert not starts[0].is_alive() and threading.active_count() == count
         assert os.sched_getaffinity(0) == cpus
-        # the helper left the caller's CPU, when there was another to go to
-        assert masks[0] == cpus
-        if len(cpus) > 1 and agents._sched_getcpu is not None:
-            assert len(masks[1]) == len(cpus) - 1 and masks[1] < cpus
 
     @pytest.mark.parametrize("profile", ["test", "full"])
     def test_only_blas_bound_pairs_take_two_threads(self, profile):
@@ -632,8 +714,9 @@ class TestLanes:
     @pytest.mark.parametrize("threaded", [False, True])
     def test_overlapped_phases_run_on_two_threads(self, monkeypatch, threaded):
         """Threaded, the snapshot runs on the helper beside the actor's pass
-        and draw, and the actor's Adam step beside the value network's;
-        serially all four run on the caller's thread."""
+        and draw, and both critics' input gradients and the actor's Adam
+        step beside the value network's step; serially all five run on the
+        caller's thread."""
         if threaded:
             force_pair_threads(monkeypatch)
         agent = fresh_agent(seed=44)
@@ -653,15 +736,17 @@ class TestLanes:
         record("sample", agent, "_sample")
         record("value", agent.opt_value, "step")
         record("actor", agent.opt_actor, "step")
+        record("gradient", agent, "_critic_input_gradient")
         rng = np.random.default_rng(45)
         for i in range(2):
             assert not update_with(agent, make_batch(rng), 46 + i).aborted
         here = {threading.get_ident()}
         assert threads["sample"] == threads["value"] == here
-        if threaded:
-            assert here.isdisjoint(threads["snapshot"] | threads["actor"])
+        helper = threads["snapshot"] | threads["actor"] | threads["gradient"]
+        if threaded:  # the one helper thread
+            assert len(helper) == 1 and here.isdisjoint(helper)
         else:
-            assert threads["snapshot"] == threads["actor"] == here
+            assert helper == here
 
 
 class TestForwardPasses:

@@ -741,20 +741,26 @@ class TestPairThreadHygiene:
         monkeypatch.setattr(threading.Thread, "start", counting_start)
         count = threading.active_count()
         assert main(["train", "-c", str(write_config(tmp_path, **PENDULUM_RUN))]) == 0
-        assert starts  # one helper per twin pair of each update
+        # the agent's one pair helper, which ended with the agent
+        assert len(starts) == 1 and not starts[0].is_alive()
         assert threading.active_count() == count
         for name in ("metrics.jsonl", "checkpoint.bin", "buffer.bin", "summary.json"):
             assert (tmp_path / "run" / "seed_0" / name).read_bytes() == \
                 (serial / "run" / "seed_0" / name).read_bytes()
 
     def test_forked_seeds_after_a_threaded_update_finish(self, tmp_path):
-        # the pool forks this process after its own threaded update: no
-        # helper thread (or lock it held) is left for a child to inherit
+        # the pool forks this process while its agent's pair helper is alive
+        # and idle: each child starts a helper of its own, and both finish
         path = write_config(tmp_path, **PENDULUM_RUN, seeds=[0, 1], workers=2)
-        code = ("import sys, threading, numpy as np; "
+        starts = tmp_path / "helper_starts"
+        code = ("import os, sys, threading, numpy as np; "
                 "from roer import cli, agents; "
                 # every SAC agent from here on runs its pairs on two threads
-                "agents.PAIR_THREAD_WORK, agents.PAIR_THREAD_CPUS = 0, 1; "
+                "agents.PAIR_THREAD_WORK, agents.PAIR_THREAD_CPUS = 0, 0; "
+                # each process appends its pid when it starts a pair helper
+                "start = agents._PairHelper.__init__; "
+                "agents._PairHelper.__init__ = lambda self: (open(sys.argv[2], 'a')"
+                ".write(f'{os.getpid()}\\n'), start(self))[1]; "
                 "from roer.schemes import RoerConfig; "
                 "from roer.replay import PriorityBuffer; "
                 "agent = agents.SacAgent(3, 1, agents.SacConfig(hidden_dims=(8,), "
@@ -764,13 +770,18 @@ class TestPairThreadHygiene:
                 "actions=rng.normal(size=(8, 1)), rewards=rng.normal(size=8), "
                 "next_states=rng.normal(size=(8, 3)), terminals=np.zeros(8, bool))); "
                 "m = agent.update(buf.sample_uniform(4, rng), np.ones(4), rng, RoerConfig()); "
-                "assert not m.aborted and threading.active_count() == 1; "
+                "assert not m.aborted and threading.active_count() == 2; "
+                "print(os.getpid()); "
                 "sys.exit(cli.main(['train', '-c', sys.argv[1]]))")
         src = str(Path(roer.__file__).resolve().parents[1])
-        subprocess.run([sys.executable, "-c", code, str(path)], check=True,
-                       timeout=120, env=os.environ | {"PYTHONPATH": src})
+        out = subprocess.run([sys.executable, "-c", code, str(path), str(starts)],
+                             check=True, timeout=120, capture_output=True, text=True,
+                             env=os.environ | {"PYTHONPATH": src})
         for seed in (0, 1):
             assert (tmp_path / "run" / f"seed_{seed}" / "summary.json").is_file()
+        # one helper in the parent, and one in each of two children
+        pids = starts.read_text().split()
+        assert pids[0] == out.stdout.split()[0] and len(set(pids)) == len(pids) == 3
 
 
 class TestSweepCommand:

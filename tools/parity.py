@@ -4,7 +4,7 @@ matrix of short runs.
     git archive HEAD~1 --prefix=roer-parent/ | tar -x -C ..
     python3 tools/parity.py --against ../roer-parent
 
-Both trees run the same 27 configs, each `roer train` in a fresh process
+Both trees run the same 29 configs, each `roer train` in a fresh process
 with that tree's `src` on PYTHONPATH:
 - chain-5 (the tabular agent) and pendulum (SAC, `test` profile), each
   under every scheme of this tree's schemes.SCHEME_CONFIGS and both
@@ -20,6 +20,9 @@ with that tree's `src` on PYTHONPATH:
   (`input error`, exit 2, and no metrics.jsonl);
 - a pendulum `roer` run with the `full` profile, whose split twin pairs
   run their two lanes on two threads where the process may use two CPUs;
+- the same run under `per` and under `laber`, which train no value
+  network: `per`'s critics take their input gradients as a pair of their
+  own, and `laber`'s `td_surrogates` runs the target pair;
 - the same run with seeds [0, 1] and `workers: 2`: with two seed
   processes on fewer than four CPUs, each runs its two lanes in turn on
   one thread.
@@ -111,6 +114,9 @@ def matrix(work: Path) -> dict[str, dict]:
                                      "agent": dict(profile="full")}
     configs["pendulum-roer-full-workers"] = {**configs["pendulum-roer-full"],
                                              "seeds": [0, 1], "workers": 2}
+    for scheme in ("per", "laber"):
+        configs[f"pendulum-{scheme}-full"] = {**configs["pendulum-roer-full"],
+                                              "scheme": scheme}
     return configs
 
 
