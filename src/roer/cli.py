@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import config as config_mod
-from . import harness
+from . import harness, oracles
 from .binio import FormatError
 from .divergences import SPECS
 from .replay import InvalidTransitionError, PriorityBuffer
@@ -74,14 +74,13 @@ def cmd_oracle(args) -> int:
         raise ConfigError(f"--corrupt must be one of {', '.join(SPECS)}, "
                           f"got {args.corrupt!r}")
     _check_writable("--report", args.report)
-    report, ok = harness.run_oracle_suite(
-        corrupt_kind=args.corrupt, report_path=args.report
-    )
+    report, ok = oracles.run_suite(corrupt_kind=args.corrupt, report_path=args.report)
     for r in report:
         status = "pass" if r["passed"] else "FAIL"
         kind = f" [{r['kind']}]" if "kind" in r else ""
+        error = f", {r['error']}" if "error" in r else ""
         print(f"{status}  {r['check']}{kind}: measured {r['measured']:.3e} "
-              f"(tolerance {r['tolerance']:.3e})")
+              f"(tolerance {r['tolerance']:.3e}){error}")
     print("oracle suite:", "all checks passed" if ok else "CHECKS FAILED")
     return EXIT_OK if ok else EXIT_CHECK_FAILURE
 

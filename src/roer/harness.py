@@ -1,6 +1,6 @@
 """Experiment orchestration: the train/evaluate loop, offline prefill,
-metric persistence, the oracle verification suite, sweeps, and bias
-estimation.
+metric persistence, sweeps, and bias estimation. The oracle verification
+suite is oracles.run_suite.
 
 One training step follows the prioritized actor-critic recipe: push the
 new transition with priority 1; once past the training-start step, sample
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import divergences, losses, oracles, schemes
+from . import schemes
 from .agents import SacAgent, SacConfig, StepMetrics, TabularAgent
 from .binio import FormatError
 from .config import (ExperimentConfig, echo, from_dict, parse_env_id, seed_streams,
@@ -488,113 +488,6 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
         record["step"] = step
         series.append(record)
     return series
-
-
-# ----------------------------------------------------------------------
-# oracle verification suite
-
-def run_oracle_suite(corrupt_kind: str | None = None,
-                     report_path=None) -> tuple[list[dict], bool]:
-    """Release-gate checks, each with its tolerance and measured residual.
-
-    corrupt_kind is a negative-control fixture: the named divergence's
-    conjugate derivative is perturbed so the identity check must fail and
-    name the corrupted row.
-    """
-    report: list[dict] = []
-
-    def record(check: str, tolerance: float, measured: float, **kind) -> None:
-        report.append({"check": check, **kind, "tolerance": tolerance,
-                       "measured": measured, "passed": measured <= tolerance})
-
-    def conj_prime(sp, y):
-        val = divergences.conjugate_prime(sp, y)
-        if sp.name == corrupt_kind:
-            val += 1e-6
-        return val
-
-    grid = np.logspace(np.log10(0.1), np.log10(10.0), 200)
-    for sp in divergences.SPECS.values():
-        worst = float(np.max(np.abs(
-            conj_prime(sp, divergences.generator_prime(sp, grid)) - grid
-        )))
-        record("conjugate_inverse_identity", 1e-9, worst, kind=sp.name)
-
-    rng = np.random.default_rng(2718)
-    for sp in divergences.SPECS.values():
-        lo = max(sp.domain_conj[0], -20.0)
-        hi = min(sp.domain_conj[1], 20.0)
-        xs = rng.uniform(0.05, 20.0, size=10_000)
-        ys = rng.uniform(lo, hi - 1e-9, size=10_000)
-        worst = float(np.max(
-            xs * ys - divergences.generator(sp, xs) - divergences.conjugate(sp, ys)
-        ))
-        record("fenchel_young", 1e-12, worst, kind=sp.name)
-
-    # the unclipped value loss settles where E[f*'((Q - V) / beta)] = 1:
-    # bisect a scalar V on the sign of the loss's own gradient over fixed
-    # Q samples
-    q = np.random.default_rng(1618).normal(size=4096)
-    for sp in schemes.ROER_DIVERGENCES.values():
-        worst = 0.0
-        for beta in (0.5, 1.0, 2.0):
-            lo, hi = float(q.min()), float(q.max())
-            while lo < (mid := 0.5 * (lo + hi)) < hi:
-                out = losses.extreme_v_loss(q - mid, beta, math.inf, sp)
-                lo, hi = (mid, hi) if np.add.reduce(out.grad) > 0.0 else (lo, mid)
-            ratio = float(np.mean(conj_prime(sp, (q - lo) / beta)))
-            worst = max(worst, abs(ratio - 1.0))
-        record("value_fixed_point", 1e-10, worst, kind=sp.name)
-
-    worst = 0.0
-    for _ in range(100):
-        mdp = random_mdp(5, 2, gamma=0.9, seed=int(rng.integers(10**6)))
-        pi = rng.dirichlet(np.ones(2), size=5)
-        Q = rng.normal(scale=5.0, size=(5, 2))
-        worst = max(worst, oracles.telescoping_check(mdp, pi, Q))
-    record("telescoping_identity", 1e-8, worst)
-
-    mdp = random_mdp(2, 2, gamma=0.9, seed=50)
-    _, _, pi_star = value_iteration(mdp, tol=1e-12)
-    d_star = occupancy(mdp, pi_star)
-    d_data = oracles.OccupancyTable(np.full((2, 2), 0.25))
-    kl = divergences.SPECS["kl"]
-    Q = oracles.dual_minimize(mdp, d_data, 1.0, kl, pi_star)
-    rec = oracles.recovered_distribution(mdp, Q, d_data, 1.0, kl, pi_star)
-    tv = oracles.total_variation(rec, d_star.table)
-    record("dual_recovery_tv", 0.05, tv)
-    Q2 = oracles.dual_minimize(mdp, d_star, 1.0, kl, pi_star)
-    delta = oracles.bellman_backup(mdp, Q2, pi_star) - Q2
-    support = d_star.table > 1e-12
-    dev = float(np.max(np.abs(np.exp(delta[support]) - 1.0)))
-    record("dual_matched_unit_ratio", 0.05, dev)
-
-    buf = PriorityBuffer(4, 3, 1, discrete=True)
-    for i in range(3):
-        buf.push(i, 0, 0.0, i, False)
-    buf.update_priorities([0, 1, 2], [1.0, 2.0, 3.0])
-    batch = buf.sample_proportional(60_000, np.random.default_rng(2024))
-    freqs = np.bincount(batch.indices, minlength=3) / 60_000
-    expect = np.array([1 / 6, 1 / 3, 1 / 2])
-    max_dev = float(np.max(np.abs(freqs - expect)))
-    chi2 = float((((freqs - expect) * 60_000) ** 2 / (expect * 60_000)).sum())
-    crit = -2.0 * math.log(0.001)  # chi-squared 0.999 quantile, 2 dof
-    record("sum_tree_proportionality", 0.01, max_dev)
-    record("sum_tree_chi2", crit, chi2)
-
-    # policy evaluation by one linear solve recovers Q* from the optimal policy
-    mdp = random_mdp(5, 2)
-    q_star, _, pi_star = value_iteration(mdp, tol=1e-12)
-    record("policy_q_matches_q_star", 1e-9,
-           float(np.max(np.abs(policy_q(mdp, pi_star) - q_star))))
-
-    ok = all(r["passed"] for r in report)
-    if report_path:
-        with open(report_path, "w") as fh:
-            json.dump({"passed": ok, "checks": report}, fh, indent=2,
-                      default=_clean)
-            fh.write("\n")
-    return report, ok
 
 
 # ----------------------------------------------------------------------

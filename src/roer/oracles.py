@@ -1,23 +1,26 @@
 """Exact tabular oracles: optimal values, a policy's values and expected
 episode return, discounted occupancies, the dual objective of the
 divergence-regularized return and its minimizer, and the telescoping
-identity check.
+identity check; and run_suite, the release-gate suite of `roer oracle`.
 
 These are the reference paths the rest of the system is verified against,
 so everything here favors exactness over scalability: a policy's Q and
 its occupancy come from dense linear solves, the dual minimizer from
 quasi-Newton descent to a 1e-8 gradient norm, expectations from full
-summation. Nothing here samples.
+summation. Only run_suite draws random numbers, each from a fixed seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import divergences
-from .envs import TabularMdp
+from . import divergences, losses, schemes
+from .envs import TabularMdp, random_mdp
+from .replay import PriorityBuffer
 
 
 class ConvergenceError(RuntimeError):
@@ -221,3 +224,108 @@ def kl_divergence_to_implied(d_target: OccupancyTable, implied: dict,
             q = max(implied.get((s, a), 0.0), eps)
             out += p * np.log(p / q)
     return float(out)
+
+
+# ----------------------------------------------------------------------
+# the release-gate suite
+
+def run_suite(corrupt_kind: str | None = None,
+              report_path=None) -> tuple[list[dict], bool]:
+    """The release-gate checks, in a fixed order from fixed seeds: one row
+    each of check (and kind), tolerance, measured residual and passed.
+
+    Every row reads its divergences from one map, divergences.SPECS but
+    for the corrupt_kind negative control, whose f*' is shifted by 1e-6. A
+    dual minimizer that stalls fails its row alone, with measured inf and
+    an "error"; report_path gets strict JSON, with null for an inf.
+    """
+    specs = dict(divergences.SPECS)
+    if corrupt_kind is not None:
+        sp = specs[corrupt_kind]  # f holds the original: a late-bound sp recurses
+        specs[sp.name] = replace(sp, f_star_prime=lambda y, f=sp.f_star_prime: f(y) + 1e-6)
+    report: list[dict] = []
+
+    def record(check: str, tolerance: float, measured: float, **kind) -> None:
+        report.append({"check": check, **kind, "tolerance": tolerance,
+                       "measured": measured, "passed": measured <= tolerance})
+
+    grid = np.logspace(np.log10(0.1), np.log10(10.0), 200)
+    for sp in specs.values():
+        ratio = divergences.conjugate_prime(sp, divergences.generator_prime(sp, grid))
+        record("conjugate_inverse_identity", 1e-9, float(np.max(np.abs(ratio - grid))),
+               kind=sp.name)
+
+    rng = np.random.default_rng(2718)
+    for sp in specs.values():
+        lo, hi = max(sp.domain_conj[0], -20.0), min(sp.domain_conj[1], 20.0)
+        xs = rng.uniform(0.05, 20.0, size=10_000)
+        ys = rng.uniform(lo, hi - 1e-9, size=10_000)
+        gap = xs * ys - divergences.generator(sp, xs) - divergences.conjugate(sp, ys)
+        record("fenchel_young", 1e-12, float(np.max(gap)), kind=sp.name)
+
+    # the unclipped value loss settles where E[f*'((Q - V) / beta)] = 1: bisect
+    # a scalar V on the sign of the loss's own gradient over fixed Q samples
+    q = np.random.default_rng(1618).normal(size=4096)
+    for sp in (specs[div.name] for div in schemes.ROER_DIVERGENCES.values()):
+        worst = 0.0
+        for beta in (0.5, 1.0, 2.0):
+            lo, hi = float(q.min()), float(q.max())
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                out = losses.extreme_v_loss(q - mid, beta, math.inf, sp)
+                lo, hi = (mid, hi) if np.add.reduce(out.grad) > 0.0 else (lo, mid)
+            ratio = float(np.mean(divergences.conjugate_prime(sp, (q - lo) / beta)))
+            worst = max(worst, abs(ratio - 1.0))
+        record("value_fixed_point", 1e-10, worst, kind=sp.name)
+
+    worst = 0.0
+    for _ in range(100):
+        mdp = random_mdp(5, 2, gamma=0.9, seed=int(rng.integers(10**6)))
+        pi = rng.dirichlet(np.ones(2), size=5)
+        Q = rng.normal(scale=5.0, size=(5, 2))
+        worst = max(worst, telescoping_check(mdp, pi, Q))
+    record("telescoping_identity", 1e-8, worst)
+
+    mdp = random_mdp(2, 2, gamma=0.9, seed=50)
+    _, _, pi_star = value_iteration(mdp, tol=1e-12)
+    d_star = occupancy(mdp, pi_star)
+    d_uniform, kl = OccupancyTable(np.full((2, 2), 0.25)), specs["kl"]
+
+    def dual_row(check: str, d_data: OccupancyTable, measure) -> None:
+        try:
+            record(check, 0.05, measure(dual_minimize(mdp, d_data, 1.0, kl, pi_star)))
+        except ConvergenceError as exc:
+            record(check, 0.05, math.inf)
+            report[-1]["error"] = str(exc)
+
+    dual_row("dual_recovery_tv", d_uniform, lambda Q: total_variation(
+        recovered_distribution(mdp, Q, d_uniform, 1.0, kl, pi_star), d_star.table))
+    support = d_star.table > 1e-12  # on d* the ratio f*'(delta) is 1 where d* has mass
+    dual_row("dual_matched_unit_ratio", d_star, lambda Q: float(np.max(np.abs(
+        divergences.conjugate_prime(kl, (bellman_backup(mdp, Q, pi_star) - Q)[support])
+        - 1.0))))
+
+    buf = PriorityBuffer(4, 3, 1, discrete=True)
+    for i in range(3):
+        buf.push(i, 0, 0.0, i, False)
+    buf.update_priorities([0, 1, 2], [1.0, 2.0, 3.0])
+    batch = buf.sample_proportional(60_000, np.random.default_rng(2024))
+    freqs = np.bincount(batch.indices, minlength=3) / 60_000
+    expect = np.array([1 / 6, 1 / 3, 1 / 2])
+    record("sum_tree_proportionality", 0.01, float(np.max(np.abs(freqs - expect))))
+    record("sum_tree_chi2", -2.0 * math.log(0.001),  # chi-squared 0.999 quantile, 2 dof
+           float((((freqs - expect) * 60_000) ** 2 / (expect * 60_000)).sum()))
+
+    # policy evaluation by one linear solve recovers Q* from the optimal policy
+    mdp = random_mdp(5, 2)
+    q_star, _, pi_star = value_iteration(mdp, tol=1e-12)
+    record("policy_q_matches_q_star", 1e-9,
+           float(np.max(np.abs(policy_q(mdp, pi_star) - q_star))))
+
+    ok = all(r["passed"] for r in report)
+    if report_path:
+        rows = [{**r, "measured": r["measured"] if math.isfinite(r["measured"]) else None}
+                for r in report]
+        with open(report_path, "w") as fh:
+            json.dump({"passed": ok, "checks": rows}, fh, indent=2, allow_nan=False)
+            fh.write("\n")
+    return report, ok

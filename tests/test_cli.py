@@ -13,10 +13,11 @@ import pytest
 import yaml
 
 import roer
-from roer import agents, config as cmod, nn
+from roer import agents, config as cmod, nn, oracles
 from roer.agents import SacAgent, SacConfig
 from roer.binio import FormatError
 from roer.cli import main
+from roer.divergences import SPECS
 from roer.replay import PriorityBuffer
 
 
@@ -317,14 +318,42 @@ class TestOracleCommand:
         assert main(["oracle", "--corrupt", "kl"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("kind", ["kl", "pearson_chi2"])
+    # f*' + 1e-6 fails every name's identity row. Under kl the dual
+    # minimizer also stalls on uniform data (residual 3.7e-7); on d* data it
+    # converges, and the unit ratio's deviation (7.7e-9) passes its 0.05.
+    # The value fixed point passes: its loss and its ratio read the same f*'.
+    @pytest.mark.parametrize("kind", list(SPECS))
     def test_corrupt_names_the_kind(self, kind, capsys):
         assert main(["oracle", "--corrupt", kind]) == 1
         failed = [line for line in capsys.readouterr().out.splitlines()
                   if line.startswith("FAIL")]
-        assert [line.split(":")[0] for line in failed] == [
-            f"FAIL  conjugate_inverse_identity [{kind}]",
-            f"FAIL  value_fixed_point [{kind}]"]
+        assert [line.split(":")[0] for line in failed] == (
+            [f"FAIL  conjugate_inverse_identity [{kind}]"]
+            + (["FAIL  dual_recovery_tv"] if kind == "kl" else []))
+
+    def test_stalled_minimizer_is_a_fail_row(self, tmp_path, monkeypatch, capsys):
+        def stalled(*args, **kwargs):
+            raise oracles.ConvergenceError("dual minimization did not converge", 1.0)
+
+        monkeypatch.setattr(oracles, "dual_minimize", stalled)
+        report = tmp_path / "r.json"
+        assert main(["oracle", "--report", str(report)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("FAIL")] == [
+            f"FAIL  {check}: measured inf (tolerance 5.000e-02), "
+            "dual minimization did not converge (residual 1.000e+00)"
+            for check in ("dual_recovery_tv", "dual_matched_unit_ratio")]
+        assert out[-1] == "oracle suite: CHECKS FAILED"
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        saved = json.loads(report.read_text(), parse_constant=refuse)
+        assert saved["passed"] is False
+        assert len(saved["checks"]) == 18  # the rows after them still ran
+        stalled_rows = [r for r in saved["checks"] if not r["passed"]]
+        assert [(r["check"], r["measured"]) for r in stalled_rows] == [
+            ("dual_recovery_tv", None), ("dual_matched_unit_ratio", None)]
 
     @pytest.mark.parametrize("name", ["klx", "KL", ""])
     def test_corrupt_unknown_name_exit_code(self, name, capsys):

@@ -21,7 +21,6 @@ from roer.harness import (
     estimate_bias,
     make_env,
     read_metrics,
-    run_oracle_suite,
     run_sweep,
     run_train,
 )
@@ -652,50 +651,6 @@ class TestBias:
         assert rec["true_mean"] <= 0.0  # every step costs
         assert rec["tail_bound"] == 0.99**300 * PendulumEnv.COST_BOUND / (1.0 - 0.99)
         assert rec["tail_bound"] < 100.0
-
-
-class TestOracleSuite:
-    def test_fresh_checkout_passes(self):
-        report, ok = run_oracle_suite()
-        assert ok
-        names = {r["check"] for r in report}
-        assert {"conjugate_inverse_identity", "fenchel_young",
-                "value_fixed_point", "telescoping_identity", "dual_recovery_tv",
-                "sum_tree_proportionality", "policy_q_matches_q_star"} <= names
-        assert [r["kind"] for r in report if r["check"] == "value_fixed_point"] \
-            == ["kl", "pearson_chi2"]
-        for r in report:
-            assert "tolerance" in r and "measured" in r
-
-    def test_corrupted_conjugate_named_in_report(self, tmp_path):
-        path = tmp_path / "report.json"
-        report, ok = run_oracle_suite(corrupt_kind="kl", report_path=path)
-        assert not ok
-        failed = [r for r in report if not r["passed"]]
-        assert any(r["check"] == "conjugate_inverse_identity"
-                   and r.get("kind") == "kl" for r in failed)
-        saved = json.loads(path.read_text())
-        assert saved["passed"] is False
-
-
-    def test_value_fixed_point_rejects_a_loss_that_settles_off_the_unit_ratio(
-            self, monkeypatch):
-        # mean(R^2 / (2 beta) + R) settles at V = E[Q] + beta, where the
-        # Pearson ratio z + 1 averages to 0
-        real = losses.extreme_v_loss
-
-        def shifted(residuals, beta, grad_clip, div):
-            out = real(residuals, beta, grad_clip, div)
-            if div.name == "pearson_chi2":
-                out.grad = (residuals / beta + 1.0) / len(residuals)
-            return out
-
-        monkeypatch.setattr(losses, "extreme_v_loss", shifted)
-        report, ok = run_oracle_suite()
-        failed = [(r["check"], r.get("kind")) for r in report if not r["passed"]]
-        assert failed == [("value_fixed_point", "pearson_chi2")]
-        assert [r["measured"] for r in report if r["check"] == "value_fixed_point"
-                and r["kind"] == "pearson_chi2"] == [pytest.approx(1.0)]
 
 
 class TestSweep:

@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from roer import divergences, oracles
+from roer import divergences, losses, oracles
 from roer.divergences import SPECS, DomainError
 from roer.envs import TabularEnv, TabularMdp, chain_mdp, gridworld_mdp, random_mdp
 from roer.oracles import (
@@ -18,6 +19,7 @@ from roer.oracles import (
     occupancy,
     policy_q,
     recovered_distribution,
+    run_suite,
     telescoping_check,
     total_variation,
     value_iteration,
@@ -307,3 +309,54 @@ class TestKlHelper:
         d = OccupancyTable(np.array([[1.0], [0.0]]))
         val = kl_divergence_to_implied(d, {(1, 0): 1.0})
         assert np.isfinite(val) and val > 0.0
+
+
+KINDS = ("kl", "reverse_kl", "pearson_chi2", "neyman_chi2", "squared_hellinger")
+
+# the clean report's 18 rows, in order
+SUITE_ROWS = (
+    [("conjugate_inverse_identity", k) for k in KINDS]
+    + [("fenchel_young", k) for k in KINDS]
+    + [("value_fixed_point", "kl"), ("value_fixed_point", "pearson_chi2"),
+       ("telescoping_identity", None), ("dual_recovery_tv", None),
+       ("dual_matched_unit_ratio", None), ("sum_tree_proportionality", None),
+       ("sum_tree_chi2", None), ("policy_q_matches_q_star", None)]
+)
+
+
+class TestOracleSuite:
+    def test_fresh_checkout_passes(self):
+        report, ok = run_suite()
+        assert ok
+        assert [(r["check"], r.get("kind")) for r in report] == SUITE_ROWS
+        for r in report:
+            assert "tolerance" in r and "measured" in r
+
+    def test_corrupted_conjugate_named_in_report(self, tmp_path):
+        path = tmp_path / "report.json"
+        report, ok = run_suite(corrupt_kind="kl", report_path=path)
+        assert not ok
+        failed = [r for r in report if not r["passed"]]
+        assert any(r["check"] == "conjugate_inverse_identity"
+                   and r.get("kind") == "kl" for r in failed)
+        saved = json.loads(path.read_text())
+        assert saved["passed"] is False
+
+    def test_value_fixed_point_rejects_a_loss_that_settles_off_the_unit_ratio(
+            self, monkeypatch):
+        # mean(R^2 / (2 beta) + R) settles at V = E[Q] + beta, where the
+        # Pearson ratio z + 1 averages to 0
+        real = losses.extreme_v_loss
+
+        def shifted(residuals, beta, grad_clip, div):
+            out = real(residuals, beta, grad_clip, div)
+            if div.name == "pearson_chi2":
+                out.grad = (residuals / beta + 1.0) / len(residuals)
+            return out
+
+        monkeypatch.setattr(losses, "extreme_v_loss", shifted)
+        report, ok = run_suite()
+        failed = [(r["check"], r.get("kind")) for r in report if not r["passed"]]
+        assert failed == [("value_fixed_point", "pearson_chi2")]
+        assert [r["measured"] for r in report if r["check"] == "value_fixed_point"
+                and r["kind"] == "pearson_chi2"] == [pytest.approx(1.0)]

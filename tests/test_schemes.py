@@ -307,6 +307,30 @@ class TestLaberSelect:
         assert set(idx.tolist()) <= {0, 1}
         assert np.all(w == (2.0 + 1e-308) / 3.0)
 
+    @pytest.mark.parametrize("s", [
+        np.array([0.5, 1.0, 2.0, 3.5, 7.0]),  # plain
+        np.zeros(5),  # the uniform fallback
+        np.array([1e308, 1e308, 4.0, 2.5, 5e307]),  # a sum that overflows
+    ], ids=["plain", "all-zero", "overflowing"])
+    def test_correction_gives_the_large_batch_mean(self, s):
+        # LaBER's expected update: drawing slot i with probability p_i and
+        # weighting its gradient g_i by w_i gives the large batch's mean(g),
+        # checked exactly by drawing every slot once and summing p_i w_i g_i
+        class EverySlotOnce:
+            def choice(self, n, size, replace, p):
+                self.p = p
+                return np.arange(n)
+
+            def integers(self, low, high, size):
+                self.p = np.full(high, 1.0 / high)
+                return np.arange(high)
+
+        g = np.array([0.3, -1.7, 2.2, 4.1, -0.6])
+        rng = EverySlotOnce()
+        idx, w = laber_select(s, 5, rng)
+        assert idx.tolist() == [0, 1, 2, 3, 4]
+        assert np.sum(rng.p * w * g) == pytest.approx(g.mean(), rel=1e-12)
+
     @settings(max_examples=50, deadline=None)
     @given(s=hnp.arrays(np.float64, st.integers(1, 40),
                         elements=st.floats(0.0, 1e300)),
