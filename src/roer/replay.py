@@ -259,8 +259,8 @@ class PriorityBuffer:
             raise InvalidTransitionError(f"terminal {terminal!r} is not 0 or 1")
         if type(insert_step) is not int and not isinstance(insert_step, np.integer):
             raise InvalidTransitionError(f"insert_step {insert_step!r} is not an integer")
-        if insert_step < 0:
-            raise InvalidTransitionError(f"insert_step {insert_step!r} is below 0")
+        if not 0 <= insert_step < 1 << 63:  # the int64 column's range
+            raise InvalidTransitionError(f"insert_step {insert_step!r} is not in [0, 2**63)")
         state = self._coerce(state, self.state_dim, "state")
         next_state = self._coerce(next_state, self.state_dim, "next_state")
         action = self._coerce(action, self.action_dim, "action")

@@ -13,6 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 from scipy import stats
 
 from roer import binio, harness, nn
@@ -48,6 +54,20 @@ def vector_buffer(capacity=8, ds=3, da=2):
     return PriorityBuffer(capacity, state_dim=ds, action_dim=da)
 
 
+# the largest float below 1, the largest that Generator.random draws
+TOP_UNIFORM = 1 - 2.0**-53
+
+
+class Uniforms:
+    """A generator stub whose random(n) hands out the first n given floats."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, n):
+        return self.values[:n]
+
+
 class TestSumTree:
     def test_set_and_total(self):
         t = SumTree(4)
@@ -61,19 +81,6 @@ class TestSumTree:
         # cumulative intervals: [0,1) -> 0, [1,3) -> 1, [3,6) -> 2
         found = t.find_prefix(np.array([0.0, 0.99, 1.0, 2.9, 3.0, 5.9]))
         assert list(found) == [0, 0, 1, 1, 2, 2]
-
-    def test_random_interleaving_consistency(self):
-        rng = np.random.default_rng(42)
-        cap = 64
-        t = SumTree(cap)
-        ref = np.zeros(cap)
-        for _ in range(10_000):
-            i = int(rng.integers(cap))
-            v = float(rng.uniform(1e-3, 10.0))
-            t.set(i, v)
-            ref[i] = v
-        assert t.total() == pytest.approx(ref.sum(), rel=1e-9)
-
 
 class TestPush:
     def test_push_into_empty(self):
@@ -288,6 +295,21 @@ class TestSampling:
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert chi2 < stats.chi2.ppf(0.999, df=9)
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_the_largest_draw_is_clamped_to_the_last_live_slot(self, monkeypatch, width):
+        # with binary levels under the prefix, rounding in the partial sums
+        # takes the descent for the largest target past slot 2, the last
+        # live one, to slot 3, whose priority is 0
+        monkeypatch.setattr(SumTree, "PREFIX_WIDTH", width)
+        buf = tabular_buffer(capacity=4)
+        for i in range(3):
+            buf.push(*make_transition(s=i))
+        buf.update_priorities([0, 1, 2], [0.1, 1 / 3, 3.0])
+        assert buf.tree.find_prefix([buf.total_priority() * TOP_UNIFORM]).tolist() == [3]
+        batch = buf.sample_proportional(1, Uniforms([TOP_UNIFORM]))
+        assert batch.indices.tolist() == [2]
+        assert batch.priorities.tolist() == [3.0]
+
     def test_empty_buffer_errors(self):
         with pytest.raises(EmptyBufferError):
             tabular_buffer().sample_proportional(1, np.random.default_rng(0))
@@ -403,19 +425,6 @@ class TestUpdatePriorities:
         assert tree.nodes.tobytes() == ref.nodes.tobytes()
         assert tree.total() == ref.total()
         assert tree.prefix.tobytes() == ref.prefix.tobytes()
-
-    def test_eviction_preserves_consistency(self):
-        rng = np.random.default_rng(9)
-        buf = tabular_buffer(capacity=16)
-        for step in range(2_000):
-            buf.push(*make_transition(s=step % 5, step=step))
-            if len(buf) > 1 and step % 3 == 0:
-                i = int(rng.integers(len(buf)))
-                buf.update_priorities([i], [float(rng.uniform(0.1, 4.0))])
-        leaves = buf.tree.leaves(len(buf))
-        assert np.all(leaves > 0)
-        assert buf.total_priority() == pytest.approx(leaves.sum(), rel=1e-9)
-
 
 class TestImpliedDistribution:
     def test_two_entry_weights(self):
@@ -663,29 +672,6 @@ class TestTruncation:
 
 
 class TestSnapshot:
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_round_trip(self, data):
-        buf = data.draw(reachable_buffers(discrete=data.draw(st.booleans())))
-        loaded = PriorityBuffer.load(io.BytesIO(snapshot_bytes(buf)))
-        assert buffer_state(loaded) == buffer_state(buf)
-        assert ((loaded.capacity, loaded.state_dim, loaded.action_dim,
-                 loaded.discrete)
-                == (buf.capacity, buf.state_dim, buf.action_dim, buf.discrete))
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_streamed_snapshot_equals_the_bytes_reference(self, data):
-        buf = data.draw(reachable_buffers(discrete=data.draw(st.booleans())))
-        meta = np.array([buf.capacity, buf.size, buf.write_cursor, buf.state_dim,
-                         buf.action_dim, int(buf.discrete)], dtype=np.int64)
-        want = reference_envelope(binio.KIND_BUFFER, {"meta": meta, **written_columns(buf)})
-        assert snapshot_bytes(buf) == want
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "buffer.bin"
-            buf.snapshot(path)
-            assert path.read_bytes() == want
-
     @pytest.mark.parametrize("buf", [tabular_buffer(), vector_buffer()],
                              ids=["tabular", "vector"])
     def test_empty_buffer_round_trip(self, buf):
@@ -807,17 +793,7 @@ class TestSnapshot:
 # property tests
 
 COLUMNS = ("states", "actions", "rewards", "next_states", "terminals")
-BUFFER_FIELDS = ("states", "actions", "rewards", "next_states", "terminals",
-                 "insert_steps")
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-
-
-def push_rows(buf, states, actions, rewards, next_states, terminals):
-    """Reference for fill_offline: the per-row push sequence it replaces."""
-    for i in range(len(rewards)):
-        buf.push(state=states[i], action=actions[i],
-                 reward=float(rewards[i]), next_state=next_states[i],
-                 terminal=bool(terminals[i]), insert_step=0)
 
 
 def implied_reference(buf):
@@ -832,18 +808,6 @@ def implied_reference(buf):
 
 
 def buffer_state(buf):
-    """Every stored byte and counter of a buffer, for exact comparison."""
-    return ([buf.columns[name].tobytes() for name in BUFFER_FIELDS]
-            + [buf.tree.nodes.tobytes(), buf.size, buf.write_cursor])
-
-
-def filled_state(buf):
-    """buffer_state, and the sum tree's prefix as the next draw reads it."""
-    buf.total_priority()
-    return buffer_state(buf) + [buf.tree.prefix.tobytes()]
-
-
-def observed_state(buf):
     """What a reader of a buffer sees: its snapshot (counters, live slots
     and their priorities) and its sum tree, prefix included; not the bytes
     of slots past size, which nothing reads."""
@@ -858,7 +822,7 @@ def fresh_twin(buf):
 def assert_left_empty(buf):
     """What a rejected fill leaves: a buffer that reads as a fresh one."""
     assert (len(buf), buf.write_cursor, buf.total_priority()) == (0, 0, 0.0)
-    assert observed_state(buf) == observed_state(fresh_twin(buf))
+    assert buffer_state(buf) == buffer_state(fresh_twin(buf))
 
 
 def npz(rows) -> io.BytesIO:
@@ -869,10 +833,11 @@ def npz(rows) -> io.BytesIO:
     return stream
 
 
-# a tabular buffer's (states, actions) counts: small ones, whose indices
-# repeat and reach count - 1, or any up to 2**41
-COUNT = st.integers(1, 5) | st.integers(1, 2**41)
-COUNTS = st.tuples(COUNT, COUNT)
+# a tabular count: small ones, whose indices repeat, the counts at which an
+# index column's held dtype widens (uint8 up to 256, uint16 up to 2**16,
+# uint32 up to 2**32, uint64 above), or any up to 2**41
+COUNT = st.sampled_from((1, 2, 5, 255, 256, 257, 1 << 16, (1 << 16) + 1,
+                         1 << 32, (1 << 32) + 1)) | st.integers(1, 2**41)
 
 
 @st.composite
@@ -880,7 +845,8 @@ def dataset(draw, buf: PriorityBuffer, n: int):
     """n rows that buf takes: indices below its counts, or vectors of its dims."""
     if buf.discrete:
         def index(count):
-            return draw(hnp.arrays(np.int64, n, elements=st.integers(0, count - 1)))
+            return np.array(draw(st.lists(st.integers(0, count - 1), min_size=n,
+                                          max_size=n)), dtype=np.int64)
         states, actions = index(buf.state_dim), index(buf.action_dim)
         next_states = index(buf.state_dim)
     else:
@@ -894,51 +860,14 @@ def dataset(draw, buf: PriorityBuffer, n: int):
 
 
 @st.composite
-def empty_pairs(draw, discrete: bool):
-    """Two empty buffers (the one under test, a reference twin) of a drawn
-    capacity and counts: an offline fill fills only an empty buffer."""
-    capacity, counts = draw(st.integers(1, 10)), draw(COUNTS)
-    return [tabular_buffer(capacity, counts) if discrete else vector_buffer(capacity)
-            for _ in range(2)]
-
-
-@st.composite
-def reachable_buffers(draw, discrete: bool):
-    """A buffer after an offline fill of a drawn number of rows (maybe none)
-    into it, then a drawn sequence of pushes (which may wrap) and priority
-    writes; the pushes carry any insert steps."""
-    buf, _ = draw(empty_pairs(discrete))
-    capacity = buf.capacity
-    buf.fill_offline(draw(dataset(buf, draw(st.integers(0, 2 * capacity)))))
-    for op in draw(st.lists(st.sampled_from(["push", "update"]), max_size=6)):
-        if op == "update":
-            if len(buf):
-                idx = draw(hnp.arrays(np.int64, st.integers(0, 2 * capacity),
-                                      elements=st.integers(0, len(buf) - 1)))
-                buf.update_priorities(idx, draw(hnp.arrays(
-                    np.float64, len(idx), elements=st.floats(0.01, 100.0))))
-            continue
-        rows = draw(dataset(buf, draw(st.integers(0, 2 * capacity))))
-        for i in range(len(rows["rewards"])):
-            buf.push(*(rows[c][i] for c in COLUMNS),
-                     insert_step=draw(st.integers(0, 2**40)))
-    return buf
+def empty_buffers(draw, discrete: bool):
+    """An empty buffer of a drawn capacity and counts: an offline fill
+    fills only an empty buffer."""
+    capacity, counts = draw(st.integers(1, 10)), draw(st.tuples(COUNT, COUNT))
+    return tabular_buffer(capacity, counts) if discrete else vector_buffer(capacity)
 
 
 class TestOfflineFillProperties:
-    @pytest.mark.parametrize("discrete", [True, False])
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_columnar_fill_equals_per_row_pushes(self, discrete, data):
-        buf, ref = data.draw(empty_pairs(discrete))
-        # below, equal to and above capacity
-        n = data.draw(st.sampled_from([0, buf.capacity // 2, buf.capacity,
-                                       buf.capacity + 1, 2 * buf.capacity + 3]))
-        rows = data.draw(dataset(buf, n))
-        buf.fill_offline(rows)
-        push_rows(ref, **rows)
-        assert buffer_state(buf) == buffer_state(ref)
-
     @pytest.mark.parametrize("discrete", [True, False])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -946,7 +875,7 @@ class TestOfflineFillProperties:
         # the columns before the bad one may have been copied into slots
         # past size, but the buffer reads as empty, and a valid fill after
         # it is a fill into a fresh buffer
-        buf, _ = data.draw(empty_pairs(discrete))
+        buf = data.draw(empty_buffers(discrete))
         n = data.draw(st.integers(1, 12))
         rows = data.draw(dataset(buf, n))
         name = data.draw(st.sampled_from(COLUMNS))
@@ -999,7 +928,7 @@ class TestOfflineFillProperties:
         buf.fill_offline(valid)
         ref = fresh_twin(buf)
         ref.fill_offline(valid)
-        assert observed_state(buf) == observed_state(ref)
+        assert buffer_state(buf) == buffer_state(ref)
 
     @pytest.mark.parametrize("discrete", [True, False])
     @pytest.mark.parametrize("defect, message", [
@@ -1010,7 +939,7 @@ class TestOfflineFillProperties:
     def test_a_file_whose_last_column_breaks_a_rule_changes_nothing(
             self, discrete, defect, message, data):
         # the fill reads the file's last column after copying every other one
-        buf, _ = data.draw(empty_pairs(discrete))
+        buf = data.draw(empty_buffers(discrete))
         rows = data.draw(dataset(buf, 6))
         rows["terminals"] = (np.array([0, 1, 2, 0, 1, 0]) if defect == "flag"
                              else rows["terminals"][:5])
@@ -1033,65 +962,7 @@ class TestOfflineFillProperties:
         assert buffer_state(buf) == buffer_state(ref)
 
 
-class TestIndexCounts:
-    """Every place an index enters a tabular buffer holds it below its
-    count: an index column whose maximum is count - 1 passes push,
-    fill_offline and load, and one at count (or past it) is refused there,
-    naming the column, and leaves the buffer as it read before."""
-
-    @pytest.mark.parametrize("name", ["states", "actions", "next_states"])
-    @pytest.mark.parametrize("at_count", [False, True])
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_count_minus_one_passes_and_count_is_refused(self, name, at_count, data):
-        buf, ref = data.draw(empty_pairs(discrete=True))
-        count = buf.action_dim if name == "actions" else buf.state_dim
-        n = data.draw(st.integers(1, 12))
-        rows = data.draw(dataset(buf, n))
-        k = data.draw(st.integers(0, n - 1))
-        rows[name][k] = count if at_count else count - 1
-        # the offline fill: the whole dataset, or nothing
-        if at_count:
-            with pytest.raises(InvalidTransitionError,
-                               match=f"^{name} holds index {count}, but the buffer has "
-                                     f"{count} {name.removeprefix('next_')}$"):
-                buf.fill_offline(rows)
-            assert_left_empty(buf)
-        else:
-            buf.fill_offline(rows)
-        # push, row by row: the row at its count changes no slot
-        field = name.removesuffix("s")
-        for i in range(n):
-            row = [rows[c][i] for c in COLUMNS]
-            if at_count and i == k:
-                before = buffer_state(ref)
-                with pytest.raises(InvalidTransitionError,
-                                   match=rf"^{field} .* is not an index in \[0, {count}\)$"):
-                    ref.push(*row, insert_step=0)
-                assert buffer_state(ref) == before
-            else:
-                ref.push(*row, insert_step=0)
-        if not at_count:
-            assert buffer_state(ref) == buffer_state(buf)
-        # load: the snapshot's meta holds the counts
-        if len(ref) == 0:
-            ref.push(*make_transition(s2=0))
-        arrays = snapshot_arrays(ref)
-        arrays[name][data.draw(st.integers(0, len(ref) - 1))] = (
-            count if at_count else count - 1)
-        if at_count:
-            with pytest.raises(FormatError, match=f"^{name} holds index {count}, "):
-                PriorityBuffer.load(envelope(arrays))
-        else:
-            loaded = PriorityBuffer.load(envelope(arrays))
-            assert snapshot_arrays(loaded)[name].tobytes() == arrays[name].tobytes()
-
-
 W = SumTree.PREFIX_WIDTH
-# trees whose leaf level is below, at and above the prefix width, up to
-# one with several binary levels under it (2^17 leaves)
-TREE_CAPACITIES = (1, 2, 5, W - 1, W, W + 1, 2 * W, 2 * W + 1, 4 * W + 3,
-                   (1 << 14) + 1, 70_000)
 
 
 def tiers(tree):
@@ -1130,25 +1001,6 @@ def reference_find_prefix(nodes, targets):
 
 
 class TestTreeProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(capacity=st.integers(1, 40) | st.sampled_from((W - 1, W + 1, 3 * W)),
-           data=st.data())
-    def test_every_node_is_the_sum_of_its_children(self, capacity, data):
-        tree = SumTree(capacity)
-        batches = data.draw(st.lists(
-            hnp.arrays(np.int64, st.integers(0, 80),
-                       elements=st.integers(0, capacity - 1)),
-            max_size=6))
-        for idx in batches:
-            tree.set_many(idx, data.draw(hnp.arrays(
-                np.float64, len(idx), elements=st.floats(0.0, 1e6))))
-        nodes, (p, n) = tree.nodes, tiers(tree)
-        # exact: each maintained node is the sum of its two children, and
-        # the prefix holds the running sums of the P-level
-        assert np.array_equal(nodes[p:n], nodes[2 * p::2] + nodes[2 * p + 1::2])
-        assert tree.total() == pytest.approx(tree.leaves().sum(), rel=1e-12)
-        assert tree.prefix.tobytes() == prefix_of(nodes[p:2 * p]).tobytes()
-
     @settings(max_examples=150, deadline=None)
     @given(capacity=st.integers(1, 300) | st.sampled_from((W + 1, 3 * W)),
            width=st.sampled_from((1, 2, 8, 32, W)), data=st.data())
@@ -1212,63 +1064,6 @@ def tree_writes(draw, capacity):
     return writes
 
 
-class TestTwoTierLayout:
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_nodes_match_per_level_repair_bytewise(self, data):
-        capacity = data.draw(st.sampled_from(TREE_CAPACITIES))
-        self.check_per_level_repair(SumTree(capacity), data.draw(tree_writes(capacity)))
-
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_nodes_match_per_level_repair_bytewise_eight_levels_deep(self, data):
-        # offline-per's depth: 2^20 leaves under a 4096-node prefix level
-        capacity = data.draw(tree_capacities(8))
-        tree = narrow_tree(capacity, 8)(capacity)
-        assert tree._depth == 8
-        self.check_per_level_repair(tree, data.draw(tree_writes(capacity)))
-
-    @staticmethod
-    def check_per_level_repair(tree, writes):
-        p, _ = tiers(tree)
-        ref = tree.nodes.copy()
-        nodes = tree.nodes
-        for idx, values in writes:
-            tree.set_many(idx, values)
-            reference_set_many(ref, idx, values)
-            # the levels from the leaves up to the P-level are the full
-            # tree's; the prefix is the accumulate of the P-level
-            assert tree.nodes[p:].tobytes() == ref[p:].tobytes()
-            tree.total()
-            assert tree.prefix.tobytes() == prefix_of(ref[p:2 * p]).tobytes()
-        assert tree.nodes is nodes
-
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_loaded_tree_samples_the_same_slots(self, data):
-        capacity = data.draw(st.sampled_from(TREE_CAPACITIES))
-        buf = tabular_buffer(capacity)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        n = int(rng.integers(1, 2 * capacity + 1))
-        buf.fill_offline(dict(zip(COLUMNS, (
-            rng.integers(0, 9, n), rng.integers(0, 3, n), rng.normal(size=n),
-            rng.integers(0, 9, n), rng.random(n) < 0.1))))
-        for idx, values in data.draw(tree_writes(capacity)):
-            buf.update_priorities(idx % len(buf), values + 1e-9)
-        p, _ = tiers(buf.tree)
-        ref = np.zeros_like(buf.tree.nodes)
-        reference_set_many(ref, np.arange(len(buf)), buf.priorities)
-        loaded = PriorityBuffer.load(io.BytesIO(snapshot_bytes(buf)))
-        assert loaded.total_priority() == buf.total_priority()
-        assert loaded.tree.nodes.tobytes() == buf.tree.nodes.tobytes()
-        assert buf.tree.nodes[p:].tobytes() == ref[p:].tobytes()
-        assert (loaded.tree.prefix.tobytes() == buf.tree.prefix.tobytes()
-                == prefix_of(ref[p:2 * p]).tobytes())
-        targets = rng.random(256) * buf.total_priority()
-        assert np.array_equal(loaded.tree.find_prefix(targets),
-                              buf.tree.find_prefix(targets))
-
-
 class TestPrefixMark:
     """The prefix is accumulated up to the last P-level node written and
     filled past it; it must hold the full accumulate's bytes."""
@@ -1278,37 +1073,6 @@ class TestPrefixMark:
         p, _ = tiers(tree)
         tree.total()
         assert tree.prefix.tobytes() == prefix_of(tree.nodes[p:2 * p]).tobytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_equals_the_accumulate_of_the_whole_level(self, data):
-        capacity = data.draw(st.sampled_from(TREE_CAPACITIES))
-        buf = tabular_buffer(capacity)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        ops = data.draw(st.lists(st.sampled_from(["push", "fill", "write", "zeros", "load"]),
-                                 min_size=1, max_size=6))
-        for op in ops:
-            if op == "push":
-                # past capacity, pushes wrap the ring
-                for _ in range(int(rng.integers(1, 40))):
-                    buf.push(*make_transition(s=int(rng.integers(9))))
-            elif op == "fill" and not len(buf):
-                n = int(rng.choice([1, capacity + 1, 2 * capacity + 3]))
-                buf.fill_offline(dict(zip(COLUMNS, (
-                    rng.integers(0, 9, n), rng.integers(0, 3, n), rng.normal(size=n),
-                    rng.integers(0, 9, n), rng.random(n) < 0.1))))
-            elif op == "write" and len(buf):
-                k = int(rng.integers(1, 65))
-                buf.update_priorities(rng.integers(0, len(buf), k),
-                                      rng.random(k) * 10.0 ** rng.integers(-8, 9, k) + 1e-12)
-            elif op == "zeros" and len(buf) < capacity:
-                # zeros of either sign past the live slots grow the mark
-                k = int(rng.integers(1, 65))
-                buf.tree.set_many(rng.integers(len(buf), capacity, k),
-                                  rng.choice([0.0, -0.0], k))
-            elif op == "load":
-                buf = PriorityBuffer.load(io.BytesIO(snapshot_bytes(buf)))
-            self.assert_full_prefix(buf.tree)
 
     @pytest.mark.parametrize("depth", [0, 2])
     @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -1364,158 +1128,12 @@ class TestRangeWrite:
             assert tree.total() == ref.total()
             assert tree.prefix.tobytes() == ref.prefix.tobytes()
 
-    @pytest.mark.parametrize("depth", [0, 1, 3])
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_offline_fill_tree_equals_set_many_over_its_slots(self, depth, data):
-        capacity = data.draw(tree_capacities(depth))
-        buf = tabular_buffer(capacity, data.draw(COUNTS))
-        buf.tree = narrow_tree(capacity, depth)(capacity)
-        ref = narrow_tree(capacity, depth)(capacity)
-        # below, at and above capacity: runs that wrap the ring or cover it
-        n = data.draw(st.sampled_from([0, 1, capacity - 1, capacity, capacity + 1,
-                                       2 * capacity + 3]))
-        buf.fill_offline(data.draw(dataset(buf, n)))
-        kept = min(n, capacity)
-        # row k's slot, k % capacity, for the kept rows
-        ref.set_many(np.arange(n - kept, n) % capacity, 1.0)
-        assert buf.tree.nodes.tobytes() == ref.nodes.tobytes()
-        assert buf.total_priority() == ref.total()
-
-    @pytest.mark.parametrize("discrete", [True, False])
-    @pytest.mark.parametrize("start", ["fresh", "non-empty"])
-    @pytest.mark.parametrize("depth", [0, 3])
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_fill_from_an_npz_equals_the_fill_from_its_arrays(self, discrete, start,
-                                                              depth, data):
-        capacity = data.draw(tree_capacities(depth))
-        counts = data.draw(COUNTS)
-        pair = [tabular_buffer(capacity, counts) if discrete else vector_buffer(capacity)
-                for _ in range(2)]
-        for buf in pair:
-            buf.tree = narrow_tree(capacity, depth)(capacity)
-        n = data.draw(st.sampled_from([0, 1, capacity - 1, capacity, capacity + 1,
-                                       2 * capacity + 3]))
-        rows = data.draw(dataset(pair[0], n))
-        if start == "fresh":
-            load_offline_dataset(npz(rows), pair[0])
-            pair[1].fill_offline(rows)
-            assert filled_state(pair[0]) == filled_state(pair[1])
-            return
-        # a buffer that holds rows is refused by both, and left as it was
-        pushed = data.draw(dataset(pair[0], data.draw(st.integers(1, 2 * capacity))))
-        written = data.draw(hnp.arrays(np.float64, min(len(pushed["rewards"]), capacity),
-                                       elements=st.floats(0.01, 100.0)))
-        for buf, fill in zip(pair, (lambda: load_offline_dataset(npz(rows), pair[0]),
-                                    lambda: pair[1].fill_offline(rows))):
-            push_rows(buf, **pushed)
-            buf.update_priorities(np.arange(len(written)), written)
-            before = filled_state(buf)
-            with pytest.raises(ValueError, match="^fill_offline fills an empty buffer, "
-                                                 f"but this one holds {len(buf)} rows$"):
-                fill()
-            assert filled_state(buf) == before
-
-
-class TestImpliedDistributionProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_equals_running_sum_reference(self, data):
-        buf = data.draw(reachable_buffers(discrete=True))
-        if len(buf) == 0:
-            buf.push(*make_transition(s2=0))
-        # a few repeated pairs make buckets hold several slots
-        pairs = data.draw(st.lists(st.tuples(st.integers(0, min(5, buf.state_dim - 1)),
-                                             st.integers(0, min(2, buf.action_dim - 1))),
-                                   max_size=3 * buf.capacity))
-        for s, a in pairs:
-            buf.push(*make_transition(s=s, a=a, s2=0))
-        buf.update_priorities(np.arange(len(buf)), data.draw(hnp.arrays(
-            np.float64, len(buf), elements=st.floats(1e-3, 1e3))))
-        got, want = buf.implied_distribution(), implied_reference(buf)
-        assert list(got.items()) == list(want.items())
-        assert all(type(s) is int and type(a) is int for s, a in got)
-
-    @pytest.mark.parametrize("dense", [True, False],
-                             ids=["key range within size", "wider key range"])
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_equals_running_sum_reference_on_both_sides_of_the_key_range(
-            self, dense, data):
-        # the key range is the S x A table: counts whose product is at most
-        # the size, or above it, with counts up to 2**41
-        n = data.draw(st.integers(1, 40))
-        s_count = data.draw(st.integers(1, n) if dense else COUNT)
-        a_count = data.draw(st.integers(1, n // s_count) if dense
-                            else st.integers(n // s_count + 1, 2**41))
-        assert (s_count * a_count <= n) == dense
-
-        def indices(count):
-            # a window of at most n indices anywhere in the count, so pairs repeat
-            span = data.draw(st.integers(1, min(count, n)))
-            base = data.draw(st.integers(0, count - span))
-            return base + data.draw(hnp.arrays(np.int64, n,
-                                               elements=st.integers(0, span - 1)))
-        states, actions = indices(s_count), indices(a_count)
-        buf = tabular_buffer(n, (s_count, a_count))
-        buf.fill_offline(dict(zip(COLUMNS, (states, actions, np.zeros(n), states,
-                                            np.zeros(n, dtype=bool)))))
-        buf.update_priorities(np.arange(n), data.draw(hnp.arrays(
-            np.float64, n, elements=st.floats(1e-3, 1e3))))
-        got, want = buf.implied_distribution(), implied_reference(buf)
-        assert list(got.items()) == list(want.items())
-        assert all(type(s) is int and type(a) is int for s, a in got)
-
-
-# the counts at which an index column's held dtype widens: uint8 up to 256,
-# uint16 up to 2**16, uint32 up to 2**32, uint64 above
-EDGE_COUNTS = (1, 255, 256, 257, 1 << 16, (1 << 16) + 1, 1 << 32, (1 << 32) + 1)
-
-
-def held_itemsize(count):
-    return next(size for size, top in ((1, 1 << 8), (2, 1 << 16), (4, 1 << 32), (8, None))
-                if top is None or count <= top)
-
 
 class TestNarrowIndices:
     """A tabular buffer holds each index column in the narrowest unsigned
-    dtype that holds count - 1, and hands its indices out and writes them
-    as int64: at the counts where that dtype widens, and at any up to 2**41."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(counts=st.tuples(st.sampled_from(EDGE_COUNTS) | COUNT,
-                            st.sampled_from(EDGE_COUNTS) | COUNT),
-           data=st.data())
-    def test_edge_indices_round_trip_as_int64(self, counts, data):
-        s_count, a_count = counts
-        buf, ref = tabular_buffer(6, counts), tabular_buffer(6, counts)
-        for name, count in (("states", s_count), ("actions", a_count),
-                            ("next_states", s_count)):
-            dtype = buf.columns[name].dtype
-            assert (dtype.kind, dtype.itemsize) == ("u", held_itemsize(count)), name
-
-        # 0 and count - 1 in every index column, then drawn indices
-        def edge(count):
-            return st.sampled_from([0, count - 1]) | st.integers(0, count - 1)
-        rows = {name: np.array([0, count - 1, count - 1, 0]
-                               + [data.draw(edge(count)) for _ in range(2)],
-                               dtype=np.int64)
-                for name, count in (("states", s_count), ("actions", a_count),
-                                    ("next_states", s_count))}
-        rows.update(rewards=np.arange(6.0), terminals=np.arange(6) % 2 == 0)
-        push_rows(buf, **rows)
-        ref.fill_offline(rows)
-        assert buffer_state(ref) == buffer_state(buf)
-        batch = buf.gather(np.arange(6))
-        arrays = snapshot_arrays(buf)
-        for name in ("states", "actions", "next_states"):
-            gathered = getattr(batch, name)
-            assert gathered.dtype == arrays[name].dtype == np.int64
-            assert gathered.tolist() == arrays[name].tolist() == rows[name].tolist()
-        loaded = PriorityBuffer.load(io.BytesIO(snapshot_bytes(buf)))
-        assert snapshot_bytes(loaded) == snapshot_bytes(buf)
-        assert buffer_state(loaded) == buffer_state(buf)
+    dtype that holds count - 1 (BufferMachine checks it at the counts where
+    that dtype widens): an index that a narrow cast would wrap is refused,
+    and the implied distribution's table pass runs over pieces of slots."""
 
     @pytest.mark.parametrize("index", [300, 2**16 + 7, 2**63 + 7])
     def test_an_index_that_a_narrow_cast_wraps_is_refused(self, index):
@@ -1554,6 +1172,267 @@ class TestNarrowIndices:
         got, want = buf.implied_distribution(), implied_reference(buf)
         assert list(got.items()) == list(want.items())
         assert (counts[0] - 1, counts[1] - 1) in got
+
+
+def held_itemsize(count):
+    """The bytes of the narrowest unsigned dtype that holds count - 1."""
+    return next(size for size in (1, 2, 4, 8) if count <= 1 << 8 * size)
+
+
+def refused_index(count):
+    """Indices that a buffer with this count refuses: at or past it, or below 0."""
+    return st.sampled_from((count, count + 255)) | st.integers(-2**40, -1)
+
+
+def index_message(name, index, count):
+    """The value rule's message for a refused index (fill_offline's and load's)."""
+    if index < 0:
+        return f"{name} holds an index below 0"
+    return f"{name} holds index {index}, but the buffer has {count} {name.removeprefix('next_')}"
+
+
+def exactly(message):
+    return f"^{re.escape(message)}$"
+
+
+@settings(max_examples=100, stateful_step_count=20)
+class BufferMachine(RuleBasedStateMachine):
+    """Any sequence of pushes (refused ones too), priority writes, draws,
+    offline fills and snapshot round trips on one PriorityBuffer, tabular or
+    vector, checked after every step against a plain-Python model: its rows
+    with their insert steps, their priorities, the cursor and the size,
+    beside a full binary reference tree over the priorities. A prefix width
+    of 1, 2 or 4 puts binary levels under the prefix of a small tree; the
+    width is set for the whole run, so a loaded tree has the same tiers."""
+
+    @initialize(discrete=st.booleans(), capacity=st.integers(1, 12),
+                width=st.sampled_from((1, 2, 4, W)), counts=st.tuples(COUNT, COUNT),
+                vector_dims=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    def start(self, discrete, capacity, width, counts, vector_dims):
+        SumTree.PREFIX_WIDTH = width
+        self.dims = counts if discrete else vector_dims
+        self.buf = PriorityBuffer(capacity, *self.dims, discrete)
+        # each index column's count (none in a vector buffer)
+        self.counts = (dict(states=counts[0], actions=counts[1], next_states=counts[0])
+                       if discrete else {})
+        self.rows, self.priorities = [None] * capacity, [0.0] * capacity
+        self.size = self.cursor = 0
+        # a full binary tree over the capacity rounded up to a power of two
+        self.ref = np.zeros(2 << (capacity - 1).bit_length())
+
+    def teardown(self):
+        SumTree.PREFIX_WIDTH = W
+
+    def model_push(self, row):
+        """push's effect: the row (its insert step last) and priority 1 at
+        the cursor, which then moves on and wraps."""
+        self.rows[self.cursor], self.priorities[self.cursor] = row, 1.0
+        reference_set_many(self.ref, [self.cursor], [1.0])
+        self.cursor = (self.cursor + 1) % self.buf.capacity
+        self.size = min(self.size + 1, self.buf.capacity)
+
+    def model_columns(self):
+        """The live rows and priorities in _row_layout's dtypes: the columns
+        a snapshot writes."""
+        live = [(*row, p) for row, p in zip(self.rows[:self.size], self.priorities)]
+        layout = PriorityBuffer._row_layout(*self.dims, self.buf.discrete)
+        return {name: np.array([row[k] for row in live], dtype).reshape(self.size, *shape)
+                for k, (name, (dtype, shape)) in enumerate(layout.items())}
+
+    @rule(data=st.data())
+    def push(self, data):
+        # enough rows to wrap the ring, with consecutive insert steps from any
+        # first one up to the int64 column's largest
+        n = data.draw(st.integers(1, self.buf.capacity + 1))
+        rows = data.draw(dataset(self.buf, n))
+        first = data.draw(st.integers(0, 2**63 - n))
+        for i in range(n):
+            row, step = [rows[c][i] for c in COLUMNS], first + i
+            assert self.buf.push(*row, insert_step=step) == self.cursor
+            self.model_push([v.tolist() for v in row] + [step])
+
+    @rule(data=st.data(), field=st.sampled_from(("state", "action", "next_state",
+                                                  "insert_step")))
+    def refused_push(self, data, field):
+        """A row with one field out of its range changes nothing: an index at
+        or past its count or below 0, a non-finite vector entry, or an insert
+        step outside the int64 column's range."""
+        ds, da = self.dims
+        row, step = ([0, 0, 0.0, 0, False] if self.buf.discrete else
+                     [np.zeros(ds), np.zeros(da), 0.0, np.zeros(ds), False]), 0
+        if field == "insert_step":
+            step = data.draw(st.integers(max_value=-1) | st.integers(min_value=2**63))
+            message = f"insert_step {step!r} is not in [0, 2**63)"
+        elif self.buf.discrete:
+            count = self.counts[field + "s"]
+            at = COLUMNS.index(field + "s")
+            row[at] = data.draw(refused_index(count))
+            message = f"{field} {row[at]!r} is not an index in [0, {count})"
+        else:
+            vector = row[COLUMNS.index(field + "s")]
+            vector[data.draw(st.integers(0, len(vector) - 1))] = data.draw(
+                st.sampled_from((np.nan, np.inf, -np.inf)))
+            message = f"{field} contains non-finite values"
+        before = buffer_state(self.buf)
+        with pytest.raises(InvalidTransitionError, match=exactly(message)):
+            self.buf.push(*row, insert_step=step)
+        assert buffer_state(self.buf) == before
+
+    @rule(data=st.data())
+    def update_priorities(self, data):
+        # one or two writes before the next read of the prefix; slots repeat
+        # (the last write wins), and values span many binades; an empty
+        # buffer takes an empty write
+        for _ in range(data.draw(st.integers(1, 2))):
+            slots = data.draw(hnp.arrays(np.int64, st.integers(0, 2 * self.buf.capacity
+                                                               if self.size else 0),
+                                         elements=st.integers(0, max(self.size - 1, 0))))
+            values = data.draw(hnp.arrays(np.float64, len(slots),
+                                          elements=st.floats(1e-8, 1e8)))
+            self.buf.update_priorities(slots, values)
+            reference_set_many(self.ref, slots, values)
+            for slot, value in zip(slots.tolist(), values.tolist()):
+                self.priorities[slot] = value
+
+    @rule(proportional=st.booleans(), n=st.integers(1, 8), data=st.data())
+    def sample(self, proportional, n, data):
+        if proportional:
+            # drawn uniforms, 0 and the largest among them
+            rng = Uniforms(data.draw(st.lists(
+                st.sampled_from((0.0, TOP_UNIFORM)) | st.floats(0.0, 1.0, exclude_max=True),
+                min_size=n, max_size=n)))
+            draw = self.buf.sample_proportional
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            draw = self.buf.sample_uniform
+        if not self.size:
+            with pytest.raises(EmptyBufferError):
+                draw(n, rng)
+            return
+        batch = draw(n, rng)
+        assert batch.indices.dtype == np.int64
+        assert all(0 <= i < self.size and self.priorities[i] > 0
+                   for i in batch.indices.tolist())
+        columns = self.model_columns()
+        for name in (*PriorityBuffer.DATA, "priorities"):
+            got, want = getattr(batch, name), columns[name][batch.indices]
+            # indices come back as int64; terminals as the bools they are held as
+            assert got.dtype == (bool if name == "terminals" else want.dtype), name
+            assert np.array_equal(got, want), name
+
+    def spoil(self, data, columns):
+        """Put one value out of its column's range into one row of columns (a
+        dataset's or a snapshot's): an index at or past its count or below
+        0, or a non-finite float. Returns the value rule's message."""
+        if self.counts:
+            name = data.draw(st.sampled_from(sorted(self.counts)))
+            bad = data.draw(refused_index(self.counts[name]))
+            message = index_message(name, bad, self.counts[name])
+        else:
+            name = data.draw(st.sampled_from(("states", "actions", "rewards", "next_states")))
+            bad = data.draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+            message = f"{name} contains non-finite values"
+        columns[name].flat[data.draw(st.integers(0, columns[name].size - 1))] = bad
+        return message
+
+    @rule(data=st.data(), from_npz=st.booleans())
+    def fill_offline(self, data, from_npz):
+        buf, cap = self.buf, self.buf.capacity
+        # below, at and above capacity: rows that wrap the ring or cover it
+        n = data.draw(st.sampled_from((0, 1, cap - 1, cap, cap + 1, 2 * cap + 3)))
+        rows = data.draw(dataset(buf, n))
+        message = self.spoil(data, rows) if n and data.draw(st.booleans()) else None
+        if self.size:
+            message = f"fill_offline fills an empty buffer, but this one holds {self.size} rows"
+        fill = ((lambda: load_offline_dataset(npz(rows), buf)) if from_npz
+                else (lambda: buf.fill_offline(rows)))
+        if message is None:
+            fill()
+            for i in range(n):
+                self.model_push([rows[c][i].tolist() for c in COLUMNS] + [0])
+            return
+        # refused: the buffer reads as it did, which an empty one (as the
+        # invariants hold) reads as a fresh one
+        before = buffer_state(buf)
+        with pytest.raises(ValueError, match=exactly(message)):
+            fill()
+        assert buffer_state(buf) == before
+
+    @rule(to_file=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def snapshot_and_load(self, to_file, seed, data):
+        """The snapshot is the bytes reference's envelope of the model, and
+        the same with one value out of its column's range is refused; the
+        loaded buffer writes the same bytes, makes the same draws from one
+        generator state, and goes on in the old one's place."""
+        meta = np.array([self.buf.capacity, self.size, self.cursor, *self.dims,
+                         int(self.buf.discrete)], dtype=np.int64)
+        arrays = {"meta": meta, **self.model_columns()}
+        want = reference_envelope(binio.KIND_BUFFER, arrays)
+        if self.size:
+            with pytest.raises(FormatError, match=exactly(self.spoil(data, arrays))):
+                PriorityBuffer.load(envelope(arrays))
+        if to_file:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "buffer.bin"
+                self.buf.snapshot(path)
+                assert path.read_bytes() == want
+                loaded = PriorityBuffer.load(path)
+        else:
+            assert snapshot_bytes(self.buf) == want
+            loaded = PriorityBuffer.load(io.BytesIO(want))
+        assert snapshot_bytes(loaded) == want
+        if self.size:
+            assert np.array_equal(
+                *(buf.sample_proportional(16, np.random.default_rng(seed)).indices
+                  for buf in (self.buf, loaded)))
+        self.buf = loaded
+
+    @invariant()
+    def counters_match(self):
+        assert (len(self.buf), self.buf.write_cursor) == (self.size, self.cursor)
+
+    @invariant()
+    def live_columns_match(self):
+        # the priorities column is the tree's live leaves
+        got, want = written_columns(self.buf), self.model_columns()
+        assert list(got) == list(want)
+        for name, column in want.items():
+            assert (got[name].shape, got[name].tobytes()) == (column.shape,
+                                                               column.tobytes()), name
+
+    @invariant()
+    def indices_held_narrow_below_their_counts(self):
+        for name, count in self.counts.items():
+            column = self.buf.columns[name]
+            assert (column.dtype.kind, column.dtype.itemsize) == ("u", held_itemsize(count))
+            assert column.max() < count, name
+
+    @invariant()
+    def tree_matches_the_reference(self):
+        tree = self.buf.tree
+        p, _ = tiers(tree)
+        assert tree._pairs.base is tree.nodes  # the nodes are never rebound
+        # the levels from the leaves up to the P-level are the full tree's,
+        # and the prefix is the accumulate of the P-level
+        assert tree.nodes[p:].tobytes() == self.ref[p:].tobytes()
+        tree.total()
+        assert tree.prefix.tobytes() == prefix_of(self.ref[p:2 * p]).tobytes()
+
+    @invariant()
+    def implied_distribution_is_the_running_sum(self):
+        if not self.size:
+            with pytest.raises(EmptyBufferError):
+                self.buf.implied_distribution()
+        elif not self.buf.discrete:
+            with pytest.raises(UnsupportedModeError):
+                self.buf.implied_distribution()
+        else:
+            got = self.buf.implied_distribution()
+            assert list(got.items()) == list(implied_reference(self.buf).items())
+            assert all(type(s) is int and type(a) is int for s, a in got)
+
+
+TestBufferMachine = BufferMachine.TestCase
 
 
 class TestBulkPathMemory:
