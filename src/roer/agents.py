@@ -688,7 +688,7 @@ class TabularAgent:
         s = np.asarray(batch.states, dtype=np.int64)
         a = np.asarray(batch.actions, dtype=np.int64)
         delta = self.td_errors(s, a, batch.rewards, batch.next_states, batch.terminals)
-        if not np.isfinite(delta).all():
+        if not np.logical_and.reduce(np.isfinite(delta)):
             raise FloatingPointError("tabular TD errors diverged")
         np.add.at(self.q_table, (s, a), self.config.learning_rate * weights * delta)
         return StepMetrics(

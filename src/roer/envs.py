@@ -250,14 +250,15 @@ class PendulumEnv:
         cost = self._angle_norm(theta) ** 2 + 0.1 * thdot**2 + 0.001 * torque**2
         accel = (3.0 * GRAVITY / (2.0 * LENGTH)) * np.sin(theta) \
             + 3.0 * torque / (MASS * LENGTH**2)
-        new_thdot = np.clip(thdot + accel * DT, -MAX_SPEED, MAX_SPEED)
+        # np.clip's bits, without its Python wrappers
+        new_thdot = np.minimum(np.maximum(thdot + accel * DT, -MAX_SPEED), MAX_SPEED)
         new_theta = theta + new_thdot * DT
         return new_theta, new_thdot, -cost
 
     def step(self, action):
         if self._done:
             raise ProtocolError("step() after episode end; call reset()")
-        u = float(np.clip(np.asarray(action).reshape(-1)[0], -1.0, 1.0))
+        u = float(np.minimum(np.maximum(np.asarray(action).reshape(-1)[0], -1.0), 1.0))
         torque = u * MAX_TORQUE
         self._theta, self._thdot, reward = self._dynamics(
             self._theta, self._thdot, torque
@@ -277,7 +278,7 @@ class PendulumEnv:
         returns = np.zeros(len(obs))
         discount = 1.0
         for t in range(horizon):
-            torque = np.clip(act, -1.0, 1.0) * MAX_TORQUE
+            torque = np.minimum(np.maximum(act, -1.0), 1.0) * MAX_TORQUE
             theta, thdot, reward = self._dynamics(theta, thdot, torque)
             returns += discount * reward
             discount *= gamma

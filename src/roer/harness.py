@@ -205,6 +205,9 @@ class _SeedRun:
         # the scheme's value-loss knobs and divergence; None trains no value net
         self.div = schemes.ROER_DIVERGENCES.get(cfg.scheme)
         self.value_loss_cfg = cfg.scheme_config if self.div is not None else None
+        # the proportional draw's loss weights, one read-only vector for every step
+        self._ones = np.ones(self.agent.config.batch_size)
+        self._ones.flags.writeable = False
         self._loss_sums: dict[str, float] = {}
         self._loss_counts: dict[str, int] = {}
 
@@ -226,7 +229,7 @@ class _SeedRun:
             # the expected update is the proportional draw's times sum(p)/N
             batch = self.buffer.sample_uniform(n, brng)
             return batch, batch.priorities
-        return self.buffer.sample_proportional(n, brng), np.ones(n)
+        return self.buffer.sample_proportional(n, brng), self._ones
 
     def _refresh_priorities(self, batch: SampledBatch, metrics: StepMetrics) -> None:
         cfg = self.cfg

@@ -19,8 +19,11 @@ returned are with respect to the vector handed in (residuals / q_pred);
 value-network training negates the residual gradient since the estimate
 enters the residual with a minus sign.
 
-Batch means are written np.add.reduce(x) / n: the arithmetic np.mean
-runs, without its Python-level wrapper.
+Every call on the per-step path goes straight to the ufunc it needs: a
+batch mean is np.add.reduce(x) / n, the arithmetic np.mean runs; a count
+of flags is np.add.reduce, which .sum runs; a finiteness check is
+np.logical_and.reduce, which .all runs. Each array method and np.mean run
+the same reduction through a Python-level wrapper.
 
 Each value is validated once, where it enters: gamma, the Huber bound k,
 beta and grad_clip by the config dataclasses (SacConfig, RoerConfig);
@@ -73,7 +76,7 @@ def _vec(x, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1)
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise FloatingPointError(f"{what} contains non-finite values")
     return arr
 
@@ -100,7 +103,7 @@ def extreme_v_loss(residuals, beta: float, grad_clip: float,
     z = np.where(clipped, grad_clip, z_raw)
     value = float(np.add.reduce(div.f_star(z) - z) / n)
     grad = np.where(clipped, 0.0, (div.f_star_prime(z) - 1.0) / (n * beta))
-    return LossOutput(value=value, grad=grad, clipped=int(clipped.sum()))
+    return LossOutput(value=value, grad=grad, clipped=int(np.add.reduce(clipped)))
 
 
 def weighted_huber_critic_loss(q_pred, target, weights, k: float | None = 1.0) -> LossOutput:

@@ -98,7 +98,7 @@ class ParameterSet:
             yield f"b{i}", b
 
     def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
+        return bool(np.logical_and.reduce(np.isfinite(self.flat)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParameterSet) or other.n_layers != self.n_layers:
@@ -210,7 +210,9 @@ def input_gradient(params: ParameterSet, x: np.ndarray, cache):
         raise ShapeError("input_gradient requires a scalar-output network")
     _, masks = cache
     L = params.n_layers
-    chain = [np.ones((len(x), 1))] * (L + 1)
+    ones = np.empty((len(x), 1))
+    ones.fill(1.0)  # np.ones runs this fill through a Python wrapper
+    chain = [ones] * (L + 1)
     # ones @ W is W's one row on every row: broadcast it, one rounding each
     g = params.weights[L - 1]
     g = g * masks[L - 2] if L > 1 else np.repeat(g, len(x), axis=0)
@@ -237,8 +239,8 @@ def input_gradient_param_backward(params: ParameterSet, x: np.ndarray,
     """
     _, masks = cache
     c = np.asarray(cotangent, dtype=np.float64)
-    if c.shape != np.shape(x):
-        raise ShapeError(f"cotangent shape {c.shape} != input shape {np.shape(x)}")
+    if c.shape != x.shape:
+        raise ShapeError(f"cotangent shape {c.shape} != input shape {x.shape}")
     L = params.n_layers
     grads = params.zeros_like()
     # tangent pass along direction c, meeting the backward chain per layer

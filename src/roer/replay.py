@@ -16,6 +16,11 @@ rejected one raises InvalidTransitionError (FormatError at load): a bad
 input, not the FloatingPointError that signals a run's own non-finite values.
 A tabular buffer holds its indices in the narrowest unsigned dtype that
 holds count - 1, and hands them out and writes them as int64.
+
+Every call on the per-step path (push, draw, priority rewrite) goes
+straight to the ufunc or C function it needs: np.minimum.reduce,
+np.maximum.reduce and np.logical_and.reduce, not the array methods .min,
+.max and .all, which run the same reductions through a Python wrapper.
 """
 
 from __future__ import annotations
@@ -101,7 +106,8 @@ class SumTree:
             kids = pairs.take(idx, axis=0)
             nodes[idx] = kids[:, 0] + kids[:, 1]
         # idx now holds P-level nodes
-        self._written = max(self._written, int(idx.max(initial=0)) + 1 - self._width)
+        self._written = max(self._written,
+                            int(np.maximum.reduce(idx, initial=0)) + 1 - self._width)
         self._stale = True
 
     def set_range(self, start: int, stop: int, values) -> None:
@@ -142,11 +148,12 @@ class SumTree:
         u = t - prefix[j]
         idx = j + self._width
         nodes = self.nodes
-        for _ in range(self._depth):
+        for level in range(self._depth, 0, -1):
             left = idx * 2
             left_sum = nodes[left]
             go_right = u >= left_sum
-            u -= left_sum * go_right
+            if level > 1:  # nothing reads the residual under the leaves
+                u -= left_sum * go_right
             idx = left + go_right
         return idx - self._n
 
@@ -214,6 +221,8 @@ class PriorityBuffer:
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.discrete = discrete
+        # the index columns, which gather hands out as int64
+        self._index_names = tuple(self._counts(state_dim, action_dim, discrete))
         self.columns = {name: np.zeros((capacity, *row), dtype)
                         for name, (dtype, row) in layout.items()}
         self.tree = SumTree(capacity)
@@ -237,10 +246,13 @@ class PriorityBuffer:
                     or not 0 <= value < dim):
                 raise InvalidTransitionError(f"{what} {value!r} is not an index in [0, {dim})")
             return int(value)
-        arr = np.asarray(value, dtype=np.float64).reshape(-1)
+        try:
+            arr = np.asarray(value, dtype=np.float64).reshape(-1)
+        except OverflowError:  # an int too large for a float
+            raise InvalidTransitionError(f"{what} contains non-finite values") from None
         if arr.shape != (dim,):
             raise InvalidTransitionError(f"{what} has shape {arr.shape}, expected ({dim},)")
-        if not np.isfinite(arr).all():
+        if not np.logical_and.reduce(np.isfinite(arr)):
             raise InvalidTransitionError(f"{what} contains non-finite values")
         return arr
 
@@ -252,7 +264,11 @@ class PriorityBuffer:
 
         Every field is checked before anything is written: once the buffer
         is full, the slot holds the live oldest entry."""
-        if not math.isfinite(reward):
+        try:
+            finite = math.isfinite(reward)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise InvalidTransitionError(f"reward {reward!r} is not finite")
         # load's 0/1 flag rule and _coerce's integer rule, as plain Python tests
         if terminal not in (0, 1):
@@ -281,7 +297,7 @@ class PriorityBuffer:
         order), a tabular buffer's indices as int64."""
         cols = self.columns
         batch = {name: cols[name][idx] for name in self.DATA}
-        for name in self._counts(self.state_dim, self.action_dim, self.discrete):
+        for name in self._index_names:
             batch[name] = batch[name].astype(np.int64)
         priorities = self.tree.leaves(self.capacity)[idx]
         return SampledBatch(idx, **batch, priorities=priorities)
@@ -315,7 +331,7 @@ class PriorityBuffer:
             raise InvalidTransitionError("indices and priorities length mismatch")
         if idx.size == 0:
             return
-        if idx.min() < 0 or idx.max() >= self.size:
+        if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= self.size:
             raise InvalidTransitionError("slot index out of range")
         self._check_values("priorities", vals)
         self.tree.set_many(idx, vals)
@@ -523,22 +539,23 @@ class PriorityBuffer:
         if not arr.size or arr.dtype.kind == "b":
             return
         # min and max are nan when any value is, which fails every float test
+        lo, hi = np.minimum.reduce, np.maximum.reduce
         if name == "priorities":
-            ok = arr.min() > 0.0 and arr.max() < np.inf
+            ok = lo(arr, axis=None) > 0.0 and hi(arr, axis=None) < np.inf
             rule = "must be positive and finite"
         elif count is not None:
-            ok, rule = arr.min() >= 0, "holds an index below 0"
+            ok, rule = lo(arr, axis=None) >= 0, "holds an index below 0"
             if ok:
-                top = arr.max()
+                top = hi(arr, axis=None)
                 ok = top < count
                 rule = (f"holds index {top}, but the buffer has {count} "
                         f"{name.removeprefix('next_')}")
         elif arr.dtype.kind == "i":
-            ok, rule = arr.min() >= 0, "holds a step below 0"
+            ok, rule = lo(arr, axis=None) >= 0, "holds a step below 0"
         elif arr.dtype.kind == "u":
-            ok, rule = arr.max() <= 1, "holds a flag other than 0 or 1"
+            ok, rule = hi(arr, axis=None) <= 1, "holds a flag other than 0 or 1"
         else:
-            ok = np.isfinite([arr.min(), arr.max()]).all()
+            ok = -np.inf < lo(arr, axis=None) and hi(arr, axis=None) < np.inf
             rule = "contains non-finite values"
         if not ok:
             raise error(f"{name} {rule}")

@@ -147,7 +147,7 @@ def roer_update(td_errors, current_priorities, cfg: RoerConfig,
     # np.clip and .mean() give these bits too, through slower wrappers
     np.maximum(w, 1.0, out=w)
     np.minimum(w, cfg.max_exp_clip, out=w)
-    w /= w.sum() / len(w)
+    w /= np.add.reduce(w) / len(w)
     new = (cfg.lam * (w - 1.0) + 1.0) * current_priorities
     # a floor of 0 keeps every bit of the priorities, which are positive
     np.maximum(new, cfg.min_priority_clip, out=new)

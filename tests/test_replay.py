@@ -1251,18 +1251,25 @@ class BufferMachine(RuleBasedStateMachine):
             assert self.buf.push(*row, insert_step=step) == self.cursor
             self.model_push([v.tolist() for v in row] + [step])
 
-    @rule(data=st.data(), field=st.sampled_from(("state", "action", "next_state",
-                                                  "insert_step")))
+    @rule(data=st.data(), field=st.sampled_from(("state", "action", "reward",
+                                                  "next_state", "insert_step")))
     def refused_push(self, data, field):
         """A row with one field out of its range changes nothing: an index at
-        or past its count or below 0, a non-finite vector entry, or an insert
-        step outside the int64 column's range."""
+        or past its count or below 0, a non-finite reward or vector entry (an
+        int too large for a float among them), or an insert step outside the
+        int64 column's range."""
         ds, da = self.dims
+        # vectors as lists, which hold an int too large for a float
         row, step = ([0, 0, 0.0, 0, False] if self.buf.discrete else
-                     [np.zeros(ds), np.zeros(da), 0.0, np.zeros(ds), False]), 0
+                     [[0.0] * ds, [0.0] * da, 0.0, [0.0] * ds, False]), 0
+        non_finite = st.sampled_from((np.nan, np.inf, -np.inf)) | st.integers(
+            min_value=2**1024)
         if field == "insert_step":
             step = data.draw(st.integers(max_value=-1) | st.integers(min_value=2**63))
             message = f"insert_step {step!r} is not in [0, 2**63)"
+        elif field == "reward":
+            row[2] = data.draw(non_finite)
+            message = f"reward {row[2]!r} is not finite"
         elif self.buf.discrete:
             count = self.counts[field + "s"]
             at = COLUMNS.index(field + "s")
@@ -1270,8 +1277,7 @@ class BufferMachine(RuleBasedStateMachine):
             message = f"{field} {row[at]!r} is not an index in [0, {count})"
         else:
             vector = row[COLUMNS.index(field + "s")]
-            vector[data.draw(st.integers(0, len(vector) - 1))] = data.draw(
-                st.sampled_from((np.nan, np.inf, -np.inf)))
+            vector[data.draw(st.integers(0, len(vector) - 1))] = data.draw(non_finite)
             message = f"{field} contains non-finite values"
         before = buffer_state(self.buf)
         with pytest.raises(InvalidTransitionError, match=exactly(message)):

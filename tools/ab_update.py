@@ -1,14 +1,17 @@
-"""In-process A/B timing of one SAC update: another tree's roer against this one.
+"""In-process A/B timing of one update step: another tree's roer against this one.
 
     git worktree add ../roer-parent HEAD~1
     python3 tools/ab_update.py ../roer-parent/src --profile test
+    python3 tools/ab_update.py ../roer-parent/src --profile chain
 
 The first argument is the `src` directory of the other tree (the "parent").
 Both trees' `roer` packages are loaded side by side in this one process,
 under the names `roer_parent` and `roer_change`, so that host drift hits
-both sides alike. Each side builds the same SacAgent (pendulum's obs 3,
-action 1, and the SacConfig fields that this tree's
-`config.SAC_PROFILES[profile]` sets) and the same batches: its own
+both sides alike.
+
+The `test` and `full` profiles time one SAC update. Each side builds the
+same SacAgent (pendulum's obs 3, action 1, and the SacConfig fields that
+this tree's `config.SAC_PROFILES[profile]` sets) and the same batches: its own
 PriorityBuffer holds one fixed set of random transitions (seed 0) and
 draws them uniformly. The script then alternates
 blocks of updates (20 per side at the test profile, 2 at full) between the
@@ -28,6 +31,17 @@ four losses, both TD-error vectors, the clip count and the abort flag)
 are byte-equal on the two sides, and so are both agents' checkpoint
 arrays at the end; 0 otherwise.
 
+The `chain` profile times one step of the chain-roer benchmark workload's
+training loop less its env step and push: one proportional draw, one
+tabular update and one ROER priority rewrite. This tree first runs the
+workload's config (perfbench/workloads.py, seed 0) for its first 5,000
+steps, where its 5,000-slot buffer first fills; each side loads that
+run's final Q table and buffer and trains on from there with the
+workload's knobs, pushing nothing. Blocks hold 200 steps per side; every
+step of block b draws from the same generator state on both sides. It
+exits 1 unless every step's StepMetrics are byte-equal, and so are the Q
+tables, the priorities and the sum trees' nodes and prefixes at the end.
+
 BLAS is pinned to one thread unless OPENBLAS_NUM_THREADS is already set,
 and freed heap is kept in the process as `roer train` does.
 """
@@ -40,6 +54,7 @@ import importlib.util
 import os
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,11 +64,15 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+from workloads import CHAIN_SCHEME, CHAIN_TABULAR, WORKLOADS  # noqa: E402
+
 OBS_DIM, ACTION_DIM = 3, 1
 POOL_ROWS = 4096
 BATCHES = 20
 SEED = 0
-BLOCK_UPDATES = {"test": 20, "full": 2}  # updates per side and block
+BLOCK_UPDATES = {"test": 20, "full": 2, "chain": 200}  # updates per side and block
+CHAIN_STEPS = 5_000  # where the chain-roer run's 5,000-slot buffer first fills
 METRIC_FIELDS = ("critic_loss", "value_loss", "actor_loss", "alpha_loss",
                  "value_td_errors", "critic_td_errors", "value_clip_count", "aborted")
 
@@ -68,13 +87,13 @@ def load_package(name: str, src: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("agents", "cli", "config", "replay", "schemes"):
+    for sub in ("agents", "cli", "config", "harness", "replay", "schemes"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
 
-class Side:
-    """One tree's agent, batches and recorded update times."""
+class SacSide:
+    """One tree's SAC agent, batches and recorded update times."""
 
     def __init__(self, pkg, fields: dict, pool: dict):
         agents, replay = pkg.agents, pkg.replay
@@ -104,6 +123,52 @@ class Side:
             self.metrics[block, i] = metrics_digest(m)
         self.times_ns += out
         return out
+
+    def state(self) -> dict[str, bytes]:
+        return {k: v.tobytes() for k, v in self.agent.checkpoint_arrays().items()}
+
+
+class ChainSide:
+    """One tree's chain-roer agent and buffer, and its recorded step times."""
+
+    def __init__(self, pkg, checkpoint: Path, snapshot: Path):
+        self.agent = pkg.agents.TabularAgent.load(
+            checkpoint, pkg.agents.TabularConfig(**CHAIN_TABULAR))
+        self.buffer = pkg.replay.PriorityBuffer.load(snapshot)
+        self.roer = pkg.schemes.RoerConfig(**CHAIN_SCHEME)
+        self.div = pkg.schemes.ROER_DIVERGENCES["roer"]
+        self.roer_update = pkg.schemes.roer_update
+        self.weights = np.ones(CHAIN_TABULAR["batch_size"])
+        self.times_ns: list[int] = []
+        self.metrics: dict[tuple[int, int], bytes] = {}
+
+    def run_block(self, block: int, updates: int) -> list[int]:
+        clock, agent, buffer, out = time.perf_counter_ns, self.agent, self.buffer, []
+        n, rng = len(self.weights), np.random.default_rng((SEED, block))
+        for i in range(updates):
+            t0 = clock()
+            batch = buffer.sample_proportional(n, rng)
+            m = agent.update(batch, self.weights)
+            buffer.update_priorities(batch.indices, self.roer_update(
+                m.value_td_errors, batch.priorities, self.roer, self.div))
+            out.append(clock() - t0)
+            self.metrics[block, i] = metrics_digest(m)
+        self.times_ns += out
+        return out
+
+    def state(self) -> dict[str, bytes]:
+        tree = self.buffer.tree
+        tree.total()  # the prefix, rebuilt after the last write
+        return {"q_table": self.agent.q_table.tobytes(),
+                "priorities": self.buffer.priorities.tobytes(),
+                "nodes": tree.nodes.tobytes(), "prefix": tree.prefix.tobytes()}
+
+
+def chain_run(pkg, out_dir: Path) -> Path:
+    """The seed directory of pkg's chain-roer run cut at CHAIN_STEPS."""
+    raw = WORKLOADS["chain-roer"].config(SEED, None)
+    raw.update(total_steps=CHAIN_STEPS, output_dir=str(out_dir))
+    return pkg.harness.run_train(pkg.config.from_dict(raw)) / f"seed_{SEED}"
 
 
 def transitions() -> dict:
@@ -136,17 +201,11 @@ def metrics_digest(m) -> bytes:
     return digest.digest()
 
 
-def same_state(a, b) -> bool:
-    arrays_a, arrays_b = a.checkpoint_arrays(), b.checkpoint_arrays()
-    return (arrays_a.keys() == arrays_b.keys()
-            and all(arrays_a[k].tobytes() == arrays_b[k].tobytes() for k in arrays_a))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path,
                         help="the src directory of the tree to compare against")
-    parser.add_argument("--profile", choices=("test", "full"), default="test")
+    parser.add_argument("--profile", choices=tuple(BLOCK_UPDATES), default="test")
     parser.add_argument("--blocks", type=int, default=100)
     args = parser.parse_args(argv)
     per_block = BLOCK_UPDATES[args.profile]
@@ -154,11 +213,17 @@ def main(argv=None) -> int:
     parent_pkg = load_package("roer_parent", args.parent_src.resolve())
     change_pkg = load_package("roer_change", HERE.parent / "src")
     change_pkg.cli._keep_freed_memory()
-    pool = transitions()
-    # the parent tree may predate SAC_PROFILES: both sides take this tree's fields
-    fields = change_pkg.config.SAC_PROFILES[args.profile]
-    parent = Side(parent_pkg, fields, pool)
-    change = Side(change_pkg, fields, pool)
+    if args.profile == "chain":
+        with tempfile.TemporaryDirectory() as tmp:
+            seed_dir = chain_run(change_pkg, Path(tmp))
+            files = seed_dir / "checkpoint.bin", seed_dir / "buffer.bin"
+            parent, change = ChainSide(parent_pkg, *files), ChainSide(change_pkg, *files)
+    else:
+        pool = transitions()
+        # the parent tree may predate SAC_PROFILES: both sides take this tree's fields
+        fields = change_pkg.config.SAC_PROFILES[args.profile]
+        parent = SacSide(parent_pkg, fields, pool)
+        change = SacSide(change_pkg, fields, pool)
 
     ticks = cpu_ticks()
     ratios = []
@@ -169,24 +234,25 @@ def main(argv=None) -> int:
         ratios.append(medians[id(change)] / medians[id(parent)])
 
     end_ticks = cpu_ticks()
-    identical = same_state(parent.agent, change.agent)
+    identical = parent.state() == change.state()
     mismatched = sum(parent.metrics[k] != change.metrics[k] for k in parent.metrics)
     p50 = {name: statistics.median(side.times_ns) / 1e3
            for name, side in (("parent", parent), ("change", change))}
     print(f"profile {args.profile}: {args.blocks} blocks of {per_block} updates per side")
-    print(f"parent p50 {p50['parent']:.0f} us   change p50 {p50['change']:.0f} us")
+    print(f"parent p50 {p50['parent']:.1f} us   change p50 {p50['change']:.1f} us")
     print(f"change faster in {sum(r < 1.0 for r in ratios)}/{len(ratios)} blocks; "
           f"median ratio change/parent {statistics.median(ratios):.3f}")
     for name, side in (("parent", parent), ("change", change)):
-        print(f"{name}: {len(os.sched_getaffinity(0))} CPUs, twin pairs on two threads: "
-              f"{getattr(side.agent, 'pair_threads', False)}")
+        if args.profile != "chain":
+            print(f"{name}: {len(os.sched_getaffinity(0))} CPUs, twin pairs on two "
+                  f"threads: {getattr(side.agent, 'pair_threads', False)}")
     if ticks is not None and end_ticks is not None:
         steal, total = (end - start for end, start in zip(end_ticks, ticks))
         print(f"steal time over the blocks: {steal} of {total} CPU ticks "
               f"({steal / max(total, 1):.1%})")
     print(f"update metrics byte-equal: {len(parent.metrics) - mismatched}"
           f"/{len(parent.metrics)}")
-    print(f"checkpoint arrays byte-equal: {identical}")
+    print(f"final state byte-equal: {identical}")
     return 0 if identical and not mismatched else 1
 
 
