@@ -1,10 +1,11 @@
 """Command-line entry points.
 
 Subcommands: train, sweep, oracle, bias, replay-inspect. Exit codes:
-0 success, 1 check or run failure (a run whose values turn non-finite
-where no update can abort), 2 configuration error or bad input file (an
-offline dataset the buffer rejects, a malformed snapshot or checkpoint, a
-snapshot of another problem than the config's).
+0 success, 1 check or run failure (a run whose values, its priorities
+included, turn non-finite where no update can abort), 2 configuration
+error or bad input file (an offline dataset the buffer rejects, a
+malformed snapshot or checkpoint, a snapshot of another problem than the
+config's, or a scheduled one that is missing or of another step).
 """
 
 from __future__ import annotations

@@ -269,7 +269,7 @@ class PendulumEnv:
         return self._obs(), float(reward), False, truncated
 
     def batch_rollout(self, states, first_actions, policy_fn, horizon: int,
-                      gamma: float, rng: np.random.Generator) -> np.ndarray:
+                      gamma: float) -> np.ndarray:
         """Vectorized discounted returns from each observation/action start."""
         obs = np.asarray(states, dtype=np.float64)
         theta = np.arctan2(obs[:, 1], obs[:, 0])

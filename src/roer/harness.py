@@ -17,7 +17,6 @@ import concurrent.futures
 import multiprocessing
 import json
 import math
-import re
 import time
 import zipfile
 from dataclasses import replace
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import schemes
 from .agents import SacAgent, SacConfig, StepMetrics, TabularAgent
-from .binio import FormatError
+from .binio import PIECE_BYTES, FormatError
 from .config import (ExperimentConfig, echo, from_dict, parse_env_id, seed_streams,
                      sweep_cells)
 from .envs import PendulumEnv, TabularEnv, chain_mdp, gridworld_mdp, random_mdp
@@ -102,12 +101,10 @@ def read_metrics(path) -> list[dict]:
 class _NpzColumns:
     """The arrays of the open .npz archive at path by name (np.savez's
     `<name>.npy` members). Each lookup reads its member into one new array,
-    in pieces of PIECE bytes, so a read holds the array and one piece
+    in pieces of binio.PIECE_BYTES, so a read holds the array and one piece
     (np.load holds two 256 KiB pieces beside it). Only plain arrays load,
     as with np.load's allow_pickle off; a member that fails to read raises
     ConfigError naming the file."""
-
-    PIECE = 1 << 16
 
     def __init__(self, archive: zipfile.ZipFile, path):
         self.archive, self.path = archive, path
@@ -129,8 +126,8 @@ class _NpzColumns:
                     raise ValueError(f"{member} is shorter than its header's shape {shape}")
                 array = np.empty(shape[::-1] if fortran else shape, dtype)
                 data = memoryview(array.reshape(-1).view(np.uint8))
-                for i in range(0, len(data), self.PIECE):
-                    piece = data[i : i + self.PIECE]
+                for i in range(0, len(data), PIECE_BYTES):
+                    piece = data[i : i + PIECE_BYTES]
                     if fp.readinto(piece) != len(piece):
                         raise EOFError(f"{member} ends inside its data")
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -422,7 +419,7 @@ def compute_bias(agent, env, states, actions, rng, horizon: int) -> dict:
         x = np.concatenate([states, actions.reshape(len(states), -1)], axis=1)
         estimates = agent.min_q(x)
         true = env.batch_rollout(states, actions, lambda obs: agent.act(obs, rng=rng),
-                                 horizon, gamma, rng)
+                                 horizon, gamma)
         tail = gamma**horizon * env.COST_BOUND / (1.0 - gamma)
     return {
         "bias": float(np.mean(true - estimates)),
@@ -448,33 +445,29 @@ def _check_snapshot_pair(agent, buffer: PriorityBuffer, env) -> None:
 
 
 def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
-    """Bias series over every (checkpoint, buffer) snapshot pair in a run
-    directory, scheduled checkpoints first, then the final checkpoint
-    unless a scheduled one was taken at the last step. A directory with no
-    pair, a listed pair with either file missing (so a run cut short fails
-    on its final pair), a pair of another problem than cfg's env or with an
-    empty buffer, or a checkpoint_*.bin not named checkpoint_<8-digit
-    step>.bin raises FormatError."""
+    """Bias series over the (checkpoint, buffer) pairs cfg schedules in a
+    run directory: checkpoint_<step:08d>.bin and buffer_<step:08d>.bin at
+    each multiple of checkpoint_period up to total_steps, then checkpoint.bin
+    and buffer.bin at total_steps unless a scheduled pair holds that step.
+    A missing file (a run cut short lacks its final pair), a pair of another
+    problem than cfg's env or with an empty buffer, or a buffer whose newest
+    row was pushed at another step than its pair's raises FormatError."""
     seed_dir = Path(seed_dir)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     env = make_env(cfg.env, cfg.env_horizon, np.random.default_rng(seed))
-    pairs = []
-    for path in seed_dir.glob("checkpoint_*.bin"):
-        match = re.fullmatch(r"checkpoint_([0-9]{8})\.bin", path.name)
-        if match is None:
-            raise FormatError(f"{path} is not named checkpoint_<8-digit step>.bin")
-        pairs.append((int(match[1]), path))
-    pairs.sort()
-    # a scheduled checkpoint at the last step holds the final state already
-    if not pairs or pairs[-1][0] != cfg.total_steps:
-        pairs.append((cfg.total_steps, seed_dir / "checkpoint.bin"))
-    pairs = [(step, ckpt, seed_dir / ckpt.name.replace("checkpoint", "buffer"))
-             for step, ckpt in pairs]
+    period, last = cfg.checkpoint_period, cfg.total_steps
+    scheduled = range(period, last + 1, period) if period else ()
+    # a scheduled pair at the last step holds the final state already
+    tags = [(step, f"_{step:08d}") for step in scheduled]
+    if last not in scheduled:
+        tags.append((last, ""))
+    pairs = [(step, seed_dir / f"checkpoint{tag}.bin", seed_dir / f"buffer{tag}.bin")
+             for step, tag in tags]
     # a missing file fails before any pair's rollouts run
+    if not any(path.exists() for _, *files in pairs for path in files):
+        raise FormatError(f"{seed_dir} holds no (checkpoint, buffer) pair")
     for step, *files in pairs:
         missing = [p for p in files if not p.exists()]
-        if len(missing) == 2 and len(pairs) == 1:
-            raise FormatError(f"{seed_dir} holds no (checkpoint, buffer) pair")
         if missing:
             whole = "half" if len(missing) == 1 else "absent"
             raise FormatError(f"{missing[0]} is missing: the step-{step} pair is {whole}")
@@ -483,6 +476,10 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
         buffer = PriorityBuffer.load(buffer_path)
         agent = _agent(cfg, env, checkpoint=ckpt_path)
         _check_snapshot_pair(agent, buffer, env)
+        # the newest row: slot -1, the last, when the ring has just wrapped
+        taken = buffer.columns["insert_steps"][buffer.write_cursor - 1]
+        if taken != step:
+            raise FormatError(f"{buffer_path} was taken at step {taken}, not {step}")
         # min(bias_eval_pairs, len(buffer)) slots drawn uniformly with rng,
         # which then drives the pendulum's rollouts
         probe = buffer.sample_uniform(min(cfg.bias_eval_pairs, len(buffer)), rng)

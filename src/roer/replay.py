@@ -12,8 +12,8 @@ vectorized over the batch.
 
 Values are checked where they enter, one rule per kind of column (a tabular
 buffer's dims are its table's counts, which its indices stay below); a
-rejected one raises InvalidTransitionError (FormatError at load): a bad
-input, not the FloatingPointError that signals a run's own non-finite values.
+rejected one raises InvalidTransitionError (FormatError at load), but a
+priority that update_priorities rejects, a run's own value, FloatingPointError.
 A tabular buffer holds its indices in the narrowest unsigned dtype that
 holds count - 1, and hands them out and writes them as int64.
 
@@ -333,7 +333,7 @@ class PriorityBuffer:
             return
         if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= self.size:
             raise InvalidTransitionError("slot index out of range")
-        self._check_values("priorities", vals)
+        self._check_values("priorities", vals, error=FloatingPointError)
         self.tree.set_many(idx, vals)
 
     def implied_distribution(self) -> dict:

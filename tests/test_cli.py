@@ -171,13 +171,23 @@ class TestTrainCommand:
         assert not (tmp_path / "run").exists()
 
     def test_diverging_tabular_run_is_a_run_error(self, tmp_path, capsys):
-        path = diverging_config(tmp_path)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["train", "-c", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "run error: surrogate_priorities contains non-finite values" in err
-        assert "Traceback" not in err
-        assert not list((tmp_path / "run").rglob("summary.json"))
+        per = tmp_path / "per"
+        per.mkdir()
+        # a PER run whose priorities |delta|^400 overflow: its own values
+        per_path = write_config(per, env="chain-5", scheme="per", total_steps=3000,
+                                buffer_capacity=2000, env_horizon=100,
+                                scheme_config=dict(alpha=400.0),
+                                tabular=dict(learning_rate=0.3, batch_size=16))
+        cases = [(diverging_config(tmp_path),
+                  "surrogate_priorities contains non-finite values"),
+                 (per_path, "priorities must be positive and finite")]
+        for path, message in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(["train", "-c", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert f"run error: {message}" in err
+            assert "Traceback" not in err
+            assert not list((path.parent / "run").rglob("summary.json"))
 
     def test_run_error_closes_the_metrics_file(self, tmp_path, capsys):
         # its metrics.jsonl is closed on the error exit, not left to the collector
@@ -450,18 +460,34 @@ class TestBiasCommand:
                                 "the step-250 pair is absent\n")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("name", ["checkpoint_final.bin", "checkpoint_100.bin",
-                                      "checkpoint_000000100.bin",
-                                      "checkpoint_-0000100.bin"])
-    def test_stray_checkpoint_name_exit_code(self, tmp_path, capsys, name):
-        # the scheduled checkpoints are checkpoint_<step:08d>.bin
-        cfg_path = write_config(tmp_path)
+    @pytest.mark.parametrize("case", ["deleted", "shortened", "copied"])
+    def test_pair_off_its_schedule_exit_code(self, tmp_path, capsys, case):
+        # the config schedules the pairs: a 300-step run writes them at 100,
+        # 200 and 300, and each must have been taken at its own step
+        run = dict(total_steps=300, checkpoint_period=100, bias_eval_pairs=4,
+                   bias_eval_horizon=10)
+        cfg_path = write_config(tmp_path, **run)
         assert main(["train", "-c", str(cfg_path)]) == 0
         seed_dir = tmp_path / "run" / "seed_0"
-        (seed_dir / name).write_bytes((seed_dir / "checkpoint.bin").read_bytes())
+        if case == "deleted":
+            for kind in ("checkpoint", "buffer"):
+                (seed_dir / f"{kind}_00000200.bin").unlink()
+            message = (f"{seed_dir / 'checkpoint_00000200.bin'} is missing: "
+                       "the step-200 pair is absent")
+        elif case == "shortened":
+            (tmp_path / "short").mkdir()
+            cfg_path = write_config(tmp_path / "short", **{**run, "total_steps": 250})
+            message = f"{seed_dir / 'buffer.bin'} was taken at step 300, not 250"
+        else:
+            for kind in ("checkpoint", "buffer"):
+                (seed_dir / f"{kind}_00000200.bin").write_bytes(
+                    (seed_dir / f"{kind}_00000100.bin").read_bytes())
+            message = f"{seed_dir / 'buffer_00000200.bin'} was taken at step 100, not 200"
+        capsys.readouterr()
         assert main(["bias", str(seed_dir), "-c", str(cfg_path)]) == 2
-        assert (f"input error: {seed_dir / name} is not named "
-                "checkpoint_<8-digit step>.bin") in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {message}\n"
+        assert captured.out == ""
 
     def test_snapshot_with_a_negative_state_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -574,8 +600,9 @@ class TestBiasCommand:
                 in capsys.readouterr().err)
 
     def test_directory_without_a_pair_exit_code(self, tmp_path, capsys):
-        # the run root, not its seed directory
-        cfg_path = write_config(tmp_path)
+        # the run root, not its seed directory: none of the pairs at 100 and
+        # 200 is there, which is no pair rather than a missing one
+        cfg_path = write_config(tmp_path, checkpoint_period=100)
         assert main(["train", "-c", str(cfg_path)]) == 0
         assert main(["bias", str(tmp_path / "run"), "-c", str(cfg_path)]) == 2
         assert "holds no (checkpoint, buffer) pair" in capsys.readouterr().err

@@ -165,10 +165,8 @@ class TestPendulumEnv:
         start = env.reset()
         policy = lambda obs: np.full((len(obs), 1), 0.3)
         horizon, gamma = 50, 0.99
-        batch = env.batch_rollout(
-            start[None, :], np.array([[0.7]]), policy, horizon, gamma,
-            np.random.default_rng(0),
-        )
+        batch = env.batch_rollout(start[None, :], np.array([[0.7]]), policy, horizon,
+                                  gamma)
         env.reset_to(start)
         total, disc = 0.0, 1.0
         action = 0.7

@@ -611,6 +611,19 @@ class TestBias:
         series = estimate_bias(run_train(cfg) / "seed_0", cfg)
         assert [r["step"] for r in series] == [100, 200, 250]
 
+    @pytest.mark.parametrize("period, total", [(0, 250), (100, 250), (100, 300),
+                                               (300, 300), (400, 300)])
+    def test_series_steps_are_the_written_checkpoints(self, tmp_path, period, total):
+        cfg = cmod.from_dict(base_raw(
+            tmp_path, env="chain-4", total_steps=total, checkpoint_period=period,
+            bias_eval_pairs=4, bias_eval_horizon=10,
+        ))
+        seed_dir = run_train(cfg) / "seed_0"
+        # checkpoint.bin holds the last step, which a scheduled one may hold too
+        written = {total if p.name == "checkpoint.bin" else int(p.stem.split("_")[1])
+                   for p in seed_dir.glob("checkpoint*.bin")}
+        assert [r["step"] for r in estimate_bias(seed_dir, cfg)] == sorted(written)
+
     def test_tabular_optimal_q_has_small_bias(self):
         from roer.envs import chain_mdp
 

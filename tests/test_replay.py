@@ -364,11 +364,12 @@ class TestUpdatePriorities:
         assert buf.total_priority() == 7.0
 
     def test_zero_priority_rejected(self):
+        # a priority the run computed: its own bad value, not a bad input
         buf = tabular_buffer()
         buf.push(*make_transition())
-        with pytest.raises(InvalidTransitionError):
+        with pytest.raises(FloatingPointError):
             buf.update_priorities([0], [0.0])
-        with pytest.raises(InvalidTransitionError):
+        with pytest.raises(FloatingPointError):
             buf.update_priorities([0], [float("nan")])
 
     @pytest.mark.parametrize("slots, values", [
@@ -381,7 +382,10 @@ class TestUpdatePriorities:
         buf.push(*make_transition())
         buf.push(*make_transition(s=1))
         before = buf.tree.nodes.tobytes()
-        with pytest.raises(InvalidTransitionError):
+        # a slot outside the two live ones is a bad call; a bad value is the run's own
+        live = all(0 <= slot < 2 for slot in slots)
+        error = FloatingPointError if live else InvalidTransitionError
+        with pytest.raises(error):
             buf.update_priorities(slots, values)
         assert buf.tree.nodes.tobytes() == before
 
