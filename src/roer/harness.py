@@ -430,8 +430,13 @@ def compute_bias(agent, env, states, actions, rng, horizon: int) -> dict:
     }
 
 
-def _check_snapshot_pair(agent, buffer: PriorityBuffer, env) -> None:
-    """A checkpoint and a nonempty buffer of env's problem, or FormatError."""
+def _load_pair(cfg: ExperimentConfig, env, step: int, ckpt_path: Path,
+               buffer_path: Path) -> tuple[SacAgent | TabularAgent, PriorityBuffer]:
+    """The agent and buffer of a pair taken at step: a checkpoint and a
+    nonempty buffer of env's problem, whose newest row was pushed at step,
+    or FormatError."""
+    buffer = PriorityBuffer.load(buffer_path)
+    agent = _agent(cfg, env, checkpoint=ckpt_path)
     dims = _dims(env)
     if agent.dims != dims:
         raise FormatError(f"checkpoint dims {agent.dims} are not the environment's "
@@ -442,6 +447,11 @@ def _check_snapshot_pair(agent, buffer: PriorityBuffer, env) -> None:
                           f"the environment's {want}")
     if len(buffer) == 0:
         raise FormatError("buffer holds no transitions")
+    # the newest row: slot -1, the last, when the ring has just wrapped
+    taken = buffer.columns["insert_steps"][buffer.write_cursor - 1]
+    if taken != step:
+        raise FormatError(f"{buffer_path} was taken at step {taken}, not {step}")
+    return agent, buffer
 
 
 def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
@@ -451,7 +461,9 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
     and buffer.bin at total_steps unless a scheduled pair holds that step.
     A missing file (a run cut short lacks its final pair), a pair of another
     problem than cfg's env or with an empty buffer, or a buffer whose newest
-    row was pushed at another step than its pair's raises FormatError."""
+    row was pushed at another step than its pair's raises FormatError
+    before any pair's rollouts run: one pass loads and checks each pair in
+    turn, holding one at a time, and the next loads each again to roll out."""
     seed_dir = Path(seed_dir)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     env = make_env(cfg.env, cfg.env_horizon, np.random.default_rng(seed))
@@ -463,7 +475,6 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
         tags.append((last, ""))
     pairs = [(step, seed_dir / f"checkpoint{tag}.bin", seed_dir / f"buffer{tag}.bin")
              for step, tag in tags]
-    # a missing file fails before any pair's rollouts run
     if not any(path.exists() for _, *files in pairs for path in files):
         raise FormatError(f"{seed_dir} holds no (checkpoint, buffer) pair")
     for step, *files in pairs:
@@ -471,15 +482,10 @@ def estimate_bias(seed_dir, cfg: ExperimentConfig, seed: int = 0) -> list[dict]:
         if missing:
             whole = "half" if len(missing) == 1 else "absent"
             raise FormatError(f"{missing[0]} is missing: the step-{step} pair is {whole}")
+        _load_pair(cfg, env, step, *files)
     series = []
-    for step, ckpt_path, buffer_path in pairs:
-        buffer = PriorityBuffer.load(buffer_path)
-        agent = _agent(cfg, env, checkpoint=ckpt_path)
-        _check_snapshot_pair(agent, buffer, env)
-        # the newest row: slot -1, the last, when the ring has just wrapped
-        taken = buffer.columns["insert_steps"][buffer.write_cursor - 1]
-        if taken != step:
-            raise FormatError(f"{buffer_path} was taken at step {taken}, not {step}")
+    for step, *files in pairs:
+        agent, buffer = _load_pair(cfg, env, step, *files)
         # min(bias_eval_pairs, len(buffer)) slots drawn uniformly with rng,
         # which then drives the pendulum's rollouts
         probe = buffer.sample_uniform(min(cfg.bias_eval_pairs, len(buffer)), rng)

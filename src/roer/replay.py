@@ -3,12 +3,12 @@
 A ring buffer of transitions, its columns laid out by one table
 (PriorityBuffer._row_layout), plus a sum tree over per-transition priorities
 d(s, a). New transitions always enter with priority 1; priority schemes
-rewrite the leaves afterwards. The sum tree has two tiers: binary partial
+rewrite the leaves afterwards. The sum tree has two tiers: 16-way partial
 sums from the leaves up to a level of at most SumTree.PREFIX_WIDTH nodes,
 where a write repairs only the written leaves' ancestors, and one running
 prefix sum over that level, rebuilt once after any number of writes.
-Sampling searches the prefix and descends the binary levels below it,
-vectorized over the batch.
+Sampling searches the prefix and descends the 16-way levels below it (two
+under a 2^20-slot buffer), vectorized over the batch.
 
 Values are checked where they enter, one rule per kind of column (a tabular
 buffer's dims are its table's counts, which its indices stay below); a
@@ -25,6 +25,7 @@ np.maximum.reduce and np.logical_and.reduce, not the array methods .min,
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,41 +49,70 @@ class UnsupportedModeError(RuntimeError):
 class SumTree:
     """Partial priority sums in two tiers.
 
-    Lower tier: a flat binary tree (node i has children 2i and 2i + 1, the
-    n leaves in nodes[n:2n]) kept up to the level of P = min(n,
-    PREFIX_WIDTH) nodes: each node of nodes[P:n] is fl(left + right), and
-    nodes[:P] are unused. A write repairs the written leaves' ancestors up
-    to the P-level, one gather of child pairs per level, and marks the
-    prefix stale. Upper tier: `prefix`, a 0 and then the P running sums of
-    that level. The next total() or find_prefix rebuilds it with one
-    np.add.accumulate up to the last P-level node ever written, so one
+    Lower tier: FANOUT-way levels in one flat vector `nodes`, the leaves
+    first and then each level up, ending at the top level: the first of at
+    most PREFIX_WIDTH nodes. Each level below the top is viewed as rows of
+    FANOUT children, and a node is np.add.reduce of its child row, the one
+    call that set, set_many and set_range all make, so the three write
+    paths give the same bits. A write repairs the written leaves' ancestors
+    up to the top level, one gather of rows per level, and marks the prefix
+    stale. Upper tier: `prefix`, a 0 and then the running sums of the top
+    level. The next total() or find_prefix rebuilds it with one
+    np.add.accumulate up to the last top-level node ever written, so one
     step's writes share it; the nodes past that are still zeros, and their
     running sums are the last one plus 0.0, as a full accumulate gives.
+
+    A capacity of c slots has `depth` levels under the prefix, the fewest
+    that bring its top level to ceil(c / FANOUT**depth) <= PREFIX_WIDTH
+    nodes: none up to 4,096 slots, 1 at 5,000 (313 top nodes) and 2 at 10^5
+    or 2^20. The leaves pad c up to a whole number of top-level subtrees, so
+    the nodes take about 8.5 bytes a slot.
     """
 
-    # Width of the level under the prefix. 2048 and 8192 ran within 2% of
-    # 4096 on 5,000- and 2^20-slot buffers (BENCH_prefix_tree.json).
+    # Children per node: 16 ran a 2^20-slot buffer's step 13% faster than
+    # 8 and 27% faster than 4; on 5,000 and 10^5 slots 8 ran up to 6%
+    # faster than 16 (BENCH_sum_tree_fanout.json).
+    FANOUT = 16
+    # Most nodes in the top level. 2048 and 8192 ran within 2% of 4096 on
+    # 5,000- and 2^20-slot binary trees (BENCH_prefix_tree.json).
     PREFIX_WIDTH = 4096
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self._n = n = 1 << (capacity - 1).bit_length()
-        self._width = width = min(n, self.PREFIX_WIDTH)
-        # binary levels between the leaves and the prefix's level
-        self._depth = (n // width).bit_length() - 1
-        # never rebound: _pairs views it, row i holding node i's children
-        self.nodes = np.zeros(2 * n, dtype=np.float64)
-        self._pairs = self.nodes.reshape(n, 2)
+        f = self.FANOUT
+        self._depth, self._width = depth, width = self._shape(capacity)
+        ends = [0, *itertools.accumulate(width * f ** (depth - k) for k in range(depth + 1))]
+        self.nodes = np.zeros(ends[-1], dtype=np.float64)
+        # never rebound: a view of it for each level, from the leaves up
+        levels = [self.nodes[lo:hi] for lo, hi in zip(ends, ends[1:])]
+        self._leaves, self._top = levels[0], levels[-1]
+        # (a level's child rows, the level above), from the leaves up
+        self._steps = tuple((level.reshape(-1, f), up)
+                            for level, up in zip(levels, levels[1:]))
         self.prefix = np.zeros(width + 1, dtype=np.float64)
-        # P-level nodes [0, _written) may have been written; the rest are 0
+        # top-level nodes [0, _written) may have been written; the rest are 0
         self._written = 0
         self._stale = False
 
+    @classmethod
+    def _shape(cls, capacity: int) -> tuple[int, int]:
+        """(depth, width): the levels under the prefix, and the top level's nodes."""
+        depth, width = 0, capacity
+        while width > cls.PREFIX_WIDTH:
+            depth, width = depth + 1, -(-width // cls.FANOUT)
+        return depth, width
+
+    @classmethod
+    def nbytes(cls, capacity: int) -> int:
+        """What a tree of this capacity allocates: its nodes and its prefix."""
+        depth, width = cls._shape(capacity)
+        return 8 * (width * sum(cls.FANOUT ** k for k in range(depth + 1)) + width + 1)
+
     def _fresh_prefix(self) -> np.ndarray:
         if self._stale:
-            w, m, prefix = self._width, self._written, self.prefix
-            np.add.accumulate(self.nodes[w : w + m], out=prefix[1 : m + 1])
+            m, prefix = self._written, self.prefix
+            np.add.accumulate(self._top[:m], out=prefix[1 : m + 1])
             # adding the unwritten zeros leaves each sum, but makes -0.0 +0.0
             prefix[m + 1 :] = prefix[m] + 0.0
             self._stale = False  # cleared last, once the prefix is whole
@@ -92,70 +122,70 @@ class SumTree:
         return float(self._fresh_prefix()[-1])
 
     def leaves(self, count: int | None = None) -> np.ndarray:
-        end = self._n if count is None else count
-        return self.nodes[self._n : self._n + end]
+        return self._leaves if count is None else self._leaves[:count]
 
     def set_many(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Replace leaf values and repair their ancestors up to the P-level;
-        duplicate parents in a level write identical sums."""
-        idx = np.asarray(indices, dtype=np.int64) + self._n
-        nodes, pairs = self.nodes, self._pairs
-        nodes[idx] = values
-        for _ in range(self._depth):
-            idx >>= 1
-            kids = pairs.take(idx, axis=0)
-            nodes[idx] = kids[:, 0] + kids[:, 1]
-        # idx now holds P-level nodes
-        self._written = max(self._written,
-                            int(np.maximum.reduce(idx, initial=0)) + 1 - self._width)
+        """Replace leaf values and repair their ancestors up to the top
+        level; duplicate parents in a level write identical sums."""
+        idx = np.asarray(indices, dtype=np.int64)
+        self._leaves[idx] = values
+        f = self.FANOUT
+        for rows, up in self._steps:
+            idx = idx // f
+            up[idx] = np.add.reduce(rows.take(idx, axis=0), axis=1)
+        # idx now holds top-level nodes
+        self._written = max(self._written, int(np.maximum.reduce(idx, initial=-1)) + 1)
         self._stale = True
 
     def set_range(self, start: int, stop: int, values) -> None:
         """Replace the leaves of slots [start, stop) with values (a scalar
-        or stop - start values) and repair their ancestors up to the
-        P-level, one slice per level: the sums set_many would write, with
-        no index arrays."""
-        lo, hi = start + self._n, stop + self._n
-        nodes = self.nodes
-        nodes[lo:hi] = values
-        for _ in range(self._depth):
-            lo, hi = lo >> 1, (hi + 1) >> 1
-            np.add(nodes[2 * lo : 2 * hi : 2], nodes[2 * lo + 1 : 2 * hi : 2],
-                   out=nodes[lo:hi])
-        self._written = max(self._written, hi - self._width)
+        or stop - start values) and repair their ancestors up to the top
+        level, one slice of rows per level: the sums set_many would write,
+        with no index arrays."""
+        self._leaves[start:stop] = values
+        f = self.FANOUT
+        for rows, up in self._steps:
+            start, stop = start // f, -(-stop // f)
+            np.add.reduce(rows[start:stop], axis=1, out=up[start:stop])
+        self._written = max(self._written, stop)
         self._stale = True
 
     def set(self, index: int, value: float) -> None:
-        i = index + self._n
-        nodes = self.nodes
-        nodes[i] = value
-        for _ in range(self._depth):
-            i >>= 1
-            nodes[i] = nodes[2 * i] + nodes[2 * i + 1]
-        self._written = max(self._written, i + 1 - self._width)
+        self._leaves[index] = value
+        f = self.FANOUT
+        for rows, up in self._steps:
+            index //= f
+            up[index] = np.add.reduce(rows[index])
+        self._written = max(self._written, index + 1)
         self._stale = True
 
     def find_prefix(self, targets: np.ndarray) -> np.ndarray:
         """The leaves whose cumulative-sum intervals hold the targets, which
-        must lie in [0, total): the last P-level node whose running sum is at
-        most the target (so nodes that sum to zero are skipped), then a
-        binary descent from it."""
+        must lie in [0, total): the last top-level node whose running sum is
+        at most the target, then in each row below, the first child whose
+        running sum exceeds what is left of it (so children that sum to zero
+        are skipped), or the row's last child if rounding leaves none."""
         prefix = self._fresh_prefix()
         t = np.asarray(targets, dtype=np.float64)
-        j = prefix.searchsorted(t, side="right") - 1
+        idx = prefix.searchsorted(t, side="right") - 1
         # a target rounded up to the total lands in the last node
-        np.minimum(j, self._width - 1, out=j)
-        u = t - prefix[j]
-        idx = j + self._width
-        nodes = self.nodes
-        for level in range(self._depth, 0, -1):
-            left = idx * 2
-            left_sum = nodes[left]
-            go_right = u >= left_sum
-            if level > 1:  # nothing reads the residual under the leaves
-                u -= left_sum * go_right
-            idx = left + go_right
-        return idx - self._n
+        np.minimum(idx, self._width - 1, out=idx)
+        u = t - prefix.take(idx)
+        f, n, depth = self.FANOUT, len(t), self._depth
+        for level, (rows, _) in enumerate(reversed(self._steps), 1):
+            # each target's node's children, and their running sums
+            sums = np.add.accumulate(rows.take(idx, axis=0), axis=1)
+            passed = np.less_equal(sums, u[:, None])
+            passed[:, -1] = False
+            child = passed.argmin(axis=1)
+            if level < depth:  # nothing reads the residual under the leaves
+                # the running sum before the child: at child - 1, or 0 for the first
+                before = sums.take(np.arange(-1, f * n - 1, f) + child)
+                before *= child > 0
+                u -= before
+            idx *= f
+            idx += child
+        return idx
 
 
 @dataclass
@@ -189,10 +219,11 @@ class PriorityBuffer:
     INITIAL_PRIORITY = 1.0
     # the columns a transition brings: push's fields and SampledBatch's
     DATA = ("states", "actions", "rewards", "next_states", "terminals")
-    # Ceiling on what one buffer allocates (its columns plus the sum tree):
-    # 4 GiB, room for 2^26 tabular or 2^25 pendulum slots. A 2^20-slot
-    # tabular buffer whose counts fit uint8 (36 bytes a slot) takes 36 MiB,
-    # and 2^26 such slots take 2.25 GiB.
+    # Ceiling on what one buffer allocates (its columns plus the sum tree's
+    # nodes and prefix): 4 GiB, room for 2^27 tabular or 2^25 pendulum
+    # slots. A 2^20-slot tabular buffer whose counts fit uint8 (20 bytes a
+    # slot, and about 8.6 in the tree) takes 28.6 MiB, and 2^27 such slots
+    # take 3.6 GiB.
     MAX_BYTES = 1 << 32
     # slots a piece of implied_distribution's table pass covers
     PIECE_SLOTS = 1 << 13
@@ -210,10 +241,10 @@ class PriorityBuffer:
         for name, count in self._counts(state_dim, action_dim, discrete).items():
             # the narrowest unsigned dtype that holds count - 1; written as int64
             layout[name] = (np.min_scalar_type(count - 1), ())
-        # the columns, and the tree's float64 nodes (2 per leaf)
+        # the columns, and the tree's nodes and prefix
         nbytes = (capacity * sum(dtype.itemsize * math.prod(row)
                                  for dtype, row in layout.values())
-                  + 16 * (1 << (capacity - 1).bit_length()))
+                  + SumTree.nbytes(capacity))
         if nbytes > self.MAX_BYTES:
             raise ValueError(f"a buffer of {capacity} slots needs {nbytes} bytes, "
                              f"above the ceiling of {self.MAX_BYTES}")

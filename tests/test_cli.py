@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import roer
-from roer import agents, config as cmod, nn, oracles
+from roer import agents, config as cmod, envs, nn, oracles
 from roer.agents import SacAgent, SacConfig
 from roer.binio import FormatError
 from roer.cli import main
@@ -488,6 +488,39 @@ class TestBiasCommand:
         captured = capsys.readouterr()
         assert captured.err == f"input error: {message}\n"
         assert captured.out == ""
+
+    def test_a_pendulum_pair_off_its_schedule_is_refused_before_any_rollout(
+            self, tmp_path, capsys, monkeypatch):
+        # the pairs at 100 and 200 pass every check: a 250-step config's
+        # final pair (buffer.bin, taken at 300) is refused before either of
+        # them spends its Monte-Carlo rollouts
+        run = dict(env="pendulum", scheme="uniform", total_steps=300,
+                   checkpoint_period=100, env_horizon=20, bias_eval_pairs=4,
+                   bias_eval_horizon=10,
+                   agent=dict(profile="test", hidden_dims=[8, 8], batch_size=8))
+        cfg_path = write_config(tmp_path, **run)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        (tmp_path / "short").mkdir()
+        short_path = write_config(tmp_path / "short", **{**run, "total_steps": 250})
+        rollouts = []
+        real = envs.PendulumEnv.batch_rollout
+
+        def counted(self, *args, **kwargs):
+            rollouts.append(args[0].shape)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(envs.PendulumEnv, "batch_rollout", counted)
+        seed_dir = tmp_path / "run" / "seed_0"
+        assert main(["bias", str(seed_dir), "-c", str(cfg_path)]) == 0
+        assert len(rollouts) == 3  # one batch for each pair of the run's own config
+        rollouts.clear()
+        capsys.readouterr()
+        assert main(["bias", str(seed_dir), "-c", str(short_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"input error: {seed_dir / 'buffer.bin'} was taken at "
+                                "step 300, not 250\n")
+        assert captured.out == ""
+        assert rollouts == []
 
     def test_snapshot_with_a_negative_state_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)

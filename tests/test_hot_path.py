@@ -2,7 +2,7 @@
 
 On 64-row arrays a numpy call costs about as much as the work it does, so
 a Python-level wrapper around the C call (ndarray.max's, np.ones, np.clip,
-np.shape) is a large share of it. These tests run a few steps of three
+np.shape) is a large share of it. These tests run a few steps of four
 training loops (act, env step, push, draw, update, priority rewrite) under
 sys.setprofile and name every Python function under numpy's package that
 runs, except two kinds that have no C form to call instead: np.errstate's
@@ -33,6 +33,9 @@ CHAIN = dict(env="chain-5", seeds=[0], total_steps=1_000, train_start_step=20,
 LOOPS = {
     "chain-5 roer": dict(CHAIN, scheme="roer", scheme_config=dict(min_priority_clip=1e-3)),
     "chain-5 per": dict(CHAIN, scheme="per"),
+    # 70,000 slots put two 16-way levels under the prefix: every draw and
+    # priority rewrite walks them
+    "chain-5 per deep tree": dict(CHAIN, scheme="per", buffer_capacity=70_000),
     "pendulum test roer": dict(env="pendulum", scheme="roer", seeds=[0],
                                total_steps=1_000, train_start_step=64,
                                agent=dict(profile="test")),
@@ -85,6 +88,8 @@ def test_no_numpy_python_wrapper_runs_on_the_per_step_path(tmp_path, loop):
     frames = wrapper_frames(run, warm_steps=max(cfg.train_start_step,
                                                 run.agent.config.batch_size) + 2)
     assert getattr(run.agent, "aborted_updates", 0) == 0  # each step rewrote priorities
+    # the 300-slot chains draw from the prefix alone; the others descend
+    assert run.buffer.tree._depth == (0 if cfg.buffer_capacity == 300 else 2)
     assert not frames, "numpy Python wrappers on the per-step path:\n" + "\n".join(
         f"  {file}:{name} from {caller}, {calls} calls in {TRACED_STEPS} steps"
         for (file, name, caller), calls in sorted(frames.items()))

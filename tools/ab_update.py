@@ -3,6 +3,7 @@
     git worktree add ../roer-parent HEAD~1
     python3 tools/ab_update.py ../roer-parent/src --profile test
     python3 tools/ab_update.py ../roer-parent/src --profile chain
+    python3 tools/ab_update.py ../roer-parent/src --profile offline
 
 The first argument is the `src` directory of the other tree (the "parent").
 Both trees' `roer` packages are loaded side by side in this one process,
@@ -38,9 +39,22 @@ workload's config (perfbench/workloads.py, seed 0) for its first 5,000
 steps, where its 5,000-slot buffer first fills; each side loads that
 run's final Q table and buffer and trains on from there with the
 workload's knobs, pushing nothing. Blocks hold 200 steps per side; every
-step of block b draws from the same generator state on both sides. It
-exits 1 unless every step's StepMetrics are byte-equal, and so are the Q
-tables, the priorities and the sum trees' nodes and prefixes at the end.
+step of block b draws from the same generator state on both sides.
+
+The `offline` profile times one step of the offline-per benchmark
+workload's training loop less its env step: one push, one proportional
+draw, one tabular update and one PER priority rewrite. Each side builds
+the workload's run (its config at seed 0, its agent and its 2^20-slot
+buffer) and fills the buffer with the workload's offline dataset
+(perfbench/workloads.py's offline_dataset, 2^18 rows); each step then
+pushes the dataset's next row. Blocks hold 200 steps per side.
+
+The chain and offline profiles compare only what no sum-tree layout
+decides: they exit 1 unless every step's StepMetrics and drawn slots are
+byte-equal, and so are the Q tables and the priorities at the end. The
+priority totals are printed beside them: two layouts add the same
+priorities in different orders, so they may differ in the last bits, and
+the profiles exit 1 unless they agree within TOTAL_RTOL.
 
 BLAS is pinned to one thread unless OPENBLAS_NUM_THREADS is already set,
 and freed heap is kept in the process as `roer train` does.
@@ -65,14 +79,16 @@ import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
-from workloads import CHAIN_SCHEME, CHAIN_TABULAR, WORKLOADS  # noqa: E402
+from workloads import CHAIN_SCHEME, CHAIN_TABULAR, WORKLOADS, offline_dataset  # noqa: E402
 
 OBS_DIM, ACTION_DIM = 3, 1
 POOL_ROWS = 4096
 BATCHES = 20
 SEED = 0
-BLOCK_UPDATES = {"test": 20, "full": 2, "chain": 200}  # updates per side and block
+BLOCK_UPDATES = {"test": 20, "full": 2, "chain": 200, "offline": 200}  # per side and block
 CHAIN_STEPS = 5_000  # where the chain-roer run's 5,000-slot buffer first fills
+PUSHED_ROWS = 1 << 16  # the offline steps push the dataset's first rows, cycling
+TOTAL_RTOL = 1e-12  # the chain and offline profiles' bound on the totals' difference
 METRIC_FIELDS = ("critic_loss", "value_loss", "actor_loss", "alpha_loss",
                  "value_td_errors", "critic_td_errors", "value_clip_count", "aborted")
 
@@ -128,8 +144,17 @@ class SacSide:
         return {k: v.tobytes() for k, v in self.agent.checkpoint_arrays().items()}
 
 
-class ChainSide:
-    """One tree's chain-roer agent and buffer, and its recorded step times."""
+class TreeSide:
+    """One tree's tabular agent and buffer, and its recorded step times;
+    its state is what no sum-tree layout decides."""
+
+    def state(self) -> dict[str, bytes]:
+        return {"q_table": self.agent.q_table.tobytes(),
+                "priorities": self.buffer.priorities.tobytes()}
+
+
+class ChainSide(TreeSide):
+    """One tree's chain-roer agent and buffer."""
 
     def __init__(self, pkg, checkpoint: Path, snapshot: Path):
         self.agent = pkg.agents.TabularAgent.load(
@@ -152,16 +177,43 @@ class ChainSide:
             buffer.update_priorities(batch.indices, self.roer_update(
                 m.value_td_errors, batch.priorities, self.roer, self.div))
             out.append(clock() - t0)
-            self.metrics[block, i] = metrics_digest(m)
+            self.metrics[block, i] = metrics_digest(m, batch.indices)
         self.times_ns += out
         return out
 
-    def state(self) -> dict[str, bytes]:
-        tree = self.buffer.tree
-        tree.total()  # the prefix, rebuilt after the last write
-        return {"q_table": self.agent.q_table.tobytes(),
-                "priorities": self.buffer.priorities.tobytes(),
-                "nodes": tree.nodes.tobytes(), "prefix": tree.prefix.tobytes()}
+
+class OfflineSide(TreeSide):
+    """One tree's offline-per agent and prefilled buffer."""
+
+    def __init__(self, pkg, raw: dict, out_dir: Path):
+        cfg = pkg.config.from_dict(raw)
+        run = pkg.harness._SeedRun(cfg, SEED, out_dir)
+        pkg.harness.load_offline_dataset(cfg.offline_dataset, run.buffer)
+        self.agent, self.buffer = run.agent, run.buffer
+        self.per, self.per_priority = cfg.scheme_config, pkg.schemes.per_priority
+        with np.load(cfg.offline_dataset) as data:
+            self.rows = list(zip(*(data[name][:PUSHED_ROWS].tolist()
+                                   for name in pkg.replay.PriorityBuffer.DATA)))
+        self.weights = np.ones(run.agent.config.batch_size)
+        self.times_ns: list[int] = []
+        self.metrics: dict[tuple[int, int], bytes] = {}
+
+    def run_block(self, block: int, updates: int) -> list[int]:
+        clock, agent, buffer, out = time.perf_counter_ns, self.agent, self.buffer, []
+        n, rng = len(self.weights), np.random.default_rng((SEED, block))
+        for i in range(updates):
+            step = block * updates + i
+            row = self.rows[step % len(self.rows)]
+            t0 = clock()
+            buffer.push(*row, insert_step=step + 1)
+            batch = buffer.sample_proportional(n, rng)
+            m = agent.update(batch, self.weights)
+            buffer.update_priorities(batch.indices,
+                                     self.per_priority(m.critic_td_errors, self.per))
+            out.append(clock() - t0)
+            self.metrics[block, i] = metrics_digest(m, batch.indices)
+        self.times_ns += out
+        return out
 
 
 def chain_run(pkg, out_dir: Path) -> Path:
@@ -194,10 +246,13 @@ def cpu_ticks() -> tuple[int, int] | None:
     return fields[7], sum(fields[:8])
 
 
-def metrics_digest(m) -> bytes:
+def metrics_digest(m, slots=None) -> bytes:
+    """One update's StepMetrics, and the slots its batch was drawn from."""
     digest = hashlib.sha256()
     for name in METRIC_FIELDS:
         digest.update(np.asarray(getattr(m, name)).tobytes())
+    if slots is not None:
+        digest.update(np.asarray(slots, dtype=np.int64).tobytes())
     return digest.digest()
 
 
@@ -218,6 +273,12 @@ def main(argv=None) -> int:
             seed_dir = chain_run(change_pkg, Path(tmp))
             files = seed_dir / "checkpoint.bin", seed_dir / "buffer.bin"
             parent, change = ChainSide(parent_pkg, *files), ChainSide(change_pkg, *files)
+    elif args.profile == "offline":
+        sys.path.insert(0, str(HERE.parent / "src"))  # offline_dataset imports roer.envs
+        with tempfile.TemporaryDirectory() as tmp:
+            raw = WORKLOADS["offline-per"].config(SEED, str(offline_dataset(Path(tmp), SEED)))
+            parent, change = (OfflineSide(pkg, raw, Path(tmp) / name)
+                              for name, pkg in (("parent", parent_pkg), ("change", change_pkg)))
     else:
         pool = transitions()
         # the parent tree may predate SAC_PROFILES: both sides take this tree's fields
@@ -243,7 +304,7 @@ def main(argv=None) -> int:
     print(f"change faster in {sum(r < 1.0 for r in ratios)}/{len(ratios)} blocks; "
           f"median ratio change/parent {statistics.median(ratios):.3f}")
     for name, side in (("parent", parent), ("change", change)):
-        if args.profile != "chain":
+        if args.profile in ("test", "full"):
             print(f"{name}: {len(os.sched_getaffinity(0))} CPUs, twin pairs on two "
                   f"threads: {getattr(side.agent, 'pair_threads', False)}")
     if ticks is not None and end_ticks is not None:
@@ -253,6 +314,12 @@ def main(argv=None) -> int:
     print(f"update metrics byte-equal: {len(parent.metrics) - mismatched}"
           f"/{len(parent.metrics)}")
     print(f"final state byte-equal: {identical}")
+    if isinstance(parent, TreeSide):
+        totals = [side.buffer.total_priority() for side in (parent, change)]
+        rel = abs(totals[1] - totals[0]) / totals[0]
+        print(f"priority totals: parent {totals[0]!r}, change {totals[1]!r} "
+              f"(relative difference {rel:.3g})")
+        identical = identical and rel <= TOTAL_RTOL
     return 0 if identical and not mismatched else 1
 
 
