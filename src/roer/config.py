@@ -23,10 +23,6 @@ Schema (all keys optional unless noted):
     eval_episodes: int          # default 5; pendulum only (tabular is exact)
     output_dir: str             # default runs/<env>-<scheme>; roer train
                                 # --output-dir overrides it
-    sampling_mode: proportional | weighted
-                                # weighted: uniform draws, loss weighted by
-                                # priority; the expected update is the
-                                # proportional one times sum(p) / N
     buffer_capacity: int        # at least the agent's batch_size
     env_horizon: int            # episode cap >= 1, default 1000 (200 pendulum)
     offline_dataset: path to .npz or null
@@ -65,8 +61,8 @@ it can be passed back to `roer train` and `roer bias`. Each sweep cell is
 the echoed file with the cell's grid values set, loaded again through
 from_dict. Files in the older resolved form (top-level sac / roer / per /
 laber / sweep_grid), and files that still hold the removed
-bias_eval_period key, fail with "unknown config keys", which the CLI maps
-to exit code 2.
+bias_eval_period or sampling_mode key, fail with "unknown config keys",
+which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -95,7 +91,6 @@ class ExperimentConfig:
     eval_period: int = 1000
     eval_episodes: int = 5
     output_dir: str = ""
-    sampling_mode: str = "proportional"
     buffer_capacity: int = 100_000
     env_horizon: int | None = None
     offline_dataset: str | None = None
@@ -134,8 +129,6 @@ class ExperimentConfig:
              "more than train_start_step"),
             ("eval_period", self.eval_period >= 1, ">= 1"),
             ("eval_episodes", self.eval_episodes >= 1, ">= 1"),
-            ("sampling_mode", self.sampling_mode in ("proportional", "weighted"),
-             "proportional or weighted"),
             ("workers", self.workers >= 1, ">= 1"),
             ("checkpoint_period", self.checkpoint_period >= 0, ">= 0"),
             ("bias_eval_pairs", self.bias_eval_pairs >= 1, ">= 1"),
@@ -185,10 +178,9 @@ def seed_streams(experiment_seed: int) -> dict[str, np.random.Generator]:
 
 # top-level keys of the file schema that map one to one onto fields
 _TOP_LEVEL = ("env", "scheme", "total_steps", "train_start_step",
-              "eval_period", "eval_episodes", "output_dir", "sampling_mode",
-              "buffer_capacity", "env_horizon", "offline_dataset",
-              "checkpoint_period", "bias_eval_pairs", "bias_eval_horizon",
-              "workers")
+              "eval_period", "eval_episodes", "output_dir", "buffer_capacity",
+              "env_horizon", "offline_dataset", "checkpoint_period",
+              "bias_eval_pairs", "bias_eval_horizon", "workers")
 
 
 # agent.profile -> the SacConfig fields it sets; the agent section's own

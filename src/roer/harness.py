@@ -4,9 +4,9 @@ suite is oracles.run_suite.
 
 One training step follows the prioritized actor-critic recipe: push the
 new transition with priority 1; once past the training-start step, sample
-a minibatch (proportionally to priorities by default), update the agent,
-refresh the sampled transitions' priorities through the configured scheme,
-and periodically evaluate. Runs are deterministic per (config, seed): all
+a minibatch proportionally to priorities, update the agent, refresh the
+sampled transitions' priorities through the configured scheme, and
+periodically evaluate. Runs are deterministic per (config, seed): all
 randomness derives from the documented seed-splitting rule and metrics
 files contain no wall-clock fields (timing goes to a sidecar).
 """
@@ -221,11 +221,6 @@ class _SeedRun:
             surrogates = self.agent.td_surrogates(big, self.streams["agent"])
             idx, weights = schemes.laber_select(surrogates, n, brng)
             return self.buffer.gather(big.indices[idx]), weights
-        if cfg.sampling_mode == "weighted" and cfg.scheme != "uniform":
-            # a uniform draw that weights each loss term by its priority:
-            # the expected update is the proportional draw's times sum(p)/N
-            batch = self.buffer.sample_uniform(n, brng)
-            return batch, batch.priorities
         return self.buffer.sample_proportional(n, brng), self._ones
 
     def _refresh_priorities(self, batch: SampledBatch, metrics: StepMetrics) -> None:

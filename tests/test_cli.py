@@ -140,6 +140,8 @@ class TestTrainCommand:
          "sweep.grid['scheme_config.beta'] gives two cells one name: [1.0, 1.0]"),
         (dict(sweep=dict(grid={"offline_dataset": ["a/b", "a_b"]})),
          "sweep.grid['offline_dataset'] gives two cells one name"),
+        # a removed key, which every config.yaml of an earlier version holds
+        (dict(sampling_mode="proportional"), "unknown config keys: ['sampling_mode']"),
     ])
     def test_bad_value_exits_before_the_run(self, tmp_path, capsys,
                                             overrides, message):
@@ -397,6 +399,18 @@ class TestBiasCommand:
         series = json.loads(out_file.read_text())
         assert len(series) == 1  # final checkpoint only
         assert "bias" in series[0]
+
+    def test_config_yaml_of_an_earlier_run_exit_code(self, tmp_path, capsys):
+        # every config.yaml written before the key was removed echoes
+        # sampling_mode: proportional
+        assert main(["train", "-c", str(write_config(tmp_path))]) == 0
+        written = tmp_path / "run" / "config.yaml"
+        written.write_text(written.read_text() + "sampling_mode: proportional\n")
+        capsys.readouterr()
+        assert main(["bias", str(tmp_path / "run" / "seed_0"), "-c", str(written)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: unknown config keys: ['sampling_mode']\n"
+        assert captured.out == ""
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)

@@ -53,7 +53,7 @@ class TestConfig:
     # the last five are the sections of the resolved form that config.yaml
     # used to hold; the file schema has agent, scheme_config and sweep.grid
     @pytest.mark.parametrize("key", ["bogus", "priority_refresh", "bias_eval_period",
-                                     "full_refresh_period",
+                                     "sampling_mode", "full_refresh_period",
                                      "refresh_offline_priorities",
                                      "sac", "roer", "per", "laber",
                                      "sweep_grid", "agent_config"])
@@ -208,7 +208,6 @@ def file_configs(draw):
         scheme=scheme, seeds=draw(st.lists(st.integers(0, 2**31), min_size=1,
                                            max_size=3, unique=True)),
         train_start_step=draw(st.integers(0, 1000)),
-        sampling_mode=draw(st.sampled_from(["proportional", "weighted"])),
         env_horizon=draw(st.none() | st.integers(1, 1000)),
         bias_eval_pairs=draw(st.integers(1, 256)),
         output_dir="runs/round-trip",
@@ -422,59 +421,16 @@ class TestRunTrain:
                 values = [getattr(m, key) for m in done]
                 assert record.get(key) == (sum(values) / len(values) if values else None)
 
-    @pytest.mark.parametrize("mode", ["weighted", "proportional"])
-    def test_loss_weights_of_each_sampling_mode(self, tmp_path, mode):
-        cfg = cmod.from_dict(base_raw(tmp_path, scheme="roer", sampling_mode=mode))
+    def test_proportional_draw_trains_with_read_only_ones(self, tmp_path):
+        cfg = cmod.from_dict(base_raw(tmp_path, scheme="roer"))
         run = harness._SeedRun(cfg, 0, tmp_path / "seed_0")
         for i in range(20):
             run.buffer.push(i % 5, i % 2, 0.0, 0, False)
         run.buffer.update_priorities(np.arange(20), np.arange(1.0, 21.0))
         batch, weights = run._sample_batch()
         assert len(batch) == cfg.tabular.batch_size
-        if mode == "weighted":
-            assert np.array_equal(weights, batch.priorities)
-        else:
-            assert np.array_equal(weights, np.ones(len(batch)))
-
-    def test_weighted_mode_scales_the_expected_update_by_the_mean_priority(
-            self, tmp_path):
-        # exact enumeration over the slot a draw picks: the weighted mode
-        # picks slot i with probability 1/N and weights its loss by p_i, the
-        # proportional mode with probability p_i / sum(p) at weight 1, so
-        # the weighted mode's expected loss and update are sum(p)/N times
-        # the proportional mode's
-        p = np.array([0.5, 1.0, 2.0, 4.5, 3.0])
-        expected = {}
-        for mode in ("weighted", "proportional"):
-            cfg = cmod.from_dict(base_raw(tmp_path, scheme="roer", sampling_mode=mode))
-            run = harness._SeedRun(cfg, 0, tmp_path / mode)
-            for i in range(5):
-                run.buffer.push(i, i % 2, i - 1.5, (i + 1) % 5, i == 4)
-            run.buffer.update_priorities(np.arange(5), p)
-            draw = {"weighted": np.full(5, 1 / 5), "proportional": p / p.sum()}[mode]
-            loss, update = 0.0, np.zeros_like(run.agent.q_table)
-            for i in range(5):
-                def slot_i(n, rng, i=i):
-                    return run.buffer.gather(np.full(n, i))
-                run.buffer.sample_uniform = run.buffer.sample_proportional = slot_i
-                batch, weights = run._sample_batch()
-                run.agent.q_table[...] = 0.0
-                loss += draw[i] * run.agent.update(batch, weights).critic_loss
-                update += draw[i] * run.agent.q_table
-            expected[mode] = loss, update
-        (w_loss, w_update), (p_loss, p_update) = expected.values()
-        scale = p.sum() / len(p)
-        assert w_loss == pytest.approx(scale * p_loss, rel=1e-12)
-        assert np.allclose(w_update, scale * p_update, rtol=1e-12, atol=0.0)
-        assert np.any(p_update != 0.0)
-
-    def test_weighted_sampling_mode(self, tmp_path):
-        cfg = cmod.from_dict(base_raw(
-            tmp_path, scheme="roer", sampling_mode="weighted",
-            scheme_config=dict(lam=0.05, beta=1.0, min_priority_clip=1e-3),
-        ))
-        out = run_train(cfg)
-        assert (out / "seed_0" / "summary.json").exists()
+        assert np.array_equal(weights, np.ones(len(batch)))
+        assert not weights.flags.writeable
 
     def test_offline_fill(self, tmp_path):
         n = 120

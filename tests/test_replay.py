@@ -333,9 +333,9 @@ class TestSampling:
         with pytest.raises(EmptyBufferError):
             tabular_buffer().sample_proportional(1, np.random.default_rng(0))
 
-    def test_uniform_mode_weights(self):
-        # the weighted mode draws uniformly and weights by the priorities
-        # the batch carries: those of its slots
+    def test_uniform_draw_carries_its_slots_priorities(self):
+        # a uniform draw (LaBER's large batch, roer bias's probe) ignores the
+        # priorities, but its batch carries those of the slots it drew
         buf = tabular_buffer()
         for i in range(4):
             buf.push(*make_transition(s=i))
@@ -1295,9 +1295,12 @@ class BufferMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def push(self, data):
-        # enough rows to wrap the ring, with consecutive insert steps from any
-        # first one up to the int64 column's largest
-        n = data.draw(st.integers(1, self.buf.capacity + 1))
+        # enough rows to wrap the ring
+        self.push_rows(data, data.draw(st.integers(1, self.buf.capacity + 1)))
+
+    def push_rows(self, data, n):
+        """Push n drawn rows, with consecutive insert steps from any first
+        one up to the int64 column's largest."""
         rows = data.draw(dataset(self.buf, n))
         first = data.draw(st.integers(0, 2**63 - n))
         for i in range(n):
@@ -1338,23 +1341,37 @@ class BufferMachine(RuleBasedStateMachine):
             self.buf.push(*row, insert_step=step)
         assert buffer_state(self.buf) == before
 
+    def write_priorities(self, data, slots):
+        """Write drawn priorities to slots (repeats allowed, the last write
+        winning). The values span many binades or lie in one, each drawn on
+        its own (no fill), so that their sums round and a write path that
+        adds a row in another order than np.add.reduce shows."""
+        values = data.draw(hnp.arrays(np.float64, len(slots),
+                                      elements=st.floats(1e-8, 1e8) | st.floats(1.0, 2.0),
+                                      fill=st.nothing()))
+        self.buf.update_priorities(slots, values)
+        for slot, value in zip(slots.tolist(), values.tolist()):
+            self.priorities[slot] = value
+
     @rule(data=st.data())
     def update_priorities(self, data):
-        # one or two writes before the next read of the prefix; slots repeat
-        # (the last write wins); an empty buffer takes an empty write. The
-        # values span many binades or lie in one, each drawn on its own (no
-        # fill), so that their sums round and a write path that adds a row
-        # in another order than np.add.reduce shows
+        # one or two writes before the next read of the prefix; an empty
+        # buffer takes an empty write
         for _ in range(data.draw(st.integers(1, 2))):
-            slots = data.draw(hnp.arrays(np.int64, st.integers(0, 2 * self.buf.capacity
-                                                               if self.size else 0),
-                                         elements=st.integers(0, max(self.size - 1, 0))))
-            values = data.draw(hnp.arrays(np.float64, len(slots),
-                                          elements=st.floats(1e-8, 1e8) | st.floats(1.0, 2.0),
-                                          fill=st.nothing()))
-            self.buf.update_priorities(slots, values)
-            for slot, value in zip(slots.tolist(), values.tolist()):
-                self.priorities[slot] = value
+            self.write_priorities(data, data.draw(hnp.arrays(
+                np.int64, st.integers(0, 2 * self.buf.capacity if self.size else 0),
+                elements=st.integers(0, max(self.size - 1, 0)))))
+
+    @rule(data=st.data())
+    def rewrite_a_row_then_push(self, data):
+        """Every live slot of the row of FANOUT slots that holds the cursor
+        takes a new priority, then one push lands in that row: set, which
+        only a push calls, adds up the row's written values again, so a set
+        that adds them in another order than np.add.reduce shows."""
+        start = self.cursor - self.cursor % SumTree.FANOUT
+        self.write_priorities(data, np.arange(start, min(start + SumTree.FANOUT,
+                                                         self.size)))
+        self.push_rows(data, 1)
 
     @rule(proportional=st.booleans(), n=st.integers(1, 8), data=st.data())
     def sample(self, proportional, n, data):

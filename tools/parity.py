@@ -4,11 +4,10 @@ matrix of short runs.
     git archive HEAD~1 --prefix=roer-parent/ | tar -x -C ..
     python3 tools/parity.py --against ../roer-parent
 
-Both trees run the same 29 configs, each `roer train` in a fresh process
+Both trees run the same 19 configs, each `roer train` in a fresh process
 with that tree's `src` on PYTHONPATH:
 - chain-5 (the tabular agent) and pendulum (SAC, `test` profile), each
-  under every scheme of this tree's schemes.SCHEME_CONFIGS and both
-  sampling modes: 20 runs;
+  under every scheme of this tree's schemes.SCHEME_CONFIGS: 10 runs;
 - a grid-3x3 `roer` run: chain-5 is deterministic, so only a stochastic
   MDP shows a change to tabular evaluation or bias;
 - a chain-300 `roer` run, whose state indices are held as uint16, and
@@ -37,12 +36,12 @@ difference in exit code and stderr.
 
 For each config, and for the oracle suite's report, it compares every file
 the runs wrote, but timing.json (wall time) and config.yaml's output_dir;
-for a JSON file (metrics.jsonl, summary.json, bias_*.json, report.json) it
-names the keys that differ, dotted below the top level, with a list's
-items compared in order under the list's key. It also compares each
-command's exit code, the first line of its stderr and its stdout (printing
-the first line that differs), with the run's own directory replaced by a
-placeholder. It prints each difference and exits 1 on any, 0 when the
+for config.yaml and a JSON file (metrics.jsonl, summary.json, bias_*.json,
+report.json) it names the keys that differ, dotted below the top level,
+with a list's items compared in order under the list's key. It also
+compares each command's exit code, the first line of its stderr and its
+stdout (printing the first line that differs), with the run's own
+directory replaced by a placeholder. It prints each difference and exits 1 on any, 0 when the
 two trees agree. The whole matrix takes about a minute on a 2-vCPU VM.
 BLAS runs one thread per process, as in perfbench/run.py.
 """
@@ -75,18 +74,18 @@ JOBS = 2  # configs run at once, one process each
 PLACEHOLDER = "<run>"
 
 
-def _chain(scheme: str, mode: str) -> dict:
-    return dict(env="chain-5", scheme=scheme, sampling_mode=mode, seeds=[0],
+def _chain(scheme: str) -> dict:
+    return dict(env="chain-5", scheme=scheme, seeds=[0],
                 total_steps=600, train_start_step=50, eval_period=200,
                 eval_episodes=2, buffer_capacity=256, env_horizon=50,
                 checkpoint_period=200, bias_eval_pairs=8, bias_eval_horizon=50,
                 tabular=dict(batch_size=16))
 
 
-def _pendulum(scheme: str, mode: str) -> dict:
+def _pendulum(scheme: str) -> dict:
     # about 900 updates: fewer leave every ROER value TD error below 0, and
     # so every priority at 1
-    return dict(env="pendulum", scheme=scheme, sampling_mode=mode, seeds=[0],
+    return dict(env="pendulum", scheme=scheme, seeds=[0],
                 total_steps=1200, train_start_step=256, eval_period=200,
                 eval_episodes=1, buffer_capacity=2048, env_horizon=50,
                 checkpoint_period=1000, bias_eval_pairs=8, bias_eval_horizon=50,
@@ -98,18 +97,16 @@ def matrix(work: Path) -> dict[str, dict]:
     datasets are write_datasets' files in work."""
     configs = {}
     for scheme in SCHEME_CONFIGS:
-        for mode in ("proportional", "weighted"):
-            configs[f"chain-{scheme}-{mode}"] = _chain(scheme, mode)
-            configs[f"pendulum-{scheme}-{mode}"] = _pendulum(scheme, mode)
-    configs["grid-roer"] = {**_chain("roer", "proportional"), "env": "grid-3x3"}
-    configs["chain-300-roer"] = {**_chain("roer", "proportional"), "env": "chain-300",
+        configs[f"chain-{scheme}"] = _chain(scheme)
+        configs[f"pendulum-{scheme}"] = _pendulum(scheme)
+    configs["grid-roer"] = {**_chain("roer"), "env": "grid-3x3"}
+    configs["chain-300-roer"] = {**_chain("roer"), "env": "chain-300",
                                  "buffer_capacity": 1024}
     for name, file in (("chain-roer-offline", "offline.npz"),
                        ("chain-roer-offline-small", "offline-small.npz"),
                        ("chain-roer-offline-bad", "offline-bad.npz")):
-        configs[name] = {**_chain("roer", "proportional"),
-                         "offline_dataset": str(work / file)}
-    configs["pendulum-roer-full"] = {**_pendulum("roer", "proportional"),
+        configs[name] = {**_chain("roer"), "offline_dataset": str(work / file)}
+    configs["pendulum-roer-full"] = {**_pendulum("roer"),
                                      "total_steps": 320, "checkpoint_period": 288,
                                      "agent": dict(profile="full")}
     configs["pendulum-roer-full-workers"] = {**configs["pendulum-roer-full"],
@@ -216,9 +213,9 @@ def _config_yaml(path: Path) -> dict:
 
 def compare_dirs(a: Path, b: Path) -> list[str]:
     """Each difference between two run directories, as one line: a file in
-    one only, or one whose contents differ, with the differing keys of a
-    JSON file (timing.json is skipped, and config.yaml compared without
-    output_dir)."""
+    one only, or one whose contents differ, with the differing keys of
+    config.yaml or a JSON file (timing.json is skipped, and config.yaml
+    compared without output_dir)."""
     names = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     names |= {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     diffs = []
@@ -229,8 +226,9 @@ def compare_dirs(a: Path, b: Path) -> list[str]:
         if not (pa.exists() and pb.exists()):
             diffs.append(f"{rel}: only in {'this tree' if pa.exists() else 'the other'}")
         elif rel.name == "config.yaml":
-            if _config_yaml(pa) != _config_yaml(pb):
-                diffs.append(f"{rel}: differs")
+            keys = sorted(_keys(_config_yaml(pa), _config_yaml(pb)))
+            if keys:
+                diffs.append(f"{rel}: keys differ: {', '.join(keys)}")
         elif pa.read_bytes() != pb.read_bytes():
             if rel.suffix in (".json", ".jsonl"):
                 keys = ", ".join(_json_keys(pa, pb)) or "none, formatting only"
