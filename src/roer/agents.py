@@ -138,7 +138,7 @@ class SacConfig:
     batch_size: int = 64
     init_temperature: float = 1.0
     target_entropy: float | None = None  # None -> -action_dim
-    huber_k: float | None = 1.0          # None -> mean-square critic loss
+    huber_k: float = 1.0
     penalty_coef: float = 1.0
 
     def __post_init__(self):
@@ -154,8 +154,8 @@ class SacConfig:
              "positive and finite"),
             ("target_entropy", self.target_entropy is None
              or -math.inf < self.target_entropy < math.inf, "None or finite"),
-            ("huber_k", self.huber_k is None or self.huber_k > 0.0,
-             "None or positive"),
+            ("huber_k", self.huber_k is not None and 0.0 < self.huber_k < math.inf,
+             "positive and finite"),
             ("penalty_coef", 0.0 <= self.penalty_coef < math.inf, ">= 0 and finite"),
             ("hidden_dims", all(d >= 1 for d in self.hidden_dims), "all >= 1"),
         ))
@@ -575,8 +575,9 @@ class SacAgent:
         obs_dim, action_dim = int(meta[0]), int(meta[1])
         if min(obs_dim, action_dim) < 1:
             raise binio.FormatError(f"checkpoint meta {meta.tolist()} has a dim below 1")
-        # the file's own first layers must hold those dims before any net is built
-        width = config.hidden_dims[0]
+        # the file's own first layers must hold those dims before any net is
+        # built; with no hidden layer, each is the critic's or value net's one output
+        width = (*config.hidden_dims, 1)[0]
         binio.checked(arrays, "critic1.w0", (width, obs_dim + action_dim), np.float64)
         binio.checked(arrays, "value.w0", (width, obs_dim), np.float64)
         agent = cls(obs_dim, action_dim, config, seed=0)

@@ -106,12 +106,11 @@ def extreme_v_loss(residuals, beta: float, grad_clip: float,
     return LossOutput(value=value, grad=grad, clipped=int(np.add.reduce(clipped)))
 
 
-def weighted_huber_critic_loss(q_pred, target, weights, k: float | None = 1.0) -> LossOutput:
+def weighted_huber_critic_loss(q_pred, target, weights, k: float = 1.0) -> LossOutput:
     """mean(w_i * huber_k(target_i - q_pred_i)) with exact q_pred gradient.
 
-    huber_k(x) = 0.5 x^2 for |x| <= k, else k (|x| - 0.5 k). k=None selects
-    the plain mean-square form 0.5 x^2 (the k -> infinity limit).
-    """
+    huber_k(x) = 0.5 x^2 for |x| <= k, else k (|x| - 0.5 k). A k at or above
+    every |x| gives the mean-square loss's bits."""
     q = np.asarray(q_pred, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -119,13 +118,9 @@ def weighted_huber_critic_loss(q_pred, target, weights, k: float | None = 1.0) -
         raise InvalidInputError("q_pred/target/weights length mismatch")
     n = len(q)
     x = t - q
-    if k is None:
-        per = 0.5 * x * x
-        dper = x
-    else:
-        clipped = np.abs(x) > k
-        per = np.where(clipped, k * (np.abs(x) - 0.5 * k), 0.5 * x * x)
-        dper = np.where(clipped, k * np.sign(x), x)
+    clipped = np.abs(x) > k
+    per = np.where(clipped, k * (np.abs(x) - 0.5 * k), 0.5 * x * x)
+    dper = np.where(clipped, k * np.sign(x), x)
     value = float(np.add.reduce(w * per) / n)
     return LossOutput(value=value, grad=-w * dper / n)
 

@@ -3,31 +3,30 @@ import io
 import itertools
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from roer import agents, losses, nn
 from roer.agents import (
     SacAgent,
     SacConfig,
+    StepMetrics,
     TabularAgent,
     TabularConfig,
-    aux_obs_of,
 )
 from roer.binio import FormatError
 from roer.config import SAC_PROFILES
 from roer.replay import PriorityBuffer, SampledBatch
 from roer.schemes import ROER_DIVERGENCES, ConfigError, InvalidInputError, RoerConfig
-
-
-def rel_err(a, b):
-    a = np.asarray(a).ravel()
-    b = np.asarray(b).ravel()
-    return np.max(np.abs(a - b) / np.maximum(1e-6, np.abs(a) + np.abs(b)))
 
 
 def make_batch(rng, n=16, obs_dim=3, action_dim=1):
@@ -141,25 +140,6 @@ class TestActorGradient:
 
 
 class TestUpdate:
-    def test_deterministic_metrics(self):
-        rng = np.random.default_rng(7)
-        batch = make_batch(rng)
-        stream = io.BytesIO()
-        agent = fresh_agent(seed=8)
-        agent.save(stream)
-        stream.seek(0)
-        clone = SacAgent.load(stream, agent.config)
-        m1 = agent.update(batch, np.ones(len(batch)), np.random.default_rng(11),
-                          RoerConfig())
-        m2 = clone.update(batch, np.ones(len(batch)), np.random.default_rng(11),
-                          RoerConfig())
-        assert m1.critic_loss == m2.critic_loss
-        assert m1.actor_loss == m2.actor_loss
-        assert m1.value_loss == m2.value_loss
-        assert np.array_equal(m1.value_td_errors, m2.value_td_errors)
-        assert agent.critics == clone.critics and agent.targets == clone.targets
-        assert agent.actor == clone.actor
-
     def test_weight_doubling_doubles_critic_gradient(self):
         agent = fresh_agent(seed=9, penalty_coef=0.0)
         rng = np.random.default_rng(10)
@@ -191,30 +171,6 @@ class TestUpdate:
                                  v_curr, batch.terminals)
         assert np.array_equal(m.value_td_errors, expect)
 
-    def test_losses_finite_and_counters(self):
-        agent = fresh_agent(seed=14)
-        rng = np.random.default_rng(15)
-        for _ in range(10):
-            batch = make_batch(rng)
-            m = agent.update(batch, np.ones(len(batch)), rng, RoerConfig())
-            assert not m.aborted
-            for v in (m.critic_loss, m.value_loss, m.actor_loss, m.alpha_loss):
-                assert np.isfinite(v)
-        assert agent.aborted_updates == 0
-
-    def test_nonfinite_batch_aborts_and_rolls_back(self):
-        agent = fresh_agent(seed=16)
-        rng = np.random.default_rng(17)
-        batch = make_batch(rng)
-        batch.rewards[:] = np.inf  # poisons the critic target
-        before = tuple(c.copy() for c in agent.critics)
-        opt_steps = [o.step_count for o in agent.opt_q]
-        m = agent.update(batch, np.ones(len(batch)), rng, RoerConfig())
-        assert m.aborted
-        assert agent.aborted_updates == 1
-        assert agent.critics == before
-        assert [o.step_count for o in agent.opt_q] == opt_steps
-
     def test_caller_error_is_raised_not_counted(self):
         # 15 loss weights for 16 rows: the Huber loss's length check raises
         # before any optimizer steps, and no abort is counted
@@ -227,33 +183,6 @@ class TestUpdate:
         assert agent.aborted_updates == 0
         after = agent.checkpoint_arrays()
         assert all(after[k].tobytes() == v.tobytes() for k, v in before.items())
-
-    def test_abort_in_actor_phase_restores_everything(self, monkeypatch):
-        agent = fresh_agent(seed=22)
-        rng = np.random.default_rng(23)
-        for _ in range(3):  # nonzero moments, step counts and temperature state
-            agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        opts = (*agent.opt_q, agent.opt_value, agent.opt_actor, agent.opt_alpha)
-
-        def state():
-            arrays = agent.checkpoint_arrays()
-            arrays.pop("meta")  # holds the abort count
-            return ({k: v.tobytes() for k, v in arrays.items()},
-                    [o.step_count for o in opts[:4]])
-
-        before = state()
-        stepped = []
-
-        def fail(*args):
-            stepped.append([o.step_count for o in opts[:3]])
-            raise FloatingPointError("actor backward diverged")
-
-        monkeypatch.setattr(agent, "_actor_backward", fail)
-        m = agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        # both critics and the value net had stepped when the abort came
-        assert stepped == [[s + 1 for s in before[1][:3]]]
-        assert m.aborted and agent.aborted_updates == 1
-        assert state() == before
 
     def test_temperature_tracks_target_entropy(self):
         # start from a deliberately near-deterministic policy: entropy sits
@@ -315,125 +244,6 @@ class TestValueFixedPoint:
         assert np.max(np.abs(v - expect)) <= 1e-8
 
 
-class TestInPlaceRollback:
-    @staticmethod
-    def poison(mp, agent, phase, reached):
-        """Make one loss of the given phase NaN; when the abort rolls back,
-        record the step counts of the critic and value optimizers in
-        `reached`."""
-        opts = (*agent.opt_q, agent.opt_value)
-        calls = []
-        restore = agent._restore
-
-        def recording_restore(*args):
-            reached.append([o.step_count for o in opts])
-            return restore(*args)
-
-        mp.setattr(agent, "_restore", recording_restore)
-
-        def nan_on(call):
-            def wrapped(*args, **kwargs):
-                out = real(*args, **kwargs)
-                calls.append(1)
-                if len(calls) == call:
-                    out.value = math.nan
-                return out
-            return wrapped
-
-        # the critic pair may run on two threads, in no fixed call order:
-        # the poisons pick a critic by its params
-        def nan_penalty_of(critic):
-            def wrapped(params, *args, **kwargs):
-                out = real(params, *args, **kwargs)
-                if params is agent.critics[critic]:
-                    out.value = math.nan
-                return out
-            return wrapped
-
-        def nan_q_of_second(params, x):
-            # the loss makes no check of its own: a NaN critic output gives
-            # a NaN loss, which the phase's finite check catches
-            q, cache = real(params, x)
-            if params is agent.critics[1] and not calls:  # its critic-step pass
-                calls.append(1)
-                q = np.full_like(q, math.nan)
-            return q, cache
-
-        def nan_obs_half(*args, **kwargs):
-            # the one draw covers (next_obs, obs); a NaN log-density in its
-            # obs half reaches only the actor loss
-            act, logp, aux = real(*args, **kwargs)
-            logp = logp.copy()
-            logp[len(logp) // 2:] = math.nan
-            return act, logp, aux
-
-        if phase in ("critic", "first_critic"):  # one critic's loss
-            real = losses.gradient_penalty
-            mp.setattr(losses, "gradient_penalty", nan_penalty_of(
-                1 if phase == "critic" else 0))
-        elif phase == "critic_output":  # the second critic's predictions
-            real = agent._scalar
-            mp.setattr(agent, "_scalar", nan_q_of_second)
-        elif phase == "value":
-            real = losses.extreme_v_loss
-            mp.setattr(losses, "extreme_v_loss", nan_on(1))
-        else:  # the actor's half of the draw poisons its loss
-            real = agent._sample
-            mp.setattr(agent, "_sample", nan_obs_half)
-
-    @pytest.mark.parametrize("phase, stepped", [
-        ("critic", [1, 0, 0]), ("critic_output", [1, 0, 0]), ("value", [1, 1, 0]),
-        ("actor", [1, 1, 1])])
-    def test_abort_restores_in_place_and_matches_a_twin(self, monkeypatch,
-                                                       phase, stepped):
-        agent, twin = fresh_agent(seed=30), fresh_agent(seed=30)
-        rng = np.random.default_rng(31)
-        for i in range(3):  # nonzero moments and step counts on both
-            batch = make_batch(rng)
-            update_with(agent, batch, 100 + i)
-            update_with(twin, batch, 100 + i)
-        nets = (*agent.critics, *agent.targets, agent.actor, agent.value)
-        opts = (*agent.opt_q, agent.opt_actor, agent.opt_value)
-        moments = [(o.m, o.v) for o in opts]
-        counts = [o.step_count for o in (*agent.opt_q, agent.opt_value)]
-        before = state_bytes(agent)
-        reached = []
-        with monkeypatch.context() as mp:
-            self.poison(mp, agent, phase, reached)
-            m = update_with(agent, make_batch(rng), 200)
-        assert reached == [[c + s for c, s in zip(counts, stepped)]]
-        assert m.aborted and agent.aborted_updates == 1
-        assert state_bytes(agent) == before
-        # the same objects, with every layer still a view of its flat vector
-        assert all(a is b for a, b in zip(
-            (*agent.critics, *agent.targets, agent.actor, agent.value), nets))
-        assert all(a is b for a, b in zip((*agent.opt_q, agent.opt_actor,
-                                           agent.opt_value), opts))
-        assert all(o.m is m0 and o.v is v0 for o, (m0, v0) in zip(opts, moments))
-        for p in [*nets, *(s for pair in moments for s in pair)]:
-            assert all(np.shares_memory(a, p.flat) for a in (*p.weights, *p.biases))
-        batch = make_batch(rng)
-        assert metrics_bytes(update_with(agent, batch, 300)) == \
-            metrics_bytes(update_with(twin, batch, 300))
-        assert state_bytes(agent) == state_bytes(twin)
-
-    @pytest.mark.parametrize("phase", [None, "critic", "critic_output", "value",
-                                       "actor"])
-    def test_every_update_takes_one_stacked_draw(self, monkeypatch, phase):
-        """An update takes one (2n, A) normal draw from a shared generator,
-        whether it completes or aborts, and whichever phase aborts it."""
-        agent = fresh_agent(seed=32)
-        batch = make_batch(np.random.default_rng(33))
-        rng, twin = np.random.default_rng(34), np.random.default_rng(34)
-        with monkeypatch.context() as mp:
-            if phase is not None:
-                self.poison(mp, agent, phase, [])
-            m = agent.update(batch, np.ones(len(batch)), rng, RoerConfig())
-        assert m.aborted == (phase is not None)
-        twin.standard_normal((2 * len(batch), agent.action_dim))
-        assert rng.bit_generator.state == twin.bit_generator.state
-
-
 def force_pair_threads(mp):
     """Run every twin pair of the agents built from here on on two threads,
     whatever their size and the CPUs at hand."""
@@ -441,9 +251,112 @@ def force_pair_threads(mp):
     mp.setattr(agents, "PAIR_THREAD_CPUS", 1)
 
 
-class TestThreadedRollback(TestInPlaceRollback):
-    """TestInPlaceRollback's cases with the pairs on two threads: a NaN in
-    the helper's half (critic 2) aborts the step as it does serially."""
+# the five phases of an update that step an optimizer, in the serial order
+PHASES = ("critic1", "critic2", "value", "actor", "alpha")
+# each fault that poison() injects, and the phase whose check it trips
+FAULTS = {"penalty1": "critic1", "penalty2": "critic2", "output2": "critic2",
+          "value_loss": "value", "actor_draw": "actor",
+          **{f"{phase}_step": phase for phase in PHASES}}
+
+
+def optimizers(agent):
+    """An agent's five optimizers, in PHASES order."""
+    return (*agent.opt_q, agent.opt_value, agent.opt_actor, agent.opt_alpha)
+
+
+def poison(mp, targets, fault):
+    """Through mp, inject one of FAULTS into the next update of each agent in
+    targets; returns a list that gains an entry each time the fault fires.
+    The patches sit on classes and modules and pick their agents' objects
+    by identity (the critic pair may run on two threads, in no fixed
+    order), so none holds an agent once mp undoes it."""
+    fired, phase = [], FAULTS[fault]
+    if fault.endswith("_step"):
+        opts = [optimizers(a)[PHASES.index(phase)] for a in targets]
+        owner = nn.ScalarAdam if phase == "alpha" else nn.AdamState
+        real = owner.step
+
+        def step(self, value, grad):
+            if any(self is o for o in opts):
+                fired.append(fault)
+                if isinstance(grad, nn.ParameterSet):
+                    grad = grad.copy()
+                    grad.flat[-1] = math.nan
+                else:
+                    grad = math.inf
+            return real(self, value, grad)
+
+        mp.setattr(owner, "step", step)
+    elif fault.startswith("penalty"):
+        critics = [a.critics[PHASES.index(phase)] for a in targets]
+        real = losses.gradient_penalty
+
+        def penalty(params, *args, **kwargs):
+            out = real(params, *args, **kwargs)
+            if any(params is c for c in critics):
+                fired.append(fault)
+                out.value = math.nan
+            return out
+
+        mp.setattr(losses, "gradient_penalty", penalty)
+    elif fault == "output2":
+        # the second critic's first pass of the update is its critic step's;
+        # the loss makes no check of its own: a NaN output gives a NaN loss,
+        # which the phase's finite check catches
+        critics = [a.critics[1] for a in targets]
+        real = SacAgent._scalar
+
+        def scalar(self, params, x):
+            q, cache = real(self, params, x)
+            if any(params is c for c in critics) and not any(params is p for p in fired):
+                fired.append(params)
+                q = np.full_like(q, math.nan)
+            return q, cache
+
+        mp.setattr(SacAgent, "_scalar", scalar)
+    elif fault == "value_loss":
+        real = losses.extreme_v_loss
+
+        def value_loss(*args, **kwargs):
+            out = real(*args, **kwargs)
+            fired.append(fault)
+            out.value = math.nan
+            return out
+
+        mp.setattr(losses, "extreme_v_loss", value_loss)
+    else:
+        # the one draw covers (next_obs, obs); a NaN log-density in its obs
+        # half reaches only the actor loss
+        real = SacAgent._sample
+
+        def sample(self, obs, rng):
+            act, logp, aux = real(self, obs, rng)
+            if any(self is a for a in targets):
+                fired.append(fault)
+                logp = logp.copy()
+                logp[len(logp) // 2:] = math.nan
+            return act, logp, aux
+
+        mp.setattr(SacAgent, "_sample", sample)
+    return fired
+
+
+def on_restore(mp, agent, record):
+    """Through mp, call record() as agent's rollback begins."""
+    restore = SacAgent._restore
+
+    def recording(self):
+        if self is agent:
+            record()
+        restore(self)
+
+    mp.setattr(SacAgent, "_restore", recording)
+
+
+class TestThreadedRollback:
+    """An abort with the pairs on two threads, with the two lanes forced into
+    one order: the rollback starts only after the other lane's step, and
+    undoes it."""
 
     @pytest.fixture(autouse=True)
     def threaded(self, monkeypatch):
@@ -451,46 +364,35 @@ class TestThreadedRollback(TestInPlaceRollback):
         assert fresh_agent().pair_threads
 
     def test_first_critic_abort_waits_for_the_second(self, monkeypatch):
-        # critic 1 fails on this thread while critic 2 steps on the helper:
-        # the rollback starts only after that step, and undoes it
+        # critic 1 fails on this thread while critic 2 steps on the helper
         agent, twin = fresh_agent(seed=33), fresh_agent(seed=33)
         before = state_bytes(agent)
         second = agent.critics[1].flat.tobytes()
-        reached, second_moved = [], []
+        reached = []
         with monkeypatch.context() as mp:
-            self.poison(mp, agent, "first_critic", reached)
-            restore = agent._restore
-
-            def recording_restore(*args):
-                second_moved.append(agent.critics[1].flat.tobytes() != second)
-                return restore(*args)
-
-            mp.setattr(agent, "_restore", recording_restore)
+            poison(mp, [agent], "penalty1")
+            on_restore(mp, agent, lambda: reached.append((
+                [o.step_count for o in optimizers(agent)[:3]],
+                agent.critics[1].flat.tobytes() != second)))
             m = update_with(agent, make_batch(np.random.default_rng(34)), 35)
         # critic 2 had stepped, network and Adam state, when the rollback began
-        assert reached == [[0, 1, 0]] and second_moved == [True]
+        assert reached == [([0, 1, 0], True)]
         assert m.aborted and state_bytes(agent) == before
         batch = make_batch(np.random.default_rng(36))
         assert metrics_bytes(update_with(agent, batch, 37)) == \
             metrics_bytes(update_with(twin, batch, 37))
 
     def test_value_abort_undoes_the_actor_step_beside_it(self, monkeypatch):
-        # the value loss fails on this thread while the actor steps on the
-        # helper: the rollback starts only after that step, and undoes it
+        # the value loss fails on this thread while the actor steps on the helper
         agent, twin = fresh_agent(seed=38), fresh_agent(seed=38)
         before = state_bytes(agent)
-        reached, actor_reached = [], []
+        reached = []
         with monkeypatch.context() as mp:
-            self.poison(mp, agent, "value", reached)
-            restore = agent._restore
-
-            def recording_restore(*args):
-                actor_reached.append(agent.opt_actor.step_count)
-                return restore(*args)
-
-            mp.setattr(agent, "_restore", recording_restore)
+            poison(mp, [agent], "value_loss")
+            on_restore(mp, agent, lambda: reached.append(
+                [o.step_count for o in optimizers(agent)[:4]]))
             m = update_with(agent, make_batch(np.random.default_rng(39)), 40)
-        assert reached == [[1, 1, 0]] and actor_reached == [1]
+        assert reached == [[1, 1, 0, 1]]
         assert m.aborted and agent.aborted_updates == 1
         assert state_bytes(agent) == before
         assert agent.opt_actor.step_count == 0
@@ -501,22 +403,22 @@ class TestThreadedRollback(TestInPlaceRollback):
 
     def test_actor_abort_waits_for_the_value_step(self, monkeypatch):
         # the actor's loss turns NaN on the helper while the value network
-        # steps on this thread, held back until the loss has failed: the
-        # rollback starts only after that step, and undoes it
+        # steps on this thread, held back until the loss has failed
         agent, twin = fresh_agent(seed=43), fresh_agent(seed=43)
         rng = np.random.default_rng(44)
         for i in range(3):  # nonzero moments and step counts on both
             batch = make_batch(rng)
             update_with(agent, batch, 45 + i)
             update_with(twin, batch, 45 + i)
-        opts = (*agent.opt_q, agent.opt_actor, agent.opt_value, agent.opt_alpha)
-        before = state_bytes(agent), [o.step_count for o in opts]
+        before = state_bytes(agent), [o.step_count for o in optimizers(agent)]
         value = agent.value.flat.tobytes()
-        failed, reached, value_moved = threading.Event(), [], []
+        failed, reached = threading.Event(), []
         with monkeypatch.context() as mp:
-            self.poison(mp, agent, "actor", reached)
-            actor_step, value_step, restore = (agent._actor_step, agent.opt_value.step,
-                                               agent._restore)
+            poison(mp, [agent], "actor_draw")
+            on_restore(mp, agent, lambda: reached.append((
+                [o.step_count for o in optimizers(agent)[:3]],
+                agent.value.flat.tobytes() != value)))
+            actor_step, value_step = agent._actor_step, agent.opt_value.step
 
             def failing_actor_step(*args):
                 try:
@@ -529,102 +431,20 @@ class TestThreadedRollback(TestInPlaceRollback):
                 assert failed.wait(timeout=10)
                 return value_step(*args)
 
-            def recording_restore(*args):
-                value_moved.append(agent.value.flat.tobytes() != value)
-                return restore(*args)
-
             mp.setattr(agent, "_actor_step", failing_actor_step)
             mp.setattr(agent.opt_value, "step", late_value_step)
-            mp.setattr(agent, "_restore", recording_restore)
             m = update_with(agent, make_batch(rng), 48)
         # both critics and the value network had stepped when the rollback began
-        assert reached == [[4, 4, 4]] and value_moved == [True]
+        assert reached == [([4, 4, 4], True)]
         assert m.aborted and agent.aborted_updates == 1
-        assert (state_bytes(agent), [o.step_count for o in opts]) == before
+        assert (state_bytes(agent), [o.step_count for o in optimizers(agent)]) == before
         batch = make_batch(rng)
         assert metrics_bytes(update_with(agent, batch, 49)) == \
             metrics_bytes(update_with(twin, batch, 49))
         assert state_bytes(agent) == state_bytes(twin)
 
 
-class TestNonFiniteGradient:
-    """A non-finite gradient with a finite loss, in any of the four networks'
-    Adam steps or the temperature's, aborts the whole update: the step
-    raises before it changes anything, and the rollback restores every
-    online array, Adam moment, step count and log_alpha byte for byte."""
-
-    @pytest.mark.parametrize("threaded", [False, True])
-    @pytest.mark.parametrize("net", ["critic1", "critic2", "value", "actor", "alpha"])
-    def test_aborts_and_restores_everything(self, monkeypatch, net, threaded):
-        if threaded:
-            force_pair_threads(monkeypatch)
-        agent, twin = fresh_agent(seed=70), fresh_agent(seed=70)
-        assert agent.pair_threads == threaded
-        rng = np.random.default_rng(71)
-        for i in range(3):  # nonzero moments, step counts and temperature state
-            batch = make_batch(rng)
-            update_with(agent, batch, 72 + i)
-            update_with(twin, batch, 72 + i)
-        opts = (*agent.opt_q, agent.opt_actor, agent.opt_value, agent.opt_alpha)
-        before = state_bytes(agent), [o.step_count for o in opts], agent.log_alpha
-        critic = {"critic1": 0, "critic2": 1}.get(net)
-        opt = agent.opt_q[critic] if critic is not None else getattr(agent, f"opt_{net}")
-        real, raised = opt.step, []
-
-        def poisoned(value, grad):
-            if isinstance(grad, nn.ParameterSet):
-                grad = grad.copy()
-                grad.flat[-1] = math.nan
-            else:
-                grad = math.inf
-            try:
-                return real(value, grad)
-            except FloatingPointError:
-                raised.append(net)
-                raise
-
-        monkeypatch.setattr(opt, "step", poisoned)
-        m = update_with(agent, make_batch(rng), 80)
-        monkeypatch.undo()
-        assert raised == [net]
-        assert m.aborted and agent.aborted_updates == 1
-        assert math.isnan(m.critic_loss)  # fresh metrics, nothing of the step
-        assert (state_bytes(agent), [o.step_count for o in opts],
-                agent.log_alpha) == before
-        # the next update is the twin's, byte for byte
-        batch = make_batch(rng)
-        assert metrics_bytes(update_with(agent, batch, 81)) == \
-            metrics_bytes(update_with(twin, batch, 81))
-        assert state_bytes(agent) == state_bytes(twin)
-
-
 class TestPairThreads:
-    @pytest.mark.parametrize("hidden, n", [((8, 8), 16), ((64, 64), 64)])
-    def test_threaded_agent_matches_the_serial_one(self, monkeypatch, hidden, n):
-        def agent():
-            config = SacConfig(hidden_dims=hidden, batch_size=n)
-            return SacAgent(3, 1, config, seed=50)
-
-        serial = agent()
-        force_pair_threads(monkeypatch)
-        threaded = agent()
-        assert threaded.pair_threads and not serial.pair_threads
-        rng = np.random.default_rng(51)
-        for i in range(6):
-            batch = make_batch(rng, n=n)
-            roer = RoerConfig() if i % 3 else None
-            # the value lane's loss under both ROER divergences
-            div = ROER_DIVERGENCES["roer_chi2" if i % 3 == 2 else "roer"]
-            assert metrics_bytes(update_with(serial, batch, 60 + i, roer, div)) == \
-                metrics_bytes(update_with(threaded, batch, 60 + i, roer, div))
-            assert serial.td_surrogates(batch, np.random.default_rng(i)).tobytes() == \
-                threaded.td_surrogates(batch, np.random.default_rng(i)).tobytes()
-            x = np.concatenate([batch.states, batch.actions], axis=1)
-            assert serial.min_q(x).tobytes() == threaded.min_q(x).tobytes()
-        assert state_bytes(serial) == state_bytes(threaded)
-        assert serial.checkpoint_arrays()["meta"].tobytes() == \
-            threaded.checkpoint_arrays()["meta"].tobytes()
-
     def test_both_halves_finish_before_the_first_error(self):
         done, go = [], threading.Event()
 
@@ -703,6 +523,19 @@ class TestPairThreads:
         assert not starts[0].is_alive() and threading.active_count() == count
         assert os.sched_getaffinity(0) == cpus
 
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_importing_roer_pins_blas_to_one_thread(self, preset):
+        # the pair helper beside BLAS threads of its own oversubscribes the CPUs
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(agents.__file__))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = f"import os, roer; print(*(os.environ[k] for k in {names}))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == [preset or "1", "1", "1"]
+
     @pytest.mark.parametrize("profile", ["test", "full"])
     def test_only_blas_bound_pairs_take_two_threads(self, profile):
         agent = SacAgent(3, 1, SacConfig(**SAC_PROFILES[profile]), seed=0)
@@ -770,30 +603,6 @@ class TestForwardPasses:
         # target pair and the stepped value network also run once over two
         # stacked batches each
         assert rows.count(2 * len(batch)) == stacked
-
-
-class TestCheckpoint:
-    def test_round_trip_arrays_equal(self):
-        agent = fresh_agent(seed=20)
-        rng = np.random.default_rng(21)
-        for _ in range(3):
-            agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        stream = io.BytesIO()
-        agent.save(stream)
-        stream.seek(0)
-        clone = SacAgent.load(stream, agent.config)
-        a1 = agent.checkpoint_arrays()
-        a2 = clone.checkpoint_arrays()
-        assert set(a1) == set(a2)
-        for k in a1:
-            assert np.array_equal(a1[k], a2[k]), k
-        # loading writes through the per-layer views into each flat vector
-        sets = [*clone.critics, *clone.targets, clone.actor, clone.value]
-        for opt in (*clone.opt_q, clone.opt_actor, clone.opt_value):
-            sets += [opt.m, opt.v]
-        for params in sets:
-            for _, arr in params.arrays():
-                assert np.shares_memory(arr, params.flat)
 
 
 class TestCheckpointMismatch:
@@ -927,36 +736,26 @@ def rollback_sets(agent):
               for s in (o.m, o.v))]
 
 
+def check_packed(agent):
+    """One vector, _state, holds every rollback set, each layer array a view
+    into it, with the critic pair at its head; the targets and the snapshot
+    lie outside it, each target's layers views into its own flat vector."""
+    state = agent._state
+    sets = rollback_sets(agent)
+    assert sum(p.flat.size for p in sets) == state.size
+    for p in sets:
+        assert np.shares_memory(p.flat, state)
+        assert all(np.shares_memory(arr, state) for _, arr in p.arrays())
+    first, second = (c.flat for c in agent.critics)
+    assert first.ctypes.data == state.ctypes.data
+    assert second.ctypes.data == first.ctypes.data + first.nbytes
+    for target in agent.targets:
+        assert not np.shares_memory(target.flat, state)
+        assert all(np.shares_memory(arr, target.flat) for _, arr in target.arrays())
+    assert not np.shares_memory(agent._saved, state)
+
+
 class TestPackedState:
-    @staticmethod
-    def check_packed(agent):
-        state = agent._state
-        sets = rollback_sets(agent)
-        assert sum(p.flat.size for p in sets) == state.size
-        for p in sets:
-            assert np.shares_memory(p.flat, state)
-            assert all(np.shares_memory(arr, state) for _, arr in p.arrays())
-        # the critic pair lies side by side at the head of the vector
-        first, second = (c.flat for c in agent.critics)
-        assert first.ctypes.data == state.ctypes.data
-        assert second.ctypes.data == first.ctypes.data + first.nbytes
-        assert not any(np.shares_memory(t.flat, state) for t in agent.targets)
-        assert not np.shares_memory(agent._saved, state)
-
-    def test_one_rollback_vector_after_init_and_load(self):
-        agent = fresh_agent(seed=50)
-        self.check_packed(agent)
-        rng = np.random.default_rng(51)
-        for _ in range(3):
-            agent.update(make_batch(rng), np.ones(16), rng, RoerConfig())
-        self.check_packed(agent)
-        stream = io.BytesIO()
-        agent.save(stream)
-        stream.seek(0)
-        clone = SacAgent.load(stream, agent.config)
-        self.check_packed(clone)
-        assert state_bytes(clone) == state_bytes(agent)
-
     def test_pair_polyak_equals_one_step_per_target(self):
         agent = fresh_agent(seed=52)
         rng = np.random.default_rng(53)
@@ -966,6 +765,194 @@ class TestPackedState:
         for ref, online, target in zip(refs, agent.critics, agent.targets):
             nn.polyak(ref, online, agent.config.polyak_tau)
             assert ref.flat.tobytes() == target.flat.tobytes()
+
+
+def held_objects(agent):
+    """Every ParameterSet and optimizer an agent holds."""
+    return (*rollback_sets(agent), *agent.targets, *optimizers(agent))
+
+
+def helper_threads():
+    return {t for t in threading.enumerate() if t.name == "roer-pair-helper"}
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+SCHEMES = st.sampled_from(("roer", "roer_chi2", None))
+
+
+@settings(max_examples=40, stateful_step_count=12, deadline=None)
+class AgentMachine(RuleBasedStateMachine):
+    """Any sequence of updates (clean, on a batch with one non-finite or
+    huge entry, or with a fault in one phase), probes and checkpoint round
+    trips on three SacAgents built from one seed: serial, the reference;
+    threaded, whose pairs run on its helper thread; and mirror, which
+    save_and_load replaces by its reloaded checkpoint. Each step gives the
+    three the same batch, weights and generator state. After every step
+    they agree byte for byte, and an abort has restored the state from
+    before it. Nets without hidden layers, of one, two and 64-wide layers,
+    batches of 1, 8 and 64 rows, and two (obs, action) shapes."""
+
+    @initialize(hidden=st.sampled_from(((), (8,), (8, 8), (64, 64))),
+                n=st.sampled_from((1, 8, 64)), dims=st.sampled_from(((3, 1), (2, 2))),
+                seed=SEEDS)
+    def start(self, hidden, n, dims, seed):
+        self.n, self.dims = n, dims
+        self.config = SacConfig(hidden_dims=hidden, batch_size=n)
+        self.threads = helper_threads()
+        # serial, threaded and mirror
+        self.agents = [SacAgent(*dims, self.config, seed=seed) for _ in range(3)]
+        assert not any(a.pair_threads for a in self.agents)
+        self.agents[1].pair_threads = True
+        self.held = [held_objects(a) for a in self.agents]
+        self.aborts, self.last, self.outputs = 0, None, []
+        self.paired, self.helper, self.started = False, None, set()
+
+    def teardown(self):
+        self.agents = None
+        if sys.exc_info()[1] is None:  # a failed step's traceback holds its agents
+            assert not any(t.is_alive() for t in self.started)
+
+    def batch(self, seed, ones):
+        """A batch of the run's size and dims, and its loss weights: ones,
+        or drawn from [0.5, 2]."""
+        rng = np.random.default_rng(seed)
+        batch = make_batch(rng, self.n, *self.dims)
+        return batch, np.ones(self.n) if ones else rng.uniform(0.5, 2.0, self.n)
+
+    def run_update(self, seed, scheme, batch, weights):
+        """One update of each agent on batch and weights, under a ROER
+        scheme or none, with a fresh generator from seed; returns whether
+        it aborted."""
+        roer = None if scheme is None else RoerConfig()
+        before, rngs, metrics = state_bytes(self.agents[0]), [], []
+        for agent in self.agents:
+            rngs.append(np.random.default_rng(seed))
+            metrics.append(agent.update(batch, weights, rngs[-1], roer,
+                                        ROER_DIVERGENCES[scheme or "roer"]))
+        twin = np.random.default_rng(seed)
+        twin.standard_normal((2 * self.n, self.dims[1]))
+        self.last = before, metrics[0], roer, rngs, twin
+        self.outputs = [metrics_bytes(m) for m in metrics]
+        self.aborts += metrics[0].aborted
+        self.paired = True
+        return metrics[0].aborted
+
+    @rule(seed=SEEDS, scheme=SCHEMES, ones=st.booleans())
+    def update(self, seed, scheme, ones):
+        assert not self.run_update(seed, scheme, *self.batch(seed, ones))
+
+    @rule(seed=SEEDS, scheme=SCHEMES, ones=st.booleans(),
+          field=st.sampled_from(("rewards", "states", "next_states", "actions", "weights")),
+          value=st.sampled_from((math.nan, math.inf, -math.inf, 1e300, -1e300)),
+          data=st.data())
+    def poisoned_update(self, seed, scheme, ones, field, value, data):
+        """One entry of the batch or the weights set to NaN or +-inf, which
+        aborts, or to +-1e300, which overflows inside the update under its
+        errstate. Under the KL scheme or none that update completes; under
+        roer_chi2 a huge negative value residual squares to an infinite
+        value loss, which aborts."""
+        batch, weights = self.batch(seed, ones)
+        column = weights if field == "weights" else getattr(batch, field)
+        column.flat[data.draw(st.integers(0, column.size - 1))] = value
+        aborted = self.run_update(seed, scheme, batch, weights)
+        if not math.isfinite(value):
+            assert aborted
+        elif scheme != "roer_chi2":
+            assert not aborted
+
+    @rule(seed=SEEDS, scheme=SCHEMES, ones=st.booleans(), fault=st.sampled_from(sorted(FAULTS)))
+    def phase_fault(self, seed, scheme, ones, fault):
+        """One of FAULTS aborts the update in its phase (the value phase runs
+        only under a ROER scheme, so its faults never fire without one); on
+        serial, the optimizers that had stepped when the rollback began are
+        those of the phases before it, each once."""
+        serial = self.agents[0]
+        counts, reached = [o.step_count for o in optimizers(serial)], []
+        with pytest.MonkeyPatch.context() as mp:
+            fired = poison(mp, self.agents, fault)
+            on_restore(mp, serial, lambda: reached.append(
+                [o.step_count for o in optimizers(serial)]))
+            aborted = self.run_update(seed, scheme, *self.batch(seed, ones))
+        phases = [p for p in PHASES if scheme is not None or p != "value"]
+        if FAULTS[fault] not in phases:
+            assert not (aborted or fired or reached)
+            return
+        stepped = phases[:phases.index(FAULTS[fault])]
+        assert aborted and len(fired) == len(self.agents)
+        assert reached == [[c + (p in stepped) for p, c in zip(PHASES, counts)]]
+
+    @rule(seed=SEEDS)
+    def probe(self, seed):
+        batch, _ = self.batch(seed, True)
+        x = np.concatenate([batch.states, batch.actions], axis=1)
+        self.outputs = [[a.td_surrogates(batch, np.random.default_rng(seed)).tobytes(),
+                         a.min_q(x).tobytes()] for a in self.agents]
+        self.paired = True
+
+    @rule()
+    def save_and_load(self):
+        stream = io.BytesIO()
+        self.agents[2].save(stream)
+        stream.seek(0)
+        self.agents[2] = SacAgent.load(stream, self.config)
+        self.held[2] = held_objects(self.agents[2])
+
+    @invariant()
+    def agents_agree(self):
+        """Every checkpointed array, the abort count among them, and the
+        last step's metrics or probe outputs, byte for byte; the abort count
+        is the model's."""
+        want = self.agents[0].checkpoint_arrays()
+        for agent in self.agents[1:]:
+            got = agent.checkpoint_arrays()
+            assert list(got) == list(want)
+            for key, arr in want.items():
+                assert got[key].tobytes() == arr.tobytes(), key
+        assert all(out == self.outputs[0] for out in self.outputs)
+        assert [a.aborted_updates for a in self.agents] == [self.aborts] * 3
+
+    @invariant()
+    def last_update_took_one_draw_and_an_abort_undid_it(self):
+        """The last update took one (2n, A) normal draw from each generator.
+        If it aborted, every checkpointed array and step count is as it was
+        before it, and its metrics are fresh; if not, its losses are
+        finite (the value loss only under a ROER scheme)."""
+        if self.last is None:
+            return
+        before, metrics, roer, rngs, twin = self.last
+        assert all(rng.bit_generator.state == twin.bit_generator.state for rng in rngs)
+        if metrics.aborted:
+            assert state_bytes(self.agents[0]) == before
+            assert metrics_bytes(metrics) == metrics_bytes(StepMetrics(aborted=True))
+        else:
+            assert all(map(math.isfinite, (metrics.critic_loss, metrics.actor_loss,
+                                           metrics.alpha_loss)))
+            assert math.isfinite(metrics.value_loss) == (roer is not None)
+
+    @invariant()
+    def packed_in_place(self):
+        """check_packed holds on each agent, and no agent has rebound a
+        ParameterSet or optimizer since it was built or loaded."""
+        for agent, held in zip(self.agents, self.held):
+            check_packed(agent)
+            assert all(a is b for a, b in zip(held_objects(agent), held))
+
+    @invariant()
+    def one_helper_thread(self):
+        """threaded makes its helper at its first pair and keeps it; the
+        helper's one thread lives as long as the agent."""
+        helper = self.agents[1]._helper
+        if not self.paired:
+            assert helper is None
+            return
+        if self.helper is None:
+            self.helper = weakref.ref(helper)
+            self.started = helper_threads() - self.threads
+            assert len(self.started) == 1
+        assert helper is self.helper() and all(t.is_alive() for t in self.started)
+
+
+TestAgentMachine = AgentMachine.TestCase
 
 
 class TestTabularAgent:
@@ -1093,7 +1080,7 @@ class TestConfigChecks:
         ("init_temperature", -1.0), ("init_temperature", 0.0),
         ("init_temperature", math.nan), ("init_temperature", math.inf),
         ("target_entropy", math.nan), ("target_entropy", -math.inf),
-        ("huber_k", math.nan),
+        ("huber_k", math.nan), ("huber_k", None), ("huber_k", math.inf),
     ])
     def test_sac_rejects(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -1102,4 +1089,4 @@ class TestConfigChecks:
     def test_edges_accepted(self):
         TabularConfig(epsilon=0.0)
         TabularConfig(epsilon=1.0)
-        SacConfig(polyak_tau=1.0, penalty_coef=0.0, huber_k=None)
+        SacConfig(polyak_tau=1.0, penalty_coef=0.0)

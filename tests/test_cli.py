@@ -142,6 +142,11 @@ class TestTrainCommand:
          "sweep.grid['offline_dataset'] gives two cells one name"),
         # a removed key, which every config.yaml of an earlier version holds
         (dict(sampling_mode="proportional"), "unknown config keys: ['sampling_mode']"),
+        # the removed mean-square mode, and its limit
+        (dict(env="pendulum", agent=dict(huber_k=None)),
+         "huber_k must be positive and finite, got None"),
+        (dict(env="pendulum", agent=dict(huber_k=float("inf"))),
+         "huber_k must be positive and finite, got inf"),
     ])
     def test_bad_value_exits_before_the_run(self, tmp_path, capsys,
                                             overrides, message):

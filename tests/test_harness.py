@@ -218,7 +218,7 @@ def file_configs(draw):
                 gamma=st.floats(0.5, 0.999, **_floats),
                 hidden_dims=st.lists(st.integers(1, 512), min_size=1, max_size=3),
                 target_entropy=st.none() | st.floats(-10.0, 10.0, **_floats),
-                huber_k=st.none() | st.floats(1e-3, 10.0, **_floats),
+                huber_k=st.floats(1e-3, 10.0, **_floats),
             )))),
         tabular=draw(st.fixed_dictionaries({}, optional=dict(
             epsilon=st.floats(0.0, 1.0, **_floats),

@@ -175,7 +175,8 @@ class TestWeightedHuber:
             assert abs(lo.value - hi.value) < 1e-8
             assert abs(lo.grad[0] - hi.grad[0]) < 1e-8
 
-    @pytest.mark.parametrize("k", [1.0, None])
+    # 1e12: above every finite residual here
+    @pytest.mark.parametrize("k", [1.0, pytest.param(1e12, id="1e12")])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_prediction_gives_nonfinite_loss(self, bad, k):
         # no check of its own: SacAgent.update's finite check on the loss
@@ -188,14 +189,15 @@ class TestWeightedHuber:
             weighted_huber_critic_loss([0.0, 1.0], [1.0], [1.0])
 
     def test_mse_mode_is_large_k_limit(self):
+        # a k above every |residual| gives the mean-square loss bit for bit
         rng = np.random.default_rng(6)
         q = rng.normal(size=8)
         t = rng.normal(size=8)
         w = rng.uniform(0.5, 2.0, size=8)
-        mse = weighted_huber_critic_loss(q, t, w, k=None)
+        x = t - q
         big = weighted_huber_critic_loss(q, t, w, k=1e12)
-        assert mse.value == pytest.approx(big.value, rel=1e-12)
-        assert np.allclose(mse.grad, big.grad)
+        assert big.value == float(np.add.reduce(w * (0.5 * x * x)) / 8)
+        assert big.grad.tobytes() == (-w * x / 8).tobytes()
 
 
 class TestGradientPenalty:
