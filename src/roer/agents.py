@@ -26,7 +26,8 @@ import numpy as np
 from . import binio, losses, nn
 from .divergences import DivergenceSpec
 from .replay import SampledBatch
-from .schemes import ROER_DIVERGENCES, RoerConfig, integer_rules, require
+from .schemes import (ROER_DIVERGENCES, RoerConfig, integer_rules, is_real,
+                      real_rules, require)
 
 LOG_STD_MIN = -10.0
 LOG_STD_MAX = 2.0
@@ -145,6 +146,11 @@ class SacConfig:
         require(self, (
             *integer_rules(self, "batch_size"),
             ("hidden_dims", all(type(d) is int for d in self.hidden_dims), "integers"),
+            *real_rules(self, "gamma", "polyak_tau", "learning_rate", "init_temperature",
+                        "huber_k", "penalty_coef"),
+            ("target_entropy", self.target_entropy is None or is_real(self.target_entropy)
+             and -math.inf < self.target_entropy < math.inf, "None or finite"),
+        ), lambda: (
             ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("polyak_tau", 0.0 < self.polyak_tau <= 1.0, "in (0, 1]"),
@@ -152,10 +158,7 @@ class SacConfig:
              "positive and finite"),
             ("init_temperature", 0.0 < self.init_temperature < math.inf,
              "positive and finite"),
-            ("target_entropy", self.target_entropy is None
-             or -math.inf < self.target_entropy < math.inf, "None or finite"),
-            ("huber_k", self.huber_k is not None and 0.0 < self.huber_k < math.inf,
-             "positive and finite"),
+            ("huber_k", 0.0 < self.huber_k < math.inf, "positive and finite"),
             ("penalty_coef", 0.0 <= self.penalty_coef < math.inf, ">= 0 and finite"),
             ("hidden_dims", all(d >= 1 for d in self.hidden_dims), "all >= 1"),
         ))
@@ -636,6 +639,8 @@ class TabularConfig:
     def __post_init__(self):
         require(self, (
             *integer_rules(self, "batch_size"),
+            *real_rules(self, "gamma", "epsilon", "learning_rate", "soft_temperature"),
+        ), lambda: (
             ("gamma", 0.0 < self.gamma < 1.0, "in (0, 1)"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("epsilon", 0.0 <= self.epsilon <= 1.0, "in [0, 1]"),

@@ -115,10 +115,11 @@ def cmd_replay_inspect(args) -> int:
           f"min {pri.min():.6g}  max {pri.max():.6g}  mean {pri.mean():.6g}")
     if buf.discrete:
         dist = buf.implied_distribution()
-        top = sorted(dist.items(), key=lambda kv: -kv[1])[: args.top]
+        # held cells by falling probability, ties in (state, action) order
+        top = sorted(zip(*dist.nonzero()), key=lambda cell: -dist[cell])[: args.top]
         print("implied distribution (top buckets):")
-        for (s, a), p in top:
-            print(f"  state {s} action {a}: {p:.4f}")
+        for s, a in top:
+            print(f"  state {s} action {a}: {dist[s, a]:.4f}")
     return EXIT_OK
 
 

@@ -115,15 +115,16 @@ class ExperimentConfig:
             raise ConfigError(f"scheme {self.scheme!r} needs scheme_config of "
                               f"type {cls and cls.__name__}")
         require(self, (
-            ("seeds", len(self.seeds) >= 1, "a non-empty list"),
-            ("seeds", all(type(s) is int and s >= 0 for s in self.seeds),
-             "integers >= 0"),
-            ("seeds", all(self.seeds.count(s) == 1 for s in self.seeds), "distinct"),
             *integer_rules(self, "total_steps", "train_start_step", "eval_period",
                            "eval_episodes", "buffer_capacity", "checkpoint_period",
                            "bias_eval_pairs", "bias_eval_horizon", "workers"),
             ("env_horizon", self.env_horizon is None or type(self.env_horizon) is int,
              "an integer or null"),
+        ), lambda: (
+            ("seeds", len(self.seeds) >= 1, "a non-empty list"),
+            ("seeds", all(type(s) is int and s >= 0 for s in self.seeds),
+             "integers >= 0"),
+            ("seeds", all(self.seeds.count(s) == 1 for s in self.seeds), "distinct"),
             ("train_start_step", self.train_start_step >= 0, ">= 0"),
             ("total_steps", self.total_steps > self.train_start_step,
              "more than train_start_step"),

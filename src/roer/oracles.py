@@ -210,20 +210,16 @@ def telescoping_check(mdp: TabularMdp, policy: np.ndarray, Q: np.ndarray) -> flo
     return abs(lhs - rhs)
 
 
-def kl_divergence_to_implied(d_target: OccupancyTable, implied: dict,
+def kl_divergence_to_implied(d_target: OccupancyTable, implied: np.ndarray,
                              eps: float = 1e-12) -> float:
-    """KL(d_target || implied) with an epsilon floor on the implied side so
-    unvisited pairs stay finite; comparisons must use the same eps."""
-    S, A = d_target.table.shape
-    out = 0.0
-    for s in range(S):
-        for a in range(A):
-            p = d_target.table[s, a]
-            if p <= 0.0:
-                continue
-            q = max(implied.get((s, a), 0.0), eps)
-            out += p * np.log(p / q)
-    return float(out)
+    """KL(d_target || implied) between two S x A tables, its terms added one
+    at a time in (state, action) order, with an epsilon floor on the implied
+    side so unvisited pairs stay finite; comparisons must use the same eps."""
+    p = d_target.table
+    if np.shape(implied) != p.shape:
+        raise ValueError(f"implied table has shape {np.shape(implied)}, expected {p.shape}")
+    held = p > 0.0
+    return float(sum(p[held] * np.log(p[held] / np.maximum(implied[held], eps)), 0.0))
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,8 @@ buffer's dims are its table's counts, which its indices stay below); a
 rejected one raises InvalidTransitionError (FormatError at load), but a
 priority that update_priorities rejects, a run's own value, FloatingPointError.
 A tabular buffer holds its indices in the narrowest unsigned dtype that
-holds count - 1, and hands them out and writes them as int64.
+holds count - 1, and hands them out and writes them as int64. Its implied
+distribution is an S x A table, which the byte ceiling counts.
 
 Every call on the per-step path (push, draw, priority rewrite) goes
 straight to the ufunc or C function it needs: np.minimum.reduce,
@@ -220,10 +221,10 @@ class PriorityBuffer:
     # the columns a transition brings: push's fields and SampledBatch's
     DATA = ("states", "actions", "rewards", "next_states", "terminals")
     # Ceiling on what one buffer allocates (its columns plus the sum tree's
-    # nodes and prefix): 4 GiB, room for 2^27 tabular or 2^25 pendulum
-    # slots. A 2^20-slot tabular buffer whose counts fit uint8 (20 bytes a
-    # slot, and about 8.6 in the tree) takes 28.6 MiB, and 2^27 such slots
-    # take 3.6 GiB.
+    # nodes and prefix), and implied_distribution's 16 bytes an S x A cell:
+    # 4 GiB, room for 2^27 tabular or 2^25 pendulum slots, or 2^28 cells.
+    # A 2^20-slot tabular buffer whose counts fit uint8 (20 bytes a slot,
+    # and about 8.6 in the tree) takes 28.6 MiB, and 2^27 such slots 3.6 GiB.
     MAX_BYTES = 1 << 32
     # slots a piece of implied_distribution's table pass covers
     PIECE_SLOTS = 1 << 13
@@ -241,12 +242,13 @@ class PriorityBuffer:
         for name, count in self._counts(state_dim, action_dim, discrete).items():
             # the narrowest unsigned dtype that holds count - 1; written as int64
             layout[name] = (np.min_scalar_type(count - 1), ())
-        # the columns, and the tree's nodes and prefix
+        # the columns, the tree's nodes and prefix, and the table pass
         nbytes = (capacity * sum(dtype.itemsize * math.prod(row)
                                  for dtype, row in layout.values())
-                  + SumTree.nbytes(capacity))
+                  + SumTree.nbytes(capacity) + 16 * state_dim * action_dim * discrete)
         if nbytes > self.MAX_BYTES:
-            raise ValueError(f"a buffer of {capacity} slots needs {nbytes} bytes, "
+            raise ValueError(f"a buffer of {capacity} slots and dims ({state_dim}, "
+                             f"{action_dim}) needs {nbytes} bytes, "
                              f"above the ceiling of {self.MAX_BYTES}")
         self.capacity = capacity
         self.state_dim = state_dim
@@ -367,20 +369,15 @@ class PriorityBuffer:
         self._check_values("priorities", vals, error=FloatingPointError)
         self.tree.set_many(idx, vals)
 
-    def implied_distribution(self) -> dict:
-        """Priority-weighted empirical distribution over the (state, action)
-        index pairs of a discrete buffer; values sum to 1 within 1e-12.
+    def implied_distribution(self) -> np.ndarray:
+        """Priority-weighted empirical distribution of a discrete buffer:
+        its (S, A) float64 table, whose held cells sum to 1 within 1e-12.
 
-        Keys are Python-int pairs in the order of their first slot. Each
-        bucket adds its priorities in slot order, and the total adds the
-        buckets in key order, exactly as a running per-slot sum would.
-
-        When the S x A table has at most as many cells as live slots, a
-        pair's offset s * A + a in it is its bucket: the slots go in pieces
-        of PIECE_SLOTS through one minimum.at and one add.at into the table,
-        so beyond the table the temporaries do not grow with the live size.
-        A larger table falls back to sorting the pairs into dense ranks and
-        one bincount.
+        The slots go in pieces of PIECE_SLOTS through one minimum.at (each
+        cell's first slot) and one add.at (its priorities, in slot order)
+        into the table, and the total adds the held cells in first-slot
+        order, exactly as a running per-slot sum would; a first slot and a
+        sum a cell (16 bytes) are all that grow beyond a piece.
         """
         if self.size == 0:
             raise EmptyBufferError("buffer is empty")
@@ -391,34 +388,18 @@ class PriorityBuffer:
         n, adim = self.size, self.action_dim
         states, actions = self.columns["states"][:n], self.columns["actions"][:n]
         leaves = self.tree.leaves(n)
-        cells = self.state_dim * adim  # Python ints
-        # add.at and bincount both add each bucket's priorities in slot order
-        if cells <= n:
-            first, sums = np.full(cells, n), np.zeros(cells)
-            for lo in range(0, n, self.PIECE_SLOTS):
-                hi = min(lo + self.PIECE_SLOTS, n)
-                # int64 first: a narrow dtype times adim stays narrow
-                bucket = states[lo:hi].astype(np.int64) * adim
-                bucket += actions[lo:hi]
-                np.minimum.at(first, bucket, np.arange(lo, hi))
-                np.add.at(sums, bucket, leaves[lo:hi])
-            first = first[first < n]
-            # each bucket's first slot, in slot order
-            first.sort()
-            sums = sums[states[first].astype(np.int64) * adim + actions[first]]
-        else:
-            # dense ranks keep the pair key below n**2, whatever the counts
-            _, s_rank = np.unique(states, return_inverse=True)
-            _, a_rank = np.unique(actions, return_inverse=True)
-            _, first, bucket = np.unique(s_rank * n + a_rank, return_index=True,
-                                         return_inverse=True)
-            first.sort()
-            sums = np.bincount(bucket, weights=leaves)[bucket[first]]
-        total = sum(sums)
-        return {
-            (s, a): v / total
-            for s, a, v in zip(states[first].tolist(), actions[first].tolist(), sums)
-        }
+        first, table = np.full(self.state_dim * adim, n), np.zeros(self.state_dim * adim)
+        for lo in range(0, n, self.PIECE_SLOTS):
+            hi = min(lo + self.PIECE_SLOTS, n)
+            # int64 first: a narrow dtype times adim stays narrow
+            bucket = states[lo:hi].astype(np.int64) * adim
+            bucket += actions[lo:hi]
+            np.minimum.at(first, bucket, np.arange(lo, hi))
+            np.add.at(table, bucket, leaves[lo:hi])
+        # each held cell's first slot, in slot order
+        first = np.sort(first[first < n])
+        table /= sum(table[states[first].astype(np.int64) * adim + actions[first]])
+        return table.reshape(self.state_dim, adim)
 
     @staticmethod
     def _row_layout(state_dim: int, action_dim: int,

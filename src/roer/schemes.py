@@ -31,6 +31,7 @@ InvalidInputError is left for shape and argument errors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +43,30 @@ class ConfigError(ValueError):
     pass
 
 
-def require(cfg, checks) -> None:
-    """Raise ConfigError for the first (field, holds, rule) that fails.
-    Each rule is written as comparisons that a NaN fails."""
-    for name, holds, rule in checks:
-        if not holds:
-            raise ConfigError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")
+def require(cfg, types, checks) -> None:
+    """Raise ConfigError for the first (field, holds, rule) that fails: of
+    types, then of checks(), built once every type holds so that no rule
+    (comparisons that a NaN fails) meets None or a string."""
+    for rules in (lambda: types, checks):
+        for name, holds, rule in rules():
+            if not holds:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(cfg, name)!r}")
 
 
 def integer_rules(cfg, *names) -> tuple:
     """require's rule that each named count is an int: not a float, even
     an integral one like 8.0, and not a bool (type(True) is bool)."""
     return tuple((name, type(getattr(cfg, name)) is int, "an integer") for name in names)
+
+
+def is_real(value) -> bool:
+    """A real number and not a bool: a value a float knob's rule can compare."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def real_rules(cfg, *names) -> tuple:
+    """require's rule that each named float knob is a real number."""
+    return tuple((name, is_real(getattr(cfg, name)), "a real number") for name in names)
 
 
 class InvalidInputError(ValueError):
@@ -79,7 +92,8 @@ class RoerConfig:
     min_priority_clip: float = 1.0
 
     def __post_init__(self):
-        require(self, (
+        require(self, real_rules(self, "lam", "beta", "grad_clip", "max_exp_clip",
+                                 "min_priority_clip"), lambda: (
             ("lam", 0.0 < self.lam <= 1.0, "in (0, 1]"),
             ("beta", 0.0 < self.beta < math.inf, "positive and finite"),
             ("grad_clip", 0.0 < self.grad_clip < math.inf, "positive and finite"),
@@ -96,7 +110,7 @@ class PerConfig:
     min_priority: float = 1.0
 
     def __post_init__(self):
-        require(self, (
+        require(self, real_rules(self, "alpha", "min_priority"), lambda: (
             ("alpha", 0.0 <= self.alpha < math.inf, ">= 0 and finite"),
             ("min_priority", 0.0 < self.min_priority < math.inf,
              "positive and finite"),
@@ -108,8 +122,8 @@ class LaberConfig:
     large_batch: int = 256
 
     def __post_init__(self):
-        require(self, (*integer_rules(self, "large_batch"),
-                       ("large_batch", self.large_batch >= 1, ">= 1")))
+        require(self, integer_rules(self, "large_batch"),
+                lambda: (("large_batch", self.large_batch >= 1, ">= 1"),))
 
 
 # The divergence whose conjugate derivative sets each ROER scheme's ratio

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import roer
-from roer import agents, config as cmod, envs, nn, oracles
+from roer import agents, binio, config as cmod, envs, nn, oracles
 from roer.agents import SacAgent, SacConfig
 from roer.binio import FormatError
 from roer.cli import main
@@ -144,9 +144,17 @@ class TestTrainCommand:
         (dict(sampling_mode="proportional"), "unknown config keys: ['sampling_mode']"),
         # the removed mean-square mode, and its limit
         (dict(env="pendulum", agent=dict(huber_k=None)),
-         "huber_k must be positive and finite, got None"),
+         "huber_k must be a real number, got None"),
         (dict(env="pendulum", agent=dict(huber_k=float("inf"))),
          "huber_k must be positive and finite, got inf"),
+        # a knob of another type fails its type rule before a range rule
+        # compares it
+        (dict(env="pendulum", agent=dict(learning_rate=None)),
+         "learning_rate must be a real number, got None"),
+        (dict(scheme="roer", scheme_config=dict(beta=None)),
+         "beta must be a real number, got None"),
+        (dict(tabular=dict(epsilon=None)), "epsilon must be a real number, got None"),
+        (dict(total_steps="300"), "total_steps must be an integer, got '300'"),
     ])
     def test_bad_value_exits_before_the_run(self, tmp_path, capsys,
                                             overrides, message):
@@ -710,6 +718,37 @@ class TestReplayInspect:
         # a tabular buffer's dims are its table's counts
         assert "discrete True  state_dim 2  action_dim 1" in out
         assert "implied distribution" in out
+
+    def test_a_table_past_the_ceiling_exits_2(self, tmp_path, capsys):
+        # a snapshot whose 2^16 x 2^16 table's pass would take 64 GiB
+        path = tmp_path / "buf.bin"
+        buf = PriorityBuffer(8, 1, 1, discrete=True)
+        buf.push(0, 0, 0.0, 0, False)
+        buf.snapshot(path)
+        arrays = binio.payload_to_arrays(binio.read_envelope(path, binio.KIND_BUFFER))
+        arrays = {name: arr.copy() for name, arr in arrays.items()}
+        arrays["meta"][3:5] = 1 << 16
+        binio.write_envelope(path, binio.KIND_BUFFER, binio.arrays_to_payload(arrays))
+        assert main(["replay-inspect", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: a buffer of 8 slots and dims (65536, 65536) ")
+        assert "above the ceiling" in err
+
+    def test_inspect_lists_ties_in_state_action_order(self, tmp_path, capsys):
+        # first slots in the order (2, 1), (0, 1), (1, 0), (0, 0): the equal
+        # cells are listed by state, then action, below the largest
+        buf = PriorityBuffer(8, 3, 2, discrete=True)
+        for s, a in [(2, 1), (0, 1), (1, 0), (0, 0)]:
+            buf.push(s, a, 0.0, 0, False)
+        buf.update_priorities([2], [2.0])
+        path = tmp_path / "buf.bin"
+        buf.snapshot(path)
+        assert main(["replay-inspect", str(path), "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-4:] == ["implied distribution (top buckets):",
+                                         "  state 1 action 0: 0.4000",
+                                         "  state 0 action 0: 0.2000",
+                                         "  state 0 action 1: 0.2000"]
 
     @pytest.mark.parametrize("column, count", [("states", 5), ("actions", 2),
                                                ("next_states", 5)])

@@ -300,15 +300,21 @@ def test_greedy_policy_breaks_ties_to_the_lowest_action():
 class TestKlHelper:
     def test_matches_manual_sum(self):
         d = OccupancyTable(np.array([[0.5, 0.25], [0.25, 0.0]]))
-        implied = {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.5}
+        implied = np.array([[0.25, 0.25], [0.5, 0.0]])
         manual = (0.5 * math.log(0.5 / 0.25) + 0.25 * math.log(0.25 / 0.25)
                   + 0.25 * math.log(0.25 / 0.5))
         assert kl_divergence_to_implied(d, implied) == pytest.approx(manual)
 
     def test_missing_support_is_finite(self):
         d = OccupancyTable(np.array([[1.0], [0.0]]))
-        val = kl_divergence_to_implied(d, {(1, 0): 1.0})
+        val = kl_divergence_to_implied(d, np.array([[0.0], [1.0]]))
         assert np.isfinite(val) and val > 0.0
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 1, 1), ()])
+    def test_a_table_of_another_shape_is_refused(self, shape):
+        d = OccupancyTable(np.array([[1.0], [0.0]]))
+        with pytest.raises(ValueError, match=r"implied table has shape .*expected \(2, 1\)"):
+            kl_divergence_to_implied(d, np.zeros(shape))
 
 
 KINDS = ("kl", "reverse_kl", "pearson_chi2", "neyman_chi2", "squared_hellinger")

@@ -26,6 +26,7 @@ from roer import binio, harness, nn
 from roer.agents import SacAgent, SacConfig, TabularAgent, TabularConfig
 from roer.binio import FormatError
 from roer.harness import load_offline_dataset
+from roer.oracles import OccupancyTable, kl_divergence_to_implied
 from roer.replay import (
     EmptyBufferError,
     InvalidTransitionError,
@@ -46,6 +47,12 @@ def allocated_bytes(buf):
     nodes and prefix."""
     return (sum(col.nbytes for col in buf.columns.values()) + buf.tree.nodes.nbytes
             + buf.tree.prefix.nbytes)
+
+
+def table_pass_bytes(buf):
+    """What the byte ceiling counts beyond the allocation: a tabular buffer's
+    implied_distribution table pass, a first slot and a sum for each cell."""
+    return 16 * buf.state_dim * buf.action_dim if buf.discrete else 0
 
 
 def tabular_buffer(capacity=8, counts=(16, 8)):
@@ -112,19 +119,45 @@ class TestPush:
         buf = PriorityBuffer(1 << 20, 1, 1, discrete=True)
         assert allocated_bytes(buf) == (20 << 20) + 8 * ((1 << 20) + (1 << 16)
                                                          + 2 * (1 << 12) + 1)
+        # and its 1 x 1 table's pass, 16 bytes
+        assert table_pass_bytes(buf) == 16
         with pytest.raises(ValueError, match="ceiling"):
             PriorityBuffer(2**40, 3, 2)
 
     @pytest.mark.parametrize("args", [(1000, 1, 1, True), (1000, 3, 2, False),
-                                      (1, 5, 4, False)])
+                                      (1, 5, 4, False), (1000, 300, 2, True)])
     def test_ceiling_counts_what_is_allocated(self, monkeypatch, args):
-        # a buffer of exactly MAX_BYTES fits, and one byte less refuses it
-        allocated = allocated_bytes(PriorityBuffer(*args))
-        monkeypatch.setattr(PriorityBuffer, "MAX_BYTES", allocated)
-        assert allocated_bytes(PriorityBuffer(*args)) == allocated
-        monkeypatch.setattr(PriorityBuffer, "MAX_BYTES", allocated - 1)
-        with pytest.raises(ValueError, match=f"needs {allocated} bytes"):
+        # a buffer that needs exactly MAX_BYTES (its allocation, and a tabular
+        # one's table pass) fits, and one byte less refuses it
+        buf = PriorityBuffer(*args)
+        needed = allocated_bytes(buf) + table_pass_bytes(buf)
+        monkeypatch.setattr(PriorityBuffer, "MAX_BYTES", needed)
+        assert allocated_bytes(PriorityBuffer(*args)) == needed - table_pass_bytes(buf)
+        monkeypatch.setattr(PriorityBuffer, "MAX_BYTES", needed - 1)
+        with pytest.raises(ValueError, match=f"needs {needed} bytes"):
             PriorityBuffer(*args)
+
+    @pytest.mark.parametrize("counts", [(1 << 32, 1), (1, (1 << 32) + 1), (1 << 16, 1 << 16),
+                                        (1 << 28, 1), (2**41, 3)])
+    def test_a_table_past_the_ceiling_is_refused(self, counts):
+        # 16 bytes a cell: 2^28 cells take the whole 4 GiB, before the
+        # columns and the tree; the table is counted, never allocated
+        with pytest.raises(ValueError, match="above the ceiling"):
+            PriorityBuffer(8, *counts, discrete=True)
+        # a snapshot of such a buffer, its one row's indices below its counts
+        buf = tabular_buffer(8, (1, 1))
+        buf.push(*make_transition(s2=0))
+        arrays = snapshot_arrays(buf)
+        arrays["meta"][3:5] = counts
+        with pytest.raises(FormatError, match="above the ceiling"):
+            PriorityBuffer.load(envelope(arrays))
+        # the largest table that fits one slot's buffer, whose states are
+        # held as uint32, as those of 2^20 states are
+        cells = (PriorityBuffer.MAX_BYTES
+                 - allocated_bytes(PriorityBuffer(1, 1 << 20, 1, True))) // 16
+        assert PriorityBuffer(1, cells, 1, discrete=True).state_dim == cells
+        with pytest.raises(ValueError, match="above the ceiling"):
+            PriorityBuffer(1, cells + 1, 1, discrete=True)
 
     @pytest.mark.parametrize("discrete", [True, False])
     def test_columns_are_the_row_layout(self, discrete):
@@ -456,8 +489,9 @@ class TestImpliedDistribution:
         buf.push(*make_transition(s=1, a=0))
         buf.update_priorities([0, 1], [1.0, 3.0])
         dist = buf.implied_distribution()
-        assert dist[(0, 0)] == pytest.approx(0.25)
-        assert dist[(1, 0)] == pytest.approx(0.75)
+        assert (dist.shape, dist.dtype) == ((16, 8), np.float64)
+        assert (dist[0, 0], dist[1, 0]) == (0.25, 0.75)
+        assert np.count_nonzero(dist) == 2
 
     def test_uniform_over_distinct_pairs(self):
         buf = tabular_buffer(capacity=12)
@@ -465,10 +499,43 @@ class TestImpliedDistribution:
             for a in range(2):
                 buf.push(*make_transition(s=s, a=a))
         dist = buf.implied_distribution()
-        assert len(dist) == 6
-        for v in dist.values():
-            assert v == pytest.approx(1 / 6)
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+        assert np.count_nonzero(dist) == 6
+        assert dist[:3, :2].tolist() == [[1 / 6] * 2] * 3
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), capacity=st.integers(1, 48), counts=st.tuples(
+        st.integers(1, 12), st.integers(1, 6)))
+    def test_the_table_is_the_running_sum_and_keeps_the_kl_bits(self, data, capacity,
+                                                                  counts):
+        # S x A (1 to 72 cells) on either side of the live size (1 to 48
+        # slots); priorities over many binades, so that a total added in
+        # another order than the cells' first slots rounds differently
+        buf = tabular_buffer(capacity, counts)
+        n = data.draw(st.integers(1, 2 * capacity))
+        rows = data.draw(dataset(buf, n))
+        # pairs that repeat, in any order of first slots
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, counts[0] - 1),
+                                             st.integers(0, counts[1] - 1)),
+                                   min_size=1, max_size=6))
+        picks = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, len(pairs) - 1)))
+        rows["states"] = np.array([pairs[k][0] for k in picks])
+        rows["actions"] = np.array([pairs[k][1] for k in picks])
+        buf.fill_offline(rows)
+        buf.update_priorities(np.arange(len(buf)), data.draw(hnp.arrays(
+            np.float64, len(buf), elements=st.floats(1e-8, 1e8) | st.floats(1.0, 2.0),
+            fill=st.nothing())))
+        table = buf.implied_distribution()
+        assert_implied_is_the_reference(buf, table)
+        # a target occupancy with zero cells, on held and unheld cells alike
+        weights = data.draw(hnp.arrays(np.float64, counts,
+                                       elements=st.sampled_from((0.0, 0.5, 1.0, 3.0))
+                                       | st.floats(1e-3, 1e3)))
+        if not weights.any():
+            weights[0, 0] = 1.0
+        target = OccupancyTable(weights / weights.sum())
+        assert (kl_divergence_to_implied(target, table)
+                == kl_reference(target, implied_reference(buf)))
 
     def test_continuous_requires_bucketing(self):
         buf = vector_buffer()
@@ -820,7 +887,9 @@ finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 def implied_reference(buf):
-    """Reference for implied_distribution: one running sum per slot."""
+    """Reference for implied_distribution: one running sum per slot, each
+    pair's sum over the total of the sums in the order of their first slots,
+    keyed by (state, action) in that order."""
     pri = buf.tree.leaves(buf.size)
     out = {}
     for i in range(buf.size):
@@ -828,6 +897,33 @@ def implied_reference(buf):
         out[k] = out.get(k, 0.0) + pri[i]
     total = sum(out.values())
     return {k: v / total for k, v in out.items()}
+
+
+def assert_implied_is_the_reference(buf, table):
+    """table, implied_distribution's (S, A) float64 table, holds each
+    reference pair's value at its cell, bit for bit, and +0.0 in every
+    other cell."""
+    want = np.zeros((buf.state_dim, buf.action_dim))
+    for (s, a), value in implied_reference(buf).items():
+        want[s, a] = value
+    assert (table.shape, table.dtype) == (want.shape, np.float64)
+    assert table.tobytes() == want.tobytes()
+
+
+def kl_reference(d_target, implied: dict, eps: float = 1e-12) -> float:
+    """KL(d_target || implied) over an implied distribution keyed by (state,
+    action) pairs: the loop oracles.kl_divergence_to_implied ran when the
+    buffer handed out a dict, whose bits the table must keep."""
+    S, A = d_target.table.shape
+    out = 0.0
+    for s in range(S):
+        for a in range(A):
+            p = d_target.table[s, a]
+            if p <= 0.0:
+                continue
+            q = max(implied.get((s, a), 0.0), eps)
+            out += p * np.log(p / q)
+    return float(out)
 
 
 def buffer_state(buf):
@@ -856,11 +952,24 @@ def npz(rows) -> io.BytesIO:
     return stream
 
 
-# a tabular count: small ones, whose indices repeat, the counts at which an
-# index column's held dtype widens (uint8 up to 256, uint16 up to 2**16,
-# uint32 up to 2**32, uint64 above), or any up to 2**41
-COUNT = st.sampled_from((1, 2, 5, 255, 256, 257, 1 << 16, (1 << 16) + 1,
-                         1 << 32, (1 << 32) + 1)) | st.integers(1, 2**41)
+# tabular counts: small ones, whose indices repeat, and the counts at which
+# an index column's held dtype widens (uint8 up to 256, uint16 up to 2**16,
+# uint32 above), or any; in pairs whose S x A table has at most TABLE_CELLS
+# cells, so that a table pass takes at most 4 MiB. A count of 2**32 or
+# more (uint64) makes a table past the byte ceiling, which the buffer
+# refuses (TestPush.test_a_table_past_the_ceiling_is_refused).
+INDEX_COUNTS = (1, 2, 5, 255, 256, 257, 1 << 16, (1 << 16) + 1)
+TABLE_CELLS = 1 << 18
+
+
+@st.composite
+def table_counts(draw):
+    """(states, actions): either count drawn first, the other drawn to fit."""
+    def count(limit):
+        return st.sampled_from([c for c in INDEX_COUNTS if c <= limit]) | st.integers(1, limit)
+    first = draw(count(TABLE_CELLS))
+    second = draw(count(TABLE_CELLS // first))
+    return (first, second) if draw(st.booleans()) else (second, first)
 
 
 @st.composite
@@ -886,7 +995,7 @@ def dataset(draw, buf: PriorityBuffer, n: int):
 def empty_buffers(draw, discrete: bool):
     """An empty buffer of a drawn capacity and counts: an offline fill
     fills only an empty buffer."""
-    capacity, counts = draw(st.integers(1, 10)), draw(st.tuples(COUNT, COUNT))
+    capacity, counts = draw(st.integers(1, 10)), draw(table_counts())
     return tabular_buffer(capacity, counts) if discrete else vector_buffer(capacity)
 
 
@@ -1213,9 +1322,10 @@ class TestNarrowIndices:
         # S x A past uint8's range, with uint8 indices: 99 * 3 + 2 = 299
         ((100, 3), 300), ((100, 3), 2 * PriorityBuffer.PIECE_SLOTS + 1),
         # uint16 states and uint8 actions, the whole table live
-        ((257, 255), 257 * 255)])
+        ((257, 255), 257 * 255),
+        # a table larger than the live slots: uint32 states
+        (((1 << 16) + 1, 3), PriorityBuffer.PIECE_SLOTS + 1)])
     def test_implied_distribution_across_pieces(self, counts, n):
-        assert counts[0] * counts[1] <= n  # the table pass
         rng = np.random.default_rng(n)
         states, actions = rng.integers(0, counts[0], n), rng.integers(0, counts[1], n)
         states[-1], actions[-1] = counts[0] - 1, counts[1] - 1
@@ -1223,9 +1333,9 @@ class TestNarrowIndices:
         buf.fill_offline(dict(zip(COLUMNS, (states, actions, np.zeros(n), states,
                                             np.zeros(n, dtype=bool)))))
         buf.update_priorities(np.arange(n), rng.random(n) + 1e-3)
-        got, want = buf.implied_distribution(), implied_reference(buf)
-        assert list(got.items()) == list(want.items())
-        assert (counts[0] - 1, counts[1] - 1) in got
+        got = buf.implied_distribution()
+        assert_implied_is_the_reference(buf, got)
+        assert got[counts[0] - 1, counts[1] - 1] > 0.0
 
 
 def held_itemsize(count):
@@ -1263,7 +1373,7 @@ class BufferMachine(RuleBasedStateMachine):
 
     @initialize(discrete=st.booleans(),
                 capacity=st.integers(1, 12) | st.sampled_from((16, 17, 33)),
-                width=st.sampled_from((1, 2, 4, W)), counts=st.tuples(COUNT, COUNT),
+                width=st.sampled_from((1, 2, 4, W)), counts=table_counts(),
                 vector_dims=st.tuples(st.integers(1, 3), st.integers(1, 3)))
     def start(self, discrete, capacity, width, counts, vector_dims):
         SumTree.PREFIX_WIDTH = width
@@ -1530,9 +1640,7 @@ class BufferMachine(RuleBasedStateMachine):
             with pytest.raises(UnsupportedModeError):
                 self.buf.implied_distribution()
         else:
-            got = self.buf.implied_distribution()
-            assert list(got.items()) == list(implied_reference(self.buf).items())
-            assert all(type(s) is int and type(a) is int for s, a in got)
+            assert_implied_is_the_reference(self.buf, self.buf.implied_distribution())
 
 
 TestBufferMachine = BufferMachine.TestCase
@@ -1542,8 +1650,8 @@ class TestBulkPathMemory:
     """What the bulk paths allocate beyond the buffer, as tracemalloc sees
     it (numpy reports its array allocations to it), on a full 2^16-slot
     tabular buffer: less than 2.5 int64 columns of the live size, and for
-    the implied distribution and the snapshot's widened index columns a
-    bound that does not grow with it."""
+    the implied distribution (beyond its S x A table) and the snapshot's
+    widened index columns a bound that does not grow with it."""
 
     N = 1 << 16
     BOUND = 2.5 * 8 * N
@@ -1602,13 +1710,14 @@ class TestBulkPathMemory:
         assert buffer_state(buf) == buffer_state(ref)
 
     def test_implied_distribution(self, full):
-        # four pieces of int64 slot temporaries, the S x A table's first
-        # slots and sums (16 bytes a cell), and the 256-key result
-        out = {}
-        bound = 4 * 8 * PriorityBuffer.PIECE_SLOTS + 16 * 64 * 4 + 64 * 1024
+        # four pieces of int64 slot temporaries, and 32 bytes a cell of the
+        # 64 x 4 table: its first slots and sums (the sums become the
+        # result), the held mask, and the held cells' first slots and offsets
+        out = []
+        bound = 4 * 8 * PriorityBuffer.PIECE_SLOTS + 32 * 64 * 4
         assert bound < 8 * self.N
-        assert self.traced_peak(lambda: out.update(full.implied_distribution())) < bound
-        assert list(out.items()) == list(implied_reference(full).items())
+        assert self.traced_peak(lambda: out.append(full.implied_distribution())) < bound
+        assert_implied_is_the_reference(full, out[0])
 
     def test_snapshot_to_a_file(self, full, tmp_path):
         path = tmp_path / "buffer.bin"

@@ -40,9 +40,10 @@ for config.yaml and a JSON file (metrics.jsonl, summary.json, bias_*.json,
 report.json) it names the keys that differ, dotted below the top level,
 with a list's items compared in order under the list's key. It also
 compares each command's exit code, the first line of its stderr and its
-stdout (printing the first line that differs), with the run's own
-directory replaced by a placeholder. It prints each difference and exits 1 on any, 0 when the
-two trees agree. The whole matrix takes about a minute on a 2-vCPU VM.
+stdout (printing the first line that differs, and `same lines, other
+order` beside it when the two stdouts differ only in their lines' order),
+with the run's own directory replaced by a placeholder. It prints each
+difference and exits 1 on any, 0 when the two trees agree. The whole matrix takes about a minute on a 2-vCPU VM.
 BLAS runs one thread per process, as in perfbench/run.py.
 """
 
@@ -241,16 +242,20 @@ def compare_dirs(a: Path, b: Path) -> list[str]:
 def compare_results(a: dict, b: dict) -> list[str]:
     """One line per command result that differs between two run_config
     results: the exit code, the first stderr line, or the first stdout line
-    that differs."""
+    that differs, marked `same lines, other order` when the two stdouts
+    hold the same lines in another order (still a difference)."""
     diffs = []
     for cmd in a:
         for key in ("exit", "stderr", "stdout"):
             x, y = a[cmd][key], b[cmd][key]
+            note = ""
             if x != y and key == "stdout":
-                x, y = next((p, q) for p, q in itertools.zip_longest(
-                    x.splitlines(), y.splitlines()) if p != q)
+                lines = x.splitlines(), y.splitlines()
+                if sorted(lines[0]) == sorted(lines[1]):
+                    note = " (same lines, other order)"
+                x, y = next((p, q) for p, q in itertools.zip_longest(*lines) if p != q)
             if x != y:
-                diffs.append(f"roer {cmd}: {key} {x!r} vs {y!r}")
+                diffs.append(f"roer {cmd}: {key} {x!r} vs {y!r}{note}")
     return diffs
 
 
