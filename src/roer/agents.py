@@ -302,15 +302,22 @@ class SacAgent:
         cfg = self.config
         q, cache = self._scalar(params, x)
         out = losses.weighted_huber_critic_loss(q, target, weights, k=cfg.huber_k)
-        grads, _ = nn.backward(params, x, out.grad[:, None], cache)
-        penalty = 0.0
+        # the penalty runs first, so that its chain is freed before the loss
+        # backward allocates; each array goes once nothing reads it
+        penalty, pen_grads = 0.0, None
         if cfg.penalty_coef > 0.0:
             pen = losses.gradient_penalty(params, x, cache)
-            penalty = pen.value
+            penalty, pen_grads = pen.value, pen.param_grads.flat
+            del pen
+            pen_grads *= cfg.penalty_coef
+        grads = nn.backward(params, x, out.grad[:, None], cache)[0]
+        del cache
+        if pen_grads is not None:
             # the penalty's bias gradients are +0.0, so the flat sum leaves
             # every bias bit as it was, but for a -0.0 that it makes +0.0
             # (Adam cannot tell the two apart)
-            grads.flat += cfg.penalty_coef * pen.param_grads.flat
+            grads.flat += pen_grads
+        del pen_grads
         loss_val = out.value + cfg.penalty_coef * penalty
         if not math.isfinite(loss_val):
             raise FloatingPointError("critic loss diverged")
@@ -421,6 +428,9 @@ class SacAgent:
         # beside it is whole before anything can raise.
         (act, logp, aux), _ = self._lanes(
             lambda: self._sample(np.concatenate([nobs, obs]), rng), self._snapshot)
+        # the actor's backward reads only the obs half: the stacked arrays go
+        # now, before the target and critic pairs allocate theirs
+        aux = _rows_from(aux, n)
         # critic update against the entropy-regularized min-target; the
         # targets move only at the Polyak step, so under a ROER scheme the
         # same pass also gives the value loss its min-target on (obs, act)
@@ -437,7 +447,7 @@ class SacAgent:
         # the actor's gradient through the min online critic, on the obs
         # half of the draw; the critics' passes read only the stepped critics
         x_new = np.concatenate([obs, act[n:]], axis=1)
-        logp, aux = logp[n:], _rows_from(aux, n)
+        logp = logp[n:]
         if roer is None:
             critics = self._pair(
                 lambda params, _: self._critic_input_gradient(params, x_new), self.critics)
@@ -470,9 +480,10 @@ class SacAgent:
         out = losses.extreme_v_loss(residual, roer.beta, roer.grad_clip, div)
         if not math.isfinite(out.value):
             raise FloatingPointError("value loss diverged")
-        vgrads, _ = nn.backward(self.value, obs, -out.grad[:, None], v_cache)
+        vgrads = nn.backward(self.value, obs, -out.grad[:, None], v_cache)[0]
+        del v_cache
         self.opt_value.step(self.value, vgrads)
-        v, _ = self._scalar(self.value, np.concatenate([obs, batch.next_states]))
+        v = self._scalar(self.value, np.concatenate([obs, batch.next_states]))[0]
         td = losses.td_error(batch.rewards, self.config.gamma, v[n:], v[:n],
                              batch.terminals)
         return out.value, out.clipped, td
@@ -621,10 +632,11 @@ def aux_obs_of(aux: dict) -> np.ndarray:
 
 
 def _rows_from(aux: dict, start: int) -> dict:
-    """_sample's aux for its rows from start on, as views."""
+    """_sample's aux for its rows from start on, as copies, so that aux's
+    own arrays are freed once the caller drops it."""
     hidden, masks = aux["cache"]
-    rows = {k: v[start:] for k, v in aux.items() if k != "cache"}
-    rows["cache"] = ([h[start:] for h in hidden], [m[start:] for m in masks])
+    rows = {k: v[start:].copy() for k, v in aux.items() if k != "cache"}
+    rows["cache"] = ([h[start:].copy() for h in hidden], [m[start:].copy() for m in masks])
     return rows
 
 

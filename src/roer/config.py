@@ -105,7 +105,7 @@ class ExperimentConfig:
     sweep_grid: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.scheme not in SCHEME_CONFIGS:
+        if not isinstance(self.scheme, str) or self.scheme not in SCHEME_CONFIGS:
             raise ConfigError(
                 f"unknown scheme {self.scheme!r}; expected one of "
                 f"{tuple(SCHEME_CONFIGS)}"
@@ -120,6 +120,9 @@ class ExperimentConfig:
                            "bias_eval_pairs", "bias_eval_horizon", "workers"),
             ("env_horizon", self.env_horizon is None or type(self.env_horizon) is int,
              "an integer or null"),
+            ("output_dir", type(self.output_dir) is str, "a string"),
+            ("offline_dataset", self.offline_dataset is None
+             or type(self.offline_dataset) is str, "a string or null"),
         ), lambda: (
             ("seeds", len(self.seeds) >= 1, "a non-empty list"),
             ("seeds", all(type(s) is int and s >= 0 for s in self.seeds),
@@ -192,18 +195,35 @@ SAC_PROFILES: dict[str, dict[str, Any]] = {
 }
 
 
+def _section(raw: dict, key: str) -> dict:
+    """raw's section key, popped: a mapping, or {} when absent or null."""
+    section = raw.pop(key, None)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be a mapping, got {section!r}")
+    return section
+
+
+def _as_tuple(name: str, value) -> tuple:
+    """A list value as a tuple, checked before any conversion."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def _build_sac(raw: dict) -> SacConfig:
     raw = dict(raw)
     profile = raw.pop("profile", "test")
-    if profile not in SAC_PROFILES:
+    if not isinstance(profile, str) or profile not in SAC_PROFILES:
         raise ConfigError(f"unknown agent profile {profile!r}")
     if "hidden_dims" in raw:
-        raw["hidden_dims"] = tuple(raw["hidden_dims"])
+        raw["hidden_dims"] = _as_tuple("hidden_dims", raw["hidden_dims"])
     return SacConfig(**{**SAC_PROFILES[profile], **raw})
 
 
 def _build_scheme_config(scheme, raw: dict):
-    cls = SCHEME_CONFIGS.get(scheme)
+    cls = SCHEME_CONFIGS.get(scheme) if isinstance(scheme, str) else None
     allowed = {f.name for f in fields(cls)} if cls else set()
     unknown = set(raw) - allowed
     if unknown:
@@ -221,13 +241,13 @@ def from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         if seeds is None:
             raise ConfigError("config requires 'seeds'")
         kwargs: dict[str, Any] = {k: raw.pop(k) for k in _TOP_LEVEL if k in raw}
-        kwargs["seeds"] = tuple(seeds)
-        kwargs["sac"] = _build_sac(raw.pop("agent", None) or {})
-        kwargs["tabular"] = TabularConfig(**(raw.pop("tabular", None) or {}))
+        kwargs["seeds"] = _as_tuple("seeds", seeds)
+        kwargs["sac"] = _build_sac(_section(raw, "agent"))
+        kwargs["tabular"] = TabularConfig(**_section(raw, "tabular"))
         kwargs["scheme_config"] = _build_scheme_config(
-            kwargs.get("scheme"), raw.pop("scheme_config", None) or {})
-        sweep = raw.pop("sweep", None) or {}
-        if not isinstance(sweep, dict) or set(sweep) - {"grid"}:
+            kwargs.get("scheme"), _section(raw, "scheme_config"))
+        sweep = _section(raw, "sweep")
+        if set(sweep) - {"grid"}:
             raise ConfigError("the sweep section takes one key, grid")
         kwargs["sweep_grid"] = sweep.get("grid") or {}
         if raw:

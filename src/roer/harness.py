@@ -13,8 +13,6 @@ files contain no wall-clock fields (timing goes to a sidecar).
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import json
 import math
 import time
@@ -378,6 +376,10 @@ def run_train(cfg: ExperimentConfig) -> Path:
     (out_dir / "config.yaml").write_text(echo(cfg))
     jobs = [(cfg, seed, out_dir / f"seed_{seed}") for seed in cfg.seeds]
     if cfg.workers > 1 and len(cfg.seeds) > 1:
+        # imported here: a single-seed run is spared their memory and time
+        import concurrent.futures
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         with concurrent.futures.ProcessPoolExecutor(cfg.workers,
                                                     mp_context=ctx) as pool:

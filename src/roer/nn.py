@@ -242,14 +242,17 @@ def input_gradient_param_backward(params: ParameterSet, x: np.ndarray,
     if c.shape != x.shape:
         raise ShapeError(f"cotangent shape {c.shape} != input shape {x.shape}")
     L = params.n_layers
-    grads = params.zeros_like()
+    grads = params._like(np.empty(len(params.flat)))
     # tangent pass along direction c, meeting the backward chain per layer
     t = c
     for l in range(L):
-        grads.weights[l] += chain[l + 1].T @ t
+        np.matmul(chain[l + 1].T, t, out=grads.weights[l])
+        grads.biases[l].fill(0.0)
         if l < L - 1:
             t = t @ params.weights[l].T
             t *= masks[l]
+    # each -0.0 becomes +0.0, as a sum into a zeroed vector makes it
+    grads.flat += 0.0
     return grads
 
 

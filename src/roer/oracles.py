@@ -50,16 +50,17 @@ def value_iteration(mdp: TabularMdp, tol: float = 1e-10):
     Ties break toward the lowest action index, so the greedy policy (and
     hence the optimal occupancy) is deterministic and reproducible.
     """
-    P, r, gamma = mdp.transitions, mdp.rewards, mdp.gamma
+    # gamma * P @ v is (gamma * P) @ v: the product is formed once, not per sweep
+    r, gamma_P = mdp.rewards, mdp.gamma * mdp.transitions
     Q = np.zeros((mdp.n_states, mdp.n_actions))
     while True:
-        Q_backup = r + gamma * P @ Q.max(axis=1)
-        residual = np.max(np.abs(Q_backup - Q))
+        Q_backup = r + gamma_P @ np.maximum.reduce(Q, axis=1)
+        residual = np.maximum.reduce(np.abs(Q_backup - Q), axis=None)
         Q = Q_backup
         # the contraction shrinks the new iterate's residual below gamma*residual
         if residual <= tol:
             break
-    return Q, Q.max(axis=1), greedy_policy(Q)
+    return Q, np.maximum.reduce(Q, axis=1), greedy_policy(Q)
 
 
 def greedy_policy(Q: np.ndarray) -> np.ndarray:

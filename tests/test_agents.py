@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -603,6 +604,37 @@ class TestForwardPasses:
         # target pair and the stepped value network also run once over two
         # stacked batches each
         assert rows.count(2 * len(batch)) == stacked
+
+
+class TestUpdateMemory:
+    # every array of an update has a shape that the config and the batch
+    # fix, so its traced peak repeats to a few bytes: about 5.10e6 B here
+    # (numpy 2.4, Python 3.11), where holding each array until its phase
+    # ended took about 6.84e6 B
+    BOUND = 5 << 20
+
+    def test_traced_peak_of_one_full_profile_update(self):
+        config = SacConfig(**SAC_PROFILES["full"])
+        n = config.batch_size
+        agent = SacAgent(3, 1, config, seed=0)
+        agent.pair_threads = False
+        rng = np.random.default_rng(50)
+        buf = PriorityBuffer(n, 3, 1)
+        buf.fill_offline(dict(states=rng.normal(size=(n, 3)),
+                              actions=np.tanh(rng.normal(size=(n, 1))),
+                              rewards=rng.normal(size=n), next_states=rng.normal(size=(n, 3)),
+                              terminals=rng.random(n) < 0.1))
+        batch = buf.sample_uniform(n, rng)
+        peaks = []
+        for seed in range(2):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert not update_with(agent, batch, seed).aborted
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= self.BOUND, peaks
 
 
 class TestCheckpointMismatch:

@@ -155,6 +155,22 @@ class TestTrainCommand:
          "beta must be a real number, got None"),
         (dict(tabular=dict(epsilon=None)), "epsilon must be a real number, got None"),
         (dict(total_steps="300"), "total_steps must be an integer, got '300'"),
+        # a section that is no mapping, and a list that is no list, are named
+        # before any conversion
+        (dict(seeds=5), "seeds must be a list, got 5"),
+        (dict(seeds="01"), "seeds must be a list, got '01'"),
+        (dict(agent=5), "agent must be a mapping, got 5"),
+        (dict(agent=[1]), "agent must be a mapping, got [1]"),
+        (dict(env="pendulum", agent=dict(hidden_dims=None)),
+         "hidden_dims must be a list, got None"),
+        (dict(env="pendulum", agent=dict(hidden_dims=64)), "hidden_dims must be a list, got 64"),
+        (dict(env="pendulum", agent=dict(profile=[1])), "unknown agent profile [1]"),
+        (dict(scheme_config=5), "scheme_config must be a mapping, got 5"),
+        (dict(tabular=[1]), "tabular must be a mapping, got [1]"),
+        (dict(sweep=5), "sweep must be a mapping, got 5"),
+        (dict(scheme=[1]), "unknown scheme [1]"),
+        (dict(output_dir=5), "output_dir must be a string, got 5"),
+        (dict(offline_dataset=5), "offline_dataset must be a string or null, got 5"),
     ])
     def test_bad_value_exits_before_the_run(self, tmp_path, capsys,
                                             overrides, message):
@@ -855,9 +871,11 @@ class TestCorruptShapes:
 
 def test_cli_import_loads_no_scipy():
     # scipy takes most of a second to import; only the oracle suite, the
-    # dual minimizer and sweeps use it
+    # dual minimizer and sweeps use it. The process pool's modules cost a
+    # single-seed run about 1 MB; only a multi-seed run_train uses them.
     code = ("import sys, roer.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'multiprocessing', 'concurrent')))")
     src = str(Path(roer.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,

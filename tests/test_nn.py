@@ -531,6 +531,30 @@ class TestMaskedPasses:
         assert same_bytes(nn.input_gradient_param_backward(params, x, cot, cache, chain),
                           param_backward_reference(params, x, cot))
 
+    @pytest.mark.parametrize("case", ["zero cotangent", "negative zero cotangent",
+                                      "dead unit"])
+    @settings(max_examples=30, deadline=None)
+    @given(net=sized_networks(), seed=st.integers(0, 99))
+    def test_param_backward_keeps_the_zero_accumulators_sign_of_zero(self, net, seed, case):
+        # the reference sums into a zeroed vector, so every zero it holds is
+        # +0.0; the pass must give those bytes where its products are zeros
+        params, x = net
+        params = ParameterSet(params.weights[:-1] + [params.weights[-1][:1]],
+                              params.biases[:-1] + [params.biases[-1][:1]])
+        cot = np.random.default_rng(seed).normal(size=x.shape)
+        if case == "zero cotangent":
+            cot[...] = 0.0
+        elif case == "negative zero cotangent":
+            cot[...] = -0.0
+        elif params.n_layers > 1:  # unit 0 of the first hidden layer never fires
+            params.weights[0][0] = 0.0
+            params.biases[0][0] = -1.0
+        _, cache = nn.forward_cache(params, x)
+        _, chain = nn.input_gradient(params, x, cache)
+        grads = nn.input_gradient_param_backward(params, x, cot, cache, chain)
+        assert same_bytes(grads, param_backward_reference(params, x, cot))
+        assert not np.signbit(grads.flat[grads.flat == 0.0]).any()
+
     @settings(max_examples=60, deadline=None)
     @given(net=networks(), data=st.data())
     def test_adam_is_blind_to_the_sign_of_zero_gradients(self, net, data):

@@ -81,6 +81,24 @@ class TestValueIteration:
         backup = mdp.rewards + mdp.gamma * mdp.transitions @ Q.max(axis=1)
         assert np.max(np.abs(backup - Q)) <= 1e-10
 
+    @pytest.mark.parametrize("mdp", [chain_mdp(10), gridworld_mdp(8, 8), random_mdp(4, 2),
+                                     chain_mdp(5)], ids=["chain-10", "grid-8x8", "random-4x2",
+                                                         "chain-5"])
+    def test_equals_the_per_sweep_product_bit_for_bit(self, mdp):
+        # the reference forms gamma * P anew on every sweep
+        P, r, gamma = mdp.transitions, mdp.rewards, mdp.gamma
+        Q = np.zeros((mdp.n_states, mdp.n_actions))
+        while True:
+            Q_backup = r + gamma * P @ Q.max(axis=1)
+            residual = np.max(np.abs(Q_backup - Q))
+            Q = Q_backup
+            if residual <= 1e-10:
+                break
+        Q_star, V_star, policy = value_iteration(mdp)
+        assert Q_star.tobytes() == Q.tobytes()
+        assert V_star.tobytes() == Q.max(axis=1).tobytes()
+        assert policy.tobytes() == greedy_policy(Q).tobytes()
+
     def test_ties_break_to_lowest_action(self):
         mdp = single_state_mdp()
         P = np.ones((1, 2, 1))
